@@ -1,4 +1,4 @@
-"""Newton method with a logarithmic barrier and an exact-ish line search.
+"""Newton method with a logarithmic barrier and a backtracking line search.
 
 The solver minimizes  f(x) - (1/tau) * [ sum_j ln(-c_j(x)) + sum_i ln x_i ]
 over the strictly feasible region, increasing tau geometrically.  The
@@ -6,16 +6,20 @@ barrier covers every inequality and the nonnegative time/energy
 coordinates; auxiliary rate variables are kept free because the epigraph
 rows already fence them in.
 
-The step length along a Newton direction d is found in three stages:
+Each Newton direction d is damped by backtracking (Boyd & Vandenberghe,
+Convex Optimization, sections 9.2 and 11.3).  The first trial step is
+min(1, closed-form distance to the nearest linear row or coordinate axis,
+scaled back by `shrink`); it is halved until the barrier decreases by at
+least ARMIJO * step * (g . d).  A trial that leaves the domain of a
+nonlinear row has barrier value +inf and fails the test, so those rows
+need no separate crossing search.  Near a stage optimum, where the
+predicted decrease sinks under the evaluation noise of the barrier, the
+first finite trial is still taken when it does not raise the barrier
+beyond that noise and at least halves the gradient.
 
-  1. closed-form distance to the nearest linear constraint or coordinate
-     axis (scaled back by `shrink`),
-  2. per nonlinear constraint, a bisection for the feasibility crossing
-     inside that interval,
-  3. a golden-section minimization of the original objective on the
-     surviving interval; the step is accepted only if the barrier value
-     decreases, otherwise the golden section is rerun on the barrier
-     function itself.
+`alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
+no longer called by the solver; they stay because the benchmark's trace
+(perfbench/tracing.py) looks each of them up by name.
 
 Any program exposing the evaluation protocol of `ConvexProgram` (see
 program.py) can be solved, including the quadratic subproblems built by
@@ -42,6 +46,8 @@ from .program import (
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
+# sufficient-decrease fraction of the Armijo test
+ARMIJO = 1e-4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -54,9 +60,7 @@ class BarrierOptions:
     tau_max: float = 1e8       # stop once tau reaches this
     eps: float = 1e-6          # inner termination on the step norm
     max_inner: int = 200       # Newton iteration cap per stage
-    shrink: float = 0.99       # back-off from the feasibility boundary
-    bisect_tol: float = 1e-9   # feasibility crossing tolerance
-    golden_tol: float = 1e-8   # line-search interval tolerance
+    shrink: float = 0.99       # back-off from the linear boundary
     grad_tol: float = 1e-7     # barrier gradient norm required at convergence
     record_history: bool = False
 
@@ -65,7 +69,7 @@ class BarrierOptions:
             raise ValueError("need tau0 > 0, mu > 1, tau_max >= tau0")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
-        if min(self.eps, self.bisect_tol, self.golden_tol, self.grad_tol) <= 0:
+        if min(self.eps, self.grad_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
@@ -93,6 +97,13 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
+
+    @classmethod
+    def infeasible(cls, solver: str) -> "SolveResult":
+        """The result of a program without a strictly interior point."""
+        return cls(status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
+                   outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
+                   kkt_residual=math.inf, solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -240,50 +251,41 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def _line_search(program, tau, x, d, f_barrier_x, gnorm, opts: BarrierOptions):
-    """Step length along d; returns (alpha, barrier value at the new point)."""
-    a_lin = alpha_linear(program, x, d, opts.shrink)
-    if a_lin <= 0.0:
-        return 0.0, f_barrier_x
-    a_max = alpha_log_bisection(program, x, d, a_lin, opts.shrink, opts.bisect_tol)
-    if a_max <= 0.0:
-        return 0.0, f_barrier_x
+def _line_search(program, tau, x, d, f_x, slope, gnorm, opts: BarrierOptions):
+    """Backtracking (Armijo) step along d.
 
-    # candidate 1: the plain Newton step, which keeps quadratic convergence
-    # near the stage optimum
-    a_newton = min(1.0, a_max)
-    f_newton = barrier_value(program, tau, x + a_newton * d)
-    best_a, best_f = a_newton, f_newton
-
-    # candidate 2: minimizer of the original objective along the ray (for a
-    # linear objective that is simply the interval end)
-    if program.objective_curved:
-        a_f = golden_section_min(lambda a: program.objective_value(x + a * d),
-                                 (0.0, a_max), opts.golden_tol)
-    else:
-        a_f = a_max
-    if a_f != best_a:
-        f_f = barrier_value(program, tau, x + a_f * d)
-        if f_f < best_f:
-            best_a, best_f = a_f, f_f
-    if best_f < f_barrier_x:
-        return best_a, best_f
-
-    # safe path: minimize the barrier itself
-    a_b = golden_section_min(lambda a: barrier_value(program, tau, x + a * d),
-                             (0.0, a_max), opts.golden_tol)
-    f_b = barrier_value(program, tau, x + a_b * d)
-    if f_b < f_barrier_x:
-        return a_b, f_b
+    Returns (alpha, barrier value at the new point, barrier evaluations).
+    The first trial is the Newton step capped by fraction-to-boundary on
+    the linear rows and coordinate axes; a trial outside the domain of a
+    nonlinear row has barrier value +inf and is halved like any other
+    failed test.
+    """
+    a = min(1.0, alpha_linear(program, x, d, opts.shrink))
+    first = None
+    evals = 0
+    floor = 2e-14 * (1.0 + abs(f_x))
+    while a > 0.0:
+        f_a = barrier_value(program, tau, x + a * d)
+        evals += 1
+        if f_a <= f_x + ARMIJO * a * slope:
+            return a, f_a, evals
+        if first is None and f_a < math.inf:
+            first = (a, f_a)
+        a *= 0.5
+        if -a * slope <= floor:
+            # the decrease a shorter step predicts is below what the
+            # barrier evaluation resolves
+            break
 
     # noise floor: close to the stage optimum the predicted decrease of a
     # Newton step drops under what the barrier evaluation resolves, so take
-    # the step whenever it clearly contracts the gradient instead
-    if f_newton <= f_barrier_x + 1e-9 * (1.0 + abs(f_barrier_x)):
-        g_n = barrier_gradient(program, tau, x + a_newton * d)
-        if float(np.abs(g_n).max()) <= 0.5 * gnorm:
-            return a_newton, f_newton
-    return 0.0, f_barrier_x
+    # the first finite trial whenever it clearly contracts the gradient
+    if first is not None and first[1] <= f_x + 1e-9 * (1.0 + abs(f_x)):
+        a, f_a = first
+        g_a = barrier_gradient(program, tau, x + a * d)
+        if float(np.abs(g_a).max()) <= 0.5 * gnorm:
+            return a, f_a, evals
+    return 0.0, f_x, evals
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +301,21 @@ def _minimize_stage(program, tau, x, opts: BarrierOptions, history):
     for k in range(opts.max_inner):
         g = barrier_gradient(program, tau, x)
         gnorm = float(np.abs(g).max())
-        d, _ = _newton_direction(program, tau, x, g)
+        d, regularized = _newton_direction(program, tau, x, g)
         # squared Newton decrement: the decrease a full step can still buy;
         # once it sinks under the evaluation noise of the barrier, the
         # remaining gradient is representation error along stiff directions
-        dec2 = max(float(-(g @ d)), 0.0)
+        slope = float(g @ d)
+        dec2 = max(-slope, 0.0)
         at_noise = dec2 <= 2e-14 * (1.0 + abs(f_x))
         if last_step <= opts.eps and (gnorm <= opts.grad_tol or at_noise):
             return x, k, True
-        alpha, f_new = _line_search(program, tau, x, d, f_x, gnorm, opts)
+        alpha, f_new, evals = _line_search(program, tau, x, d, f_x, slope, gnorm, opts)
         if history is not None:
             history.append({
                 "tau": tau, "iter": k, "barrier": f_x, "barrier_next": f_new,
-                "alpha": alpha, "grad_norm": gnorm,
+                "alpha": alpha, "grad_norm": gnorm, "slope": slope,
+                "regularized": regularized, "evals": evals,
             })
         if alpha == 0.0:
             stalls += 1
@@ -364,22 +368,14 @@ def solve_nb(program, options: BarrierOptions | None = None,
         try:
             start = initial_point(red)
         except InfeasibleProgramError:
-            return SolveResult(
-                status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
-                outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
-                kkt_residual=math.inf, solver="nb",
-            )
+            return SolveResult.infeasible("nb")
         x = start.x.astype(float)
     else:
         pre = None
         red = program
         x = np.asarray(x0, dtype=float).copy()
         if barrier_value(red, opts.tau0, x) == math.inf:
-            return SolveResult(
-                status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
-                outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
-                kkt_residual=math.inf, solver="nb",
-            )
+            return SolveResult.infeasible("nb")
     history: list | None = [] if opts.record_history else None
 
     tau = opts.tau0

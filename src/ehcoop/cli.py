@@ -190,6 +190,8 @@ def _cmd_select(args) -> int:
 
 
 def _run_sweep_command(args, param: str, default_range) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = build_network_config(args)
     start = args.start if args.start is not None else default_range[0]
     stop = args.stop if args.stop is not None else default_range[1]
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objective", choices=("sum", "common", "both"), default="sum")
         p.add_argument("--out", metavar="CSV", help="write the table here")
         p.add_argument("--plotdata", metavar="JSON", help="write grouped series here")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per point and CPU")
         _add_solver_flag(p)
         _add_network_flags(p)
         p.set_defaults(func=_run_sweep_command, sweep_param=param,

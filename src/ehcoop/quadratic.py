@@ -498,11 +498,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     try:
         start = initial_point(red)
     except InfeasibleProgramError:
-        return SolveResult(
-            status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
-            outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
-            kkt_residual=math.inf, solver="quad",
-        )
+        return SolveResult.infeasible("quad")
 
     x = start.x.astype(float)
     y_scales = _y_scales(red)

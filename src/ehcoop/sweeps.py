@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -151,12 +152,22 @@ def _evaluate_group_packed(args):
     return _evaluate_group(*args)
 
 
+def worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: no more than its tasks or this machine's CPUs.
+
+    The pool starts every worker up front, so an unclamped request would
+    start that many processes whatever the sweep's size.
+    """
+    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
     """All rows of a sweep, ordered by value, objective, scenario, case."""
     tasks = [(spec, value, objective)
              for value in spec.values() for objective in spec.objectives]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_evaluate_group_packed, tasks))
     else:
         groups = [_evaluate_group(*task) for task in tasks]

@@ -24,7 +24,14 @@ from ehcoop import (
     newton_direction,
     solve_nb,
 )
-from ehcoop.barrier import ALPHA_CAP, barrier_gradient, barrier_value, bisect_sign_change
+from ehcoop.barrier import (
+    ALPHA_CAP,
+    ARMIJO,
+    _line_search,
+    barrier_gradient,
+    barrier_value,
+    bisect_sign_change,
+)
 
 
 def one_var_program(rows):
@@ -186,6 +193,65 @@ def test_history_records_monotone_stages():
     assert taus == sorted(taus)
     assert taus[0] == pytest.approx(1.0)
     for h in res.history:
+        assert isinstance(h["regularized"], bool)
+        assert isinstance(h["evals"], int)
         if h["alpha"] > 0.0:
+            assert h["evals"] >= 1
             # accepted steps never raise the barrier beyond evaluation noise
             assert h["barrier_next"] <= h["barrier"] + 1e-9 * (1.0 + abs(h["barrier"]))
+    # the relay Hessians are well conditioned: no step needed regularizing
+    assert not any(h["regularized"] for h in res.history)
+
+
+# -- the backtracking line search on a relay program --------------------------
+
+
+def test_accepted_steps_pass_armijo_or_the_noise_floor_rule():
+    hist = solve_nb(relay_program(), BarrierOptions(record_history=True)).history
+    accepted = 0
+    for h, nxt in zip(hist, hist[1:] + [None]):
+        if h["alpha"] == 0.0:
+            continue
+        accepted += 1
+        assert h["slope"] < 0.0
+        if h["barrier_next"] <= h["barrier"] + ARMIJO * h["alpha"] * h["slope"]:
+            continue
+        # noise floor: no rise beyond evaluation noise, and the gradient at
+        # the new point (the next entry of the same stage) at least halves
+        assert h["barrier_next"] <= h["barrier"] + 1e-9 * (1.0 + abs(h["barrier"]))
+        if nxt is not None and nxt["tau"] == h["tau"]:
+            assert nxt["grad_norm"] <= 0.5 * h["grad_norm"]
+    assert accepted > 0
+
+
+def test_line_search_needs_few_barrier_evaluations_per_step():
+    hist = solve_nb(relay_program(), BarrierOptions(record_history=True)).history
+    mean_evals = sum(h["evals"] for h in hist) / len(hist)
+    assert mean_evals <= 3.0
+
+
+def test_step_across_a_perspective_row_is_cut_back_inside():
+    p = relay_program()
+    x = initial_point(p).x.copy()
+    tau = 10.0
+    aux = p.epigraph[0].aux_index
+    x[aux] = 0.2  # far below both rate rows, so raising it lowers the barrier
+    d = np.zeros_like(x)
+    d[aux] = 3.0
+    # the full step crosses a perspective row but no linear row or axis
+    assert max(p.nonlinear_value(j, x + d) for j in range(p.n_nonlinear)) > 0.0
+    assert alpha_linear(p, x, d) >= 1.0
+    f_x = barrier_value(p, tau, x)
+    g = barrier_gradient(p, tau, x)
+    slope = float(g @ d)
+    assert slope < 0.0
+    alpha, f_new, evals = _line_search(p, tau, x, d, f_x, slope,
+                                       float(np.abs(g).max()), BarrierOptions())
+    assert 0.0 < alpha < 1.0
+    assert evals >= 2
+    new = x + alpha * d
+    assert all(p.nonlinear_value(j, new) < 0.0 for j in range(p.n_nonlinear))
+    assert (p.lin_b - p.lin_A @ new).min() > 0.0
+    assert math.isfinite(f_new)
+    assert f_new == barrier_value(p, tau, new)
+    assert f_new <= f_x + ARMIJO * alpha * slope

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ehcoop import sweeps
 from ehcoop.cli import UsageError, build_network_config, build_parser, load_config, main
 from ehcoop.sweeps import CSV_HEADER
 
@@ -122,6 +123,26 @@ def test_sweep_rejects_bad_range(capsys):
     code = main(["sweep-distance", "--start", "0.5", "--stop", "2.5", "--step", "0.5"])
     assert code == 1
     assert "d1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(jobs, capsys):
+    code = main(["sweep-distance", "--start", "0.2", "--stop", "0.2", "--step", "0.2",
+                 "--jobs", jobs])
+    assert code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_sweep_with_huge_jobs_starts_no_pool_for_one_point(monkeypatch, capsys):
+    # one sweep point is one task, so the request is cut to one worker and
+    # the sweep runs in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    code = main(["sweep-energy", "--start", "100", "--stop", "100", "--step", "25",
+                 "--jobs", "10000"])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_sweep_plotdata_output(tmp_path, capsys):

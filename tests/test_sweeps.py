@@ -1,6 +1,7 @@
 """Sweep harness: grids, worker-pool determinism and CSV round trips."""
 
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from ehcoop.sweeps import (
     DISTANCE_RANGE,
     ENERGY_RANGE,
     read_csv,
+    worker_count,
 )
 
 SUM = Objective.WEIGHTED_SUM
@@ -156,3 +158,20 @@ def test_plotdata_groups_series(tmp_path):
         point = series["points"][0]
         assert point["x"] == 100.0
         assert isinstance(point["winner"], bool)
+
+
+@pytest.mark.parametrize("jobs, n_tasks, cpus, expected", [
+    (10_000, 18, 2, 2),   # a huge request is cut to the CPUs
+    (10_000, 18, 64, 18),  # and to the tasks
+    (2, 18, 2, 2),        # the standard distance sweep keeps both workers
+    (4, 1, 8, 1),         # one task runs in this process
+    (0, 18, 2, 1),        # library callers asking for none run serially
+])
+def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch, jobs, n_tasks, cpus, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert worker_count(jobs, n_tasks) == expected
+
+
+def test_worker_count_without_a_cpu_count_runs_serially(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 18) == 1
