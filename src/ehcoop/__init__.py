@@ -1,64 +1,15 @@
 """Optimal resource allocation for a two-user energy-harvesting cooperative uplink."""
 
-from .network import (
-    MILLIWATT,
-    ChannelState,
-    NetworkConfig,
-    RelayNotBeneficialError,
-    derive_channels,
-    harvested_rf_energy,
-    relay_feasible,
-    rho_max,
-)
-from .program import (
-    Allocation,
-    ConvexProgram,
-    EpigraphConstraint,
-    InfeasibleProgramError,
-    LinearConstraint,
-    PerspectiveTerm,
-    eval_program,
-    initial_point,
-    perspective_gradient,
-    perspective_value,
-    presolve_program,
-    stationarity_residual,
-)
-from .scenarios import (
-    Case,
-    InfeasibleAllocationError,
-    Objective,
-    Scenario,
-    ScenarioSpec,
-    Throughputs,
-    build_problem,
-    objective_bits,
-    throughputs_from_allocation,
-)
-from .barrier import (
-    BarrierOptions,
-    SolveResult,
-    SolveStatus,
-    alpha_linear,
-    alpha_log_bisection,
-    golden_section_min,
-    newton_direction,
-    solve_nb,
-)
-from .quadratic import (
-    IpmOptions,
-    IterativeOptions,
-    QuadraticModel,
-    QuadraticSubproblem,
-    SubproblemStallError,
-    quadratize,
-    solve_iterative,
-    solve_subproblem,
-)
-from .gridsearch import GridSpec, brute_force_grid, finite_diff_check
+from .barrier import SolveResult, SolveStatus
+from .network import NetworkConfig
+from .scenarios import Case, Objective, Scenario, ScenarioSpec, Throughputs
 from .strategy import StrategyResult, screen_rho, select_strategy, solve_spec
 from .sweeps import SweepSpec, emit_csv, emit_plotdata, run_sweep
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Case", "NetworkConfig", "Objective", "Scenario", "ScenarioSpec",
+    "SolveResult", "SolveStatus", "StrategyResult", "SweepSpec", "Throughputs",
+    "emit_csv", "emit_plotdata", "run_sweep", "screen_rho", "select_strategy", "solve_spec",
+]

@@ -160,13 +160,8 @@ def barrier_hessian(program, tau: float, x: np.ndarray) -> np.ndarray:
     return H
 
 
-def newton_direction(program, tau: float, x: np.ndarray) -> np.ndarray:
-    """Solve H d = -g for the current barrier stage."""
-    d, _ = _newton_direction(program, tau, x, barrier_gradient(program, tau, x))
-    return d
-
-
 def _newton_direction(program, tau, x, g):
+    """Solve H d = -g for the current barrier stage; also says whether H was regularized."""
     H = barrier_hessian(program, tau, x)
     try:
         return np.linalg.solve(H, -g), False

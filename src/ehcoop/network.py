@@ -132,20 +132,6 @@ def rho_max(ch: ChannelState) -> float:
         )
     return 1.0 - ch.gamma2 / ch.gamma_u
 
-def harvested_rf_energy(power: float, gain: float, rho: float, eta: float, duration: float) -> float:
-    """Energy harvested from a transmission of `power` over `duration`.
-
-    The receiver splits off a fraction rho of the incident RF power and
-    converts it with efficiency eta: E = eta * rho * power * gain * duration.
-    """
-    if power < 0 or gain < 0 or duration < 0:
-        raise ValueError("power, gain and duration must be nonnegative")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("power-splitting ratio must lie in [0, 1]")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("harvesting efficiency must lie in [0, 1]")
-    return eta * rho * power * gain * duration
-
 
 def relay_feasible(ch: ChannelState) -> bool:
     """True when decode-and-forward relaying can outperform the direct link."""

@@ -155,10 +155,6 @@ class ConvexProgram:
         return self.t_indices + self.y_indices
 
     @property
-    def aux_indices(self) -> tuple[int, ...]:
-        return tuple(sorted({c.aux_index for c in self.epigraph}))
-
-    @property
     def objective_curved(self) -> bool:
         return bool(self.objective_terms)
 
@@ -241,10 +237,14 @@ def _accumulate_hessian(H: np.ndarray, terms, x) -> None:
         H[yi, yi] += c * v[1] * v[1]
 
 
-def eval_program(p: ConvexProgram, x: np.ndarray):
-    """Objective (nats, minimization sign) and all constraint values at x."""
-    x = np.asarray(x, dtype=float)
-    return p.objective_value(x), p.constraint_values(x)
+def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
+    """Tightest epigraph cap on each auxiliary rate variable at x."""
+    bounds: dict[int, float] = {}
+    for con in p.epigraph:
+        bound = -sum(tm.coeff * perspective_value(tm.gamma, x[tm.t_index], x[tm.y_index])
+                     for tm in con.terms)
+        bounds[con.aux_index] = min(bound, bounds.get(con.aux_index, math.inf))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +288,7 @@ def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
         else:
             x[yi] = 0.5 * bound
 
-    aux_bound: dict[int, float] = {}
-    for con in p.epigraph:
-        bound = -sum(tm.coeff * perspective_value(tm.gamma, x[tm.t_index], x[tm.y_index])
-                     for tm in con.terms)
-        aux_bound[con.aux_index] = min(bound, aux_bound.get(con.aux_index, math.inf))
-    for aux, bound in aux_bound.items():
+    for aux, bound in aux_bounds(p, x).items():
         x[aux] = 0.9 * bound
 
     if not degenerate and p.max_violation(x) > -margin:
@@ -321,9 +316,6 @@ class PresolvedProgram:
         x = np.zeros(self.n_full)
         x[self.keep] = x_red
         return x
-
-    def restrict(self, x_full: np.ndarray) -> np.ndarray:
-        return np.asarray(x_full, dtype=float)[self.keep]
 
 
 def energy_caps(p: ConvexProgram) -> dict[int, float]:

@@ -29,6 +29,7 @@ from .program import (
     Allocation,
     ConvexProgram,
     InfeasibleProgramError,
+    aux_bounds,
     energy_caps,
     initial_point,
     perspective_gradient,
@@ -76,15 +77,6 @@ class QuadraticModel:
         dy = float(x[self.y_index]) - self.y0
         s = self.v[0] * dt + self.v[1] * dy
         return self.coeff * (self.base + self.g[0] * dt + self.g[1] * dy + 0.5 * s * s)
-
-    def gradient(self, x) -> tuple[float, float]:
-        dt = float(x[self.t_index]) - self.t0
-        dy = float(x[self.y_index]) - self.y0
-        s = self.v[0] * dt + self.v[1] * dy
-        return (
-            self.coeff * (self.g[0] + self.v[0] * s),
-            self.coeff * (self.g[1] + self.v[1] * s),
-        )
 
 
 @dataclass(frozen=True)
@@ -253,10 +245,6 @@ class IpmOptions:
             raise ValueError("frac must lie in (0, 1)")
 
 
-class SubproblemStallError(RuntimeError):
-    """The interior-point iteration hit its cap without meeting tolerance."""
-
-
 @dataclass
 class SubproblemSolution:
     x: np.ndarray
@@ -266,22 +254,6 @@ class SubproblemSolution:
     kkt_residual: float           # dual residual, subproblem metric
     gap: float                    # final duality measure
     converged: bool
-
-    @property
-    def allocation(self) -> Allocation:
-        return Allocation(x=self.x)
-
-
-def solve_subproblem(sub: QuadraticSubproblem, x_start: np.ndarray,
-                     options: IpmOptions | None = None,
-                     lam_start: np.ndarray | None = None) -> SubproblemSolution:
-    """Path-following solve of one QCQP subproblem from a strict interior point."""
-    sol = _ipm(sub, np.asarray(x_start, dtype=float), options or IpmOptions(), lam_start)
-    if not sol.converged:
-        raise SubproblemStallError(
-            f"interior-point method stalled (residual {sol.kkt_residual:.3g}, gap {sol.gap:.3g})"
-        )
-    return sol
 
 
 def _constraint_state(sub: QuadraticSubproblem, pos: list[int], x: np.ndarray):
@@ -305,8 +277,8 @@ def _constraint_state(sub: QuadraticSubproblem, pos: list[int], x: np.ndarray):
     return phi, grad
 
 
-def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions,
-         lam_start: np.ndarray | None) -> SubproblemSolution:
+def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> SubproblemSolution:
+    """Path-following solve of one QCQP subproblem from a strictly feasible x."""
     n = sub.n_vars
     pos = list(sub.positive_indices)
     n_con = len(sub.constraints)
@@ -324,10 +296,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions,
     s = -phi
     if s.min() <= 0.0:
         raise ValueError("interior-point start must be strictly feasible")
-    if lam_start is not None and lam_start.shape == (J,) and lam_start.min() > 0.0:
-        lam = lam_start.copy()
-    else:
-        lam = 1.0 / np.maximum(s, 1e-3)
+    lam = 1.0 / np.maximum(s, 1e-3)
 
     def residual(x_, lam_, s_, grad_, target):
         r_d = sub.objective_gradient(x_) + grad_.T @ lam_
@@ -418,19 +387,10 @@ class IterativeOptions:
             raise ValueError("eps must be positive and max_rounds >= 1")
 
 
-def _aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
-    bounds: dict[int, float] = {}
-    for con in p.epigraph:
-        rhs = -sum(tm.coeff * perspective_value(tm.gamma, x[tm.t_index], x[tm.y_index])
-                   for tm in con.terms)
-        bounds[con.aux_index] = min(rhs, bounds.get(con.aux_index, math.inf))
-    return bounds
-
-
 def _clamp_aux(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
     """Pull rate variables down onto the true epigraph feasible region."""
     x = x.copy()
-    for aux, bound in _aux_bounds(p, x).items():
+    for aux, bound in aux_bounds(p, x).items():
         if x[aux] > bound:
             x[aux] = bound
     return x
@@ -439,7 +399,7 @@ def _clamp_aux(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
 def _ipm_start(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
     """Recenter the rate variables so every subproblem row starts slack."""
     x = x.copy()
-    for aux, bound in _aux_bounds(p, x).items():
+    for aux, bound in aux_bounds(p, x).items():
         x[aux] = min(x[aux], bound) - 1e-3 * (1.0 + abs(bound))
     return x
 
@@ -527,7 +487,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         cand = x
         for _ in range(_TR_RETRIES + 1):
             sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, y_scales)
-            sol = _ipm(sub, _ipm_start(red, x), opts.ipm, None)
+            sol = _ipm(sub, _ipm_start(red, x), opts.ipm)
             inner_total += sol.iters
             if not sol.converged:
                 delta *= _TR_SHRINK
@@ -571,7 +531,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
             expansion = x.copy()
             for i in red.t_indices:
                 expansion[i] = max(expansion[i], _T_FLOOR)
-            clean = _ipm(quadratize(red, expansion), _ipm_start(red, x), opts.ipm, None)
+            clean = _ipm(quadratize(red, expansion), _ipm_start(red, x), opts.ipm)
             inner_total += clean.iters
             if not clean.converged:
                 break

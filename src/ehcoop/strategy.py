@@ -13,9 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .barrier import BarrierOptions, SolveResult, solve_nb
+from .barrier import SolveResult, solve_nb
 from .network import ChannelState, NetworkConfig, derive_channels, relay_feasible, rho_max
-from .quadratic import IterativeOptions, solve_iterative
+from .quadratic import solve_iterative
 from .scenarios import (
     Case,
     Objective,
@@ -28,22 +28,19 @@ from .scenarios import (
 )
 
 SOLVERS = ("nb", "quad")
+RHO_STEP = 0.1     # grid step of the rho screen
+TIE_TOL = 1e-7     # relative objective gap under which two candidates tie
 
 
 def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb",
-               ch: ChannelState | None = None,
-               nb_options: BarrierOptions | None = None,
-               it_options: IterativeOptions | None = None) -> tuple[SolveResult, Throughputs]:
+               ch: ChannelState | None = None) -> tuple[SolveResult, Throughputs]:
     """Solve one configuration and recover the per-user throughputs."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     if ch is None:
         ch = derive_channels(cfg)
     program = build_problem(spec, cfg, ch)
-    if solver == "nb":
-        result = solve_nb(program, nb_options)
-    else:
-        result = solve_iterative(program, it_options)
+    result = solve_nb(program) if solver == "nb" else solve_iterative(program)
     if result.x_star is None:
         tp = Throughputs(b1_bits=math.nan, b2_bits=math.nan, t0=math.nan, slots=())
     else:
@@ -51,15 +48,13 @@ def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb",
     return result, tp
 
 
-def rho_candidates(ch: ChannelState, step: float = 0.1) -> tuple[float, ...]:
-    """Uniform rho grid on [0, rho_max), endpoints of the open side excluded."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
+    """Uniform rho grid of step RHO_STEP on [0, rho_max), the open end excluded."""
     limit = rho_max(ch)
     out = []
     k = 0
     while True:
-        r = round(k * step, 10)
+        r = round(k * RHO_STEP, 10)
         if r >= limit - 1e-12:
             break
         out.append(r)
@@ -92,11 +87,10 @@ class StrategyResult:
     notes: tuple[str, ...] = ()
 
 
-def _solve_candidate(scenario, case, objective, rho, cfg, ch, solver,
-                     nb_options, it_options) -> CandidateOutcome | None:
+def _solve_candidate(scenario, case, objective, rho, cfg, ch, solver) -> CandidateOutcome | None:
     spec = ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho)
     try:
-        result, tp = solve_spec(spec, cfg, solver, ch, nb_options, it_options)
+        result, tp = solve_spec(spec, cfg, solver, ch)
     except Exception as exc:  # solver failures skip the candidate, not the screen
         warnings.warn(f"{scenario.value}-{case.value} rho={rho:g} failed: {exc}")
         return None
@@ -112,13 +106,20 @@ def _solve_candidate(scenario, case, objective, rho, cfg, ch, solver,
     )
 
 
-def _pick(outcomes, tie_tol: float):
-    """Best converged outcome; ties go to the earliest entry."""
+def _candidates(scenario, case, objective, cfg, ch, solver) -> list[CandidateOutcome]:
+    """Every solve of one configuration, in grid order: the rho grid for S1, else rho = 0."""
+    grid = rho_candidates(ch) if scenario is Scenario.S1 else (0.0,)
+    outcomes = (_solve_candidate(scenario, case, objective, rho, cfg, ch, solver) for rho in grid)
+    return [o for o in outcomes if o is not None]
+
+
+def _pick(outcomes):
+    """Best converged outcome; within TIE_TOL of it the earliest entry wins."""
     converged = [o for o in outcomes if o.result.converged]
     if not converged:
         return None
     best = max(o.objective_bits for o in converged)
-    cut = best - tie_tol * (1.0 + abs(best))
+    cut = best - TIE_TOL * (1.0 + abs(best))
     for o in converged:
         if o.objective_bits >= cut:
             return o
@@ -126,37 +127,23 @@ def _pick(outcomes, tie_tol: float):
 
 
 def screen_rho(cfg: NetworkConfig, case: Case, objective: Objective,
-               solver: str = "nb", rho_step: float = 0.1, tie_tol: float = 1e-7,
-               scenario: Scenario = Scenario.S1,
-               nb_options: BarrierOptions | None = None,
-               it_options: IterativeOptions | None = None,
-               ch: ChannelState | None = None):
-    """Grid screen of the power-splitting ratio for full cooperation.
+               solver: str = "nb", ch: ChannelState | None = None):
+    """Grid screen of the power-splitting ratio for full cooperation (S1).
 
     Returns (rho_star, table) where the table holds every candidate solve
-    in grid order.  Within `tie_tol` (relative) of the best objective the
+    in grid order.  Within `TIE_TOL` (relative) of the best objective the
     smallest rho wins, since extra splitting buys nothing there.
     """
-    if scenario is not Scenario.S1:
-        raise ValueError("rho screening only applies to S1")
     if ch is None:
         ch = derive_channels(cfg)
-    table = []
-    for rho in rho_candidates(ch, rho_step):
-        out = _solve_candidate(scenario, case, objective, rho, cfg, ch, solver,
-                               nb_options, it_options)
-        if out is not None:
-            table.append(out)
-    winner = _pick(table, tie_tol)
+    table = _candidates(Scenario.S1, case, objective, cfg, ch, solver)
+    winner = _pick(table)
     if winner is None:
         raise RuntimeError(f"no rho candidate converged for S1-{case.value}")
     return winner.rho, table
 
 
-def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb",
-                    rho_step: float = 0.1, tie_tol: float = 1e-7,
-                    nb_options: BarrierOptions | None = None,
-                    it_options: IterativeOptions | None = None) -> StrategyResult:
+def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb") -> StrategyResult:
     """Solve all eight configurations and pick the best one."""
     ch = derive_channels(cfg)
     relay_ok = relay_feasible(ch)
@@ -171,27 +158,15 @@ def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb"
             )
             continue
         for case in Case:
-            if scenario is Scenario.S1:
-                candidates = []
-                for rho in rho_candidates(ch, rho_step):
-                    out = _solve_candidate(scenario, case, objective, rho, cfg, ch,
-                                           solver, nb_options, it_options)
-                    if out is not None:
-                        candidates.append(out)
-                table.extend(candidates)
-                best = _pick(candidates, tie_tol)
-            else:
-                out = _solve_candidate(scenario, case, objective, 0.0, cfg, ch,
-                                       solver, nb_options, it_options)
-                if out is not None:
-                    table.append(out)
-                best = _pick([out] if out is not None else [], tie_tol)
+            candidates = _candidates(scenario, case, objective, cfg, ch, solver)
+            table.extend(candidates)
+            best = _pick(candidates)
             if best is not None:
                 finalists.append(best)
             else:
                 notes.append(f"{scenario.value}-{case.value}: no converged solve")
 
-    winner = _pick(finalists, tie_tol)
+    winner = _pick(finalists)
     if winner is None:
         raise RuntimeError("no configuration produced a converged solve")
     return StrategyResult(

@@ -38,7 +38,6 @@ class SweepSpec:
     objectives: tuple[Objective, ...] = (Objective.WEIGHTED_SUM,)
     scenarios: tuple[Scenario, ...] = tuple(Scenario)
     solver: str = "nb"
-    rho_step: float = 0.1
 
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
@@ -124,14 +123,11 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                 continue
             try:
                 if scenario is Scenario.S1:
-                    rho_star, table = screen_rho(
-                        cfg, case, objective, solver=spec.solver,
-                        rho_step=spec.rho_step, ch=ch,
-                    )
+                    rho_star, table = screen_rho(cfg, case, objective, spec.solver, ch)
                     outcome = next(o for o in table if o.rho == rho_star)
                 else:
                     outcome = _solve_candidate(scenario, case, objective, 0.0, cfg,
-                                               ch, spec.solver, None, None)
+                                               ch, spec.solver)
                     if outcome is None:
                         raise RuntimeError("solver failed")
             except Exception:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ehcoop import NetworkConfig, derive_channels
+from ehcoop import NetworkConfig
+from ehcoop.network import derive_channels
 
 
 @pytest.fixture(scope="session")

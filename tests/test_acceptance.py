@@ -28,25 +28,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ehcoop import (
-    BarrierOptions,
-    Case,
-    GridSpec,
-    NetworkConfig,
-    Objective,
-    Scenario,
-    ScenarioSpec,
-    brute_force_grid,
-    build_problem,
-    objective_bits,
-    perspective_gradient,
-    perspective_value,
-    screen_rho,
-    solve_iterative,
-    solve_nb,
-    solve_spec,
-)
-from ehcoop.gridsearch import _central_gradient, _central_hessian
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, screen_rho, solve_spec
+from ehcoop.barrier import BarrierOptions, solve_nb
+from ehcoop.gridsearch import GridSpec, _central_gradient, _central_hessian, brute_force_grid
+from ehcoop.program import perspective_gradient, perspective_value
+from ehcoop.quadratic import solve_iterative
+from ehcoop.scenarios import build_problem, objective_bits
 
 SUM = Objective.WEIGHTED_SUM
 COMMON = Objective.COMMON

@@ -5,33 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import (
-    BarrierOptions,
-    Case,
-    ConvexProgram,
-    EpigraphConstraint,
-    LinearConstraint,
-    NetworkConfig,
-    Objective,
-    PerspectiveTerm,
-    Scenario,
-    ScenarioSpec,
-    SolveStatus,
-    alpha_linear,
-    build_problem,
-    golden_section_min,
-    initial_point,
-    newton_direction,
-    solve_nb,
-)
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
 from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
+    BarrierOptions,
     _line_search,
+    _newton_direction,
+    alpha_linear,
     barrier_gradient,
     barrier_value,
     bisect_sign_change,
+    golden_section_min,
+    solve_nb,
 )
+from ehcoop.program import (
+    ConvexProgram,
+    EpigraphConstraint,
+    LinearConstraint,
+    PerspectiveTerm,
+    initial_point,
+)
+from ehcoop.scenarios import build_problem
 
 
 def one_var_program(rows):
@@ -104,8 +99,9 @@ def test_newton_direction_descends_on_the_barrier():
     p = relay_program()
     x = initial_point(p).x
     for tau in (1.0, 100.0):
-        d = newton_direction(p, tau, x)
         g = barrier_gradient(p, tau, x)
+        d, regularized = _newton_direction(p, tau, x, g)
+        assert not regularized
         assert float(g @ d) < 0.0
 
 

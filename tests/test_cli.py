@@ -161,3 +161,13 @@ def test_validate_reports_all_checks(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
     assert "checks passed" in out
+
+
+def test_validate_without_relaying_checks_the_s3_derivatives(capsys):
+    # du = 3 makes the inter-user link weaker than U2's direct link
+    code = main(["validate", "--du", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert lines and all(l.startswith("PASS") for l in lines)
+    assert sum("derivatives" in l and "S3-A" in l for l in lines) == 2

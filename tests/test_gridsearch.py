@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from ehcoop import (
-    Case,
-    NetworkConfig,
-    Objective,
-    Scenario,
-    ScenarioSpec,
-    brute_force_grid,
-    build_problem,
-    initial_point,
-    solve_nb,
-)
-from ehcoop.gridsearch import GridSpec, finite_diff_check
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
+from ehcoop.barrier import solve_nb
+from ehcoop.gridsearch import GridSpec, brute_force_grid, finite_diff_check
+from ehcoop.program import initial_point
+from ehcoop.scenarios import build_problem
 
 
 def direct_program(scenario=Scenario.S4, case=Case.A,

@@ -2,16 +2,15 @@
 
 import pytest
 
-from ehcoop import (
+from ehcoop import NetworkConfig
+from ehcoop.network import (
     ChannelState,
-    NetworkConfig,
     RelayNotBeneficialError,
     derive_channels,
-    harvested_rf_energy,
+    path_gain,
     relay_feasible,
     rho_max,
 )
-from ehcoop.network import path_gain
 
 
 def test_default_channel_coefficients(default_ch):
@@ -48,23 +47,6 @@ def test_rho_max_approaches_one_when_direct_link_vanishes():
     ch = ChannelState(h1=1.0, h2=1e-12, hu=1.0,
                       gamma1=1e4, gamma2=1e-8, gamma_u=1e4)
     assert rho_max(ch) == pytest.approx(1.0)
-
-
-def test_harvested_energy_example():
-    # 100 mW at unit gain, half split, eta = 0.75, one block: 37.5 mJ
-    e = harvested_rf_energy(power=0.1, gain=1.0, rho=0.5, eta=0.75, duration=1.0)
-    assert e == pytest.approx(0.0375)
-    assert harvested_rf_energy(0.1, 1.0, 0.0, 0.75, 1.0) == 0.0
-    assert harvested_rf_energy(0.1, 1.0, 0.5, 0.75, 0.0) == 0.0
-
-
-def test_harvested_energy_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        harvested_rf_energy(-0.1, 1.0, 0.5, 0.75, 1.0)
-    with pytest.raises(ValueError):
-        harvested_rf_energy(0.1, 1.0, 1.5, 0.75, 1.0)
-    with pytest.raises(ValueError):
-        harvested_rf_energy(0.1, 1.0, 0.5, 2.0, 1.0)
 
 
 def test_config_unit_conversion():

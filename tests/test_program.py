@@ -5,25 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import (
-    Case,
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
+from ehcoop.program import (
     ConvexProgram,
     EpigraphConstraint,
     InfeasibleProgramError,
     LinearConstraint,
-    NetworkConfig,
-    Objective,
     PerspectiveTerm,
-    Scenario,
-    ScenarioSpec,
-    build_problem,
-    eval_program,
+    energy_caps,
     initial_point,
     perspective_gradient,
     perspective_value,
     presolve_program,
+    stationarity_residual,
 )
-from ehcoop.program import energy_caps, stationarity_residual
+from ehcoop.scenarios import build_problem
 
 
 def relay_program(rho=0.3, **cfg_kwargs):
@@ -174,8 +170,8 @@ def test_program_rejects_bad_shapes():
 def test_eval_program_toy_instance():
     p = toy_program()
     x = np.array([0.5, 0.1, 0.2])
-    obj, cons = eval_program(p, x)
-    assert obj == pytest.approx(-0.2)
+    assert p.objective_value(x) == pytest.approx(-0.2)
+    cons = p.constraint_values(x)
     rate_cap = 0.2 - 0.5 * math.log(1.0 + 100.0 * 0.1 / 0.5)
     assert cons == pytest.approx([rate_cap, 0.0, 0.0])
     # both linear rows sit exactly on the boundary, so the worst value is 0
@@ -282,7 +278,7 @@ def test_presolve_pins_zero_budget_energy():
     x_red = np.array([0.1, 0.2, 0.05])
     x_full = pre.expand(x_red)
     assert x_full == pytest.approx([0.1, 0.2, 0.0, 0.05])
-    assert pre.restrict(x_full) == pytest.approx(x_red)
+    assert x_full[pre.keep] == pytest.approx(x_red)
 
 
 def test_presolve_pins_rate_silenced_by_empty_epigraph():

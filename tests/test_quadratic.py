@@ -5,28 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import (
-    Case,
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
+from ehcoop.barrier import solve_nb
+from ehcoop.program import (
     ConvexProgram,
     EpigraphConstraint,
-    IterativeOptions,
     LinearConstraint,
-    NetworkConfig,
-    Objective,
     PerspectiveTerm,
-    QuadraticSubproblem,
-    Scenario,
-    ScenarioSpec,
-    SolveStatus,
-    build_problem,
     initial_point,
     perspective_value,
+)
+from ehcoop.quadratic import (
+    IpmOptions,
+    IterativeOptions,
+    QuadConstraint,
+    QuadraticModel,
+    QuadraticSubproblem,
+    _ipm,
     quadratize,
     solve_iterative,
-    solve_nb,
-    solve_subproblem,
 )
-from ehcoop.quadratic import QuadConstraint, QuadraticModel
+from ehcoop.scenarios import build_problem
 
 
 def relay_program(rho=0.3, objective=Objective.WEIGHTED_SUM):
@@ -128,7 +127,7 @@ def test_lp_subproblem_recovers_primal_and_dual():
         constraints=(QuadConstraint(a=(1.0,), b=1.0),),
         t_indices=(0,), y_indices=(), var_names=("t",),
     )
-    sol = solve_subproblem(sub, np.array([0.4]))
+    sol = _ipm(sub, np.array([0.4]), IpmOptions())
     assert sol.converged
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.lam_constraints[0] == pytest.approx(1.0, abs=1e-6)
@@ -139,8 +138,9 @@ def test_subproblem_agrees_with_barrier_solver():
     p = relay_program()
     x0 = initial_point(p).x
     sub = quadratize(p, x0)
-    ipm = solve_subproblem(sub, x0)
+    ipm = _ipm(sub, x0, IpmOptions())
     nb = solve_nb(sub, x0=x0)
+    assert ipm.converged
     assert nb.converged
     a = sub.objective_value(ipm.x)
     b = sub.objective_value(nb.x_star.x)

@@ -5,18 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import (
-    Allocation,
-    Case,
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Throughputs
+from ehcoop.network import RelayNotBeneficialError, derive_channels
+from ehcoop.program import Allocation
+from ehcoop.scenarios import (
     InfeasibleAllocationError,
-    NetworkConfig,
-    Objective,
-    RelayNotBeneficialError,
-    Scenario,
-    ScenarioSpec,
-    Throughputs,
     build_problem,
-    derive_channels,
     objective_bits,
     throughputs_from_allocation,
 )
