@@ -17,6 +17,11 @@ predicted decrease sinks under the evaluation noise of the barrier, the
 first finite trial is still taken when it does not raise the barrier
 beyond that noise and at least halves the gradient.
 
+Each Newton iterate is evaluated once: the barrier gradient and Hessian
+both come from one `program.evaluate(x)` pass over the compiled term table
+(see program.py), the curvature from the term factors weighted by
+-1/(tau c_j).  Line-search trials use the value-only `program.values(x)`.
+
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
 (perfbench/tracing.py) looks each of them up by name.
@@ -106,6 +111,11 @@ class SolveResult:
                    kkt_residual=math.inf, solver=solver)
 
 
+def maximized_bits(program, x) -> float:
+    """The maximized objective at x in bits; a zero optimum reads 0.0, not -0.0."""
+    return -program.objective_value(x) / LN2 + 0.0
+
+
 # ---------------------------------------------------------------------------
 # Barrier evaluation
 # ---------------------------------------------------------------------------
@@ -113,56 +123,40 @@ class SolveResult:
 
 def barrier_value(program, tau: float, x: np.ndarray) -> float:
     """Barrier objective at x; +inf outside the strict interior."""
-    total = program.objective_value(x)
-    logs = 0.0
-    for j in range(program.n_nonlinear):
-        c = program.nonlinear_value(j, x)
-        if c >= 0.0:
-            return math.inf
-        logs += math.log(-c)
-    if program.lin_b.size:
-        slack = program.lin_b - program.lin_A @ x
-        if slack.min() <= 0.0:
-            return math.inf
-        logs += float(np.log(slack).sum())
-    for i in program.positive_indices:
-        if x[i] <= 0.0:
-            return math.inf
-        logs += math.log(x[i])
-    return total - logs / tau
+    A, b = program.affine_rows
+    s = (b - A @ x).tolist()
+    if min(s, default=1.0) <= 0.0:
+        return math.inf
+    f, c = program.values(x)
+    if max(c, default=-1.0) >= 0.0:
+        return math.inf
+    return f - (sum(math.log(-cj) for cj in c) + sum(map(math.log, s))) / tau
 
 
-def barrier_gradient(program, tau: float, x: np.ndarray) -> np.ndarray:
-    g = program.objective_gradient(x)
-    for j in range(program.n_nonlinear):
-        c = program.nonlinear_value(j, x)
-        g -= program.nonlinear_gradient(j, x) / (tau * c)
-    if program.lin_b.size:
-        slack = program.lin_b - program.lin_A @ x
-        g += program.lin_A.T @ (1.0 / slack) / tau
-    for i in program.positive_indices:
-        g[i] -= 1.0 / (tau * x[i])
-    return g
+def _rows(program, x, ev):
+    """Every barrier row at x: gradients (nonlinear rows, then affine ones) and slacks."""
+    A, b = program.affine_rows
+    return np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))
 
 
-def barrier_hessian(program, tau: float, x: np.ndarray) -> np.ndarray:
-    H = program.objective_hessian(x)
-    for j in range(program.n_nonlinear):
-        c = program.nonlinear_value(j, x)
-        gc = program.nonlinear_gradient(j, x)
-        H += np.outer(gc, gc) / (tau * c * c)
-        H -= program.nonlinear_hessian(j, x) / (tau * c)
-    if program.lin_b.size:
-        slack = program.lin_b - program.lin_A @ x
-        H += (program.lin_A.T * (1.0 / slack**2)) @ program.lin_A / tau
-    for i in program.positive_indices:
-        H[i, i] += 1.0 / (tau * x[i] * x[i])
-    return H
+def barrier_gradient(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
+    """Barrier gradient; `ev` is `program.evaluate(x)` when the caller already has it."""
+    ev = program.evaluate(x) if ev is None else ev
+    A, s = _rows(program, x, ev)
+    return ev.grad + A.T @ (1.0 / (tau * s))
 
 
-def _newton_direction(program, tau, x, g):
+def barrier_hessian(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
+    """Barrier Hessian; the curvature of row j is weighted by -1/(tau c_j)."""
+    ev = program.evaluate(x) if ev is None else ev
+    A, s = _rows(program, x, ev)
+    H = ev.curvature((-1.0 / (tau * ev.c)).tolist() + [1.0])
+    return H + (A.T / (tau * s * s)) @ A
+
+
+def _newton_direction(program, tau, x, g, ev=None):
     """Solve H d = -g for the current barrier stage; also says whether H was regularized."""
-    H = barrier_hessian(program, tau, x)
+    H = barrier_hessian(program, tau, x, ev)
     try:
         return np.linalg.solve(H, -g), False
     except np.linalg.LinAlgError:
@@ -179,17 +173,10 @@ def _newton_direction(program, tau, x, g):
 def alpha_linear(program, x: np.ndarray, d: np.ndarray, shrink: float = 0.99,
                  cap: float = ALPHA_CAP) -> float:
     """Largest safe step against linear constraints and coordinate axes."""
-    alpha = cap
-    if program.lin_b.size:
-        slack = program.lin_b - program.lin_A @ x
-        along = program.lin_A @ d
-        for s, a in zip(slack, along):
-            if a > 0.0:
-                alpha = min(alpha, s / a)
-    for i in program.positive_indices:
-        if d[i] < 0.0:
-            alpha = min(alpha, -x[i] / d[i])
-    return shrink * alpha
+    A, b = program.affine_rows
+    along = A @ d
+    hit = along > 0.0
+    return shrink * float(((b - A @ x)[hit] / along[hit]).min(initial=cap))
 
 
 def bisect_sign_change(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -294,9 +281,10 @@ def _minimize_stage(program, tau, x, opts: BarrierOptions, history):
     stalls = 0
     f_x = barrier_value(program, tau, x)
     for k in range(opts.max_inner):
-        g = barrier_gradient(program, tau, x)
+        ev = program.evaluate(x)
+        g = barrier_gradient(program, tau, x, ev)
         gnorm = float(np.abs(g).max())
-        d, regularized = _newton_direction(program, tau, x, g)
+        d, regularized = _newton_direction(program, tau, x, g, ev)
         # squared Newton decrement: the decrease a full step can still buy;
         # once it sinks under the evaluation noise of the barrier, the
         # remaining gradient is representation error along stiff directions
@@ -336,14 +324,9 @@ def _certificate(program, tau, x, act_tol: float = 1e-4):
     for a least-squares correction along the near-active normals.
     """
     x = np.asarray(x, dtype=float)
-    n_nl = program.n_nonlinear
-    pos = list(program.positive_indices)
-    slack_nl = np.array([-program.nonlinear_value(j, x) for j in range(n_nl)])
-    slack_lin = program.lin_b - program.lin_A @ x if len(program.lin_b) else np.zeros(0)
-    lam_nl = 1.0 / (tau * slack_nl) if n_nl else np.zeros(0)
-    lam_lin = 1.0 / (tau * slack_lin) if slack_lin.size else np.zeros(0)
-    lam_pos = np.array([1.0 / (tau * x[i]) for i in pos])
-    return refine_multipliers(program, x, lam_nl, lam_lin, lam_pos, act_tol)
+    lam = 1.0 / (tau * _rows(program, x, program.evaluate(x))[1])
+    m, k = program.n_nonlinear, program.n_nonlinear + program.lin_b.size
+    return refine_multipliers(program, x, lam[:m], lam[m:k], lam[k:], act_tol)
 
 
 def solve_nb(program, options: BarrierOptions | None = None,
@@ -389,11 +372,10 @@ def solve_nb(program, options: BarrierOptions | None = None,
     kkt = stationarity_residual(red, x, *_certificate(red, tau_used, x))
     x_full = pre.expand(x) if pre is not None else x
     violation = program.max_violation(x_full)
-    obj_bits = -program.objective_value(x_full) / LN2
     return SolveResult(
         status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
         x_star=Allocation(x=x_full, degenerate=pre.pinned if pre is not None else ()),
-        objective_bits=obj_bits,
+        objective_bits=maximized_bits(program, x_full),
         outer_iters=outer,
         inner_iters=inner_total,
         max_constraint_violation=violation,

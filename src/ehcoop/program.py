@@ -15,13 +15,20 @@ t at SNR coefficient gamma.  l is jointly convex in (t, y) with an exact
 rank-one Hessian, which both solvers exploit.
 
 Programs are small (at most eight variables) so everything is dense.
-Instances are treated as immutable after construction.
+Instances are immutable after construction, which compiles every term into
+a flat table of (row, gamma, coeff, t_index, y_index), row -1 for the
+objective.  `ConvexProgram.evaluate` makes one pass over it in Python floats
+for the objective value and gradient, the epigraph row values c and
+gradients G, and each term's rank-one Hessian factor v; `values` is the
+same pass without derivatives.  The per-row methods read from these passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +124,31 @@ class Allocation:
     degenerate: tuple[int, ...] = ()
 
 
+class Evaluation(NamedTuple):
+    """One pass over a program at a point; `factors` holds (row, t_index,
+    y_index, coeff, v_t, v_y) per term, v the term's rank-one Hessian factor."""
+
+    f: float
+    grad: np.ndarray       # (n,) objective gradient
+    c: np.ndarray          # (m,) epigraph row values
+    G: np.ndarray          # (m, n) epigraph row gradients
+    factors: tuple
+
+    def curvature(self, w) -> np.ndarray:
+        """Sum of w[row] * coeff * v v^T over the terms; w[-1] weighs the objective."""
+        n = len(self.grad)
+        H = [0.0] * (n * n)
+        for row, ti, yi, coeff, v0, v1 in self.factors:
+            s = w[row] * coeff
+            a = s * v0
+            t, y = ti * n, yi * n
+            H[t + ti] += a * v0
+            H[t + yi] += a * v1
+            H[y + ti] += a * v1
+            H[y + yi] += s * v1 * v1
+        return np.array(H).reshape(n, n)
+
+
 @dataclass
 class ConvexProgram:
     """Dense canonical form of one allocation problem."""
@@ -131,8 +163,14 @@ class ConvexProgram:
     var_names: tuple[str, ...]
     lin_A: np.ndarray = field(init=False, repr=False)
     lin_b: np.ndarray = field(init=False, repr=False)
+    term_table: tuple = field(init=False, repr=False)
+    aux_index: tuple = field(init=False, repr=False)   # aux variable of each epigraph row
 
     def __post_init__(self):
+        rows = [(-1, self.objective_terms)] + [(j, c.terms) for j, c in enumerate(self.epigraph)]
+        self.term_table = tuple((row, float(tm.gamma), float(tm.coeff), tm.t_index, tm.y_index)
+                                for row, terms in rows for tm in terms)
+        self.aux_index = tuple(con.aux_index for con in self.epigraph)
         self.objective_linear = np.asarray(self.objective_linear, dtype=float)
         if self.objective_linear.shape != (self.n_vars,):
             raise ValueError("objective vector has wrong length")
@@ -154,87 +192,96 @@ class ConvexProgram:
         """Coordinates constrained to be nonnegative (times and energies)."""
         return self.t_indices + self.y_indices
 
-    @property
-    def objective_curved(self) -> bool:
-        return bool(self.objective_terms)
+    @cached_property
+    def affine_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) of every affine row A x <= b: the linear rows, then -x_i <= 0."""
+        pos = list(self.positive_indices)
+        return (np.concatenate((self.lin_A, -np.eye(self.n_vars)[pos])),
+                np.concatenate((self.lin_b, np.zeros(len(pos)))))
 
     @property
     def n_nonlinear(self) -> int:
         return len(self.epigraph)
 
-    def _terms_value(self, terms, x) -> float:
-        total = 0.0
-        for tm in terms:
-            total += tm.coeff * perspective_value(tm.gamma, x[tm.t_index], x[tm.y_index])
-        return total
+    def values(self, x) -> tuple[float, list]:
+        """Objective value and epigraph row values, one pass without derivatives."""
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        sums = [0.0] * (len(self.aux_index) + 1)
+        for row, gamma, coeff, ti, yi in self.term_table:
+            t, y = xs[ti], xs[yi]
+            if t <= 0.0 or y <= 0.0:
+                if t < 0.0 or y < 0.0:
+                    raise ValueError("t and y must be nonnegative")
+                continue            # the term is 0 on the boundary
+            sums[row] += coeff * (-t * math.log1p(gamma * y / t))
+        f = float(self.objective_linear @ x) + sums[-1]
+        return f, [xs[aux] + s for aux, s in zip(self.aux_index, sums)]
+
+    def evaluate(self, x) -> Evaluation:
+        """Values, gradients and rank-one term factors in one pass; needs t > 0."""
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        n, m = self.n_vars, len(self.aux_index)
+        grad = self.objective_linear.tolist()
+        G = [[0.0] * n for _ in range(m)]
+        for j, aux in enumerate(self.aux_index):
+            G[j][aux] = 1.0
+        sums = [0.0] * (m + 1)
+        factors = []
+        for row, gamma, coeff, ti, yi in self.term_table:
+            t, y = xs[ti], xs[yi]
+            if t <= 0.0 or y < 0.0:
+                raise ValueError("gradient requires t > 0 and y >= 0")
+            gy = gamma * y
+            log = math.log1p(gy / t)
+            den = t + gy
+            rt = math.sqrt(t)
+            sums[row] += coeff * (-t * log)
+            g = grad if row < 0 else G[row]
+            g[ti] += coeff * (-log + gy / den)
+            g[yi] += coeff * (-gamma * t / den)
+            factors.append((row, ti, yi, coeff, gy / (rt * den), -gamma * rt / den))
+        f = float(self.objective_linear @ x) + sums[-1]
+        c = [xs[aux] + s for aux, s in zip(self.aux_index, sums)]
+        return Evaluation(f, np.array(grad), np.array(c), np.array(G).reshape(m, n), tuple(factors))
 
     def objective_value(self, x) -> float:
-        return float(self.objective_linear @ x) + self._terms_value(self.objective_terms, x)
+        return self.values(x)[0]
 
     def objective_gradient(self, x) -> np.ndarray:
-        g = self.objective_linear.copy()
-        for tm in self.objective_terms:
-            gt, _ = perspective_gradient(tm.gamma, x[tm.t_index], x[tm.y_index])
-            g[tm.t_index] += tm.coeff * gt[0]
-            g[tm.y_index] += tm.coeff * gt[1]
-        return g
+        return self.evaluate(x).grad
 
     def objective_hessian(self, x) -> np.ndarray:
-        H = np.zeros((self.n_vars, self.n_vars))
-        _accumulate_hessian(H, self.objective_terms, x)
-        return H
+        return self.evaluate(x).curvature([0.0] * self.n_nonlinear + [1.0])
 
     def nonlinear_value(self, j: int, x) -> float:
-        con = self.epigraph[j]
-        return float(x[con.aux_index]) + self._terms_value(con.terms, x)
+        return self.values(x)[1][j]
 
     def nonlinear_values(self, x) -> np.ndarray:
-        return np.array([self.nonlinear_value(j, x) for j in range(len(self.epigraph))])
+        return np.array(self.values(x)[1])
 
     def nonlinear_gradient(self, j: int, x) -> np.ndarray:
-        con = self.epigraph[j]
-        g = np.zeros(self.n_vars)
-        g[con.aux_index] = 1.0
-        for tm in con.terms:
-            gt, _ = perspective_gradient(tm.gamma, x[tm.t_index], x[tm.y_index])
-            g[tm.t_index] += tm.coeff * gt[0]
-            g[tm.y_index] += tm.coeff * gt[1]
-        return g
+        return self.evaluate(x).G[j]
 
     def nonlinear_hessian(self, j: int, x) -> np.ndarray:
-        H = np.zeros((self.n_vars, self.n_vars))
-        _accumulate_hessian(H, self.epigraph[j].terms, x)
-        return H
+        w = [0.0] * (self.n_nonlinear + 1)
+        w[j] = 1.0
+        return self.evaluate(x).curvature(w)
 
     # -- whole-program evaluation ---------------------------------------
 
     def constraint_values(self, x) -> np.ndarray:
         """All inequality constraint values, epigraph rows first."""
-        vals = [self.nonlinear_value(j, x) for j in range(len(self.epigraph))]
-        if self.linear:
-            vals.extend(self.lin_A @ x - self.lin_b)
-        return np.array(vals)
+        return np.array(self.values(x)[1] + (self.lin_A @ x - self.lin_b).tolist())
 
     def max_violation(self, x) -> float:
         """Largest constraint value; <= 0 means feasible (0 on the boundary)."""
-        worst = 0.0 if (self.epigraph or self.linear) else -math.inf
         cv = self.constraint_values(x)
-        if cv.size:
-            worst = float(cv.max())
+        worst = float(cv.max()) if cv.size else -math.inf
         for i in self.positive_indices:
             worst = max(worst, -float(x[i]))
         return worst
-
-
-def _accumulate_hessian(H: np.ndarray, terms, x) -> None:
-    for tm in terms:
-        _, v = perspective_gradient(tm.gamma, x[tm.t_index], x[tm.y_index])
-        ti, yi = tm.t_index, tm.y_index
-        c = tm.coeff
-        H[ti, ti] += c * v[0] * v[0]
-        H[ti, yi] += c * v[0] * v[1]
-        H[yi, ti] += c * v[0] * v[1]
-        H[yi, yi] += c * v[1] * v[1]
 
 
 def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
@@ -415,10 +462,8 @@ def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -
     multiplier blocks follow the constraint order: nonlinear rows, linear
     rows, then the nonnegativity bounds on `positive_indices`.
     """
-    r = program.objective_gradient(x).astype(float, copy=True)
-    for j, lam in enumerate(lam_nonlinear):
-        if lam:
-            r += lam * program.nonlinear_gradient(j, x)
+    ev = program.evaluate(x)
+    r = ev.grad + ev.G.T @ np.asarray(lam_nonlinear, dtype=float)
     lam_linear = np.asarray(lam_linear, dtype=float)
     if lam_linear.size:
         r += program.lin_A.T @ lam_linear
@@ -443,16 +488,15 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
     lam_nl = np.array(lam_nonlinear, dtype=float)
     lam_lin = np.array(lam_linear, dtype=float)
     lam_pos = np.array(lam_positive, dtype=float)
-    n_nl = program.n_nonlinear
+    ev = program.evaluate(x)
     pos = list(program.positive_indices)
-    slack_nl = np.array([-program.nonlinear_value(j, x) for j in range(n_nl)])
     slack_lin = program.lin_b - program.lin_A @ x if len(program.lin_b) else np.zeros(0)
 
     cols = []
     slots = []
-    for j in range(n_nl):
-        if slack_nl[j] <= act_tol:
-            cols.append(program.nonlinear_gradient(j, x))
+    for j, c in enumerate(ev.c):
+        if -c <= act_tol:
+            cols.append(ev.G[j])
             slots.append((lam_nl, j))
     for j, s in enumerate(slack_lin):
         if s <= act_tol:
@@ -465,9 +509,7 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
             cols.append(e)
             slots.append((lam_pos, k))
     if cols:
-        r = program.objective_gradient(x).astype(float, copy=True)
-        for j in range(n_nl):
-            r += lam_nl[j] * program.nonlinear_gradient(j, x)
+        r = ev.grad + ev.G.T @ lam_nl
         if lam_lin.size:
             r += program.lin_A.T @ lam_lin
         for k, i in enumerate(pos):

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .barrier import SolveResult, SolveStatus
+from .barrier import SolveResult, SolveStatus, maximized_bits
 from .program import (
-    LN2,
     Allocation,
     ConvexProgram,
+    Evaluation,
     InfeasibleProgramError,
     aux_bounds,
     energy_caps,
@@ -133,10 +134,19 @@ class QuadraticSubproblem:
         self.lin_b = -self.con_const[plain] if plain else np.zeros(0)
 
     # -- shared evaluation protocol -------------------------------------
+    # per-row methods read from `evaluate`; its pieces are lazy, as the IPM never calls it
 
-    @property
-    def positive_indices(self) -> tuple[int, ...]:
-        return self.t_indices + self.y_indices
+    @cached_property
+    def nl_H(self) -> np.ndarray:
+        """(m, n, n) Hessians of the model rows, which come first."""
+        m, n = self.n_nonlinear, self.n_vars
+        return np.array(self.con_H[:m]).reshape(m, n, n)
+
+    @cached_property
+    def factors(self) -> tuple:
+        """(row, t_index, y_index, coeff, v_t, v_y) of every model, row -1 for the objective."""
+        rows = [(-1, self.objective_models)] + [(j, c.models) for j, c in enumerate(self.constraints)]
+        return tuple((row, md.t_index, md.y_index, md.coeff, *md.v) for row, models in rows for md in models)
 
     @property
     def objective_curved(self) -> bool:
@@ -146,35 +156,31 @@ class QuadraticSubproblem:
     def n_nonlinear(self) -> int:
         return sum(1 for con in self.constraints if con.models)
 
+    def values(self, x) -> tuple[float, list]:
+        ev = self.evaluate(x)
+        return ev.f, ev.c.tolist()
+
+    def evaluate(self, x) -> Evaluation:
+        m = len(self.nl_H)
+        Hx = self.nl_H @ x
+        return Evaluation(self.objective_value(x), self.objective_gradient(x),
+                          self.con_const[:m] + self.con_G[:m] @ x + 0.5 * Hx @ x,
+                          self.con_G[:m] + Hx, self.factors)
+
     def objective_value(self, x) -> float:
         return self.obj_const + float(self.obj_g @ x) + 0.5 * float(x @ (self.obj_H @ x))
 
     def objective_gradient(self, x) -> np.ndarray:
         return self.obj_g + self.obj_H @ x
 
-    def objective_hessian(self, x) -> np.ndarray:
-        return self.obj_H.copy()
-
-    def nonlinear_value(self, j: int, x) -> float:
-        return self.con_const[j] + float(self.con_G[j] @ x) + 0.5 * float(x @ (self.con_H[j] @ x))
-
-    def nonlinear_gradient(self, j: int, x) -> np.ndarray:
-        return self.con_G[j] + self.con_H[j] @ x
-
-    def nonlinear_hessian(self, j: int, x) -> np.ndarray:
-        return self.con_H[j].copy()
-
-    def max_violation(self, x) -> float:
-        """Largest constraint value; <= 0 means feasible (0 on the boundary)."""
-        worst = -math.inf if not self.constraints else 0.0
-        for j, con in enumerate(self.constraints):
-            v = self.con_const[j] + float(self.con_G[j] @ x)
-            if con.models:
-                v += 0.5 * float(x @ (self.con_H[j] @ x))
-            worst = max(worst, v)
-        for i in self.positive_indices:
-            worst = max(worst, -float(x[i]))
-        return worst
+    positive_indices = ConvexProgram.positive_indices
+    affine_rows = ConvexProgram.affine_rows
+    objective_hessian = ConvexProgram.objective_hessian
+    nonlinear_value = ConvexProgram.nonlinear_value
+    nonlinear_gradient = ConvexProgram.nonlinear_gradient
+    nonlinear_hessian = ConvexProgram.nonlinear_hessian
+    constraint_values = ConvexProgram.constraint_values
+    max_violation = ConvexProgram.max_violation
 
 
 def _compile_quadratic(n, lin, const, models):
@@ -565,7 +571,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     return SolveResult(
         status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
         x_star=Allocation(x=x_full, degenerate=pre.pinned),
-        objective_bits=-program.objective_value(x_full) / LN2,
+        objective_bits=maximized_bits(program, x_full),
         outer_iters=moves if converged else rounds,
         inner_iters=inner_total,
         max_constraint_violation=program.max_violation(x_full),

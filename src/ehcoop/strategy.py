@@ -92,7 +92,7 @@ def _solve_candidate(scenario, case, objective, rho, cfg, ch, solver) -> Candida
     try:
         result, tp = solve_spec(spec, cfg, solver, ch)
     except Exception as exc:  # solver failures skip the candidate, not the screen
-        warnings.warn(f"{scenario.value}-{case.value} rho={rho:g} failed: {exc}")
+        warnings.warn(f"{scenario.value}-{case.value} rho={rho:g} failed: {type(exc).__name__}: {exc}")
         return None
     if not result.converged:
         warnings.warn(

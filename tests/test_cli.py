@@ -43,6 +43,13 @@ def test_out_of_range_rho_exits_two(capsys):
     assert "rho" in capsys.readouterr().err
 
 
+def test_rho_at_its_upper_limit_exits_two(capsys):
+    # 0.75 is rho_max at the default geometry, the open end of the range
+    code = main(["solve", "--scenario", "S1", "--case", "A", "--rho", "0.75"])
+    assert code == 2
+    assert "rho" in capsys.readouterr().err
+
+
 def test_rho_on_other_scenarios_exits_two(capsys):
     code = main(["solve", "--scenario", "S3", "--case", "A", "--rho", "0.2"])
     assert code == 2
@@ -103,6 +110,21 @@ def test_select_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "best configuration: S1-A" in out
+
+
+def test_select_without_energy_reports_a_plain_zero(capsys):
+    # every configuration converges to 0 bits; the sign of a zero is noise
+    code = main(["select", "--X1", "0", "--X2", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "objective : 0.000000 bits" in out
+    assert "-0.000000" not in out
+
+
+def test_select_with_zero_weights_exits_one(capsys):
+    code = main(["select", "--w1", "0", "--w2", "0"])
+    assert code == 1
+    assert "weight" in capsys.readouterr().err
 
 
 def test_sweep_energy_writes_deterministic_csv(tmp_path, capsys):

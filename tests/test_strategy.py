@@ -15,6 +15,7 @@ from ehcoop import (
     select_strategy,
     solve_spec,
 )
+from ehcoop import strategy
 from ehcoop.network import ChannelState
 from ehcoop.strategy import rho_candidates
 
@@ -59,6 +60,16 @@ def test_screen_rho_breaks_ties_toward_small_rho(default_cfg, monkeypatch):
     monkeypatch.setattr("ehcoop.strategy.TIE_TOL", 1.0)
     rho_star, _ = screen_rho(default_cfg, Case.B, SUM)
     assert rho_star == 0.0
+
+
+def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, monkeypatch):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in the barrier")
+    monkeypatch.setattr("ehcoop.strategy.solve_spec", broken)
+    with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
+        outcome = strategy._solve_candidate(Scenario.S3, Case.A, SUM, 0.0, default_cfg,
+                                            default_ch, "nb")
+    assert outcome is None
 
 
 def test_screen_rho_common_scores_the_minimum_rate(default_cfg):
