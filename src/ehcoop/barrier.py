@@ -22,6 +22,23 @@ both come from one `program.evaluate(x)` pass over the compiled term table
 (see program.py), the curvature from the term factors weighted by
 -1/(tau c_j).  Line-search trials use the value-only `program.values(x)`.
 
+Between stages the iterate is moved along the central path.  On the path
+grad f + (1/tau) grad phi = 0 (phi the negated log sum above), so
+dx/d(1/tau) = tau H^-1 grad f with H the barrier Hessian; near the
+optimum the path is almost linear in 1/tau (Fiacco & McCormick 1968;
+Boyd & Vandenberghe section 11.3), and going from tau to mu*tau predicts
+x - (1 - 1/mu) H^-1 grad f.  Every Newton
+solve takes grad f as a second right-hand side on the same Hessian, and
+the stage hands on the one solved at its final iterate, where it builds
+the Hessian anyway for its stop test.  The predicted point is kept only
+where the next stage's barrier is finite and lower than at x, and a late
+stage then needs about one Newton step.
+
+The outer loop stops on the duality gap of the central path: with m
+barrier rows (nonlinear and affine), the stage optimum at tau is within
+m/tau of the optimum, so tau grows until m/tau <= gap_tol * (1 + |f|).
+TAU_CEILING ends the loop where f is not finite.
+
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
 (perfbench/tracing.py) looks each of them up by name.
@@ -53,6 +70,8 @@ from .program import (
 ALPHA_CAP = 1e6
 # sufficient-decrease fraction of the Armijo test
 ARMIJO = 1e-4
+# the outer loop ends here even if the gap test never passes (f not finite)
+TAU_CEILING = 1e16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -61,8 +80,8 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 @dataclass
 class BarrierOptions:
     tau0: float = 1.0          # initial barrier weight
-    mu: float = 10.0           # tau multiplier per outer stage
-    tau_max: float = 1e8       # stop once tau reaches this
+    mu: float = 100.0          # tau multiplier per outer stage
+    gap_tol: float = 1e-10     # stop once (barrier rows)/tau <= gap_tol * (1 + |f|)
     eps: float = 1e-6          # inner termination on the step norm
     max_inner: int = 200       # Newton iteration cap per stage
     shrink: float = 0.99       # back-off from the linear boundary
@@ -70,11 +89,11 @@ class BarrierOptions:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.mu <= 1 or self.tau_max < self.tau0:
-            raise ValueError("need tau0 > 0, mu > 1, tau_max >= tau0")
+        if self.tau0 <= 0 or self.mu <= 1:
+            raise ValueError("need tau0 > 0 and mu > 1")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie in (0, 1)")
-        if min(self.eps, self.grad_tol) <= 0:
+        if min(self.eps, self.grad_tol, self.gap_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
@@ -155,7 +174,10 @@ def barrier_hessian(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
 
 
 def _newton_direction(program, tau, x, g, ev=None):
-    """Solve H d = -g for the current barrier stage; also says whether H was regularized."""
+    """Solve H d = -g for the current barrier stage; also says whether H was regularized.
+
+    g may stack several right-hand sides as columns, solved on one factorization.
+    """
     H = barrier_hessian(program, tau, x, ev)
     try:
         return np.linalg.solve(H, -g), False
@@ -275,16 +297,22 @@ def _line_search(program, tau, x, d, f_x, slope, gnorm, opts: BarrierOptions):
 # ---------------------------------------------------------------------------
 
 
-def _minimize_stage(program, tau, x, opts: BarrierOptions, history):
-    """Newton iterations at fixed tau until the step norm falls under eps."""
+def _minimize_stage(program, tau, x, f_x, opts: BarrierOptions, history):
+    """Newton iterations at fixed tau until the step norm falls under eps.
+
+    f_x is the barrier value at the start point.  Returns (x, Newton steps,
+    converged, objective at x, z) with z = -H^-1 grad f on the barrier
+    Hessian at x, the central-path tangent; z is None when the step cap
+    ends the stage, as the last Hessian was then built elsewhere.
+    """
     last_step = math.inf
     stalls = 0
-    f_x = barrier_value(program, tau, x)
     for k in range(opts.max_inner):
         ev = program.evaluate(x)
         g = barrier_gradient(program, tau, x, ev)
         gnorm = float(np.abs(g).max())
-        d, regularized = _newton_direction(program, tau, x, g, ev)
+        dz, regularized = _newton_direction(program, tau, x, np.column_stack((g, ev.grad)), ev)
+        d, z = dz[:, 0], dz[:, 1]
         # squared Newton decrement: the decrease a full step can still buy;
         # once it sinks under the evaluation noise of the barrier, the
         # remaining gradient is representation error along stiff directions
@@ -292,7 +320,7 @@ def _minimize_stage(program, tau, x, opts: BarrierOptions, history):
         dec2 = max(-slope, 0.0)
         at_noise = dec2 <= 2e-14 * (1.0 + abs(f_x))
         if last_step <= opts.eps and (gnorm <= opts.grad_tol or at_noise):
-            return x, k, True
+            return x, k, True, ev.f, z
         alpha, f_new, evals = _line_search(program, tau, x, d, f_x, slope, gnorm, opts)
         if history is not None:
             history.append({
@@ -304,14 +332,30 @@ def _minimize_stage(program, tau, x, opts: BarrierOptions, history):
             stalls += 1
             if stalls >= 3:
                 # no further progress representable in floating point
-                return x, k + 1, gnorm <= 5.0 * opts.grad_tol or at_noise
+                return x, k + 1, gnorm <= 5.0 * opts.grad_tol or at_noise, ev.f, z
             last_step = 0.0
             continue
         stalls = 0
         x = x + alpha * d
         f_x = f_new
         last_step = alpha * float(np.linalg.norm(d))
-    return x, opts.max_inner, False
+    return x, opts.max_inner, False, program.values(x)[0], None
+
+
+def _extrapolate(program, tau, x, z, mu):
+    """Start point of the stage at tau and its barrier value.
+
+    x + (1 - 1/mu) z, the first-order central-path prediction from the
+    stage at tau/mu, when the barrier at tau is lower there than at x;
+    otherwise x itself.
+    """
+    f_x = barrier_value(program, tau, x)
+    if z is not None:
+        x_p = x + (1.0 - 1.0 / mu) * z
+        f_p = barrier_value(program, tau, x_p)
+        if f_p < f_x:
+            return x_p, f_p
+    return x, f_x
 
 
 def _certificate(program, tau, x, act_tol: float = 1e-4):
@@ -356,20 +400,21 @@ def solve_nb(program, options: BarrierOptions | None = None,
             return SolveResult.infeasible("nb")
     history: list | None = [] if opts.record_history else None
 
+    rows = red.n_nonlinear + len(red.affine_rows[1])
     tau = opts.tau0
+    f_x = barrier_value(red, tau, x)
     outer = 0
     inner_total = 0
-    converged = False
     while True:
-        x, iters, converged = _minimize_stage(red, tau, x, opts, history)
+        x, iters, converged, f, z = _minimize_stage(red, tau, x, f_x, opts, history)
         inner_total += iters
         outer += 1
-        tau_used = tau
-        tau *= opts.mu
-        if tau >= opts.tau_max:
+        if rows / tau <= opts.gap_tol * (1.0 + abs(f)) or tau >= TAU_CEILING:
             break
+        tau *= opts.mu
+        x, f_x = _extrapolate(red, tau, x, z, opts.mu)
 
-    kkt = stationarity_residual(red, x, *_certificate(red, tau_used, x))
+    kkt = stationarity_residual(red, x, *_certificate(red, tau, x))
     x_full = pre.expand(x) if pre is not None else x
     violation = program.max_violation(x_full)
     return SolveResult(
@@ -381,6 +426,6 @@ def solve_nb(program, options: BarrierOptions | None = None,
         max_constraint_violation=violation,
         kkt_residual=kkt,
         solver="nb",
-        tau_final=tau_used,
+        tau_final=tau,
         history=history,
     )

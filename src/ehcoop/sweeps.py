@@ -130,8 +130,9 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                                                ch, spec.solver)
                     if outcome is None:
                         raise RuntimeError("solver failed")
-            except Exception:
-                rows.append(_blank_row(value, scenario, case, objective, "error"))
+            except Exception as exc:
+                rows.append(_blank_row(value, scenario, case, objective,
+                                       f"error: {type(exc).__name__}: {exc}"))
                 continue
             rows.append(_result_row(value, outcome))
 
@@ -182,7 +183,7 @@ def _fmt(v) -> str:
 
 
 def _csv_line(row: SweepRow) -> str:
-    status = row.status.replace(",", ";")
+    status = row.status.replace(",", ";").replace("\n", " ")
     fields = [
         _fmt(row.sweep_param), row.scenario, row.case, row.objective_kind,
         _fmt(row.rho_star), _fmt(row.obj_bits), _fmt(row.b1_bits), _fmt(row.b2_bits),

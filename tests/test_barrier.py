@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, barrier
 from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
     BarrierOptions,
+    _extrapolate,
     _line_search,
     _newton_direction,
     alpha_linear,
@@ -251,3 +252,64 @@ def test_step_across_a_perspective_row_is_cut_back_inside():
     assert math.isfinite(f_new)
     assert f_new == barrier_value(p, tau, new)
     assert f_new <= f_x + ARMIJO * alpha * slope
+
+
+# -- central-path predictor and the gap stop ----------------------------------
+
+
+def test_relay_solve_needs_few_newton_steps():
+    # late stages start from the predicted point and finish in one step
+    res = solve_nb(relay_program(), BarrierOptions(record_history=True))
+    assert res.converged
+    assert res.inner_iters <= 45
+    late = [h["tau"] for h in res.history if h["tau"] >= 1e8]
+    assert late and len(late) == len(set(late))
+
+
+def test_solve_stops_on_the_duality_gap():
+    p = relay_program()
+    res = solve_nb(p)
+    opts = BarrierOptions()
+    rows = p.n_nonlinear + len(p.affine_rows[1])
+    f = p.objective_value(res.x_star.x)
+    assert rows / res.tau_final <= opts.gap_tol * (1.0 + abs(f))
+    # the stage before the last one had not closed the gap yet
+    assert rows * opts.mu / res.tau_final > opts.gap_tol * (1.0 + abs(f))
+
+
+def test_prediction_that_raises_the_barrier_is_rejected():
+    p = relay_program()
+    x = initial_point(p).x
+    tau, mu = 100.0, 10.0
+    g = barrier_gradient(p, tau, x)
+    f_x = barrier_value(p, tau, x)
+    scale = 1e-3 / (1.0 - 1.0 / mu)
+    # uphill: the barrier rises along +g
+    start, f_start = _extrapolate(p, tau, x, scale * g, mu)
+    assert barrier_value(p, tau, x + 1e-3 * g) > f_x
+    assert np.array_equal(start, x) and f_start == f_x
+    # out of the domain: the barrier is +inf there
+    out = np.zeros_like(x)
+    out[p.t_indices[0]] = -2.0 * x[p.t_indices[0]] / (1.0 - 1.0 / mu)
+    start, f_start = _extrapolate(p, tau, x, out, mu)
+    assert np.array_equal(start, x) and f_start == f_x
+    # downhill: the prediction is kept with its barrier value
+    start, f_start = _extrapolate(p, tau, x, -scale * g, mu)
+    assert np.allclose(start, x - 1e-3 * g)
+    assert f_start < f_x and f_start == barrier_value(p, tau, start)
+
+
+def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
+    # the same optimum with every prediction turned uphill, only slower
+    base = solve_nb(relay_program())
+    real = barrier._minimize_stage
+
+    def uphill(program, tau, x, f_x, opts, history):
+        x, k, ok, f, z = real(program, tau, x, f_x, opts, history)
+        return x, k, ok, f, None if z is None else -z
+
+    monkeypatch.setattr(barrier, "_minimize_stage", uphill)
+    res = solve_nb(relay_program())
+    assert res.converged
+    assert res.inner_iters > base.inner_iters
+    assert res.objective_bits == pytest.approx(base.objective_bits, rel=1e-9)

@@ -1,5 +1,7 @@
 """Command-line entry points: exit codes, config files, sweep output."""
 
+import os
+
 import pytest
 
 from ehcoop import sweeps
@@ -193,3 +195,53 @@ def test_validate_without_relaying_checks_the_s3_derivatives(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
     assert sum("derivatives" in l and "S3-A" in l for l in lines) == 2
+
+
+def test_sweep_energy_from_zero_energy_reports_plain_zeros(capsys):
+    code = main(["sweep-energy", "--X2", "0", "--start", "0", "--stop", "50", "--step", "25",
+                 "--objective", "both"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 3 * 2 * 8
+    assert all(" converged" in r for r in rows)
+    at_zero = [r for r in rows if r.startswith("X1=0 ")]
+    assert len(at_zero) == 16
+    assert all(" 0.000000 converged" in r for r in at_zero)
+    assert "-0.000000" not in out
+
+
+def test_sweep_distance_without_energy_converges_everywhere(capsys):
+    code = main(["sweep-distance", "--X1", "0", "--X2", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 9 * 8
+    assert all(r.endswith((" 0.000000 converged", " 0.000000 converged *")) for r in rows)
+
+
+def test_sweep_with_huge_jobs_asks_for_at_most_one_worker_per_cpu(monkeypatch, capsys):
+    # the executor is replaced before it starts, so no pool of any size runs
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    code = main(["sweep-energy", "--start", "100", "--stop", "125", "--step", "25",
+                 "--objective", "both", "--jobs", "100000"])
+    capsys.readouterr()
+    assert code == 0
+    cpus = os.cpu_count() or 1
+    assert asked == ([] if cpus == 1 else [min(4, cpus)])
+    assert all(n <= cpus for n in asked)

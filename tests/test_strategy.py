@@ -196,3 +196,23 @@ def test_knife_edge_screen_cell_matches_an_independent_solve():
             assert tp.b1_bits + tp.b2_bits == pytest.approx(want, rel=1e-7), (rho, solver)
     # the curve peaks between the grid points 0 and 0.1, and 0 is the higher
     assert reference[0.05] > reference[0.0] > reference[0.1]
+
+
+def test_nb_closes_the_duality_gap_on_the_knife_edge_cell():
+    # nb stops on the gap of the central path, so at the same cell it lands
+    # on the optimum itself instead of m/tau short of it
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize
+
+    cfg = NetworkConfig(X1=125.0)
+    for rho in (0.0, 0.05, 0.1):
+        want = _s1b_sum_by_slsqp(rho, minimize)
+        spec = ScenarioSpec(Scenario.S1, Case.B, SUM, rho)
+        nb, tp = solve_spec(spec, cfg, "nb")
+        quad, _ = solve_spec(spec, cfg, "quad")
+        assert nb.converged and quad.converged
+        got = tp.b1_bits + tp.b2_bits
+        assert got == pytest.approx(want, rel=1e-9), rho
+        # the epigraph variable sits on the rates it bounds
+        assert nb.objective_bits == pytest.approx(got, rel=1e-10), rho
+        assert nb.objective_bits == pytest.approx(quad.objective_bits, rel=1e-8), rho

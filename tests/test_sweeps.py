@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from ehcoop import NetworkConfig, Objective, Scenario, SweepSpec, emit_csv, emit_plotdata, run_sweep
+from ehcoop import NetworkConfig, Objective, Scenario, SweepSpec, emit_csv, emit_plotdata, run_sweep, sweeps
+from ehcoop.cli import main
 from ehcoop.sweeps import (
     CSV_HEADER,
     DISTANCE_RANGE,
@@ -175,3 +176,21 @@ def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch, jobs, n_tasks, cpus,
 def test_worker_count_without_a_cpu_count_runs_serially(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(8, 18) == 1
+
+
+def test_failed_point_records_the_exception_in_the_status(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("no rho, at all")
+
+    monkeypatch.setattr(sweeps, "screen_rho", broken)
+    path = tmp_path / "sweep.csv"
+    code = main(["sweep-energy", "--start", "100", "--stop", "100", "--step", "25",
+                 "--out", str(path)])
+    capsys.readouterr()
+    assert code == 2
+    rows = read_csv(path)
+    failed = [r for r in rows if r.scenario == "S1"]
+    assert len(failed) == 2
+    # the comma of the message is escaped so the row keeps its 13 fields
+    assert all(r.status == "error: ValueError: no rho; at all" for r in failed)
+    assert all(r.status == "converged" for r in rows if r.scenario != "S1")
