@@ -148,6 +148,19 @@ class Evaluation(NamedTuple):
             H[y + yi] += s * v1 * v1
         return np.array(H).reshape(n, n)
 
+    def row_hessians(self) -> np.ndarray:
+        """(m+1, n, n) stack of each row's sum of coeff * v v^T, the objective's last."""
+        m, n = len(self.c), len(self.grad)
+        H = [0.0] * ((m + 1) * n * n)
+        for row, ti, yi, coeff, v0, v1 in self.factors:
+            a = coeff * v0
+            t, y = (row % (m + 1) * n + ti) * n, (row % (m + 1) * n + yi) * n
+            H[t + ti] += a * v0
+            H[t + yi] += a * v1
+            H[y + ti] += a * v1
+            H[y + yi] += coeff * v1 * v1
+        return np.array(H).reshape(m + 1, n, n)
+
 
 @dataclass
 class ConvexProgram:
@@ -203,10 +216,8 @@ class ConvexProgram:
     def n_nonlinear(self) -> int:
         return len(self.epigraph)
 
-    def values(self, x) -> tuple[float, list]:
-        """Objective value and epigraph row values, one pass without derivatives."""
-        x = np.asarray(x, dtype=float)
-        xs = x.tolist()
+    def term_sums(self, xs: list) -> list:
+        """Each row's sum of coeff * l over its terms at the point xs, the objective's last."""
         sums = [0.0] * (len(self.aux_index) + 1)
         for row, gamma, coeff, ti, yi in self.term_table:
             t, y = xs[ti], xs[yi]
@@ -215,6 +226,13 @@ class ConvexProgram:
                     raise ValueError("t and y must be nonnegative")
                 continue            # the term is 0 on the boundary
             sums[row] += coeff * (-t * math.log1p(gamma * y / t))
+        return sums
+
+    def values(self, x) -> tuple[float, list]:
+        """Objective value and epigraph row values, one pass without derivatives."""
+        x = np.asarray(x, dtype=float)
+        xs = x.tolist()
+        sums = self.term_sums(xs)
         f = float(self.objective_linear @ x) + sums[-1]
         return f, [xs[aux] + s for aux, s in zip(self.aux_index, sums)]
 
@@ -287,10 +305,8 @@ class ConvexProgram:
 def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
     """Tightest epigraph cap on each auxiliary rate variable at x."""
     bounds: dict[int, float] = {}
-    for con in p.epigraph:
-        bound = -sum(tm.coeff * perspective_value(tm.gamma, x[tm.t_index], x[tm.y_index])
-                     for tm in con.terms)
-        bounds[con.aux_index] = min(bound, bounds.get(con.aux_index, math.inf))
+    for aux, s in zip(p.aux_index, p.term_sums(np.asarray(x, dtype=float).tolist())):
+        bounds[aux] = min(-s, bounds.get(aux, math.inf))
     return bounds
 
 
@@ -313,7 +329,9 @@ def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
     Zero-budget energies (for example when an arrival rate is 0) make a
     strict interior impossible; those coordinates get a tiny placeholder
     and are reported in `Allocation.degenerate`.  Solvers are expected to
-    eliminate them with `presolve_program` first.
+    eliminate them with `presolve_program` first.  A positive budget too
+    small to leave `margin` of slack raises instead, as any other program
+    without a strict interior does.
     """
     x = np.zeros(p.n_vars)
     m = len(p.t_indices)
@@ -329,7 +347,7 @@ def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
                 bound = min(bound, slack / a[yi])
         if bound == math.inf:
             x[yi] = 1.0
-        elif bound <= _DEGENERATE_FLOOR:
+        elif bound <= 0.0:
             x[yi] = _DEGENERATE_FLOOR
             degenerate.append(yi)
         else:

@@ -1,15 +1,23 @@
 """Iterative quadratic approximation solver.
 
-Each perspective term is replaced by its second-order model around the
-current point: with (g, v) the exact gradient and rank-one Hessian factor,
+Every row of the program (the objective and each epigraph row) is replaced
+by its second-order model around the current point x_k,
 
-    l(t, y)  ~  l_k + g_k . delta + 0.5 * (v_k . delta)^2 ,
+    c + G . (x - x_k) + 0.5 * (x - x_k)^T H (x - x_k),
 
-which turns the allocation problem into a small convex QCQP.  That
-subproblem is solved with a primal-dual path-following interior-point
-method, the auxiliary rate variables are pulled back inside the true
-epigraph region, and the model is rebuilt at the new point until two
-successive solutions coincide.
+with c, G and the term curvature H read from one `ConvexProgram.evaluate`
+at x_k (each perspective term contributes coeff * v v^T, v its rank-one
+Hessian factor).  That turns the allocation problem into a small convex
+QCQP held as arrays: the objective (const, g, H), every row's (const, G),
+the stacked Hessians `nl_H` of the curved rows, which come first, and the
+linear rows after them.  A trust-region box around x_k is appended as
++-e_i rows.  The QCQP is solved with a primal-dual path-following
+interior-point method that steps over all rows at once, the auxiliary rate
+variables are pulled back inside the true epigraph region, and the model
+is rebuilt at the new point until two successive solutions coincide.  A
+settled point counts as converged only when it carries the certificate
+(violation <= 0, KKT residual <= 1e-6), after any slot whose time fell
+below the expansion floor is put on the ray its multipliers ask for.
 
 The subproblem class exposes the same evaluation protocol as
 `ConvexProgram`, so the barrier solver can be pointed at it directly when
@@ -19,8 +27,7 @@ cross-checking the interior-point method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +40,6 @@ from .program import (
     aux_bounds,
     energy_caps,
     initial_point,
-    perspective_gradient,
-    perspective_value,
     presolve_program,
     refine_multipliers,
     stationarity_residual,
@@ -44,124 +49,56 @@ from .program import (
 # model curvature finite
 _T_FLOOR = 1e-9
 
-
-@dataclass(frozen=True)
-class QuadraticModel:
-    """Second-order model of one weighted perspective term."""
-
-    gamma: float
-    t_index: int
-    y_index: int
-    coeff: float
-    t0: float
-    y0: float
-    base: float          # l(gamma; t0, y0)
-    g: tuple[float, float]
-    v: tuple[float, float]
-
-    @classmethod
-    def from_term(cls, term, x) -> "QuadraticModel":
-        t0 = float(x[term.t_index])
-        y0 = float(x[term.y_index])
-        if t0 <= 0.0:
-            raise ValueError("expansion requires t > 0")
-        base = perspective_value(term.gamma, t0, y0)
-        g, v = perspective_gradient(term.gamma, t0, y0)
-        return cls(
-            gamma=term.gamma, t_index=term.t_index, y_index=term.y_index,
-            coeff=term.coeff, t0=t0, y0=y0, base=base,
-            g=(float(g[0]), float(g[1])), v=(float(v[0]), float(v[1])),
-        )
-
-    def value(self, x) -> float:
-        dt = float(x[self.t_index]) - self.t0
-        dy = float(x[self.y_index]) - self.y0
-        s = self.v[0] * dt + self.v[1] * dy
-        return self.coeff * (self.base + self.g[0] * dt + self.g[1] * dy + 0.5 * s * s)
-
-
-@dataclass(frozen=True)
-class QuadConstraint:
-    """a . x - b + sum of quadratic models <= 0."""
-
-    a: tuple[float, ...]
-    b: float
-    models: tuple[QuadraticModel, ...] = ()
-    label: str = ""
+# the certificate a converged solve carries: violation <= 0 and a KKT
+# residual at most this
+_KKT_TOL = 1e-6
 
 
 @dataclass
 class QuadraticSubproblem:
-    """Convex QCQP in compiled dense form.
+    """Convex QCQP in dense array form.
 
-    Rows with quadratic models come first in `constraints`; purely linear
-    rows follow.  Nonnegativity of the time/energy coordinates is kept
-    separate, mirroring `ConvexProgram`.
+    Minimizes obj_const + obj_g . x + 0.5 x^T obj_H x subject to rows
+    con_const[j] + con_G[j] . x + 0.5 x^T nl_H[j] x <= 0, where only the
+    first len(nl_H) rows (the curved ones) carry a Hessian; the linear rows,
+    then any trust-region box rows, follow.  Nonnegativity of the
+    time/energy coordinates is kept separate, mirroring `ConvexProgram`.
     """
 
-    n_vars: int
-    objective_linear: np.ndarray
-    objective_models: tuple[QuadraticModel, ...]
-    constraints: tuple[QuadConstraint, ...]
+    obj_const: float
+    obj_g: np.ndarray          # (n,)
+    obj_H: np.ndarray          # (n, n)
+    con_const: np.ndarray      # (rows,)
+    con_G: np.ndarray          # (rows, n)
+    nl_H: np.ndarray           # (m, n, n) Hessians of the m curved rows
+    factors: tuple             # term factors at the expansion point, for `evaluate`
     t_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
-    var_names: tuple[str, ...]
-    obj_const: float = field(init=False)
-    obj_g: np.ndarray = field(init=False, repr=False)
-    obj_H: np.ndarray = field(init=False, repr=False)
-    con_const: np.ndarray = field(init=False, repr=False)
-    con_G: np.ndarray = field(init=False, repr=False)
-    con_H: list = field(init=False, repr=False)
-    lin_A: np.ndarray = field(init=False, repr=False)
-    lin_b: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.n_vars
-        self.objective_linear = np.asarray(self.objective_linear, dtype=float)
-        d0, g0, H0 = _compile_quadratic(n, self.objective_linear, 0.0, self.objective_models)
-        self.obj_const, self.obj_g, self.obj_H = d0, g0, H0
-        consts, rows, hessians = [], [], []
-        for con in self.constraints:
-            d, g, H = _compile_quadratic(n, np.asarray(con.a, dtype=float), -con.b, con.models)
-            consts.append(d)
-            rows.append(g)
-            hessians.append(H if con.models else None)
-        self.con_const = np.array(consts) if consts else np.zeros(0)
-        self.con_G = np.array(rows) if rows else np.zeros((0, n))
-        self.con_H = hessians
-        plain = [i for i, con in enumerate(self.constraints) if not con.models]
-        self.lin_A = self.con_G[plain] if plain else np.zeros((0, n))
-        self.lin_b = -self.con_const[plain] if plain else np.zeros(0)
 
     # -- shared evaluation protocol -------------------------------------
-    # per-row methods read from `evaluate`; its pieces are lazy, as the IPM never calls it
-
-    @cached_property
-    def nl_H(self) -> np.ndarray:
-        """(m, n, n) Hessians of the model rows, which come first."""
-        m, n = self.n_nonlinear, self.n_vars
-        return np.array(self.con_H[:m]).reshape(m, n, n)
-
-    @cached_property
-    def factors(self) -> tuple:
-        """(row, t_index, y_index, coeff, v_t, v_y) of every model, row -1 for the objective."""
-        rows = [(-1, self.objective_models)] + [(j, c.models) for j, c in enumerate(self.constraints)]
-        return tuple((row, md.t_index, md.y_index, md.coeff, *md.v) for row, models in rows for md in models)
 
     @property
-    def objective_curved(self) -> bool:
-        return bool(self.objective_models)
+    def n_vars(self) -> int:
+        return len(self.obj_g)
 
     @property
     def n_nonlinear(self) -> int:
-        return sum(1 for con in self.constraints if con.models)
+        return len(self.nl_H)
+
+    @property
+    def lin_A(self) -> np.ndarray:
+        return self.con_G[self.n_nonlinear:]
+
+    @property
+    def lin_b(self) -> np.ndarray:
+        return -self.con_const[self.n_nonlinear:]
 
     def values(self, x) -> tuple[float, list]:
         ev = self.evaluate(x)
         return ev.f, ev.c.tolist()
 
     def evaluate(self, x) -> Evaluation:
-        m = len(self.nl_H)
+        m = self.n_nonlinear
         Hx = self.nl_H @ x
         return Evaluation(self.objective_value(x), self.objective_gradient(x),
                           self.con_const[:m] + self.con_G[:m] @ x + 0.5 * Hx @ x,
@@ -183,50 +120,28 @@ class QuadraticSubproblem:
     max_violation = ConvexProgram.max_violation
 
 
-def _compile_quadratic(n, lin, const, models):
-    """Expand const + lin.x + sum of models into (d, g, H) arrays."""
-    d = float(const)
-    g = np.array(lin, dtype=float, copy=True)
-    H = np.zeros((n, n))
-    for m in models:
-        ti, yi, c = m.t_index, m.y_index, m.coeff
-        v0, v1 = m.v
-        w = v0 * m.t0 + v1 * m.y0
-        d += c * (m.base - (m.g[0] * m.t0 + m.g[1] * m.y0) + 0.5 * w * w)
-        g[ti] += c * (m.g[0] - w * v0)
-        g[yi] += c * (m.g[1] - w * v1)
-        H[ti, ti] += c * v0 * v0
-        H[ti, yi] += c * v0 * v1
-        H[yi, ti] += c * v0 * v1
-        H[yi, yi] += c * v1 * v1
-    return d, g, H
-
-
 def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
-    """Second-order model of a canonical program around x_k."""
+    """Second-order model of a canonical program around x_k.
+
+    The model of each row, c + G.(x - x_k) + 0.5 (x - x_k)^T H (x - x_k),
+    is stored expanded as const + g.x + 0.5 x^T H x.
+    """
     x_k = np.asarray(x_k, dtype=float)
     for i in p.t_indices:
         if x_k[i] <= 0.0:
             raise ValueError(f"expansion point needs positive times (x[{i}] = {x_k[i]:g})")
-    obj_models = tuple(QuadraticModel.from_term(tm, x_k) for tm in p.objective_terms)
-    cons = [
-        QuadConstraint(
-            a=tuple(1.0 if i == con.aux_index else 0.0 for i in range(p.n_vars)),
-            b=0.0,
-            models=tuple(QuadraticModel.from_term(tm, x_k) for tm in con.terms),
-            label=con.label,
-        )
-        for con in p.epigraph
-    ]
-    cons.extend(QuadConstraint(a=con.a, b=con.b, label=con.label) for con in p.linear)
+    ev = p.evaluate(x_k)
+    m = p.n_nonlinear
+    H = ev.row_hessians()                       # the objective's last
+    Hx = H @ x_k
+    G = np.vstack((ev.G, ev.grad))
+    const = np.append(ev.c, ev.f) - G @ x_k + 0.5 * (Hx @ x_k)
+    g = G - Hx
     return QuadraticSubproblem(
-        n_vars=p.n_vars,
-        objective_linear=p.objective_linear,
-        objective_models=obj_models,
-        constraints=tuple(cons),
-        t_indices=p.t_indices,
-        y_indices=p.y_indices,
-        var_names=p.var_names,
+        obj_const=float(const[-1]), obj_g=g[-1], obj_H=H[-1],
+        con_const=np.concatenate((const[:m], -p.lin_b)),
+        con_G=np.concatenate((g[:m], p.lin_A)),
+        nl_H=H[:m], factors=ev.factors, t_indices=p.t_indices, y_indices=p.y_indices,
     )
 
 
@@ -254,7 +169,7 @@ class IpmOptions:
 @dataclass
 class SubproblemSolution:
     x: np.ndarray
-    lam_constraints: np.ndarray   # multipliers for `constraints`, in order
+    lam_constraints: np.ndarray   # multipliers of the subproblem rows, in order
     lam_bounds: np.ndarray        # multipliers for the nonnegativity bounds
     iters: int
     kkt_residual: float           # dual residual, subproblem metric
@@ -262,33 +177,37 @@ class SubproblemSolution:
     converged: bool
 
 
-def _constraint_state(sub: QuadraticSubproblem, pos: list[int], x: np.ndarray):
-    """Values and gradients of every inequality (rows then bounds)."""
-    n = sub.n_vars
-    n_con = len(sub.constraints)
-    J = n_con + len(pos)
-    phi = np.empty(J)
-    grad = np.zeros((J, n))
-    if n_con:
-        phi[:n_con] = sub.con_const + sub.con_G @ x
-        grad[:n_con] = sub.con_G
-        for j, H in enumerate(sub.con_H):
-            if H is not None:
-                Hx = H @ x
-                phi[j] += 0.5 * float(x @ Hx)
-                grad[j] += Hx
-    for k, i in enumerate(pos):
-        phi[n_con + k] = -x[i]
-        grad[n_con + k, i] = -1.0
-    return phi, grad
+def _step_limit(lam, dlam, s, p, q) -> float:
+    """Largest alpha keeping every lam + alpha dlam and every row slack positive.
+
+    Along the step, row j's slack is s_j - alpha p_j - alpha^2 q_j / 2, so its
+    limit is the positive root where the row is curved (q_j > 0), else
+    s_j / p_j where p_j > 0.
+    """
+    lims = np.full((3, len(s)), np.inf)
+    np.divide(-lam, dlam, out=lims[0], where=dlam < 0.0)
+    curved = q > 1e-14 * np.maximum(1.0, np.abs(p))
+    root = np.sqrt(p * p + 2.0 * q * s, out=np.zeros(len(s)), where=curved)
+    np.divide(-p + root, q, out=lims[1], where=curved)
+    np.divide(s, p, out=lims[2], where=~curved & (p > 0.0))
+    return float(lims.min())
 
 
 def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> SubproblemSolution:
-    """Path-following solve of one QCQP subproblem from a strictly feasible x."""
-    n = sub.n_vars
+    """Path-following solve of one QCQP subproblem from a strictly feasible x.
+
+    The inequalities are stacked once: every row of `sub`, then -x_i <= 0 for
+    each positive coordinate, as b0 + A x + 0.5 x^T nl_H[j] x <= 0 with the
+    curvature on the first m rows only.
+    """
+    n, m = sub.n_vars, sub.n_nonlinear
     pos = list(sub.positive_indices)
-    n_con = len(sub.constraints)
-    J = n_con + len(pos)
+    n_con = len(sub.con_const)
+    A = np.concatenate((sub.con_G, -np.eye(n)[pos]))
+    b0 = np.concatenate((sub.con_const, np.zeros(len(pos))))
+    nl_H = sub.nl_H
+    H_rows = nl_H.reshape(m, n * n)
+    J = len(b0)
 
     if J == 0:
         # unconstrained quadratic: one Newton solve
@@ -298,21 +217,27 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
             iters=1, kkt_residual=0.0, gap=0.0, converged=True,
         )
 
-    phi, grad = _constraint_state(sub, pos, x)
-    s = -phi
+    def state(x_):
+        """Slacks and gradients of every inequality at x_."""
+        Hx = nl_H @ x_
+        s_ = -(b0 + A @ x_)
+        s_[:m] -= 0.5 * (Hx @ x_)
+        grad_ = A.copy()
+        grad_[:m] += Hx
+        return s_, grad_
+
+    def dual_residual(x_, lam_, grad_):
+        return sub.obj_g + sub.obj_H @ x_ + grad_.T @ lam_
+
+    s, grad = state(x)
     if s.min() <= 0.0:
         raise ValueError("interior-point start must be strictly feasible")
     lam = 1.0 / np.maximum(s, 1e-3)
-
-    def residual(x_, lam_, s_, grad_, target):
-        r_d = sub.objective_gradient(x_) + grad_.T @ lam_
-        r_c = lam_ * s_ - target
-        return r_d, math.sqrt(float(r_d @ r_d) + float(r_c @ r_c))
+    r_d = dual_residual(x, lam, grad)
 
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         mu_hat = float(lam @ s) / J
-        r_d = sub.objective_gradient(x) + grad.T @ lam
         if float(np.abs(r_d).max()) <= opts.tol and mu_hat <= opts.tol:
             return SubproblemSolution(
                 x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
@@ -322,11 +247,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
         target = opts.sigma * mu_hat
 
         # condensed Newton system for (dx, dlam)
-        M = sub.obj_H.copy()
-        for j in range(n_con):
-            if sub.con_H[j] is not None:
-                M += lam[j] * sub.con_H[j]
-        M += grad.T @ (grad * (lam / s)[:, None])
+        M = sub.obj_H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
         rhs = -r_d - grad.T @ ((target - lam * s) / s)
         try:
             dx = np.linalg.solve(M, rhs)
@@ -337,42 +258,33 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
         dlam = (target - lam * s + lam * p) / s
 
         # exact largest step keeping lam > 0 and every constraint negative
-        alpha = 1.0 / opts.frac
-        for j in range(J):
-            if dlam[j] < 0.0:
-                alpha = min(alpha, -lam[j] / dlam[j])
-            q = 0.0
-            if j < n_con and sub.con_H[j] is not None:
-                q = float(dx @ (sub.con_H[j] @ dx))
-            if q > 1e-14 * max(1.0, abs(p[j])):
-                root = (-p[j] + math.sqrt(p[j] * p[j] + 2.0 * q * s[j])) / q
-                alpha = min(alpha, root)
-            elif p[j] > 0.0:
-                alpha = min(alpha, s[j] / p[j])
-        alpha = min(1.0, opts.frac * alpha)
+        q = np.zeros(J)
+        q[:m] = (nl_H @ dx) @ dx
+        alpha = min(1.0, opts.frac * min(1.0 / opts.frac, _step_limit(lam, dlam, s, p, q)))
 
         # backtrack on the combined residual
-        _, rnorm = residual(x, lam, s, grad, target)
+        r_c = lam * s - target
+        rnorm = math.sqrt(float(r_d @ r_d) + float(r_c @ r_c))
         for _ in range(40):
             x_try = x + alpha * dx
             lam_try = lam + alpha * dlam
-            phi_try, grad_try = _constraint_state(sub, pos, x_try)
-            s_try = -phi_try
+            s_try, grad_try = state(x_try)
             if s_try.min() > 0.0 and lam_try.min() > 0.0:
-                _, rnorm_try = residual(x_try, lam_try, s_try, grad_try, target)
-                if rnorm_try <= (1.0 - 0.01 * alpha) * rnorm:
+                r_d_try = dual_residual(x_try, lam_try, grad_try)
+                r_c = lam_try * s_try - target
+                if math.sqrt(float(r_d_try @ r_d_try) + float(r_c @ r_c)) <= (1.0 - 0.01 * alpha) * rnorm:
                     break
             alpha *= 0.5
         else:
             break  # no productive step length found
-        x, lam, s, phi, grad = x_try, lam_try, s_try, phi_try, grad_try
+        x, lam, s, grad, r_d = x_try, lam_try, s_try, grad_try, r_d_try
 
     mu_hat = float(lam @ s) / J
-    r_d = sub.objective_gradient(x) + grad.T @ lam
+    res = float(np.abs(r_d).max())
     return SubproblemSolution(
         x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
-        iters=iters, kkt_residual=float(np.abs(r_d).max()), gap=mu_hat,
-        converged=float(np.abs(r_d).max()) <= opts.tol and mu_hat <= opts.tol,
+        iters=iters, kkt_residual=res, gap=mu_hat,
+        converged=res <= opts.tol and mu_hat <= opts.tol,
     )
 
 
@@ -422,33 +334,84 @@ _TR_RETRIES = 4
 _T_SCALE_FLOOR = 0.05     # slot fractions live on (0, 1)
 
 
-def _y_scales(p: ConvexProgram) -> dict[int, float]:
-    """Per-variable energy scale from the best-case budget caps."""
-    return {
-        i: 0.02 * cap if math.isfinite(cap) and cap > 0.0 else 1.0
-        for i, cap in energy_caps(p).items()
-    }
+def _box_floors(p: ConvexProgram) -> np.ndarray:
+    """Smallest box half-width scale of each of `positive_indices`.
+
+    Times use the slot floor, energies 2% of their best-case budget cap.
+    """
+    caps = energy_caps(p)
+    return np.array([_T_SCALE_FLOOR] * len(p.t_indices) + [
+        0.02 * caps[i] if math.isfinite(caps[i]) and caps[i] > 0.0 else 1.0 for i in p.y_indices])
 
 
 def _with_trust_region(sub: QuadraticSubproblem, center: np.ndarray,
-                       delta: float, y_scales: dict[int, float]) -> QuadraticSubproblem:
-    rows = list(sub.constraints)
-    for i in list(sub.t_indices) + list(sub.y_indices):
-        floor = _T_SCALE_FLOOR if i in sub.t_indices else y_scales[i]
-        r = delta * max(abs(center[i]), floor)
-        hi = tuple(1.0 if k == i else 0.0 for k in range(sub.n_vars))
-        rows.append(QuadConstraint(a=hi, b=center[i] + r, label=f"tr_hi_{sub.var_names[i]}"))
-        # the lower edge never reaches zero: a log term frozen at the
-        # origin cannot be revived by a local quadratic model
-        lo_val = max(center[i] - r, 0.25 * center[i])
-        if lo_val > 0.0:
-            lo = tuple(-1.0 if k == i else 0.0 for k in range(sub.n_vars))
-            rows.append(QuadConstraint(a=lo, b=-lo_val, label=f"tr_lo_{sub.var_names[i]}"))
-    return QuadraticSubproblem(
-        n_vars=sub.n_vars, objective_linear=sub.objective_linear,
-        objective_models=sub.objective_models, constraints=tuple(rows),
-        t_indices=sub.t_indices, y_indices=sub.y_indices, var_names=sub.var_names,
-    )
+                       delta: float, floors: np.ndarray) -> QuadraticSubproblem:
+    """`sub` with the box around `center` appended: x_i <= hi_i, then -x_i <= -lo_i, per coordinate."""
+    idx = list(sub.positive_indices)
+    c = center[idx]
+    r = delta * np.maximum(np.abs(c), floors)
+    # the lower edge never reaches zero: a log term frozen at the
+    # origin cannot be revived by a local quadratic model
+    lo = np.maximum(c - r, 0.25 * c)
+    eye = np.eye(sub.n_vars)[idx]
+    keep = np.column_stack((np.ones(len(idx), dtype=bool), lo > 0.0)).ravel()
+    rows = np.stack((eye, -eye), axis=1).reshape(-1, sub.n_vars)[keep]
+    const = np.column_stack((-(c + r), lo)).ravel()[keep]
+    return replace(sub, con_const=np.concatenate((sub.con_const, const)),
+                   con_G=np.concatenate((sub.con_G, rows)))
+
+
+def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np.ndarray:
+    """Put each slot whose time is below `_T_FLOOR` on the ray its multipliers ask for.
+
+    Such a slot sits at the corner t = y = 0 of its perspective terms, where
+    the gradient depends on y/t alone, and its model was built at a lifted
+    time, so the interior-point steps leave y/t at noise.  With the row
+    multipliers w_k (1 for the objective) the corner is optimal on the ray
+    r = y/t where the energy needs no bound multiplier,
+
+        a_y = sum_k w_k c_k gamma_k / (1 + gamma_k r),
+
+    a_y being the pull of the objective and linear rows on y.  The slot moves
+    onto that ray by shrinking t or y, and the rates are clamped after it.
+    """
+    pull = p.objective_linear + p.lin_A.T @ lam_lin
+    w = list(lam_nl) + [1.0]
+    slots: dict[tuple[int, int], list] = {}
+    for row, gamma, coeff, ti, yi in p.term_table:
+        if x[ti] < _T_FLOOR:
+            slots.setdefault((ti, yi), []).append((w[row] * coeff, gamma))
+    if not slots:
+        return x
+    new = x.copy()
+    for (ti, yi), terms in slots.items():
+        a = pull[yi]
+
+        def excess(r):
+            return sum(wc * g / (1.0 + g * r) for wc, g in terms) - a
+
+        if a <= 0.0:
+            continue                # no ray frees the energy's bound
+        lo, hi = 0.0, sum(wc for wc, _ in terms) / a
+        if excess(lo) <= 0.0:
+            hi = 0.0
+        for _ in range(100):        # excess falls in r: bisect its root
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+        if hi * new[ti] <= new[yi]:
+            new[yi] = hi * new[ti]
+        else:
+            new[ti] = new[yi] / hi
+    new = _clamp_aux(p, new)
+    return new if p.max_violation(new) <= max(p.max_violation(x), 0.0) else x
+
+
+def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
+    """x with every time lifted to at least `_T_FLOOR`."""
+    x = x.copy()
+    t = list(p.t_indices)
+    x[t] = np.maximum(x[t], _T_FLOOR)
+    return x
 
 
 def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = None) -> SolveResult:
@@ -467,7 +430,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         return SolveResult.infeasible("quad")
 
     x = start.x.astype(float)
-    y_scales = _y_scales(red)
+    floors = _box_floors(red)
     history: list | None = [] if opts.record_history else None
     if history is not None:
         history.append({"round": 0, "dif": math.nan,
@@ -480,19 +443,16 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     sol = None
     # a program without perspective terms is its own quadratic model, so
     # the box would only slow the one exact solve down
-    has_models = bool(red.objective_terms) or any(con.terms for con in red.epigraph)
+    has_models = bool(red.term_table)
     delta = _TR_DELTA0 if has_models else _TR_FREE
     for rounds in range(1, opts.max_rounds + 1):
-        expansion = x.copy()
-        for i in red.t_indices:
-            expansion[i] = max(expansion[i], _T_FLOOR)
-        sub0 = quadratize(red, expansion)
+        sub0 = quadratize(red, _expansion_point(red, x))
         f_x = red.objective_value(x)
         accepted = False
         at_fixed_point = False
         cand = x
         for _ in range(_TR_RETRIES + 1):
-            sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, y_scales)
+            sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, floors)
             sol = _ipm(sub, _ipm_start(red, x), opts.ipm)
             inner_total += sol.iters
             if not sol.converged:
@@ -534,10 +494,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         # polish the coordinates to machine precision and yield multipliers
         # for the true constraint set
         for _ in range(3):
-            expansion = x.copy()
-            for i in red.t_indices:
-                expansion[i] = max(expansion[i], _T_FLOOR)
-            clean = _ipm(quadratize(red, expansion), _ipm_start(red, x), opts.ipm)
+            clean = _ipm(quadratize(red, _expansion_point(red, x)), _ipm_start(red, x), opts.ipm)
             inner_total += clean.iters
             if not clean.converged:
                 break
@@ -560,21 +517,25 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         # trust-region rows and the expansion-point shift land in the
         # residual, so refine against the true gradients first
         n_nl, n_lin = red.n_nonlinear, len(red.linear)
-        lam = refine_multipliers(
-            red, x, sol.lam_constraints[:n_nl],
-            sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds,
-        )
+        seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
+        x = _settle_unused_slots(red, x, *seeds[:2])
+        lam = refine_multipliers(red, x, *seeds)
         kkt = stationarity_residual(red, x, *lam)
     else:
         kkt = math.inf
     x_full = pre.expand(x)
+    violation = program.max_violation(x_full)
+    # a settled point counts as converged only with its certificate: on a
+    # flat optimal face the rounds can settle while a slot still crawls
+    # towards t = 0, where the gradient does not certify it
+    converged = converged and kkt <= _KKT_TOL and violation <= 0.0
     return SolveResult(
         status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
         x_star=Allocation(x=x_full, degenerate=pre.pinned),
         objective_bits=maximized_bits(program, x_full),
         outer_iters=moves if converged else rounds,
         inner_iters=inner_total,
-        max_constraint_violation=program.max_violation(x_full),
+        max_constraint_violation=violation,
         kkt_residual=kkt,
         solver="quad",
         history=history,

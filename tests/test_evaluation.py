@@ -133,8 +133,8 @@ def test_compiled_pass_on_a_quadratic_subproblem():
     sub = quadratize(p, x0)
     x = _ipm_start(p, x0)
     m = sub.n_nonlinear
-    rows = [(sub.con_const[j] + sub.con_G[j] @ x + 0.5 * x @ sub.con_H[j] @ x,
-             sub.con_G[j] + sub.con_H[j] @ x, sub.con_H[j]) for j in range(m)]
+    rows = [(sub.con_const[j] + sub.con_G[j] @ x + 0.5 * x @ sub.nl_H[j] @ x,
+             sub.con_G[j] + sub.nl_H[j] @ x, sub.nl_H[j]) for j in range(m)]
     f = sub.objective_value(x)
     grad = sub.obj_g + sub.obj_H @ x
     bv, bg, bH = _barrier(sub, TAU, x, f, grad, sub.obj_H, rows)
@@ -143,7 +143,7 @@ def test_compiled_pass_on_a_quadratic_subproblem():
     assert close(ev.G, np.array([g for _, g, _ in rows]))
     # the factor-assembled curvature equals the compiled model Hessians
     w = [0.5 + j for j in range(m)] + [1.0]
-    assert close(ev.curvature(w), sub.obj_H + sum(w[j] * sub.con_H[j] for j in range(m)))
+    assert close(ev.curvature(w), sub.obj_H + sum(w[j] * sub.nl_H[j] for j in range(m)))
     assert close(barrier_value(sub, TAU, x), bv)
     assert close(barrier_gradient(sub, TAU, x), bg)
     assert close(barrier_hessian(sub, TAU, x), bH)

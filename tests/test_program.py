@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
+from ehcoop.barrier import SolveStatus, solve_nb
+from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
     EpigraphConstraint,
@@ -19,6 +21,7 @@ from ehcoop.program import (
     presolve_program,
     stationarity_residual,
 )
+from ehcoop.quadratic import solve_iterative
 from ehcoop.scenarios import build_problem
 
 
@@ -225,6 +228,21 @@ def test_initial_point_flags_zero_budget():
     alloc = initial_point(p)
     assert alloc.degenerate == (2,)  # U1's energy has no feasible interior
     assert alloc.x[2] == pytest.approx(1e-9)
+
+
+def test_tiny_positive_budget_gets_no_placeholder():
+    # X1 = 0 and a split of 1e-12 of its limit leave U1 about 1e-14 J: presolve
+    # keeps it, but no start has the margin, and a placeholder above the
+    # budget would start both solvers outside the feasible set
+    cfg = NetworkConfig(X1=0.0)
+    rho = 1e-12 * rho_max(derive_channels(cfg))
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, rho), cfg)
+    red = presolve_program(p).program
+    assert 0.0 < min(energy_caps(red).values()) < 1e-9
+    with pytest.raises(InfeasibleProgramError):
+        initial_point(red)
+    assert solve_nb(p).status is SolveStatus.INFEASIBLE
+    assert solve_iterative(p).status is SolveStatus.INFEASIBLE
 
 
 def test_initial_point_without_budget_rows_defaults_energy_to_one():

@@ -18,10 +18,9 @@ from ehcoop.program import (
 from ehcoop.quadratic import (
     IpmOptions,
     IterativeOptions,
-    QuadConstraint,
-    QuadraticModel,
     QuadraticSubproblem,
     _ipm,
+    _step_limit,
     quadratize,
     solve_iterative,
 )
@@ -65,15 +64,24 @@ def test_model_is_exact_at_the_expansion_point():
             p.nonlinear_gradient(j, x0), rel=1e-10, abs=1e-12)
 
 
+def one_term_model(term, x0):
+    """Value of the model of a program whose objective is the single term, around x0."""
+    p = ConvexProgram(
+        n_vars=2, objective_linear=np.zeros(2), objective_terms=(term,), epigraph=(),
+        linear=(), t_indices=(0,), y_indices=(1,), var_names=("t", "y"),
+    )
+    return quadratize(p, x0).objective_value
+
+
 def test_model_error_is_second_order():
     term = PerspectiveTerm(2500.0, 0, 1)
     x0 = np.array([0.5, 0.05])
-    model = QuadraticModel.from_term(term, x0)
+    model = one_term_model(term, x0)
     direction = np.array([0.08, -0.006])
 
     def err(scale):
         x = x0 + scale * direction
-        return abs(model.value(x) - perspective_value(2500.0, x[0], x[1]))
+        return abs(model(x) - perspective_value(2500.0, x[0], x[1]))
 
     # halving the step should shrink the residual by about 2^3
     big, small = err(1.0), err(0.5)
@@ -85,12 +93,12 @@ def test_model_stays_useful_over_an_operating_box():
     # worst relative mismatch over a wide box around the expansion point
     term = PerspectiveTerm(2500.0, 0, 1)
     x0 = np.array([0.5, 0.05])
-    model = QuadraticModel.from_term(term, x0)
+    model = one_term_model(term, x0)
     worst = 0.0
     for t in np.linspace(0.3, 0.7, 9):
         for y in np.linspace(0.02, 0.08, 9):
             true = perspective_value(2500.0, t, y)
-            worst = max(worst, abs(model.value((t, y)) - true) / abs(true))
+            worst = max(worst, abs(model(np.array([t, y])) - true) / abs(true))
     assert worst <= 0.15
 
 
@@ -105,8 +113,8 @@ def test_quadratize_requires_positive_times():
 def test_quadratize_orders_model_rows_first():
     p = relay_program()
     sub = quadratize(p, initial_point(p).x)
-    kinds = [bool(c.models) for c in sub.constraints]
-    assert kinds == [True, True, False, False, False, False]
+    curved = [j < len(sub.nl_H) and bool(sub.nl_H[j].any()) for j in range(len(sub.con_const))]
+    assert curved == [True, True, False, False, False, False]
     assert sub.n_nonlinear == 2
     assert sub.lin_A.shape == (4, 7)
 
@@ -114,7 +122,7 @@ def test_quadratize_orders_model_rows_first():
 def test_direct_scenario_quadratizes_to_a_qp():
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
     sub = quadratize(p, initial_point(p).x)
-    assert sub.objective_curved
+    assert sub.obj_H.any()
     assert sub.n_nonlinear == 0  # only linear budget rows remain
 
 
@@ -122,16 +130,51 @@ def test_direct_scenario_quadratizes_to_a_qp():
 
 
 def test_lp_subproblem_recovers_primal_and_dual():
+    # max t s.t. t <= 1
     sub = QuadraticSubproblem(
-        n_vars=1, objective_linear=np.array([-1.0]), objective_models=(),
-        constraints=(QuadConstraint(a=(1.0,), b=1.0),),
-        t_indices=(0,), y_indices=(), var_names=("t",),
+        obj_const=0.0, obj_g=np.array([-1.0]), obj_H=np.zeros((1, 1)),
+        con_const=np.array([-1.0]), con_G=np.array([[1.0]]), nl_H=np.zeros((0, 1, 1)),
+        factors=(), t_indices=(0,), y_indices=(),
     )
     sol = _ipm(sub, np.array([0.4]), IpmOptions())
     assert sol.converged
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.lam_constraints[0] == pytest.approx(1.0, abs=1e-6)
     assert sol.lam_bounds[0] == pytest.approx(0.0, abs=1e-6)
+
+
+def _step_limit_loop(lam, dlam, s, p, q, frac):
+    """The per-row loop the interior-point step length was first written as."""
+    alpha = 1.0 / frac
+    for j in range(len(s)):
+        if dlam[j] < 0.0:
+            alpha = min(alpha, -lam[j] / dlam[j])
+        if q[j] > 1e-14 * max(1.0, abs(p[j])):
+            root = (-p[j] + math.sqrt(p[j] * p[j] + 2.0 * q[j] * s[j])) / q[j]
+            alpha = min(alpha, root)
+        elif p[j] > 0.0:
+            alpha = min(alpha, s[j] / p[j])
+    return alpha
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_vectorized_step_limit_equals_the_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, m, k = 7, int(rng.integers(0, 4)), int(rng.integers(1, 12))
+    J = m + k
+    # curved rows carry a sum of rank-one model Hessians, like quadratize's
+    v = rng.normal(size=(m, 3, n)) * rng.choice([1e-8, 1.0, 1e4], size=(m, 1, 1))
+    nl_H = np.einsum("mki,mkj->mij", v, v)
+    dx = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 1)
+    q = np.zeros(J)
+    q[:m] = (nl_H @ dx) @ dx
+    s = 10.0 ** rng.uniform(-12, 1, size=J)
+    lam = 10.0 ** rng.uniform(-10, 2, size=J)
+    dlam = rng.normal(size=J) * lam * 10.0 ** rng.uniform(-1, 2)
+    p = rng.normal(size=J) * 10.0 ** rng.uniform(-8, 1, size=J)
+    p[rng.random(J) < 0.2] = 0.0
+    frac = IpmOptions().frac
+    assert min(1.0 / frac, _step_limit(lam, dlam, s, p, q)) == _step_limit_loop(lam, dlam, s, p, q, frac)
 
 
 def test_subproblem_agrees_with_barrier_solver():
@@ -167,6 +210,37 @@ def test_iterative_matches_barrier_on_the_relay_program():
     assert rel <= 1e-6
     assert a.max_constraint_violation <= 0.0
     assert a.kkt_residual <= 1e-6
+
+
+def test_iteration_counts_are_unchanged_by_the_array_subproblem():
+    # the counts of the scalar per-term models: the array form only reorders sums
+    relay = solve_iterative(relay_program())
+    direct = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig()))
+    assert (relay.outer_iters, relay.inner_iters) == (6, 83)
+    assert (direct.outer_iters, direct.inner_iters) == (5, 68)
+
+
+def test_unused_slot_at_zero_ambient_energy_is_certified():
+    # U1 has no ambient energy, so the relay slot ends unused at t ~ 1e-12,
+    # where the perspective's gradient depends on y/t alone
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.3), NetworkConfig(X1=0.0))
+    a = solve_iterative(p)
+    b = solve_nb(p)
+    assert a.converged and b.converged
+    assert a.x_star.x[1] < 1e-9
+    assert a.max_constraint_violation <= 0.0
+    assert a.kkt_residual <= 1e-6
+    assert abs(a.objective_bits - b.objective_bits) <= 1e-7 * (1.0 + abs(b.objective_bits))
+
+
+def test_settled_point_without_a_certificate_is_not_converged():
+    # X1 = 0, case B, sum: the rounds settle while the relay slot still
+    # shrinks towards t = 0 with a y/t that certifies nothing
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.WEIGHTED_SUM, 0.7),
+                      NetworkConfig(X1=0.0))
+    res = solve_iterative(p)
+    assert res.kkt_residual > 1e-6
+    assert res.status is SolveStatus.MAX_ITERATIONS
 
 
 def test_already_quadratic_program_converges_in_one_round():
