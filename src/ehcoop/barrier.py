@@ -34,10 +34,31 @@ the Hessian anyway for its stop test.  The predicted point is kept only
 where the next stage's barrier is finite and lower than at x, and a late
 stage then needs about one Newton step.
 
-The outer loop stops on the duality gap of the central path: with m
-barrier rows (nonlinear and affine), the stage optimum at tau is within
-m/tau of the optimum, so tau grows until m/tau <= gap_tol * (1 + |f|).
-TAU_CEILING ends the loop where f is not finite.
+The outer loop starts at tau0 = 100 and stops on the duality gap of the
+central path: with m barrier rows (nonlinear and affine), the stage
+optimum at tau is within m/tau of the optimum, so tau grows until
+m/tau <= gap_tol * (1 + |f|).  TAU_CEILING ends the loop where f is not
+finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
+there only centres the iterate (tau0 = 100 cut the Newton steps of the
+528 solves of the acceptance energy grid from 19,879 to 14,804, all
+converged); tau0 = 1e4 left 40 of them unconverged.  A finished
+path counts as converged only when its point carries the certificate:
+violation <= 0 and a KKT residual at most KKT_TOL, the iterative solver's
+rule.
+
+`solve_nb_many` solves a list of programs, such as the candidates of one
+rho screen, in lockstep.  Programs whose reduced (presolved) forms share a
+layout (`_layout`: variables, each term's row and coordinates, auxiliary
+rates, affine row count) are stacked into (K, ...) arrays, and
+`solve_nb`'s algorithm runs on all of them at once: one stacked
+evaluation, gradient, Hessian and `np.linalg.solve` on (K, n, n) per Newton
+iteration, Armijo halving (with the noise-floor rule), stalls and the step
+cap per program, one tau schedule with each program leaving at its own
+gap stop.  The arithmetic is `solve_nb`'s, term by term, so on the default
+screens the two paths take the same Newton steps and agree to a few ulps.
+A stacked iteration costs about as much as two scalar ones at these sizes
+(numpy call overhead dominates), so groups smaller than LOCKSTEP_MIN = 3,
+where the two break even, go through `solve_nb` one by one.
 
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
@@ -50,6 +71,7 @@ the iterative solver, which is handy for cross-checking.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +79,7 @@ from enum import Enum
 import numpy as np
 
 from .program import (
+    KKT_TOL,
     LN2,
     Allocation,
     InfeasibleProgramError,
@@ -72,6 +95,10 @@ ALPHA_CAP = 1e6
 ARMIJO = 1e-4
 # the outer loop ends here even if the gap test never passes (f not finite)
 TAU_CEILING = 1e16
+# fewest programs of one layout that `solve_nb_many` steps in lockstep: at 2
+# the stacked loop and two `solve_nb` calls cost about the same, at 3 the
+# stacked loop takes about 0.7 of their time
+LOCKSTEP_MIN = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -79,7 +106,7 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass
 class BarrierOptions:
-    tau0: float = 1.0          # initial barrier weight
+    tau0: float = 100.0        # initial barrier weight
     mu: float = 100.0          # tau multiplier per outer stage
     gap_tol: float = 1e-10     # stop once (barrier rows)/tau <= gap_tol * (1 + |f|)
     eps: float = 1e-6          # inner termination on the step norm
@@ -173,18 +200,22 @@ def barrier_hessian(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
     return H + (A.T / (tau * s * s)) @ A
 
 
-def _newton_direction(program, tau, x, g, ev=None):
-    """Solve H d = -g for the current barrier stage; also says whether H was regularized.
-
-    g may stack several right-hand sides as columns, solved on one factorization.
-    """
-    H = barrier_hessian(program, tau, x, ev)
+def _solve(H, g):
+    """Solve H d = -g; also says whether H had to be regularized."""
     try:
         return np.linalg.solve(H, -g), False
     except np.linalg.LinAlgError:
         bump = 1e-10 * max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
         H = H + bump * np.eye(H.shape[0])
         return np.linalg.solve(H, -g), True
+
+
+def _newton_direction(program, tau, x, g, ev=None):
+    """Solve H d = -g for the current barrier stage; also says whether H was regularized.
+
+    g may stack several right-hand sides as columns, solved on one factorization.
+    """
+    return _solve(barrier_hessian(program, tau, x, ev), g)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +404,41 @@ def _certificate(program, tau, x, act_tol: float = 1e-4):
     return refine_multipliers(program, x, lam[:m], lam[m:k], lam[k:], act_tol)
 
 
+def _start(program):
+    """(presolve, start point of the reduced program), or None without an interior point."""
+    pre = presolve_program(program)
+    try:
+        return pre, initial_point(pre.program).x.astype(float)
+    except InfeasibleProgramError:
+        return None
+
+
+def _result(program, pre, x, tau, converged, outer, inner, history=None) -> SolveResult:
+    """The result at the final iterate x of the reduced program, with its certificate.
+
+    A converged stage path counts as converged only when the point carries
+    the certificate, as in the iterative solver: violation <= 0 and a KKT
+    residual at most KKT_TOL.
+    """
+    red = pre.program if pre is not None else program
+    kkt = stationarity_residual(red, x, *_certificate(red, tau, x))
+    x_full = pre.expand(x) if pre is not None else x
+    violation = program.max_violation(x_full)
+    converged = converged and kkt <= KKT_TOL and violation <= 0.0
+    return SolveResult(
+        status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
+        x_star=Allocation(x=x_full, degenerate=pre.pinned if pre is not None else ()),
+        objective_bits=maximized_bits(program, x_full),
+        outer_iters=outer,
+        inner_iters=inner,
+        max_constraint_violation=violation,
+        kkt_residual=kkt,
+        solver="nb",
+        tau_final=tau,
+        history=history,
+    )
+
+
 def solve_nb(program, options: BarrierOptions | None = None,
              x0: np.ndarray | None = None) -> SolveResult:
     """Interior-point solve of a canonical program via the log barrier.
@@ -385,13 +451,11 @@ def solve_nb(program, options: BarrierOptions | None = None,
     """
     opts = options or BarrierOptions()
     if x0 is None:
-        pre = presolve_program(program)
-        red = pre.program
-        try:
-            start = initial_point(red)
-        except InfeasibleProgramError:
+        start = _start(program)
+        if start is None:
             return SolveResult.infeasible("nb")
-        x = start.x.astype(float)
+        pre, x = start
+        red = pre.program
     else:
         pre = None
         red = program
@@ -413,19 +477,294 @@ def solve_nb(program, options: BarrierOptions | None = None,
             break
         tau *= opts.mu
         x, f_x = _extrapolate(red, tau, x, z, opts.mu)
+    return _result(program, pre, x, tau, converged, outer, inner_total, history)
 
-    kkt = stationarity_residual(red, x, *_certificate(red, tau, x))
-    x_full = pre.expand(x) if pre is not None else x
-    violation = program.max_violation(x_full)
-    return SolveResult(
-        status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
-        x_star=Allocation(x=x_full, degenerate=pre.pinned if pre is not None else ()),
-        objective_bits=maximized_bits(program, x_full),
-        outer_iters=outer,
-        inner_iters=inner_total,
-        max_constraint_violation=violation,
-        kkt_residual=kkt,
-        solver="nb",
-        tau_final=tau,
-        history=history,
-    )
+
+# ---------------------------------------------------------------------------
+# Lockstep solves of programs that share a layout
+# ---------------------------------------------------------------------------
+
+
+def _layout(p):
+    """What programs must share to be stacked: variables, term rows and coordinates, aux rates, affine rows."""
+    return (p.n_vars, p.aux_index, p.affine_rows[0].shape,
+            tuple((row, ti, yi) for row, _, _, ti, yi in p.term_table))
+
+
+class _Stack:
+    """K programs of one layout as (K, ...) arrays.
+
+    Gammas and coefficients (K, T), objective vectors and affine rows are
+    per program, the objective vector stacked under the affine rows so that
+    one product gives both.  Shared 0/1 matrices place the T terms: R sums
+    their values into the rows (the objective last), P scatters their t
+    and y derivatives into the (m+1, n) gradient block, C their rank-one
+    curvature (a v_t^2, a v_t v_y, a v_y^2) into the n x n Hessian as
+    `Evaluation.curvature` adds it, and W spreads the row weights onto the
+    terms.
+    """
+
+    def __init__(self, programs):
+        p = programs[0]
+        table = p.term_table
+        n, m, T = p.n_vars, p.n_nonlinear, len(table)
+        rows = [row % (m + 1) for row, *_ in table]
+        ti, yi = [t[3] for t in table], [t[4] for t in table]
+        self.n, self.m, self.T = n, m, T
+        self.n_rows = m + len(p.affine_rows[1])
+        self.index = ti + yi + list(p.aux_index)
+        self.R = np.zeros((T, m + 1))
+        self.R[range(T), rows] = -1.0
+        self.W = -self.R[:, :m].T
+        self.obj = -self.R[:, m]
+        self.P = np.zeros((2 * T, (m + 1) * n))
+        self.C = np.zeros((3 * T, n * n))
+        for k in range(T):
+            self.P[k, rows[k] * n + ti[k]] = self.P[T + k, rows[k] * n + yi[k]] = 1.0
+            self.C[k, ti[k] * n + ti[k]] = self.C[2 * T + k, yi[k] * n + yi[k]] = 1.0
+            self.C[T + k, ti[k] * n + yi[k]] = self.C[T + k, yi[k] * n + ti[k]] = 1.0
+        self.gamma = np.array([[t[1] for t in prog.term_table] for prog in programs])
+        self.neg_gamma = -self.gamma
+        self.coeff = np.array([[t[2] for t in prog.term_table] for prog in programs])
+        q = np.array([prog.objective_linear for prog in programs])
+        A = np.array([prog.affine_rows[0] for prog in programs])
+        self.b = np.array([prog.affine_rows[1] for prog in programs])
+        self.Aq = np.concatenate((A, q[:, None, :]), 1)
+        unit = np.zeros((m, n))
+        unit[range(m), p.aux_index] = 1.0
+        self.base = np.concatenate((np.broadcast_to(unit, (len(programs), m, n)),
+                                    q[:, None, :]), 1).reshape(len(programs), -1)
+
+    def take(self, keep) -> "_Stack":
+        """The programs at the positions `keep`."""
+        out = copy.copy(self)
+        for name in ("gamma", "neg_gamma", "coeff", "b", "Aq", "base"):
+            setattr(out, name, getattr(self, name)[keep])
+        return out
+
+    def _terms(self, X):
+        """(t, y, aux rates, A x) at the points X, the last column of A x the objective's q . x."""
+        Xi = X[:, self.index]
+        T = self.T
+        return Xi[:, :T], Xi[:, T:2 * T], Xi[:, 2 * T:], (self.Aq @ X[:, :, None])[:, :, 0]
+
+    def values(self, X):
+        """Objective values, epigraph row values and affine slacks (NaN off the domain)."""
+        t, y, aux, Ax = self._terms(X)
+        sums = (self.coeff * (t * np.log1p(self.gamma * y / t))) @ self.R
+        return Ax[:, -1] + sums[:, -1], aux + sums[:, :-1], self.b - Ax[:, :-1]
+
+    def barrier(self, X, tau):
+        """Barrier values; +inf outside the strict interior.
+
+        There a log of a row value or slack is NaN or -inf, and so is the
+        sum, or the point has a NaN coordinate.
+        """
+        f, c, s = self.values(X)
+        out = f - (np.log(-c).sum(1) + np.log(s).sum(1)) / tau
+        out[np.isnan(out)] = math.inf
+        return out
+
+    def gradient(self, X, tau):
+        """The `evaluate` pass and the barrier gradient g, stacked.
+
+        Returns (f, grad f, g, c, slacks, row gradients, term factors) with
+        the rows nonlinear first, as in `_rows`, and the factors (v_t, v_y)
+        of each term's rank-one Hessian.
+        """
+        t, y, aux, Ax = self._terms(X)
+        coeff = self.coeff
+        gy = self.gamma * y
+        log = np.log1p(gy / t)
+        den = t + gy
+        rt = np.sqrt(t)
+        sums = (coeff * (t * log)) @ self.R
+        c = aux + sums[:, :-1]
+        parts = np.concatenate((coeff * (gy / den - log), coeff * (self.neg_gamma * t / den)), 1)
+        grads = (self.base + parts @ self.P).reshape(len(X), self.m + 1, self.n)
+        rows = np.concatenate((grads[:, :-1], self.Aq[:, :-1]), 1)
+        s = np.concatenate((-c, self.b - Ax[:, :-1]), 1)
+        g = grads[:, -1] + ((1.0 / (tau * s))[:, None, :] @ rows)[:, 0]
+        return (Ax[:, -1] + sums[:, -1], grads[:, -1], g, c, s, rows,
+                (gy / (rt * den), self.neg_gamma * rt / den))
+
+    def hessian(self, tau, c, s, rows, factors):
+        """Barrier Hessians from a `gradient` pass."""
+        v0, v1 = factors
+        w = ((-1.0 / (tau * c)) @ self.W + self.obj) * self.coeff
+        a = w * v0
+        H = (np.concatenate((a * v0, a * v1, w * v1 * v1), 1) @ self.C).reshape(len(c), self.n, self.n)
+        return H + (rows.transpose(0, 2, 1) / (tau * s * s)[:, None, :]) @ rows
+
+
+def _solve_all(H, g):
+    """Solve H d = -g on every stacked system, a singular one regularized as in `_solve`."""
+    try:
+        return np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return np.array([_solve(h, r)[0] for h, r in zip(H, g)])
+
+
+def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search, opts: BarrierOptions):
+    """`_line_search` on the programs listed in `search`.
+
+    The trials of all programs are evaluated together; the tests run per
+    program on Python floats, as in `_line_search`.  f_x, slope and gnorm
+    are lists, `slack` the affine slacks at X.  Returns {program: (alpha,
+    barrier value at the new point)} for the programs that take a step.
+    """
+    along = (stack.Aq[:, :-1] @ D[:, :, None])[:, :, 0]
+    limit = np.where(along > 0.0, slack / along, ALPHA_CAP).min(1).tolist()
+    a = [min(1.0, opts.shrink * lim) for lim in limit]
+    steps, first = {}, {}
+    searching = [i for i in search if a[i] > 0.0]
+    while searching:
+        f_a = stack.barrier(X + np.array(a)[:, None] * D, tau).tolist()
+        still = []
+        for i in searching:
+            if f_a[i] <= f_x[i] + ARMIJO * a[i] * slope[i]:
+                steps[i] = (a[i], f_a[i])
+                continue
+            if i not in first and f_a[i] < math.inf:
+                first[i] = (a[i], f_a[i])
+            a[i] *= 0.5
+            if a[i] > 0.0 and not -a[i] * slope[i] <= 2e-14 * (1.0 + abs(f_x[i])):
+                still.append(i)
+        searching = still
+
+    # the noise-floor rule of `_line_search`
+    near = [i for i in search if i not in steps and i in first
+            and first[i][1] <= f_x[i] + 1e-9 * (1.0 + abs(f_x[i]))]
+    if near:
+        trial = np.zeros(len(X))
+        trial[near] = [first[i][0] for i in near]
+        g_a = np.abs(stack.gradient(X + trial[:, None] * D, tau)[2]).max(1).tolist()
+        steps.update((i, first[i]) for i in near if g_a[i] <= 0.5 * gnorm[i])
+    return steps
+
+
+def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
+    """`_minimize_stage` on every program at once, each stopping on its own.
+
+    f_x is a list.  Returns (X, Newton steps, converged, objective, Z) with
+    lists per program, and a row of Z NaN where `_minimize_stage` returns
+    z = None.
+    """
+    K = len(X)
+    run = list(range(K))
+    steps, converged = [opts.max_inner] * K, [False] * K
+    f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
+    last_step, stalls = [math.inf] * K, [0] * K
+    for k in range(opts.max_inner):
+        f, grad, g, c, s, rows, factors = stack.gradient(X, tau)
+        dz = _solve_all(stack.hessian(tau, c, s, rows, factors), np.stack((g, grad), 2))
+        D = dz[:, :, 0]
+        gnorm = np.abs(g).max(1).tolist()
+        slope = (g * D).sum(1).tolist()
+        at_noise = [max(-sl, 0.0) <= 2e-14 * (1.0 + abs(fx)) for sl, fx in zip(slope, f_x)]
+        ended, search = [], []
+        for i in run:
+            if last_step[i] <= opts.eps and (gnorm[i] <= opts.grad_tol or at_noise[i]):
+                steps[i], converged[i] = k, True
+                ended.append(i)
+            else:
+                search.append(i)
+        moves = _line_search_all(stack, tau, X, D, f_x, slope, gnorm, s[:, stack.m:],
+                                 search, opts) if search else {}
+        for i in search:
+            if i in moves:
+                stalls[i] = 0
+            else:
+                stalls[i] += 1
+                last_step[i] = 0.0
+                if stalls[i] >= 3:
+                    # no further progress representable in floating point
+                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * opts.grad_tol or at_noise[i]
+                    ended.append(i)
+        if moves:
+            alpha = np.zeros(K)
+            alpha[list(moves)] = [a for a, _ in moves.values()]
+            X = np.where(alpha[:, None] > 0.0, X + alpha[:, None] * D, X)
+            norms = np.linalg.norm(D, axis=1).tolist()
+            for i, (a, f_a) in moves.items():
+                f_x[i], last_step[i] = f_a, a * norms[i]
+        if ended:
+            f = f.tolist()
+            for i in ended:
+                f_end[i] = f[i]
+            Z[ended] = dz[ended, :, 1]
+            run = [i for i in run if i not in ended]
+            if not run:
+                break
+    if run:
+        f = stack.values(X)[0].tolist()
+        for i in run:
+            f_end[i] = f[i]
+    return X, steps, converged, f_end, Z
+
+
+def _path_all(stack, X, opts: BarrierOptions):
+    """`solve_nb`'s outer loop on every program at once, on one tau schedule.
+
+    Each program leaves the loop at its own duality-gap stop.  Returns
+    (x, tau, converged, stages, Newton steps) per program.
+    """
+    live = list(range(len(X)))
+    out: list = [None] * len(X)
+    stages, steps = [0] * len(X), [0] * len(X)
+    tau = opts.tau0
+    f_x = stack.barrier(X, tau).tolist()
+    while True:
+        X, k, converged, f, Z = _stage_all(stack, tau, X, f_x, opts)
+        keep = []
+        for j, i in enumerate(live):
+            steps[i] += k[j]
+            stages[i] += 1
+            if stack.n_rows / tau <= opts.gap_tol * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
+                out[i] = (X[j], tau, converged[j], stages[i], steps[i])
+            else:
+                keep.append(j)
+        if not keep:
+            return out
+        live = [live[j] for j in keep]
+        stack, X, Z = stack.take(keep), X[keep], Z[keep]
+        tau *= opts.mu
+        # `_extrapolate`; a NaN prediction has barrier value +inf
+        f_x = stack.barrier(X, tau)
+        X_p = X + (1.0 - 1.0 / opts.mu) * Z
+        f_p = stack.barrier(X_p, tau)
+        ahead = f_p < f_x
+        X = np.where(ahead[:, None], X_p, X)
+        f_x = np.where(ahead, f_p, f_x).tolist()
+
+
+def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[SolveResult]:
+    """`solve_nb` on each program, in order; programs sharing a layout step in lockstep.
+
+    After presolve, each group of at least LOCKSTEP_MIN reduced programs
+    with one `_layout` runs `solve_nb`'s algorithm on stacked arrays: one
+    evaluation, Hessian and `np.linalg.solve` on (K, n, n) per Newton
+    iteration, Armijo halving, stalls and stops per program, one tau
+    schedule with a duality-gap stop per program.  Smaller groups, and
+    solves that record their history, go through `solve_nb`.
+    """
+    opts = options or BarrierOptions()
+    results: list = [None] * len(programs)
+    groups: dict = {}
+    for i, p in enumerate(programs):
+        start = None if opts.record_history else _start(p)
+        if start is None:       # a recorded history, or no interior point
+            results[i] = solve_nb(p, opts)
+        else:
+            groups.setdefault(_layout(start[0].program), []).append((i, *start))
+    for members in groups.values():
+        if len(members) < LOCKSTEP_MIN:
+            for i, *_ in members:
+                results[i] = solve_nb(programs[i], opts)
+            continue
+        stack = _Stack([pre.program for _, pre, _ in members])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            path = _path_all(stack, np.array([x for *_, x in members]), opts)
+        for (i, pre, _), solved in zip(members, path):
+            results[i] = _result(programs[i], pre, *solved)
+    return results

@@ -472,6 +472,10 @@ def presolve_program(p: ConvexProgram) -> PresolvedProgram:
 # KKT stationarity
 # ---------------------------------------------------------------------------
 
+# the certificate a converged solve of either solver carries: violation <= 0
+# and a KKT residual at most this
+KKT_TOL = 1e-6
+
 
 def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -> float:
     """Infinity norm of the Lagrangian gradient for given multipliers.

@@ -36,6 +36,7 @@ from .program import (
     Allocation,
     ConvexProgram,
     Evaluation,
+    KKT_TOL,
     InfeasibleProgramError,
     aux_bounds,
     energy_caps,
@@ -48,10 +49,6 @@ from .program import (
 # expansion points are lifted this far off the t = 0 boundary to keep the
 # model curvature finite
 _T_FLOOR = 1e-9
-
-# the certificate a converged solve carries: violation <= 0 and a KKT
-# residual at most this
-_KKT_TOL = 1e-6
 
 
 @dataclass
@@ -528,7 +525,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     # a settled point counts as converged only with its certificate: on a
     # flat optimal face the rounds can settle while a slot still crawls
     # towards t = 0, where the gradient does not certify it
-    converged = converged and kkt <= _KKT_TOL and violation <= 0.0
+    converged = converged and kkt <= KKT_TOL and violation <= 0.0
     return SolveResult(
         status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
         x_star=Allocation(x=x_full, degenerate=pre.pinned),

@@ -2,9 +2,11 @@
 
 The power-splitting ratio rho enters the full-cooperation scenario
 nonconvexly, so it is screened over a uniform grid below the largest
-useful ratio; every other configuration is a single convex solve.  The
-winning configuration maximizes the chosen objective, with ties broken
-toward smaller rho and the earlier scenario in S1..S4, case A before B.
+useful ratio, the nb solver taking the grid's candidates together
+(`barrier.solve_nb_many`); every other configuration is a single convex
+solve.  The winning configuration maximizes the chosen objective, with
+ties broken toward smaller rho and the earlier scenario in S1..S4, case
+A before B.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .barrier import SolveResult, solve_nb
+from .barrier import LOCKSTEP_MIN, SolveResult, solve_nb, solve_nb_many
 from .network import ChannelState, NetworkConfig, derive_channels, relay_feasible, rho_max
 from .quadratic import solve_iterative
 from .scenarios import (
@@ -41,11 +43,15 @@ def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb",
         ch = derive_channels(cfg)
     program = build_problem(spec, cfg, ch)
     result = solve_nb(program) if solver == "nb" else solve_iterative(program)
+    return result, _throughputs(spec, cfg, ch, result)
+
+
+def _throughputs(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState,
+                 result: SolveResult) -> Throughputs:
+    """The per-user throughputs of a solve; NaN without an allocation."""
     if result.x_star is None:
-        tp = Throughputs(b1_bits=math.nan, b2_bits=math.nan, t0=math.nan, slots=())
-    else:
-        tp = throughputs_from_allocation(spec, cfg, ch, result.x_star, check=False)
-    return result, tp
+        return Throughputs(b1_bits=math.nan, b2_bits=math.nan, t0=math.nan, slots=())
+    return throughputs_from_allocation(spec, cfg, ch, result.x_star, check=False)
 
 
 def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
@@ -87,30 +93,46 @@ class StrategyResult:
     notes: tuple[str, ...] = ()
 
 
-def _solve_candidate(scenario, case, objective, rho, cfg, ch, solver) -> CandidateOutcome | None:
-    spec = ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho)
+def _lockstep(specs, cfg, ch) -> dict:
+    """The result of each spec of an nb rho grid from one `solve_nb_many` call.
+
+    Empty when a program cannot be built or the lockstep solve raises:
+    the candidates' own solves then report the failure.
+    """
     try:
-        result, tp = solve_spec(spec, cfg, solver, ch)
-    except Exception as exc:  # solver failures skip the candidate, not the screen
-        warnings.warn(f"{scenario.value}-{case.value} rho={rho:g} failed: {type(exc).__name__}: {exc}")
-        return None
-    if not result.converged:
-        warnings.warn(
-            f"{scenario.value}-{case.value} rho={rho:g} did not converge "
-            f"({result.status.value})"
-        )
-    score = objective_bits(spec, cfg, tp) if result.x_star is not None else math.nan
-    return CandidateOutcome(
-        scenario=scenario, case=case, objective=objective, rho=rho,
-        result=result, throughputs=tp, objective_bits=score,
-    )
+        return dict(zip(specs, solve_nb_many([build_problem(spec, cfg, ch) for spec in specs])))
+    except Exception:
+        return {}
 
 
-def _candidates(scenario, case, objective, cfg, ch, solver) -> list[CandidateOutcome]:
-    """Every solve of one configuration, in grid order: the rho grid for S1, else rho = 0."""
-    grid = rho_candidates(ch) if scenario is Scenario.S1 else (0.0,)
-    outcomes = (_solve_candidate(scenario, case, objective, rho, cfg, ch, solver) for rho in grid)
-    return [o for o in outcomes if o is not None]
+def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[CandidateOutcome]:
+    """One configuration solved at every rho of `grid`, in grid order.
+
+    An nb grid of at least LOCKSTEP_MIN rho values is solved in lockstep
+    (`solve_nb_many`).  A candidate whose solve raises is left out with a
+    warning, so one failure skips the candidate, not the grid.
+    """
+    specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
+    batch = _lockstep(specs, cfg, ch) if solver == "nb" and len(specs) >= LOCKSTEP_MIN else {}
+    outcomes = []
+    for spec in specs:
+        label = f"{scenario.value}-{case.value} rho={spec.rho:g}"
+        try:
+            if spec in batch:
+                result, tp = batch[spec], _throughputs(spec, cfg, ch, batch[spec])
+            else:
+                result, tp = solve_spec(spec, cfg, solver, ch)
+        except Exception as exc:  # solver failures skip the candidate, not the screen
+            warnings.warn(f"{label} failed: {type(exc).__name__}: {exc}")
+            continue
+        if not result.converged:
+            warnings.warn(f"{label} did not converge ({result.status.value})")
+        score = objective_bits(spec, cfg, tp) if result.x_star is not None else math.nan
+        outcomes.append(CandidateOutcome(
+            scenario=scenario, case=case, objective=objective, rho=spec.rho,
+            result=result, throughputs=tp, objective_bits=score,
+        ))
+    return outcomes
 
 
 def _pick(outcomes):
@@ -136,7 +158,7 @@ def screen_rho(cfg: NetworkConfig, case: Case, objective: Objective,
     """
     if ch is None:
         ch = derive_channels(cfg)
-    table = _candidates(Scenario.S1, case, objective, cfg, ch, solver)
+    table = _solve_candidate(Scenario.S1, case, objective, rho_candidates(ch), cfg, ch, solver)
     winner = _pick(table)
     if winner is None:
         raise RuntimeError(f"no rho candidate converged for S1-{case.value}")
@@ -157,8 +179,9 @@ def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb"
                 f"{scenario.value} skipped: inter-user link no stronger than the direct link"
             )
             continue
+        grid = rho_candidates(ch) if scenario is Scenario.S1 else (0.0,)
         for case in Case:
-            candidates = _candidates(scenario, case, objective, cfg, ch, solver)
+            candidates = _solve_candidate(scenario, case, objective, grid, cfg, ch, solver)
             table.extend(candidates)
             best = _pick(candidates)
             if best is not None:

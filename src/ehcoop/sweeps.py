@@ -1,10 +1,10 @@
 """Parameter sweeps over arrival energy and geometry, with table export.
 
 A sweep evaluates every requested configuration at each parameter value
-(screening rho for full cooperation) and flags the per-point winner.  Rows
-are emitted in a fixed order so repeated runs produce byte-identical CSV
-files; failures are recorded in the status column instead of aborting the
-sweep.
+(screening rho for full cooperation) and flags the per-point winner by
+`select_strategy`'s rule.  Rows are emitted in a fixed order so repeated
+runs produce byte-identical CSV files; failures are recorded in the
+status column instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .network import NetworkConfig, derive_channels, relay_feasible
 from .scenarios import Case, Objective, Scenario
-from .strategy import _solve_candidate, screen_rho
+from .strategy import _pick, _solve_candidate, screen_rho
 
 CSV_HEADER = "sweep_param,scenario,case,objective_kind,rho_star,obj_bits,B1_bits,B2_bits,t0,t1,t2,t3,status"
 
@@ -116,6 +116,7 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
     ch = derive_channels(cfg)
     relay_ok = relay_feasible(ch)
     rows: list[SweepRow] = []
+    solved = []          # (outcome, row) of every solved configuration, in row order
     for scenario in spec.scenarios:
         for case in Case:
             if scenario in (Scenario.S1, Scenario.S2) and not relay_ok:
@@ -126,22 +127,22 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                     rho_star, table = screen_rho(cfg, case, objective, spec.solver, ch)
                     outcome = next(o for o in table if o.rho == rho_star)
                 else:
-                    outcome = _solve_candidate(scenario, case, objective, 0.0, cfg,
-                                               ch, spec.solver)
-                    if outcome is None:
+                    outcomes = _solve_candidate(scenario, case, objective, (0.0,), cfg,
+                                                ch, spec.solver)
+                    if not outcomes:
                         raise RuntimeError("solver failed")
+                    outcome = outcomes[0]
             except Exception as exc:
                 rows.append(_blank_row(value, scenario, case, objective,
                                        f"error: {type(exc).__name__}: {exc}"))
                 continue
             rows.append(_result_row(value, outcome))
+            solved.append((outcome, rows[-1]))
 
-    best = None
-    for row in rows:
-        if row.status == "converged" and (best is None or row.obj_bits > best.obj_bits):
-            best = row
-    if best is not None:
-        best.winner = True
+    # select_strategy's rule: within TIE_TOL of the best the earlier row wins
+    winner = _pick([outcome for outcome, _ in solved])
+    for outcome, row in solved:
+        row.winner = outcome is winner
     return rows
 
 

@@ -9,17 +9,24 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Solve
 from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
+    LOCKSTEP_MIN,
     BarrierOptions,
     _extrapolate,
     _line_search,
+    _line_search_all,
     _newton_direction,
+    _solve,
+    _solve_all,
+    _Stack,
     alpha_linear,
     barrier_gradient,
     barrier_value,
     bisect_sign_change,
     golden_section_min,
     solve_nb,
+    solve_nb_many,
 )
+from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
     EpigraphConstraint,
@@ -28,6 +35,7 @@ from ehcoop.program import (
     initial_point,
 )
 from ehcoop.scenarios import build_problem
+from ehcoop.strategy import rho_candidates
 
 
 def one_var_program(rows):
@@ -58,6 +66,29 @@ def toy_program():
 def relay_program(rho=0.3):
     spec = ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, rho)
     return build_problem(spec, NetworkConfig())
+
+
+def screen_programs(cfg, case, objective):
+    """The S1 programs of one rho screen, in grid order."""
+    ch = derive_channels(cfg)
+    return [build_problem(ScenarioSpec(Scenario.S1, case, objective, rho), cfg, ch)
+            for rho in rho_candidates(ch)]
+
+
+def assert_same_solve(lock, scalar):
+    assert lock.status is scalar.status
+    assert lock.solver == "nb"
+    if scalar.x_star is None:
+        assert lock.x_star is None
+        return
+    rel = abs(lock.objective_bits - scalar.objective_bits) / max(1.0, abs(scalar.objective_bits))
+    assert rel <= 1e-12
+    assert (lock.inner_iters, lock.outer_iters, lock.tau_final) == \
+        (scalar.inner_iters, scalar.outer_iters, scalar.tau_final)
+    assert lock.x_star.degenerate == scalar.x_star.degenerate
+    if lock.converged:
+        assert lock.max_constraint_violation <= 0.0
+        assert lock.kkt_residual <= 1e-6
 
 
 # -- line search building blocks --------------------------------------------
@@ -188,7 +219,7 @@ def test_history_records_monotone_stages():
     assert res.history
     taus = [h["tau"] for h in res.history]
     assert taus == sorted(taus)
-    assert taus[0] == pytest.approx(1.0)
+    assert taus[0] == pytest.approx(BarrierOptions().tau0)
     for h in res.history:
         assert isinstance(h["regularized"], bool)
         assert isinstance(h["evals"], int)
@@ -313,3 +344,116 @@ def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
     assert res.converged
     assert res.inner_iters > base.inner_iters
     assert res.objective_bits == pytest.approx(base.objective_bits, rel=1e-9)
+
+
+# -- the certificate rule -------------------------------------------------------
+
+
+def test_tiny_energy_cell_without_a_certificate_is_not_converged():
+    # the stage path settles, but the point is not stationary to 1e-6
+    cfg = NetworkConfig(X1=0.001, d1=1.0)
+    ch = derive_channels(cfg)
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.5 * rho_max(ch)), cfg, ch)
+    for res in [solve_nb(p)] + solve_nb_many([p] * LOCKSTEP_MIN):
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.max_constraint_violation <= 0.0
+        assert res.kkt_residual > 1e-6
+
+
+# -- lockstep solves ------------------------------------------------------------
+
+
+# at d1 = 1.8 some late Newton steps are taken by the noise-floor rule; on
+# the third network some line searches find no step (a stall)
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(), NetworkConfig(d1=1.8, du=0.2),
+    NetworkConfig(d1=1.2, du=0.27, eta=0.0, X1=180.0, X2=285.0, w1=0.5),
+])
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("objective", list(Objective))
+def test_lockstep_screen_matches_solve_nb(cfg, case, objective):
+    programs = screen_programs(cfg, case, objective)
+    assert len(programs) >= LOCKSTEP_MIN
+    for lock, scalar in zip(solve_nb_many(programs), [solve_nb(p) for p in programs], strict=True):
+        assert lock.converged
+        assert_same_solve(lock, scalar)
+
+
+def test_lockstep_programs_leave_at_their_own_gap_stop():
+    # ten times the weights: |f| grows tenfold and the gap test passes a stage earlier
+    programs = [build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, rho),
+                              NetworkConfig(w1=w, w2=w))
+                for w in (1.0, 10.0) for rho in (0.1, 0.3)]
+    results = solve_nb_many(programs)
+    assert len({r.outer_iters for r in results}) == 2
+    for lock, p in zip(results, programs):
+        assert_same_solve(lock, solve_nb(p))
+
+
+def test_mixed_layouts_and_infeasible_programs_keep_their_order():
+    # at X1 = 0, case B, rho = 0 pins U1's relay energy in presolve, so its
+    # reduced program has another layout than the rest of the screen
+    programs = screen_programs(NetworkConfig(X1=0.0), Case.B, Objective.WEIGHTED_SUM)
+    programs = [one_var_program([(1.0, 0.5), (-1.0, -0.9)])] + programs
+    programs.append(build_problem(ScenarioSpec(Scenario.S4, Case.A), NetworkConfig()))
+    results = solve_nb_many(programs)
+    assert results[0].status is SolveStatus.INFEASIBLE
+    assert results[1].x_star.degenerate != results[2].x_star.degenerate
+    for lock, p in zip(results, programs, strict=True):
+        assert_same_solve(lock, solve_nb(p))
+
+
+def test_small_groups_go_through_solve_nb(monkeypatch):
+    calls = []
+    real = barrier.solve_nb
+
+    def counted(program, options=None):
+        calls.append(program)
+        return real(program, options)
+
+    monkeypatch.setattr(barrier, "solve_nb", counted)
+    programs = screen_programs(NetworkConfig(), Case.A, Objective.WEIGHTED_SUM)
+    solve_nb_many(programs[:LOCKSTEP_MIN - 1])
+    assert len(calls) == LOCKSTEP_MIN - 1
+    calls.clear()
+    solve_nb_many(programs[:LOCKSTEP_MIN])
+    assert calls == []
+    # a recorded history needs the one-by-one path
+    results = solve_nb_many(programs[:LOCKSTEP_MIN], BarrierOptions(record_history=True))
+    assert len(calls) == LOCKSTEP_MIN and all(r.history for r in results)
+
+
+def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):
+    # capture a step that the scalar search takes by the noise-floor rule
+    # (it fails the Armijo test), then search it again on stacked copies
+    seen = []
+    real = barrier._line_search
+
+    def spy(program, tau, x, d, f_x, slope, gnorm, opts):
+        out = real(program, tau, x, d, f_x, slope, gnorm, opts)
+        if out[0] > 0.0 and out[1] > f_x + ARMIJO * out[0] * slope:
+            seen.append(((program, tau, x, d, f_x, slope, gnorm, opts), out[:2]))
+        return out
+
+    monkeypatch.setattr(barrier, "_line_search", spy)
+    cfg = NetworkConfig(d1=1.8, du=0.2)
+    solve_nb(build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.0), cfg))
+    assert seen
+    (p, tau, x, d, f_x, slope, gnorm, opts), step = seen[0]
+    stack = _Stack([p] * 3)
+    X, D = np.array([x] * 3), np.array([d] * 3)
+    # the second program is not searching
+    steps = _line_search_all(stack, tau, X, D, [f_x] * 3, [slope] * 3, [gnorm] * 3,
+                             stack.values(X)[2], [0, 2], opts)
+    assert steps == {0: step, 2: step}
+
+
+def test_singular_stacked_system_is_regularized_alone():
+    H = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+    g = np.array([[[1.0], [2.0]], [[1.0], [1.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(H, -g)
+    d = _solve_all(H, g)
+    assert np.array_equal(d[0], -g[0])
+    fixed, regularized = _solve(H[1], g[1])
+    assert regularized and np.array_equal(d[1], fixed)

@@ -1,23 +1,34 @@
-"""Property tests: both solvers on randomly drawn three-slot relay programs.
+"""Property tests on randomly drawn programs and networks.
 
 Hypothesis draws S1 programs over the ambient arrival rate X1 (zero
 included), the near user's distance d1, the power-splitting ratio as a
-fraction of its limit, the case and the objective.  `derandomize=True`
-makes the draws a fixed function of the test, so CI runs the same cases
-every time.
+fraction of its limit, the case and the objective, and whole networks
+over both arrival rates, both distances, the harvesting efficiency and
+U1's weight.  `derandomize=True` makes the draws a fixed function of the
+test, so CI runs the same cases every time; the `ci` profile of
+conftest.py draws 400 of them instead of 100.
 """
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
-from ehcoop.barrier import solve_nb
-from ehcoop.network import derive_channels, rho_max
+from ehcoop.barrier import LOCKSTEP_MIN, solve_nb, solve_nb_many
+from ehcoop.network import derive_channels, relay_feasible, rho_max
 from ehcoop.quadratic import solve_iterative
 from ehcoop.scenarios import build_problem
 
 AGREE = 1e-7      # relative objective agreement of two converged solves
 KKT = 1e-6        # the certificate every converged solve carries
+ORDER = 1e-9      # relative slack of an ordering between two optima
+
+
+def networks(du=st.floats(0.2, 2.4)):
+    return st.builds(NetworkConfig, X1=st.floats(0.0, 300.0), X2=st.floats(0.0, 300.0),
+                     d1=st.floats(0.2, 1.8), du=du, eta=st.floats(0.0, 1.0),
+                     w1=st.floats(0.0, 2.0))
 
 
 @settings(derandomize=True, deadline=None)
@@ -41,3 +52,48 @@ def test_solvers_agree_and_certify_on_relay_programs(X1, d1, rho_share, case, ob
     if quad.converged and nb.converged:
         gap = abs(quad.objective_bits - nb.objective_bits)
         assert gap <= AGREE * (1.0 + abs(nb.objective_bits))
+
+
+@settings(derandomize=True, deadline=None)
+@given(cfg=networks(), case=st.sampled_from(Case), objective=st.sampled_from(Objective))
+def test_cooperation_never_lowers_the_optimum(cfg, case, objective):
+    ch = derive_channels(cfg)
+
+    def optimum(scenario, net=cfg):
+        res = solve_nb(build_problem(ScenarioSpec(scenario, case, objective), net, ch))
+        return res.objective_bits if res.converged else None
+
+    s3, s4 = optimum(Scenario.S3), optimum(Scenario.S4)
+    if s3 is not None and s4 is not None:
+        # energy cooperation relaxes the direct program, and without
+        # harvesting it is the direct program
+        assert s3 >= s4 - ORDER * (1.0 + abs(s4))
+        assert optimum(Scenario.S3, replace(cfg, eta=0.0)) == s4
+    if relay_feasible(ch):
+        # full cooperation at rho = 0 relaxes data-only cooperation
+        s1, s2 = optimum(Scenario.S1), optimum(Scenario.S2)
+        if s1 is not None and s2 is not None:
+            assert s1 >= s2 - ORDER * (1.0 + abs(s2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    cfg=networks(du=st.floats(0.2, 1.6)),
+    case=st.sampled_from(Case),
+    objective=st.sampled_from(Objective),
+    shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=LOCKSTEP_MIN, max_size=6),
+)
+def test_lockstep_screen_agrees_with_solve_nb(cfg, case, objective, shares):
+    ch = derive_channels(cfg)
+    assume(relay_feasible(ch))
+    programs = [build_problem(ScenarioSpec(Scenario.S1, case, objective, share * rho_max(ch)), cfg, ch)
+                for share in shares]
+    for lock, single in zip(solve_nb_many(programs), map(solve_nb, programs), strict=True):
+        assert lock.status is single.status
+        if single.x_star is not None:
+            gap = abs(lock.objective_bits - single.objective_bits)
+            assert gap <= 1e-12 * max(1.0, abs(single.objective_bits))
+        if lock.converged:
+            for res in (lock, single):
+                assert res.max_constraint_violation <= 0.0
+                assert res.kkt_residual <= KKT

@@ -67,9 +67,50 @@ def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, m
         raise FloatingPointError("overflow in the barrier")
     monkeypatch.setattr("ehcoop.strategy.solve_spec", broken)
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
-        outcome = strategy._solve_candidate(Scenario.S3, Case.A, SUM, 0.0, default_cfg,
-                                            default_ch, "nb")
-    assert outcome is None
+        outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg,
+                                             default_ch, "nb")
+    assert outcomes == []
+
+
+def test_rho_grid_is_solved_in_lockstep_in_grid_order(default_cfg, default_ch, monkeypatch):
+    grid = rho_candidates(default_ch)
+    calls = []
+    real = strategy.solve_nb_many
+
+    def counted(programs):
+        calls.append(programs)
+        return real(programs)
+
+    monkeypatch.setattr(strategy, "solve_nb_many", counted)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, default_ch, "nb")
+    assert len(calls) == 1 and len(calls[0]) == len(grid)
+    assert [o.rho for o in outcomes] == list(grid)
+    for o in outcomes:
+        single, tp = solve_spec(ScenarioSpec(Scenario.S1, Case.A, SUM, o.rho), default_cfg, "nb")
+        assert o.result.status is single.status
+        assert o.objective_bits == pytest.approx(tp.b1_bits + tp.b2_bits, rel=1e-12)
+        assert o.result.inner_iters == single.inner_iters
+
+
+def test_failed_lockstep_solve_falls_back_to_single_solves(default_cfg, default_ch, monkeypatch):
+    def broken(programs):
+        raise FloatingPointError("overflow in a stacked pass")
+
+    grid = rho_candidates(default_ch)
+    monkeypatch.setattr(strategy, "solve_nb_many", broken)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, "nb")
+    assert [o.rho for o in outcomes] == list(grid)
+    assert all(o.result.converged for o in outcomes)
+
+
+def test_unbuildable_rho_is_skipped_with_a_warning(default_cfg, default_ch):
+    # 0.95 leaves the relay link weaker than the direct one, so it has no program
+    grid = rho_candidates(default_ch) + (0.95,)
+    with pytest.warns(UserWarning, match=r"S1-A rho=0.95 failed: ValueError"):
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg,
+                                             default_ch, "nb")
+    assert [o.rho for o in outcomes] == list(grid[:-1])
+    assert all(o.result.converged for o in outcomes)
 
 
 def test_screen_rho_common_scores_the_minimum_rate(default_cfg):

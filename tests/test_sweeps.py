@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,23 @@ def test_sweep_marks_one_winner_per_objective():
     for objective in ("sum", "common"):
         group = [r for r in rows if r.objective_kind == objective]
         assert sum(r.winner for r in group) == 1
+
+
+def test_sweep_winner_breaks_ties_like_select_strategy(monkeypatch):
+    # S3-B scores above S3-A by less than TIE_TOL: the earlier row wins, as
+    # in select_strategy, where a strict max would flag S3-B
+    real = sweeps._solve_candidate
+    bits = {(Scenario.S3, "A"): 5.0, (Scenario.S3, "B"): 5.0 * (1 + 1e-8),
+            (Scenario.S4, "A"): 4.0, (Scenario.S4, "B"): 4.0}
+
+    def rescored(scenario, case, *args):
+        return [replace(o, objective_bits=bits[scenario, case.value])
+                for o in real(scenario, case, *args)]
+
+    monkeypatch.setattr(sweeps, "_solve_candidate", rescored)
+    rows = run_sweep(tiny_energy_spec())
+    assert [(r.scenario, r.case, r.obj_bits) for r in rows if r.winner] == [("S3", "A", 5.0)]
+    assert max(rows, key=lambda r: r.obj_bits).case == "B"
 
 
 def test_sweep_skips_relaying_when_the_link_is_weak():
