@@ -1,7 +1,7 @@
 """Optimal resource allocation for a two-user energy-harvesting cooperative uplink."""
 
-from .barrier import SolveResult, SolveStatus
 from .network import NetworkConfig
+from .program import SolveResult, SolveStatus
 from .scenarios import Case, Objective, Scenario, ScenarioSpec, Throughputs
 from .strategy import StrategyResult, screen_rho, select_strategy, solve_spec
 from .sweeps import SweepSpec, emit_csv, emit_plotdata, run_sweep

@@ -9,7 +9,7 @@ rows already fence them in.
 Each Newton direction d is damped by backtracking (Boyd & Vandenberghe,
 Convex Optimization, sections 9.2 and 11.3).  The first trial step is
 min(1, closed-form distance to the nearest linear row or coordinate axis,
-scaled back by `shrink`); it is halved until the barrier decreases by at
+scaled back by SHRINK); it is halved until the barrier decreases by at
 least ARMIJO * step * (g . d).  A trial that leaves the domain of a
 nonlinear row has barrier value +inf and fails the test, so those rows
 need no separate crossing search.  Near a stage optimum, where the
@@ -36,15 +36,16 @@ stage then needs about one Newton step.
 
 The outer loop starts at tau0 = 100 and stops on the duality gap of the
 central path: with m barrier rows (nonlinear and affine), the stage
-optimum at tau is within m/tau of the optimum, so tau grows until
-m/tau <= gap_tol * (1 + |f|).  TAU_CEILING ends the loop where f is not
+optimum at tau is within m/tau of the optimum, so tau grows by MU per stage
+until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
 finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
 there only centres the iterate (tau0 = 100 cut the Newton steps of the
 528 solves of the acceptance energy grid from 19,879 to 14,804, all
-converged); tau0 = 1e4 left 40 of them unconverged.  A finished
-path counts as converged only when its point carries the certificate:
-violation <= 0 and a KKT residual at most KKT_TOL, the iterative solver's
-rule.
+converged); tau0 = 1e4 left 40 of them unconverged.  The result is built
+by `program.finish` from the barrier multipliers 1/(tau s) of the final
+iterate, so a finished path counts as converged only with the certificate
+both solvers share.  tau0 and the history switch are the only options; the
+other tuning values are the module constants below.
 
 `solve_nb_many` solves a list of programs, such as the candidates of one
 rho screen, in lockstep.  Programs whose reduced (presolved) forms share a
@@ -74,20 +75,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .program import (
-    KKT_TOL,
-    LN2,
-    Allocation,
-    InfeasibleProgramError,
-    initial_point,
-    presolve_program,
-    refine_multipliers,
-    stationarity_residual,
-)
+from .program import PresolvedProgram, SolveResult, finish, start
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
@@ -95,6 +86,18 @@ ALPHA_CAP = 1e6
 ARMIJO = 1e-4
 # the outer loop ends here even if the gap test never passes (f not finite)
 TAU_CEILING = 1e16
+# tau multiplier per outer stage
+MU = 100.0
+# stop once (barrier rows)/tau <= GAP_TOL * (1 + |f|)
+GAP_TOL = 1e-10
+# a stage ends once the last step is at most STEP_TOL long and the barrier
+# gradient is at most GRAD_TOL (or the Newton decrement is at the noise floor)
+STEP_TOL = 1e-6
+GRAD_TOL = 1e-7
+# Newton iteration cap per stage
+MAX_INNER = 200
+# back-off of the first trial step from the nearest linear row or axis
+SHRINK = 0.99
 # fewest programs of one layout that `solve_nb_many` steps in lockstep: at 2
 # the stacked loop and two `solve_nb` calls cost about the same, at 3 the
 # stacked loop takes about 0.7 of their time
@@ -107,59 +110,11 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 @dataclass
 class BarrierOptions:
     tau0: float = 100.0        # initial barrier weight
-    mu: float = 100.0          # tau multiplier per outer stage
-    gap_tol: float = 1e-10     # stop once (barrier rows)/tau <= gap_tol * (1 + |f|)
-    eps: float = 1e-6          # inner termination on the step norm
-    max_inner: int = 200       # Newton iteration cap per stage
-    shrink: float = 0.99       # back-off from the linear boundary
-    grad_tol: float = 1e-7     # barrier gradient norm required at convergence
     record_history: bool = False
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.mu <= 1:
-            raise ValueError("need tau0 > 0 and mu > 1")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
-        if min(self.eps, self.grad_tol, self.gap_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
-
-
-class SolveStatus(Enum):
-    CONVERGED = "converged"
-    MAX_ITERATIONS = "max_iterations"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass
-class SolveResult:
-    status: SolveStatus
-    x_star: Allocation | None
-    objective_bits: float          # maximized throughput objective, bits
-    outer_iters: int               # barrier stages / quadratization rounds
-    inner_iters: int               # Newton or interior-point steps in total
-    max_constraint_violation: float
-    kkt_residual: float
-    solver: str
-    tau_final: float = math.nan
-    history: list | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status is SolveStatus.CONVERGED
-
-    @classmethod
-    def infeasible(cls, solver: str) -> "SolveResult":
-        """The result of a program without a strictly interior point."""
-        return cls(status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
-                   outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
-                   kkt_residual=math.inf, solver=solver)
-
-
-def maximized_bits(program, x) -> float:
-    """The maximized objective at x in bits; a zero optimum reads 0.0, not -0.0."""
-    return -program.objective_value(x) / LN2 + 0.0
+        if self.tau0 <= 0:
+            raise ValueError("need tau0 > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +178,12 @@ def _newton_direction(program, tau, x, g, ev=None):
 # ---------------------------------------------------------------------------
 
 
-def alpha_linear(program, x: np.ndarray, d: np.ndarray, shrink: float = 0.99,
-                 cap: float = ALPHA_CAP) -> float:
+def alpha_linear(program, x: np.ndarray, d: np.ndarray) -> float:
     """Largest safe step against linear constraints and coordinate axes."""
     A, b = program.affine_rows
     along = A @ d
     hit = along > 0.0
-    return shrink * float(((b - A @ x)[hit] / along[hit]).min(initial=cap))
+    return SHRINK * float(((b - A @ x)[hit] / along[hit]).min(initial=ALPHA_CAP))
 
 
 def bisect_sign_change(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -286,7 +240,7 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def _line_search(program, tau, x, d, f_x, slope, gnorm, opts: BarrierOptions):
+def _line_search(program, tau, x, d, f_x, slope, gnorm):
     """Backtracking (Armijo) step along d.
 
     Returns (alpha, barrier value at the new point, barrier evaluations).
@@ -295,7 +249,7 @@ def _line_search(program, tau, x, d, f_x, slope, gnorm, opts: BarrierOptions):
     nonlinear row has barrier value +inf and is halved like any other
     failed test.
     """
-    a = min(1.0, alpha_linear(program, x, d, opts.shrink))
+    a = min(1.0, alpha_linear(program, x, d))
     first = None
     evals = 0
     floor = 2e-14 * (1.0 + abs(f_x))
@@ -328,8 +282,8 @@ def _line_search(program, tau, x, d, f_x, slope, gnorm, opts: BarrierOptions):
 # ---------------------------------------------------------------------------
 
 
-def _minimize_stage(program, tau, x, f_x, opts: BarrierOptions, history):
-    """Newton iterations at fixed tau until the step norm falls under eps.
+def _minimize_stage(program, tau, x, f_x, history):
+    """Newton iterations at fixed tau until the step norm falls under STEP_TOL.
 
     f_x is the barrier value at the start point.  Returns (x, Newton steps,
     converged, objective at x, z) with z = -H^-1 grad f on the barrier
@@ -338,7 +292,7 @@ def _minimize_stage(program, tau, x, f_x, opts: BarrierOptions, history):
     """
     last_step = math.inf
     stalls = 0
-    for k in range(opts.max_inner):
+    for k in range(MAX_INNER):
         ev = program.evaluate(x)
         g = barrier_gradient(program, tau, x, ev)
         gnorm = float(np.abs(g).max())
@@ -350,9 +304,9 @@ def _minimize_stage(program, tau, x, f_x, opts: BarrierOptions, history):
         slope = float(g @ d)
         dec2 = max(-slope, 0.0)
         at_noise = dec2 <= 2e-14 * (1.0 + abs(f_x))
-        if last_step <= opts.eps and (gnorm <= opts.grad_tol or at_noise):
+        if last_step <= STEP_TOL and (gnorm <= GRAD_TOL or at_noise):
             return x, k, True, ev.f, z
-        alpha, f_new, evals = _line_search(program, tau, x, d, f_x, slope, gnorm, opts)
+        alpha, f_new, evals = _line_search(program, tau, x, d, f_x, slope, gnorm)
         if history is not None:
             history.append({
                 "tau": tau, "iter": k, "barrier": f_x, "barrier_next": f_new,
@@ -363,80 +317,37 @@ def _minimize_stage(program, tau, x, f_x, opts: BarrierOptions, history):
             stalls += 1
             if stalls >= 3:
                 # no further progress representable in floating point
-                return x, k + 1, gnorm <= 5.0 * opts.grad_tol or at_noise, ev.f, z
+                return x, k + 1, gnorm <= 5.0 * GRAD_TOL or at_noise, ev.f, z
             last_step = 0.0
             continue
         stalls = 0
         x = x + alpha * d
         f_x = f_new
         last_step = alpha * float(np.linalg.norm(d))
-    return x, opts.max_inner, False, program.values(x)[0], None
+    return x, MAX_INNER, False, program.values(x)[0], None
 
 
-def _extrapolate(program, tau, x, z, mu):
+def _extrapolate(program, tau, x, z):
     """Start point of the stage at tau and its barrier value.
 
-    x + (1 - 1/mu) z, the first-order central-path prediction from the
-    stage at tau/mu, when the barrier at tau is lower there than at x;
+    x + (1 - 1/MU) z, the first-order central-path prediction from the
+    stage at tau/MU, when the barrier at tau is lower there than at x;
     otherwise x itself.
     """
     f_x = barrier_value(program, tau, x)
     if z is not None:
-        x_p = x + (1.0 - 1.0 / mu) * z
+        x_p = x + (1.0 - 1.0 / MU) * z
         f_p = barrier_value(program, tau, x_p)
         if f_p < f_x:
             return x_p, f_p
     return x, f_x
 
 
-def _certificate(program, tau, x, act_tol: float = 1e-4):
-    """Multiplier estimates at the final iterate.
-
-    The barrier supplies lam_j = 1/(tau * s_j) for every row, which makes
-    the stationarity residual equal to the barrier gradient.  On stiff
-    instances that residual bottoms out at curvature times the coordinate
-    representation error, so the seeds go through `refine_multipliers`
-    for a least-squares correction along the near-active normals.
-    """
-    x = np.asarray(x, dtype=float)
+def _seeds(program, tau, x):
+    """The barrier multipliers 1/(tau s) of every row at x, in `refine_multipliers`' blocks."""
     lam = 1.0 / (tau * _rows(program, x, program.evaluate(x))[1])
     m, k = program.n_nonlinear, program.n_nonlinear + program.lin_b.size
-    return refine_multipliers(program, x, lam[:m], lam[m:k], lam[k:], act_tol)
-
-
-def _start(program):
-    """(presolve, start point of the reduced program), or None without an interior point."""
-    pre = presolve_program(program)
-    try:
-        return pre, initial_point(pre.program).x.astype(float)
-    except InfeasibleProgramError:
-        return None
-
-
-def _result(program, pre, x, tau, converged, outer, inner, history=None) -> SolveResult:
-    """The result at the final iterate x of the reduced program, with its certificate.
-
-    A converged stage path counts as converged only when the point carries
-    the certificate, as in the iterative solver: violation <= 0 and a KKT
-    residual at most KKT_TOL.
-    """
-    red = pre.program if pre is not None else program
-    kkt = stationarity_residual(red, x, *_certificate(red, tau, x))
-    x_full = pre.expand(x) if pre is not None else x
-    violation = program.max_violation(x_full)
-    converged = converged and kkt <= KKT_TOL and violation <= 0.0
-    return SolveResult(
-        status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
-        x_star=Allocation(x=x_full, degenerate=pre.pinned if pre is not None else ()),
-        objective_bits=maximized_bits(program, x_full),
-        outer_iters=outer,
-        inner_iters=inner,
-        max_constraint_violation=violation,
-        kkt_residual=kkt,
-        solver="nb",
-        tau_final=tau,
-        history=history,
-    )
+    return lam[:m], lam[m:k], lam[k:]
 
 
 def solve_nb(program, options: BarrierOptions | None = None,
@@ -451,17 +362,16 @@ def solve_nb(program, options: BarrierOptions | None = None,
     """
     opts = options or BarrierOptions()
     if x0 is None:
-        start = _start(program)
-        if start is None:
+        started = start(program)
+        if started is None:
             return SolveResult.infeasible("nb")
-        pre, x = start
-        red = pre.program
+        pre, x = started
     else:
-        pre = None
-        red = program
+        pre = PresolvedProgram(program, np.arange(program.n_vars), (), program.n_vars)
         x = np.asarray(x0, dtype=float).copy()
-        if barrier_value(red, opts.tau0, x) == math.inf:
+        if barrier_value(program, opts.tau0, x) == math.inf:
             return SolveResult.infeasible("nb")
+    red = pre.program
     history: list | None = [] if opts.record_history else None
 
     rows = red.n_nonlinear + len(red.affine_rows[1])
@@ -470,14 +380,14 @@ def solve_nb(program, options: BarrierOptions | None = None,
     outer = 0
     inner_total = 0
     while True:
-        x, iters, converged, f, z = _minimize_stage(red, tau, x, f_x, opts, history)
+        x, iters, converged, f, z = _minimize_stage(red, tau, x, f_x, history)
         inner_total += iters
         outer += 1
-        if rows / tau <= opts.gap_tol * (1.0 + abs(f)) or tau >= TAU_CEILING:
+        if rows / tau <= GAP_TOL * (1.0 + abs(f)) or tau >= TAU_CEILING:
             break
-        tau *= opts.mu
-        x, f_x = _extrapolate(red, tau, x, z, opts.mu)
-    return _result(program, pre, x, tau, converged, outer, inner_total, history)
+        tau *= MU
+        x, f_x = _extrapolate(red, tau, x, z)
+    return finish(program, pre, x, _seeds(red, tau, x), converged, "nb", outer, inner_total, tau, history)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +515,7 @@ def _solve_all(H, g):
         return np.array([_solve(h, r)[0] for h, r in zip(H, g)])
 
 
-def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search, opts: BarrierOptions):
+def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search):
     """`_line_search` on the programs listed in `search`.
 
     The trials of all programs are evaluated together; the tests run per
@@ -615,7 +525,7 @@ def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search, opts: B
     """
     along = (stack.Aq[:, :-1] @ D[:, :, None])[:, :, 0]
     limit = np.where(along > 0.0, slack / along, ALPHA_CAP).min(1).tolist()
-    a = [min(1.0, opts.shrink * lim) for lim in limit]
+    a = [min(1.0, SHRINK * lim) for lim in limit]
     steps, first = {}, {}
     searching = [i for i in search if a[i] > 0.0]
     while searching:
@@ -643,7 +553,7 @@ def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search, opts: B
     return steps
 
 
-def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
+def _stage_all(stack, tau, X, f_x):
     """`_minimize_stage` on every program at once, each stopping on its own.
 
     f_x is a list.  Returns (X, Newton steps, converged, objective, Z) with
@@ -652,10 +562,10 @@ def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
     """
     K = len(X)
     run = list(range(K))
-    steps, converged = [opts.max_inner] * K, [False] * K
+    steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
     last_step, stalls = [math.inf] * K, [0] * K
-    for k in range(opts.max_inner):
+    for k in range(MAX_INNER):
         f, grad, g, c, s, rows, factors = stack.gradient(X, tau)
         dz = _solve_all(stack.hessian(tau, c, s, rows, factors), np.stack((g, grad), 2))
         D = dz[:, :, 0]
@@ -664,13 +574,13 @@ def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
         at_noise = [max(-sl, 0.0) <= 2e-14 * (1.0 + abs(fx)) for sl, fx in zip(slope, f_x)]
         ended, search = [], []
         for i in run:
-            if last_step[i] <= opts.eps and (gnorm[i] <= opts.grad_tol or at_noise[i]):
+            if last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or at_noise[i]):
                 steps[i], converged[i] = k, True
                 ended.append(i)
             else:
                 search.append(i)
         moves = _line_search_all(stack, tau, X, D, f_x, slope, gnorm, s[:, stack.m:],
-                                 search, opts) if search else {}
+                                 search) if search else {}
         for i in search:
             if i in moves:
                 stalls[i] = 0
@@ -679,7 +589,7 @@ def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
                 last_step[i] = 0.0
                 if stalls[i] >= 3:
                     # no further progress representable in floating point
-                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * opts.grad_tol or at_noise[i]
+                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL or at_noise[i]
                     ended.append(i)
         if moves:
             alpha = np.zeros(K)
@@ -703,8 +613,8 @@ def _stage_all(stack, tau, X, f_x, opts: BarrierOptions):
     return X, steps, converged, f_end, Z
 
 
-def _path_all(stack, X, opts: BarrierOptions):
-    """`solve_nb`'s outer loop on every program at once, on one tau schedule.
+def _path_all(stack, X, tau):
+    """`solve_nb`'s outer loop on every program at once, on one tau schedule from tau.
 
     Each program leaves the loop at its own duality-gap stop.  Returns
     (x, tau, converged, stages, Newton steps) per program.
@@ -712,15 +622,14 @@ def _path_all(stack, X, opts: BarrierOptions):
     live = list(range(len(X)))
     out: list = [None] * len(X)
     stages, steps = [0] * len(X), [0] * len(X)
-    tau = opts.tau0
     f_x = stack.barrier(X, tau).tolist()
     while True:
-        X, k, converged, f, Z = _stage_all(stack, tau, X, f_x, opts)
+        X, k, converged, f, Z = _stage_all(stack, tau, X, f_x)
         keep = []
         for j, i in enumerate(live):
             steps[i] += k[j]
             stages[i] += 1
-            if stack.n_rows / tau <= opts.gap_tol * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
+            if stack.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
                 out[i] = (X[j], tau, converged[j], stages[i], steps[i])
             else:
                 keep.append(j)
@@ -728,10 +637,10 @@ def _path_all(stack, X, opts: BarrierOptions):
             return out
         live = [live[j] for j in keep]
         stack, X, Z = stack.take(keep), X[keep], Z[keep]
-        tau *= opts.mu
+        tau *= MU
         # `_extrapolate`; a NaN prediction has barrier value +inf
         f_x = stack.barrier(X, tau)
-        X_p = X + (1.0 - 1.0 / opts.mu) * Z
+        X_p = X + (1.0 - 1.0 / MU) * Z
         f_p = stack.barrier(X_p, tau)
         ahead = f_p < f_x
         X = np.where(ahead[:, None], X_p, X)
@@ -745,18 +654,21 @@ def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[Solve
     with one `_layout` runs `solve_nb`'s algorithm on stacked arrays: one
     evaluation, Hessian and `np.linalg.solve` on (K, n, n) per Newton
     iteration, Armijo halving, stalls and stops per program, one tau
-    schedule with a duality-gap stop per program.  Smaller groups, and
-    solves that record their history, go through `solve_nb`.
+    schedule with a duality-gap stop per program.  Fewer than LOCKSTEP_MIN
+    programs, smaller groups and solves that record their history go
+    through `solve_nb`.
     """
     opts = options or BarrierOptions()
+    if len(programs) < LOCKSTEP_MIN or opts.record_history:
+        return [solve_nb(p, opts) for p in programs]
     results: list = [None] * len(programs)
     groups: dict = {}
     for i, p in enumerate(programs):
-        start = None if opts.record_history else _start(p)
-        if start is None:       # a recorded history, or no interior point
-            results[i] = solve_nb(p, opts)
+        started = start(p)
+        if started is None:
+            results[i] = SolveResult.infeasible("nb")
         else:
-            groups.setdefault(_layout(start[0].program), []).append((i, *start))
+            groups.setdefault(_layout(started[0].program), []).append((i, *started))
     for members in groups.values():
         if len(members) < LOCKSTEP_MIN:
             for i, *_ in members:
@@ -764,7 +676,8 @@ def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[Solve
             continue
         stack = _Stack([pre.program for _, pre, _ in members])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            path = _path_all(stack, np.array([x for *_, x in members]), opts)
-        for (i, pre, _), solved in zip(members, path):
-            results[i] = _result(programs[i], pre, *solved)
+            path = _path_all(stack, np.array([x for *_, x in members]), opts.tau0)
+        for (i, pre, _), (x, tau, converged, stages, steps) in zip(members, path):
+            results[i] = finish(programs[i], pre, x, _seeds(pre.program, tau, x), converged, "nb",
+                                stages, steps, tau)
     return results

@@ -23,7 +23,7 @@ from dataclasses import replace
 from .barrier import solve_nb
 from .gridsearch import GridSpec, brute_force_grid, finite_diff_check
 from .network import NetworkConfig, derive_channels, relay_feasible, rho_max
-from .program import initial_point
+from .program import start as presolved_start
 from .quadratic import solve_iterative
 from .scenarios import (
     Case,
@@ -238,9 +238,14 @@ def _cmd_validate(args) -> int:
                             rho=min(0.3, 0.5 * rho_max(ch)))
     else:
         spec = ScenarioSpec(Scenario.S3, Case.A, Objective.WEIGHTED_SUM)
-    program = build_problem(spec, cfg, ch)
-    fd = finite_diff_check(program, initial_point(program).x, tau=1.0)
     tag = f"{spec.scenario.value}-A"
+    # probe the presolved program: a zero-budget energy sits at a placeholder
+    # within a difference step of y = 0
+    started = presolved_start(build_problem(spec, cfg, ch))
+    if started is None:
+        raise RuntimeError(f"the {tag} program has no interior point to check derivatives at")
+    pre, x0 = started
+    fd = finite_diff_check(pre.program, x0, tau=1.0)
     checks.append(("derivatives vs finite differences (gradient)",
                    fd["gradient"] <= 1e-6, f"{tag}, {fd['gradient']:.3e}"))
     checks.append(("derivatives vs finite differences (Hessian)",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -315,9 +316,11 @@ def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
 # ---------------------------------------------------------------------------
 
 _DEGENERATE_FLOOR = 1e-9
+# slack every row must keep at the start point
+_START_MARGIN = 1e-9
 
 
-def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
+def initial_point(p: ConvexProgram) -> Allocation:
     """Deterministic strictly interior starting point.
 
     Times get an equal share 0.8/(m+1) so the idle slot keeps 20% plus one
@@ -330,8 +333,8 @@ def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
     strict interior impossible; those coordinates get a tiny placeholder
     and are reported in `Allocation.degenerate`.  Solvers are expected to
     eliminate them with `presolve_program` first.  A positive budget too
-    small to leave `margin` of slack raises instead, as any other program
-    without a strict interior does.
+    small to leave `_START_MARGIN` of slack raises instead, as any other
+    program without a strict interior does.
     """
     x = np.zeros(p.n_vars)
     m = len(p.t_indices)
@@ -356,7 +359,7 @@ def initial_point(p: ConvexProgram, margin: float = 1e-9) -> Allocation:
     for aux, bound in aux_bounds(p, x).items():
         x[aux] = 0.9 * bound
 
-    if not degenerate and p.max_violation(x) > -margin:
+    if not degenerate and p.max_violation(x) > -_START_MARGIN:
         raise InfeasibleProgramError(
             f"could not construct an interior point (margin {p.max_violation(x):.3g})"
         )
@@ -475,6 +478,8 @@ def presolve_program(p: ConvexProgram) -> PresolvedProgram:
 # the certificate a converged solve of either solver carries: violation <= 0
 # and a KKT residual at most this
 KKT_TOL = 1e-6
+# rows with at most this slack count as active when multipliers are refined
+_ACTIVE_TOL = 1e-4
 
 
 def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -> float:
@@ -494,8 +499,7 @@ def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -
     return float(np.abs(r).max())
 
 
-def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
-                       act_tol: float = 1e-4):
+def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive):
     """Least-squares correction of multiplier seeds at a final iterate.
 
     Whatever produced the seeds (barrier weights, the dual solution of the
@@ -504,7 +508,7 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
     coordinate representation error, or a slightly shifted expansion point
     all project onto that span.  Those rows get a least-squares correction,
     clipped at zero to keep the multipliers valid; rows with slack beyond
-    `act_tol` keep their seeds.  Returns new blocks in constraint order.
+    `_ACTIVE_TOL` keep their seeds.  Returns new blocks in constraint order.
     """
     x = np.asarray(x, dtype=float)
     lam_nl = np.array(lam_nonlinear, dtype=float)
@@ -517,15 +521,15 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
     cols = []
     slots = []
     for j, c in enumerate(ev.c):
-        if -c <= act_tol:
+        if -c <= _ACTIVE_TOL:
             cols.append(ev.G[j])
             slots.append((lam_nl, j))
     for j, s in enumerate(slack_lin):
-        if s <= act_tol:
+        if s <= _ACTIVE_TOL:
             cols.append(program.lin_A[j])
             slots.append((lam_lin, j))
     for k, i in enumerate(pos):
-        if x[i] <= act_tol:
+        if x[i] <= _ACTIVE_TOL:
             e = np.zeros(x.size)
             e[i] = -1.0
             cols.append(e)
@@ -540,3 +544,81 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive,
         for (block, j), d in zip(slots, delta):
             block[j] = max(block[j] + d, 0.0)
     return lam_nl, lam_lin, lam_pos
+
+
+# ---------------------------------------------------------------------------
+# Start and result, shared by both solvers
+# ---------------------------------------------------------------------------
+
+
+class SolveStatus(Enum):
+    CONVERGED = "converged"
+    MAX_ITERATIONS = "max_iterations"
+    INFEASIBLE = "infeasible"
+
+
+@dataclass
+class SolveResult:
+    status: SolveStatus
+    x_star: Allocation | None
+    objective_bits: float          # maximized throughput objective, bits
+    outer_iters: int               # barrier stages / quadratization rounds
+    inner_iters: int               # Newton or interior-point steps in total
+    max_constraint_violation: float
+    kkt_residual: float
+    solver: str
+    tau_final: float = math.nan
+    history: list | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status is SolveStatus.CONVERGED
+
+    @classmethod
+    def infeasible(cls, solver: str) -> "SolveResult":
+        """The result of a program without a strictly interior point."""
+        return cls(status=SolveStatus.INFEASIBLE, x_star=None, objective_bits=math.nan,
+                   outer_iters=0, inner_iters=0, max_constraint_violation=math.inf,
+                   kkt_residual=math.inf, solver=solver)
+
+
+def maximized_bits(program, x) -> float:
+    """The maximized objective at x in bits; a zero optimum reads 0.0, not -0.0."""
+    return -program.objective_value(x) / LN2 + 0.0
+
+
+def start(program: ConvexProgram):
+    """(presolve, start point of the reduced program), or None without an interior point."""
+    pre = presolve_program(program)
+    try:
+        return pre, initial_point(pre.program).x.astype(float)
+    except InfeasibleProgramError:
+        return None
+
+
+def finish(program, pre: PresolvedProgram, x, seeds, converged: bool, solver: str,
+           outer: int, inner: int, tau: float = math.nan, history=None) -> SolveResult:
+    """The result at the final iterate x of the reduced program `pre.program`.
+
+    `seeds`, the solver's multipliers in `refine_multipliers`' blocks, are
+    refined before the KKT residual is taken; without seeds it is infinite.
+    A solve counts as converged only when its point carries the
+    certificate: violation <= 0 and a KKT residual at most KKT_TOL.
+    """
+    red = pre.program
+    kkt = math.inf if seeds is None else stationarity_residual(red, x, *refine_multipliers(red, x, *seeds))
+    x_full = pre.expand(x)
+    violation = program.max_violation(x_full)
+    converged = converged and kkt <= KKT_TOL and violation <= 0.0
+    return SolveResult(
+        status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
+        x_star=Allocation(x=x_full, degenerate=pre.pinned),
+        objective_bits=maximized_bits(program, x_full),
+        outer_iters=outer,
+        inner_iters=inner,
+        max_constraint_violation=violation,
+        kkt_residual=kkt,
+        solver=solver,
+        tau_final=tau,
+        history=history,
+    )

@@ -14,10 +14,14 @@ linear rows after them.  A trust-region box around x_k is appended as
 +-e_i rows.  The QCQP is solved with a primal-dual path-following
 interior-point method that steps over all rows at once, the auxiliary rate
 variables are pulled back inside the true epigraph region, and the model
-is rebuilt at the new point until two successive solutions coincide.  A
-settled point counts as converged only when it carries the certificate
-(violation <= 0, KKT residual <= 1e-6), after any slot whose time fell
-below the expansion floor is put on the ray its multipliers ask for.
+is rebuilt at the new point until two successive solutions coincide.  Any
+slot whose time fell below the expansion floor is then put on the ray its
+multipliers ask for, and `program.finish` builds the result from the last
+subproblem's duals: a settled point counts as converged only with the
+certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
+
+The round cap and the history switch are the only options; the
+interior-point and trust-region tuning values are module constants.
 
 The subproblem class exposes the same evaluation protocol as
 `ConvexProgram`, so the barrier solver can be pointed at it directly when
@@ -27,28 +31,17 @@ cross-checking the interior-point method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barrier import SolveResult, SolveStatus, maximized_bits
-from .program import (
-    Allocation,
-    ConvexProgram,
-    Evaluation,
-    KKT_TOL,
-    InfeasibleProgramError,
-    aux_bounds,
-    energy_caps,
-    initial_point,
-    presolve_program,
-    refine_multipliers,
-    stationarity_residual,
-)
+from .program import ConvexProgram, Evaluation, SolveResult, aux_bounds, energy_caps, finish, start
 
 # expansion points are lifted this far off the t = 0 boundary to keep the
 # model curvature finite
 _T_FLOOR = 1e-9
+# the rounds settle once two successive solutions are this close
+_SETTLE_TOL = 1e-6
 
 
 @dataclass
@@ -147,20 +140,10 @@ def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IpmOptions:
-    sigma: float = 0.1      # centering parameter
-    tol: float = 1e-8       # dual residual and duality measure target
-    max_iters: int = 50
-    frac: float = 0.99      # fraction-to-boundary scaling of the max step
-
-    def __post_init__(self):
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
-        if not 0 < self.frac < 1:
-            raise ValueError("frac must lie in (0, 1)")
+_SIGMA = 0.1           # centering parameter
+_IPM_TOL = 1e-8        # dual residual and duality measure target
+_IPM_MAX_ITERS = 50
+_FRAC = 0.99           # fraction-to-boundary scaling of the max step
 
 
 @dataclass
@@ -190,7 +173,7 @@ def _step_limit(lam, dlam, s, p, q) -> float:
     return float(lims.min())
 
 
-def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> SubproblemSolution:
+def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
     """Path-following solve of one QCQP subproblem from a strictly feasible x.
 
     The inequalities are stacked once: every row of `sub`, then -x_i <= 0 for
@@ -233,15 +216,15 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
     r_d = dual_residual(x, lam, grad)
 
     iters = 0
-    for iters in range(1, opts.max_iters + 1):
+    for iters in range(1, _IPM_MAX_ITERS + 1):
         mu_hat = float(lam @ s) / J
-        if float(np.abs(r_d).max()) <= opts.tol and mu_hat <= opts.tol:
+        if float(np.abs(r_d).max()) <= _IPM_TOL and mu_hat <= _IPM_TOL:
             return SubproblemSolution(
                 x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
                 iters=iters - 1, kkt_residual=float(np.abs(r_d).max()),
                 gap=mu_hat, converged=True,
             )
-        target = opts.sigma * mu_hat
+        target = _SIGMA * mu_hat
 
         # condensed Newton system for (dx, dlam)
         M = sub.obj_H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
@@ -257,7 +240,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
         # exact largest step keeping lam > 0 and every constraint negative
         q = np.zeros(J)
         q[:m] = (nl_H @ dx) @ dx
-        alpha = min(1.0, opts.frac * min(1.0 / opts.frac, _step_limit(lam, dlam, s, p, q)))
+        alpha = min(1.0, _FRAC * min(1.0 / _FRAC, _step_limit(lam, dlam, s, p, q)))
 
         # backtrack on the combined residual
         r_c = lam * s - target
@@ -281,7 +264,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
     return SubproblemSolution(
         x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
         iters=iters, kkt_residual=res, gap=mu_hat,
-        converged=res <= opts.tol and mu_hat <= opts.tol,
+        converged=res <= _IPM_TOL and mu_hat <= _IPM_TOL,
     )
 
 
@@ -292,14 +275,12 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray, opts: IpmOptions) -> Subproble
 
 @dataclass
 class IterativeOptions:
-    eps: float = 1e-6          # termination on the distance between solutions
     max_rounds: int = 50
-    ipm: IpmOptions = field(default_factory=IpmOptions)
     record_history: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0 or self.max_rounds < 1:
-            raise ValueError("eps must be positive and max_rounds >= 1")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
 
 
 def _clamp_aux(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
@@ -415,18 +396,15 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     """Repeated quadratization until the solution stops moving.
 
     `outer_iters` on the result counts the rebuilds that moved the solution
-    by more than `eps`; the final rebuild that confirms the fixed point is
-    not included.
+    by more than `_SETTLE_TOL` when the rounds settle; the final rebuild that
+    confirms the fixed point is not included.  Otherwise it counts every round.
     """
     opts = options or IterativeOptions()
-    pre = presolve_program(program)
-    red = pre.program
-    try:
-        start = initial_point(red)
-    except InfeasibleProgramError:
+    started = start(program)
+    if started is None:
         return SolveResult.infeasible("quad")
-
-    x = start.x.astype(float)
+    pre, x = started
+    red = pre.program
     floors = _box_floors(red)
     history: list | None = [] if opts.record_history else None
     if history is not None:
@@ -450,7 +428,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         cand = x
         for _ in range(_TR_RETRIES + 1):
             sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, floors)
-            sol = _ipm(sub, _ipm_start(red, x), opts.ipm)
+            sol = _ipm(sub, _ipm_start(red, x))
             inner_total += sol.iters
             if not sol.converged:
                 delta *= _TR_SHRINK
@@ -480,7 +458,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
             history.append({"round": rounds, "dif": dif, "delta": delta,
                             "objective_nats": red.objective_value(x),
                             "ipm_iters": sol.iters})
-        if dif <= opts.eps:
+        if dif <= _SETTLE_TOL:
             converged = True
             break
         moves += 1
@@ -491,7 +469,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         # polish the coordinates to machine precision and yield multipliers
         # for the true constraint set
         for _ in range(3):
-            clean = _ipm(quadratize(red, _expansion_point(red, x)), _ipm_start(red, x), opts.ipm)
+            clean = _ipm(quadratize(red, _expansion_point(red, x)), _ipm_start(red, x))
             inner_total += clean.iters
             if not clean.converged:
                 break
@@ -502,38 +480,22 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
             # boundary-hugging iterate (complementarity offset of the
             # interior-point finish), so the deterioration guard must sit
             # above that offset
-            if (move > 50.0 * opts.eps
+            if (move > 50.0 * _SETTLE_TOL
                     or red.objective_value(cand) > f_x + 1e-8 * (1.0 + abs(f_x))):
                 break
             x, sol = cand, clean
             if move <= 1e-12:
                 break
 
+    seeds = None
     if sol is not None and sol.converged:
         # the subproblem duals certify the model, not the program: any
         # trust-region rows and the expansion-point shift land in the
-        # residual, so refine against the true gradients first
+        # residual, which `finish` refines against the true gradients.  On
+        # a flat optimal face the rounds can settle while a slot still
+        # crawls towards t = 0, where the gradient does not certify it
         n_nl, n_lin = red.n_nonlinear, len(red.linear)
         seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
         x = _settle_unused_slots(red, x, *seeds[:2])
-        lam = refine_multipliers(red, x, *seeds)
-        kkt = stationarity_residual(red, x, *lam)
-    else:
-        kkt = math.inf
-    x_full = pre.expand(x)
-    violation = program.max_violation(x_full)
-    # a settled point counts as converged only with its certificate: on a
-    # flat optimal face the rounds can settle while a slot still crawls
-    # towards t = 0, where the gradient does not certify it
-    converged = converged and kkt <= KKT_TOL and violation <= 0.0
-    return SolveResult(
-        status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
-        x_star=Allocation(x=x_full, degenerate=pre.pinned),
-        objective_bits=maximized_bits(program, x_full),
-        outer_iters=moves if converged else rounds,
-        inner_iters=inner_total,
-        max_constraint_violation=violation,
-        kkt_residual=kkt,
-        solver="quad",
-        history=history,
-    )
+    return finish(program, pre, x, seeds, converged, "quad",
+                  moves if converged else rounds, inner_total, history=history)

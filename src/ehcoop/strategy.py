@@ -15,8 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .barrier import LOCKSTEP_MIN, SolveResult, solve_nb, solve_nb_many
+from .barrier import solve_nb, solve_nb_many
 from .network import ChannelState, NetworkConfig, derive_channels, relay_feasible, rho_max
+from .program import SolveResult
 from .quadratic import solve_iterative
 from .scenarios import (
     Case,
@@ -93,27 +94,22 @@ class StrategyResult:
     notes: tuple[str, ...] = ()
 
 
-def _lockstep(specs, cfg, ch) -> dict:
-    """The result of each spec of an nb rho grid from one `solve_nb_many` call.
-
-    Empty when a program cannot be built or the lockstep solve raises:
-    the candidates' own solves then report the failure.
-    """
-    try:
-        return dict(zip(specs, solve_nb_many([build_problem(spec, cfg, ch) for spec in specs])))
-    except Exception:
-        return {}
-
-
 def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[CandidateOutcome]:
     """One configuration solved at every rho of `grid`, in grid order.
 
-    An nb grid of at least LOCKSTEP_MIN rho values is solved in lockstep
-    (`solve_nb_many`).  A candidate whose solve raises is left out with a
-    warning, so one failure skips the candidate, not the grid.
+    An nb grid goes to one `solve_nb_many` call, which decides whether to
+    step it in lockstep; when a program cannot be built or that call
+    raises, the candidates are solved one by one.  A candidate whose solve
+    raises is left out with a warning, so one failure skips the candidate,
+    not the grid.
     """
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
-    batch = _lockstep(specs, cfg, ch) if solver == "nb" and len(specs) >= LOCKSTEP_MIN else {}
+    batch = {}
+    if solver == "nb":
+        try:
+            batch = dict(zip(specs, solve_nb_many([build_problem(spec, cfg, ch) for spec in specs])))
+        except Exception:
+            pass        # the one-by-one solves below report the failure
     outcomes = []
     for spec in specs:
         label = f"{scenario.value}-{case.value} rho={spec.rho:g}"

@@ -9,7 +9,9 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Solve
 from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
+    GAP_TOL,
     LOCKSTEP_MIN,
+    MU,
     BarrierOptions,
     _extrapolate,
     _line_search,
@@ -273,8 +275,7 @@ def test_step_across_a_perspective_row_is_cut_back_inside():
     g = barrier_gradient(p, tau, x)
     slope = float(g @ d)
     assert slope < 0.0
-    alpha, f_new, evals = _line_search(p, tau, x, d, f_x, slope,
-                                       float(np.abs(g).max()), BarrierOptions())
+    alpha, f_new, evals = _line_search(p, tau, x, d, f_x, slope, float(np.abs(g).max()))
     assert 0.0 < alpha < 1.0
     assert evals >= 2
     new = x + alpha * d
@@ -300,32 +301,31 @@ def test_relay_solve_needs_few_newton_steps():
 def test_solve_stops_on_the_duality_gap():
     p = relay_program()
     res = solve_nb(p)
-    opts = BarrierOptions()
     rows = p.n_nonlinear + len(p.affine_rows[1])
     f = p.objective_value(res.x_star.x)
-    assert rows / res.tau_final <= opts.gap_tol * (1.0 + abs(f))
+    assert rows / res.tau_final <= GAP_TOL * (1.0 + abs(f))
     # the stage before the last one had not closed the gap yet
-    assert rows * opts.mu / res.tau_final > opts.gap_tol * (1.0 + abs(f))
+    assert rows * MU / res.tau_final > GAP_TOL * (1.0 + abs(f))
 
 
 def test_prediction_that_raises_the_barrier_is_rejected():
     p = relay_program()
     x = initial_point(p).x
-    tau, mu = 100.0, 10.0
+    tau = 100.0
     g = barrier_gradient(p, tau, x)
     f_x = barrier_value(p, tau, x)
-    scale = 1e-3 / (1.0 - 1.0 / mu)
+    scale = 1e-3 / (1.0 - 1.0 / MU)
     # uphill: the barrier rises along +g
-    start, f_start = _extrapolate(p, tau, x, scale * g, mu)
+    start, f_start = _extrapolate(p, tau, x, scale * g)
     assert barrier_value(p, tau, x + 1e-3 * g) > f_x
     assert np.array_equal(start, x) and f_start == f_x
     # out of the domain: the barrier is +inf there
     out = np.zeros_like(x)
-    out[p.t_indices[0]] = -2.0 * x[p.t_indices[0]] / (1.0 - 1.0 / mu)
-    start, f_start = _extrapolate(p, tau, x, out, mu)
+    out[p.t_indices[0]] = -2.0 * x[p.t_indices[0]] / (1.0 - 1.0 / MU)
+    start, f_start = _extrapolate(p, tau, x, out)
     assert np.array_equal(start, x) and f_start == f_x
     # downhill: the prediction is kept with its barrier value
-    start, f_start = _extrapolate(p, tau, x, -scale * g, mu)
+    start, f_start = _extrapolate(p, tau, x, -scale * g)
     assert np.allclose(start, x - 1e-3 * g)
     assert f_start < f_x and f_start == barrier_value(p, tau, start)
 
@@ -335,8 +335,8 @@ def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
     base = solve_nb(relay_program())
     real = barrier._minimize_stage
 
-    def uphill(program, tau, x, f_x, opts, history):
-        x, k, ok, f, z = real(program, tau, x, f_x, opts, history)
+    def uphill(program, tau, x, f_x, history):
+        x, k, ok, f, z = real(program, tau, x, f_x, history)
         return x, k, ok, f, None if z is None else -z
 
     monkeypatch.setattr(barrier, "_minimize_stage", uphill)
@@ -429,22 +429,22 @@ def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):
     seen = []
     real = barrier._line_search
 
-    def spy(program, tau, x, d, f_x, slope, gnorm, opts):
-        out = real(program, tau, x, d, f_x, slope, gnorm, opts)
+    def spy(program, tau, x, d, f_x, slope, gnorm):
+        out = real(program, tau, x, d, f_x, slope, gnorm)
         if out[0] > 0.0 and out[1] > f_x + ARMIJO * out[0] * slope:
-            seen.append(((program, tau, x, d, f_x, slope, gnorm, opts), out[:2]))
+            seen.append(((program, tau, x, d, f_x, slope, gnorm), out[:2]))
         return out
 
     monkeypatch.setattr(barrier, "_line_search", spy)
     cfg = NetworkConfig(d1=1.8, du=0.2)
     solve_nb(build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.0), cfg))
     assert seen
-    (p, tau, x, d, f_x, slope, gnorm, opts), step = seen[0]
+    (p, tau, x, d, f_x, slope, gnorm), step = seen[0]
     stack = _Stack([p] * 3)
     X, D = np.array([x] * 3), np.array([d] * 3)
     # the second program is not searching
     steps = _line_search_all(stack, tau, X, D, [f_x] * 3, [slope] * 3, [gnorm] * 3,
-                             stack.values(X)[2], [0, 2], opts)
+                             stack.values(X)[2], [0, 2])
     assert steps == {0: step, 2: step}
 
 

@@ -197,6 +197,23 @@ def test_validate_without_relaying_checks_the_s3_derivatives(capsys):
     assert sum("derivatives" in l and "S3-A" in l for l in lines) == 2
 
 
+@pytest.mark.parametrize("flags", [["--X1", "0"], ["--X2", "0"], ["--du", "3", "--X1", "0"]])
+def test_validate_without_energy_at_one_user_passes(flags, capsys):
+    # the derivative probe runs on the presolved program, away from y = 0
+    code = main(["validate", *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert lines and all(l.startswith("PASS") for l in lines)
+
+
+def test_validate_without_an_interior_point_exits_two(capsys):
+    # budgets too small for the start margin leave no interior point to probe
+    code = main(["validate", "--X1", "1e-6", "--X2", "1e-6"])
+    assert code == 2
+    assert "S1-A program has no interior point" in capsys.readouterr().err
+
+
 def test_sweep_energy_from_zero_energy_reports_plain_zeros(capsys):
     code = main(["sweep-energy", "--X2", "0", "--start", "0", "--stop", "50", "--step", "25",
                  "--objective", "both"])

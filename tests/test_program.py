@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
-from ehcoop.barrier import SolveStatus, solve_nb
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
+from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,

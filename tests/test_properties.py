@@ -4,9 +4,10 @@ Hypothesis draws S1 programs over the ambient arrival rate X1 (zero
 included), the near user's distance d1, the power-splitting ratio as a
 fraction of its limit, the case and the objective, and whole networks
 over both arrival rates, both distances, the harvesting efficiency and
-U1's weight.  `derandomize=True` makes the draws a fixed function of the
-test, so CI runs the same cases every time; the `ci` profile of
-conftest.py draws 400 of them instead of 100.
+U1's weight (the certificate test draws w1 = 0 on its own as well).
+`derandomize=True` makes the draws a fixed function of the test, so CI
+runs the same cases every time; the `ci` profile of conftest.py draws
+400 of them instead of 100.
 """
 
 from dataclasses import replace
@@ -25,10 +26,17 @@ KKT = 1e-6        # the certificate every converged solve carries
 ORDER = 1e-9      # relative slack of an ordering between two optima
 
 
-def networks(du=st.floats(0.2, 2.4)):
+def networks(du=st.floats(0.2, 2.4), w1=st.floats(0.0, 2.0)):
     return st.builds(NetworkConfig, X1=st.floats(0.0, 300.0), X2=st.floats(0.0, 300.0),
-                     d1=st.floats(0.2, 1.8), du=du, eta=st.floats(0.0, 1.0),
-                     w1=st.floats(0.0, 2.0))
+                     d1=st.floats(0.2, 1.8), du=du, eta=st.floats(0.0, 1.0), w1=w1)
+
+
+def spec_on(ch, scenario, case, objective, rho_share):
+    """The spec of one configuration, S1's rho a share of its limit; None where relaying is impossible."""
+    if scenario in (Scenario.S1, Scenario.S2) and not relay_feasible(ch):
+        return None
+    rho = rho_share * rho_max(ch) if scenario is Scenario.S1 else 0.0
+    return ScenarioSpec(scenario, case, objective, rho)
 
 
 @settings(derandomize=True, deadline=None)
@@ -97,3 +105,46 @@ def test_lockstep_screen_agrees_with_solve_nb(cfg, case, objective, shares):
             for res in (lock, single):
                 assert res.max_constraint_violation <= 0.0
                 assert res.kkt_residual <= KKT
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    cfg=networks(),
+    knob=st.sampled_from(("X1", "X2", "eta")),
+    share=st.floats(0.0, 1.0),
+    scenario=st.sampled_from(Scenario),
+    case=st.sampled_from(Case),
+    objective=st.sampled_from(Objective),
+    rho_share=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_more_energy_never_lowers_the_optimum(cfg, knob, share, scenario, case, objective, rho_share):
+    # more arriving energy or a better harvester only relaxes the budgets;
+    # the channels, and so S1's rho, do not move
+    ch = derive_channels(cfg)
+    spec = spec_on(ch, scenario, case, objective, rho_share)
+    assume(spec is not None)
+    top = 1.0 if knob == "eta" else 300.0
+    value = getattr(cfg, knob)
+    more = replace(cfg, **{knob: value + share * (top - value)})
+    low, high = (solve_nb(build_problem(spec, net, ch)) for net in (cfg, more))
+    if low.converged and high.converged:
+        assert high.objective_bits >= low.objective_bits - ORDER * (1.0 + abs(low.objective_bits))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    cfg=networks(w1=st.just(0.0) | st.floats(0.0, 2.0)),
+    scenario=st.sampled_from(Scenario),
+    case=st.sampled_from(Case),
+    objective=st.sampled_from(Objective),
+    rho_share=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_every_converged_solve_is_certified(cfg, scenario, case, objective, rho_share):
+    ch = derive_channels(cfg)
+    spec = spec_on(ch, scenario, case, objective, rho_share)
+    assume(spec is not None)
+    p = build_problem(spec, cfg, ch)
+    for res in (solve_nb(p), solve_iterative(p)):
+        if res.converged:
+            assert res.max_constraint_violation <= 0.0, res.solver
+            assert res.kkt_residual <= KKT, res.solver

@@ -16,7 +16,7 @@ from ehcoop.program import (
     perspective_value,
 )
 from ehcoop.quadratic import (
-    IpmOptions,
+    _FRAC,
     IterativeOptions,
     QuadraticSubproblem,
     _ipm,
@@ -136,7 +136,7 @@ def test_lp_subproblem_recovers_primal_and_dual():
         con_const=np.array([-1.0]), con_G=np.array([[1.0]]), nl_H=np.zeros((0, 1, 1)),
         factors=(), t_indices=(0,), y_indices=(),
     )
-    sol = _ipm(sub, np.array([0.4]), IpmOptions())
+    sol = _ipm(sub, np.array([0.4]))
     assert sol.converged
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.lam_constraints[0] == pytest.approx(1.0, abs=1e-6)
@@ -173,15 +173,14 @@ def test_vectorized_step_limit_equals_the_row_loop(seed):
     dlam = rng.normal(size=J) * lam * 10.0 ** rng.uniform(-1, 2)
     p = rng.normal(size=J) * 10.0 ** rng.uniform(-8, 1, size=J)
     p[rng.random(J) < 0.2] = 0.0
-    frac = IpmOptions().frac
-    assert min(1.0 / frac, _step_limit(lam, dlam, s, p, q)) == _step_limit_loop(lam, dlam, s, p, q, frac)
+    assert min(1.0 / _FRAC, _step_limit(lam, dlam, s, p, q)) == _step_limit_loop(lam, dlam, s, p, q, _FRAC)
 
 
 def test_subproblem_agrees_with_barrier_solver():
     p = relay_program()
     x0 = initial_point(p).x
     sub = quadratize(p, x0)
-    ipm = _ipm(sub, x0, IpmOptions())
+    ipm = _ipm(sub, x0)
     nb = solve_nb(sub, x0=x0)
     assert ipm.converged
     assert nb.converged

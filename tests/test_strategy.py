@@ -65,6 +65,8 @@ def test_screen_rho_breaks_ties_toward_small_rho(default_cfg, monkeypatch):
 def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, monkeypatch):
     def broken(*args, **kwargs):
         raise FloatingPointError("overflow in the barrier")
+    # an nb grid goes to solve_nb_many first and falls back to solve_spec
+    monkeypatch.setattr("ehcoop.strategy.solve_nb_many", broken)
     monkeypatch.setattr("ehcoop.strategy.solve_spec", broken)
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
         outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg,
