@@ -34,18 +34,20 @@ the Hessian anyway for its stop test.  The predicted point is kept only
 where the next stage's barrier is finite and lower than at x, and a late
 stage then needs about one Newton step.
 
-The outer loop starts at tau0 = 100 and stops on the duality gap of the
+The outer loop starts at TAU0 = 100 and stops on the duality gap of the
 central path: with m barrier rows (nonlinear and affine), the stage
 optimum at tau is within m/tau of the optimum, so tau grows by MU per stage
 until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
 finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
-there only centres the iterate (tau0 = 100 cut the Newton steps of the
-528 solves of the acceptance energy grid from 19,879 to 14,804, all
-converged); tau0 = 1e4 left 40 of them unconverged.  The result is built
-by `program.finish` from the barrier multipliers 1/(tau s) of the final
-iterate, so a finished path counts as converged only with the certificate
-both solvers share.  tau0 and the history switch are the only options; the
-other tuning values are the module constants below.
+there only centres the iterate (starting at 100 cut the Newton steps of
+the 528 solves of the acceptance energy grid from 19,879 to 14,804, all
+converged); starting at 1e4 left 40 of them unconverged.  The result is
+built by `program.finish` from the barrier multipliers 1/(tau s) of the
+final iterate, so a finished path counts as converged only with the
+certificate both solvers share.  A solve takes only its program: TAU0 and
+the other tuning values are the module constants below, read at call
+time.  `solve_nb(program, history)` appends one record per Newton step to
+a list the caller passes.
 
 `solve_nb_many` solves a list of programs, such as the candidates of one
 rho screen, in lockstep.  Programs whose reduced (presolved) forms share a
@@ -64,26 +66,23 @@ where the two break even, go through `solve_nb` one by one.
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
 (perfbench/tracing.py) looks each of them up by name.
-
-Any program exposing the evaluation protocol of `ConvexProgram` (see
-program.py) can be solved, including the quadratic subproblems built by
-the iterative solver, which is handy for cross-checking.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .program import PresolvedProgram, SolveResult, finish, start
+from .program import SolveResult, finish, start
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
 # sufficient-decrease fraction of the Armijo test
 ARMIJO = 1e-4
+# barrier weight of the first stage
+TAU0 = 100.0
 # the outer loop ends here even if the gap test never passes (f not finite)
 TAU_CEILING = 1e16
 # tau multiplier per outer stage
@@ -105,16 +104,6 @@ LOCKSTEP_MIN = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-@dataclass
-class BarrierOptions:
-    tau0: float = 100.0        # initial barrier weight
-    record_history: bool = False
-
-    def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ValueError("need tau0 > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +339,21 @@ def _seeds(program, tau, x):
     return lam[:m], lam[m:k], lam[k:]
 
 
-def solve_nb(program, options: BarrierOptions | None = None,
-             x0: np.ndarray | None = None) -> SolveResult:
+def solve_nb(program, history: list | None = None) -> SolveResult:
     """Interior-point solve of a canonical program via the log barrier.
 
-    With `x0` given, the program is taken as is and iterations start from
-    that strictly interior point; this also admits any object implementing
-    the shared evaluation protocol (such as a quadratic subproblem).
-    Otherwise zero-budget coordinates are presolved away and the
-    deterministic interior point of the reduced program is used.
+    Zero-budget coordinates are presolved away and the iterations start
+    from the deterministic interior point of the reduced program.  Given a
+    list `history`, each Newton step appends its record to it.
     """
-    opts = options or BarrierOptions()
-    if x0 is None:
-        started = start(program)
-        if started is None:
-            return SolveResult.infeasible("nb")
-        pre, x = started
-    else:
-        pre = PresolvedProgram(program, np.arange(program.n_vars), (), program.n_vars)
-        x = np.asarray(x0, dtype=float).copy()
-        if barrier_value(program, opts.tau0, x) == math.inf:
-            return SolveResult.infeasible("nb")
+    started = start(program)
+    if started is None:
+        return SolveResult.infeasible("nb")
+    pre, x = started
     red = pre.program
-    history: list | None = [] if opts.record_history else None
 
     rows = red.n_nonlinear + len(red.affine_rows[1])
-    tau = opts.tau0
+    tau = TAU0
     f_x = barrier_value(red, tau, x)
     outer = 0
     inner_total = 0
@@ -387,7 +365,7 @@ def solve_nb(program, options: BarrierOptions | None = None,
             break
         tau *= MU
         x, f_x = _extrapolate(red, tau, x, z)
-    return finish(program, pre, x, _seeds(red, tau, x), converged, "nb", outer, inner_total, tau, history)
+    return finish(program, pre, x, _seeds(red, tau, x), converged, "nb", outer, inner_total, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +625,7 @@ def _path_all(stack, X, tau):
         f_x = np.where(ahead, f_p, f_x).tolist()
 
 
-def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[SolveResult]:
+def solve_nb_many(programs) -> list[SolveResult]:
     """`solve_nb` on each program, in order; programs sharing a layout step in lockstep.
 
     After presolve, each group of at least LOCKSTEP_MIN reduced programs
@@ -655,12 +633,10 @@ def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[Solve
     evaluation, Hessian and `np.linalg.solve` on (K, n, n) per Newton
     iteration, Armijo halving, stalls and stops per program, one tau
     schedule with a duality-gap stop per program.  Fewer than LOCKSTEP_MIN
-    programs, smaller groups and solves that record their history go
-    through `solve_nb`.
+    programs and smaller groups go through `solve_nb`.
     """
-    opts = options or BarrierOptions()
-    if len(programs) < LOCKSTEP_MIN or opts.record_history:
-        return [solve_nb(p, opts) for p in programs]
+    if len(programs) < LOCKSTEP_MIN:
+        return [solve_nb(p) for p in programs]
     results: list = [None] * len(programs)
     groups: dict = {}
     for i, p in enumerate(programs):
@@ -672,11 +648,11 @@ def solve_nb_many(programs, options: BarrierOptions | None = None) -> list[Solve
     for members in groups.values():
         if len(members) < LOCKSTEP_MIN:
             for i, *_ in members:
-                results[i] = solve_nb(programs[i], opts)
+                results[i] = solve_nb(programs[i])
             continue
         stack = _Stack([pre.program for _, pre, _ in members])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            path = _path_all(stack, np.array([x for *_, x in members]), opts.tau0)
+            path = _path_all(stack, np.array([x for *_, x in members]), TAU0)
         for (i, pre, _), (x, tau, converged, stages, steps) in zip(members, path):
             results[i] = finish(programs[i], pre, x, _seeds(pre.program, tau, x), converged, "nb",
                                 stages, steps, tau)

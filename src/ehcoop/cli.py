@@ -110,9 +110,11 @@ def _add_network_flags(parser):
                            help=f"override {name}")
 
 
-def _add_solver_flag(parser):
-    parser.add_argument("--solver", choices=("nb", "quad", "both"), default="nb",
-                        help="nb: Newton barrier, quad: iterative quadratic (default nb)")
+def _add_solver_flag(parser, both=False):
+    choices = ("nb", "quad", "both") if both else ("nb", "quad")
+    parser.add_argument("--solver", choices=choices, default="nb",
+                        help="nb: Newton barrier, quad: iterative quadratic (default nb)"
+                        + ("; both: each, then their agreement" if both else ""))
 
 
 _OBJECTIVES = {"sum": Objective.WEIGHTED_SUM, "common": Objective.COMMON}
@@ -164,8 +166,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_screen_rho(args) -> int:
     cfg = build_network_config(args)
-    solver = "nb" if args.solver == "both" else args.solver
-    rho_star, table = screen_rho(cfg, Case(args.case), _objective(args), solver=solver)
+    rho_star, table = screen_rho(cfg, Case(args.case), _objective(args), solver=args.solver)
     print(f"rho     objective_bits  B1_bits   B2_bits   status")
     for out in table:
         tp = out.throughputs
@@ -177,8 +178,7 @@ def _cmd_screen_rho(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = build_network_config(args)
-    solver = "nb" if args.solver == "both" else args.solver
-    choice = select_strategy(cfg, _objective(args), solver=solver)
+    choice = select_strategy(cfg, _objective(args), solver=args.solver)
     for note in choice.notes:
         print(f"note: {note}")
     print(f"best configuration: {choice.scenario.value}-{choice.case.value} "
@@ -200,10 +200,9 @@ def _run_sweep_command(args, param: str, default_range) -> int:
         tuple(_OBJECTIVES.values()) if args.objective == "both"
         else (_OBJECTIVES[args.objective],)
     )
-    solver = "nb" if args.solver == "both" else args.solver
     try:
         spec = SweepSpec(param=param, start=start, stop=stop, step=step,
-                         base=cfg, objectives=objectives, solver=solver)
+                         base=cfg, objectives=objectives, solver=args.solver)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = run_sweep(spec, jobs=args.jobs)
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("sum", "common"), default="sum")
     p.add_argument("--rho", type=float, default=0.0,
                    help="power-splitting ratio (S1 only)")
-    _add_solver_flag(p)
+    _add_solver_flag(p, both=True)
     _add_network_flags(p)
     p.set_defaults(func=_cmd_solve)
 

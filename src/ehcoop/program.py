@@ -199,7 +199,7 @@ class ConvexProgram:
             self.lin_A = np.zeros((0, self.n_vars))
             self.lin_b = np.zeros(0)
 
-    # -- protocol shared with the quadratic subproblem ------------------
+    # -- rows and the compiled term pass ---------------------------------
 
     @property
     def positive_indices(self) -> tuple[int, ...]:
@@ -485,9 +485,8 @@ _ACTIVE_TOL = 1e-4
 def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -> float:
     """Infinity norm of the Lagrangian gradient for given multipliers.
 
-    Works for any program exposing the shared evaluation protocol.  The
-    multiplier blocks follow the constraint order: nonlinear rows, linear
-    rows, then the nonnegativity bounds on `positive_indices`.
+    The multiplier blocks follow the constraint order: nonlinear rows,
+    linear rows, then the nonnegativity bounds on `positive_indices`.
     """
     ev = program.evaluate(x)
     r = ev.grad + ev.G.T @ np.asarray(lam_nonlinear, dtype=float)
@@ -568,7 +567,6 @@ class SolveResult:
     kkt_residual: float
     solver: str
     tau_final: float = math.nan
-    history: list | None = None
 
     @property
     def converged(self) -> bool:
@@ -597,7 +595,7 @@ def start(program: ConvexProgram):
 
 
 def finish(program, pre: PresolvedProgram, x, seeds, converged: bool, solver: str,
-           outer: int, inner: int, tau: float = math.nan, history=None) -> SolveResult:
+           outer: int, inner: int, tau: float = math.nan) -> SolveResult:
     """The result at the final iterate x of the reduced program `pre.program`.
 
     `seeds`, the solver's multipliers in `refine_multipliers`' blocks, are
@@ -620,5 +618,4 @@ def finish(program, pre: PresolvedProgram, x, seeds, converged: bool, solver: st
         kkt_residual=kkt,
         solver=solver,
         tau_final=tau,
-        history=history,
     )

@@ -20,12 +20,10 @@ multipliers ask for, and `program.finish` builds the result from the last
 subproblem's duals: a settled point counts as converged only with the
 certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
 
-The round cap and the history switch are the only options; the
-interior-point and trust-region tuning values are module constants.
-
-The subproblem class exposes the same evaluation protocol as
-`ConvexProgram`, so the barrier solver can be pointed at it directly when
-cross-checking the interior-point method.
+A solve takes only its program: the round cap MAX_ROUNDS and the
+interior-point and trust-region tuning values are module constants, read
+at call time.  `solve_iterative(program, history)` appends a record of the
+start and of each accepted round to a list the caller passes.
 """
 
 from __future__ import annotations
@@ -35,13 +33,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .program import ConvexProgram, Evaluation, SolveResult, aux_bounds, energy_caps, finish, start
+from .program import ConvexProgram, SolveResult, aux_bounds, energy_caps, finish, start
 
 # expansion points are lifted this far off the t = 0 boundary to keep the
 # model curvature finite
 _T_FLOOR = 1e-9
 # the rounds settle once two successive solutions are this close
 _SETTLE_TOL = 1e-6
+# quadratization rounds per solve
+MAX_ROUNDS = 50
 
 
 @dataclass
@@ -61,11 +61,10 @@ class QuadraticSubproblem:
     con_const: np.ndarray      # (rows,)
     con_G: np.ndarray          # (rows, n)
     nl_H: np.ndarray           # (m, n, n) Hessians of the m curved rows
-    factors: tuple             # term factors at the expansion point, for `evaluate`
     t_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
 
-    # -- shared evaluation protocol -------------------------------------
+    positive_indices = ConvexProgram.positive_indices
 
     @property
     def n_vars(self) -> int:
@@ -75,39 +74,8 @@ class QuadraticSubproblem:
     def n_nonlinear(self) -> int:
         return len(self.nl_H)
 
-    @property
-    def lin_A(self) -> np.ndarray:
-        return self.con_G[self.n_nonlinear:]
-
-    @property
-    def lin_b(self) -> np.ndarray:
-        return -self.con_const[self.n_nonlinear:]
-
-    def values(self, x) -> tuple[float, list]:
-        ev = self.evaluate(x)
-        return ev.f, ev.c.tolist()
-
-    def evaluate(self, x) -> Evaluation:
-        m = self.n_nonlinear
-        Hx = self.nl_H @ x
-        return Evaluation(self.objective_value(x), self.objective_gradient(x),
-                          self.con_const[:m] + self.con_G[:m] @ x + 0.5 * Hx @ x,
-                          self.con_G[:m] + Hx, self.factors)
-
     def objective_value(self, x) -> float:
         return self.obj_const + float(self.obj_g @ x) + 0.5 * float(x @ (self.obj_H @ x))
-
-    def objective_gradient(self, x) -> np.ndarray:
-        return self.obj_g + self.obj_H @ x
-
-    positive_indices = ConvexProgram.positive_indices
-    affine_rows = ConvexProgram.affine_rows
-    objective_hessian = ConvexProgram.objective_hessian
-    nonlinear_value = ConvexProgram.nonlinear_value
-    nonlinear_gradient = ConvexProgram.nonlinear_gradient
-    nonlinear_hessian = ConvexProgram.nonlinear_hessian
-    constraint_values = ConvexProgram.constraint_values
-    max_violation = ConvexProgram.max_violation
 
 
 def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
@@ -131,7 +99,7 @@ def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
         obj_const=float(const[-1]), obj_g=g[-1], obj_H=H[-1],
         con_const=np.concatenate((const[:m], -p.lin_b)),
         con_G=np.concatenate((g[:m], p.lin_A)),
-        nl_H=H[:m], factors=ev.factors, t_indices=p.t_indices, y_indices=p.y_indices,
+        nl_H=H[:m], t_indices=p.t_indices, y_indices=p.y_indices,
     )
 
 
@@ -188,14 +156,6 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
     nl_H = sub.nl_H
     H_rows = nl_H.reshape(m, n * n)
     J = len(b0)
-
-    if J == 0:
-        # unconstrained quadratic: one Newton solve
-        x = np.linalg.solve(sub.obj_H + 1e-14 * np.eye(n), -sub.obj_g)
-        return SubproblemSolution(
-            x=x, lam_constraints=np.zeros(0), lam_bounds=np.zeros(0),
-            iters=1, kkt_residual=0.0, gap=0.0, converged=True,
-        )
 
     def state(x_):
         """Slacks and gradients of every inequality at x_."""
@@ -271,16 +231,6 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
 # ---------------------------------------------------------------------------
 # Outer loop
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class IterativeOptions:
-    max_rounds: int = 50
-    record_history: bool = False
-
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
 
 
 def _clamp_aux(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
@@ -392,21 +342,21 @@ def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = None) -> SolveResult:
+def solve_iterative(program: ConvexProgram, history: list | None = None) -> SolveResult:
     """Repeated quadratization until the solution stops moving.
 
     `outer_iters` on the result counts the rebuilds that moved the solution
     by more than `_SETTLE_TOL` when the rounds settle; the final rebuild that
     confirms the fixed point is not included.  Otherwise it counts every round.
+    Given a list `history`, the start and each accepted round append their
+    record to it.
     """
-    opts = options or IterativeOptions()
     started = start(program)
     if started is None:
         return SolveResult.infeasible("quad")
     pre, x = started
     red = pre.program
     floors = _box_floors(red)
-    history: list | None = [] if opts.record_history else None
     if history is not None:
         history.append({"round": 0, "dif": math.nan,
                         "objective_nats": red.objective_value(x)})
@@ -420,7 +370,7 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
     # the box would only slow the one exact solve down
     has_models = bool(red.term_table)
     delta = _TR_DELTA0 if has_models else _TR_FREE
-    for rounds in range(1, opts.max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         sub0 = quadratize(red, _expansion_point(red, x))
         f_x = red.objective_value(x)
         accepted = False
@@ -498,4 +448,4 @@ def solve_iterative(program: ConvexProgram, options: IterativeOptions | None = N
         seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
         x = _settle_unused_slots(red, x, *seeds[:2])
     return finish(program, pre, x, seeds, converged, "quad",
-                  moves if converged else rounds, inner_total, history=history)
+                  moves if converged else rounds, inner_total)

@@ -97,15 +97,16 @@ class StrategyResult:
 def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[CandidateOutcome]:
     """One configuration solved at every rho of `grid`, in grid order.
 
-    An nb grid goes to one `solve_nb_many` call, which decides whether to
-    step it in lockstep; when a program cannot be built or that call
-    raises, the candidates are solved one by one.  A candidate whose solve
-    raises is left out with a warning, so one failure skips the candidate,
-    not the grid.
+    An nb grid of two or more candidates goes to one `solve_nb_many` call,
+    which decides whether to step it in lockstep; when a program cannot be
+    built or that call raises, the candidates are solved one by one.  A
+    single candidate is solved once, by `solve_spec`.  A candidate whose
+    solve raises is left out with a warning, so one failure skips the
+    candidate, not the grid.
     """
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
     batch = {}
-    if solver == "nb":
+    if solver == "nb" and len(specs) > 1:
         try:
             batch = dict(zip(specs, solve_nb_many([build_problem(spec, cfg, ch) for spec in specs])))
         except Exception:

@@ -129,6 +129,18 @@ def test_select_with_zero_weights_exits_one(capsys):
     assert "weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["select"], ["screen-rho", "--case", "A"],
+                                     ["sweep-energy"], ["sweep-distance"]])
+def test_solver_both_is_a_usage_error_beyond_solve(command, capsys):
+    # only solve runs both solvers; the other commands would run nb alone
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--solver", "both"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ehcoop ")
+    assert "--solver: invalid choice: 'both'" in err
+
+
 def test_sweep_energy_writes_deterministic_csv(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

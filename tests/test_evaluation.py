@@ -18,7 +18,6 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
 from ehcoop.barrier import barrier_gradient, barrier_hessian, barrier_value, solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import initial_point, perspective_gradient, perspective_value, presolve_program
-from ehcoop.quadratic import _ipm_start, quadratize
 from ehcoop.scenarios import build_problem
 
 TAU = 10.0   # any tau != 1, so that a dropped 1/tau shows
@@ -125,28 +124,6 @@ def test_compiled_pass_on_a_presolved_program():
     assert pre.pinned    # zero-budget energies are pinned at zero
     for x in _points(pre.program):
         _check(pre.program, x)
-
-
-def test_compiled_pass_on_a_quadratic_subproblem():
-    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.3), NetworkConfig())
-    x0 = initial_point(p).x
-    sub = quadratize(p, x0)
-    x = _ipm_start(p, x0)
-    m = sub.n_nonlinear
-    rows = [(sub.con_const[j] + sub.con_G[j] @ x + 0.5 * x @ sub.nl_H[j] @ x,
-             sub.con_G[j] + sub.nl_H[j] @ x, sub.nl_H[j]) for j in range(m)]
-    f = sub.objective_value(x)
-    grad = sub.obj_g + sub.obj_H @ x
-    bv, bg, bH = _barrier(sub, TAU, x, f, grad, sub.obj_H, rows)
-    ev = sub.evaluate(x)
-    assert close(ev.c, [c for c, _, _ in rows])
-    assert close(ev.G, np.array([g for _, g, _ in rows]))
-    # the factor-assembled curvature equals the compiled model Hessians
-    w = [0.5 + j for j in range(m)] + [1.0]
-    assert close(ev.curvature(w), sub.obj_H + sum(w[j] * sub.nl_H[j] for j in range(m)))
-    assert close(barrier_value(sub, TAU, x), bv)
-    assert close(barrier_gradient(sub, TAU, x), bg)
-    assert close(barrier_hessian(sub, TAU, x), bH)
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.rho == 0.0],

@@ -15,7 +15,7 @@ from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, solve_spec
 from ehcoop.barrier import LOCKSTEP_MIN, solve_nb, solve_nb_many
 from ehcoop.network import derive_channels, relay_feasible, rho_max
 from ehcoop.quadratic import solve_iterative
@@ -148,3 +148,38 @@ def test_every_converged_solve_is_certified(cfg, scenario, case, objective, rho_
         if res.converged:
             assert res.max_constraint_violation <= 0.0, res.solver
             assert res.kkt_residual <= KKT, res.solver
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    d=st.floats(0.2, 2.4),
+    du_share=st.floats(0.05, 1.0, exclude_max=True),
+    X1=st.floats(0.0, 300.0),
+    X2=st.floats(0.0, 300.0),
+    w1=st.floats(0.0, 2.0),
+    w2=st.floats(0.0, 2.0),
+    eta=st.floats(0.0, 1.0),
+    scenario=st.sampled_from((Scenario.S3, Scenario.S4)),
+    objective=st.sampled_from(Objective),
+    solver=st.sampled_from(("nb", "quad")),
+)
+def test_swapping_the_users_swaps_the_cases(d, du_share, X1, X2, w1, w2, eta, scenario, objective, solver):
+    """With both users at one distance from D, swapping their budgets and
+    weights turns case A (U1 first) into case B (U2 first).
+
+    The two programs are the same up to the order of their terms, so the
+    optimum agrees and U1's throughput in one is U2's in the other.  S1 and
+    S2 are left out: U1 is the relay in both orders, so relabelling the
+    users does not map one order onto the other there.
+    """
+    assume(w1 > 0.0 or w2 > 0.0)
+    cfg = NetworkConfig(d1=d, d2=d, du=du_share * d, X1=X1, X2=X2, w1=w1, w2=w2, eta=eta)
+    mirror = replace(cfg, X1=X2, X2=X1, w1=w2, w2=w1)
+    a, tp_a = solve_spec(ScenarioSpec(scenario, Case.A, objective), cfg, solver)
+    b, tp_b = solve_spec(ScenarioSpec(scenario, Case.B, objective), mirror, solver)
+    assert a.status is b.status
+    if a.converged:
+        scale = AGREE * (1.0 + abs(a.objective_bits))
+        assert abs(a.objective_bits - b.objective_bits) <= scale
+        assert abs(tp_a.b1_bits - tp_b.b2_bits) <= scale
+        assert abs(tp_a.b2_bits - tp_b.b1_bits) <= scale

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, quadratic
 from ehcoop.barrier import solve_nb
 from ehcoop.program import (
     ConvexProgram,
@@ -17,7 +17,6 @@ from ehcoop.program import (
 )
 from ehcoop.quadratic import (
     _FRAC,
-    IterativeOptions,
     QuadraticSubproblem,
     _ipm,
     _step_limit,
@@ -57,10 +56,11 @@ def test_model_is_exact_at_the_expansion_point():
     x0 = initial_point(p).x
     sub = quadratize(p, x0)
     assert sub.objective_value(x0) == pytest.approx(p.objective_value(x0), rel=1e-12)
-    assert sub.objective_gradient(x0) == pytest.approx(p.objective_gradient(x0), rel=1e-12)
+    assert sub.obj_g + sub.obj_H @ x0 == pytest.approx(p.objective_gradient(x0), rel=1e-12)
     for j in range(p.n_nonlinear):
-        assert sub.nonlinear_value(j, x0) == pytest.approx(p.nonlinear_value(j, x0), abs=1e-12)
-        assert sub.nonlinear_gradient(j, x0) == pytest.approx(
+        row = sub.con_const[j] + sub.con_G[j] @ x0 + 0.5 * x0 @ sub.nl_H[j] @ x0
+        assert row == pytest.approx(p.nonlinear_value(j, x0), abs=1e-12)
+        assert sub.con_G[j] + sub.nl_H[j] @ x0 == pytest.approx(
             p.nonlinear_gradient(j, x0), rel=1e-10, abs=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_quadratize_orders_model_rows_first():
     curved = [j < len(sub.nl_H) and bool(sub.nl_H[j].any()) for j in range(len(sub.con_const))]
     assert curved == [True, True, False, False, False, False]
     assert sub.n_nonlinear == 2
-    assert sub.lin_A.shape == (4, 7)
+    assert sub.con_G[sub.n_nonlinear:].shape == (4, 7)
 
 
 def test_direct_scenario_quadratizes_to_a_qp():
@@ -134,7 +134,7 @@ def test_lp_subproblem_recovers_primal_and_dual():
     sub = QuadraticSubproblem(
         obj_const=0.0, obj_g=np.array([-1.0]), obj_H=np.zeros((1, 1)),
         con_const=np.array([-1.0]), con_G=np.array([[1.0]]), nl_H=np.zeros((0, 1, 1)),
-        factors=(), t_indices=(0,), y_indices=(),
+        t_indices=(0,), y_indices=(),
     )
     sol = _ipm(sub, np.array([0.4]))
     assert sol.converged
@@ -176,16 +176,36 @@ def test_vectorized_step_limit_equals_the_row_loop(seed):
     assert min(1.0 / _FRAC, _step_limit(lam, dlam, s, p, q)) == _step_limit_loop(lam, dlam, s, p, q, _FRAC)
 
 
-def test_subproblem_agrees_with_barrier_solver():
+def test_subproblem_agrees_with_slsqp():
+    # an independent solve of the same QCQP, read off the subproblem's arrays
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize
+
     p = relay_program()
     x0 = initial_point(p).x
     sub = quadratize(p, x0)
     ipm = _ipm(sub, x0)
-    nb = solve_nb(sub, x0=x0)
     assert ipm.converged
-    assert nb.converged
+    m, pos = sub.n_nonlinear, list(sub.positive_indices)
+
+    def slack(x):
+        """-(every row of the subproblem), then the nonnegative coordinates."""
+        rows = sub.con_const + sub.con_G @ x
+        rows[:m] += 0.5 * (sub.nl_H @ x) @ x
+        return np.concatenate((-rows, x[pos]))
+
+    def slack_jac(x):
+        G = sub.con_G.copy()
+        G[:m] += sub.nl_H @ x
+        return np.concatenate((-G, np.eye(len(x))[pos]))
+
+    ref = minimize(sub.objective_value, x0, jac=lambda x: sub.obj_g + sub.obj_H @ x,
+                   method="SLSQP", constraints={"type": "ineq", "fun": slack, "jac": slack_jac},
+                   options={"ftol": 1e-14, "maxiter": 1000}).x
+    # SLSQP ends with success=False here, so its endpoint is judged by its own constraints
+    assert slack(ref).min() >= -1e-10
     a = sub.objective_value(ipm.x)
-    b = sub.objective_value(nb.x_star.x)
+    b = sub.objective_value(ref)
     assert abs(a - b) <= 1e-6 * (1.0 + abs(a))
 
 
@@ -255,17 +275,19 @@ def test_already_quadratic_program_converges_in_one_round():
     assert res.x_star.x[1] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_round_limit_is_reported():
-    res = solve_iterative(relay_program(), IterativeOptions(max_rounds=1))
+def test_round_limit_is_reported(monkeypatch):
+    monkeypatch.setattr(quadratic, "MAX_ROUNDS", 1)
+    res = solve_iterative(relay_program())
     assert not res.converged
     assert res.status is SolveStatus.MAX_ITERATIONS
     assert res.outer_iters == 1
 
 
 def test_history_objective_never_increases():
-    res = solve_iterative(relay_program(), IterativeOptions(record_history=True))
+    history = []
+    res = solve_iterative(relay_program(), history)
     assert res.converged
-    objs = [h["objective_nats"] for h in res.history]
+    objs = [h["objective_nats"] for h in history]
     assert len(objs) >= 2
     for prev, nxt in zip(objs, objs[1:]):
         assert nxt <= prev + 1e-8 * (1.0 + abs(prev))

@@ -15,7 +15,7 @@ from ehcoop import (
     select_strategy,
     solve_spec,
 )
-from ehcoop import strategy
+from ehcoop import barrier, strategy
 from ehcoop.network import ChannelState
 from ehcoop.strategy import rho_candidates
 
@@ -65,13 +65,26 @@ def test_screen_rho_breaks_ties_toward_small_rho(default_cfg, monkeypatch):
 def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, monkeypatch):
     def broken(*args, **kwargs):
         raise FloatingPointError("overflow in the barrier")
-    # an nb grid goes to solve_nb_many first and falls back to solve_spec
-    monkeypatch.setattr("ehcoop.strategy.solve_nb_many", broken)
     monkeypatch.setattr("ehcoop.strategy.solve_spec", broken)
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
         outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg,
                                              default_ch, "nb")
     assert outcomes == []
+
+
+def test_single_candidate_is_solved_once(default_cfg, default_ch, monkeypatch):
+    # a raising solve is not repeated by the one-by-one fallback
+    calls = []
+
+    def broken(program):
+        calls.append(program)
+        raise FloatingPointError("overflow in the barrier")
+
+    monkeypatch.setattr(strategy, "solve_nb", broken)
+    monkeypatch.setattr(barrier, "solve_nb", broken)
+    with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError"):
+        strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg, default_ch, "nb")
+    assert len(calls) == 1
 
 
 def test_rho_grid_is_solved_in_lockstep_in_grid_order(default_cfg, default_ch, monkeypatch):
