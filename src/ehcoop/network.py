@@ -11,7 +11,6 @@ power-splitting harvest arithmetic used by the program builders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # Energy arrival rates are configured in mW (equivalently mJ per block since
@@ -44,7 +43,6 @@ class NetworkConfig:
     lam: float = 1.0         # channel gain at unit distance ("lambda" in config files)
     sigma2_D: float = 1e-4   # noise power at D, W
     sigma2_U1: float = 1e-4  # noise power at U1, W
-    sigma2_U2: float = 1e-4  # noise power at U2, W (unused by the rate model, kept for completeness)
     eta: float = 0.75        # RF energy harvesting efficiency, 0..1
     X1: float = 100.0        # ambient energy arrival rate at U1, mW
     X2: float = 100.0        # ambient energy arrival rate at U2, mW
@@ -61,7 +59,7 @@ class NetworkConfig:
             raise ValueError("path-loss exponent must be positive")
         if self.lam <= 0:
             raise ValueError("unit-distance gain must be positive")
-        for name in ("sigma2_D", "sigma2_U1", "sigma2_U2"):
+        for name in ("sigma2_D", "sigma2_U1"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"noise power {name} must be positive")
         if not 0.0 <= self.eta <= 1.0:

@@ -11,8 +11,31 @@ Four scenarios, each in two transmission orders:
   S4  no cooperation: direct transmissions only.
 
 Case A schedules U1 before U2's traffic, case B the reverse.  The block
-has a harvesting slot t0 followed by the transmission slots; t0 is
-eliminated through t0 = 1 - sum(t_i).
+has a harvesting slot t0 followed by the transmission slots t1.. with
+energies y1..; t0 is eliminated through t0 = 1 - sum(t_i).  Who sends in
+which slot, and what each budget row lets the sender spend by the end of
+its slot (eta is 0 in S2 and S4, rho is 0 outside S1, hu the inter-user
+gain):
+
+  S1/S2 A  t1 U1's own data, t2 U2 to D and U1, t3 U1 forwards U2's data
+             energy_u1_slot1  y1 <= X1 t0
+             energy_u2_slot2  y2 <= X2 (t0 + t1) + eta hu y1
+             energy_u1_slot3  y1 + y3 <= X1 (t0 + t1 + t2) + eta rho hu y2
+  S1/S2 B  t1 U2 to D and U1, t2 U1 forwards U2's data, t3 U1's own data
+             energy_u2_slot1  y1 <= X2 t0
+             energy_u1_slot2  y2 <= X1 (t0 + t1) + eta rho hu y1
+             energy_u1_slot3  y2 + y3 <= X1 (t0 + t1 + t2) + eta rho hu y1
+  S3/S4 A  t1 U1's own data, t2 U2's data
+             energy_u1  y1 <= X1 t0
+             energy_u2  y2 <= X2 (t0 + t1) + eta hu y1
+  S3/S4 B  t1 U2's data, t2 U1's own data
+             energy_u2  y1 <= X2 t0
+             energy_u1  y2 <= X1 (t0 + t1) + eta hu y1
+
+In S1/S2 U2's rate is the smaller of what reaches D (direct slot plus
+forward) and what U1 decodes on the inter-user link at SNR coefficient
+(1 - rho) gamma_u.  `_slot_table` holds this model once; `build_problem`
+and `throughputs_from_allocation` both read it.
 
 Two objectives: the weighted sum of the user throughputs, and the common
 (max-min) throughput where one shared rate is capped by every route.
@@ -23,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +57,6 @@ from .network import (
     rho_max,
 )
 from .program import (
-    LN2,
     Allocation,
     ConvexProgram,
     EpigraphConstraint,
@@ -65,10 +88,6 @@ RELAY_SCENARIOS = (Scenario.S1, Scenario.S2)
 ENERGY_SCENARIOS = (Scenario.S1, Scenario.S3)
 
 
-class InfeasibleAllocationError(ValueError):
-    """Allocation violates the constraints of its scenario."""
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One cooperation configuration plus its power-splitting ratio."""
@@ -86,10 +105,16 @@ class ScenarioSpec:
 
 
 def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | None = None) -> ConvexProgram:
-    """Construct the canonical convex program for one configuration."""
+    """Construct the canonical convex program for one configuration.
+
+    Variables are t1.. y1.. and, when needed, one rate variable: the shared
+    rate Bbar of the common objective, or U2's rate B in the sum when U1's
+    decoding caps it next to the route (S1/S2) and w2 > 0 (at w2 = 0 nothing
+    would bound B from below).  Otherwise the weighted terms sit in the
+    objective itself.
+    """
     if ch is None:
         ch = derive_channels(cfg)
-    eta = cfg.eta if spec.scenario in ENERGY_SCENARIOS else 0.0
     if spec.scenario in RELAY_SCENARIOS:
         limit = rho_max(ch)  # raises RelayNotBeneficialError when the link is too weak
         if spec.scenario is Scenario.S1 and spec.rho >= limit:
@@ -97,164 +122,88 @@ def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | Non
                 f"rho={spec.rho:g} leaves the relay link weaker than the direct link "
                 f"(needs rho < {limit:g})"
             )
-        return _relay_program(spec, cfg, ch, eta)
-    return _direct_program(spec, cfg, ch, eta)
+    table = _slot_table(spec, cfg, ch)
+    k = table.n_slots
+    common = spec.objective is Objective.COMMON
+    rate = common or (bool(table.decode) and cfg.w2 > 0)
+    pad = (0.0,) if rate else ()
+    n = 2 * k + len(pad)
+    rows = table.budget + [((1.0,) * k + (0.0,) * k, 1.0, "total_time")]
 
-
-# variable layout of the relay scenarios: t1 t2 t3 y1 y2 y3 B
-_T1, _T2, _T3, _Y1, _Y2, _Y3, _B = range(7)
-
-
-def _relay_program(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState, eta: float) -> ConvexProgram:
-    X1, X2 = cfg.x1_watt, cfg.x2_watt
-    rho = spec.rho
-    rbar = 1.0 - rho
-    g1, g2, gu, hu = ch.gamma1, ch.gamma2, ch.gamma_u, ch.hu
-
-    if spec.case is Case.A:
-        # t1: U1 sends its own data; t2: U2 uplinks to D and U1 (relay input);
-        # t3: U1 forwards U2's data.
-        own = PerspectiveTerm(g1, _T1, _Y1)
-        route = (PerspectiveTerm(g2, _T2, _Y2), PerspectiveTerm(g1, _T3, _Y3))
-        link = (PerspectiveTerm(rbar * gu, _T2, _Y2),)
-        rows = [
-            _row(7, {_T1: X1, _T2: X1, _T3: X1, _Y1: 1.0}, X1, "energy_u1_slot1"),
-            # U2 harvests from U1's first transmission regardless of rho
-            _row(7, {_T2: X2, _T3: X2, _Y1: -eta * hu, _Y2: 1.0}, X2, "energy_u2_slot2"),
-            # U1 recovers a rho-split share of U2's relay transmission
-            _row(7, {_T3: X1, _Y1: 1.0, _Y2: -eta * rho * hu, _Y3: 1.0}, X1, "energy_u1_slot3"),
-        ]
+    q = np.zeros(n)
+    obj_terms, epigraph = [], []
+    if common:
+        q[-1] = -1.0
+        epigraph.append(EpigraphConstraint(n - 1, (table.own,), "near_user_rate"))
     else:
-        # t1: U2 uplinks (relay input); t2: U1 forwards; t3: U1 sends its own.
-        own = PerspectiveTerm(g1, _T3, _Y3)
-        route = (PerspectiveTerm(g2, _T1, _Y1), PerspectiveTerm(g1, _T2, _Y2))
-        link = (PerspectiveTerm(rbar * gu, _T1, _Y1),)
-        harvest = -eta * rho * hu  # U1's split share of U2's opening transmission
-        rows = [
-            _row(7, {_T1: X2, _T2: X2, _T3: X2, _Y1: 1.0}, X2, "energy_u2_slot1"),
-            _row(7, {_T2: X1, _T3: X1, _Y1: harvest, _Y2: 1.0}, X1, "energy_u1_slot2"),
-            _row(7, {_T3: X1, _Y1: harvest, _Y2: 1.0, _Y3: 1.0}, X1, "energy_u1_slot3"),
-        ]
-    rows.append(_row(7, {_T1: 1.0, _T2: 1.0, _T3: 1.0}, 1.0, "total_time"))
-
-    q = np.zeros(7)
-    if spec.objective is Objective.WEIGHTED_SUM:
-        if cfg.w2 == 0.0:
-            # the far user's rate does not count; drop the rate variable and
-            # its caps instead of leaving the program unbounded below in B
-            return _relay_sum_without_rate(spec, cfg, own, rows)
-        q[_B] = -cfg.w2
-        obj_terms = (_scaled(own, cfg.w1),) if cfg.w1 > 0 else ()
-        epigraph = (
-            EpigraphConstraint(_B, route, "route_throughput"),
-            EpigraphConstraint(_B, link, "interuser_link"),
-        )
-        names = ("t1", "t2", "t3", "y1", "y2", "y3", "B")
-    else:
-        q[_B] = -1.0
-        obj_terms = ()
-        epigraph = (
-            EpigraphConstraint(_B, (own,), "near_user_rate"),
-            EpigraphConstraint(_B, route, "route_throughput"),
-            EpigraphConstraint(_B, link, "interuser_link"),
-        )
-        names = ("t1", "t2", "t3", "y1", "y2", "y3", "Bbar")
+        if cfg.w1 > 0:
+            obj_terms.append(_scaled(table.own, cfg.w1))
+        if rate:
+            q[-1] = -cfg.w2
+        elif cfg.w2 > 0:
+            obj_terms.extend(_scaled(tm, cfg.w2) for tm in table.carry)
+    if rate:
+        far = "route_throughput" if table.decode else "far_user_rate"
+        epigraph.append(EpigraphConstraint(n - 1, table.carry, far))
+        if table.decode:
+            epigraph.append(EpigraphConstraint(n - 1, table.decode, "interuser_link"))
+    names = tuple(f"{v}{i}" for v in "ty" for i in range(1, k + 1))
+    if rate:
+        names += ("Bbar" if common else "B",)
 
     return ConvexProgram(
-        n_vars=7,
+        n_vars=n,
         objective_linear=q,
-        objective_terms=obj_terms,
-        epigraph=epigraph,
-        linear=tuple(rows),
-        t_indices=(_T1, _T2, _T3),
-        y_indices=(_Y1, _Y2, _Y3),
+        objective_terms=tuple(obj_terms),
+        epigraph=tuple(epigraph),
+        linear=tuple(LinearConstraint(a + pad, b, label) for a, b, label in rows),
+        t_indices=tuple(range(k)),
+        y_indices=tuple(range(k, 2 * k)),
         var_names=names,
     )
 
 
-def _relay_sum_without_rate(spec, cfg, own, rows):
-    """Weighted-sum relay program when w2 = 0: only U1's own slot matters."""
-    trimmed = tuple(LinearConstraint(c.a[:6], c.b, c.label) for c in rows)
-    return ConvexProgram(
-        n_vars=6,
-        objective_linear=np.zeros(6),
-        objective_terms=(_scaled(own, cfg.w1),),
-        epigraph=(),
-        linear=trimmed,
-        t_indices=(_T1, _T2, _T3),
-        y_indices=(_Y1, _Y2, _Y3),
-        var_names=("t1", "t2", "t3", "y1", "y2", "y3"),
-    )
+class _Slots(NamedTuple):
+    """One configuration's slot model; terms are unweighted, budget rows
+    are (a, b, label) with a over t1.. y1.."""
+
+    n_slots: int
+    own: PerspectiveTerm                   # U1's own data to D
+    carry: tuple[PerspectiveTerm, ...]     # U2's data to D: direct slot, or uplink and forward
+    decode: tuple[PerspectiveTerm, ...]    # U1 decoding U2 (S1/S2 only)
+    budget: list
 
 
-# variable layout of the direct scenarios: t1 t2 y1 y2 (+ Bbar)
-_DT1, _DT2, _DY1, _DY2, _DB = range(5)
-
-
-def _direct_program(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState, eta: float) -> ConvexProgram:
+def _slot_table(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState) -> _Slots:
+    """The slot model of the module docstring for one configuration."""
     X1, X2 = cfg.x1_watt, cfg.x2_watt
-    g1, g2, hu = ch.gamma1, ch.gamma2, ch.hu
+    g1, g2 = ch.gamma1, ch.gamma2
+    eta = cfg.eta if spec.scenario in ENERGY_SCENARIOS else 0.0
+    full = -eta * ch.hu  # the whole of the other user's transmission
+    k = 3 if spec.scenario in RELAY_SCENARIOS else 2
 
+    def on(gamma, slot):
+        return PerspectiveTerm(gamma, slot - 1, k + slot - 1)
+
+    if k == 2 and spec.case is Case.A:
+        return _Slots(k, on(g1, 1), (on(g2, 2),), (), [
+            ((X1, X1, 1.0, 0.0), X1, "energy_u1"),
+            ((0.0, X2, full, 1.0), X2, "energy_u2")])
+    if k == 2:
+        return _Slots(k, on(g1, 2), (on(g2, 1),), (), [
+            ((X2, X2, 1.0, 0.0), X2, "energy_u2"),
+            ((0.0, X1, full, 1.0), X1, "energy_u1")])
+    split = -eta * spec.rho * ch.hu  # U1's rho share of U2's transmission
+    link = (1.0 - spec.rho) * ch.gamma_u
     if spec.case is Case.A:
-        u1 = PerspectiveTerm(g1, _DT1, _DY1)
-        u2 = PerspectiveTerm(g2, _DT2, _DY2)
-        rows = [
-            _row_direct({_DT1: X1, _DT2: X1, _DY1: 1.0}, X1, "energy_u1"),
-            _row_direct({_DT2: X2, _DY1: -eta * hu, _DY2: 1.0}, X2, "energy_u2"),
-        ]
-    else:
-        u1 = PerspectiveTerm(g1, _DT2, _DY2)
-        u2 = PerspectiveTerm(g2, _DT1, _DY1)
-        rows = [
-            _row_direct({_DT1: X2, _DT2: X2, _DY1: 1.0}, X2, "energy_u2"),
-            _row_direct({_DT2: X1, _DY1: -eta * hu, _DY2: 1.0}, X1, "energy_u1"),
-        ]
-    rows.append(_row_direct({_DT1: 1.0, _DT2: 1.0}, 1.0, "total_time"))
-
-    if spec.objective is Objective.COMMON:
-        rows = [LinearConstraint(c.a + (0.0,), c.b, c.label) for c in rows]
-        q = np.zeros(5)
-        q[_DB] = -1.0
-        return ConvexProgram(
-            n_vars=5,
-            objective_linear=q,
-            objective_terms=(),
-            epigraph=(
-                EpigraphConstraint(_DB, (u1,), "near_user_rate"),
-                EpigraphConstraint(_DB, (u2,), "far_user_rate"),
-            ),
-            linear=tuple(rows),
-            t_indices=(_DT1, _DT2),
-            y_indices=(_DY1, _DY2),
-            var_names=("t1", "t2", "y1", "y2", "Bbar"),
-        )
-
-    obj_terms = []
-    if cfg.w1 > 0:
-        obj_terms.append(_scaled(u1, cfg.w1))
-    if cfg.w2 > 0:
-        obj_terms.append(_scaled(u2, cfg.w2))
-    return ConvexProgram(
-        n_vars=4,
-        objective_linear=np.zeros(4),
-        objective_terms=tuple(obj_terms),
-        epigraph=(),
-        linear=tuple(rows),
-        t_indices=(_DT1, _DT2),
-        y_indices=(_DY1, _DY2),
-        var_names=("t1", "t2", "y1", "y2"),
-    )
-
-
-def _row(n: int, entries: dict[int, float], b: float, label: str) -> LinearConstraint:
-    a = [0.0] * n
-    for i, v in entries.items():
-        a[i] = v
-    return LinearConstraint(tuple(a), b, label)
-
-
-def _row_direct(entries: dict[int, float], b: float, label: str) -> LinearConstraint:
-    return _row(4, entries, b, label)
+        return _Slots(k, on(g1, 1), (on(g2, 2), on(g1, 3)), (on(link, 2),), [
+            ((X1, X1, X1, 1.0, 0.0, 0.0), X1, "energy_u1_slot1"),
+            ((0.0, X2, X2, full, 1.0, 0.0), X2, "energy_u2_slot2"),
+            ((0.0, 0.0, X1, 1.0, split, 1.0), X1, "energy_u1_slot3")])
+    return _Slots(k, on(g1, 3), (on(g2, 1), on(g1, 2)), (on(link, 1),), [
+        ((X2, X2, X2, 1.0, 0.0, 0.0), X2, "energy_u2_slot1"),
+        ((0.0, X1, X1, split, 1.0, 0.0), X1, "energy_u1_slot2"),
+        ((0.0, 0.0, X1, split, 1.0, 1.0), X1, "energy_u1_slot3")])
 
 
 def _scaled(term: PerspectiveTerm, w: float) -> PerspectiveTerm:
@@ -266,10 +215,11 @@ def _scaled(term: PerspectiveTerm, w: float) -> PerspectiveTerm:
 # ---------------------------------------------------------------------------
 
 
-def _rate_bits(gamma: float, t: float, y: float) -> float:
+def _rate_bits(term: PerspectiveTerm, x: list) -> float:
+    t, y = x[term.t_index], x[term.y_index]
     if t <= 0.0 or y <= 0.0:
         return 0.0
-    return t * math.log2(1.0 + gamma * y / t)
+    return t * math.log2(1.0 + term.gamma * y / t)
 
 
 @dataclass(frozen=True)
@@ -282,54 +232,20 @@ class Throughputs:
     slots: tuple[float, ...]
 
 
-def throughputs_from_allocation(
-    spec: ScenarioSpec,
-    cfg: NetworkConfig,
-    ch: ChannelState,
-    alloc: Allocation,
-    check: bool = True,
-    tol: float = 1e-8,
-) -> Throughputs:
-    """Per-user throughputs implied by an allocation.
+def throughputs_from_allocation(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState,
+                                alloc: Allocation) -> Throughputs:
+    """Per-user throughputs implied by an allocation, read off the program's terms.
 
-    For the relay scenarios U2's rate is the smaller of the decode
-    constraint on the inter-user link and the combined direct plus
-    forwarded throughput at the destination.  With `check` set, the
-    allocation is verified against the scenario's constraints first and
-    an infeasible point raises instead of being scored.
+    U2's rate is the smaller of what its carrying terms deliver to D and,
+    in the relay scenarios, what U1 decodes on the inter-user link.
     """
-    x = alloc.x
-    if check:
-        p = build_problem(spec, cfg, ch)
-        worst = p.max_violation(np.asarray(x, dtype=float))
-        if worst > tol:
-            raise InfeasibleAllocationError(f"allocation violates constraints by {worst:.3g}")
-
-    g1, g2, gu = ch.gamma1, ch.gamma2, ch.gamma_u
-    if spec.scenario in RELAY_SCENARIOS:
-        t1, t2, t3, y1, y2, y3 = (float(v) for v in x[:6])
-        rbar = 1.0 - spec.rho
-        if spec.case is Case.A:
-            b1 = _rate_bits(g1, t1, y1)
-            routed = _rate_bits(g2, t2, y2) + _rate_bits(g1, t3, y3)
-            decoded = _rate_bits(rbar * gu, t2, y2)
-        else:
-            b1 = _rate_bits(g1, t3, y3)
-            routed = _rate_bits(g2, t1, y1) + _rate_bits(g1, t2, y2)
-            decoded = _rate_bits(rbar * gu, t1, y1)
-        b2 = min(routed, decoded)
-        slots = (t1, t2, t3)
-    else:
-        t1, t2, y1, y2 = (float(v) for v in x[:4])
-        if spec.case is Case.A:
-            b1 = _rate_bits(g1, t1, y1)
-            b2 = _rate_bits(g2, t2, y2)
-        else:
-            b1 = _rate_bits(g1, t2, y2)
-            b2 = _rate_bits(g2, t1, y1)
-        slots = (t1, t2)
-    t0 = 1.0 - sum(slots)
-    return Throughputs(b1_bits=b1, b2_bits=b2, t0=t0, slots=slots)
+    table = _slot_table(spec, cfg, ch)
+    x = [float(v) for v in alloc.x]
+    b2 = min(sum(_rate_bits(tm, x) for tm in terms)
+             for terms in (table.carry, table.decode) if terms)
+    slots = tuple(x[:table.n_slots])
+    return Throughputs(b1_bits=_rate_bits(table.own, x), b2_bits=b2,
+                       t0=1.0 - sum(slots), slots=slots)
 
 
 def objective_bits(spec: ScenarioSpec, cfg: NetworkConfig, tp: Throughputs) -> float:

@@ -20,6 +20,7 @@ from .network import ChannelState, NetworkConfig, derive_channels, relay_feasibl
 from .program import SolveResult
 from .quadratic import solve_iterative
 from .scenarios import (
+    RELAY_SCENARIOS,
     Case,
     Objective,
     Scenario,
@@ -52,7 +53,7 @@ def _throughputs(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState,
     """The per-user throughputs of a solve; NaN without an allocation."""
     if result.x_star is None:
         return Throughputs(b1_bits=math.nan, b2_bits=math.nan, t0=math.nan, slots=())
-    return throughputs_from_allocation(spec, cfg, ch, result.x_star, check=False)
+    return throughputs_from_allocation(spec, cfg, ch, result.x_star)
 
 
 def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
@@ -171,7 +172,7 @@ def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb"
     finalists: list[CandidateOutcome] = []
 
     for scenario in Scenario:
-        if scenario in (Scenario.S1, Scenario.S2) and not relay_ok:
+        if scenario in RELAY_SCENARIOS and not relay_ok:
             notes.append(
                 f"{scenario.value} skipped: inter-user link no stronger than the direct link"
             )

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .network import NetworkConfig, derive_channels, relay_feasible
-from .scenarios import Case, Objective, Scenario
+from .scenarios import RELAY_SCENARIOS, Case, Objective, Scenario
 from .strategy import _pick, _solve_candidate, screen_rho
 
 CSV_HEADER = "sweep_param,scenario,case,objective_kind,rho_star,obj_bits,B1_bits,B2_bits,t0,t1,t2,t3,status"
@@ -91,7 +91,6 @@ def _blank_row(value, scenario, case, objective, status) -> SweepRow:
 
 
 def _result_row(value, outcome) -> SweepRow:
-    x = outcome.result.x_star.x
     slots = outcome.throughputs.slots
     t1, t2 = float(slots[0]), float(slots[1])
     t3 = float(slots[2]) if len(slots) > 2 else 0.0
@@ -119,7 +118,7 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
     solved = []          # (outcome, row) of every solved configuration, in row order
     for scenario in spec.scenarios:
         for case in Case:
-            if scenario in (Scenario.S1, Scenario.S2) and not relay_ok:
+            if scenario in RELAY_SCENARIOS and not relay_ok:
                 rows.append(_blank_row(value, scenario, case, objective, "skipped_relay"))
                 continue
             try:

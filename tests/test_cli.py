@@ -1,10 +1,11 @@
 """Command-line entry points: exit codes, config files, sweep output."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
-from ehcoop import sweeps
+from ehcoop import cli, sweeps
 from ehcoop.cli import UsageError, build_network_config, build_parser, load_config, main
 from ehcoop.sweeps import CSV_HEADER
 
@@ -24,6 +25,23 @@ def test_solve_both_solvers_reports_agreement(capsys):
     assert code == 0
     assert "[nb]" in out and "[quad]" in out
     assert "solver agreement" in out
+
+
+@pytest.mark.parametrize("gap, expected", [(1e-3, 2), (1e-5, 0)])
+def test_solve_both_exits_two_when_the_solvers_disagree(gap, expected, monkeypatch, capsys):
+    real = cli.solve_spec
+
+    def skewed(spec, cfg, solver):
+        result, tp = real(spec, cfg, solver)
+        if solver == "quad":
+            result = replace(result, objective_bits=result.objective_bits * (1.0 + gap))
+        return result, tp
+
+    monkeypatch.setattr(cli, "solve_spec", skewed)
+    code = main(["solve", "--scenario", "S3", "--case", "B", "--solver", "both"])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert ("disagree" in err) == (expected == 2)
 
 
 def test_unknown_flag_exits_one():
@@ -77,11 +95,12 @@ def test_flags_override_config_file(tmp_path):
 
 def test_config_unknown_key_is_a_usage_error(tmp_path):
     path = tmp_path / "net.cfg"
-    path.write_text("bogus = 1\n")
-    with pytest.raises(UsageError, match="unknown key"):
-        load_config(path)
-    code = main(["solve", "--scenario", "S4", "--case", "A", "--config", str(path)])
-    assert code == 1
+    for key in ("bogus", "sigma2_U2"):   # U2's noise power is not a parameter of the model
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(UsageError, match="unknown key"):
+            load_config(path)
+        code = main(["solve", "--scenario", "S4", "--case", "A", "--config", str(path)])
+        assert code == 1
 
 
 def test_config_bad_number_is_a_usage_error(tmp_path, capsys):

@@ -4,7 +4,8 @@ Hypothesis draws S1 programs over the ambient arrival rate X1 (zero
 included), the near user's distance d1, the power-splitting ratio as a
 fraction of its limit, the case and the objective, and whole networks
 over both arrival rates, both distances, the harvesting efficiency and
-U1's weight (the certificate test draws w1 = 0 on its own as well).
+U1's weight (the certificate test draws w1 = 0 on its own as well, and
+U2's weight as 0 or 1).
 `derandomize=True` makes the draws a fixed function of the test, so CI
 runs the same cases every time; the `ci` profile of conftest.py draws
 400 of them instead of 100.
@@ -19,7 +20,7 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, solve
 from ehcoop.barrier import LOCKSTEP_MIN, solve_nb, solve_nb_many
 from ehcoop.network import derive_channels, relay_feasible, rho_max
 from ehcoop.quadratic import solve_iterative
-from ehcoop.scenarios import build_problem
+from ehcoop.scenarios import RELAY_SCENARIOS, build_problem, objective_bits, throughputs_from_allocation
 
 AGREE = 1e-7      # relative objective agreement of two converged solves
 KKT = 1e-6        # the certificate every converged solve carries
@@ -33,7 +34,7 @@ def networks(du=st.floats(0.2, 2.4), w1=st.floats(0.0, 2.0)):
 
 def spec_on(ch, scenario, case, objective, rho_share):
     """The spec of one configuration, S1's rho a share of its limit; None where relaying is impossible."""
-    if scenario in (Scenario.S1, Scenario.S2) and not relay_feasible(ch):
+    if scenario in RELAY_SCENARIOS and not relay_feasible(ch):
         return None
     rho = rho_share * rho_max(ch) if scenario is Scenario.S1 else 0.0
     return ScenarioSpec(scenario, case, objective, rho)
@@ -134,12 +135,15 @@ def test_more_energy_never_lowers_the_optimum(cfg, knob, share, scenario, case, 
 @settings(derandomize=True, deadline=None)
 @given(
     cfg=networks(w1=st.just(0.0) | st.floats(0.0, 2.0)),
+    w2=st.sampled_from((1.0, 0.0)),
     scenario=st.sampled_from(Scenario),
     case=st.sampled_from(Case),
     objective=st.sampled_from(Objective),
     rho_share=st.floats(0.0, 1.0, exclude_max=True),
 )
-def test_every_converged_solve_is_certified(cfg, scenario, case, objective, rho_share):
+def test_every_converged_solve_is_certified(cfg, w2, scenario, case, objective, rho_share):
+    assume(cfg.w1 > 0.0 or w2 > 0.0)
+    cfg = replace(cfg, w2=w2)
     ch = derive_channels(cfg)
     spec = spec_on(ch, scenario, case, objective, rho_share)
     assume(spec is not None)
@@ -148,6 +152,10 @@ def test_every_converged_solve_is_certified(cfg, scenario, case, objective, rho_
         if res.converged:
             assert res.max_constraint_violation <= 0.0, res.solver
             assert res.kkt_residual <= KKT, res.solver
+            # the throughputs read off the allocation score the program's optimum
+            tp = throughputs_from_allocation(spec, cfg, ch, res.x_star)
+            gap = abs(objective_bits(spec, cfg, tp) - res.objective_bits)
+            assert gap <= AGREE * (1.0 + abs(res.objective_bits)), res.solver
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,5 +1,8 @@
-"""The documented library surface, and the engine names the benchmark trace wraps."""
+"""The documented library surface, the engine names the benchmark trace
+wraps, and no dead imports in the engine."""
 
+import ast
+import glob
 import os
 import re
 
@@ -37,3 +40,23 @@ def test_benchmark_trace_installs_and_uninstalls(monkeypatch):
     # every wrapped attribute is the engine's own function again
     for owner, attr, _ in TARGETS:
         assert "<locals>" not in getattr(owner, attr).__qualname__
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "ehcoop", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))   # re-exports
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{os.path.basename(path)}: {name}")
+    assert not unused
