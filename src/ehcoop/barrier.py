@@ -17,22 +17,16 @@ predicted decrease sinks under the evaluation noise of the barrier, the
 first finite trial is still taken when it does not raise the barrier
 beyond that noise and at least halves the gradient.
 
-Each Newton iterate is evaluated once: the barrier gradient and Hessian
-both come from one `program.evaluate(x)` pass over the compiled term table
-(see program.py), the curvature from the term factors weighted by
--1/(tau c_j).  Line-search trials use the value-only `program.values(x)`.
-
 Between stages the iterate is moved along the central path.  On the path
 grad f + (1/tau) grad phi = 0 (phi the negated log sum above), so
 dx/d(1/tau) = tau H^-1 grad f with H the barrier Hessian; near the
 optimum the path is almost linear in 1/tau (Fiacco & McCormick 1968;
 Boyd & Vandenberghe section 11.3), and going from tau to mu*tau predicts
-x - (1 - 1/mu) H^-1 grad f.  Every Newton
-solve takes grad f as a second right-hand side on the same Hessian, and
-the stage hands on the one solved at its final iterate, where it builds
-the Hessian anyway for its stop test.  The predicted point is kept only
-where the next stage's barrier is finite and lower than at x, and a late
-stage then needs about one Newton step.
+x - (1 - 1/mu) H^-1 grad f.  Every Newton solve takes grad f as a second
+right-hand side, and a stage hands on the one solved at its final
+iterate, where its stop test builds the Hessian anyway.  The prediction
+is kept only where the next stage's barrier is finite and lower than at
+x; a late stage then needs about one Newton step.
 
 The outer loop starts at TAU0 = 100 and stops on the duality gap of the
 central path: with m barrier rows (nonlinear and affine), the stage
@@ -41,27 +35,27 @@ until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
 finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
 there only centres the iterate (starting at 100 cut the Newton steps of
 the 528 solves of the acceptance energy grid from 19,879 to 14,804, all
-converged); starting at 1e4 left 40 of them unconverged.  The result is
-built by `program.finish` from the barrier multipliers 1/(tau s) of the
-final iterate, so a finished path counts as converged only with the
-certificate both solvers share.  A solve takes only its program: TAU0 and
-the other tuning values are the module constants below, read at call
-time.  `solve_nb(program, history)` appends one record per Newton step to
-a list the caller passes.
+converged); starting at 1e4 left 40 of them unconverged.  The result is built
+by `program.finish` from the barrier multipliers 1/(tau s) of the final
+iterate, so a finished path counts as converged only with the certificate
+both solvers share.  The tuning values are module constants read at call
+time.
 
-`solve_nb_many` solves a list of programs, such as the candidates of one
-rho screen, in lockstep.  Programs whose reduced (presolved) forms share a
-layout (`_layout`: variables, each term's row and coordinates, auxiliary
-rates, affine row count) are stacked into (K, ...) arrays, and
-`solve_nb`'s algorithm runs on all of them at once: one stacked
-evaluation, gradient, Hessian and `np.linalg.solve` on (K, n, n) per Newton
-iteration, Armijo halving (with the noise-floor rule), stalls and the step
-cap per program, one tau schedule with each program leaving at its own
-gap stop.  The arithmetic is `solve_nb`'s, term by term, so on the default
-screens the two paths take the same Newton steps and agree to a few ulps.
-A stacked iteration costs about as much as two scalar ones at these sizes
-(numpy call overhead dominates), so groups smaller than LOCKSTEP_MIN = 3,
-where the two break even, go through `solve_nb` one by one.
+The algorithm is written once, for K programs at a time (`_path`,
+`_minimize_stage`, `_line_search`): every test runs per program on Python
+floats, and each program leaves at its own stop.  Its arithmetic comes
+from one of two backends.  `solve_nb_many` steps each group of at least
+LOCKSTEP_MIN programs whose reduced forms share a `_layout` on a `_Stack`,
+with one stacked evaluation, Hessian and `np.linalg.solve` on (K, n, n)
+per Newton iteration.  Every other program, and so every `solve_nb`,
+runs alone on a `_One`: the scalar `barrier_value`, `barrier_gradient`,
+`_newton_direction` and `alpha_linear`, one `program.evaluate` pass and
+one affine-row pass per iterate.  The two agree term by term to a few ulps
+and take the same Newton steps on the default screens.  There a stack of
+2, 3 and 4 programs takes 0.95, 0.68 and 0.56 of the time of as many
+`_One` runs; at 2 the gain is too small to change the arithmetic that
+two-candidate screens get, so LOCKSTEP_MIN is 3.  The solver keeps no
+per-step log.
 
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
@@ -97,9 +91,8 @@ GRAD_TOL = 1e-7
 MAX_INNER = 200
 # back-off of the first trial step from the nearest linear row or axis
 SHRINK = 0.99
-# fewest programs of one layout that `solve_nb_many` steps in lockstep: at 2
-# the stacked loop and two `solve_nb` calls cost about the same, at 3 the
-# stacked loop takes about 0.7 of their time
+# fewest programs of one layout that `solve_nb_many` steps on a `_Stack`
+# (the measured crossover is in the module docstring)
 LOCKSTEP_MIN = 3
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,23 +116,23 @@ def barrier_value(program, tau: float, x: np.ndarray) -> float:
     return f - (sum(math.log(-cj) for cj in c) + sum(map(math.log, s))) / tau
 
 
-def _rows(program, x, ev):
-    """Every barrier row at x: gradients (nonlinear rows, then affine ones) and slacks."""
+def _point(program, x):
+    """`program.evaluate(x)` and every barrier row at x: gradients (nonlinear rows,
+    then affine ones) and slacks."""
+    ev = program.evaluate(x)
     A, b = program.affine_rows
-    return np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))
+    return ev, np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))
 
 
-def barrier_gradient(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
-    """Barrier gradient; `ev` is `program.evaluate(x)` when the caller already has it."""
-    ev = program.evaluate(x) if ev is None else ev
-    A, s = _rows(program, x, ev)
+def barrier_gradient(program, tau: float, x: np.ndarray, point=None) -> np.ndarray:
+    """Barrier gradient; `point` is `_point(program, x)` when the caller already has it."""
+    ev, A, s = _point(program, x) if point is None else point
     return ev.grad + A.T @ (1.0 / (tau * s))
 
 
-def barrier_hessian(program, tau: float, x: np.ndarray, ev=None) -> np.ndarray:
+def barrier_hessian(program, tau: float, x: np.ndarray, point=None) -> np.ndarray:
     """Barrier Hessian; the curvature of row j is weighted by -1/(tau c_j)."""
-    ev = program.evaluate(x) if ev is None else ev
-    A, s = _rows(program, x, ev)
+    ev, A, s = _point(program, x) if point is None else point
     H = ev.curvature((-1.0 / (tau * ev.c)).tolist() + [1.0])
     return H + (A.T / (tau * s * s)) @ A
 
@@ -154,12 +147,10 @@ def _solve(H, g):
         return np.linalg.solve(H, -g), True
 
 
-def _newton_direction(program, tau, x, g, ev=None):
-    """Solve H d = -g for the current barrier stage; also says whether H was regularized.
-
-    g may stack several right-hand sides as columns, solved on one factorization.
-    """
-    return _solve(barrier_hessian(program, tau, x, ev), g)
+def _newton_direction(program, tau, x, g, point=None):
+    """Solve H d = -g for the current barrier stage, g one or more columns; also says
+    whether H was regularized."""
+    return _solve(barrier_hessian(program, tau, x, point), g)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +158,13 @@ def _newton_direction(program, tau, x, g, ev=None):
 # ---------------------------------------------------------------------------
 
 
-def alpha_linear(program, x: np.ndarray, d: np.ndarray) -> float:
-    """Largest safe step against linear constraints and coordinate axes."""
+def alpha_linear(program, x: np.ndarray, d: np.ndarray, slack=None) -> float:
+    """Largest safe step against linear rows and coordinate axes; `slack` is b - A x if known."""
     A, b = program.affine_rows
     along = A @ d
     hit = along > 0.0
-    return SHRINK * float(((b - A @ x)[hit] / along[hit]).min(initial=ALPHA_CAP))
+    slack = b - A @ x if slack is None else slack
+    return SHRINK * float((slack[hit] / along[hit]).min(initial=ALPHA_CAP))
 
 
 def bisect_sign_change(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -229,154 +221,62 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def _line_search(program, tau, x, d, f_x, slope, gnorm):
-    """Backtracking (Armijo) step along d.
-
-    Returns (alpha, barrier value at the new point, barrier evaluations).
-    The first trial is the Newton step capped by fraction-to-boundary on
-    the linear rows and coordinate axes; a trial outside the domain of a
-    nonlinear row has barrier value +inf and is halved like any other
-    failed test.
-    """
-    a = min(1.0, alpha_linear(program, x, d))
-    first = None
-    evals = 0
-    floor = 2e-14 * (1.0 + abs(f_x))
-    while a > 0.0:
-        f_a = barrier_value(program, tau, x + a * d)
-        evals += 1
-        if f_a <= f_x + ARMIJO * a * slope:
-            return a, f_a, evals
-        if first is None and f_a < math.inf:
-            first = (a, f_a)
-        a *= 0.5
-        if -a * slope <= floor:
-            # the decrease a shorter step predicts is below what the
-            # barrier evaluation resolves
-            break
-
-    # noise floor: close to the stage optimum the predicted decrease of a
-    # Newton step drops under what the barrier evaluation resolves, so take
-    # the first finite trial whenever it clearly contracts the gradient
-    if first is not None and first[1] <= f_x + 1e-9 * (1.0 + abs(f_x)):
-        a, f_a = first
-        g_a = barrier_gradient(program, tau, x + a * d)
-        if float(np.abs(g_a).max()) <= 0.5 * gnorm:
-            return a, f_a, evals
-    return 0.0, f_x, evals
 
 
 # ---------------------------------------------------------------------------
-# Inner minimization and the outer barrier loop
+# Arithmetic backends
 # ---------------------------------------------------------------------------
-
-
-def _minimize_stage(program, tau, x, f_x, history):
-    """Newton iterations at fixed tau until the step norm falls under STEP_TOL.
-
-    f_x is the barrier value at the start point.  Returns (x, Newton steps,
-    converged, objective at x, z) with z = -H^-1 grad f on the barrier
-    Hessian at x, the central-path tangent; z is None when the step cap
-    ends the stage, as the last Hessian was then built elsewhere.
-    """
-    last_step = math.inf
-    stalls = 0
-    for k in range(MAX_INNER):
-        ev = program.evaluate(x)
-        g = barrier_gradient(program, tau, x, ev)
-        gnorm = float(np.abs(g).max())
-        dz, regularized = _newton_direction(program, tau, x, np.column_stack((g, ev.grad)), ev)
-        d, z = dz[:, 0], dz[:, 1]
-        # squared Newton decrement: the decrease a full step can still buy;
-        # once it sinks under the evaluation noise of the barrier, the
-        # remaining gradient is representation error along stiff directions
-        slope = float(g @ d)
-        dec2 = max(-slope, 0.0)
-        at_noise = dec2 <= 2e-14 * (1.0 + abs(f_x))
-        if last_step <= STEP_TOL and (gnorm <= GRAD_TOL or at_noise):
-            return x, k, True, ev.f, z
-        alpha, f_new, evals = _line_search(program, tau, x, d, f_x, slope, gnorm)
-        if history is not None:
-            history.append({
-                "tau": tau, "iter": k, "barrier": f_x, "barrier_next": f_new,
-                "alpha": alpha, "grad_norm": gnorm, "slope": slope,
-                "regularized": regularized, "evals": evals,
-            })
-        if alpha == 0.0:
-            stalls += 1
-            if stalls >= 3:
-                # no further progress representable in floating point
-                return x, k + 1, gnorm <= 5.0 * GRAD_TOL or at_noise, ev.f, z
-            last_step = 0.0
-            continue
-        stalls = 0
-        x = x + alpha * d
-        f_x = f_new
-        last_step = alpha * float(np.linalg.norm(d))
-    return x, MAX_INNER, False, program.values(x)[0], None
-
-
-def _extrapolate(program, tau, x, z):
-    """Start point of the stage at tau and its barrier value.
-
-    x + (1 - 1/MU) z, the first-order central-path prediction from the
-    stage at tau/MU, when the barrier at tau is lower there than at x;
-    otherwise x itself.
-    """
-    f_x = barrier_value(program, tau, x)
-    if z is not None:
-        x_p = x + (1.0 - 1.0 / MU) * z
-        f_p = barrier_value(program, tau, x_p)
-        if f_p < f_x:
-            return x_p, f_p
-    return x, f_x
-
-
-def _seeds(program, tau, x):
-    """The barrier multipliers 1/(tau s) of every row at x, in `refine_multipliers`' blocks."""
-    lam = 1.0 / (tau * _rows(program, x, program.evaluate(x))[1])
-    m, k = program.n_nonlinear, program.n_nonlinear + program.lin_b.size
-    return lam[:m], lam[m:k], lam[k:]
-
-
-def solve_nb(program, history: list | None = None) -> SolveResult:
-    """Interior-point solve of a canonical program via the log barrier.
-
-    Zero-budget coordinates are presolved away and the iterations start
-    from the deterministic interior point of the reduced program.  Given a
-    list `history`, each Newton step appends its record to it.
-    """
-    started = start(program)
-    if started is None:
-        return SolveResult.infeasible("nb")
-    pre, x = started
-    red = pre.program
-
-    rows = red.n_nonlinear + len(red.affine_rows[1])
-    tau = TAU0
-    f_x = barrier_value(red, tau, x)
-    outer = 0
-    inner_total = 0
-    while True:
-        x, iters, converged, f, z = _minimize_stage(red, tau, x, f_x, history)
-        inner_total += iters
-        outer += 1
-        if rows / tau <= GAP_TOL * (1.0 + abs(f)) or tau >= TAU_CEILING:
-            break
-        tau *= MU
-        x, f_x = _extrapolate(red, tau, x, z)
-    return finish(program, pre, x, _seeds(red, tau, x), converged, "nb", outer, inner_total, tau)
-
-
-# ---------------------------------------------------------------------------
-# Lockstep solves of programs that share a layout
-# ---------------------------------------------------------------------------
+#
+# A backend holds K programs at the rows of a (K, n) array X and answers
+# with one Python float per program.  `newton(X, tau)` gives (f, max |g|,
+# g . d, D, Z, slack): objective values, barrier gradient norms and slopes
+# along the Newton directions D (in the backend's layout), central-path
+# tangents Z (K, n) and affine slacks.  `barrier` gives barrier values,
+# `first_steps` min(1, SHRINK * distance to the nearest affine row along
+# D), `norms` the lengths of D, `gnorm` max |barrier gradient|, and
+# `step(X, D, a)` X + a D where a > 0 (the other rows stay).
 
 
 def _layout(p):
     """What programs must share to be stacked: variables, term rows and coordinates, aux rates, affine rows."""
     return (p.n_vars, p.aux_index, p.affine_rows[0].shape,
             tuple((row, ti, yi) for row, _, _, ti, yi in p.term_table))
+
+
+class _One:
+    """One program (K = 1) on the scalar arithmetic of `barrier_value`,
+    `barrier_gradient`, `_newton_direction` and `alpha_linear`; its
+    direction is a vector.  One `evaluate` and one affine-row pass serve
+    each Newton iterate."""
+
+    def __init__(self, program):
+        self.program = program
+        self.n_rows = program.n_nonlinear + len(program.affine_rows[1])
+
+    def barrier(self, X, tau):
+        return [barrier_value(self.program, tau, X[0])]
+
+    def newton(self, X, tau):
+        p, x = self.program, X[0]
+        point = _point(p, x)
+        ev = point[0]
+        g = barrier_gradient(p, tau, x, point)
+        dz, _ = _newton_direction(p, tau, x, np.array((g, ev.grad)).T, point)
+        d = dz[:, 0]
+        return ([ev.f], [float(np.abs(g).max())], [float(g @ d)], d, dz[None, :, 1],
+                point[2][p.n_nonlinear:])
+
+    def first_steps(self, X, d, slack):
+        return [min(1.0, alpha_linear(self.program, X[0], d, slack))]
+
+    def norms(self, d):
+        return [float(np.linalg.norm(d))]
+
+    def gnorm(self, X, tau):
+        return [float(np.abs(barrier_gradient(self.program, tau, X[0])).max())]
+
+    def step(self, X, d, a):
+        return X + a[0] * d if a[0] > 0.0 else X
 
 
 class _Stack:
@@ -436,28 +336,24 @@ class _Stack:
         T = self.T
         return Xi[:, :T], Xi[:, T:2 * T], Xi[:, 2 * T:], (self.Aq @ X[:, :, None])[:, :, 0]
 
-    def values(self, X):
-        """Objective values, epigraph row values and affine slacks (NaN off the domain)."""
-        t, y, aux, Ax = self._terms(X)
-        sums = (self.coeff * (t * np.log1p(self.gamma * y / t))) @ self.R
-        return Ax[:, -1] + sums[:, -1], aux + sums[:, :-1], self.b - Ax[:, :-1]
-
     def barrier(self, X, tau):
         """Barrier values; +inf outside the strict interior.
 
         There a log of a row value or slack is NaN or -inf, and so is the
         sum, or the point has a NaN coordinate.
         """
-        f, c, s = self.values(X)
-        out = f - (np.log(-c).sum(1) + np.log(s).sum(1)) / tau
+        t, y, aux, Ax = self._terms(X)
+        sums = (self.coeff * (t * np.log1p(self.gamma * y / t))) @ self.R
+        out = (Ax[:, -1] + sums[:, -1]
+               - (np.log(-(aux + sums[:, :-1])).sum(1) + np.log(self.b - Ax[:, :-1]).sum(1)) / tau)
         out[np.isnan(out)] = math.inf
-        return out
+        return out.tolist()
 
     def gradient(self, X, tau):
         """The `evaluate` pass and the barrier gradient g, stacked.
 
         Returns (f, grad f, g, c, slacks, row gradients, term factors) with
-        the rows nonlinear first, as in `_rows`, and the factors (v_t, v_y)
+        the rows nonlinear first, as in `_point`, and the factors (v_t, v_y)
         of each term's rank-one Hessian.
         """
         t, y, aux, Ax = self._terms(X)
@@ -484,6 +380,27 @@ class _Stack:
         H = (np.concatenate((a * v0, a * v1, w * v1 * v1), 1) @ self.C).reshape(len(c), self.n, self.n)
         return H + (rows.transpose(0, 2, 1) / (tau * s * s)[:, None, :]) @ rows
 
+    def newton(self, X, tau):
+        f, grad, g, c, s, rows, factors = self.gradient(X, tau)
+        dz = _solve_all(self.hessian(tau, c, s, rows, factors), np.stack((g, grad), 2))
+        D = dz[:, :, 0]
+        return f.tolist(), np.abs(g).max(1).tolist(), (g * D).sum(1).tolist(), D, dz[:, :, 1], s[:, self.m:]
+
+    def first_steps(self, X, D, slack):
+        along = (self.Aq[:, :-1] @ D[:, :, None])[:, :, 0]
+        limit = np.where(along > 0.0, slack / along, ALPHA_CAP).min(1).tolist()
+        return [min(1.0, SHRINK * lim) for lim in limit]
+
+    def norms(self, D):
+        return np.linalg.norm(D, axis=1).tolist()
+
+    def gnorm(self, X, tau):
+        return np.abs(self.gradient(X, tau)[2]).max(1).tolist()
+
+    def step(self, X, D, a):
+        a = np.array(a)[:, None]
+        return np.where(a > 0.0, X + a * D, X)
+
 
 def _solve_all(H, g):
     """Solve H d = -g on every stacked system, a singular one regularized as in `_solve`."""
@@ -493,21 +410,23 @@ def _solve_all(H, g):
         return np.array([_solve(h, r)[0] for h, r in zip(H, g)])
 
 
-def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search):
-    """`_line_search` on the programs listed in `search`.
+# ---------------------------------------------------------------------------
+# The algorithm, on either backend
+# ---------------------------------------------------------------------------
 
-    The trials of all programs are evaluated together; the tests run per
-    program on Python floats, as in `_line_search`.  f_x, slope and gnorm
-    are lists, `slack` the affine slacks at X.  Returns {program: (alpha,
+
+def _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search):
+    """Backtracking (Armijo) steps along D for the programs in `search`, trials evaluated together.
+
+    A trial outside the domain of a nonlinear row has barrier value +inf
+    and is halved like any other failed test.  Returns {program: (alpha,
     barrier value at the new point)} for the programs that take a step.
     """
-    along = (stack.Aq[:, :-1] @ D[:, :, None])[:, :, 0]
-    limit = np.where(along > 0.0, slack / along, ALPHA_CAP).min(1).tolist()
-    a = [min(1.0, SHRINK * lim) for lim in limit]
+    a = be.first_steps(X, D, slack)
     steps, first = {}, {}
     searching = [i for i in search if a[i] > 0.0]
     while searching:
-        f_a = stack.barrier(X + np.array(a)[:, None] * D, tau).tolist()
+        f_a = be.barrier(be.step(X, D, a), tau)
         still = []
         for i in searching:
             if f_a[i] <= f_x[i] + ARMIJO * a[i] * slope[i]:
@@ -516,49 +435,60 @@ def _line_search_all(stack, tau, X, D, f_x, slope, gnorm, slack, search):
             if i not in first and f_a[i] < math.inf:
                 first[i] = (a[i], f_a[i])
             a[i] *= 0.5
+            # stop once the decrease a shorter step predicts is below what
+            # the barrier evaluation resolves
             if a[i] > 0.0 and not -a[i] * slope[i] <= 2e-14 * (1.0 + abs(f_x[i])):
                 still.append(i)
         searching = still
 
-    # the noise-floor rule of `_line_search`
-    near = [i for i in search if i not in steps and i in first
-            and first[i][1] <= f_x[i] + 1e-9 * (1.0 + abs(f_x[i]))]
+    # noise floor: close to the stage optimum the predicted decrease of a
+    # Newton step drops under what the barrier evaluation resolves, so take
+    # the first finite trial whenever it clearly contracts the gradient
+    near = [i for i, (_, f_i) in first.items()
+            if i not in steps and f_i <= f_x[i] + 1e-9 * (1.0 + abs(f_x[i]))]
     if near:
-        trial = np.zeros(len(X))
-        trial[near] = [first[i][0] for i in near]
-        g_a = np.abs(stack.gradient(X + trial[:, None] * D, tau)[2]).max(1).tolist()
+        trial = [0.0] * len(a)
+        for i in near:
+            trial[i] = first[i][0]
+        g_a = be.gnorm(be.step(X, D, trial), tau)
         steps.update((i, first[i]) for i in near if g_a[i] <= 0.5 * gnorm[i])
     return steps
 
 
-def _stage_all(stack, tau, X, f_x):
-    """`_minimize_stage` on every program at once, each stopping on its own.
+def _at_noise(slope, f_x):
+    """Whether the squared Newton decrement -slope is under the barrier's evaluation
+    noise, so that the remaining gradient is representation error."""
+    return max(-slope, 0.0) <= 2e-14 * (1.0 + abs(f_x))
 
-    f_x is a list.  Returns (X, Newton steps, converged, objective, Z) with
-    lists per program, and a row of Z NaN where `_minimize_stage` returns
-    z = None.
+
+def _minimize_stage(be, tau, X, f_x):
+    """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
+
+    A program stops once its last step is at most STEP_TOL long and its
+    gradient at most GRAD_TOL (or at the noise floor), after three stalls
+    in a row, or at MAX_INNER steps.  Returns (X, Newton steps, converged,
+    objective, Z) with Z = -H^-1 grad f at each final iterate, the
+    central-path tangent, NaN where the step cap ends the stage.
     """
     K = len(X)
     run = list(range(K))
     steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
     last_step, stalls = [math.inf] * K, [0] * K
-    for k in range(MAX_INNER):
-        f, grad, g, c, s, rows, factors = stack.gradient(X, tau)
-        dz = _solve_all(stack.hessian(tau, c, s, rows, factors), np.stack((g, grad), 2))
-        D = dz[:, :, 0]
-        gnorm = np.abs(g).max(1).tolist()
-        slope = (g * D).sum(1).tolist()
-        at_noise = [max(-sl, 0.0) <= 2e-14 * (1.0 + abs(fx)) for sl, fx in zip(slope, f_x)]
+    for k in range(MAX_INNER + 1):
+        f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
+        if k == MAX_INNER:
+            for i in run:
+                f_end[i] = f[i]
+            break
         ended, search = [], []
         for i in run:
-            if last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or at_noise[i]):
+            if last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i])):
                 steps[i], converged[i] = k, True
                 ended.append(i)
             else:
                 search.append(i)
-        moves = _line_search_all(stack, tau, X, D, f_x, slope, gnorm, s[:, stack.m:],
-                                 search) if search else {}
+        moves = _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search) if search else {}
         for i in search:
             if i in moves:
                 stalls[i] = 0
@@ -567,76 +497,72 @@ def _stage_all(stack, tau, X, f_x):
                 last_step[i] = 0.0
                 if stalls[i] >= 3:
                     # no further progress representable in floating point
-                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL or at_noise[i]
+                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL or _at_noise(slope[i], f_x[i])
                     ended.append(i)
         if moves:
-            alpha = np.zeros(K)
-            alpha[list(moves)] = [a for a, _ in moves.values()]
-            X = np.where(alpha[:, None] > 0.0, X + alpha[:, None] * D, X)
-            norms = np.linalg.norm(D, axis=1).tolist()
-            for i, (a, f_a) in moves.items():
-                f_x[i], last_step[i] = f_a, a * norms[i]
+            alpha, dnorm = [0.0] * K, be.norms(D)
+            for i, (a_i, f_a) in moves.items():
+                alpha[i] = a_i
+                f_x[i], last_step[i] = f_a, a_i * dnorm[i]
+            X = be.step(X, D, alpha)
         if ended:
-            f = f.tolist()
             for i in ended:
-                f_end[i] = f[i]
-            Z[ended] = dz[ended, :, 1]
+                f_end[i], Z[i] = f[i], dZ[i]
             run = [i for i in run if i not in ended]
             if not run:
                 break
-    if run:
-        f = stack.values(X)[0].tolist()
-        for i in run:
-            f_end[i] = f[i]
     return X, steps, converged, f_end, Z
 
 
-def _path_all(stack, X, tau):
-    """`solve_nb`'s outer loop on every program at once, on one tau schedule from tau.
+def _path(be, X, tau):
+    """The outer loop on one tau schedule from tau, each program leaving at its own gap stop.
 
-    Each program leaves the loop at its own duality-gap stop.  Returns
-    (x, tau, converged, stages, Newton steps) per program.
+    Returns (x, tau, converged, stages, Newton steps) per program.  A NaN
+    prediction has barrier value +inf or NaN and is never kept.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
     stages, steps = [0] * len(X), [0] * len(X)
-    f_x = stack.barrier(X, tau).tolist()
+    f_x = be.barrier(X, tau)
+    ahead = 1.0 - 1.0 / MU
     while True:
-        X, k, converged, f, Z = _stage_all(stack, tau, X, f_x)
+        X, k, converged, f, Z = _minimize_stage(be, tau, X, f_x)
         keep = []
         for j, i in enumerate(live):
             steps[i] += k[j]
             stages[i] += 1
-            if stack.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
+            if be.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
                 out[i] = (X[j], tau, converged[j], stages[i], steps[i])
             else:
                 keep.append(j)
         if not keep:
             return out
         live = [live[j] for j in keep]
-        stack, X, Z = stack.take(keep), X[keep], Z[keep]
+        if len(keep) < len(X):      # never on a `_One`
+            be, X, Z = be.take(keep), X[keep], Z[keep]
         tau *= MU
-        # `_extrapolate`; a NaN prediction has barrier value +inf
-        f_x = stack.barrier(X, tau)
-        X_p = X + (1.0 - 1.0 / MU) * Z
-        f_p = stack.barrier(X_p, tau)
-        ahead = f_p < f_x
-        X = np.where(ahead[:, None], X_p, X)
-        f_x = np.where(ahead, f_p, f_x).tolist()
+        f_x, f_p = be.barrier(X, tau), be.barrier(be.step(X, Z, [ahead] * len(X)), tau)
+        kept = [fp < fx for fp, fx in zip(f_p, f_x)]
+        X = be.step(X, Z, [ahead if up else 0.0 for up in kept])
+        f_x = [fp if up else fx for fp, fx, up in zip(f_p, f_x, kept)]
+
+
+def _seeds(program, tau, x):
+    """The barrier multipliers 1/(tau s) of every row at x, in `refine_multipliers`' blocks."""
+    lam = 1.0 / (tau * _point(program, x)[2])
+    m, k = program.n_nonlinear, program.n_nonlinear + program.lin_b.size
+    return lam[:m], lam[m:k], lam[k:]
+
+
+def solve_nb(program) -> SolveResult:
+    """Interior-point solve of a canonical program via the log barrier, from the
+    deterministic interior point of its presolved (zero budgets pinned) form."""
+    return solve_nb_many([program])[0]
 
 
 def solve_nb_many(programs) -> list[SolveResult]:
-    """`solve_nb` on each program, in order; programs sharing a layout step in lockstep.
-
-    After presolve, each group of at least LOCKSTEP_MIN reduced programs
-    with one `_layout` runs `solve_nb`'s algorithm on stacked arrays: one
-    evaluation, Hessian and `np.linalg.solve` on (K, n, n) per Newton
-    iteration, Armijo halving, stalls and stops per program, one tau
-    schedule with a duality-gap stop per program.  Fewer than LOCKSTEP_MIN
-    programs and smaller groups go through `solve_nb`.
-    """
-    if len(programs) < LOCKSTEP_MIN:
-        return [solve_nb(p) for p in programs]
+    """`solve_nb` on each program, in order: each group of at least LOCKSTEP_MIN programs whose
+    presolved forms share a `_layout` steps in lockstep on a `_Stack`, every other one on a `_One`."""
     results: list = [None] * len(programs)
     groups: dict = {}
     for i, p in enumerate(programs):
@@ -644,16 +570,19 @@ def solve_nb_many(programs) -> list[SolveResult]:
         if started is None:
             results[i] = SolveResult.infeasible("nb")
         else:
-            groups.setdefault(_layout(started[0].program), []).append((i, *started))
+            key = _layout(started[0].program) if len(programs) >= LOCKSTEP_MIN else i
+            groups.setdefault(key, []).append((i, *started))
     for members in groups.values():
-        if len(members) < LOCKSTEP_MIN:
-            for i, *_ in members:
-                results[i] = solve_nb(programs[i])
-            continue
-        stack = _Stack([pre.program for _, pre, _ in members])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            path = _path_all(stack, np.array([x for *_, x in members]), TAU0)
-        for (i, pre, _), (x, tau, converged, stages, steps) in zip(members, path):
-            results[i] = finish(programs[i], pre, x, _seeds(pre.program, tau, x), converged, "nb",
-                                stages, steps, tau)
+        for run in [members] if len(members) >= LOCKSTEP_MIN else [[one] for one in members]:
+            reduced, X = [pre.program for _, pre, _ in run], np.array([x for *_, x in run])
+            if len(run) < LOCKSTEP_MIN:
+                path = _path(_One(reduced[0]), X, TAU0)
+            else:
+                # stacked trials off the domain make NaN and inf, read as barrier +inf; a
+                # ufunc call costs more under errstate, so a `_One` runs outside it
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    path = _path(_Stack(reduced), X, TAU0)
+            for (i, pre, _), (x, tau, converged, stages, steps) in zip(run, path):
+                results[i] = finish(programs[i], pre, x, _seeds(pre.program, tau, x), converged, "nb",
+                                    stages, steps, tau)
     return results

@@ -158,7 +158,8 @@ def _cmd_solve(args) -> int:
         _print_result(solver, spec, cfg, result, tp)
         results[solver] = result
         ok = ok and result.converged
-    if len(results) == 2:
+    # an agreement needs an allocation from both solvers
+    if len(results) == 2 and all(r.x_star is not None for r in results.values()):
         a, b = results["nb"].objective_bits, results["quad"].objective_bits
         rel = abs(a - b) / max(1.0, abs(a))
         print(f"solver agreement: {rel:.3e} relative")

@@ -13,10 +13,9 @@ from ehcoop.barrier import (
     LOCKSTEP_MIN,
     MU,
     TAU0,
-    _extrapolate,
     _line_search,
-    _line_search_all,
     _newton_direction,
+    _One,
     _solve,
     _solve_all,
     _Stack,
@@ -70,11 +69,34 @@ def relay_program(rho=0.3):
     return build_problem(spec, NetworkConfig())
 
 
+def noise_floor_program():
+    """A relay program some of whose late Newton steps are taken by the noise-floor rule."""
+    spec = ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.0)
+    return build_problem(spec, NetworkConfig(d1=1.8, du=0.2))
+
+
 def screen_programs(cfg, case, objective):
     """The S1 programs of one rho screen, in grid order."""
     ch = derive_channels(cfg)
     return [build_problem(ScenarioSpec(Scenario.S1, case, objective, rho), cfg, ch)
             for rho in rho_candidates(ch)]
+
+
+def spy_line_searches(monkeypatch):
+    """Record every `_line_search` call: its arguments (f_x copied before the
+    stage updates it) and the steps it returns."""
+    calls = []
+    real = barrier._line_search
+
+    def spy(be, tau, X, D, f_x, slope, gnorm, slack, search):
+        call = {"be": be, "tau": tau, "X": X, "D": D, "f_x": list(f_x), "slope": slope,
+                "gnorm": gnorm, "slack": slack, "search": search}
+        call["steps"] = real(be, tau, X, D, f_x, slope, gnorm, slack, search)
+        calls.append(call)
+        return call["steps"]
+
+    monkeypatch.setattr(barrier, "_line_search", spy)
+    return calls
 
 
 def assert_same_solve(lock, scalar):
@@ -197,54 +219,81 @@ def test_infeasible_program_is_reported_not_raised():
     assert math.isnan(res.objective_bits)
 
 
-def test_history_records_monotone_stages():
-    history = []
-    solve_nb(relay_program(), history)
-    assert history
-    taus = [h["tau"] for h in history]
-    assert taus == sorted(taus)
+def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
+    searches = spy_line_searches(monkeypatch)
+    regularized = []
+    real = barrier._solve
+
+    def solve(H, g):
+        out = real(H, g)
+        regularized.append(out[1])
+        return out
+
+    monkeypatch.setattr(barrier, "_solve", solve)
+    assert solve_nb(relay_program()).converged
+    taus = [c["tau"] for c in searches]
+    assert taus and taus == sorted(taus)
     assert taus[0] == pytest.approx(TAU0)
-    for h in history:
-        assert isinstance(h["regularized"], bool)
-        assert isinstance(h["evals"], int)
-        if h["alpha"] > 0.0:
-            assert h["evals"] >= 1
-            # accepted steps never raise the barrier beyond evaluation noise
-            assert h["barrier_next"] <= h["barrier"] + 1e-9 * (1.0 + abs(h["barrier"]))
     # the relay Hessians are well conditioned: no step needed regularizing
-    assert not any(h["regularized"] for h in history)
+    assert regularized and not any(regularized)
 
 
 # -- the backtracking line search on a relay program --------------------------
 
 
-def test_accepted_steps_pass_armijo_or_the_noise_floor_rule():
-    hist = []
-    solve_nb(relay_program(), hist)
-    accepted = 0
-    for h, nxt in zip(hist, hist[1:] + [None]):
-        if h["alpha"] == 0.0:
-            continue
-        accepted += 1
-        assert h["slope"] < 0.0
-        if h["barrier_next"] <= h["barrier"] + ARMIJO * h["alpha"] * h["slope"]:
-            continue
-        # noise floor: no rise beyond evaluation noise, and the gradient at
-        # the new point (the next entry of the same stage) at least halves
-        assert h["barrier_next"] <= h["barrier"] + 1e-9 * (1.0 + abs(h["barrier"]))
-        if nxt is not None and nxt["tau"] == h["tau"]:
-            assert nxt["grad_norm"] <= 0.5 * h["grad_norm"]
-    assert accepted > 0
+def test_accepted_steps_pass_armijo_or_the_noise_floor_rule(monkeypatch):
+    # the default relay program takes no noise-floor step; the other one does
+    searches = spy_line_searches(monkeypatch)
+    solve_nb(relay_program())
+    solve_nb(noise_floor_program())
+    accepted, noise_floor = 0, 0
+    for c in searches:
+        for i, (alpha, f_new) in c["steps"].items():
+            accepted += 1
+            f_x, slope = c["f_x"][i], c["slope"][i]
+            assert slope < 0.0
+            if f_new <= f_x + ARMIJO * alpha * slope:
+                continue
+            # noise floor: no rise beyond evaluation noise, and the gradient
+            # at the new point at least halves
+            noise_floor += 1
+            assert f_new <= f_x + 1e-9 * (1.0 + abs(f_x))
+            trial = [0.0] * len(c["f_x"])
+            trial[i] = alpha
+            be = c["be"]
+            assert be.gnorm(be.step(c["X"], c["D"], trial), c["tau"])[i] <= 0.5 * c["gnorm"][i]
+    assert accepted > 0 and noise_floor > 0
 
 
-def test_line_search_needs_few_barrier_evaluations_per_step():
-    hist = []
-    solve_nb(relay_program(), hist)
-    mean_evals = sum(h["evals"] for h in hist) / len(hist)
-    assert mean_evals <= 3.0
+def count_barrier_values(monkeypatch):
+    """A list that grows by one per `barrier_value` call."""
+    evals = []
+    real = barrier.barrier_value
+
+    def counted(program, tau, x):
+        evals.append(tau)
+        return real(program, tau, x)
+
+    monkeypatch.setattr(barrier, "barrier_value", counted)
+    return evals
 
 
-def test_step_across_a_perspective_row_is_cut_back_inside():
+def test_line_search_needs_few_barrier_evaluations_per_step(monkeypatch):
+    evals, per_search = count_barrier_values(monkeypatch), []
+    real = barrier._line_search
+
+    def search(*args):
+        before = len(evals)
+        out = real(*args)
+        per_search.append(len(evals) - before)
+        return out
+
+    monkeypatch.setattr(barrier, "_line_search", search)
+    solve_nb(relay_program())
+    assert per_search and sum(per_search) / len(per_search) <= 3.0
+
+
+def test_step_across_a_perspective_row_is_cut_back_inside(monkeypatch):
     p = relay_program()
     x = initial_point(p).x.copy()
     tau = 10.0
@@ -259,9 +308,13 @@ def test_step_across_a_perspective_row_is_cut_back_inside():
     g = barrier_gradient(p, tau, x)
     slope = float(g @ d)
     assert slope < 0.0
-    alpha, f_new, evals = _line_search(p, tau, x, d, f_x, slope, float(np.abs(g).max()))
+    A, b = p.affine_rows
+    evals = count_barrier_values(monkeypatch)
+    steps = _line_search(_One(p), tau, x[None], d, [f_x], [slope], [float(np.abs(g).max())],
+                         b - A @ x, [0])
+    alpha, f_new = steps[0]
     assert 0.0 < alpha < 1.0
-    assert evals >= 2
+    assert len(evals) >= 2
     new = x + alpha * d
     assert all(p.nonlinear_value(j, new) < 0.0 for j in range(p.n_nonlinear))
     assert (p.lin_b - p.lin_A @ new).min() > 0.0
@@ -273,13 +326,13 @@ def test_step_across_a_perspective_row_is_cut_back_inside():
 # -- central-path predictor and the gap stop ----------------------------------
 
 
-def test_relay_solve_needs_few_newton_steps():
+def test_relay_solve_needs_few_newton_steps(monkeypatch):
     # late stages start from the predicted point and finish in one step
-    history = []
-    res = solve_nb(relay_program(), history)
+    searches = spy_line_searches(monkeypatch)
+    res = solve_nb(relay_program())
     assert res.converged
     assert res.inner_iters <= 45
-    late = [h["tau"] for h in history if h["tau"] >= 1e8]
+    late = [c["tau"] for c in searches if c["tau"] >= 1e8]
     assert late and len(late) == len(set(late))
 
 
@@ -293,26 +346,43 @@ def test_solve_stops_on_the_duality_gap():
     assert rows * MU / res.tau_final > GAP_TOL * (1.0 + abs(f))
 
 
-def test_prediction_that_raises_the_barrier_is_rejected():
+def test_prediction_that_raises_the_barrier_is_rejected(monkeypatch):
     p = relay_program()
     x = initial_point(p).x
-    tau = 100.0
+    tau = TAU0 * MU          # the weight of the second stage
     g = barrier_gradient(p, tau, x)
     f_x = barrier_value(p, tau, x)
     scale = 1e-3 / (1.0 - 1.0 / MU)
-    # uphill: the barrier rises along +g
-    start, f_start = _extrapolate(p, tau, x, scale * g)
-    assert barrier_value(p, tau, x + 1e-3 * g) > f_x
-    assert np.array_equal(start, x) and f_start == f_x
-    # out of the domain: the barrier is +inf there
     out = np.zeros_like(x)
     out[p.t_indices[0]] = -2.0 * x[p.t_indices[0]] / (1.0 - 1.0 / MU)
-    start, f_start = _extrapolate(p, tau, x, out)
-    assert np.array_equal(start, x) and f_start == f_x
-    # downhill: the prediction is kept with its barrier value
-    start, f_start = _extrapolate(p, tau, x, -scale * g)
-    assert np.allclose(start, x - 1e-3 * g)
-    assert f_start < f_x and f_start == barrier_value(p, tau, start)
+
+    def second_stage_start(backend, z):
+        """Where `_path` starts the second stage after a first one ending at x with tangent z."""
+        starts = []
+
+        def stage(be, tau, X, f_x):
+            starts.append((X[0].copy(), f_x[0]))
+            # the first stage leaves the gap open, the second closes it
+            return X, [1], [True], [1e30 if len(starts) > 1 else 0.0], z[None]
+
+        monkeypatch.setattr(barrier, "_minimize_stage", stage)
+        with np.errstate(invalid="ignore"):     # as in `solve_nb_many`
+            barrier._path(backend(p), x[None], TAU0)
+        return starts[1]
+
+    # `_One` has the arithmetic of `barrier_value`; a stack agrees with it to a few ulps
+    for backend, rel in ((_One, 0.0), (lambda p: _Stack([p]), 1e-14)):
+        # uphill: the barrier rises along +g
+        start, f_start = second_stage_start(backend, scale * g)
+        assert barrier_value(p, tau, x + 1e-3 * g) > f_x
+        assert np.array_equal(start, x) and f_start == pytest.approx(f_x, rel=rel, abs=0.0)
+        # out of the domain: the barrier is +inf there
+        start, f_start = second_stage_start(backend, out)
+        assert np.array_equal(start, x) and f_start == pytest.approx(f_x, rel=rel, abs=0.0)
+        # downhill: the prediction is kept with its barrier value
+        start, f_start = second_stage_start(backend, -scale * g)
+        assert np.allclose(start, x - 1e-3 * g)
+        assert f_start < f_x and f_start == pytest.approx(barrier_value(p, tau, start), rel=rel, abs=0.0)
 
 
 def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
@@ -320,9 +390,9 @@ def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
     base = solve_nb(relay_program())
     real = barrier._minimize_stage
 
-    def uphill(program, tau, x, f_x, history):
-        x, k, ok, f, z = real(program, tau, x, f_x, history)
-        return x, k, ok, f, None if z is None else -z
+    def uphill(be, tau, X, f_x):
+        X, k, ok, f, Z = real(be, tau, X, f_x)
+        return X, k, ok, f, -Z
 
     monkeypatch.setattr(barrier, "_minimize_stage", uphill)
     res = solve_nb(relay_program())
@@ -388,46 +458,42 @@ def test_mixed_layouts_and_infeasible_programs_keep_their_order():
         assert_same_solve(lock, solve_nb(p))
 
 
-def test_small_groups_go_through_solve_nb(monkeypatch):
-    calls = []
-    real = barrier.solve_nb
+def test_small_groups_run_on_one(monkeypatch):
+    paths = []
+    real = barrier._path
 
-    def counted(program):
-        calls.append(program)
-        return real(program)
+    def spy(be, X, tau):
+        paths.append((type(be), len(X)))
+        return real(be, X, tau)
 
-    monkeypatch.setattr(barrier, "solve_nb", counted)
+    monkeypatch.setattr(barrier, "_path", spy)
     programs = screen_programs(NetworkConfig(), Case.A, Objective.WEIGHTED_SUM)
+    solve_nb(programs[0])
+    assert paths == [(_One, 1)]
+    paths.clear()
     solve_nb_many(programs[:LOCKSTEP_MIN - 1])
-    assert len(calls) == LOCKSTEP_MIN - 1
-    calls.clear()
+    assert paths == [(_One, 1)] * (LOCKSTEP_MIN - 1)
+    paths.clear()
     solve_nb_many(programs[:LOCKSTEP_MIN])
-    assert calls == []
+    assert paths == [(_Stack, LOCKSTEP_MIN)]
 
 
 def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):
-    # capture a step that the scalar search takes by the noise-floor rule
-    # (it fails the Armijo test), then search it again on stacked copies
-    seen = []
-    real = barrier._line_search
-
-    def spy(program, tau, x, d, f_x, slope, gnorm):
-        out = real(program, tau, x, d, f_x, slope, gnorm)
-        if out[0] > 0.0 and out[1] > f_x + ARMIJO * out[0] * slope:
-            seen.append(((program, tau, x, d, f_x, slope, gnorm), out[:2]))
-        return out
-
-    monkeypatch.setattr(barrier, "_line_search", spy)
-    cfg = NetworkConfig(d1=1.8, du=0.2)
-    solve_nb(build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.0), cfg))
+    # capture a step that the search on `_One` takes by the noise-floor rule
+    # (it fails the Armijo test), then search it again on a stack of copies
+    searches = spy_line_searches(monkeypatch)
+    solve_nb(noise_floor_program())
+    seen = [c for c in searches if 0 in c["steps"]
+            and c["steps"][0][1] > c["f_x"][0] + ARMIJO * c["steps"][0][0] * c["slope"][0]]
     assert seen
-    (p, tau, x, d, f_x, slope, gnorm), step = seen[0]
-    stack = _Stack([p] * 3)
-    X, D = np.array([x] * 3), np.array([d] * 3)
+    c = seen[0]
+    assert isinstance(c["be"], _One)
+    stack = _Stack([c["be"].program] * 3)
+    X, D, slack = (np.array([v] * 3) for v in (c["X"][0], c["D"], c["slack"]))
     # the second program is not searching
-    steps = _line_search_all(stack, tau, X, D, [f_x] * 3, [slope] * 3, [gnorm] * 3,
-                             stack.values(X)[2], [0, 2])
-    assert steps == {0: step, 2: step}
+    steps = _line_search(stack, c["tau"], X, D, c["f_x"] * 3, c["slope"] * 3, c["gnorm"] * 3,
+                         slack, [0, 2])
+    assert steps == {0: c["steps"][0], 2: c["steps"][0]}
 
 
 def test_singular_stacked_system_is_regularized_alone():

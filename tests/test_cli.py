@@ -44,6 +44,16 @@ def test_solve_both_exits_two_when_the_solvers_disagree(gap, expected, monkeypat
     assert ("disagree" in err) == (expected == 2)
 
 
+def test_solve_both_without_an_allocation_prints_no_agreement(capsys):
+    # no start point at 1e-6 mW: both solvers report infeasible
+    code = main(["solve", "--scenario", "S4", "--case", "A", "--X1", "1e-6", "--X2", "1e-6",
+                 "--solver", "both"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[nb]" in out and "[quad]" in out
+    assert "agreement" not in out and "nan" not in out
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--scenario", "S4", "--case", "A", "--frequency", "2.4"])

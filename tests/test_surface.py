@@ -1,10 +1,11 @@
 """The documented library surface, the engine names the benchmark trace
-wraps, and no dead imports in the engine."""
+wraps, and no dead imports or trace-only functions in the engine."""
 
 import ast
 import glob
 import os
 import re
+import types
 
 import ehcoop
 
@@ -60,3 +61,46 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         unused.append(f"{os.path.basename(path)}: {name}")
     assert not unused
+
+
+# functions the benchmark trace wraps that nothing in the engine uses, and why they stay
+UNUSED_TRACED = {
+    "alpha_log_bisection": "dead solver helper; ROADMAP item 1 deletes it with the next benchmark change",
+    "bisect_sign_change": "dead solver helper, used only by alpha_log_bisection; ROADMAP item 1",
+    "golden_section_min": "dead solver helper; ROADMAP item 1",
+    "nonlinear_values": "dead ConvexProgram method; ROADMAP item 1",
+    "perspective_value": "the scalar reference tests compare the compiled term pass against",
+    "perspective_gradient": "the scalar reference tests compare the compiled gradients against",
+}
+
+
+def engine_references() -> set:
+    """Every name and attribute `src/ehcoop` reads, outside a function of that name."""
+    refs = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            refs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in glob.glob(os.path.join(ROOT, "src", "ehcoop", "*.py")):
+        with open(path) as fh:
+            visit(ast.parse(fh.read(), path), frozenset())
+    return refs
+
+
+def test_every_traced_engine_function_is_used_by_the_engine(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from tracing import TARGETS
+
+    def module_of(owner):
+        return owner.__name__ if isinstance(owner, types.ModuleType) else owner.__module__
+
+    traced = {attr for owner, attr, _ in TARGETS if module_of(owner).startswith("ehcoop")}
+    assert set(UNUSED_TRACED) <= traced
+    assert sorted(traced - engine_references() - set(UNUSED_TRACED)) == []
