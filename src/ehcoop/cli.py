@@ -244,8 +244,8 @@ def _cmd_validate(args) -> int:
     else:
         spec = ScenarioSpec(Scenario.S3, Case.A, Objective.WEIGHTED_SUM)
     tag = f"{spec.scenario.value}-A"
-    # probe the presolved program: a zero-budget energy sits at a placeholder
-    # within a difference step of y = 0
+    # probe the presolved program: presolve pins zero-budget energies, so no
+    # coordinate of the start sits within a difference step of y = 0
     started = presolved_start(build_problem(spec, cfg, ch))
     if started is None:
         raise RuntimeError(f"the {tag} program has no interior point to check derivatives at")

@@ -13,13 +13,12 @@ and the assembled barrier derivatives against central differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import barrier_gradient, barrier_hessian, barrier_value
-from .program import LN2, Allocation, ConvexProgram
+from .program import LN2, Allocation, ConvexProgram, aux_bounds
 
 
 @dataclass(frozen=True)
@@ -83,19 +82,13 @@ def brute_force_grid(p: ConvexProgram, grid: GridSpec | None = None) -> GridResu
             raise ValueError(f"energy {p.var_names[yi]} has no budget row")
         energies[yi] = np.clip(bound, 0.0, None)
 
-    def rate(term) -> np.ndarray:
-        T = times[term.t_index]
-        Y = energies[term.y_index]
-        return term.coeff * T * np.log1p(term.gamma * Y / T)
-
-    if p.epigraph:
-        # max-min objective: the shared rate is the smallest epigraph bound
-        value = None
-        for con in p.epigraph:
-            branch = sum(rate(tm) for tm in con.terms)
-            value = branch if value is None else np.minimum(value, branch)
-    else:
-        value = sum(rate(tm) for tm in p.objective_terms)
+    # each row's sum of weighted rates over the grid, the objective's last
+    sums = [0.0] * (len(p.aux_index) + 1)
+    for row, gamma, coeff, ti, yi in p.term_table:
+        T = times[ti]
+        sums[row] += coeff * T * np.log1p(gamma * energies[yi] / T)
+    # max-min objective: the shared rate is the smallest epigraph bound
+    value = np.min(sums[:-1], axis=0) if p.aux_index else sums[-1]
 
     value = np.where(feasible, value, -np.inf)
     flat = int(np.argmax(value))
@@ -106,13 +99,8 @@ def brute_force_grid(p: ConvexProgram, grid: GridSpec | None = None) -> GridResu
     x[i1], x[i2] = axis[r], axis[c]
     for yi in p.y_indices:
         x[yi] = float(energies[yi][r, c])
-    for con in p.epigraph:
-        branch = -sum(
-            tm.coeff * (-x[tm.t_index] * math.log1p(tm.gamma * x[tm.y_index] / x[tm.t_index]))
-            if x[tm.t_index] > 0 else 0.0
-            for tm in con.terms
-        )
-        x[con.aux_index] = min(x[con.aux_index], branch) if x[con.aux_index] else branch
+    for aux, bound in aux_bounds(p, x).items():
+        x[aux] = bound
     return GridResult(
         best=Allocation(x=x),
         objective_bits=best_nats / LN2,

@@ -14,19 +14,22 @@ is the (negated) throughput of a transmission of energy y spread over time
 t at SNR coefficient gamma.  l is jointly convex in (t, y) with an exact
 rank-one Hessian, which both solvers exploit.
 
-Programs are small (at most eight variables) so everything is dense.
-Instances are immutable after construction, which compiles every term into
-a flat table of (row, gamma, coeff, t_index, y_index), row -1 for the
-objective.  `ConvexProgram.evaluate` makes one pass over it in Python floats
-for the objective value and gradient, the epigraph row values c and
-gradients G, and each term's rank-one Hessian factor v; `values` is the
-same pass without derivatives.  The per-row methods read from these passes.
+Programs are small (at most eight variables) so everything is dense.  A
+`ConvexProgram` is held in one form only: a flat table of (row, gamma,
+coeff, t_index, y_index), one entry per term and row -1 for the objective,
+the rate variable of each epigraph row, and the linear rows as (A, b).
+Builders write that table directly and presolve filters and renumbers it;
+instances are not changed after construction.  `ConvexProgram.evaluate`
+makes one pass over the table in Python floats for the objective value and
+gradient, the epigraph row values c and gradients G, and each term's
+rank-one Hessian factor v; `values` is the same pass without derivatives.
+The per-row methods read from these passes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -72,53 +75,12 @@ def perspective_gradient(gamma: float, t: float, y: float):
     return g, v
 
 
-@dataclass(frozen=True)
-class PerspectiveTerm:
-    """One weighted perspective term c * l(gamma; x[t_index], x[y_index])."""
-
-    gamma: float
-    t_index: int
-    y_index: int
-    coeff: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.coeff <= 0:
-            raise ValueError("term coefficient must be positive")
-        if self.t_index == self.y_index:
-            raise ValueError("t and y must be distinct coordinates")
-
-
-@dataclass(frozen=True)
-class EpigraphConstraint:
-    """x[aux_index] + sum of perspective terms <= 0.
-
-    Since each term is -t*ln(1+...), this caps the auxiliary rate variable
-    by a weighted sum of link throughputs (in nats).
-    """
-
-    aux_index: int
-    terms: tuple[PerspectiveTerm, ...]
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """a . x <= b."""
-
-    a: tuple[float, ...]
-    b: float
-    label: str = ""
-
-
 @dataclass
 class Allocation:
     """A point in program coordinates.
 
-    `degenerate` lists coordinates whose feasible range collapsed to a
-    single boundary value (zero energy budgets); such coordinates carry an
-    epsilon placeholder rather than a strictly interior value.
+    `degenerate` lists the coordinates presolve pinned at zero: energies
+    without a budget and the rates they silence.
     """
 
     x: np.ndarray
@@ -165,39 +127,49 @@ class Evaluation(NamedTuple):
 
 @dataclass
 class ConvexProgram:
-    """Dense canonical form of one allocation problem."""
+    """Dense canonical form of one allocation problem.
+
+    `term_table` holds one (row, gamma, coeff, t_index, y_index) per
+    perspective term, row -1 for the objective and j for epigraph row j,
+    whose rate variable is `aux_index[j]`.  `labels` names the epigraph
+    rows, then the linear rows `lin_A x <= lin_b`.
+    """
 
     n_vars: int
     objective_linear: np.ndarray
-    objective_terms: tuple[PerspectiveTerm, ...]
-    epigraph: tuple[EpigraphConstraint, ...]
-    linear: tuple[LinearConstraint, ...]
+    term_table: tuple
+    aux_index: tuple[int, ...]
+    lin_A: np.ndarray
+    lin_b: np.ndarray
     t_indices: tuple[int, ...]
     y_indices: tuple[int, ...]
     var_names: tuple[str, ...]
-    lin_A: np.ndarray = field(init=False, repr=False)
-    lin_b: np.ndarray = field(init=False, repr=False)
-    term_table: tuple = field(init=False, repr=False)
-    aux_index: tuple = field(init=False, repr=False)   # aux variable of each epigraph row
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        rows = [(-1, self.objective_terms)] + [(j, c.terms) for j, c in enumerate(self.epigraph)]
-        self.term_table = tuple((row, float(tm.gamma), float(tm.coeff), tm.t_index, tm.y_index)
-                                for row, terms in rows for tm in terms)
-        self.aux_index = tuple(con.aux_index for con in self.epigraph)
+        m = len(self.aux_index)
+        self.term_table = tuple((row, float(gamma), float(coeff), ti, yi)
+                                for row, gamma, coeff, ti, yi in self.term_table)
+        for row, gamma, coeff, ti, yi in self.term_table:
+            if gamma <= 0:
+                raise ValueError("gamma must be positive")
+            if coeff <= 0:
+                raise ValueError("term coefficient must be positive")
+            if ti == yi:
+                raise ValueError("t and y must be distinct coordinates")
+            if not -1 <= row < m:
+                raise ValueError(f"term row {row} is out of range")
         self.objective_linear = np.asarray(self.objective_linear, dtype=float)
+        self.lin_A = np.asarray(self.lin_A, dtype=float)
+        self.lin_b = np.asarray(self.lin_b, dtype=float)
         if self.objective_linear.shape != (self.n_vars,):
             raise ValueError("objective vector has wrong length")
         if len(self.var_names) != self.n_vars:
             raise ValueError("need one name per variable")
-        if self.linear:
-            self.lin_A = np.array([c.a for c in self.linear], dtype=float)
-            self.lin_b = np.array([c.b for c in self.linear], dtype=float)
-            if self.lin_A.shape[1] != self.n_vars:
-                raise ValueError("linear constraint row has wrong length")
-        else:
-            self.lin_A = np.zeros((0, self.n_vars))
-            self.lin_b = np.zeros(0)
+        if self.lin_A.shape != (len(self.lin_b), self.n_vars):
+            raise ValueError("linear constraint rows have the wrong shape")
+        if len(self.labels) != m + len(self.lin_b):
+            raise ValueError("need one label per epigraph and linear row")
 
     # -- rows and the compiled term pass ---------------------------------
 
@@ -215,7 +187,7 @@ class ConvexProgram:
 
     @property
     def n_nonlinear(self) -> int:
-        return len(self.epigraph)
+        return len(self.aux_index)
 
     def term_sums(self, xs: list) -> list:
         """Each row's sum of coeff * l over its terms at the point xs, the objective's last."""
@@ -315,12 +287,11 @@ def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
 # Interior starting point
 # ---------------------------------------------------------------------------
 
-_DEGENERATE_FLOOR = 1e-9
 # slack every row must keep at the start point
 _START_MARGIN = 1e-9
 
 
-def initial_point(p: ConvexProgram) -> Allocation:
+def initial_point(p: ConvexProgram) -> np.ndarray:
     """Deterministic strictly interior starting point.
 
     Times get an equal share 0.8/(m+1) so the idle slot keeps 20% plus one
@@ -329,41 +300,31 @@ def initial_point(p: ConvexProgram) -> Allocation:
     energies counted as zero, earlier ones at their chosen values).  Each
     auxiliary rate starts at 90% of its tightest epigraph bound.
 
-    Zero-budget energies (for example when an arrival rate is 0) make a
-    strict interior impossible; those coordinates get a tiny placeholder
-    and are reported in `Allocation.degenerate`.  Solvers are expected to
-    eliminate them with `presolve_program` first.  A positive budget too
-    small to leave `_START_MARGIN` of slack raises instead, as any other
-    program without a strict interior does.
+    A program whose point keeps less than `_START_MARGIN` of slack on some
+    row raises: zero budgets included, which `presolve_program` removes
+    before either solver starts.
     """
     x = np.zeros(p.n_vars)
     m = len(p.t_indices)
     for i in p.t_indices:
         x[i] = 0.8 / (m + 1)
 
-    degenerate = []
     for yi in p.y_indices:
         bound = math.inf
-        for row, (a, b) in enumerate(zip(p.lin_A, p.lin_b)):
+        for a, b in zip(p.lin_A, p.lin_b):
             if a[yi] > 0:
                 slack = b - float(a @ x) + a[yi] * x[yi]
                 bound = min(bound, slack / a[yi])
-        if bound == math.inf:
-            x[yi] = 1.0
-        elif bound <= 0.0:
-            x[yi] = _DEGENERATE_FLOOR
-            degenerate.append(yi)
-        else:
-            x[yi] = 0.5 * bound
+        x[yi] = 1.0 if bound == math.inf else 0.5 * max(bound, 0.0)
 
     for aux, bound in aux_bounds(p, x).items():
         x[aux] = 0.9 * bound
 
-    if not degenerate and p.max_violation(x) > -_START_MARGIN:
+    if p.max_violation(x) > -_START_MARGIN:
         raise InfeasibleProgramError(
             f"could not construct an interior point (margin {p.max_violation(x):.3g})"
         )
-    return Allocation(x=x, degenerate=tuple(degenerate))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -415,58 +376,44 @@ def presolve_program(p: ConvexProgram) -> PresolvedProgram:
 
     An energy coordinate is pinned when its best-case budget, walking the
     linear constraints in transmission order with every earlier energy at
-    its own best-case value, is zero.  Epigraph constraints that lose all
-    their terms force their rate variable to zero as well.  The reduced
-    program drops the pinned columns and any constraints made vacuous.
+    its own best-case value, is zero.  Epigraph rows that lose all their
+    terms force their rate variable to zero as well.  The reduced program
+    drops the pinned columns, their terms and any rows made vacuous.
     """
     ybar = energy_caps(p)
-    pinned: set[int] = set()
-    for yi in p.y_indices:
-        if ybar[yi] <= 1e-15:
-            pinned.add(yi)
-
-    live_epigraph = []
-    for con in p.epigraph:
-        terms = tuple(tm for tm in con.terms if tm.y_index not in pinned)
-        if terms:
-            live_epigraph.append(EpigraphConstraint(con.aux_index, terms, con.label))
-        else:
-            pinned.add(con.aux_index)
-    # a rate pinned by one empty epigraph row is capped at zero everywhere
-    live_epigraph = [c for c in live_epigraph if c.aux_index not in pinned]
-
+    pinned = {yi for yi in p.y_indices if ybar[yi] <= 1e-15}
+    m = len(p.aux_index)
+    live = {row for row, _, _, _, yi in p.term_table if yi not in pinned}
+    pinned |= {aux for j, aux in enumerate(p.aux_index) if j not in live}
     if not pinned:
-        keep = np.arange(p.n_vars)
-        return PresolvedProgram(program=p, keep=keep, pinned=(), n_full=p.n_vars)
+        return PresolvedProgram(program=p, keep=np.arange(p.n_vars), pinned=(), n_full=p.n_vars)
 
     keep = np.array([i for i in range(p.n_vars) if i not in pinned])
     remap = {old: new for new, old in enumerate(keep)}
-
-    def remap_term(tm: PerspectiveTerm) -> PerspectiveTerm:
-        return PerspectiveTerm(tm.gamma, remap[tm.t_index], remap[tm.y_index], tm.coeff)
-
-    obj_terms = tuple(remap_term(tm) for tm in p.objective_terms if tm.y_index not in pinned)
-    epigraph = tuple(
-        EpigraphConstraint(remap[c.aux_index], tuple(remap_term(tm) for tm in c.terms), c.label)
-        for c in live_epigraph
-    )
-    linear = []
-    for con in p.linear:
-        a = np.asarray(con.a)[keep]
-        if np.any(a != 0.0):
-            linear.append(LinearConstraint(tuple(a), con.b, con.label))
-        elif con.b < 0:
-            raise InfeasibleProgramError(f"constraint {con.label or con} is infeasible after presolve")
+    # a rate pinned by one empty epigraph row is capped at zero everywhere
+    rows = [j for j, aux in enumerate(p.aux_index) if aux not in pinned]
+    renumber = {old: new for new, old in enumerate(rows)}
+    renumber[-1] = -1
+    table = tuple((renumber[row], gamma, coeff, remap[ti], remap[yi])
+                  for row, gamma, coeff, ti, yi in p.term_table
+                  if row in renumber and yi not in pinned)
+    lin_A = p.lin_A[:, keep]
+    lin = lin_A.any(axis=1)
+    for j in np.flatnonzero(~lin):
+        if p.lin_b[j] < 0:
+            raise InfeasibleProgramError(f"constraint {p.labels[m + j]} is infeasible after presolve")
 
     reduced = ConvexProgram(
         n_vars=len(keep),
         objective_linear=p.objective_linear[keep],
-        objective_terms=obj_terms,
-        epigraph=epigraph,
-        linear=tuple(linear),
+        term_table=table,
+        aux_index=tuple(remap[p.aux_index[j]] for j in rows),
+        lin_A=lin_A[lin],
+        lin_b=p.lin_b[lin],
         t_indices=tuple(remap[i] for i in p.t_indices),
         y_indices=tuple(remap[i] for i in p.y_indices if i not in pinned),
         var_names=tuple(p.var_names[i] for i in keep),
+        labels=tuple(p.labels[j] for j in rows) + tuple(p.labels[m + j] for j in np.flatnonzero(lin)),
     )
     return PresolvedProgram(program=reduced, keep=keep, pinned=tuple(sorted(pinned)), n_full=p.n_vars)
 
@@ -587,9 +534,9 @@ def maximized_bits(program, x) -> float:
 
 def start(program: ConvexProgram):
     """(presolve, start point of the reduced program), or None without an interior point."""
-    pre = presolve_program(program)
     try:
-        return pre, initial_point(pre.program).x.astype(float)
+        pre = presolve_program(program)
+        return pre, initial_point(pre.program)
     except InfeasibleProgramError:
         return None
 

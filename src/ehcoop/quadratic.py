@@ -22,8 +22,7 @@ certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
 
 A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
-at call time.  `solve_iterative(program, history)` appends a record of the
-start and of each accepted round to a list the caller passes.
+at call time.  It keeps no per-round log.
 """
 
 from __future__ import annotations
@@ -233,21 +232,18 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
 # ---------------------------------------------------------------------------
 
 
-def _clamp_aux(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
-    """Pull rate variables down onto the true epigraph feasible region."""
+def _under_caps(p: ConvexProgram, x: np.ndarray, backoff: float) -> np.ndarray:
+    """x with each rate variable at most its epigraph cap at x, less
+    `backoff` (1 + |cap|): 0 pulls the rates onto the true feasible region,
+    a positive back-off recenters them so every subproblem row starts slack."""
     x = x.copy()
     for aux, bound in aux_bounds(p, x).items():
-        if x[aux] > bound:
-            x[aux] = bound
+        x[aux] = min(x[aux], bound) - backoff * (1.0 + abs(bound))
     return x
 
 
-def _ipm_start(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
-    """Recenter the rate variables so every subproblem row starts slack."""
-    x = x.copy()
-    for aux, bound in aux_bounds(p, x).items():
-        x[aux] = min(x[aux], bound) - 1e-3 * (1.0 + abs(bound))
-    return x
+# the interior-point start keeps each rate this far (relative) below its cap
+_IPM_BACKOFF = 1e-3
 
 
 # trust region schedule: the quadratic model of a log is only locally
@@ -330,7 +326,7 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
             new[yi] = hi * new[ti]
         else:
             new[ti] = new[yi] / hi
-    new = _clamp_aux(p, new)
+    new = _under_caps(p, new, 0.0)
     return new if p.max_violation(new) <= max(p.max_violation(x), 0.0) else x
 
 
@@ -342,14 +338,12 @@ def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_iterative(program: ConvexProgram, history: list | None = None) -> SolveResult:
+def solve_iterative(program: ConvexProgram) -> SolveResult:
     """Repeated quadratization until the solution stops moving.
 
     `outer_iters` on the result counts the rebuilds that moved the solution
     by more than `_SETTLE_TOL` when the rounds settle; the final rebuild that
     confirms the fixed point is not included.  Otherwise it counts every round.
-    Given a list `history`, the start and each accepted round append their
-    record to it.
     """
     started = start(program)
     if started is None:
@@ -357,9 +351,6 @@ def solve_iterative(program: ConvexProgram, history: list | None = None) -> Solv
     pre, x = started
     red = pre.program
     floors = _box_floors(red)
-    if history is not None:
-        history.append({"round": 0, "dif": math.nan,
-                        "objective_nats": red.objective_value(x)})
 
     inner_total = 0
     rounds = 0
@@ -378,12 +369,12 @@ def solve_iterative(program: ConvexProgram, history: list | None = None) -> Solv
         cand = x
         for _ in range(_TR_RETRIES + 1):
             sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, floors)
-            sol = _ipm(sub, _ipm_start(red, x))
+            sol = _ipm(sub, _under_caps(red, x, _IPM_BACKOFF))
             inner_total += sol.iters
             if not sol.converged:
                 delta *= _TR_SHRINK
                 continue
-            cand = _clamp_aux(red, sol.x)
+            cand = _under_caps(red, sol.x, 0.0)
             pred = f_x - sub0.objective_value(sol.x)
             act = f_x - red.objective_value(cand)
             if pred <= 1e-12 * (1.0 + abs(f_x)):
@@ -404,10 +395,6 @@ def solve_iterative(program: ConvexProgram, history: list | None = None) -> Solv
             break
         dif = float(np.linalg.norm(cand - x))
         x = cand
-        if history is not None:
-            history.append({"round": rounds, "dif": dif, "delta": delta,
-                            "objective_nats": red.objective_value(x),
-                            "ipm_iters": sol.iters})
         if dif <= _SETTLE_TOL:
             converged = True
             break
@@ -419,11 +406,11 @@ def solve_iterative(program: ConvexProgram, history: list | None = None) -> Solv
         # polish the coordinates to machine precision and yield multipliers
         # for the true constraint set
         for _ in range(3):
-            clean = _ipm(quadratize(red, _expansion_point(red, x)), _ipm_start(red, x))
+            clean = _ipm(quadratize(red, _expansion_point(red, x)), _under_caps(red, x, _IPM_BACKOFF))
             inner_total += clean.iters
             if not clean.converged:
                 break
-            cand = _clamp_aux(red, clean.x)
+            cand = _under_caps(red, clean.x, 0.0)
             move = float(np.linalg.norm(cand - x))
             f_x = red.objective_value(x)
             # a centered rebuild reads a few nano-nats worse than a
@@ -444,7 +431,7 @@ def solve_iterative(program: ConvexProgram, history: list | None = None) -> Solv
         # residual, which `finish` refines against the true gradients.  On
         # a flat optimal face the rounds can settle while a slot still
         # crawls towards t = 0, where the gradient does not certify it
-        n_nl, n_lin = red.n_nonlinear, len(red.linear)
+        n_nl, n_lin = red.n_nonlinear, len(red.lin_b)
         seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
         x = _settle_unused_slots(red, x, *seeds[:2])
     return finish(program, pre, x, seeds, converged, "quad",

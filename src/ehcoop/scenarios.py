@@ -34,8 +34,11 @@ gain):
 
 In S1/S2 U2's rate is the smaller of what reaches D (direct slot plus
 forward) and what U1 decodes on the inter-user link at SNR coefficient
-(1 - rho) gamma_u.  `_slot_table` holds this model once; `build_problem`
-and `throughputs_from_allocation` both read it.
+(1 - rho) gamma_u.  `_slot_table` holds this model once, each term an
+unweighted (gamma, t_index, y_index).  `build_problem` writes those terms
+straight into the program's term table, with a weight and a row number
+each, and its budget rows into (A, b); `throughputs_from_allocation` reads
+the same terms back.
 
 Two objectives: the weighted sum of the user throughputs, and the common
 (max-min) throughput where one shared rate is capped by every route.
@@ -56,13 +59,7 @@ from .network import (
     derive_channels,
     rho_max,
 )
-from .program import (
-    Allocation,
-    ConvexProgram,
-    EpigraphConstraint,
-    LinearConstraint,
-    PerspectiveTerm,
-)
+from .program import Allocation, ConvexProgram
 
 
 class Scenario(Enum):
@@ -131,22 +128,22 @@ def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | Non
     rows = table.budget + [((1.0,) * k + (0.0,) * k, 1.0, "total_time")]
 
     q = np.zeros(n)
-    obj_terms, epigraph = [], []
+    weighted, epigraph = [], []     # (weight, slot term); (label, slot terms)
     if common:
         q[-1] = -1.0
-        epigraph.append(EpigraphConstraint(n - 1, (table.own,), "near_user_rate"))
+        epigraph.append(("near_user_rate", (table.own,)))
     else:
         if cfg.w1 > 0:
-            obj_terms.append(_scaled(table.own, cfg.w1))
+            weighted.append((cfg.w1, table.own))
         if rate:
             q[-1] = -cfg.w2
         elif cfg.w2 > 0:
-            obj_terms.extend(_scaled(tm, cfg.w2) for tm in table.carry)
+            weighted.extend((cfg.w2, tm) for tm in table.carry)
     if rate:
         far = "route_throughput" if table.decode else "far_user_rate"
-        epigraph.append(EpigraphConstraint(n - 1, table.carry, far))
+        epigraph.append((far, table.carry))
         if table.decode:
-            epigraph.append(EpigraphConstraint(n - 1, table.decode, "interuser_link"))
+            epigraph.append(("interuser_link", table.decode))
     names = tuple(f"{v}{i}" for v in "ty" for i in range(1, k + 1))
     if rate:
         names += ("Bbar" if common else "B",)
@@ -154,23 +151,27 @@ def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | Non
     return ConvexProgram(
         n_vars=n,
         objective_linear=q,
-        objective_terms=tuple(obj_terms),
-        epigraph=tuple(epigraph),
-        linear=tuple(LinearConstraint(a + pad, b, label) for a, b, label in rows),
+        term_table=tuple((-1, gamma, w, ti, yi) for w, (gamma, ti, yi) in weighted)
+        + tuple((j, gamma, 1.0, ti, yi) for j, (_, terms) in enumerate(epigraph)
+                for gamma, ti, yi in terms),
+        aux_index=(n - 1,) * len(epigraph),
+        lin_A=np.array([a + pad for a, _, _ in rows]),
+        lin_b=np.array([b for _, b, _ in rows]),
         t_indices=tuple(range(k)),
         y_indices=tuple(range(k, 2 * k)),
         var_names=names,
+        labels=tuple(label for label, _ in epigraph) + tuple(label for _, _, label in rows),
     )
 
 
 class _Slots(NamedTuple):
-    """One configuration's slot model; terms are unweighted, budget rows
-    are (a, b, label) with a over t1.. y1.."""
+    """One configuration's slot model; terms are unweighted (gamma, t_index,
+    y_index), budget rows are (a, b, label) with a over t1.. y1.."""
 
     n_slots: int
-    own: PerspectiveTerm                   # U1's own data to D
-    carry: tuple[PerspectiveTerm, ...]     # U2's data to D: direct slot, or uplink and forward
-    decode: tuple[PerspectiveTerm, ...]    # U1 decoding U2 (S1/S2 only)
+    own: tuple             # U1's own data to D
+    carry: tuple           # U2's data to D: direct slot, or uplink and forward
+    decode: tuple          # U1 decoding U2 (S1/S2 only)
     budget: list
 
 
@@ -183,7 +184,7 @@ def _slot_table(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState) -> _Sl
     k = 3 if spec.scenario in RELAY_SCENARIOS else 2
 
     def on(gamma, slot):
-        return PerspectiveTerm(gamma, slot - 1, k + slot - 1)
+        return (gamma, slot - 1, k + slot - 1)
 
     if k == 2 and spec.case is Case.A:
         return _Slots(k, on(g1, 1), (on(g2, 2),), (), [
@@ -206,20 +207,17 @@ def _slot_table(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState) -> _Sl
         ((0.0, 0.0, X1, split, 1.0, 1.0), X1, "energy_u1_slot3")])
 
 
-def _scaled(term: PerspectiveTerm, w: float) -> PerspectiveTerm:
-    return PerspectiveTerm(term.gamma, term.t_index, term.y_index, w)
-
-
 # ---------------------------------------------------------------------------
 # Throughput recovery
 # ---------------------------------------------------------------------------
 
 
-def _rate_bits(term: PerspectiveTerm, x: list) -> float:
-    t, y = x[term.t_index], x[term.y_index]
+def _rate_bits(term: tuple, x: list) -> float:
+    gamma, ti, yi = term
+    t, y = x[ti], x[yi]
     if t <= 0.0 or y <= 0.0:
         return 0.0
-    return t * math.log2(1.0 + term.gamma * y / t)
+    return t * math.log2(1.0 + gamma * y / t)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,6 @@ from ehcoop.barrier import (
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
-    EpigraphConstraint,
-    LinearConstraint,
-    PerspectiveTerm,
     initial_point,
 )
 from ehcoop.scenarios import build_problem
@@ -41,9 +38,9 @@ from ehcoop.strategy import rho_candidates
 
 def one_var_program(rows):
     return ConvexProgram(
-        n_vars=1, objective_linear=np.array([1.0]), objective_terms=(),
-        epigraph=(), linear=tuple(LinearConstraint((a,), b) for a, b in rows),
-        t_indices=(0,), y_indices=(), var_names=("t",),
+        n_vars=1, objective_linear=np.array([1.0]), term_table=(), aux_index=(),
+        lin_A=np.array([[a] for a, _ in rows]), lin_b=np.array([b for _, b in rows]),
+        t_indices=(0,), y_indices=(), var_names=("t",), labels=("",) * len(rows),
     )
 
 
@@ -52,15 +49,14 @@ def toy_program():
     return ConvexProgram(
         n_vars=3,
         objective_linear=np.array([0.0, 0.0, -1.0]),
-        objective_terms=(),
-        epigraph=(EpigraphConstraint(2, (PerspectiveTerm(100.0, 0, 1),), "rate"),),
-        linear=(
-            LinearConstraint((1.0, 0.0, 0.0), 0.5, "time"),
-            LinearConstraint((0.0, 1.0, 0.0), 0.1, "energy"),
-        ),
+        term_table=((0, 100.0, 1.0, 0, 1),),
+        aux_index=(2,),
+        lin_A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        lin_b=np.array([0.5, 0.1]),
         t_indices=(0,),
         y_indices=(1,),
         var_names=("t", "y", "B"),
+        labels=("rate", "time", "energy"),
     )
 
 
@@ -153,7 +149,7 @@ def test_golden_section_monotone_runs_to_the_far_end():
 
 def test_newton_direction_descends_on_the_barrier():
     p = relay_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     for tau in (1.0, 100.0):
         g = barrier_gradient(p, tau, x)
         d, regularized = _newton_direction(p, tau, x, g)
@@ -163,7 +159,7 @@ def test_newton_direction_descends_on_the_barrier():
 
 def test_barrier_value_infinite_outside_the_domain():
     p = toy_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     assert math.isfinite(barrier_value(p, 1.0, x))
     bad = x.copy()
     bad[0] = 0.6  # violates t <= 0.5
@@ -295,9 +291,9 @@ def test_line_search_needs_few_barrier_evaluations_per_step(monkeypatch):
 
 def test_step_across_a_perspective_row_is_cut_back_inside(monkeypatch):
     p = relay_program()
-    x = initial_point(p).x.copy()
+    x = initial_point(p)
     tau = 10.0
-    aux = p.epigraph[0].aux_index
+    aux = p.aux_index[0]
     x[aux] = 0.2  # far below both rate rows, so raising it lowers the barrier
     d = np.zeros_like(x)
     d[aux] = 3.0
@@ -348,7 +344,7 @@ def test_solve_stops_on_the_duality_gap():
 
 def test_prediction_that_raises_the_barrier_is_rejected(monkeypatch):
     p = relay_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     tau = TAU0 * MU          # the weight of the second stage
     g = barrier_gradient(p, tau, x)
     f_x = barrier_value(p, tau, x)

@@ -37,30 +37,32 @@ def _specs():
 SPECS = list(_specs())
 
 
-def _terms(n, terms, x):
-    """Value, gradient and Hessian of a sum of weighted perspective terms."""
+def _terms(p, row, x):
+    """Value, gradient and Hessian of the sum of one row's weighted perspective terms."""
+    n = p.n_vars
     val, g, H = 0.0, np.zeros(n), np.zeros((n, n))
-    for tm in terms:
-        t, y = x[tm.t_index], x[tm.y_index]
-        gt, v = perspective_gradient(tm.gamma, t, y)
-        idx = [tm.t_index, tm.y_index]
-        val += tm.coeff * perspective_value(tm.gamma, t, y)
-        g[idx] += tm.coeff * gt
-        H[np.ix_(idx, idx)] += tm.coeff * np.outer(v, v)
+    for r, gamma, coeff, ti, yi in p.term_table:
+        if r != row:
+            continue
+        t, y = x[ti], x[yi]
+        gt, v = perspective_gradient(gamma, t, y)
+        idx = [ti, yi]
+        val += coeff * perspective_value(gamma, t, y)
+        g[idx] += coeff * gt
+        H[np.ix_(idx, idx)] += coeff * np.outer(v, v)
     return val, g, H
 
 
 def reference(p, tau, x):
     """Rows and barrier of a ConvexProgram, summed term by term."""
-    n = p.n_vars
-    val, g, Hf = _terms(n, p.objective_terms, x)
+    val, g, Hf = _terms(p, -1, x)
     f = float(p.objective_linear @ x) + val
     grad = p.objective_linear + g
     rows = []
-    for con in p.epigraph:
-        val, g, H = _terms(n, con.terms, x)
-        g[con.aux_index] += 1.0
-        rows.append((x[con.aux_index] + val, g, H))
+    for j, aux in enumerate(p.aux_index):
+        val, g, H = _terms(p, j, x)
+        g[aux] += 1.0
+        rows.append((x[aux] + val, g, H))
     return f, grad, Hf, rows, _barrier(p, tau, x, f, grad, Hf, rows)
 
 
@@ -88,7 +90,7 @@ def close(a, b):
 
 def _points(p):
     """The deterministic start and the nb optimum, where rows are near-active."""
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     return [x0, solve_nb(p).x_star.x]
 
 
@@ -130,7 +132,7 @@ def test_compiled_pass_on_a_presolved_program():
                          ids=lambda s: f"{s.scenario.value}-{s.case.value}-{s.objective.value}")
 def test_barrier_value_is_infinite_outside_the_domain(spec):
     p = build_problem(spec, NetworkConfig())
-    x = initial_point(p).x
+    x = initial_point(p)
     assert math.isfinite(barrier_value(p, TAU, x))
     below = x.copy()
     below[p.t_indices[0]] = -1e-3          # a time below zero
@@ -138,7 +140,7 @@ def test_barrier_value_is_infinite_outside_the_domain(spec):
     over = x.copy()
     over[p.t_indices[0]] += 1.0            # the slots overrun the frame
     assert barrier_value(p, TAU, over) == math.inf
-    if p.epigraph:
+    if p.aux_index:
         above = x.copy()
-        above[p.epigraph[0].aux_index] += 100.0   # a rate above its epigraph cap
+        above[p.aux_index[0]] += 100.0   # a rate above its epigraph cap
         assert barrier_value(p, TAU, above) == math.inf

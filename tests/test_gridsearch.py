@@ -42,9 +42,11 @@ def test_grid_refinement_is_monotone():
 
 
 def test_grid_best_point_is_feasible():
-    p = direct_program(scenario=Scenario.S3, case=Case.B)
-    ref = brute_force_grid(p, GridSpec(step=0.01))
-    assert p.max_violation(ref.best.x) <= 1e-9
+    for p in (direct_program(scenario=Scenario.S3, case=Case.B),
+              # U1's zero rate caps the common rate at zero
+              direct_program(objective=Objective.COMMON, X1=0.0)):
+        ref = brute_force_grid(p, GridSpec(step=0.01))
+        assert p.max_violation(ref.best.x) <= 1e-9
 
 
 def test_energy_cooperation_never_hurts_on_the_grid():
@@ -84,7 +86,7 @@ def test_grid_refuses_oversized_grids():
 def test_finite_differences_confirm_program_derivatives():
     cfg = NetworkConfig()
     p = build_problem(ScenarioSpec(Scenario.S1, Case.A, rho=0.3), cfg)
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     report = finite_diff_check(p, x0)
     assert report["gradient"] <= 1e-6
     assert report["hessian"] <= 1e-4
@@ -92,7 +94,7 @@ def test_finite_differences_confirm_program_derivatives():
 
 def test_finite_differences_cover_the_barrier():
     p = direct_program(scenario=Scenario.S3)
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     report = finite_diff_check(p, x0, tau=100.0)
     assert np.isfinite(report["gradient"]) and np.isfinite(report["hessian"])
     assert report["gradient"] <= 1e-5

@@ -1,6 +1,7 @@
 """Perspective terms, canonical programs, presolve and starting points."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
-    EpigraphConstraint,
     InfeasibleProgramError,
-    LinearConstraint,
-    PerspectiveTerm,
     energy_caps,
     initial_point,
     perspective_gradient,
     perspective_value,
     presolve_program,
+    start,
     stationarity_residual,
 )
 from ehcoop.quadratic import solve_iterative
@@ -41,15 +40,14 @@ def toy_program():
     return ConvexProgram(
         n_vars=3,
         objective_linear=np.array([0.0, 0.0, -1.0]),
-        objective_terms=(),
-        epigraph=(EpigraphConstraint(2, (PerspectiveTerm(100.0, 0, 1),), "rate"),),
-        linear=(
-            LinearConstraint((1.0, 0.0, 0.0), 0.5, "time"),
-            LinearConstraint((0.0, 1.0, 0.0), 0.1, "energy"),
-        ),
+        term_table=((0, 100.0, 1.0, 0, 1),),
+        aux_index=(2,),
+        lin_A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        lin_b=np.array([0.5, 0.1]),
         t_indices=(0,),
         y_indices=(1,),
         var_names=("t", "y", "B"),
+        labels=("rate", "time", "energy"),
     )
 
 
@@ -144,27 +142,26 @@ def test_perspective_midpoint_convexity():
 
 
 def test_perspective_term_validation():
-    with pytest.raises(ValueError):
-        PerspectiveTerm(0.0, 0, 1)
-    with pytest.raises(ValueError):
-        PerspectiveTerm(1e4, 0, 1, coeff=0.0)
-    with pytest.raises(ValueError):
-        PerspectiveTerm(1e4, 2, 2)
+    p = toy_program()
+    assert replace(p, term_table=((0, 1e4, 2.0, 0, 1),)).term_table == ((0, 1e4, 2.0, 0, 1),)
+    for term in ((0, 0.0, 1.0, 0, 1),      # gamma must be positive
+                 (0, 1e4, 0.0, 0, 1),      # so must the coefficient
+                 (0, 1e4, 1.0, 1, 1),      # t and y must be distinct
+                 (1, 1e4, 1.0, 0, 1),      # there is one epigraph row
+                 (-2, 1e4, 1.0, 0, 1)):    # and the objective is row -1
+        with pytest.raises(ValueError):
+            replace(p, term_table=(term,))
 
 
 def test_program_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        ConvexProgram(
-            n_vars=2, objective_linear=np.zeros(3), objective_terms=(),
-            epigraph=(), linear=(), t_indices=(0,), y_indices=(1,),
-            var_names=("t", "y"),
-        )
-    with pytest.raises(ValueError):
-        ConvexProgram(
-            n_vars=2, objective_linear=np.zeros(2), objective_terms=(),
-            epigraph=(), linear=(LinearConstraint((1.0,), 1.0),),
-            t_indices=(0,), y_indices=(1,), var_names=("t", "y"),
-        )
+    p = toy_program()
+    for bad in (dict(objective_linear=np.zeros(4)),
+                dict(var_names=("t", "y")),
+                dict(lin_A=np.zeros((2, 2))),         # rows too short
+                dict(lin_b=np.array([0.5])),          # a row without a bound
+                dict(labels=("rate", "time"))):       # a row without a label
+        with pytest.raises(ValueError):
+            replace(p, **bad)
 
 
 # -- whole-program evaluation -----------------------------------------------
@@ -183,7 +180,7 @@ def test_eval_program_toy_instance():
 
 def test_objective_gradient_and_hessian_shapes():
     p = relay_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     g = p.objective_gradient(x)
     H = p.objective_hessian(x)
     assert g.shape == (7,)
@@ -195,12 +192,12 @@ def test_objective_gradient_and_hessian_shapes():
 
 def test_nonlinear_rows_evaluate_per_constraint():
     p = relay_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     vals = p.nonlinear_values(x)
     assert vals.shape == (2,)
     for j in range(2):
         assert vals[j] == pytest.approx(p.nonlinear_value(j, x))
-        assert p.nonlinear_gradient(j, x)[p.epigraph[j].aux_index] == 1.0
+        assert p.nonlinear_gradient(j, x)[p.aux_index[j]] == 1.0
 
 
 # -- starting points and presolve -------------------------------------------
@@ -208,16 +205,15 @@ def test_nonlinear_rows_evaluate_per_constraint():
 
 def test_initial_point_is_strictly_interior():
     p = relay_program()
-    alloc = initial_point(p)
-    assert alloc.degenerate == ()
-    assert p.max_violation(alloc.x) < 0.0
+    x = initial_point(p)
+    assert p.max_violation(x) < 0.0
     for i in p.positive_indices:
-        assert alloc.x[i] > 0.0
+        assert x[i] > 0.0
 
 
 def test_initial_point_time_shares():
     p = relay_program()
-    x = initial_point(p).x
+    x = initial_point(p)
     # three slots get 0.8/4 each, leaving 40% of the block idle
     assert x[:3] == pytest.approx([0.2, 0.2, 0.2])
     assert x[3] == pytest.approx(0.02)  # half the slack of U1's tightest budget
@@ -225,15 +221,17 @@ def test_initial_point_time_shares():
 
 def test_initial_point_flags_zero_budget():
     p = direct_program(X1=0.0)
-    alloc = initial_point(p)
-    assert alloc.degenerate == (2,)  # U1's energy has no feasible interior
-    assert alloc.x[2] == pytest.approx(1e-9)
+    with pytest.raises(InfeasibleProgramError):
+        initial_point(p)    # U1's energy has no feasible interior
+    # the solvers' start pins that energy first
+    pre, x = start(p)
+    assert pre.pinned == (2,)
+    assert pre.program.max_violation(x) < 0.0
 
 
 def test_tiny_positive_budget_gets_no_placeholder():
     # X1 = 0 and a split of 1e-12 of its limit leave U1 about 1e-14 J: presolve
-    # keeps it, but no start has the margin, and a placeholder above the
-    # budget would start both solvers outside the feasible set
+    # keeps it, but no start has the margin
     cfg = NetworkConfig(X1=0.0)
     rho = 1e-12 * rho_max(derive_channels(cfg))
     p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, rho), cfg)
@@ -247,22 +245,19 @@ def test_tiny_positive_budget_gets_no_placeholder():
 
 def test_initial_point_without_budget_rows_defaults_energy_to_one():
     p = ConvexProgram(
-        n_vars=2, objective_linear=np.zeros(2),
-        objective_terms=(PerspectiveTerm(10.0, 0, 1),),
-        epigraph=(), linear=(LinearConstraint((1.0, 0.0), 1.0),),
-        t_indices=(0,), y_indices=(1,), var_names=("t", "y"),
+        n_vars=2, objective_linear=np.zeros(2), term_table=((-1, 10.0, 1.0, 0, 1),),
+        aux_index=(), lin_A=np.array([[1.0, 0.0]]), lin_b=np.array([1.0]),
+        t_indices=(0,), y_indices=(1,), var_names=("t", "y"), labels=("time",),
     )
-    assert initial_point(p).x[1] == pytest.approx(1.0)
+    assert initial_point(p)[1] == pytest.approx(1.0)
 
 
 def test_initial_point_detects_infeasible_rows():
     p = ConvexProgram(
-        n_vars=1, objective_linear=np.array([1.0]), objective_terms=(),
-        epigraph=(), linear=(
-            LinearConstraint((1.0,), 0.5),
-            LinearConstraint((-1.0,), -0.9),   # t >= 0.9 contradicts t <= 0.5
-        ),
-        t_indices=(0,), y_indices=(), var_names=("t",),
+        n_vars=1, objective_linear=np.array([1.0]), term_table=(), aux_index=(),
+        lin_A=np.array([[1.0], [-1.0]]),
+        lin_b=np.array([0.5, -0.9]),     # t >= 0.9 contradicts t <= 0.5
+        t_indices=(0,), y_indices=(), var_names=("t",), labels=("short", "long"),
     )
     with pytest.raises(InfeasibleProgramError):
         initial_point(p)
@@ -291,8 +286,10 @@ def test_presolve_pins_zero_budget_energy():
     assert pre.pinned == (2,)
     assert pre.program.n_vars == 3
     assert pre.program.var_names == ("t1", "t2", "y2")
-    # U1's rate term disappears with its energy
-    assert len(pre.program.objective_terms) == 1
+    # U1's rate term disappears with its energy, U2's is renumbered
+    assert pre.program.term_table == ((-1, p.term_table[1][1], 1.0, 1, 2),)
+    # U1's budget row is vacuous without its energy
+    assert pre.program.labels == ("energy_u2", "total_time")
     x_red = np.array([0.1, 0.2, 0.05])
     x_full = pre.expand(x_red)
     assert x_full == pytest.approx([0.1, 0.2, 0.0, 0.05])
@@ -304,14 +301,45 @@ def test_presolve_pins_rate_silenced_by_empty_epigraph():
     pre = presolve_program(p)
     # the near user's energy and the common rate it silences both go
     assert pre.pinned == (2, 4)
-    assert pre.program.epigraph == ()
+    assert pre.program.aux_index == ()
+    assert pre.program.term_table == ()
+
+
+def test_presolve_drops_the_rate_of_a_silent_far_user():
+    # U2 neither harvests nor receives energy, so its energy is pinned; the
+    # decode row loses its only term, which pins B and drops the route row
+    p = relay_program(rho=0.0, X2=0.0, eta=0.0)
+    pre = presolve_program(p)
+    assert pre.pinned == (4, 6)
+    red = pre.program
+    assert red.var_names == ("t1", "t2", "t3", "y1", "y3")
+    assert red.aux_index == ()
+    assert red.term_table == (p.term_table[0],)    # U1's own rate, same indices
+    assert red.labels == ("energy_u1_slot1", "energy_u1_slot3", "total_time")
+    assert np.array_equal(red.lin_A, p.lin_A[[0, 2, 3]][:, [0, 1, 2, 3, 5]])
+    assert np.array_equal(red.lin_b, p.lin_b[[0, 2, 3]])
+
+
+def test_presolve_names_a_row_it_leaves_infeasible():
+    p = ConvexProgram(
+        n_vars=2, objective_linear=np.zeros(2), term_table=((-1, 10.0, 1.0, 0, 1),),
+        aux_index=(), lin_A=np.array([[0.0, 1.0], [0.0, -1.0]]),
+        lin_b=np.array([0.0, -0.1]),    # y <= 0 pins y, which breaks y >= 0.1
+        t_indices=(0,), y_indices=(1,), var_names=("t", "y"), labels=("budget", "floor"),
+    )
+    with pytest.raises(InfeasibleProgramError, match="constraint floor is infeasible"):
+        presolve_program(p)
+    # both solvers report it as any other program without an interior point
+    assert start(p) is None
+    assert solve_nb(p).status is SolveStatus.INFEASIBLE
+    assert solve_iterative(p).status is SolveStatus.INFEASIBLE
 
 
 def test_stationarity_residual_vanishes_with_exact_multipliers():
     p = ConvexProgram(
-        n_vars=1, objective_linear=np.array([1.0]), objective_terms=(),
-        epigraph=(), linear=(LinearConstraint((-1.0,), -0.5),),  # t >= 0.5
-        t_indices=(0,), y_indices=(), var_names=("t",),
+        n_vars=1, objective_linear=np.array([1.0]), term_table=(), aux_index=(),
+        lin_A=np.array([[-1.0]]), lin_b=np.array([-0.5]),  # t >= 0.5
+        t_indices=(0,), y_indices=(), var_names=("t",), labels=("long",),
     )
     x = np.array([0.5])
     assert stationarity_residual(p, x, [], [1.0], [0.0]) == pytest.approx(0.0)

@@ -9,9 +9,6 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Solve
 from ehcoop.barrier import solve_nb
 from ehcoop.program import (
     ConvexProgram,
-    EpigraphConstraint,
-    LinearConstraint,
-    PerspectiveTerm,
     initial_point,
     perspective_value,
 )
@@ -36,15 +33,14 @@ def toy_program():
     return ConvexProgram(
         n_vars=3,
         objective_linear=np.array([0.0, 0.0, -1.0]),
-        objective_terms=(),
-        epigraph=(EpigraphConstraint(2, (PerspectiveTerm(100.0, 0, 1),), "rate"),),
-        linear=(
-            LinearConstraint((1.0, 0.0, 0.0), 0.5, "time"),
-            LinearConstraint((0.0, 1.0, 0.0), 0.1, "energy"),
-        ),
+        term_table=((0, 100.0, 1.0, 0, 1),),
+        aux_index=(2,),
+        lin_A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        lin_b=np.array([0.5, 0.1]),
         t_indices=(0,),
         y_indices=(1,),
         var_names=("t", "y", "B"),
+        labels=("rate", "time", "energy"),
     )
 
 
@@ -53,7 +49,7 @@ def toy_program():
 
 def test_model_is_exact_at_the_expansion_point():
     p = relay_program()
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     sub = quadratize(p, x0)
     assert sub.objective_value(x0) == pytest.approx(p.objective_value(x0), rel=1e-12)
     assert sub.obj_g + sub.obj_H @ x0 == pytest.approx(p.objective_gradient(x0), rel=1e-12)
@@ -64,19 +60,19 @@ def test_model_is_exact_at_the_expansion_point():
             p.nonlinear_gradient(j, x0), rel=1e-10, abs=1e-12)
 
 
-def one_term_model(term, x0):
-    """Value of the model of a program whose objective is the single term, around x0."""
+def one_term_model(gamma, x0):
+    """Model around x0 of the program whose objective is the one term l(gamma; t, y)."""
     p = ConvexProgram(
-        n_vars=2, objective_linear=np.zeros(2), objective_terms=(term,), epigraph=(),
-        linear=(), t_indices=(0,), y_indices=(1,), var_names=("t", "y"),
+        n_vars=2, objective_linear=np.zeros(2), term_table=((-1, gamma, 1.0, 0, 1),),
+        aux_index=(), lin_A=np.zeros((0, 2)), lin_b=np.zeros(0), t_indices=(0,), y_indices=(1,),
+        var_names=("t", "y"), labels=(),
     )
     return quadratize(p, x0).objective_value
 
 
 def test_model_error_is_second_order():
-    term = PerspectiveTerm(2500.0, 0, 1)
     x0 = np.array([0.5, 0.05])
-    model = one_term_model(term, x0)
+    model = one_term_model(2500.0, x0)
     direction = np.array([0.08, -0.006])
 
     def err(scale):
@@ -91,9 +87,8 @@ def test_model_error_is_second_order():
 
 def test_model_stays_useful_over_an_operating_box():
     # worst relative mismatch over a wide box around the expansion point
-    term = PerspectiveTerm(2500.0, 0, 1)
     x0 = np.array([0.5, 0.05])
-    model = one_term_model(term, x0)
+    model = one_term_model(2500.0, x0)
     worst = 0.0
     for t in np.linspace(0.3, 0.7, 9):
         for y in np.linspace(0.02, 0.08, 9):
@@ -104,7 +99,7 @@ def test_model_stays_useful_over_an_operating_box():
 
 def test_quadratize_requires_positive_times():
     p = relay_program()
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     x0[1] = 0.0
     with pytest.raises(ValueError):
         quadratize(p, x0)
@@ -112,7 +107,7 @@ def test_quadratize_requires_positive_times():
 
 def test_quadratize_orders_model_rows_first():
     p = relay_program()
-    sub = quadratize(p, initial_point(p).x)
+    sub = quadratize(p, initial_point(p))
     curved = [j < len(sub.nl_H) and bool(sub.nl_H[j].any()) for j in range(len(sub.con_const))]
     assert curved == [True, True, False, False, False, False]
     assert sub.n_nonlinear == 2
@@ -121,7 +116,7 @@ def test_quadratize_orders_model_rows_first():
 
 def test_direct_scenario_quadratizes_to_a_qp():
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
-    sub = quadratize(p, initial_point(p).x)
+    sub = quadratize(p, initial_point(p))
     assert sub.obj_H.any()
     assert sub.n_nonlinear == 0  # only linear budget rows remain
 
@@ -182,7 +177,7 @@ def test_subproblem_agrees_with_slsqp():
     from scipy.optimize import minimize
 
     p = relay_program()
-    x0 = initial_point(p).x
+    x0 = initial_point(p)
     sub = quadratize(p, x0)
     ipm = _ipm(sub, x0)
     assert ipm.converged
@@ -264,9 +259,9 @@ def test_settled_point_without_a_certificate_is_not_converged():
 
 def test_already_quadratic_program_converges_in_one_round():
     p = ConvexProgram(
-        n_vars=2, objective_linear=np.array([-1.0, -0.5]), objective_terms=(),
-        epigraph=(), linear=(LinearConstraint((1.0, 1.0), 1.0),),
-        t_indices=(0, 1), y_indices=(), var_names=("t1", "t2"),
+        n_vars=2, objective_linear=np.array([-1.0, -0.5]), term_table=(), aux_index=(),
+        lin_A=np.array([[1.0, 1.0]]), lin_b=np.array([1.0]),
+        t_indices=(0, 1), y_indices=(), var_names=("t1", "t2"), labels=("time",),
     )
     res = solve_iterative(p)
     assert res.converged
@@ -283,13 +278,21 @@ def test_round_limit_is_reported(monkeypatch):
     assert res.outer_iters == 1
 
 
-def test_history_objective_never_increases():
-    history = []
-    res = solve_iterative(relay_program(), history)
+def test_round_objective_never_increases(monkeypatch):
+    # every round and every polishing rebuild expands the model around the
+    # iterate it starts from, and the rounds only accept descent
+    starts = []
+    real = quadratic._expansion_point
+
+    def spy(p, x):
+        starts.append(p.objective_value(x))
+        return real(p, x)
+
+    monkeypatch.setattr(quadratic, "_expansion_point", spy)
+    res = solve_iterative(relay_program())
     assert res.converged
-    objs = [h["objective_nats"] for h in history]
-    assert len(objs) >= 2
-    for prev, nxt in zip(objs, objs[1:]):
+    assert len(starts) >= 2
+    for prev, nxt in zip(starts, starts[1:]):
         assert nxt <= prev + 1e-8 * (1.0 + abs(prev))
 
 

@@ -1,6 +1,7 @@
 """Program builders for the eight configurations and throughput recovery."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,12 +29,34 @@ def programs_equal(p, q):
     return (
         p.n_vars == q.n_vars
         and np.array_equal(p.objective_linear, q.objective_linear)
-        and p.objective_terms == q.objective_terms
-        and p.epigraph == q.epigraph
-        and p.linear == q.linear
+        and p.term_table == q.term_table
+        and p.aux_index == q.aux_index
+        and np.array_equal(p.lin_A, q.lin_A)
+        and np.array_equal(p.lin_b, q.lin_b)
+        and p.labels == q.labels
         and p.t_indices == q.t_indices
         and p.y_indices == q.y_indices
     )
+
+
+def terms(p, row):
+    """The (row, gamma, coeff, t_index, y_index) entries of one row, -1 the objective."""
+    return [tm for tm in p.term_table if tm[0] == row]
+
+
+def epigraph_labels(p):
+    return list(p.labels[:p.n_nonlinear])
+
+
+class Row(NamedTuple):
+    a: tuple
+    b: float
+
+
+def linear_rows(p):
+    """Every linear row a . x <= b by its label."""
+    return {label: Row(tuple(a), b) for label, a, b in
+            zip(p.labels[p.n_nonlinear:], p.lin_A.tolist(), p.lin_b.tolist())}
 
 
 # -- spec validation --------------------------------------------------------
@@ -79,8 +102,8 @@ def test_relay_sum_shape():
     p = build(Scenario.S1, Case.A, rho=0.3)
     assert p.n_vars == 7
     assert p.var_names == ("t1", "t2", "t3", "y1", "y2", "y3", "B")
-    assert [c.label for c in p.epigraph] == ["route_throughput", "interuser_link"]
-    assert [c.label for c in p.linear] == [
+    assert epigraph_labels(p) == ["route_throughput", "interuser_link"]
+    assert list(linear_rows(p)) == [
         "energy_u1_slot1", "energy_u2_slot2", "energy_u1_slot3", "total_time"]
     assert p.t_indices == (0, 1, 2)
     assert p.y_indices == (3, 4, 5)
@@ -89,26 +112,26 @@ def test_relay_sum_shape():
 def test_relay_common_adds_near_user_rate_cap():
     p = build(Scenario.S1, Case.A, COMMON, rho=0.3)
     assert p.var_names[-1] == "Bbar"
-    assert [c.label for c in p.epigraph] == [
+    assert epigraph_labels(p) == [
         "near_user_rate", "route_throughput", "interuser_link"]
-    assert p.objective_terms == ()
+    assert terms(p, -1) == []
 
 
 def test_direct_shapes():
     p = build(Scenario.S3, Case.A)
     assert p.n_vars == 4
-    assert p.epigraph == ()
-    assert len(p.objective_terms) == 2
+    assert p.aux_index == ()
+    assert len(terms(p, -1)) == 2
     q = build(Scenario.S3, Case.A, COMMON)
     assert q.n_vars == 5
-    assert [c.label for c in q.epigraph] == ["near_user_rate", "far_user_rate"]
+    assert epigraph_labels(q) == ["near_user_rate", "far_user_rate"]
 
 
 def test_relay_rows_case_a():
     cfg = NetworkConfig()
     p = build(Scenario.S1, Case.A, rho=0.3, cfg=cfg)
     X = 0.1  # both arrival rates in W
-    rows = {c.label: c for c in p.linear}
+    rows = linear_rows(p)
     assert rows["energy_u1_slot1"].a == pytest.approx((X, X, X, 1.0, 0, 0, 0))
     assert rows["energy_u1_slot1"].b == pytest.approx(X)
     # U2 harvests the full eta share of U1's opening transmission
@@ -122,7 +145,7 @@ def test_relay_rows_case_a():
 def test_relay_rows_case_b():
     p = build(Scenario.S1, Case.B, rho=0.3)
     X = 0.1
-    rows = {c.label: c for c in p.linear}
+    rows = linear_rows(p)
     # U2 opens the block, so its budget covers all three slots
     assert rows["energy_u2_slot1"].a == pytest.approx((X, X, X, 1.0, 0, 0, 0))
     assert rows["energy_u1_slot2"].a == pytest.approx((0, X, X, -0.225, 1.0, 0, 0))
@@ -132,10 +155,10 @@ def test_relay_rows_case_b():
 def test_relay_snr_coefficients():
     ch = derive_channels(NetworkConfig())
     p = build(Scenario.S1, Case.A, rho=0.2)
-    route, link = p.epigraph
-    assert [tm.gamma for tm in route.terms] == pytest.approx([ch.gamma2, ch.gamma1])
+    route, link = terms(p, 0), terms(p, 1)
+    assert [tm[1] for tm in route] == pytest.approx([ch.gamma2, ch.gamma1])
     # the decode constraint sees the (1 - rho) share of the received power
-    assert link.terms[0].gamma == pytest.approx(0.8 * ch.gamma_u)
+    assert link[0][1] == pytest.approx(0.8 * ch.gamma_u)
 
 
 def test_s2_is_s1_without_harvesting():
@@ -179,11 +202,11 @@ def test_s4_is_s3_without_harvesting():
 
 def test_s3_harvest_term_full_efficiency():
     p = build(Scenario.S3, Case.A)
-    rows = {c.label: c for c in p.linear}
+    rows = linear_rows(p)
     # U2's budget credits eta * hu per joule U1 spends, no power splitting
     assert rows["energy_u2"].a == pytest.approx((0.0, 0.1, -0.75, 1.0))
     q = build(Scenario.S3, Case.B)
-    rows = {c.label: c for c in q.linear}
+    rows = linear_rows(q)
     assert rows["energy_u1"].a == pytest.approx((0.0, 0.1, -0.75, 1.0))
     assert rows["energy_u2"].a == pytest.approx((0.1, 0.1, 1.0, 0.0))
 
@@ -191,13 +214,13 @@ def test_s3_harvest_term_full_efficiency():
 def test_sum_weight_zero_drops_far_user_rate():
     p = build(Scenario.S1, Case.B, cfg=NetworkConfig(w2=0.0))
     assert p.n_vars == 6
-    assert p.epigraph == ()
-    assert len(p.objective_terms) == 1
+    assert p.aux_index == ()
+    assert len(terms(p, -1)) == 1
 
 
 def test_sum_weight_zero_drops_near_user_term():
     p = build(Scenario.S1, Case.A, cfg=NetworkConfig(w1=0.0, w2=2.0))
-    assert p.objective_terms == ()
+    assert terms(p, -1) == []
     assert p.objective_linear[6] == pytest.approx(-2.0)
 
 
