@@ -11,7 +11,8 @@ power-splitting harvest arithmetic used by the program builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 # Energy arrival rates are configured in mW (equivalently mJ per block since
 # the block length is 1).  The optimizer works in W and J so that gamma * P
@@ -50,6 +51,9 @@ class NetworkConfig:
     w2: float = 1.0          # throughput weight of U2
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("d1", "d2", "du"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"distance {name} must be positive")

@@ -2,11 +2,11 @@
 
 The power-splitting ratio rho enters the full-cooperation scenario
 nonconvexly, so it is screened over a uniform grid below the largest
-useful ratio, the nb solver taking the grid's candidates together
-(`barrier.solve_nb_many`); every other configuration is a single convex
-solve.  The winning configuration maximizes the chosen objective, with
-ties broken toward smaller rho and the earlier scenario in S1..S4, case
-A before B.
+useful ratio, either solver taking the grid's candidates together
+(`barrier.solve_nb_many`, `quadratic.solve_iterative_many`); every other
+configuration is a single convex solve.  The winning configuration
+maximizes the chosen objective, with ties broken toward smaller rho and
+the earlier scenario in S1..S4, case A before B.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .barrier import solve_nb, solve_nb_many
 from .network import ChannelState, NetworkConfig, derive_channels, relay_feasible, rho_max
 from .program import SolveResult
-from .quadratic import solve_iterative
+from .quadratic import solve_iterative, solve_iterative_many
 from .scenarios import (
     RELAY_SCENARIOS,
     Case,
@@ -98,18 +98,19 @@ class StrategyResult:
 def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[CandidateOutcome]:
     """One configuration solved at every rho of `grid`, in grid order.
 
-    An nb grid of two or more candidates goes to one `solve_nb_many` call,
-    which decides whether to step it in lockstep; when a program cannot be
-    built or that call raises, the candidates are solved one by one.  A
-    single candidate is solved once, by `solve_spec`.  A candidate whose
-    solve raises is left out with a warning, so one failure skips the
-    candidate, not the grid.
+    A grid of two or more candidates goes to one `solve_nb_many` or
+    `solve_iterative_many` call, by solver, which decides what to step in
+    lockstep; when a program cannot be built or that call raises, the
+    candidates are solved one by one.  A single candidate is solved once,
+    by `solve_spec`.  A candidate whose solve raises is left out with a
+    warning, so one failure skips the candidate, not the grid.
     """
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
     batch = {}
-    if solver == "nb" and len(specs) > 1:
+    if len(specs) > 1:
+        many = solve_nb_many if solver == "nb" else solve_iterative_many
         try:
-            batch = dict(zip(specs, solve_nb_many([build_problem(spec, cfg, ch) for spec in specs])))
+            batch = dict(zip(specs, many([build_problem(spec, cfg, ch) for spec in specs])))
         except Exception:
             pass        # the one-by-one solves below report the failure
     outcomes = []

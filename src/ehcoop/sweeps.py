@@ -42,6 +42,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
             raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.stop < self.start:

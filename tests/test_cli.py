@@ -85,6 +85,30 @@ def test_rho_on_other_scenarios_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-energy", "--start", "0", "--stop", "inf", "--step", "5"],
+    ["sweep-distance", "--start", "0.2", "--stop", "0.4", "--step", "inf"],
+    ["sweep-distance", "--start", "nan", "--stop", "0.4", "--step", "0.2"],
+    ["solve", "--scenario", "S4", "--case", "A", "--w1", "nan"],
+    ["solve", "--scenario", "S4", "--case", "A", "--X1", "inf"],
+    ["select", "--d1", "nan"],
+])
+def test_non_finite_input_exits_one(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "must be finite" in captured.err
+    assert not captured.out
+
+
+def test_non_finite_config_file_value_exits_one(tmp_path, capsys):
+    path = tmp_path / "net.cfg"
+    path.write_text("eta = nan\n")
+    code = main(["solve", "--scenario", "S4", "--case", "A", "--config", str(path)])
+    assert code == 1
+    assert "eta must be finite" in capsys.readouterr().err
+
+
 def test_config_file_with_alias_and_comments(tmp_path):
     path = tmp_path / "net.cfg"
     path.write_text("lambda = 2.0\nX1 = 50  # mW\n\nd1 = 0.8\n")

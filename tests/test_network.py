@@ -1,8 +1,10 @@
 """Channel derivation, harvest arithmetic and configuration validation."""
 
+import math
+
 import pytest
 
-from ehcoop import NetworkConfig
+from ehcoop import NetworkConfig, SweepSpec
 from ehcoop.network import (
     ChannelState,
     RelayNotBeneficialError,
@@ -70,6 +72,22 @@ def test_config_unit_conversion():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         NetworkConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "du", "alpha", "lam", "sigma2_D", "sigma2_U1",
+                                  "eta", "X1", "X2", "w1", "w2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("field", ["start", "stop", "step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_spec_rejects_non_finite_ranges(field, value):
+    bounds = {"start": 0.2, "stop": 0.4, "step": 0.2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SweepSpec("d1", **bounds)
 
 
 def test_config_allows_one_zero_weight():

@@ -7,6 +7,7 @@ import pytest
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, quadratic
 from ehcoop.barrier import solve_nb
+from ehcoop.network import derive_channels
 from ehcoop.program import (
     ConvexProgram,
     initial_point,
@@ -14,13 +15,19 @@ from ehcoop.program import (
 )
 from ehcoop.quadratic import (
     _FRAC,
+    LOCKSTEP_MIN,
     QuadraticSubproblem,
     _ipm,
+    _ipm_many,
+    _solve,
+    _solve_all,
     _step_limit,
     quadratize,
     solve_iterative,
+    solve_iterative_many,
 )
 from ehcoop.scenarios import build_problem
+from ehcoop.strategy import rho_candidates
 
 
 def relay_program(rho=0.3, objective=Objective.WEIGHTED_SUM):
@@ -169,6 +176,10 @@ def test_vectorized_step_limit_equals_the_row_loop(seed):
     p = rng.normal(size=J) * 10.0 ** rng.uniform(-8, 1, size=J)
     p[rng.random(J) < 0.2] = 0.0
     assert min(1.0 / _FRAC, _step_limit(lam, dlam, s, p, q)) == _step_limit_loop(lam, dlam, s, p, q, _FRAC)
+    # on (K, J) rows each program gets the limit of its own rows
+    rows = (lam, dlam, s, p, q)
+    stacked = _step_limit(*(np.array([v, v[::-1]]) for v in rows))
+    assert stacked.tolist() == [_step_limit(*rows), _step_limit(*(v[::-1] for v in rows))]
 
 
 def test_subproblem_agrees_with_slsqp():
@@ -303,3 +314,123 @@ def test_common_objective_agrees_across_solvers():
     assert a.converged and b.converged
     rel = abs(a.objective_bits - b.objective_bits) / (1.0 + abs(b.objective_bits))
     assert rel <= 1e-6
+
+
+# -- lockstep solves ------------------------------------------------------------
+
+
+def screen_programs(cfg, case, objective):
+    """The S1 programs of one rho screen, in grid order."""
+    ch = derive_channels(cfg)
+    return [build_problem(ScenarioSpec(Scenario.S1, case, objective, rho), cfg, ch)
+            for rho in rho_candidates(ch)]
+
+
+def assert_same_solve(lock, scalar):
+    assert lock.status is scalar.status
+    assert lock.solver == "quad"
+    if scalar.x_star is None:
+        assert lock.x_star is None
+        return
+    rel = abs(lock.objective_bits - scalar.objective_bits) / max(1.0, abs(scalar.objective_bits))
+    assert rel <= 1e-12
+    assert (lock.outer_iters, lock.inner_iters) == (scalar.outer_iters, scalar.inner_iters)
+    assert lock.x_star.degenerate == scalar.x_star.degenerate
+
+
+def spy_stacks(monkeypatch):
+    """Record every (subproblems, starts) group `solve_iterative_many` stacks."""
+    groups = []
+    real = quadratic._ipm_many
+
+    def spy(subs, xs):
+        groups.append((list(subs), [np.array(x) for x in xs]))
+        return real(subs, xs)
+
+    monkeypatch.setattr(quadratic, "_ipm_many", spy)
+    return groups
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(), NetworkConfig(d1=1.8, du=0.2),
+    NetworkConfig(d1=1.2, du=0.27, eta=0.0, X1=180.0, X2=285.0, w1=0.5),
+])
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("objective", list(Objective))
+def test_lockstep_screen_matches_solve_iterative(cfg, case, objective, monkeypatch):
+    programs = screen_programs(cfg, case, objective)
+    stacks = spy_stacks(monkeypatch)
+    results = solve_iterative_many(programs)
+    assert max(len(subs) for subs, _ in stacks) == len(programs)
+    for lock, scalar in zip(results, [solve_iterative(p) for p in programs], strict=True):
+        assert_same_solve(lock, scalar)
+
+
+def test_mixed_layouts_and_infeasible_programs_keep_their_order():
+    # at X1 = 0, case B, rho = 0 pins U1's relay energy in presolve, so its
+    # reduced program has another layout than the rest of the screen
+    empty = ConvexProgram(
+        n_vars=1, objective_linear=np.array([1.0]), term_table=(), aux_index=(),
+        lin_A=np.array([[1.0], [-1.0]]), lin_b=np.array([0.5, -0.9]),
+        t_indices=(0,), y_indices=(), var_names=("t",), labels=("", ""),
+    )
+    programs = [empty] + screen_programs(NetworkConfig(X1=0.0), Case.B, Objective.WEIGHTED_SUM)
+    programs.append(build_problem(ScenarioSpec(Scenario.S4, Case.A), NetworkConfig()))
+    results = solve_iterative_many(programs)
+    assert results[0].status is SolveStatus.INFEASIBLE
+    assert results[1].x_star.degenerate != results[2].x_star.degenerate
+    for lock, p in zip(results, programs, strict=True):
+        assert_same_solve(lock, solve_iterative(p))
+
+
+def test_small_groups_run_the_scalar_ipm(monkeypatch):
+    alone = []
+    real = quadratic._ipm
+
+    def spy(sub, x):
+        alone.append(sub)
+        return real(sub, x)
+
+    monkeypatch.setattr(quadratic, "_ipm", spy)
+    stacks = spy_stacks(monkeypatch)
+    programs = screen_programs(NetworkConfig(), Case.A, Objective.WEIGHTED_SUM)
+    solve_iterative(programs[0])
+    assert alone and not stacks
+    alone.clear()
+    solve_iterative_many(programs[:LOCKSTEP_MIN - 1])
+    assert alone and not stacks
+    alone.clear()
+    solve_iterative_many(programs[:LOCKSTEP_MIN])
+    assert stacks and len(stacks[0][0]) == LOCKSTEP_MIN
+    assert all(len(subs) >= LOCKSTEP_MIN for subs, _ in stacks)
+
+
+@pytest.mark.parametrize("backtracks", [1, 2, 40])
+def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
+    # with one or two halvings some programs find no productive step and
+    # leave the stack early, while the others go on
+    stacks = spy_stacks(monkeypatch)
+    solve_iterative_many(screen_programs(NetworkConfig(X1=0.0), Case.B, Objective.COMMON))
+    monkeypatch.setattr(quadratic, "_BACKTRACKS", backtracks)
+    stuck = 0
+    for subs, xs in stacks:
+        for lock, (sub, x) in zip(_ipm_many(subs, xs), zip(subs, xs), strict=True):
+            alone = _ipm(sub, x)
+            assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
+            assert np.array_equal(lock.x, alone.x)
+            assert np.array_equal(lock.lam_constraints, alone.lam_constraints)
+            assert np.array_equal(lock.lam_bounds, alone.lam_bounds)
+            assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
+            stuck += not alone.converged and alone.iters < quadratic._IPM_MAX_ITERS
+    assert (stuck > 0) == (backtracks < 40)
+
+
+def test_singular_stacked_ipm_system_is_regularized_alone():
+    M = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, rhs[:, :, None])
+    dx = _solve_all(M, rhs)
+    assert np.array_equal(dx[0], rhs[0])
+    fixed = _solve(M[1], rhs[1])
+    assert np.isfinite(fixed).all() and np.array_equal(dx[1], fixed)

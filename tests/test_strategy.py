@@ -17,7 +17,7 @@ from ehcoop import (
 )
 from ehcoop import barrier, strategy
 from ehcoop.network import ChannelState
-from ehcoop.strategy import rho_candidates
+from ehcoop.strategy import SOLVERS, rho_candidates
 
 SUM = Objective.WEIGHTED_SUM
 COMMON = Objective.COMMON
@@ -87,35 +87,56 @@ def test_single_candidate_is_solved_once(default_cfg, default_ch, monkeypatch):
     assert len(calls) == 1
 
 
-def test_rho_grid_is_solved_in_lockstep_in_grid_order(default_cfg, default_ch, monkeypatch):
+MANY = {"nb": "solve_nb_many", "quad": "solve_iterative_many"}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_rho_grid_is_solved_in_lockstep_in_grid_order(solver, default_cfg, default_ch, monkeypatch):
     grid = rho_candidates(default_ch)
     calls = []
-    real = strategy.solve_nb_many
+    real = getattr(strategy, MANY[solver])
 
     def counted(programs):
         calls.append(programs)
         return real(programs)
 
-    monkeypatch.setattr(strategy, "solve_nb_many", counted)
-    outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, default_ch, "nb")
+    monkeypatch.setattr(strategy, MANY[solver], counted)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, default_ch, solver)
     assert len(calls) == 1 and len(calls[0]) == len(grid)
     assert [o.rho for o in outcomes] == list(grid)
     for o in outcomes:
-        single, tp = solve_spec(ScenarioSpec(Scenario.S1, Case.A, SUM, o.rho), default_cfg, "nb")
+        single, tp = solve_spec(ScenarioSpec(Scenario.S1, Case.A, SUM, o.rho), default_cfg, solver)
         assert o.result.status is single.status
         assert o.objective_bits == pytest.approx(tp.b1_bits + tp.b2_bits, rel=1e-12)
         assert o.result.inner_iters == single.inner_iters
 
 
-def test_failed_lockstep_solve_falls_back_to_single_solves(default_cfg, default_ch, monkeypatch):
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_failed_lockstep_solve_falls_back_to_single_solves(solver, default_cfg, default_ch, monkeypatch):
     def broken(programs):
         raise FloatingPointError("overflow in a stacked pass")
 
     grid = rho_candidates(default_ch)
-    monkeypatch.setattr(strategy, "solve_nb_many", broken)
-    outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, "nb")
+    monkeypatch.setattr(strategy, MANY[solver], broken)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
     assert [o.rho for o in outcomes] == list(grid)
     assert all(o.result.converged for o in outcomes)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_failed_fallback_solve_names_the_exception(solver, default_cfg, default_ch, monkeypatch):
+    # the grid's stacked call and then the candidate's own solve raise
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in a stacked pass")
+
+    grid = rho_candidates(default_ch)[:2]
+    monkeypatch.setattr(strategy, MANY[solver], broken)
+    monkeypatch.setattr(strategy, "solve_spec", broken)
+    with pytest.warns(UserWarning) as record:
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+    assert outcomes == []
+    assert [str(w.message) for w in record] == [
+        f"S1-B rho={rho:g} failed: FloatingPointError: overflow in a stacked pass" for rho in grid]
 
 
 def test_unbuildable_rho_is_skipped_with_a_warning(default_cfg, default_ch):
