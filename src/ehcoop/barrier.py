@@ -45,9 +45,10 @@ The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
 floats, and each program leaves at its own stop.  Its arithmetic comes
 from one of two backends.  `solve_nb_many` steps each group of at least
-LOCKSTEP_MIN programs whose reduced forms share a `_layout` on a `_Stack`,
-with one stacked evaluation, Hessian and `np.linalg.solve` on (K, n, n)
-per Newton iteration.  Every other program, and so every `solve_nb`,
+LOCKSTEP_MIN programs whose reduced forms share a `stack_key` on a `_Stack`,
+with one stacked evaluation (`program.ProgramStack`, whose term pass
+`_Stack` wraps), Hessian and `np.linalg.solve` on (K, n, n) per Newton
+iteration.  Every other program, and so every `solve_nb`,
 runs alone on a `_One`: the scalar `barrier_value`, `barrier_gradient`,
 `_newton_direction` and `alpha_linear`, one `program.evaluate` pass and
 one affine-row pass per iterate.  The two agree term by term to a few ulps
@@ -69,7 +70,7 @@ import math
 
 import numpy as np
 
-from .program import SolveResult, finish, start
+from .program import ProgramStack, SolveResult, finish, stack_key, start
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
@@ -237,12 +238,6 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
 # `step(X, D, a)` X + a D where a > 0 (the other rows stay).
 
 
-def _layout(p):
-    """What programs must share to be stacked: variables, term rows and coordinates, aux rates, affine rows."""
-    return (p.n_vars, p.aux_index, p.affine_rows[0].shape,
-            tuple((row, ti, yi) for row, _, _, ti, yi in p.term_table))
-
-
 class _One:
     """One program (K = 1) on the scalar arithmetic of `barrier_value`,
     `barrier_gradient`, `_newton_direction` and `alpha_linear`; its
@@ -280,61 +275,27 @@ class _One:
 
 
 class _Stack:
-    """K programs of one layout as (K, ...) arrays.
-
-    Gammas and coefficients (K, T), objective vectors and affine rows are
-    per program, the objective vector stacked under the affine rows so that
-    one product gives both.  Shared 0/1 matrices place the T terms: R sums
-    their values into the rows (the objective last), P scatters their t
-    and y derivatives into the (m+1, n) gradient block, C their rank-one
-    curvature (a v_t^2, a v_t v_y, a v_y^2) into the n x n Hessian as
-    `Evaluation.curvature` adds it, and W spreads the row weights onto the
-    terms.
-    """
+    """K programs of one `stack_key` as (K, ...) arrays: the `ProgramStack`
+    term pass, and the affine rows with the objective vector stacked under
+    them, so that one product gives both."""
 
     def __init__(self, programs):
-        p = programs[0]
-        table = p.term_table
-        n, m, T = p.n_vars, p.n_nonlinear, len(table)
-        rows = [row % (m + 1) for row, *_ in table]
-        ti, yi = [t[3] for t in table], [t[4] for t in table]
-        self.n, self.m, self.T = n, m, T
-        self.n_rows = m + len(p.affine_rows[1])
-        self.index = ti + yi + list(p.aux_index)
-        self.R = np.zeros((T, m + 1))
-        self.R[range(T), rows] = -1.0
-        self.W = -self.R[:, :m].T
-        self.obj = -self.R[:, m]
-        self.P = np.zeros((2 * T, (m + 1) * n))
-        self.C = np.zeros((3 * T, n * n))
-        for k in range(T):
-            self.P[k, rows[k] * n + ti[k]] = self.P[T + k, rows[k] * n + yi[k]] = 1.0
-            self.C[k, ti[k] * n + ti[k]] = self.C[2 * T + k, yi[k] * n + yi[k]] = 1.0
-            self.C[T + k, ti[k] * n + yi[k]] = self.C[T + k, yi[k] * n + ti[k]] = 1.0
-        self.gamma = np.array([[t[1] for t in prog.term_table] for prog in programs])
-        self.neg_gamma = -self.gamma
-        self.coeff = np.array([[t[2] for t in prog.term_table] for prog in programs])
-        q = np.array([prog.objective_linear for prog in programs])
+        self.terms = ProgramStack(programs)
+        self.m, self.n = self.terms.m, self.terms.n
+        self.n_rows = self.m + len(programs[0].affine_rows[1])
         A = np.array([prog.affine_rows[0] for prog in programs])
         self.b = np.array([prog.affine_rows[1] for prog in programs])
-        self.Aq = np.concatenate((A, q[:, None, :]), 1)
-        unit = np.zeros((m, n))
-        unit[range(m), p.aux_index] = 1.0
-        self.base = np.concatenate((np.broadcast_to(unit, (len(programs), m, n)),
-                                    q[:, None, :]), 1).reshape(len(programs), -1)
+        self.Aq = np.concatenate((A, self.terms.q[:, None, :]), 1)
 
     def take(self, keep) -> "_Stack":
         """The programs at the positions `keep`."""
         out = copy.copy(self)
-        for name in ("gamma", "neg_gamma", "coeff", "b", "Aq", "base"):
-            setattr(out, name, getattr(self, name)[keep])
+        out.terms, out.b, out.Aq = self.terms.take(keep), self.b[keep], self.Aq[keep]
         return out
 
     def _terms(self, X):
         """(t, y, aux rates, A x) at the points X, the last column of A x the objective's q . x."""
-        Xi = X[:, self.index]
-        T = self.T
-        return Xi[:, :T], Xi[:, T:2 * T], Xi[:, 2 * T:], (self.Aq @ X[:, :, None])[:, :, 0]
+        return *self.terms.terms(X), (self.Aq @ X[:, :, None])[:, :, 0]
 
     def barrier(self, X, tau):
         """Barrier values; +inf outside the strict interior.
@@ -343,7 +304,7 @@ class _Stack:
         sum, or the point has a NaN coordinate.
         """
         t, y, aux, Ax = self._terms(X)
-        sums = (self.coeff * (t * np.log1p(self.gamma * y / t))) @ self.R
+        sums = self.terms.row_sums(t, y)
         out = (Ax[:, -1] + sums[:, -1]
                - (np.log(-(aux + sums[:, :-1])).sum(1) + np.log(self.b - Ax[:, :-1]).sum(1)) / tau)
         out[np.isnan(out)] = math.inf
@@ -357,27 +318,16 @@ class _Stack:
         of each term's rank-one Hessian.
         """
         t, y, aux, Ax = self._terms(X)
-        coeff = self.coeff
-        gy = self.gamma * y
-        log = np.log1p(gy / t)
-        den = t + gy
-        rt = np.sqrt(t)
-        sums = (coeff * (t * log)) @ self.R
+        sums, grads, factors = self.terms.derivatives(t, y)
         c = aux + sums[:, :-1]
-        parts = np.concatenate((coeff * (gy / den - log), coeff * (self.neg_gamma * t / den)), 1)
-        grads = (self.base + parts @ self.P).reshape(len(X), self.m + 1, self.n)
         rows = np.concatenate((grads[:, :-1], self.Aq[:, :-1]), 1)
         s = np.concatenate((-c, self.b - Ax[:, :-1]), 1)
         g = grads[:, -1] + ((1.0 / (tau * s))[:, None, :] @ rows)[:, 0]
-        return (Ax[:, -1] + sums[:, -1], grads[:, -1], g, c, s, rows,
-                (gy / (rt * den), self.neg_gamma * rt / den))
+        return Ax[:, -1] + sums[:, -1], grads[:, -1], g, c, s, rows, factors
 
     def hessian(self, tau, c, s, rows, factors):
         """Barrier Hessians from a `gradient` pass."""
-        v0, v1 = factors
-        w = ((-1.0 / (tau * c)) @ self.W + self.obj) * self.coeff
-        a = w * v0
-        H = (np.concatenate((a * v0, a * v1, w * v1 * v1), 1) @ self.C).reshape(len(c), self.n, self.n)
+        H = self.terms.curvature(-1.0 / (tau * c), factors)
         return H + (rows.transpose(0, 2, 1) / (tau * s * s)[:, None, :]) @ rows
 
     def newton(self, X, tau):
@@ -562,7 +512,7 @@ def solve_nb(program) -> SolveResult:
 
 def solve_nb_many(programs) -> list[SolveResult]:
     """`solve_nb` on each program, in order: each group of at least LOCKSTEP_MIN programs whose
-    presolved forms share a `_layout` steps in lockstep on a `_Stack`, every other one on a `_One`."""
+    presolved forms share a `stack_key` steps in lockstep on a `_Stack`, every other one on a `_One`."""
     results: list = [None] * len(programs)
     groups: dict = {}
     for i, p in enumerate(programs):
@@ -570,7 +520,7 @@ def solve_nb_many(programs) -> list[SolveResult]:
         if started is None:
             results[i] = SolveResult.infeasible("nb")
         else:
-            key = _layout(started[0].program) if len(programs) >= LOCKSTEP_MIN else i
+            key = stack_key(started[0].program) if len(programs) >= LOCKSTEP_MIN else i
             groups.setdefault(key, []).append((i, *started))
     for members in groups.values():
         for run in [members] if len(members) >= LOCKSTEP_MIN else [[one] for one in members]:

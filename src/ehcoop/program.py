@@ -23,11 +23,14 @@ instances are not changed after construction.  `ConvexProgram.evaluate`
 makes one pass over the table in Python floats for the objective value and
 gradient, the epigraph row values c and gradients G, and each term's
 rank-one Hessian factor v; `values` is the same pass without derivatives.
-The per-row methods read from these passes.
+The per-row methods read from these passes.  `ProgramStack` makes the
+pass over K programs of one `stack_key` at once, as (K, ...) arrays: nb's
+lockstep Newton iterations and quad's lockstep rounds evaluate through it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -273,6 +276,114 @@ class ConvexProgram:
         for i in self.positive_indices:
             worst = max(worst, -float(x[i]))
         return worst
+
+
+def stack_key(p: ConvexProgram):
+    """What programs must share to be stacked: variables, term rows and
+    coordinates, aux rates, linear rows and positive coordinates."""
+    return (p.n_vars, p.aux_index, p.lin_A.shape, p.t_indices, p.y_indices,
+            tuple((row, ti, yi) for row, _, _, ti, yi in p.term_table))
+
+
+def scalar_log1p(z: np.ndarray) -> np.ndarray:
+    """`np.log1p` with the bits of `math.log1p`, which `ConvexProgram.evaluate`
+    uses; numpy's vectorized log1p differs from it in the last bit on about
+    2% of arguments."""
+    return np.array(list(map(math.log1p, z.ravel().tolist()))).reshape(z.shape)
+
+
+class ProgramStack:
+    """K programs of one `stack_key` as (K, ...) arrays, evaluated in one pass.
+
+    Gammas and coefficients (K, T), objective vectors (K, n) and linear rows
+    are per program.  Shared 0/1 matrices place the T terms: R sums their
+    values into the rows (the objective last), P scatters their t and y
+    derivatives into the (m+1, n) gradient block, C_rows their rank-one
+    curvature (a v_t^2, a v_t v_y, a v_y^2) into each row's n x n Hessian
+    and C into one n x n sum, and W spreads row weights onto the terms.
+    Each product adds a row's terms in table order, as `evaluate` does;
+    `log1p` is numpy's unless the caller needs `evaluate`'s bits.
+    """
+
+    def __init__(self, programs, log1p=np.log1p):
+        p = programs[0]
+        table = p.term_table
+        n, m, T = p.n_vars, p.n_nonlinear, len(table)
+        rows = [row % (m + 1) for row, *_ in table]
+        ti, yi = [t[3] for t in table], [t[4] for t in table]
+        self.n, self.m, self.T = n, m, T
+        self.log1p = log1p
+        self.aux_index = p.aux_index
+        self.index = ti + yi + list(p.aux_index)
+        self.R = np.zeros((T, m + 1))
+        self.R[range(T), rows] = -1.0
+        self.W = -self.R[:, :m].T
+        self.obj = -self.R[:, m]
+        self.P = np.zeros((2 * T, (m + 1) * n))
+        C = np.zeros((3 * T, m + 1, n * n))
+        for k, r in enumerate(rows):
+            self.P[k, r * n + ti[k]] = self.P[T + k, r * n + yi[k]] = 1.0
+            C[k, r, ti[k] * n + ti[k]] = C[2 * T + k, r, yi[k] * n + yi[k]] = 1.0
+            C[T + k, r, ti[k] * n + yi[k]] = C[T + k, r, yi[k] * n + ti[k]] = 1.0
+        self.C_rows = C.reshape(3 * T, (m + 1) * n * n)
+        self.C = C.sum(1)
+        self.gamma = np.array([[t[1] for t in prog.term_table] for prog in programs])
+        self.neg_gamma = -self.gamma
+        self.coeff = np.array([[t[2] for t in prog.term_table] for prog in programs])
+        self.q = np.array([prog.objective_linear for prog in programs])
+        self.lin_A = np.array([prog.lin_A for prog in programs])
+        self.lin_b = np.array([prog.lin_b for prog in programs])
+        unit = np.zeros((m, n))
+        unit[range(m), p.aux_index] = 1.0
+        self.base = np.concatenate((np.broadcast_to(unit, (len(programs), m, n)),
+                                    self.q[:, None, :]), 1).reshape(len(programs), -1)
+
+    def take(self, keep) -> "ProgramStack":
+        """The programs at the positions `keep`."""
+        out = copy.copy(self)
+        for name in ("gamma", "neg_gamma", "coeff", "q", "lin_A", "lin_b", "base"):
+            setattr(out, name, getattr(self, name)[keep])
+        return out
+
+    def terms(self, X):
+        """(t, y, aux rates) at the points X: each term's time and energy, each row's rate."""
+        Xi = X[:, self.index]
+        T = self.T
+        return Xi[:, :T], Xi[:, T:2 * T], Xi[:, 2 * T:]
+
+    def row_sums(self, t, y):
+        """Each row's sum of coeff * l over its terms, the objective's last (`term_sums`)."""
+        return (self.coeff * (t * self.log1p(self.gamma * y / t))) @ self.R
+
+    def derivatives(self, t, y):
+        """The pass of `evaluate`: row sums as `row_sums`, the (K, m+1, n) row
+        gradients (the objective's last) and each term's factors (v_t, v_y)."""
+        coeff = self.coeff
+        gy = self.gamma * y
+        log = self.log1p(gy / t)
+        den = t + gy
+        rt = np.sqrt(t)
+        sums = (coeff * (t * log)) @ self.R
+        parts = np.concatenate((coeff * (gy / den - log), coeff * (self.neg_gamma * t / den)), 1)
+        grads = (self.base + parts @ self.P).reshape(len(t), self.m + 1, self.n)
+        return sums, grads, (gy / (rt * den), self.neg_gamma * rt / den)
+
+    def curvature(self, weights, factors):
+        """(K, n, n) sums of w[row] * coeff * v v^T over the terms, w the
+        (K, m) row weights and 1 for the objective (`Evaluation.curvature`)."""
+        v0, v1 = factors
+        w = (weights @ self.W + self.obj) * self.coeff
+        a = w * v0
+        H = np.concatenate((a * v0, a * v1, w * v1 * v1), 1) @ self.C
+        return H.reshape(len(w), self.n, self.n)
+
+    def row_hessians(self, factors):
+        """(K, m+1, n, n) stacks of each row's sum of coeff * v v^T, the
+        objective's last (`Evaluation.row_hessians`)."""
+        v0, v1 = factors
+        a = self.coeff * v0
+        H = np.concatenate((a * v0, a * v1, self.coeff * v1 * v1), 1) @ self.C_rows
+        return H.reshape(len(a), self.m + 1, self.n, self.n)
 
 
 def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:

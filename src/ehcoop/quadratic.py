@@ -24,19 +24,36 @@ A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
 at call time.  It keeps no per-round log.
 
-The rounds are written once, as a generator (`_rounds`) that hands out
-each (subproblem, start) it needs solved.  `solve_iterative` answers it
-with the scalar `_ipm`.  `solve_iterative_many` runs the rounds of K
-programs side by side, the trust region accepted, shrunk or grown per
-program: whenever every program waits on a subproblem, those of one
-`_shape` (at least LOCKSTEP_MIN of them) go through one `_ipm_many`, which
-steps their Newton systems as a (K, n, n) stack and their rows as (K, J)
-arrays, every rule of `_ipm` kept per program.  `_ipm_many` gives the same
-bits as `_ipm` on every subproblem the tests and the energy grid's
-screens give it.  On the subproblems the energy grid's screens stack
-(Intel Xeon, OpenBLAS, one process), a stack of 2, 3, 4 and 8 takes
-0.89-0.93, 0.66, 0.51-0.55 and 0.34-0.37 of the time of as many `_ipm`
-runs, so LOCKSTEP_MIN is 2.
+The rounds are written once, as a generator (`_rounds`) that yields an
+`_Ask` for every subproblem it needs solved (the model around x, boxed or
+not, started under the caps) and reads a `_Reply` (the solution, the
+point under its caps and the objective values the acceptance test
+needs); the accept, shrink, grow, settle and polish rules run on Python
+floats per program.  `solve_iterative` answers with the scalar
+`quadratize`, `_with_trust_region`, `_under_caps` and `_ipm` (`_answer`),
+a round's retries reusing its model.  `solve_iterative_many` runs the
+rounds of K programs side by side and answers the waiting asks of one
+`program.stack_key` and box state, at least LOCKSTEP_MIN of them, with
+one `_answer_stack`: one pass of a `ProgramStack` (with `math.log1p`'s
+bits) gives the row values, gradients and Hessians of all K models, the
+boxes come from (K, n) centres and radii and the starts from (K, m) caps,
+the arrays go as a `_Stack` to `_ipm_many`, which steps the Newton systems
+as (K, n, n) and the rows as (K, J) arrays with every rule of `_ipm` kept
+per program, and one more pass gives the objective values.  Every model,
+start and reply has the bits of `_answer`'s, and `_ipm_many` those of
+`_ipm`, on every round the tests and the energy grid's screens give them.
+Boxless asks wait while any ask is boxed, so that the programs that
+settle in different rounds polish in one stack.
+
+Measured on the eight-candidate rounds of the default S1-A sum screen
+(Intel Xeon, 2 CPUs, OpenBLAS, numpy 2.4, one process; median over the
+rounds of stacked/one-by-one time, two runs), the round work without the
+interior-point solve, about 110-180 us per program one by one, takes
+0.84-0.90, 0.59-0.65, 0.46-0.48 and 0.25 of that time stacked at K = 2, 3,
+4 and 8; the whole round, solve included, 0.86-0.87, 0.59-0.60, 0.47-0.49
+and 0.30-0.31.  At K = 1 a stack costs 1.43-1.49 (round work) and
+1.56-1.58 (whole round), so LOCKSTEP_MIN is 2 and a lone solve runs the
+scalar path.
 """
 
 from __future__ import annotations
@@ -44,10 +61,21 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .program import ConvexProgram, SolveResult, aux_bounds, energy_caps, finish, start
+from .program import (
+    ConvexProgram,
+    ProgramStack,
+    SolveResult,
+    aux_bounds,
+    energy_caps,
+    finish,
+    scalar_log1p,
+    stack_key,
+    start,
+)
 
 # expansion points are lifted this far off the t = 0 boundary to keep the
 # model curvature finite
@@ -56,8 +84,8 @@ _T_FLOOR = 1e-9
 _SETTLE_TOL = 1e-6
 # quadratization rounds per solve
 MAX_ROUNDS = 50
-# fewest subproblems of one shape that `solve_iterative_many` solves as one
-# stack (the measured crossover is in the module docstring)
+# fewest asks of one layout and box state that `solve_iterative_many`
+# answers as one stack (the measured crossover is in the module docstring)
 LOCKSTEP_MIN = 2
 
 
@@ -223,11 +251,13 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
             )
         target = _SIGMA * mu_hat
 
-        # condensed Newton system for (dx, dlam)
+        # condensed Newton system for (dx, dlam); gap is the negated
+        # complementarity residual
+        gap = target - lam * s
         M = sub.obj_H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
-        dx = _solve(M, -r_d - grad.T @ ((target - lam * s) / s))
+        dx = _solve(M, -r_d - grad.T @ (gap / s))
         p = grad @ dx
-        dlam = (target - lam * s + lam * p) / s
+        dlam = (gap + lam * p) / s
 
         # exact largest step keeping lam > 0 and every constraint negative
         q = np.zeros(J)
@@ -235,8 +265,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
         alpha = min(1.0, _FRAC * min(1.0 / _FRAC, float(_step_limit(lam, dlam, s, p, q))))
 
         # backtrack on the combined residual
-        r_c = lam * s - target
-        rnorm = math.sqrt(float(r_d @ r_d) + float(r_c @ r_c))
+        rnorm = math.sqrt(float(r_d @ r_d) + float(gap @ gap))
         for _ in range(_BACKTRACKS):
             x_try = x + alpha * dx
             lam_try = lam + alpha * dlam
@@ -260,33 +289,31 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
     )
 
 
-def _shape(sub: QuadraticSubproblem):
-    """What subproblems must share to be stacked: row counts and coordinates."""
-    return sub.con_G.shape, len(sub.nl_H), sub.t_indices, sub.y_indices
-
-
 def _rowdot(a, b):
     """a_k . b_k for every row k of two (K, J) arrays."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 class _Stack:
-    """K subproblems of one `_shape` as (K, ...) arrays: `_ipm`'s inequality
-    rows b0 + A x + 0.5 x^T nl_H[j] x <= 0 and the objective (g, H)."""
+    """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
+    H) and `_ipm`'s inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, the
+    n_con rows of each subproblem, then -x_i <= 0 per positive coordinate.
+    `stack[k]` is subproblem k."""
 
-    def __init__(self, subs):
-        first = subs[0]
-        bounds = -np.eye(first.n_vars)[list(first.positive_indices)]
-        self.A = np.array([np.concatenate((sub.con_G, bounds)) for sub in subs])
-        self.b0 = np.array([np.concatenate((sub.con_const, np.zeros(len(bounds)))) for sub in subs])
-        self.nl_H = np.array([sub.nl_H for sub in subs])
-        self.g = np.array([sub.obj_g for sub in subs])
-        self.H = np.array([sub.obj_H for sub in subs])
+    def __init__(self, c0, g, H, A, b0, nl_H, n_con, t_indices, y_indices):
+        self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
+        self.n_con, self.t_indices, self.y_indices = n_con, t_indices, y_indices
+
+    def __getitem__(self, k) -> QuadraticSubproblem:
+        return QuadraticSubproblem(
+            obj_const=float(self.c0[k]), obj_g=self.g[k], obj_H=self.H[k],
+            con_const=self.b0[k, :self.n_con], con_G=self.A[k, :self.n_con], nl_H=self.nl_H[k],
+            t_indices=self.t_indices, y_indices=self.y_indices)
 
     def take(self, keep) -> "_Stack":
         """The subproblems at the positions `keep`."""
         out = copy.copy(self)
-        for name in ("A", "b0", "nl_H", "g", "H"):
+        for name in ("c0", "A", "b0", "nl_H", "g", "H"):
             setattr(out, name, getattr(self, name)[keep])
         return out
 
@@ -304,8 +331,8 @@ class _Stack:
         return self.g + (self.H @ X[:, :, None])[..., 0] + (L[:, None, :] @ G)[:, 0]
 
 
-def _ipm_many(subs, xs) -> list[SubproblemSolution]:
-    """`_ipm` on subproblems of one `_shape` at once, from the starts xs, in order.
+def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
+    """`_ipm` on every subproblem of a `_Stack` at once, from the starts X (K, n), in order.
 
     Each Newton system is one of a (K, n, n) stack and every slack,
     gradient and trial is one array over (K, J) rows.  Every rule of
@@ -313,12 +340,9 @@ def _ipm_many(subs, xs) -> list[SubproblemSolution]:
     on its own combined residual and the iteration cap; each program
     leaves the stack at its own stop.
     """
-    st = _Stack(subs)
     K, J = st.b0.shape
-    n, m = subs[0].n_vars, subs[0].n_nonlinear
-    n_con = len(subs[0].con_const)
+    n, m, n_con = st.g.shape[1], st.nl_H.shape[1], st.n_con
     live = np.arange(K)
-    X = np.array(xs, dtype=float)
     S, G = st.state(X)
     if S.min() <= 0.0:
         raise ValueError("interior-point start must be strictly feasible")
@@ -351,12 +375,13 @@ def _ipm_many(subs, xs) -> list[SubproblemSolution]:
         target = _SIGMA * mu
 
         # condensed Newton systems for (dx, dlam)
+        gap = target[:, None] - L * S
         Gt = G.transpose(0, 2, 1)
         M = (st.H + (L[:, None, :m] @ st.nl_H.reshape(len(X), m, n * n)).reshape(-1, n, n)
              + Gt @ (G * (L / S)[:, :, None]))
-        dX = _solve_all(M, -R - (Gt @ ((target[:, None] - L * S) / S)[:, :, None])[..., 0])
+        dX = _solve_all(M, -R - (Gt @ (gap / S)[:, :, None])[..., 0])
         P = (G @ dX[:, :, None])[..., 0]
-        dL = (target[:, None] - L * S + L * P) / S
+        dL = (gap + L * P) / S
 
         # exact largest steps keeping lam > 0 and every constraint negative
         Q = np.zeros_like(S)
@@ -364,8 +389,7 @@ def _ipm_many(subs, xs) -> list[SubproblemSolution]:
         alpha = np.minimum(1.0, _FRAC * np.minimum(1.0 / _FRAC, _step_limit(L, dL, S, P, Q)))
 
         # backtrack every program on its own combined residual
-        Rc = L * S - target[:, None]
-        rnorm = np.sqrt(_rowdot(R, R) + _rowdot(Rc, Rc))
+        rnorm = np.sqrt(_rowdot(R, R) + _rowdot(gap, gap))
         search = slice(None)        # every program, then those still searching
         trial, new = st, None
         for _ in range(_BACKTRACKS):
@@ -448,13 +472,13 @@ def _with_trust_region(sub: QuadraticSubproblem, center: np.ndarray,
     idx = list(sub.positive_indices)
     c = center[idx]
     r = delta * np.maximum(np.abs(c), floors)
-    # the lower edge never reaches zero: a log term frozen at the
-    # origin cannot be revived by a local quadratic model
+    # the lower edge never reaches zero (the interior-point iterates keep
+    # c > 0): a log term frozen at the origin cannot be revived by a local
+    # quadratic model
     lo = np.maximum(c - r, 0.25 * c)
     eye = np.eye(sub.n_vars)[idx]
-    keep = np.column_stack((np.ones(len(idx), dtype=bool), lo > 0.0)).ravel()
-    rows = np.stack((eye, -eye), axis=1).reshape(-1, sub.n_vars)[keep]
-    const = np.column_stack((-(c + r), lo)).ravel()[keep]
+    rows = np.stack((eye, -eye), axis=1).reshape(-1, sub.n_vars)
+    const = np.column_stack((-(c + r), lo)).ravel()
     return replace(sub, con_const=np.concatenate((sub.con_const, const)),
                    con_G=np.concatenate((sub.con_G, rows)))
 
@@ -512,10 +536,34 @@ def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
     return x
 
 
+class _Ask(NamedTuple):
+    """What a solve's rounds need next: the model of `program` around x
+    (built anew when `fresh`, else the last one), boxed around x by `delta`
+    unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
+
+    program: ConvexProgram
+    floors: np.ndarray          # `_box_floors(program)`
+    x: np.ndarray
+    delta: float | None
+    fresh: bool
+
+
+class _Reply(NamedTuple):
+    """The answer to an `_Ask`: the subproblem's solution and, when it
+    converged, the point under its caps and the objective values the
+    acceptance test reads (NaN otherwise)."""
+
+    sol: SubproblemSolution
+    cand: np.ndarray | None     # `_under_caps(program, sol.x, 0.0)`
+    f_x: float                  # objective at x
+    f_model: float              # the (boxless) model's objective at sol.x
+    f_cand: float               # objective at cand
+
+
 def _rounds(program: ConvexProgram):
-    """One solve's rounds as a generator: it yields each (subproblem, start)
-    it needs solved, is sent back `_ipm`'s `SubproblemSolution` of it, and
-    returns the `SolveResult`.
+    """One solve's rounds as a generator: it yields an `_Ask` for every
+    subproblem it needs solved, is sent back its `_Reply`, and returns the
+    `SolveResult`.
 
     `outer_iters` on the result counts the rebuilds that moved the solution
     by more than `_SETTLE_TOL` when the rounds settle; the final rebuild that
@@ -538,21 +586,19 @@ def _rounds(program: ConvexProgram):
     has_models = bool(red.term_table)
     delta = _TR_DELTA0 if has_models else _TR_FREE
     for rounds in range(1, MAX_ROUNDS + 1):
-        sub0 = quadratize(red, _expansion_point(red, x))
-        f_x = red.objective_value(x)
         accepted = False
         at_fixed_point = False
         cand = x
-        for _ in range(_TR_RETRIES + 1):
-            sub = sub0 if delta >= _TR_FREE else _with_trust_region(sub0, x, delta, floors)
-            sol = yield sub, _under_caps(red, x, _IPM_BACKOFF)
+        for retry in range(_TR_RETRIES + 1):
+            reply = yield _Ask(red, floors, x, None if delta >= _TR_FREE else delta, retry == 0)
+            sol = reply.sol
             inner_total += sol.iters
             if not sol.converged:
                 delta *= _TR_SHRINK
                 continue
-            cand = _under_caps(red, sol.x, 0.0)
-            pred = f_x - sub0.objective_value(sol.x)
-            act = f_x - red.objective_value(cand)
+            cand, f_x = reply.cand, reply.f_x
+            pred = f_x - reply.f_model
+            act = f_x - reply.f_cand
             if pred <= 1e-12 * (1.0 + abs(f_x)):
                 # the model itself sees no descent around x
                 accepted = True
@@ -582,19 +628,18 @@ def _rounds(program: ConvexProgram):
         # polish the coordinates to machine precision and yield multipliers
         # for the true constraint set
         for _ in range(3):
-            clean = yield quadratize(red, _expansion_point(red, x)), _under_caps(red, x, _IPM_BACKOFF)
+            reply = yield _Ask(red, floors, x, None, True)
+            clean = reply.sol
             inner_total += clean.iters
             if not clean.converged:
                 break
-            cand = _under_caps(red, clean.x, 0.0)
+            cand, f_x = reply.cand, reply.f_x
             move = float(np.linalg.norm(cand - x))
-            f_x = red.objective_value(x)
             # a centered rebuild reads a few nano-nats worse than a
             # boundary-hugging iterate (complementarity offset of the
             # interior-point finish), so the deterioration guard must sit
             # above that offset
-            if (move > 50.0 * _SETTLE_TOL
-                    or red.objective_value(cand) > f_x + 1e-8 * (1.0 + abs(f_x))):
+            if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + 1e-8 * (1.0 + abs(f_x)):
                 break
             x, sol = cand, clean
             if move <= 1e-12:
@@ -614,13 +659,101 @@ def _rounds(program: ConvexProgram):
                   moves if converged else rounds, inner_total)
 
 
+def _answer(ask: _Ask, model=None):
+    """An ask answered with the scalar `quadratize`, `_with_trust_region`
+    and `_ipm`.  `model` is the (model, f_x) of the same program's last ask,
+    reused unless the ask is fresh; returns the reply and the model."""
+    red, x = ask.program, ask.x
+    if ask.fresh or model is None:
+        model = quadratize(red, _expansion_point(red, x)), red.objective_value(x)
+    sub0, f_x = model
+    sub = sub0 if ask.delta is None else _with_trust_region(sub0, x, ask.delta, ask.floors)
+    sol = _ipm(sub, _under_caps(red, x, _IPM_BACKOFF))
+    if not sol.converged:
+        return _Reply(sol, None, f_x, math.nan, math.nan), model
+    cand = _under_caps(red, sol.x, 0.0)
+    return _Reply(sol, cand, f_x, sub0.objective_value(sol.x), red.objective_value(cand)), model
+
+
+def _stacked_under_caps(ps: ProgramStack, X, sums, backoff: float):
+    """`_under_caps` on every row of X, `sums` the row sums there."""
+    cap = -sums[:, :-1]
+    rows, cols = [], []         # each rate's first row
+    for j, aux in enumerate(ps.aux_index):
+        if aux in cols:
+            k = rows[cols.index(aux)]
+            cap[:, k] = np.where(cap[:, k] < cap[:, j], cap[:, k], cap[:, j])
+        else:
+            rows.append(j)
+            cols.append(aux)
+    cap, rates = cap[:, rows], X[:, cols]
+    X = X.copy()
+    X[:, cols] = np.where(cap < rates, cap, rates) - backoff * (1.0 + np.abs(cap))
+    return X
+
+
+def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
+    """The asks of the K programs of `ps`, all boxed or all boxless, answered
+    together with the bits of `_answer`: one stacked pass builds every
+    model as `quadratize` and `_with_trust_region` would, `_ipm_many`
+    solves them and one more pass takes the objective at the new points.
+    A retry's model is built anew, which gives the same one."""
+    red = asks[0].program
+    m, n = red.n_nonlinear, red.n_vars
+    pos = list(red.positive_indices)
+    X = np.array([ask.x for ask in asks])
+    K = len(X)
+
+    # the models around the expansion points, as `quadratize` builds them
+    E, t = X, list(red.t_indices)
+    if X[:, t].min(initial=_T_FLOOR) < _T_FLOOR:
+        E = X.copy()
+        E[:, t] = np.maximum(X[:, t], _T_FLOOR)
+    sums, grads, factors = ps.derivatives(*ps.terms(E)[:2])
+    H = ps.row_hessians(factors)
+    Hx = (H @ E[:, None, :, None])[..., 0]
+    f = np.concatenate((E[:, list(red.aux_index)] + sums[:, :-1],
+                        (_rowdot(ps.q, E) + sums[:, -1])[:, None]), 1)
+    const = f - (grads @ E[:, :, None])[..., 0] + 0.5 * (Hx @ E[:, :, None])[..., 0]
+    g = grads - Hx
+    eye = np.eye(n)[pos]
+    A = [g[:, :m], ps.lin_A]
+    b0 = [const[:, :m], -ps.lin_b]
+    if asks[0].delta is not None:
+        c = X[:, pos]
+        r = np.array([ask.delta for ask in asks])[:, None] * np.maximum(np.abs(c), floors)
+        A.append(np.broadcast_to(np.stack((eye, -eye), axis=1).reshape(-1, n), (K, 2 * len(pos), n)))
+        b0.append(np.stack((-(c + r), np.maximum(c - r, 0.25 * c)), 2).reshape(K, -1))
+    n_con = sum(rows.shape[1] for rows in A)
+    A.append(np.broadcast_to(-eye, (K, len(pos), n)))
+    b0.append(np.zeros((K, len(pos))))
+    st = _Stack(const[:, m], g[:, m], H[:, m], np.concatenate(A, 1), np.concatenate(b0, 1), H[:, :m],
+                n_con, red.t_indices, red.y_indices)
+
+    if E is not X:
+        sums = ps.row_sums(*ps.terms(X)[:2])
+    f_x = (_rowdot(ps.q, X) + sums[:, -1]).tolist()
+    sols = _ipm_many(st, _stacked_under_caps(ps, X, sums, _IPM_BACKOFF))
+
+    # sol.x is strictly interior whether or not the solve converged
+    X_sol = np.array([sol.x for sol in sols])
+    sums = ps.row_sums(*ps.terms(X_sol)[:2])
+    cand = _stacked_under_caps(ps, X_sol, sums, 0.0)
+    f_cand = (_rowdot(ps.q, cand) + sums[:, -1]).tolist()
+    # each model's objective at its solution, as `QuadraticSubproblem.objective_value`
+    HX = (st.H @ X_sol[:, :, None])[..., 0]
+    f_model = (st.c0 + _rowdot(st.g, X_sol) + 0.5 * _rowdot(X_sol, HX)).tolist()
+    return [_Reply(sol, cand[k], f_x[k], f_model[k], f_cand[k]) if sol.converged
+            else _Reply(sol, None, f_x[k], math.nan, math.nan) for k, sol in enumerate(sols)]
+
+
 def solve_iterative(program: ConvexProgram) -> SolveResult:
     """Repeated quadratization until the solution stops moving, every
-    subproblem solved by the scalar `_ipm`."""
-    rounds, sol = _rounds(program), None
+    subproblem built and solved one by one (`_answer`)."""
+    rounds, reply, model = _rounds(program), None, None
     try:
         while True:
-            sol = _ipm(*rounds.send(sol))
+            reply, model = _answer(rounds.send(reply), model)
     except StopIteration as done:
         return done.value
 
@@ -628,29 +761,51 @@ def solve_iterative(program: ConvexProgram) -> SolveResult:
 def solve_iterative_many(programs) -> list[SolveResult]:
     """`solve_iterative` on each program, in order, their rounds stepped together.
 
-    Every program runs its own rounds.  Each time all of them wait on a
-    subproblem, the subproblems are grouped by `_shape`: a group of at
-    least LOCKSTEP_MIN goes through one `_ipm_many`, every other
-    subproblem through `_ipm`.
+    Every program runs its own rounds; each waits on an ask until it is
+    answered.  The waiting asks are grouped by `stack_key` and by whether
+    they are boxed: a group of at least LOCKSTEP_MIN is answered by one
+    `_answer_stack` on a `ProgramStack` of its programs, every other ask by
+    `_answer`.  Boxless asks (the polish rebuilds) wait while any ask is
+    boxed, so that the programs that settle in different rounds polish in
+    one stack.
     """
     results: list = [None] * len(programs)
     running = dict(enumerate(map(_rounds, programs)))
-    answers: dict = dict.fromkeys(running)      # what each program's rounds are sent next
+    replies: dict = dict.fromkeys(running)      # what the answered programs' rounds are sent next
+    asks: dict = {}
+    stacks: dict = {}       # stack_key -> (ProgramStack, box floors, {program: position})
+    keys: dict = {}
     while running:
-        requests = {}
-        for i, rounds in list(running.items()):
+        for i, reply in replies.items():
             try:
-                requests[i] = rounds.send(answers[i])
+                asks[i] = running[i].send(reply)
             except StopIteration as done:
                 results[i] = done.value
                 del running[i]
+        replies = {}
+        if not keys:
+            # the first asks carry every reduced program
+            layouts: dict = {}
+            for i, ask in asks.items():
+                keys[i] = stack_key(ask.program)
+                layouts.setdefault(keys[i], []).append(i)
+            for key, members in layouts.items():
+                if len(members) >= LOCKSTEP_MIN:
+                    stacks[key] = (ProgramStack([asks[i].program for i in members], scalar_log1p),
+                                   np.array([asks[i].floors for i in members]),
+                                   {i: k for k, i in enumerate(members)})
         groups: dict = {}
-        for i, (sub, _) in requests.items():
-            groups.setdefault(_shape(sub), []).append(i)
-        for members in groups.values():
-            subs, xs = zip(*(requests[i] for i in members))
+        for i in sorted(asks):
+            groups.setdefault((keys[i], asks[i].delta is None), []).append(i)
+        if not all(free for _, free in groups):
+            groups = {group: members for group, members in groups.items() if not group[1]}
+        for (key, _), members in groups.items():
             if len(members) >= LOCKSTEP_MIN:
-                answers.update(zip(members, _ipm_many(subs, xs)))
+                ps, floors, position = stacks[key]
+                rows = [position[i] for i in members]
+                if len(rows) < len(position):
+                    ps, floors = ps.take(rows), floors[rows]
+                replies.update(zip(members, _answer_stack(ps, floors, [asks.pop(i) for i in members])))
             else:
-                answers.update(zip(members, map(_ipm, subs, xs)))
+                replies.update((i, _answer(asks.pop(i))[0]) for i in members)
     return results

@@ -1,6 +1,8 @@
 """Quadratic models, the QCQP subproblem solver and the iterative loop."""
 
 import math
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from ehcoop.quadratic import (
     solve_iterative_many,
 )
 from ehcoop.scenarios import build_problem
-from ehcoop.strategy import rho_candidates
+from ehcoop.strategy import rho_candidates, screen_rho
 
 
 def relay_program(rho=0.3, objective=Objective.WEIGHTED_SUM):
@@ -409,13 +411,20 @@ def test_small_groups_run_the_scalar_ipm(monkeypatch):
 def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
     # with one or two halvings some programs find no productive step and
     # leave the stack early, while the others go on
-    stacks = spy_stacks(monkeypatch)
+    stacks = []
+    real = quadratic._ipm_many
+
+    def spy(st, X):
+        stacks.append((st, X.copy()))
+        return real(st, X)
+
+    monkeypatch.setattr(quadratic, "_ipm_many", spy)
     solve_iterative_many(screen_programs(NetworkConfig(X1=0.0), Case.B, Objective.COMMON))
     monkeypatch.setattr(quadratic, "_BACKTRACKS", backtracks)
     stuck = 0
-    for subs, xs in stacks:
-        for lock, (sub, x) in zip(_ipm_many(subs, xs), zip(subs, xs), strict=True):
-            alone = _ipm(sub, x)
+    for st, X in stacks:
+        for k, lock in enumerate(real(st, X)):
+            alone = _ipm(st[k], X[k])
             assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
             assert np.array_equal(lock.x, alone.x)
             assert np.array_equal(lock.lam_constraints, alone.lam_constraints)
@@ -423,6 +432,76 @@ def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
             assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
             stuck += not alone.converged and alone.iters < quadratic._IPM_MAX_ITERS
     assert (stuck > 0) == (backtracks < 40)
+
+
+def spy_stacked_rounds(monkeypatch):
+    """Record every stacked round: (asks, the `_Stack` and starts sent to `_ipm_many`, replies)."""
+    rounds, stacks = [], []
+    real_ipm, real_answer = quadratic._ipm_many, quadratic._answer_stack
+
+    def ipm(st, X):
+        stacks.append((st, X.copy()))
+        return real_ipm(st, X)
+
+    def answer(ps, floors, asks):
+        replies = real_answer(ps, floors, asks)
+        rounds.append((asks, *stacks[-1], replies))
+        return replies
+
+    monkeypatch.setattr(quadratic, "_ipm_many", ipm)
+    monkeypatch.setattr(quadratic, "_answer_stack", answer)
+    return rounds
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(), NetworkConfig(d1=1.8, du=0.2), NetworkConfig(X1=0.0),
+    NetworkConfig(d1=1.2, du=0.27, eta=0.0, X1=180.0, X2=285.0, w1=0.5),
+])
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("objective", list(Objective))
+def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch):
+    # every stacked model, IPM start and reply has the bits of the one-by-one
+    # quadratize, _with_trust_region, _under_caps and _ipm (`_answer`)
+    rounds = spy_stacked_rounds(monkeypatch)
+    solve_iterative_many(screen_programs(cfg, case, objective))
+    assert rounds
+    lifted = False
+    for asks, st, X0, replies in rounds:
+        for k, (ask, reply) in enumerate(zip(asks, replies, strict=True)):
+            red, x = ask.program, ask.x
+            sub = quadratize(red, quadratic._expansion_point(red, x))
+            lifted |= bool((x[list(red.t_indices)] < quadratic._T_FLOOR).any())
+            if ask.delta is not None:
+                sub = quadratic._with_trust_region(sub, x, ask.delta, ask.floors)
+            model = st[k]
+            assert model.obj_const == sub.obj_const
+            for name in ("obj_g", "obj_H", "con_const", "con_G", "nl_H"):
+                assert np.array_equal(getattr(model, name), getattr(sub, name)), name
+            assert np.array_equal(X0[k], quadratic._under_caps(red, x, quadratic._IPM_BACKOFF))
+            alone = quadratic._answer(ask)[0]
+            assert np.array_equal(reply.sol.x, alone.sol.x)
+            assert reply.sol.iters == alone.sol.iters
+            assert np.array_equal(reply.sol.lam_constraints, alone.sol.lam_constraints)
+            assert np.array_equal(reply.sol.lam_bounds, alone.sol.lam_bounds)
+            assert reply.f_x == alone.f_x
+            if alone.sol.converged:
+                assert np.array_equal(reply.cand, alone.cand)
+                assert (reply.f_model, reply.f_cand) == (alone.f_model, alone.f_cand)
+            else:
+                assert reply.cand is None
+    if cfg.X1 == 0.0 and case is Case.B and objective is Objective.COMMON:
+        # the relay slot's time falls below the expansion floor
+        assert lifted
+
+
+def test_quad_screens_raise_no_runtime_warning():
+    # only the uncertified candidates warn, with a UserWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for X1, case, objective in product((0.0, 100.0), Case, Objective):
+            screen_rho(NetworkConfig(X1=X1), case, objective, solver="quad")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert caught and all(w.category is UserWarning for w in caught)
 
 
 def test_singular_stacked_ipm_system_is_regularized_alone():

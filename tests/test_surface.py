@@ -104,3 +104,35 @@ def test_every_traced_engine_function_is_used_by_the_engine(monkeypatch):
     traced = {attr for owner, attr, _ in TARGETS if module_of(owner).startswith("ehcoop")}
     assert set(UNUSED_TRACED) <= traced
     assert sorted(traced - engine_references() - set(UNUSED_TRACED)) == []
+
+
+def module_tree(name: str):
+    path = os.path.join(ROOT, "src", "ehcoop", f"{name}.py")
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_quadratic_imports_nothing_from_barrier():
+    imported = set()
+    for node in ast.walk(module_tree("quadratic")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {alias.name for alias in node.names if node.module is None}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported and not {m for m in imported if m.rsplit(".", 1)[-1] == "barrier"}
+
+
+def test_barrier_stack_wraps_the_program_stack():
+    # the stacked term pass (placement matrices, logs, factors) lives in
+    # program.ProgramStack alone; nb's _Stack wraps it
+    tree = module_tree("barrier")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "log1p" not in names and "log" in names        # the barrier's own logs stay
+    stack = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Stack")
+    calls = {n.func.id for n in ast.walk(stack) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "ProgramStack" in calls
+    assigned = {t.attr for n in ast.walk(stack) if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Attribute)}
+    assert not assigned & {"R", "P", "C", "W", "gamma", "coeff"}
