@@ -20,6 +20,21 @@ multipliers ask for, and `program.finish` builds the result from the last
 subproblem's duals: a settled point counts as converged only with the
 certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
 
+The Newton direction of an interior-point step linearizes each curved
+slack as s - alpha p, while along the step it is s - alpha p - alpha^2 q / 2
+(q = dx^T nl_H[j] dx).  Where the exact step limit falls below
+_CORRECT_BELOW on a subproblem with curved rows, the step is corrected to
+second order (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.6 and
+19.3): the same Newton matrix is solved again with the complementarity
+residual shifted by lam * q / 2 of the first direction, and the step limit
+is taken along the corrected one.  Without it the steps crawl along a
+curved row at alpha of 0.03-0.2.  On the energy grid's 48 rho screens and
+144 S2-S4 solves it cuts the stacked iterations 42,704 -> 32,571 (11.9 ->
+9.2 per subproblem), the summed longest member of each stacked solve
+6,913 -> 4,804, the lone ones 12,670 -> 10,810 (10.2 -> 8.8), and the
+subproblems stopped by _IPM_MAX_ITERS 59 -> 0, with statuses and rho*
+unchanged.  A subproblem without curved rows (S3/S4 sum) never takes it.
+
 A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
 at call time.  It keeps no per-round log.
@@ -158,6 +173,13 @@ _IPM_TOL = 1e-8        # dual residual and duality measure target
 _IPM_MAX_ITERS = 50
 _FRAC = 0.99           # fraction-to-boundary scaling of the max step
 _BACKTRACKS = 40       # step halvings before an interior-point solve gives up
+# a Newton step whose exact limit falls below this on a subproblem with
+# curved rows is corrected to second order (see the module docstring).
+# Measured on the energy and distance grids and an edge set (X1 = 0, X1 =
+# 1e-3, eta = w1 = 0, X1 = X2 = 0, d1 from 0.2 to 1.8): 0.4, 0.5 and 0.6
+# keep every certificate and gain 5-6; 0.9 and correcting every step lose
+# 3-4 X1 = 0 and X1 = 1e-3 certificates
+_CORRECT_BELOW = 0.5
 
 
 @dataclass
@@ -262,7 +284,17 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
         # exact largest step keeping lam > 0 and every constraint negative
         q = np.zeros(J)
         q[:m] = (nl_H @ dx) @ dx
-        alpha = min(1.0, _FRAC * min(1.0 / _FRAC, float(_step_limit(lam, dlam, s, p, q))))
+        limit = float(_step_limit(lam, dlam, s, p, q))
+        if m and limit < _CORRECT_BELOW:
+            # second-order correction: the same M, each curved slack taken
+            # to second order along the first direction
+            half = 0.5 * q
+            dx = _solve(M, -r_d - grad.T @ ((gap + lam * half) / s))
+            p = grad @ dx
+            dlam = (gap + lam * (p + half)) / s
+            q[:m] = (nl_H @ dx) @ dx
+            limit = float(_step_limit(lam, dlam, s, p, q))
+        alpha = min(1.0, _FRAC * min(1.0 / _FRAC, limit))
 
         # backtrack on the combined residual
         rnorm = math.sqrt(float(r_d @ r_d) + float(gap @ gap))
@@ -386,7 +418,19 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
         # exact largest steps keeping lam > 0 and every constraint negative
         Q = np.zeros_like(S)
         Q[:, :m] = ((st.nl_H @ dX[:, None, :, None])[..., 0] @ dX[:, :, None])[..., 0]
-        alpha = np.minimum(1.0, _FRAC * np.minimum(1.0 / _FRAC, _step_limit(L, dL, S, P, Q)))
+        limit = _step_limit(L, dL, S, P, Q)
+        fix = np.flatnonzero(limit < _CORRECT_BELOW) if m else ()
+        if len(fix):
+            # `_ipm`'s second-order correction, on the programs that need it
+            half, Lf, Sf, gapf = 0.5 * Q[fix], L[fix], S[fix], gap[fix]
+            dXf = _solve_all(M[fix], -R[fix] - (Gt[fix] @ ((gapf + Lf * half) / Sf)[:, :, None])[..., 0])
+            Pf = (G[fix] @ dXf[:, :, None])[..., 0]
+            dLf = (gapf + Lf * (Pf + half)) / Sf
+            Qf = np.zeros_like(Sf)
+            Qf[:, :m] = ((st.nl_H[fix] @ dXf[:, None, :, None])[..., 0] @ dXf[:, :, None])[..., 0]
+            dX[fix], dL[fix] = dXf, dLf
+            limit[fix] = _step_limit(Lf, dLf, Sf, Pf, Qf)
+        alpha = np.minimum(1.0, _FRAC * np.minimum(1.0 / _FRAC, limit))
 
         # backtrack every program on its own combined residual
         rnorm = np.sqrt(_rowdot(R, R) + _rowdot(gap, gap))

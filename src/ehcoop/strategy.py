@@ -100,19 +100,23 @@ def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[C
 
     A grid of two or more candidates goes to one `solve_nb_many` or
     `solve_iterative_many` call, by solver, which decides what to step in
-    lockstep; when a program cannot be built or that call raises, the
-    candidates are solved one by one.  A single candidate is solved once,
-    by `solve_spec`.  A candidate whose solve raises is left out with a
-    warning, so one failure skips the candidate, not the grid.
+    lockstep; when a program cannot be built or that call raises (which
+    warns once), the candidates are solved one by one.  A single candidate
+    is solved once, by `solve_spec`.  A candidate whose solve raises is left
+    out with a warning, so one failure skips the candidate, not the grid.
     """
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
     batch = {}
     if len(specs) > 1:
         many = solve_nb_many if solver == "nb" else solve_iterative_many
+        programs = None
         try:
-            batch = dict(zip(specs, many([build_problem(spec, cfg, ch) for spec in specs])))
-        except Exception:
-            pass        # the one-by-one solves below report the failure
+            programs = [build_problem(spec, cfg, ch) for spec in specs]
+            batch = dict(zip(specs, many(programs)))
+        except Exception as exc:
+            if programs is not None:    # an unbuildable candidate is reported below
+                warnings.warn(f"{scenario.value}-{case.value} batched solve failed: "
+                              f"{type(exc).__name__}: {exc}; solving one by one")
     outcomes = []
     for spec in specs:
         label = f"{scenario.value}-{case.value} rho={spec.rho:g}"

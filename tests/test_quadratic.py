@@ -243,7 +243,9 @@ def test_iteration_counts_are_unchanged_by_the_array_subproblem():
     # the counts of the scalar per-term models: the array form only reorders sums
     relay = solve_iterative(relay_program())
     direct = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig()))
-    assert (relay.outer_iters, relay.inner_iters) == (6, 83)
+    # the relay program's interior-point steps take the second-order
+    # correction; the S3 program has no curved row, so it never does
+    assert (relay.outer_iters, relay.inner_iters) == (6, 79)
     assert (direct.outer_iters, direct.inner_iters) == (5, 68)
 
 
@@ -502,6 +504,94 @@ def test_quad_screens_raise_no_runtime_warning():
             screen_rho(NetworkConfig(X1=X1), case, objective, solver="quad")
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert caught and all(w.category is UserWarning for w in caught)
+
+
+# -- second-order correction of the interior-point step --------------------------
+
+
+def stack_of(subs):
+    """The subproblems, of one shape, as the `_Stack` `_ipm_many` steps."""
+    n, pos = subs[0].n_vars, list(subs[0].positive_indices)
+    A = [np.concatenate((sub.con_G, -np.eye(n)[pos])) for sub in subs]
+    b0 = [np.concatenate((sub.con_const, np.zeros(len(pos)))) for sub in subs]
+    return quadratic._Stack(
+        np.array([sub.obj_const for sub in subs]), np.array([sub.obj_g for sub in subs]),
+        np.array([sub.obj_H for sub in subs]), np.array(A), np.array(b0),
+        np.array([sub.nl_H for sub in subs]), len(subs[0].con_const), subs[0].t_indices, subs[0].y_indices)
+
+
+def s2_model(x, delta):
+    """The boxed model of the energy grid's S2-A sum program at X1 = 25 mW
+    around x, with its interior-point start: an ask of `_rounds`."""
+    p = build_problem(ScenarioSpec(Scenario.S2, Case.A, Objective.WEIGHTED_SUM), NetworkConfig(X1=25.0))
+    ask = next(quadratic._rounds(p))
+    red, x = ask.program, ask.x if x is None else np.array(x)
+    sub = quadratize(red, quadratic._expansion_point(red, x))
+    return quadratic._with_trust_region(sub, x, delta, ask.floors), quadratic._under_caps(
+        red, x, quadratic._IPM_BACKOFF)
+
+
+# the second round's point of that solve, where the uncorrected step stalled
+# against curved row 0 and took 40 iterations
+STALLED = [float.fromhex(h) for h in (
+    "0x1.70a3d6debed48p-2", "0x1.70a3d6f4b29fep-2", "0x1.132adf3c19bb2p-4", "0x1.5caf5d0edbbb9p-8",
+    "0x1.ba5e34d323ef0p-5", "0x1.48f72f7eef1dap-7", "0x1.5018621e7a429p+1")]
+
+
+def test_corrected_step_ends_the_curved_row_stall(monkeypatch):
+    stalled, x0 = s2_model(STALLED, 1.6)
+    sol = _ipm(stalled, x0)
+    assert sol.converged and sol.iters <= 16
+    # a stack of it with a subproblem that needs fewer corrections keeps the bits
+    pairs = [(stalled, x0), s2_model(None, quadratic._TR_DELTA0)]
+    stacked = _ipm_many(stack_of([sub for sub, _ in pairs]), np.array([x for _, x in pairs]))
+    for lock, (sub, x) in zip(stacked, pairs, strict=True):
+        alone = _ipm(sub, x)
+        assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
+        for name in ("x", "lam_constraints", "lam_bounds"):
+            assert np.array_equal(getattr(lock, name), getattr(alone, name)), name
+        assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
+    # without the correction the stall is back
+    monkeypatch.setattr(quadratic, "_CORRECT_BELOW", 0.0)
+    assert _ipm(stalled, x0).iters == 40
+
+
+def test_no_subproblem_reaches_the_iteration_cap(monkeypatch):
+    # without the correction 14 subproblems of these screens and S2 solves
+    # (12 stacked, 2 lone) ran to the cap
+    iters = []
+    real_one, real_many = quadratic._ipm, quadratic._ipm_many
+
+    def one(sub, x):
+        sol = real_one(sub, x)
+        iters.append(sol.iters)
+        return sol
+
+    def many(st, X):
+        sols = real_many(st, X)
+        iters.extend(sol.iters for sol in sols)
+        return sols
+
+    monkeypatch.setattr(quadratic, "_ipm", one)
+    monkeypatch.setattr(quadratic, "_ipm_many", many)
+    for X1, case in product((25.0, 50.0), Case):
+        cfg = NetworkConfig(X1=X1)
+        screen_rho(cfg, case, Objective.COMMON, solver="quad")
+        solve_iterative(build_problem(ScenarioSpec(Scenario.S2, case, Objective.COMMON), cfg))
+    assert len(iters) > 100
+    assert max(iters) < quadratic._IPM_MAX_ITERS
+
+
+def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
+    # S3 has no curved row, so its interior-point steps are never corrected
+    p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
+    res = solve_iterative(p)
+    assert res.objective_bits.hex() == "0x1.d50ba254b480fp+2"
+    assert (res.outer_iters, res.inner_iters) == (5, 68)
+    monkeypatch.setattr(quadratic, "_CORRECT_BELOW", math.inf)
+    always = solve_iterative(p)
+    assert always.objective_bits.hex() == res.objective_bits.hex()
+    assert np.array_equal(always.x_star.x, res.x_star.x)
 
 
 def test_singular_stacked_ipm_system_is_regularized_alone():

@@ -124,6 +124,28 @@ def test_failed_lockstep_solve_falls_back_to_single_solves(solver, default_cfg, 
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
+def test_failed_batched_solve_warns_once_and_keeps_the_table(solver, default_cfg, default_ch, monkeypatch):
+    grid = rho_candidates(default_ch)
+    expected = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+
+    def broken(programs):
+        raise FloatingPointError("overflow in a stacked pass")
+
+    monkeypatch.setattr(strategy, MANY[solver], broken)
+    with pytest.warns(UserWarning) as record:
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+    assert [str(w.message) for w in record] == [
+        "S1-B batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one"]
+    assert len(outcomes) == len(expected)
+    for single, lock in zip(outcomes, expected):
+        assert (single.rho, single.result.status) == (lock.rho, lock.result.status)
+        assert (single.result.outer_iters, single.result.inner_iters) == (
+            lock.result.outer_iters, lock.result.inner_iters)
+        # nb's lone solves differ from its stacked ones in the last bits
+        assert single.objective_bits == pytest.approx(lock.objective_bits, rel=1e-12)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
 def test_failed_fallback_solve_names_the_exception(solver, default_cfg, default_ch, monkeypatch):
     # the grid's stacked call and then the candidate's own solve raise
     def broken(*args, **kwargs):
@@ -136,6 +158,7 @@ def test_failed_fallback_solve_names_the_exception(solver, default_cfg, default_
         outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
     assert outcomes == []
     assert [str(w.message) for w in record] == [
+        "S1-B batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one"] + [
         f"S1-B rho={rho:g} failed: FloatingPointError: overflow in a stacked pass" for rho in grid]
 
 
