@@ -35,6 +35,44 @@ curved row at alpha of 0.03-0.2.  On the energy grid's 48 rho screens and
 subproblems stopped by _IPM_MAX_ITERS 59 -> 0, with statuses and rho*
 unchanged.  A subproblem without curved rows (S3/S4 sum) never takes it.
 
+Every subproblem starts cold (lam = 1 / max(s, 1e-3), mu near 1), so the
+centring parameter _SIGMA, which cuts mu at most 1/_SIGMA-fold a step,
+sets most iteration counts: at 0.1, 823 of the 1,230 lone energy-grid
+subproblems took exactly the 8 iterations from mu ~ 0.9 to _IPM_TOL (at
+0.03, 652 of 1,080 take 6).  Long-step path following allows a far smaller
+sigma (Wright, Primal-Dual Interior-Point Methods, SIAM 1997, ch. 5).
+Measured with the polish rules below (iterations: lone `_ipm` ones plus
+the longest member of each `_ipm_many` call; the energy grid's 528
+programs, the distance grid's 372; certificates lost of those 900; the
+edge set is X1 = 0, X1 = 1e-3, eta = w1 = 0, X1 = X2 = 0 and d1 in {0.2,
+0.6, 1.0, 1.4, 1.8}, 380 programs, 355 of them certified at sigma 0.1 with
+the former polish):
+
+    sigma                 energy   distance   grid lost   edge certified
+    0.1, former polish    15,614     11,626        0           355
+    0.1                   13,945     10,387        0           353
+    0.05                  12,085      9,031        0           354
+    0.04                  11,374      8,552        0           355
+    0.03                  11,249      8,443        0           355
+    0.02                  10,679      7,984        2           353
+
+Every sigma below 0.1 trades a few X1 = 0 and X1 = 1e-3 edge cells, which
+settle near the t = 0 flat face, for others; 0.03 loses X1 = 0 S3-A and S4-A
+sum and X1 = 0 and 1e-3 S1-B common rho = 0.1 and gains four S1 cells.
+
+Once the rounds settle, boxless rebuilds polish the point: the first one
+that is accepted and moves it by at most _SETTLE_TOL ends the polish (a
+second one, run in 505 of the energy grid's 528 solves, only confirmed the
+first: each was accepted, median move 1.7e-14).  A rebuild is rejected
+when its objective reads worse than the settled point's by more than
+max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality count: the
+interior-point stop lets the rebuild's complementarity lam . s = J * gap
+reach J * _IPM_TOL, and its objective is known only to within that.  With
+the fixed 1e-8 (1 + |f|) alone, sigma 0.05 lost 8 grid certificates (S1-B
+common rho = 0.6 at X1 = 175-300 mW and rho = 0.2 and 0.3 at d1 = 0.6, KKT
+1.1-2.1e-6): at X1 = 175 mW the first polish read 4.2e-8 worse against a
+guard of 3.5e-8, with J * gap = 1.2e-7.
+
 A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
 at call time.  It keeps no per-round log.
@@ -168,7 +206,9 @@ def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
 # ---------------------------------------------------------------------------
 
 
-_SIGMA = 0.1           # centering parameter
+# centring parameter: each step aims at _SIGMA times the duality measure
+# (the scan that chose it is in the module docstring)
+_SIGMA = 0.03
 _IPM_TOL = 1e-8        # dual residual and duality measure target
 _IPM_MAX_ITERS = 50
 _FRAC = 0.99           # fraction-to-boundary scaling of the max step
@@ -668,9 +708,9 @@ def _rounds(program: ConvexProgram):
 
     if converged:
         # boxless rebuilds from the settled point: each accepted round is a
-        # Newton step on the true stationarity system, so a few of them
-        # polish the coordinates to machine precision and yield multipliers
-        # for the true constraint set
+        # Newton step on the true stationarity system, so one of them
+        # polishes the coordinates and yields multipliers for the true
+        # constraint set; another runs only when that one still moved
         for _ in range(3):
             reply = yield _Ask(red, floors, x, None, True)
             clean = reply.sol
@@ -679,14 +719,15 @@ def _rounds(program: ConvexProgram):
                 break
             cand, f_x = reply.cand, reply.f_x
             move = float(np.linalg.norm(cand - x))
-            # a centered rebuild reads a few nano-nats worse than a
-            # boundary-hugging iterate (complementarity offset of the
-            # interior-point finish), so the deterioration guard must sit
-            # above that offset
-            if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + 1e-8 * (1.0 + abs(f_x)):
+            # a centred rebuild reads worse than a boundary-hugging iterate
+            # by up to its own complementarity offset, lam . s = J * gap, so
+            # the deterioration guard sits above that offset
+            worse = max(1e-8 * (1.0 + abs(f_x)),
+                        (len(clean.lam_constraints) + len(clean.lam_bounds)) * clean.gap)
+            if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + worse:
                 break
             x, sol = cand, clean
-            if move <= 1e-12:
+            if move <= _SETTLE_TOL:
                 break
 
     seeds = None
