@@ -227,8 +227,10 @@ def _run_sweep_command(args, param: str, default_range) -> int:
     failed = [r for r in rows if r.status != "converged"]
     if failed:
         print(f"{len(failed)} point(s) failed or were skipped", file=sys.stderr)
-        return 2
-    return 0
+    weak = [r for r in rows if r.weak_screen]
+    if weak:
+        print(f"{len(weak)} row(s) screened an unsolved or uncertified rho candidate", file=sys.stderr)
+    return 2 if failed or weak else 0
 
 
 def _cmd_validate(args) -> int:

@@ -58,45 +58,50 @@ the former polish):
 
 Every sigma below 0.1 trades a few X1 = 0 and X1 = 1e-3 edge cells, which
 settle near the t = 0 flat face, for others; 0.03 loses X1 = 0 S3-A and S4-A
-sum and X1 = 0 and 1e-3 S1-B common rho = 0.1 and gains four S1 cells.
+sum and gains four S1 cells (the table counts X1 = 0 and 1e-3 S1-B common
+rho = 0.1 lost too: they certify since a round without a step settles).
 
-Once the rounds settle, boxless rebuilds polish the point: the first one
-that is accepted and moves it by at most _SETTLE_TOL ends the polish (a
-second one, run in 505 of the energy grid's 528 solves, only confirmed the
-first: each was accepted, median move 1.7e-14).  A rebuild is rejected
-when its objective reads worse than the settled point's by more than
-max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality count: the
-interior-point stop lets the rebuild's complementarity lam . s = J * gap
-reach J * _IPM_TOL, and its objective is known only to within that.  With
-the fixed 1e-8 (1 + |f|) alone, sigma 0.05 lost 8 grid certificates (S1-B
-common rho = 0.6 at X1 = 175-300 mW and rho = 0.2 and 0.3 at d1 = 0.6, KKT
-1.1-2.1e-6): at X1 = 175 mW the first polish read 4.2e-8 worse against a
-guard of 3.5e-8, with J * gap = 1.2e-7.
+The rounds settle when a round's model sees no descent around x, when none
+of its boxes gives an acceptable step (x is then stationary for its model,
+and is tested, not abandoned: Conn, Gould & Toint, Trust-Region Methods,
+SIAM 2000, ch. 6), or when its step moves x by at most _SETTLE_TOL; only
+MAX_ROUNDS leaves a solve unsettled.  Boxless rebuilds then polish the
+point: the first one that is accepted and moves it by at most _SETTLE_TOL
+ends the polish (a second one, run in 505 of the energy grid's 528 solves,
+only confirmed the first: each was accepted, median move 1.7e-14).  A
+rebuild is rejected when its objective reads worse than the settled point's
+by more than max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality
+count: the interior-point stop lets the rebuild's complementarity lam . s =
+J * gap reach J * _IPM_TOL, and its objective is known only to within that.
+With the fixed 1e-8 (1 + |f|) alone, sigma 0.05 lost 8 grid certificates
+(S1-B common rho = 0.6 at X1 = 175-300 mW and rho = 0.2 and 0.3 at d1 =
+0.6, KKT 1.1-2.1e-6): at X1 = 175 mW the first polish read 4.2e-8 worse
+against a guard of 3.5e-8, with J * gap = 1.2e-7.
 
 A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
 at call time.  It keeps no per-round log.
 
 The rounds are written once, as a generator (`_rounds`) that yields an
-`_Ask` for every subproblem it needs solved (the model around x, boxed or
-not, started under the caps) and reads a `_Reply` (the solution, the
-point under its caps and the objective values the acceptance test
-needs); the accept, shrink, grow, settle and polish rules run on Python
-floats per program.  `solve_iterative` answers with the scalar
-`quadratize`, `_with_trust_region`, `_under_caps` and `_ipm` (`_answer`),
-a round's retries reusing its model.  `solve_iterative_many` runs the
-rounds of K programs side by side and answers the waiting asks of one
-`program.stack_key` and box state, at least LOCKSTEP_MIN of them, with
-one `_answer_stack`: one pass of a `ProgramStack` (with `math.log1p`'s
-bits) gives the row values, gradients and Hessians of all K models, the
-boxes come from (K, n) centres and radii and the starts from (K, m) caps,
-the arrays go as a `_Stack` to `_ipm_many`, which steps the Newton systems
-as (K, n, n) and the rows as (K, J) arrays with every rule of `_ipm` kept
-per program, and one more pass gives the objective values.  Every model,
-start and reply has the bits of `_answer`'s, and `_ipm_many` those of
-`_ipm`, on every round the tests and the energy grid's screens give them.
-Boxless asks wait while any ask is boxed, so that the programs that
-settle in different rounds polish in one stack.
+`_Ask` for every subproblem it needs solved (the model around x, built anew
+for every ask, boxed or not, started under the caps) and reads a `_Reply`
+(the solution, the point under its caps and the objective values the
+acceptance test needs); the accept, shrink, grow, settle and polish rules
+run on Python floats per program, with the objective at x that of the
+accepted reply.  `solve_iterative` is `solve_iterative_many` on one
+program, which runs the rounds of K programs side by side and answers the
+waiting asks of one `program.stack_key` and box state, at least
+LOCKSTEP_MIN of them, with one `_answer_stack`: one pass of a
+`ProgramStack` (with `math.log1p`'s bits) gives the row values, gradients
+and Hessians of all K models, the boxes come from (K, n) centres and radii
+and the starts from (K, m) caps, the arrays go as a `_Stack` to
+`_ipm_many`, which steps the Newton systems as (K, n, n) and the rows as
+(K, J) arrays with every rule of `_ipm` kept per program, and one more pass
+gives the objective values.  Every other ask goes to `_answer` (the scalar
+`quadratize`, `_with_trust_region`, `_under_caps` and `_ipm`), whose bits
+the stacked models, starts and replies keep.  Boxless asks wait while any
+ask is boxed, so that the programs that settle in different rounds polish
+in one stack.
 
 Measured on the eight-candidate rounds of the default S1-A sum screen
 (Intel Xeon, 2 CPUs, OpenBLAS, numpy 2.4, one process; median over the
@@ -105,8 +110,12 @@ interior-point solve, about 110-180 us per program one by one, takes
 0.84-0.90, 0.59-0.65, 0.46-0.48 and 0.25 of that time stacked at K = 2, 3,
 4 and 8; the whole round, solve included, 0.86-0.87, 0.59-0.60, 0.47-0.49
 and 0.30-0.31.  At K = 1 a stack costs 1.43-1.49 (round work) and
-1.56-1.58 (whole round), so LOCKSTEP_MIN is 2 and a lone solve runs the
-scalar path.
+1.56-1.58 (whole round), so LOCKSTEP_MIN is 2.  For the same reason `_ipm`
+stays: on the energy grid's 1,080 lone subproblems, `_ipm_many` on a stack
+of one gives its bits in at least 1.36 times its time (each numpy call on
+(1, ...) arrays costs about 1 us more), and one algorithm over one-program
+and stacked arithmetic, as nb's `_One` and `_Stack`, took 222 lines
+against 197 and 1.07 times the time (median of 30 alternating pairs).
 """
 
 from __future__ import annotations
@@ -621,15 +630,13 @@ def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
 
 
 class _Ask(NamedTuple):
-    """What a solve's rounds need next: the model of `program` around x
-    (built anew when `fresh`, else the last one), boxed around x by `delta`
-    unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
+    """What a solve's rounds need next: the model of `program` around x, boxed
+    by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
 
     program: ConvexProgram
     floors: np.ndarray          # `_box_floors(program)`
     x: np.ndarray
     delta: float | None
-    fresh: bool
 
 
 class _Reply(NamedTuple):
@@ -639,7 +646,6 @@ class _Reply(NamedTuple):
 
     sol: SubproblemSolution
     cand: np.ndarray | None     # `_under_caps(program, sol.x, 0.0)`
-    f_x: float                  # objective at x
     f_model: float              # the (boxless) model's objective at sol.x
     f_cand: float               # objective at cand
 
@@ -649,9 +655,8 @@ def _rounds(program: ConvexProgram):
     subproblem it needs solved, is sent back its `_Reply`, and returns the
     `SolveResult`.
 
-    `outer_iters` on the result counts the rebuilds that moved the solution
-    by more than `_SETTLE_TOL` when the rounds settle; the final rebuild that
-    confirms the fixed point is not included.  Otherwise it counts every round.
+    `outer_iters` on the result counts the rounds that moved x by more than
+    `_SETTLE_TOL` when the rounds settle, and every round when they do not.
     """
     started = start(program)
     if started is None:
@@ -659,66 +664,56 @@ def _rounds(program: ConvexProgram):
     pre, x = started
     red = pre.program
     floors = _box_floors(red)
+    f_x = red.objective_value(x)    # after this, the accepted reply's f_cand
 
     inner_total = 0
     rounds = 0
     moves = 0
-    converged = False
+    settled = False
     sol = None
     # a program without perspective terms is its own quadratic model, so
     # the box would only slow the one exact solve down
     has_models = bool(red.term_table)
     delta = _TR_DELTA0 if has_models else _TR_FREE
     for rounds in range(1, MAX_ROUNDS + 1):
-        accepted = False
-        at_fixed_point = False
-        cand = x
-        for retry in range(_TR_RETRIES + 1):
-            reply = yield _Ask(red, floors, x, None if delta >= _TR_FREE else delta, retry == 0)
+        step = None
+        for _ in range(_TR_RETRIES + 1):
+            reply = yield _Ask(red, floors, x, None if delta >= _TR_FREE else delta)
             sol = reply.sol
             inner_total += sol.iters
             if not sol.converged:
                 delta *= _TR_SHRINK
                 continue
-            cand, f_x = reply.cand, reply.f_x
             pred = f_x - reply.f_model
             act = f_x - reply.f_cand
             if pred <= 1e-12 * (1.0 + abs(f_x)):
-                # the model itself sees no descent around x
-                accepted = True
-                at_fixed_point = True
-                break
+                break               # the model itself sees no descent around x
             if act >= 1e-3 * pred:
-                accepted = True
+                step = reply
                 if act >= 0.7 * pred:
                     delta = min(delta * _TR_GROW, _TR_FREE)
                 break
             delta *= _TR_SHRINK
-        if not accepted:
-            break
-        if at_fixed_point:
-            converged = True
-            break
-        dif = float(np.linalg.norm(cand - x))
-        x = cand
-        if dif <= _SETTLE_TOL:
-            converged = True
+        if step is not None:
+            dif = float(np.linalg.norm(step.cand - x))
+            x, f_x = step.cand, step.f_cand
+        if step is None or dif <= _SETTLE_TOL:
+            settled = True
             break
         moves += 1
 
-    if converged:
+    if settled:
         # boxless rebuilds from the settled point: each accepted round is a
         # Newton step on the true stationarity system, so one of them
         # polishes the coordinates and yields multipliers for the true
         # constraint set; another runs only when that one still moved
         for _ in range(3):
-            reply = yield _Ask(red, floors, x, None, True)
+            reply = yield _Ask(red, floors, x, None)
             clean = reply.sol
             inner_total += clean.iters
             if not clean.converged:
                 break
-            cand, f_x = reply.cand, reply.f_x
-            move = float(np.linalg.norm(cand - x))
+            move = float(np.linalg.norm(reply.cand - x))
             # a centred rebuild reads worse than a boundary-hugging iterate
             # by up to its own complementarity offset, lam . s = J * gap, so
             # the deterioration guard sits above that offset
@@ -726,7 +721,7 @@ def _rounds(program: ConvexProgram):
                         (len(clean.lam_constraints) + len(clean.lam_bounds)) * clean.gap)
             if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + worse:
                 break
-            x, sol = cand, clean
+            x, f_x, sol = reply.cand, reply.f_cand, clean
             if move <= _SETTLE_TOL:
                 break
 
@@ -740,24 +735,21 @@ def _rounds(program: ConvexProgram):
         n_nl, n_lin = red.n_nonlinear, len(red.lin_b)
         seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
         x = _settle_unused_slots(red, x, *seeds[:2])
-    return finish(program, pre, x, seeds, converged, "quad",
-                  moves if converged else rounds, inner_total)
+    return finish(program, pre, x, seeds, settled, "quad",
+                  moves if settled else rounds, inner_total)
 
 
-def _answer(ask: _Ask, model=None):
+def _answer(ask: _Ask) -> _Reply:
     """An ask answered with the scalar `quadratize`, `_with_trust_region`
-    and `_ipm`.  `model` is the (model, f_x) of the same program's last ask,
-    reused unless the ask is fresh; returns the reply and the model."""
+    and `_ipm`."""
     red, x = ask.program, ask.x
-    if ask.fresh or model is None:
-        model = quadratize(red, _expansion_point(red, x)), red.objective_value(x)
-    sub0, f_x = model
+    sub0 = quadratize(red, _expansion_point(red, x))
     sub = sub0 if ask.delta is None else _with_trust_region(sub0, x, ask.delta, ask.floors)
     sol = _ipm(sub, _under_caps(red, x, _IPM_BACKOFF))
     if not sol.converged:
-        return _Reply(sol, None, f_x, math.nan, math.nan), model
+        return _Reply(sol, None, math.nan, math.nan)
     cand = _under_caps(red, sol.x, 0.0)
-    return _Reply(sol, cand, f_x, sub0.objective_value(sol.x), red.objective_value(cand)), model
+    return _Reply(sol, cand, sub0.objective_value(sol.x), red.objective_value(cand))
 
 
 def _stacked_under_caps(ps: ProgramStack, X, sums, backoff: float):
@@ -781,8 +773,7 @@ def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
     """The asks of the K programs of `ps`, all boxed or all boxless, answered
     together with the bits of `_answer`: one stacked pass builds every
     model as `quadratize` and `_with_trust_region` would, `_ipm_many`
-    solves them and one more pass takes the objective at the new points.
-    A retry's model is built anew, which gives the same one."""
+    solves them and one more pass takes the objective at the new points."""
     red = asks[0].program
     m, n = red.n_nonlinear, red.n_vars
     pos = list(red.positive_indices)
@@ -817,7 +808,6 @@ def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
 
     if E is not X:
         sums = ps.row_sums(*ps.terms(X)[:2])
-    f_x = (_rowdot(ps.q, X) + sums[:, -1]).tolist()
     sols = _ipm_many(st, _stacked_under_caps(ps, X, sums, _IPM_BACKOFF))
 
     # sol.x is strictly interior whether or not the solve converged
@@ -828,19 +818,14 @@ def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
     # each model's objective at its solution, as `QuadraticSubproblem.objective_value`
     HX = (st.H @ X_sol[:, :, None])[..., 0]
     f_model = (st.c0 + _rowdot(st.g, X_sol) + 0.5 * _rowdot(X_sol, HX)).tolist()
-    return [_Reply(sol, cand[k], f_x[k], f_model[k], f_cand[k]) if sol.converged
-            else _Reply(sol, None, f_x[k], math.nan, math.nan) for k, sol in enumerate(sols)]
+    return [_Reply(sol, cand[k], f_model[k], f_cand[k]) if sol.converged
+            else _Reply(sol, None, math.nan, math.nan) for k, sol in enumerate(sols)]
 
 
 def solve_iterative(program: ConvexProgram) -> SolveResult:
-    """Repeated quadratization until the solution stops moving, every
-    subproblem built and solved one by one (`_answer`)."""
-    rounds, reply, model = _rounds(program), None, None
-    try:
-        while True:
-            reply, model = _answer(rounds.send(reply), model)
-    except StopIteration as done:
-        return done.value
+    """Repeated quadratization until the solution stops moving: a lockstep
+    solve of one, whose every subproblem is built and solved by `_answer`."""
+    return solve_iterative_many([program])[0]
 
 
 def solve_iterative_many(programs) -> list[SolveResult]:
@@ -892,5 +877,5 @@ def solve_iterative_many(programs) -> list[SolveResult]:
                     ps, floors = ps.take(rows), floors[rows]
                 replies.update(zip(members, _answer_stack(ps, floors, [asks.pop(i) for i in members])))
             else:
-                replies.update((i, _answer(asks.pop(i))[0]) for i in members)
+                replies.update((i, _answer(asks.pop(i))) for i in members)
     return results

@@ -82,6 +82,9 @@ class SweepRow:
     t3: float | None
     status: str
     winner: bool = False
+    # a candidate of the row's rho screen other than the reported one ended
+    # unsolved or uncertified; like `winner`, not written to the CSV
+    weak_screen: bool = False
 
 
 def _blank_row(value, scenario, case, objective, status) -> SweepRow:
@@ -129,16 +132,17 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                     rho_star, table = screen_rho(cfg, case, objective, spec.solver, ch)
                     outcome = next(o for o in table if o.rho == rho_star)
                 else:
-                    outcomes = _solve_candidate(scenario, case, objective, (0.0,), cfg,
-                                                ch, spec.solver)
-                    if not outcomes:
+                    table = _solve_candidate(scenario, case, objective, (0.0,), cfg,
+                                             ch, spec.solver)
+                    if not table:
                         raise RuntimeError("solver failed")
-                    outcome = outcomes[0]
+                    outcome = table[0]
             except Exception as exc:
                 rows.append(_blank_row(value, scenario, case, objective,
                                        f"error: {type(exc).__name__}: {exc}"))
                 continue
             rows.append(_result_row(value, outcome))
+            rows[-1].weak_screen = any(o is not outcome and not o.result.converged for o in table)
             solved.append((outcome, rows[-1]))
 
     # select_strategy's rule: within TIE_TOL of the best the earlier row wins

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ehcoop import cli, sweeps
+from ehcoop import SolveStatus, cli, sweeps
 from ehcoop.cli import UsageError, build_network_config, build_parser, load_config, main
 from ehcoop.sweeps import CSV_HEADER
 
@@ -206,6 +206,29 @@ def test_sweep_energy_writes_deterministic_csv(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     # two sweep points, eight configurations each
     assert len(text.splitlines()) == 1 + 2 * 8
+
+
+def test_sweep_exits_two_on_an_uncertified_rho_candidate(tmp_path, monkeypatch, capsys):
+    # a screen candidate that does not win ends uncertified: its row still
+    # reports the converged winner, so only the exit code and stderr tell
+    base = ["sweep-energy", "--start", "100", "--stop", "100", "--step", "25", "--out"]
+    clean, flagged = tmp_path / "clean.csv", tmp_path / "flagged.csv"
+    assert main(base + [str(clean)]) == 0
+    real = sweeps.screen_rho
+
+    def one_uncertified(*args):
+        rho_star, table = real(*args)
+        loser = next(o for o in table if o.rho != rho_star)
+        lost = replace(loser, result=replace(loser.result, status=SolveStatus.MAX_ITERATIONS))
+        return rho_star, [lost if o is loser else o for o in table]
+
+    monkeypatch.setattr(sweeps, "screen_rho", one_uncertified)
+    capsys.readouterr()
+    assert main(base + [str(flagged)]) == 2
+    err = capsys.readouterr().err
+    assert "2 row(s) screened an unsolved or uncertified rho candidate" in err
+    assert "failed or were skipped" not in err
+    assert flagged.read_bytes() == clean.read_bytes()
 
 
 def test_sweep_rejects_bad_range(capsys):

@@ -272,6 +272,42 @@ def test_settled_point_without_a_certificate_is_not_converged():
     assert res.status is SolveStatus.MAX_ITERATIONS
 
 
+def spy_asks(monkeypatch):
+    """Record every ask `_answer` gets, which is every ask of a lone solve."""
+    asks = []
+    real = quadratic._answer
+
+    def spy(ask):
+        asks.append(ask)
+        return real(ask)
+
+    monkeypatch.setattr(quadratic, "_answer", spy)
+    return asks
+
+
+@pytest.mark.parametrize("X1", [0.0, 1e-3])
+def test_round_without_an_acceptable_step_settles(X1, monkeypatch):
+    # S1-B common at rho = 0.1: a late round finds no acceptable step within
+    # _TR_RETRIES, which leaves x stationary for its model; the rounds
+    # settle there, and the polished point carries the certificate
+    asks = spy_asks(monkeypatch)
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.1), NetworkConfig(X1=X1))
+    res = solve_iterative(p)
+    # the last round's every try shrinks the box around one x, and the
+    # polish rebuild starts from that same x
+    tries = quadratic._TR_RETRIES + 1
+    *before, polish = asks
+    assert polish.delta is None
+    assert not np.array_equal(before[-tries - 1].x, polish.x)
+    assert all(np.array_equal(ask.x, polish.x) for ask in before[-tries:])
+    radii = [quadratic._TR_FREE if ask.delta is None else ask.delta for ask in before[-tries:]]
+    assert all(a > b for a, b in zip(radii, radii[1:]))
+    assert res.status is SolveStatus.CONVERGED
+    b = solve_nb(p)
+    assert b.converged
+    assert abs(res.objective_bits - b.objective_bits) <= 1e-6 * abs(b.objective_bits)
+
+
 def test_already_quadratic_program_converges_in_one_round():
     p = ConvexProgram(
         n_vars=2, objective_linear=np.array([-1.0, -0.5]), term_table=(), aux_index=(),
@@ -480,12 +516,11 @@ def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch)
             for name in ("obj_g", "obj_H", "con_const", "con_G", "nl_H"):
                 assert np.array_equal(getattr(model, name), getattr(sub, name)), name
             assert np.array_equal(X0[k], quadratic._under_caps(red, x, quadratic._IPM_BACKOFF))
-            alone = quadratic._answer(ask)[0]
+            alone = quadratic._answer(ask)
             assert np.array_equal(reply.sol.x, alone.sol.x)
             assert reply.sol.iters == alone.sol.iters
             assert np.array_equal(reply.sol.lam_constraints, alone.sol.lam_constraints)
             assert np.array_equal(reply.sol.lam_bounds, alone.sol.lam_bounds)
-            assert reply.f_x == alone.f_x
             if alone.sol.converged:
                 assert np.array_equal(reply.cand, alone.cand)
                 assert (reply.f_model, reply.f_cand) == (alone.f_model, alone.f_cand)
@@ -623,18 +658,11 @@ def test_polish_guard_admits_the_rebuilds_complementarity_offset(monkeypatch):
 def test_settled_solve_polishes_once(monkeypatch):
     # the default S2-A sum solve grows its box from 0.8 to 25.6 before it
     # settles, so its only boxless asks are the polish rebuilds
-    asks = []
-    real = quadratic._answer
-
-    def spy(ask, model=None):
-        asks.append(ask)
-        return real(ask, model)
-
-    monkeypatch.setattr(quadratic, "_answer", spy)
+    asks = spy_asks(monkeypatch)
     res = solve_iterative(build_problem(ScenarioSpec(Scenario.S2, Case.A), NetworkConfig()))
     assert res.converged
     assert [ask.delta for ask in asks].count(None) == 1
-    assert asks[-1].delta is None and asks[-1].fresh
+    assert asks[-1].delta is None
 
 
 def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
