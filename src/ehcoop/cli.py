@@ -177,7 +177,7 @@ def _cmd_screen_rho(args) -> int:
     for out in table:
         tp = out.throughputs
         print(f"{out.rho:<7.2f} {out.objective_bits:<15.6f} {tp.b1_bits:<9.6f} "
-              f"{tp.b2_bits:<9.6f} {out.result.status.value}")
+              f"{tp.b2_bits:<9.6f} {out.status}")
     print(f"rho* = {rho_star:g}")
     return 0 if all(o.result.converged for o in table) else 2
 

@@ -89,19 +89,22 @@ for every ask, boxed or not, started under the caps) and reads a `_Reply`
 acceptance test needs); the accept, shrink, grow, settle and polish rules
 run on Python floats per program, with the objective at x that of the
 accepted reply.  `solve_iterative` is `solve_iterative_many` on one
-program, which runs the rounds of K programs side by side and answers the
-waiting asks of one `program.stack_key` and box state, at least
-LOCKSTEP_MIN of them, with one `_answer_stack`: one pass of a
-`ProgramStack` (with `math.log1p`'s bits) gives the row values, gradients
-and Hessians of all K models, the boxes come from (K, n) centres and radii
-and the starts from (K, m) caps, the arrays go as a `_Stack` to
-`_ipm_many`, which steps the Newton systems as (K, n, n) and the rows as
-(K, J) arrays with every rule of `_ipm` kept per program, and one more pass
-gives the objective values.  Every other ask goes to `_answer` (the scalar
-`quadratize`, `_with_trust_region`, `_under_caps` and `_ipm`), whose bits
-the stacked models, starts and replies keep.  Boxless asks wait while any
-ask is boxed, so that the programs that settle in different rounds polish
-in one stack.
+program, which runs the rounds of K programs side by side.  The reduced
+programs that share a `program.stack_key` form a `_Layout`, built once per
+solve, which holds the subproblem rows that do not depend on the point:
+the linear rows, the box's +-e_i pattern and the -x_i <= 0 bounds, as
+(K, J, n) arrays.  The waiting asks of one layout and box state, at least
+LOCKSTEP_MIN of them (else each alone), are answered by one `_answer`,
+written once over (K, ...) arrays.  Only the program pass depends on K:
+one ask's model and term sums come from the scalar `quadratize` and
+`ConvexProgram.term_sums`, more asks' from one pass of the layout's
+`ProgramStack` (with `math.log1p`'s bits), which keeps those bits.  The
+curved rows and box edges are written into the layout's rows, the starts
+are put under the caps, the `_Stack` goes to `_ipm` (one program, on (J,)
+rows) or to `_ipm_many` (the Newton systems as (K, n, n) and the rows as
+(K, J) arrays, every rule of `_ipm` kept per program), and the replies
+come from one more pass.  Boxless asks wait while any ask is boxed, so
+that the programs that settle in different rounds polish in one stack.
 
 Measured on the eight-candidate rounds of the default S1-A sum screen
 (Intel Xeon, 2 CPUs, OpenBLAS, numpy 2.4, one process; median over the
@@ -116,13 +119,21 @@ of one gives its bits in at least 1.36 times its time (each numpy call on
 (1, ...) arrays costs about 1 us more), and one algorithm over one-program
 and stacked arithmetic, as nb's `_One` and `_Stack`, took 222 lines
 against 197 and 1.07 times the time (median of 30 alternating pairs).
+A lone ask goes through the same (K, ...) assembly as a stack, with the
+point-free rows built once per solve in its `_Layout`: outside the IPM it
+takes 87.9 us against 86.4 us for the former scalar assembly
+(`quadratize`, `_with_trust_region`, a dict of caps; 173 asks of the
+energy grid's S2-S4 solves at X1 = 25 and 200 mW, the IPM replaced by its
+recorded answer, median of 40 alternating passes), and a whole lone solve
+1.001 times its time (median of 10 alternating passes over 144 solves).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +142,6 @@ from .program import (
     ConvexProgram,
     ProgramStack,
     SolveResult,
-    aux_bounds,
     energy_caps,
     finish,
     scalar_log1p,
@@ -151,63 +161,23 @@ MAX_ROUNDS = 50
 LOCKSTEP_MIN = 2
 
 
-@dataclass
-class QuadraticSubproblem:
-    """Convex QCQP in dense array form.
+def quadratize(p: ConvexProgram, x_k: np.ndarray):
+    """Second-order model of every row of a canonical program around x_k.
 
-    Minimizes obj_const + obj_g . x + 0.5 x^T obj_H x subject to rows
-    con_const[j] + con_G[j] . x + 0.5 x^T nl_H[j] x <= 0, where only the
-    first len(nl_H) rows (the curved ones) carry a Hessian; the linear rows,
-    then any trust-region box rows, follow.  Nonnegativity of the
-    time/energy coordinates is kept separate, mirroring `ConvexProgram`.
-    """
-
-    obj_const: float
-    obj_g: np.ndarray          # (n,)
-    obj_H: np.ndarray          # (n, n)
-    con_const: np.ndarray      # (rows,)
-    con_G: np.ndarray          # (rows, n)
-    nl_H: np.ndarray           # (m, n, n) Hessians of the m curved rows
-    t_indices: tuple[int, ...]
-    y_indices: tuple[int, ...]
-
-    positive_indices = ConvexProgram.positive_indices
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.obj_g)
-
-    @property
-    def n_nonlinear(self) -> int:
-        return len(self.nl_H)
-
-    def objective_value(self, x) -> float:
-        return self.obj_const + float(self.obj_g @ x) + 0.5 * float(x @ (self.obj_H @ x))
-
-
-def quadratize(p: ConvexProgram, x_k: np.ndarray) -> QuadraticSubproblem:
-    """Second-order model of a canonical program around x_k.
-
-    The model of each row, c + G.(x - x_k) + 0.5 (x - x_k)^T H (x - x_k),
-    is stored expanded as const + g.x + 0.5 x^T H x.
+    Returns (const, g, H), the epigraph rows first and the objective last:
+    row j's model c + G.(x - x_k) + 0.5 (x - x_k)^T H (x - x_k) is stored
+    expanded as const[j] + g[j].x + 0.5 x^T H[j] x.
     """
     x_k = np.asarray(x_k, dtype=float)
     for i in p.t_indices:
         if x_k[i] <= 0.0:
             raise ValueError(f"expansion point needs positive times (x[{i}] = {x_k[i]:g})")
     ev = p.evaluate(x_k)
-    m = p.n_nonlinear
-    H = ev.row_hessians()                       # the objective's last
+    H = ev.row_hessians()
     Hx = H @ x_k
     G = np.vstack((ev.G, ev.grad))
     const = np.append(ev.c, ev.f) - G @ x_k + 0.5 * (Hx @ x_k)
-    g = G - Hx
-    return QuadraticSubproblem(
-        obj_const=float(const[-1]), obj_g=g[-1], obj_H=H[-1],
-        con_const=np.concatenate((const[:m], -p.lin_b)),
-        con_G=np.concatenate((g[:m], p.lin_A)),
-        nl_H=H[:m], t_indices=p.t_indices, y_indices=p.y_indices,
-    )
+    return const, G - Hx, H
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +247,46 @@ def _solve_all(M, rhs):
         return np.array([_solve(one, r) for one, r in zip(M, rhs)])
 
 
-def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
-    """Path-following solve of one QCQP subproblem from a strictly feasible x.
+class _Stack:
+    """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
+    H) and the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, whose
+    first m rows (the curved ones) carry the Hessians nl_H.  The n_con rows
+    of each subproblem (curved, linear, then any trust-region box) come
+    first, then -x_i <= 0 per positive coordinate."""
 
-    The inequalities are stacked once: every row of `sub`, then -x_i <= 0 for
-    each positive coordinate, as b0 + A x + 0.5 x^T nl_H[j] x <= 0 with the
-    curvature on the first m rows only.
+    def __init__(self, c0, g, H, A, b0, nl_H, n_con):
+        self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
+        self.n_con = n_con
+
+    def take(self, keep) -> "_Stack":
+        """The subproblems at the positions `keep`."""
+        out = copy.copy(self)
+        for name in ("c0", "A", "b0", "nl_H", "g", "H"):
+            setattr(out, name, getattr(self, name)[keep])
+        return out
+
+    def state(self, X):
+        """Slacks and gradients of every inequality at the points X."""
+        m = self.nl_H.shape[1]
+        Hx = (self.nl_H @ X[:, None, :, None])[..., 0]
+        S = -(self.b0 + (self.A @ X[:, :, None])[..., 0])
+        S[:, :m] -= 0.5 * (Hx @ X[:, :, None])[..., 0]
+        G = self.A.copy()
+        G[:, :m] += Hx
+        return S, G
+
+    def dual_residual(self, X, L, G):
+        return self.g + (self.H @ X[:, :, None])[..., 0] + (L[:, None, :] @ G)[:, 0]
+
+
+def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
+    """Path-following solve of the one subproblem of `st` from a strictly feasible x.
+
+    `_ipm_many`'s algorithm on the (J,) rows of one program, whose numpy
+    calls cost about 1 us less than on (1, J) arrays.
     """
-    n, m = sub.n_vars, sub.n_nonlinear
-    pos = list(sub.positive_indices)
-    n_con = len(sub.con_const)
-    A = np.concatenate((sub.con_G, -np.eye(n)[pos]))
-    b0 = np.concatenate((sub.con_const, np.zeros(len(pos))))
-    nl_H = sub.nl_H
+    g, H, A, b0, nl_H = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0]
+    n, m, n_con = len(g), len(nl_H), st.n_con
     H_rows = nl_H.reshape(m, n * n)
     J = len(b0)
 
@@ -303,7 +300,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
         return s_, grad_
 
     def dual_residual(x_, lam_, grad_):
-        return sub.obj_g + sub.obj_H @ x_ + grad_.T @ lam_
+        return g + H @ x_ + grad_.T @ lam_
 
     s, grad = state(x)
     if s.min() <= 0.0:
@@ -325,7 +322,7 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
         # condensed Newton system for (dx, dlam); gap is the negated
         # complementarity residual
         gap = target - lam * s
-        M = sub.obj_H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
+        M = H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
         dx = _solve(M, -r_d - grad.T @ (gap / s))
         p = grad @ dx
         dlam = (gap + lam * p) / s
@@ -373,43 +370,6 @@ def _ipm(sub: QuadraticSubproblem, x: np.ndarray) -> SubproblemSolution:
 def _rowdot(a, b):
     """a_k . b_k for every row k of two (K, J) arrays."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-class _Stack:
-    """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
-    H) and `_ipm`'s inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, the
-    n_con rows of each subproblem, then -x_i <= 0 per positive coordinate.
-    `stack[k]` is subproblem k."""
-
-    def __init__(self, c0, g, H, A, b0, nl_H, n_con, t_indices, y_indices):
-        self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
-        self.n_con, self.t_indices, self.y_indices = n_con, t_indices, y_indices
-
-    def __getitem__(self, k) -> QuadraticSubproblem:
-        return QuadraticSubproblem(
-            obj_const=float(self.c0[k]), obj_g=self.g[k], obj_H=self.H[k],
-            con_const=self.b0[k, :self.n_con], con_G=self.A[k, :self.n_con], nl_H=self.nl_H[k],
-            t_indices=self.t_indices, y_indices=self.y_indices)
-
-    def take(self, keep) -> "_Stack":
-        """The subproblems at the positions `keep`."""
-        out = copy.copy(self)
-        for name in ("c0", "A", "b0", "nl_H", "g", "H"):
-            setattr(out, name, getattr(self, name)[keep])
-        return out
-
-    def state(self, X):
-        """Slacks and gradients of every inequality at the points X."""
-        m = self.nl_H.shape[1]
-        Hx = (self.nl_H @ X[:, None, :, None])[..., 0]
-        S = -(self.b0 + (self.A @ X[:, :, None])[..., 0])
-        S[:, :m] -= 0.5 * (Hx @ X[:, :, None])[..., 0]
-        G = self.A.copy()
-        G[:, :m] += Hx
-        return S, G
-
-    def dual_residual(self, X, L, G):
-        return self.g + (self.H @ X[:, :, None])[..., 0] + (L[:, None, :] @ G)[:, 0]
 
 
 def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
@@ -523,14 +483,22 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
 # ---------------------------------------------------------------------------
 
 
-def _under_caps(p: ConvexProgram, x: np.ndarray, backoff: float) -> np.ndarray:
-    """x with each rate variable at most its epigraph cap at x, less
-    `backoff` (1 + |cap|): 0 pulls the rates onto the true feasible region,
-    a positive back-off recenters them so every subproblem row starts slack."""
-    x = x.copy()
-    for aux, bound in aux_bounds(p, x).items():
-        x[aux] = min(x[aux], bound) - backoff * (1.0 + abs(bound))
-    return x
+def _under_caps(aux_index, X, sums, backoff: float) -> np.ndarray:
+    """The points X (K, n) with each rate variable at most its tightest
+    epigraph cap, less `backoff` (1 + |cap|): 0 pulls the rates onto the
+    true feasible region, a positive back-off recenters them so every
+    subproblem row starts slack.  `sums` (K, m+1) are the term row sums at
+    X.  It runs on Python floats, row by row: on the S1-A programs at
+    rho = 0.3 the same rule on (K, m) arrays took 4.9-6.1 times as long at
+    K = 1 and as long at K = 8, numpy's per-call cost."""
+    out = X.tolist()
+    for x, row_sums in zip(out, sums.tolist()):
+        caps: dict[int, float] = {}
+        for aux, s in zip(aux_index, row_sums):
+            caps[aux] = min(-s, caps.get(aux, math.inf))
+        for aux, cap in caps.items():
+            x[aux] = min(x[aux], cap) - backoff * (1.0 + abs(cap))
+    return np.array(out)
 
 
 # the interior-point start keeps each rate this far (relative) below its cap
@@ -557,23 +525,6 @@ def _box_floors(p: ConvexProgram) -> np.ndarray:
     caps = energy_caps(p)
     return np.array([_T_SCALE_FLOOR] * len(p.t_indices) + [
         0.02 * caps[i] if math.isfinite(caps[i]) and caps[i] > 0.0 else 1.0 for i in p.y_indices])
-
-
-def _with_trust_region(sub: QuadraticSubproblem, center: np.ndarray,
-                       delta: float, floors: np.ndarray) -> QuadraticSubproblem:
-    """`sub` with the box around `center` appended: x_i <= hi_i, then -x_i <= -lo_i, per coordinate."""
-    idx = list(sub.positive_indices)
-    c = center[idx]
-    r = delta * np.maximum(np.abs(c), floors)
-    # the lower edge never reaches zero (the interior-point iterates keep
-    # c > 0): a log term frozen at the origin cannot be revived by a local
-    # quadratic model
-    lo = np.maximum(c - r, 0.25 * c)
-    eye = np.eye(sub.n_vars)[idx]
-    rows = np.stack((eye, -eye), axis=1).reshape(-1, sub.n_vars)
-    const = np.column_stack((-(c + r), lo)).ravel()
-    return replace(sub, con_const=np.concatenate((sub.con_const, const)),
-                   con_G=np.concatenate((sub.con_G, rows)))
 
 
 def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np.ndarray:
@@ -617,16 +568,8 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
             new[yi] = hi * new[ti]
         else:
             new[ti] = new[yi] / hi
-    new = _under_caps(p, new, 0.0)
+    new = _under_caps(p.aux_index, new[None], np.array([p.term_sums(new.tolist())]), 0.0)[0]
     return new if p.max_violation(new) <= max(p.max_violation(x), 0.0) else x
-
-
-def _expansion_point(p: ConvexProgram, x: np.ndarray) -> np.ndarray:
-    """x with every time lifted to at least `_T_FLOOR`."""
-    x = x.copy()
-    t = list(p.t_indices)
-    x[t] = np.maximum(x[t], _T_FLOOR)
-    return x
 
 
 class _Ask(NamedTuple):
@@ -634,7 +577,6 @@ class _Ask(NamedTuple):
     by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
 
     program: ConvexProgram
-    floors: np.ndarray          # `_box_floors(program)`
     x: np.ndarray
     delta: float | None
 
@@ -645,7 +587,7 @@ class _Reply(NamedTuple):
     acceptance test reads (NaN otherwise)."""
 
     sol: SubproblemSolution
-    cand: np.ndarray | None     # `_under_caps(program, sol.x, 0.0)`
+    cand: np.ndarray | None     # sol.x under its caps (`_under_caps`, no back-off)
     f_model: float              # the (boxless) model's objective at sol.x
     f_cand: float               # objective at cand
 
@@ -663,7 +605,6 @@ def _rounds(program: ConvexProgram):
         return SolveResult.infeasible("quad")
     pre, x = started
     red = pre.program
-    floors = _box_floors(red)
     f_x = red.objective_value(x)    # after this, the accepted reply's f_cand
 
     inner_total = 0
@@ -678,7 +619,7 @@ def _rounds(program: ConvexProgram):
     for rounds in range(1, MAX_ROUNDS + 1):
         step = None
         for _ in range(_TR_RETRIES + 1):
-            reply = yield _Ask(red, floors, x, None if delta >= _TR_FREE else delta)
+            reply = yield _Ask(red, x, None if delta >= _TR_FREE else delta)
             sol = reply.sol
             inner_total += sol.iters
             if not sol.converged:
@@ -708,7 +649,7 @@ def _rounds(program: ConvexProgram):
         # polishes the coordinates and yields multipliers for the true
         # constraint set; another runs only when that one still moved
         for _ in range(3):
-            reply = yield _Ask(red, floors, x, None)
+            reply = yield _Ask(red, x, None)
             clean = reply.sol
             inner_total += clean.iters
             if not clean.converged:
@@ -739,83 +680,103 @@ def _rounds(program: ConvexProgram):
                   moves if settled else rounds, inner_total)
 
 
-def _answer(ask: _Ask) -> _Reply:
-    """An ask answered with the scalar `quadratize`, `_with_trust_region`
-    and `_ipm`."""
-    red, x = ask.program, ask.x
-    sub0 = quadratize(red, _expansion_point(red, x))
-    sub = sub0 if ask.delta is None else _with_trust_region(sub0, x, ask.delta, ask.floors)
-    sol = _ipm(sub, _under_caps(red, x, _IPM_BACKOFF))
-    if not sol.converged:
-        return _Reply(sol, None, math.nan, math.nan)
-    cand = _under_caps(red, sol.x, 0.0)
-    return _Reply(sol, cand, sub0.objective_value(sol.x), red.objective_value(cand))
+class _Layout:
+    """The programs of one `stack_key` in a solve and what their
+    subproblems share, built once: the time and positive coordinates `t`
+    and `pos`, each program's box floors and `position` in the arrays, the
+    `ProgramStack` `ps` of the stacked models (built on first use), and
+    `A[boxed]`, `b0[boxed]`, (K, J, n) and (K, J), every subproblem's rows
+    in `_Stack` order with zeros where an ask's curved rows and box edges
+    go: m curved rows, the linear rows, when boxed x_i <= hi_i then
+    -x_i <= -lo_i per positive coordinate, and -x_i <= 0 per positive
+    coordinate."""
+
+    def __init__(self, members, programs):
+        p = programs[0]
+        K, n, m = len(programs), p.n_vars, p.n_nonlinear
+        self.programs = programs
+        self.t, self.pos = np.array(p.t_indices, dtype=int), np.array(p.positive_indices, dtype=int)
+        self.position = {i: k for k, i in enumerate(members)}
+        self.floors = np.array([_box_floors(q) for q in programs])
+        lin, n_pos = m + len(p.lin_b), len(self.pos)
+        A = np.zeros((K, lin + 3 * n_pos, n))
+        A[:, m:lin] = [q.lin_A for q in programs]
+        eye = np.eye(n)[self.pos]
+        A[:, lin:lin + 2 * n_pos:2] = eye
+        A[:, lin + 1:lin + 2 * n_pos:2] = A[:, lin + 2 * n_pos:] = -eye
+        b0 = np.zeros((K, lin + 3 * n_pos))
+        b0[:, m:lin] = [-q.lin_b for q in programs]
+        self.A, self.b0 = ((np.concatenate((A[:, :lin], A[:, lin + 2 * n_pos:]), 1), A),
+                           (np.concatenate((b0[:, :lin], b0[:, lin + 2 * n_pos:]), 1), b0))
+
+    @cached_property
+    def ps(self) -> ProgramStack:
+        return ProgramStack(self.programs, scalar_log1p)
 
 
-def _stacked_under_caps(ps: ProgramStack, X, sums, backoff: float):
-    """`_under_caps` on every row of X, `sums` the row sums there."""
-    cap = -sums[:, :-1]
-    rows, cols = [], []         # each rate's first row
-    for j, aux in enumerate(ps.aux_index):
-        if aux in cols:
-            k = rows[cols.index(aux)]
-            cap[:, k] = np.where(cap[:, k] < cap[:, j], cap[:, k], cap[:, j])
-        else:
-            rows.append(j)
-            cols.append(aux)
-    cap, rates = cap[:, rows], X[:, cols]
-    X = X.copy()
-    X[:, cols] = np.where(cap < rates, cap, rates) - backoff * (1.0 + np.abs(cap))
-    return X
-
-
-def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
-    """The asks of the K programs of `ps`, all boxed or all boxless, answered
-    together with the bits of `_answer`: one stacked pass builds every
-    model as `quadratize` and `_with_trust_region` would, `_ipm_many`
-    solves them and one more pass takes the objective at the new points."""
+def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
+    """The asks of the programs at positions `rows` of a layout, all boxed
+    or all boxless, answered together.  Only the program pass depends on
+    K: one ask's model and row sums come from `quadratize` and
+    `term_sums`, more asks' from the layout's `ProgramStack`, with the same
+    bits.  The rows, the starts under the caps and the replies are the
+    same (K, ...) arrays either way, solved by `_ipm` or `_ipm_many`."""
     red = asks[0].program
-    m, n = red.n_nonlinear, red.n_vars
-    pos = list(red.positive_indices)
+    m, t, pos = red.n_nonlinear, lay.t, lay.pos
     X = np.array([ask.x for ask in asks])
     K = len(X)
 
-    # the models around the expansion points, as `quadratize` builds them
-    E, t = X, list(red.t_indices)
+    # the models around the points with every time lifted to at least _T_FLOOR
+    E = X
     if X[:, t].min(initial=_T_FLOOR) < _T_FLOOR:
         E = X.copy()
         E[:, t] = np.maximum(X[:, t], _T_FLOOR)
-    sums, grads, factors = ps.derivatives(*ps.terms(E)[:2])
-    H = ps.row_hessians(factors)
-    Hx = (H @ E[:, None, :, None])[..., 0]
-    f = np.concatenate((E[:, list(red.aux_index)] + sums[:, :-1],
-                        (_rowdot(ps.q, E) + sums[:, -1])[:, None]), 1)
-    const = f - (grads @ E[:, :, None])[..., 0] + 0.5 * (Hx @ E[:, :, None])[..., 0]
-    g = grads - Hx
-    eye = np.eye(n)[pos]
-    A = [g[:, :m], ps.lin_A]
-    b0 = [const[:, :m], -ps.lin_b]
-    if asks[0].delta is not None:
-        c = X[:, pos]
-        r = np.array([ask.delta for ask in asks])[:, None] * np.maximum(np.abs(c), floors)
-        A.append(np.broadcast_to(np.stack((eye, -eye), axis=1).reshape(-1, n), (K, 2 * len(pos), n)))
-        b0.append(np.stack((-(c + r), np.maximum(c - r, 0.25 * c)), 2).reshape(K, -1))
-    n_con = sum(rows.shape[1] for rows in A)
-    A.append(np.broadcast_to(-eye, (K, len(pos), n)))
-    b0.append(np.zeros((K, len(pos))))
-    st = _Stack(const[:, m], g[:, m], H[:, m], np.concatenate(A, 1), np.concatenate(b0, 1), H[:, :m],
-                n_con, red.t_indices, red.y_indices)
+    if K == 1:
+        const, g, H = (a[None] for a in quadratize(red, E[0]))
+        q = red.objective_linear[None]
 
-    if E is not X:
-        sums = ps.row_sums(*ps.terms(X)[:2])
-    sols = _ipm_many(st, _stacked_under_caps(ps, X, sums, _IPM_BACKOFF))
+        def row_sums(Y):
+            return np.array([red.term_sums(Y[0].tolist())])
+    else:
+        ps = lay.ps if K == len(lay.position) else lay.ps.take(rows)
+        q = ps.q
+
+        def row_sums(Y):
+            return ps.row_sums(*ps.terms(Y)[:2])
+
+        sums, grads, factors = ps.derivatives(*ps.terms(E)[:2])
+        H = ps.row_hessians(factors)
+        Hx = (H @ E[:, None, :, None])[..., 0]
+        f = np.concatenate((E[:, list(red.aux_index)] + sums[:, :-1],
+                            (_rowdot(ps.q, E) + sums[:, -1])[:, None]), 1)
+        const = f - (grads @ E[:, :, None])[..., 0] + 0.5 * (Hx @ E[:, :, None])[..., 0]
+        g = grads - Hx
+    if K == 1 or E is not X:
+        sums = row_sums(X)
+
+    boxed = asks[0].delta is not None
+    A, b0 = lay.A[boxed][rows], lay.b0[boxed][rows]
+    A[:, :m], b0[:, :m] = g[:, :m], const[:, :m]
+    n_con = b0.shape[1] - len(pos)
+    if boxed:
+        c = X[:, pos]
+        r = np.array([[ask.delta] for ask in asks]) * np.maximum(np.abs(c), lay.floors[rows])
+        edges = b0[:, n_con - 2 * len(pos):n_con].reshape(K, -1, 2)     # a view: (hi, lo) per coordinate
+        np.negative(c + r, out=edges[:, :, 0])
+        # the lower edge never reaches zero (the interior-point iterates
+        # keep c > 0): a log term frozen at the origin cannot be revived by
+        # a local quadratic model
+        np.maximum(c - r, 0.25 * c, out=edges[:, :, 1])
+    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], n_con)
+    X0 = _under_caps(red.aux_index, X, sums, _IPM_BACKOFF)
+    sols = [_ipm(st, X0[0])] if K == 1 else _ipm_many(st, X0)
 
     # sol.x is strictly interior whether or not the solve converged
     X_sol = np.array([sol.x for sol in sols])
-    sums = ps.row_sums(*ps.terms(X_sol)[:2])
-    cand = _stacked_under_caps(ps, X_sol, sums, 0.0)
-    f_cand = (_rowdot(ps.q, cand) + sums[:, -1]).tolist()
-    # each model's objective at its solution, as `QuadraticSubproblem.objective_value`
+    sums = row_sums(X_sol)
+    cand = _under_caps(red.aux_index, X_sol, sums, 0.0)
+    f_cand = (_rowdot(q, cand) + sums[:, -1]).tolist()
+    # each model's objective at its solution
     HX = (st.H @ X_sol[:, :, None])[..., 0]
     f_model = (st.c0 + _rowdot(st.g, X_sol) + 0.5 * _rowdot(X_sol, HX)).tolist()
     return [_Reply(sol, cand[k], f_model[k], f_cand[k]) if sol.converged
@@ -824,7 +785,7 @@ def _answer_stack(ps: ProgramStack, floors, asks) -> list[_Reply]:
 
 def solve_iterative(program: ConvexProgram) -> SolveResult:
     """Repeated quadratization until the solution stops moving: a lockstep
-    solve of one, whose every subproblem is built and solved by `_answer`."""
+    solve of one, whose every subproblem `_answer` builds and solves alone."""
     return solve_iterative_many([program])[0]
 
 
@@ -832,19 +793,18 @@ def solve_iterative_many(programs) -> list[SolveResult]:
     """`solve_iterative` on each program, in order, their rounds stepped together.
 
     Every program runs its own rounds; each waits on an ask until it is
-    answered.  The waiting asks are grouped by `stack_key` and by whether
-    they are boxed: a group of at least LOCKSTEP_MIN is answered by one
-    `_answer_stack` on a `ProgramStack` of its programs, every other ask by
-    `_answer`.  Boxless asks (the polish rebuilds) wait while any ask is
-    boxed, so that the programs that settle in different rounds polish in
-    one stack.
+    answered.  The reduced programs of the first asks are grouped by
+    `stack_key` into `_Layout`s.  The waiting asks are grouped by layout and
+    by whether they are boxed: a group of at least LOCKSTEP_MIN is answered
+    by one `_answer`, every other ask by an `_answer` of its own.  Boxless
+    asks (the polish rebuilds) wait while any ask is boxed, so that the
+    programs that settle in different rounds polish in one stack.
     """
     results: list = [None] * len(programs)
     running = dict(enumerate(map(_rounds, programs)))
     replies: dict = dict.fromkeys(running)      # what the answered programs' rounds are sent next
     asks: dict = {}
-    stacks: dict = {}       # stack_key -> (ProgramStack, box floors, {program: position})
-    keys: dict = {}
+    layouts: dict = {}      # program index -> its `_Layout`
     while running:
         for i, reply in replies.items():
             try:
@@ -853,29 +813,22 @@ def solve_iterative_many(programs) -> list[SolveResult]:
                 results[i] = done.value
                 del running[i]
         replies = {}
-        if not keys:
+        if not layouts:
             # the first asks carry every reduced program
-            layouts: dict = {}
+            shared: dict = {}
             for i, ask in asks.items():
-                keys[i] = stack_key(ask.program)
-                layouts.setdefault(keys[i], []).append(i)
-            for key, members in layouts.items():
-                if len(members) >= LOCKSTEP_MIN:
-                    stacks[key] = (ProgramStack([asks[i].program for i in members], scalar_log1p),
-                                   np.array([asks[i].floors for i in members]),
-                                   {i: k for k, i in enumerate(members)})
+                shared.setdefault(stack_key(ask.program), []).append(i)
+            for members in shared.values():
+                lay = _Layout(members, [asks[i].program for i in members])
+                layouts.update(dict.fromkeys(members, lay))
         groups: dict = {}
         for i in sorted(asks):
-            groups.setdefault((keys[i], asks[i].delta is None), []).append(i)
+            groups.setdefault((id(layouts[i]), asks[i].delta is None), []).append(i)
         if not all(free for _, free in groups):
             groups = {group: members for group, members in groups.items() if not group[1]}
-        for (key, _), members in groups.items():
-            if len(members) >= LOCKSTEP_MIN:
-                ps, floors, position = stacks[key]
-                rows = [position[i] for i in members]
-                if len(rows) < len(position):
-                    ps, floors = ps.take(rows), floors[rows]
-                replies.update(zip(members, _answer_stack(ps, floors, [asks.pop(i) for i in members])))
-            else:
-                replies.update((i, _answer(asks.pop(i))) for i in members)
+        for members in groups.values():
+            lay = layouts[members[0]]
+            for batch in [members] if len(members) >= LOCKSTEP_MIN else [[i] for i in members]:
+                rows = np.array([lay.position[i] for i in batch])
+                replies.update(zip(batch, _answer(lay, rows, [asks.pop(i) for i in batch])))
     return results

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .barrier import solve_nb, solve_nb_many
 from .network import ChannelState, NetworkConfig, derive_channels, relay_feasible, rho_max
-from .program import SolveResult
+from .program import SolveResult, SolveStatus
 from .quadratic import solve_iterative, solve_iterative_many
 from .scenarios import (
     RELAY_SCENARIOS,
@@ -72,7 +72,9 @@ def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class CandidateOutcome:
-    """One solved configuration, annotated for tables and plots."""
+    """One solved configuration, annotated for tables and plots.  A solve
+    that raised is kept with its `<Type>: <message>` in `error` and an
+    unconverged result without an allocation."""
 
     scenario: Scenario
     case: Case
@@ -81,6 +83,12 @@ class CandidateOutcome:
     result: SolveResult
     throughputs: Throughputs
     objective_bits: float
+    error: str | None
+
+    @property
+    def status(self) -> str:
+        """The result's status, or `error: <Type>: <message>` for a solve that raised."""
+        return self.result.status.value if self.error is None else f"error: {self.error}"
 
 
 @dataclass
@@ -102,8 +110,10 @@ def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[C
     `solve_iterative_many` call, by solver, which decides what to step in
     lockstep; when a program cannot be built or that call raises (which
     warns once), the candidates are solved one by one.  A single candidate
-    is solved once, by `solve_spec`.  A candidate whose solve raises is left
-    out with a warning, so one failure skips the candidate, not the grid.
+    is solved once, by `solve_spec`.  A candidate whose solve raises warns
+    and stays in the table as a failed outcome, so one failure fails the
+    candidate, not the grid, and every `converged` check over the table
+    counts it.
     """
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
     batch = {}
@@ -120,20 +130,23 @@ def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[C
     outcomes = []
     for spec in specs:
         label = f"{scenario.value}-{case.value} rho={spec.rho:g}"
+        error = None
         try:
             if spec in batch:
                 result, tp = batch[spec], _throughputs(spec, cfg, ch, batch[spec])
             else:
                 result, tp = solve_spec(spec, cfg, solver, ch)
-        except Exception as exc:  # solver failures skip the candidate, not the screen
-            warnings.warn(f"{label} failed: {type(exc).__name__}: {exc}")
-            continue
-        if not result.converged:
+        except Exception as exc:  # solver failures fail the candidate, not the screen
+            error = f"{type(exc).__name__}: {exc}"
+            warnings.warn(f"{label} failed: {error}")
+            result = replace(SolveResult.infeasible(solver), status=SolveStatus.MAX_ITERATIONS)
+            tp = _throughputs(spec, cfg, ch, result)
+        if error is None and not result.converged:
             warnings.warn(f"{label} did not converge ({result.status.value})")
         score = objective_bits(spec, cfg, tp) if result.x_star is not None else math.nan
         outcomes.append(CandidateOutcome(
             scenario=scenario, case=case, objective=objective, rho=spec.rho,
-            result=result, throughputs=tp, objective_bits=score,
+            result=result, throughputs=tp, objective_bits=score, error=error,
         ))
     return outcomes
 

@@ -134,12 +134,13 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                 else:
                     table = _solve_candidate(scenario, case, objective, (0.0,), cfg,
                                              ch, spec.solver)
-                    if not table:
-                        raise RuntimeError("solver failed")
                     outcome = table[0]
             except Exception as exc:
                 rows.append(_blank_row(value, scenario, case, objective,
                                        f"error: {type(exc).__name__}: {exc}"))
+                continue
+            if outcome.result.x_star is None:       # a solve that raised, or no interior point
+                rows.append(_blank_row(value, scenario, case, objective, outcome.status))
                 continue
             rows.append(_result_row(value, outcome))
             rows[-1].weak_screen = any(o is not outcome and not o.result.converged for o in table)

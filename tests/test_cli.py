@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ehcoop import SolveStatus, cli, sweeps
+from ehcoop import SolveStatus, cli, strategy, sweeps
 from ehcoop.cli import UsageError, build_network_config, build_parser, load_config, main
 from ehcoop.sweeps import CSV_HEADER
 
@@ -229,6 +229,34 @@ def test_sweep_exits_two_on_an_uncertified_rho_candidate(tmp_path, monkeypatch, 
     assert "2 row(s) screened an unsolved or uncertified rho candidate" in err
     assert "failed or were skipped" not in err
     assert flagged.read_bytes() == clean.read_bytes()
+
+
+def test_screen_exits_two_on_a_candidate_whose_solve_raises(monkeypatch, capsys):
+    # the grid's stacked call and then rho = 0.3's own solve raise: the
+    # candidate stays in the table, printed with its reason
+    real = strategy.solve_spec
+
+    def broken_many(programs):
+        raise FloatingPointError("overflow in a stacked pass")
+
+    def broken_at_03(spec, *args):
+        if spec.rho == 0.3:
+            raise FloatingPointError("overflow at rho = 0.3")
+        return real(spec, *args)
+
+    monkeypatch.setattr(strategy, "solve_iterative_many", broken_many)
+    monkeypatch.setattr(strategy, "solve_spec", broken_at_03)
+    with pytest.warns(UserWarning) as record:
+        code = main(["screen-rho", "--case", "A", "--solver", "quad"])
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [str(w.message) for w in record] == [
+        "S1-A batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one",
+        "S1-A rho=0.3 failed: FloatingPointError: overflow at rho = 0.3"]
+    assert code == 2
+    assert [row.split()[0] for row in rows] == [f"0.{k}0" for k in range(8)]
+    failed = [row for row in rows if "error" in row]
+    assert failed == [row for row in rows if row.startswith("0.30 ")]
+    assert failed[0].endswith("error: FloatingPointError: overflow at rho = 0.3")
 
 
 def test_sweep_rejects_bad_range(capsys):

@@ -18,7 +18,6 @@ from ehcoop.program import (
 from ehcoop.quadratic import (
     _FRAC,
     LOCKSTEP_MIN,
-    QuadraticSubproblem,
     _ipm,
     _ipm_many,
     _solve,
@@ -56,17 +55,22 @@ def toy_program():
 # -- quadratic models -------------------------------------------------------
 
 
+def model_value(model, j, x):
+    """Row j's model (the objective at j = -1) of `quadratize`'s (const, g, H) at x."""
+    const, g, H = model
+    return const[j] + g[j] @ x + 0.5 * x @ H[j] @ x
+
+
 def test_model_is_exact_at_the_expansion_point():
     p = relay_program()
     x0 = initial_point(p)
-    sub = quadratize(p, x0)
-    assert sub.objective_value(x0) == pytest.approx(p.objective_value(x0), rel=1e-12)
-    assert sub.obj_g + sub.obj_H @ x0 == pytest.approx(p.objective_gradient(x0), rel=1e-12)
+    model = quadratize(p, x0)
+    const, g, H = model
+    assert model_value(model, -1, x0) == pytest.approx(p.objective_value(x0), rel=1e-12)
+    assert g[-1] + H[-1] @ x0 == pytest.approx(p.objective_gradient(x0), rel=1e-12)
     for j in range(p.n_nonlinear):
-        row = sub.con_const[j] + sub.con_G[j] @ x0 + 0.5 * x0 @ sub.nl_H[j] @ x0
-        assert row == pytest.approx(p.nonlinear_value(j, x0), abs=1e-12)
-        assert sub.con_G[j] + sub.nl_H[j] @ x0 == pytest.approx(
-            p.nonlinear_gradient(j, x0), rel=1e-10, abs=1e-12)
+        assert model_value(model, j, x0) == pytest.approx(p.nonlinear_value(j, x0), abs=1e-12)
+        assert g[j] + H[j] @ x0 == pytest.approx(p.nonlinear_gradient(j, x0), rel=1e-10, abs=1e-12)
 
 
 def one_term_model(gamma, x0):
@@ -76,7 +80,8 @@ def one_term_model(gamma, x0):
         aux_index=(), lin_A=np.zeros((0, 2)), lin_b=np.zeros(0), t_indices=(0,), y_indices=(1,),
         var_names=("t", "y"), labels=(),
     )
-    return quadratize(p, x0).objective_value
+    model = quadratize(p, x0)
+    return lambda x: model_value(model, -1, x)
 
 
 def test_model_error_is_second_order():
@@ -114,33 +119,71 @@ def test_quadratize_requires_positive_times():
         quadratize(p, x0)
 
 
+def lone_subproblem(p, x=None, delta=None):
+    """The one-program `_Stack` and interior-point start `_answer` builds for
+    the first ask of a lone solve of p, or for the model around x boxed by
+    delta (None: boxless)."""
+    ask = next(quadratic._rounds(p))
+    if x is not None:
+        ask = ask._replace(x=np.array(x), delta=delta)
+    _, st, x0 = answer_alone(quadratic._Layout([0], [ask.program]), 0, ask)
+    return st, x0
+
+
+def answer_alone(lay, row, ask):
+    """`_answer` on one ask of a layout, with the `_Stack` and start it sends to `_ipm`."""
+    seen = []
+    real = quadratic._ipm
+
+    def spy(st, x0):
+        seen.append((st, x0))
+        return real(st, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "_ipm", spy)
+        reply, = quadratic._answer(lay, np.array([row]), [ask])
+    (st, x0), = seen
+    return reply, st, x0
+
+
 def test_quadratize_orders_model_rows_first():
     p = relay_program()
-    sub = quadratize(p, initial_point(p))
-    curved = [j < len(sub.nl_H) and bool(sub.nl_H[j].any()) for j in range(len(sub.con_const))]
-    assert curved == [True, True, False, False, False, False]
-    assert sub.n_nonlinear == 2
-    assert sub.con_G[sub.n_nonlinear:].shape == (4, 7)
+    ask = next(quadratic._rounds(p))
+    red = ask.program
+    st, _ = lone_subproblem(p)
+    # the curved model rows, the linear rows, the box (x_i <= hi, then
+    # -x_i <= -lo, per positive coordinate) and the bounds -x_i <= 0
+    m, n, npos = 2, 7, len(red.positive_indices)
+    assert st.nl_H.shape == (1, m, n, n) and all(st.nl_H[0, j].any() for j in range(m))
+    assert st.A.shape == (1, m + 4 + 3 * npos, n) and st.n_con == m + 4 + 2 * npos
+    rows = st.A[0, m:]
+    assert np.array_equal(rows[:4], red.lin_A) and np.array_equal(st.b0[0, m:m + 4], -red.lin_b)
+    eye = np.eye(n)[list(red.positive_indices)]
+    assert np.array_equal(rows[4:4 + 2 * npos:2], eye) and np.array_equal(rows[5:4 + 2 * npos:2], -eye)
+    assert np.array_equal(rows[4 + 2 * npos:], -eye) and not st.b0[0, st.n_con:].any()
+    # the box edges sit around the ask's point
+    box = st.b0[0, m + 4:st.n_con]
+    assert (-box[0::2] > ask.x[list(red.positive_indices)]).all()
+    assert (box[1::2] < ask.x[list(red.positive_indices)]).all()
 
 
 def test_direct_scenario_quadratizes_to_a_qp():
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
-    sub = quadratize(p, initial_point(p))
-    assert sub.obj_H.any()
-    assert sub.n_nonlinear == 0  # only linear budget rows remain
+    const, g, H = quadratize(p, initial_point(p))
+    assert H[-1].any()
+    assert len(const) == len(g) == len(H) == 1  # only linear budget rows remain
 
 
 # -- subproblem solver ------------------------------------------------------
 
 
 def test_lp_subproblem_recovers_primal_and_dual():
-    # max t s.t. t <= 1
-    sub = QuadraticSubproblem(
-        obj_const=0.0, obj_g=np.array([-1.0]), obj_H=np.zeros((1, 1)),
-        con_const=np.array([-1.0]), con_G=np.array([[1.0]]), nl_H=np.zeros((0, 1, 1)),
-        t_indices=(0,), y_indices=(),
+    # max t s.t. t <= 1, then the bound -t <= 0
+    st = quadratic._Stack(
+        c0=np.zeros(1), g=np.array([[-1.0]]), H=np.zeros((1, 1, 1)),
+        A=np.array([[[1.0], [-1.0]]]), b0=np.array([[-1.0, 0.0]]), nl_H=np.zeros((1, 0, 1, 1)), n_con=1,
     )
-    sol = _ipm(sub, np.array([0.4]))
+    sol = _ipm(st, np.array([0.4]))
     assert sol.converged
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.lam_constraints[0] == pytest.approx(1.0, abs=1e-6)
@@ -190,30 +233,33 @@ def test_subproblem_agrees_with_slsqp():
     from scipy.optimize import minimize
 
     p = relay_program()
-    x0 = initial_point(p)
-    sub = quadratize(p, x0)
-    ipm = _ipm(sub, x0)
+    st, x0 = lone_subproblem(p, next(quadratic._rounds(p)).x, None)    # the boxless model at the start
+    ipm = _ipm(st, x0)
     assert ipm.converged
-    m, pos = sub.n_nonlinear, list(sub.positive_indices)
+    c0, g, H, A, b0, nl_H = (v[0] for v in (st.c0, st.g, st.H, st.A, st.b0, st.nl_H))
+    m = len(nl_H)
+
+    def objective(x):
+        return c0 + g @ x + 0.5 * x @ H @ x
 
     def slack(x):
-        """-(every row of the subproblem), then the nonnegative coordinates."""
-        rows = sub.con_const + sub.con_G @ x
-        rows[:m] += 0.5 * (sub.nl_H @ x) @ x
-        return np.concatenate((-rows, x[pos]))
+        """-(every row of the subproblem: model rows, box and bounds)."""
+        rows = b0 + A @ x
+        rows[:m] += 0.5 * (nl_H @ x) @ x
+        return -rows
 
     def slack_jac(x):
-        G = sub.con_G.copy()
-        G[:m] += sub.nl_H @ x
-        return np.concatenate((-G, np.eye(len(x))[pos]))
+        G = A.copy()
+        G[:m] += nl_H @ x
+        return -G
 
-    ref = minimize(sub.objective_value, x0, jac=lambda x: sub.obj_g + sub.obj_H @ x,
+    ref = minimize(objective, x0, jac=lambda x: g + H @ x,
                    method="SLSQP", constraints={"type": "ineq", "fun": slack, "jac": slack_jac},
                    options={"ftol": 1e-14, "maxiter": 1000}).x
     # SLSQP ends with success=False here, so its endpoint is judged by its own constraints
     assert slack(ref).min() >= -1e-10
-    a = sub.objective_value(ipm.x)
-    b = sub.objective_value(ref)
+    a = objective(ipm.x)
+    b = objective(ref)
     assert abs(a - b) <= 1e-6 * (1.0 + abs(a))
 
 
@@ -273,13 +319,13 @@ def test_settled_point_without_a_certificate_is_not_converged():
 
 
 def spy_asks(monkeypatch):
-    """Record every ask `_answer` gets, which is every ask of a lone solve."""
+    """Record every ask `_answer` gets, in order."""
     asks = []
     real = quadratic._answer
 
-    def spy(ask):
-        asks.append(ask)
-        return real(ask)
+    def spy(lay, rows, group):
+        asks.extend(group)
+        return real(lay, rows, group)
 
     monkeypatch.setattr(quadratic, "_answer", spy)
     return asks
@@ -331,17 +377,11 @@ def test_round_limit_is_reported(monkeypatch):
 
 def test_round_objective_never_increases(monkeypatch):
     # every round and every polishing rebuild expands the model around the
-    # iterate it starts from, and the rounds only accept descent
-    starts = []
-    real = quadratic._expansion_point
-
-    def spy(p, x):
-        starts.append(p.objective_value(x))
-        return real(p, x)
-
-    monkeypatch.setattr(quadratic, "_expansion_point", spy)
+    # iterate it asks from, and the rounds only accept descent
+    asks = spy_asks(monkeypatch)
     res = solve_iterative(relay_program())
     assert res.converged
+    starts = [ask.program.objective_value(ask.x) for ask in asks]
     assert len(starts) >= 2
     for prev, nxt in zip(starts, starts[1:]):
         assert nxt <= prev + 1e-8 * (1.0 + abs(prev))
@@ -379,13 +419,13 @@ def assert_same_solve(lock, scalar):
 
 
 def spy_stacks(monkeypatch):
-    """Record every (subproblems, starts) group `solve_iterative_many` stacks."""
+    """Record every (`_Stack`, starts) group `solve_iterative_many` stacks."""
     groups = []
     real = quadratic._ipm_many
 
-    def spy(subs, xs):
-        groups.append((list(subs), [np.array(x) for x in xs]))
-        return real(subs, xs)
+    def spy(st, X):
+        groups.append((st, X.copy()))
+        return real(st, X)
 
     monkeypatch.setattr(quadratic, "_ipm_many", spy)
     return groups
@@ -401,9 +441,27 @@ def test_lockstep_screen_matches_solve_iterative(cfg, case, objective, monkeypat
     programs = screen_programs(cfg, case, objective)
     stacks = spy_stacks(monkeypatch)
     results = solve_iterative_many(programs)
-    assert max(len(subs) for subs, _ in stacks) == len(programs)
+    assert max(len(X) for _, X in stacks) == len(programs)
     for lock, scalar in zip(results, [solve_iterative(p) for p in programs], strict=True):
         assert_same_solve(lock, scalar)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(), NetworkConfig(X1=25.0), NetworkConfig(X1=0.0), NetworkConfig(d1=0.4, du=1.6),
+])
+def test_stacked_copies_equal_the_lone_solve(cfg):
+    # the S2-S4 programs, solved alone (K = 1: `quadratize` and `_ipm`) and as
+    # two copies in one lockstep solve (K = 2: the `ProgramStack` pass and
+    # `_ipm_many`), end bit for bit alike
+    for scenario, case, objective in product((Scenario.S2, Scenario.S3, Scenario.S4), Case, Objective):
+        p = build_problem(ScenarioSpec(scenario, case, objective), cfg)
+        lone = solve_iterative(p)
+        for lock in solve_iterative_many([p, p]):
+            assert (lock.status, lock.outer_iters, lock.inner_iters) == (
+                lone.status, lone.outer_iters, lone.inner_iters)
+            assert lock.objective_bits.hex() == lone.objective_bits.hex()
+            assert lock.kkt_residual == lone.kkt_residual
+            assert lock.x_star.x.tobytes() == lone.x_star.x.tobytes()
 
 
 def test_mixed_layouts_and_infeasible_programs_keep_their_order():
@@ -441,8 +499,8 @@ def test_small_groups_run_the_scalar_ipm(monkeypatch):
     assert alone and not stacks
     alone.clear()
     solve_iterative_many(programs[:LOCKSTEP_MIN])
-    assert stacks and len(stacks[0][0]) == LOCKSTEP_MIN
-    assert all(len(subs) >= LOCKSTEP_MIN for subs, _ in stacks)
+    assert stacks and len(stacks[0][1]) == LOCKSTEP_MIN
+    assert all(len(X) >= LOCKSTEP_MIN for _, X in stacks)
 
 
 @pytest.mark.parametrize("backtracks", [1, 2, 40])
@@ -462,7 +520,7 @@ def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
     stuck = 0
     for st, X in stacks:
         for k, lock in enumerate(real(st, X)):
-            alone = _ipm(st[k], X[k])
+            alone = _ipm(st.take([k]), X[k])
             assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
             assert np.array_equal(lock.x, alone.x)
             assert np.array_equal(lock.lam_constraints, alone.lam_constraints)
@@ -473,21 +531,19 @@ def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
 
 
 def spy_stacked_rounds(monkeypatch):
-    """Record every stacked round: (asks, the `_Stack` and starts sent to `_ipm_many`, replies)."""
-    rounds, stacks = [], []
-    real_ipm, real_answer = quadratic._ipm_many, quadratic._answer_stack
+    """Record every stacked round: (layout, rows, asks, the `_Stack` and
+    starts sent to `_ipm_many`, replies)."""
+    rounds = []
+    stacks = spy_stacks(monkeypatch)
+    real = quadratic._answer
 
-    def ipm(st, X):
-        stacks.append((st, X.copy()))
-        return real_ipm(st, X)
-
-    def answer(ps, floors, asks):
-        replies = real_answer(ps, floors, asks)
-        rounds.append((asks, *stacks[-1], replies))
+    def answer(lay, rows, asks):
+        replies = real(lay, rows, asks)
+        if len(asks) > 1:
+            rounds.append((lay, rows, asks, *stacks[-1], replies))
         return replies
 
-    monkeypatch.setattr(quadratic, "_ipm_many", ipm)
-    monkeypatch.setattr(quadratic, "_answer_stack", answer)
+    monkeypatch.setattr(quadratic, "_answer", answer)
     return rounds
 
 
@@ -498,25 +554,21 @@ def spy_stacked_rounds(monkeypatch):
 @pytest.mark.parametrize("case", list(Case))
 @pytest.mark.parametrize("objective", list(Objective))
 def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch):
-    # every stacked model, IPM start and reply has the bits of the one-by-one
-    # quadratize, _with_trust_region, _under_caps and _ipm (`_answer`)
+    # every stacked model (the `ProgramStack` pass), IPM start and reply
+    # (`_ipm_many`) has the bits of the same ask answered alone (`quadratize`
+    # and `_ipm`)
     rounds = spy_stacked_rounds(monkeypatch)
     solve_iterative_many(screen_programs(cfg, case, objective))
     assert rounds
     lifted = False
-    for asks, st, X0, replies in rounds:
-        for k, (ask, reply) in enumerate(zip(asks, replies, strict=True)):
-            red, x = ask.program, ask.x
-            sub = quadratize(red, quadratic._expansion_point(red, x))
-            lifted |= bool((x[list(red.t_indices)] < quadratic._T_FLOOR).any())
-            if ask.delta is not None:
-                sub = quadratic._with_trust_region(sub, x, ask.delta, ask.floors)
-            model = st[k]
-            assert model.obj_const == sub.obj_const
-            for name in ("obj_g", "obj_H", "con_const", "con_G", "nl_H"):
-                assert np.array_equal(getattr(model, name), getattr(sub, name)), name
-            assert np.array_equal(X0[k], quadratic._under_caps(red, x, quadratic._IPM_BACKOFF))
-            alone = quadratic._answer(ask)
+    for lay, rows, asks, st, X0, replies in rounds:
+        for k, (row, ask, reply) in enumerate(zip(rows, asks, replies, strict=True)):
+            lifted |= bool((ask.x[list(ask.program.t_indices)] < quadratic._T_FLOOR).any())
+            alone, one, x0 = answer_alone(lay, row, ask)
+            model = st.take([k])
+            for name in ("c0", "g", "H", "A", "b0", "nl_H", "n_con"):
+                assert np.array_equal(getattr(model, name), getattr(one, name)), name
+            assert np.array_equal(X0[k], x0)
             assert np.array_equal(reply.sol.x, alone.sol.x)
             assert reply.sol.iters == alone.sol.iters
             assert np.array_equal(reply.sol.lam_constraints, alone.sol.lam_constraints)
@@ -545,25 +597,17 @@ def test_quad_screens_raise_no_runtime_warning():
 
 
 def stack_of(subs):
-    """The subproblems, of one shape, as the `_Stack` `_ipm_many` steps."""
-    n, pos = subs[0].n_vars, list(subs[0].positive_indices)
-    A = [np.concatenate((sub.con_G, -np.eye(n)[pos])) for sub in subs]
-    b0 = [np.concatenate((sub.con_const, np.zeros(len(pos)))) for sub in subs]
-    return quadratic._Stack(
-        np.array([sub.obj_const for sub in subs]), np.array([sub.obj_g for sub in subs]),
-        np.array([sub.obj_H for sub in subs]), np.array(A), np.array(b0),
-        np.array([sub.nl_H for sub in subs]), len(subs[0].con_const), subs[0].t_indices, subs[0].y_indices)
+    """One-program `_Stack`s of one shape as the one `_Stack` `_ipm_many` steps."""
+    names = ("c0", "g", "H", "A", "b0", "nl_H")
+    return quadratic._Stack(*(np.concatenate([getattr(st, name) for st in subs]) for name in names),
+                            subs[0].n_con)
 
 
-def s2_model(x, delta):
+def s2_model(x=None, delta=None):
     """The boxed model of the energy grid's S2-A sum program at X1 = 25 mW
-    around x, with its interior-point start: an ask of `_rounds`."""
+    around x by delta (None: its first ask), with its interior-point start."""
     p = build_problem(ScenarioSpec(Scenario.S2, Case.A, Objective.WEIGHTED_SUM), NetworkConfig(X1=25.0))
-    ask = next(quadratic._rounds(p))
-    red, x = ask.program, ask.x if x is None else np.array(x)
-    sub = quadratize(red, quadratic._expansion_point(red, x))
-    return quadratic._with_trust_region(sub, x, delta, ask.floors), quadratic._under_caps(
-        red, x, quadratic._IPM_BACKOFF)
+    return lone_subproblem(p, x, delta)
 
 
 # the second round's point of that solve, where the uncorrected step stalled
@@ -578,7 +622,7 @@ def test_corrected_step_ends_the_curved_row_stall(monkeypatch):
     sol = _ipm(stalled, x0)
     assert sol.converged and sol.iters <= 16
     # a stack of it with a subproblem that needs fewer corrections keeps the bits
-    pairs = [(stalled, x0), s2_model(None, quadratic._TR_DELTA0)]
+    pairs = [(stalled, x0), s2_model()]
     stacked = _ipm_many(stack_of([sub for sub, _ in pairs]), np.array([x for _, x in pairs]))
     for lock, (sub, x) in zip(stacked, pairs, strict=True):
         alone = _ipm(sub, x)

@@ -69,7 +69,16 @@ def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, m
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
         outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg,
                                              default_ch, "nb")
-    assert outcomes == []
+    assert_failed(outcomes, [0.0], "FloatingPointError: overflow in the barrier")
+
+
+def assert_failed(outcomes, grid, error):
+    """Every outcome is a failed candidate of `grid`, in order, naming `error`."""
+    assert [o.rho for o in outcomes] == list(grid)
+    for o in outcomes:
+        assert o.error == error and o.status == f"error: {error}"
+        assert not o.result.converged and o.result.x_star is None
+        assert math.isnan(o.objective_bits) and math.isnan(o.throughputs.b1_bits)
 
 
 def test_single_candidate_is_solved_once(default_cfg, default_ch, monkeypatch):
@@ -156,20 +165,23 @@ def test_failed_fallback_solve_names_the_exception(solver, default_cfg, default_
     monkeypatch.setattr(strategy, "solve_spec", broken)
     with pytest.warns(UserWarning) as record:
         outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
-    assert outcomes == []
+    assert_failed(outcomes, grid, "FloatingPointError: overflow in a stacked pass")
     assert [str(w.message) for w in record] == [
         "S1-B batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one"] + [
         f"S1-B rho={rho:g} failed: FloatingPointError: overflow in a stacked pass" for rho in grid]
 
 
-def test_unbuildable_rho_is_skipped_with_a_warning(default_cfg, default_ch):
+def test_unbuildable_rho_is_a_failed_candidate_with_a_warning(default_cfg, default_ch):
     # 0.95 leaves the relay link weaker than the direct one, so it has no program
     grid = rho_candidates(default_ch) + (0.95,)
     with pytest.warns(UserWarning, match=r"S1-A rho=0.95 failed: ValueError"):
         outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg,
                                              default_ch, "nb")
-    assert [o.rho for o in outcomes] == list(grid[:-1])
-    assert all(o.result.converged for o in outcomes)
+    assert [o.rho for o in outcomes] == list(grid)
+    assert all(o.result.converged and o.error is None for o in outcomes[:-1])
+    failed = outcomes[-1]
+    assert_failed([failed], [0.95], failed.error)
+    assert failed.error.startswith("ValueError: ")
 
 
 def test_screen_rho_common_scores_the_minimum_rate(default_cfg):

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from ehcoop import NetworkConfig, Objective, Scenario, SweepSpec, emit_csv, emit_plotdata, run_sweep, sweeps
+from ehcoop import (
+    NetworkConfig, Objective, Scenario, SweepSpec, emit_csv, emit_plotdata, run_sweep, strategy, sweeps,
+)
 from ehcoop.cli import main
 from ehcoop.sweeps import (
     CSV_HEADER,
@@ -208,6 +210,26 @@ def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch, jobs, n_tasks, cpus,
 def test_worker_count_without_a_cpu_count_runs_serially(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(8, 18) == 1
+
+
+def test_failed_single_solve_row_carries_its_reason(monkeypatch):
+    # an S3 solve raises: its rows name the exception, the S4 rows still solve
+    real = strategy.solve_spec
+
+    def broken_s3(spec, *args):
+        if spec.scenario is Scenario.S3:
+            raise FloatingPointError("overflow in S3")
+        return real(spec, *args)
+
+    monkeypatch.setattr(strategy, "solve_spec", broken_s3)
+    with pytest.warns(UserWarning) as record:
+        rows = run_sweep(tiny_energy_spec())
+    assert [str(w.message) for w in record] == [
+        f"S3-{case} rho=0 failed: FloatingPointError: overflow in S3" for case in "AB"]
+    assert [(r.scenario, r.status) for r in rows] == [
+        ("S3", "error: FloatingPointError: overflow in S3")] * 2 + [("S4", "converged")] * 2
+    assert all(r.obj_bits is None and not r.winner for r in rows[:2])
+    assert sum(r.winner for r in rows[2:]) == 1
 
 
 def test_failed_point_records_the_exception_in_the_status(monkeypatch, tmp_path, capsys):
