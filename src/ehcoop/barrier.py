@@ -34,12 +34,35 @@ optimum at tau is within m/tau of the optimum, so tau grows by MU per stage
 until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
 finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
 there only centres the iterate (starting at 100 cut the Newton steps of
-the 528 solves of the acceptance energy grid from 19,879 to 14,804, all
-converged); starting at 1e4 left 40 of them unconverged.  The result is built
-by `program.finish` from the barrier multipliers 1/(tau s) of the final
-iterate, so a finished path counts as converged only with the certificate
-both solvers share.  The tuning values are module constants read at call
-time.
+the 528 solves of the acceptance energy grid by a quarter, all
+converged); starting at 1e4 left 40 of them unconverged.  The result is
+built by `program.finish` from the barrier multipliers 1/(tau s) of the
+final iterate, so a finished path counts as converged only with the
+certificate both solvers share.  The tuning values are module constants
+read at call time.
+
+A stage ends once its last step is at most STEP_TOL long and its gradient
+at most GRAD_TOL.  An early stage need not be centred that well, since
+its gap bound m/tau is still wide (Boyd & Vandenberghe sections 11.3.3
+and 11.5): while m/tau > LOOSE_GAP * (1 + |f|), with f the objective as
+in the gap stop, a stage also ends once the squared Newton decrement of
+tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT.  With 7 to 13 rows
+that covers the stages at tau = 1e2 and 1e4 (gap bounds near 0.1 and
+1e-3; on the energy grid all 528 at 1e2 and 525 at 1e4), never the last
+one, whose bound is below GAP_TOL * (1 + |f|).  A scan of (LOOSE_GAP,
+LOOSE_DECREMENT) gave these Newton steps on the energy grid, against
+14,804 with every stage centred in full:
+
+    (1e-2, 0.25) 12,448    (1e-2, 1) 11,873    (1e-3, 1) 11,862
+    (1e-4, 0.25) 12,364    (1e-4, 0.5) 11,956  (1e-4, 1) 11,581
+    (1e-5, 1)    11,578    (1e-6, 1) 12,789    (3e-4, 1) 11,653
+
+with every status and rho* unchanged and objectives within 2e-13.  A
+decrement of 2 (17,874 steps) or 4 (25,703) leaves 8 or 19 of the 528
+uncertified: the next stage starts too far from its centre and runs into
+MAX_INNER.  (1e-4, 1) is kept; in 3 alternating runs each, the energy-nb
+benchmark took 0.86 of the time with every stage centred in full in the
+median, and 0.89 at (1e-4, 0.5).
 
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
@@ -88,6 +111,10 @@ GAP_TOL = 1e-10
 # gradient is at most GRAD_TOL (or the Newton decrement is at the noise floor)
 STEP_TOL = 1e-6
 GRAD_TOL = 1e-7
+# while (barrier rows)/tau > LOOSE_GAP * (1 + |f|), a stage also ends once the
+# squared Newton decrement of tau f + phi is at most LOOSE_DECREMENT
+LOOSE_GAP = 1e-4
+LOOSE_DECREMENT = 1.0
 # Newton iteration cap per stage
 MAX_INNER = 200
 # back-off of the first trial step from the nearest linear row or axis
@@ -415,16 +442,19 @@ def _minimize_stage(be, tau, X, f_x):
     """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
 
     A program stops once its last step is at most STEP_TOL long and its
-    gradient at most GRAD_TOL (or at the noise floor), after three stalls
-    in a row, or at MAX_INNER steps.  Returns (X, Newton steps, converged,
-    objective, Z) with Z = -H^-1 grad f at each final iterate, the
-    central-path tangent, NaN where the step cap ends the stage.
+    gradient at most GRAD_TOL (or at the noise floor); while its gap bound
+    is wide, once its squared Newton decrement tau (-g . d) is at most
+    LOOSE_DECREMENT; after three stalls in a row; or at MAX_INNER steps.
+    Returns (X, Newton steps, converged, objective, Z) with Z = -H^-1 grad f
+    at each final iterate, the central-path tangent, NaN where the step
+    cap ends the stage.
     """
     K = len(X)
     run = list(range(K))
     steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
     last_step, stalls = [math.inf] * K, [0] * K
+    gap = be.n_rows / tau
     for k in range(MAX_INNER + 1):
         f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
         if k == MAX_INNER:
@@ -433,7 +463,8 @@ def _minimize_stage(be, tau, X, f_x):
             break
         ended, search = [], []
         for i in run:
-            if last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i])):
+            if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i]))
+                    or gap > LOOSE_GAP * (1.0 + abs(f[i])) and -tau * slope[i] <= LOOSE_DECREMENT):
                 steps[i], converged[i] = k, True
                 ended.append(i)
             else:

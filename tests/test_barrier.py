@@ -10,9 +10,11 @@ from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
     GAP_TOL,
+    GRAD_TOL,
     LOCKSTEP_MIN,
     MU,
     TAU0,
+    _at_noise,
     _line_search,
     _newton_direction,
     _One,
@@ -67,8 +69,7 @@ def relay_program(rho=0.3):
 
 def noise_floor_program():
     """A relay program some of whose late Newton steps are taken by the noise-floor rule."""
-    spec = ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.0)
-    return build_problem(spec, NetworkConfig(d1=1.8, du=0.2))
+    return relay_program(0.1)
 
 
 def screen_programs(cfg, case, objective):
@@ -238,7 +239,7 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 
 
 def test_accepted_steps_pass_armijo_or_the_noise_floor_rule(monkeypatch):
-    # the default relay program takes no noise-floor step; the other one does
+    # the relay program takes no noise-floor step at rho = 0.3; at rho = 0.1 it does
     searches = spy_line_searches(monkeypatch)
     solve_nb(relay_program())
     solve_nb(noise_floor_program())
@@ -327,9 +328,42 @@ def test_relay_solve_needs_few_newton_steps(monkeypatch):
     searches = spy_line_searches(monkeypatch)
     res = solve_nb(relay_program())
     assert res.converged
-    assert res.inner_iters <= 45
+    assert res.inner_iters <= 26
     late = [c["tau"] for c in searches if c["tau"] >= 1e8]
     assert late and len(late) == len(set(late))
+
+
+def test_loose_centring_never_ends_the_last_stage(monkeypatch):
+    # a stage may end on the Newton decrement only while its gap bound is
+    # wide; the others, the last one among them, end on the full stop test
+    stages = []
+    real = barrier._minimize_stage
+
+    def spy(be, tau, X, f_x):
+        out = real(be, tau, X, f_x)
+        _, gnorm, slope, *_ = be.newton(out[0], tau)
+        stages.extend((be.n_rows / tau, f, g, d, fx, -tau * d)
+                      for f, g, d, fx in zip(out[3], gnorm, slope, f_x))
+        return out
+
+    monkeypatch.setattr(barrier, "_minimize_stage", spy)
+    programs = screen_programs(NetworkConfig(), Case.A, Objective.WEIGHTED_SUM)
+    for lock, scalar in zip(solve_nb_many(programs), [solve_nb(p) for p in programs], strict=True):
+        assert lock.converged
+        assert_same_solve(lock, scalar)
+    loose, last = 0, 0
+    for gap, f, gnorm, slope, f_x, decrement in stages:
+        centred = gnorm <= GRAD_TOL or _at_noise(slope, f_x)
+        if gap <= GAP_TOL * (1.0 + abs(f)):
+            last += 1
+        if gap <= barrier.LOOSE_GAP * (1.0 + abs(f)):
+            assert centred
+        elif not centred:
+            loose += 1
+            assert decrement <= barrier.LOOSE_DECREMENT
+    # each program's last stage, stacked and alone; and some early stage ended loosely
+    assert last == 2 * len(programs)
+    assert loose > 0
 
 
 def test_solve_stops_on_the_duality_gap():
