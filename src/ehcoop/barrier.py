@@ -42,7 +42,11 @@ certificate both solvers share.  The tuning values are module constants
 read at call time.
 
 A stage ends once its last step is at most STEP_TOL long and its gradient
-at most GRAD_TOL.  An early stage need not be centred that well, since
+at most GRAD_TOL, or once three iterates in a row have their Newton
+decrement at the noise floor: next to a boundary (rho one ulp below
+rho_max, say) full steps longer than STEP_TOL can alternate there
+without changing the barrier, and the stage would otherwise run into
+MAX_INNER.  An early stage need not be centred that well, since
 its gap bound m/tau is still wide (Boyd & Vandenberghe sections 11.3.3
 and 11.5): while m/tau > LOOSE_GAP * (1 + |f|), with f the objective as
 in the gap stop, a stage also ends once the squared Newton decrement of
@@ -442,9 +446,11 @@ def _minimize_stage(be, tau, X, f_x):
     """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
 
     A program stops once its last step is at most STEP_TOL long and its
-    gradient at most GRAD_TOL (or at the noise floor); while its gap bound
-    is wide, once its squared Newton decrement tau (-g . d) is at most
-    LOOSE_DECREMENT; after three stalls in a row; or at MAX_INNER steps.
+    gradient at most GRAD_TOL (or at the noise floor); after three
+    iterates in a row at the noise floor, however long the steps; while
+    its gap bound is wide, once its squared Newton decrement tau (-g . d)
+    is at most LOOSE_DECREMENT; after three stalls in a row; or at
+    MAX_INNER steps.
     Returns (X, Newton steps, converged, objective, Z) with Z = -H^-1 grad f
     at each final iterate, the central-path tangent, NaN where the step
     cap ends the stage.
@@ -453,7 +459,7 @@ def _minimize_stage(be, tau, X, f_x):
     run = list(range(K))
     steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
-    last_step, stalls = [math.inf] * K, [0] * K
+    last_step, stalls, noise = [math.inf] * K, [0] * K, [0] * K
     gap = be.n_rows / tau
     for k in range(MAX_INNER + 1):
         f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
@@ -463,7 +469,9 @@ def _minimize_stage(be, tau, X, f_x):
             break
         ended, search = [], []
         for i in run:
-            if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i]))
+            at_noise = _at_noise(slope[i], f_x[i])
+            noise[i] = noise[i] + 1 if at_noise else 0
+            if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or at_noise) or noise[i] >= 3
                     or gap > LOOSE_GAP * (1.0 + abs(f[i])) and -tau * slope[i] <= LOOSE_DECREMENT):
                 steps[i], converged[i] = k, True
                 ended.append(i)

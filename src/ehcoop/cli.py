@@ -10,7 +10,8 @@
 Network parameters come from defaults, an optional key=value config file
 (`--config`), and individual flags, in that order of precedence.  Exit
 codes: 0 on success, 2 when any requested point failed to solve, 1 on
-usage errors.
+usage errors (bad flags, sweep bounds outside the network's range, an
+output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 from .barrier import solve_nb
-from .gridsearch import GridSpec, brute_force_grid, finite_diff_check
+from .gridsearch import brute_force_grid, finite_diff_check
 from .network import NetworkConfig, derive_channels, relay_feasible, rho_max
 from .program import start as presolved_start
 from .quadratic import solve_iterative
@@ -137,7 +138,7 @@ def _print_result(tag, spec, cfg, result, tp):
     slots = ", ".join(f"{t:.6f}" for t in tp.slots)
     print(f"  t0, slots  : {tp.t0:.6f} | {slots}")
     powers = []
-    for t, y in zip(tp.slots, result.x_star.x[len(tp.slots):]):
+    for t, y in zip(tp.slots, result.x_star[len(tp.slots):]):
         powers.append(f"{(y / t if t > 0 else 0.0):.6f}" if t else "0")
     print(f"  P (W)      : {', '.join(powers)}")
     print(f"  violation  : {result.max_constraint_violation:.3e}  "
@@ -211,6 +212,12 @@ def _run_sweep_command(args, param: str, default_range) -> int:
                          base=cfg, objectives=objectives, solver=args.solver)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for flag, path in (("--out", args.out), ("--plotdata", args.plotdata)):
+        if path:
+            try:
+                open(path, "a").close()    # fail before the sweep runs, not after it
+            except OSError as exc:
+                raise UsageError(f"cannot write {flag} {path}: {exc.strerror}") from exc
     rows = run_sweep(spec, jobs=args.jobs)
     if args.out:
         emit_csv(rows, args.out)
@@ -248,7 +255,7 @@ def _cmd_validate(args) -> int:
     tag = f"{spec.scenario.value}-A"
     # probe the presolved program: presolve pins zero-budget energies, so no
     # coordinate of the start sits within a difference step of y = 0
-    started = presolved_start(build_problem(spec, cfg, ch))
+    started = presolved_start(build_problem(spec, cfg))
     if started is None:
         raise RuntimeError(f"the {tag} program has no interior point to check derivatives at")
     pre, x0 = started
@@ -260,9 +267,9 @@ def _cmd_validate(args) -> int:
 
     for scenario in (Scenario.S3, Scenario.S4):
         sp = ScenarioSpec(scenario, Case.A, Objective.WEIGHTED_SUM)
-        program = build_problem(sp, cfg, ch)
+        program = build_problem(sp, cfg)
         res = solve_nb(program)
-        ref = brute_force_grid(program, GridSpec(step=1e-3))
+        ref = brute_force_grid(program, step=1e-3)
         gap = res.objective_bits - ref.objective_bits
         ok = res.converged and gap >= -1e-9 and gap <= 0.05
         checks.append((f"{scenario.value}-A vs grid oracle", ok,
@@ -273,7 +280,7 @@ def _cmd_validate(args) -> int:
             continue
         sp = ScenarioSpec(scenario, Case.B, Objective.WEIGHTED_SUM,
                           rho=0.0)
-        program = build_problem(sp, cfg, ch)
+        program = build_problem(sp, cfg)
         a = solve_nb(program)
         b = solve_iterative(program)
         rel = abs(a.objective_bits - b.objective_bits) / max(1.0, abs(a.objective_bits))

@@ -13,49 +13,45 @@ and the assembled barrier derivatives against central differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import barrier_gradient, barrier_hessian, barrier_value
-from .program import LN2, Allocation, ConvexProgram, aux_bounds
+from .program import LN2, ConvexProgram, aux_bounds
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    step: float = 1e-3        # resolution of each time variable
-    max_points: float = 1e8   # refuse grids larger than this
-
-    def __post_init__(self):
-        if not 0 < self.step < 1:
-            raise ValueError("step must lie in (0, 1)")
-        if self.max_points < 1:
-            raise ValueError("max_points must be positive")
+# the grid oracle refuses grids of more points than this
+MAX_GRID_POINTS = 1e8
+# central-difference steps of the derivative probe
+GRAD_STEP = 1e-6
+HESS_STEP = 1e-5
 
 
 @dataclass
 class GridResult:
-    best: Allocation
+    best: np.ndarray          # the best grid point in program coordinates
     objective_bits: float
     points_scanned: int
 
 
-def brute_force_grid(p: ConvexProgram, grid: GridSpec | None = None) -> GridResult:
-    """Exhaustive scan over the time grid with energies at their budgets.
+def brute_force_grid(p: ConvexProgram, step: float = 1e-3) -> GridResult:
+    """Exhaustive scan over the times step, 2 step, ... below 1, energies at their budgets.
 
     Supports programs with exactly two time variables whose linear rows
     give each energy an explicit budget.  Raises ValueError for the
     relay-scenario programs (three slots, coupled budgets), where the
-    elimination argument does not produce a two-dimensional search.
+    elimination argument does not produce a two-dimensional search, for a
+    step outside (0, 1) and for a grid of more than MAX_GRID_POINTS points.
     """
-    grid = grid or GridSpec()
+    if not 0 < step < 1:
+        raise ValueError("step must lie in (0, 1)")
     if len(p.t_indices) != 2:
         raise ValueError("grid oracle supports two-slot programs only")
-    axis = np.arange(grid.step, 1.0, grid.step)
-    if axis.size**2 > grid.max_points:
-        raise ValueError(
-            f"grid of {axis.size**2:.3g} points exceeds the {grid.max_points:.3g} cap"
-        )
+    size = math.ceil((1.0 - step) / step)    # the length of the axis below
+    if size**2 > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {size**2:.3g} points exceeds the {MAX_GRID_POINTS:.3g} cap")
+    axis = np.arange(step, 1.0, step)
 
     i1, i2 = p.t_indices
     T1, T2 = np.meshgrid(axis, axis, indexing="ij")
@@ -102,7 +98,7 @@ def brute_force_grid(p: ConvexProgram, grid: GridSpec | None = None) -> GridResu
     for aux, bound in aux_bounds(p, x).items():
         x[aux] = bound
     return GridResult(
-        best=Allocation(x=x),
+        best=x,
         objective_bits=best_nats / LN2,
         points_scanned=int(feasible.sum()),
     )
@@ -143,9 +139,9 @@ def _rel(err: float, scale: float) -> float:
     return err / max(1.0, scale)
 
 
-def finite_diff_check(program, x: np.ndarray, grad_step: float = 1e-6,
-                      hess_step: float = 1e-5, tau: float | None = None) -> dict:
-    """Norm-relative error of analytic first and second derivatives at x.
+def finite_diff_check(program, x: np.ndarray, tau: float | None = None) -> dict:
+    """Norm-relative error of analytic first and second derivatives at x,
+    against central differences of steps GRAD_STEP and HESS_STEP.
 
     Checks the objective and every nonlinear constraint; with `tau` given,
     also the assembled barrier gradient and Hessian.  Returns a dict with
@@ -170,9 +166,9 @@ def finite_diff_check(program, x: np.ndarray, grad_step: float = 1e-6,
     worst_h = 0.0
     for value, gradient, hessian in pairs:
         g = gradient(x)
-        g_fd = _central_gradient(value, x, grad_step)
+        g_fd = _central_gradient(value, x, GRAD_STEP)
         worst_g = max(worst_g, _rel(float(np.linalg.norm(g_fd - g)), float(np.linalg.norm(g))))
         H = hessian(x)
-        H_fd = _central_hessian(value, x, hess_step)
+        H_fd = _central_hessian(value, x, HESS_STEP)
         worst_h = max(worst_h, _rel(float(np.linalg.norm(H_fd - H)), float(np.linalg.norm(H))))
     return {"gradient": worst_g, "hessian": worst_h}

@@ -78,18 +78,6 @@ def perspective_gradient(gamma: float, t: float, y: float):
     return g, v
 
 
-@dataclass
-class Allocation:
-    """A point in program coordinates.
-
-    `degenerate` lists the coordinates presolve pinned at zero: energies
-    without a budget and the rates they silence.
-    """
-
-    x: np.ndarray
-    degenerate: tuple[int, ...] = ()
-
-
 class Evaluation(NamedTuple):
     """One pass over a program at a point; `factors` holds (row, t_index,
     y_index, coeff, v_t, v_y) per term, v the term's rank-one Hessian factor."""
@@ -295,8 +283,8 @@ def scalar_log1p(z: np.ndarray) -> np.ndarray:
 class ProgramStack:
     """K programs of one `stack_key` as (K, ...) arrays, evaluated in one pass.
 
-    Gammas and coefficients (K, T), objective vectors (K, n) and linear rows
-    are per program.  Shared 0/1 matrices place the T terms: R sums their
+    Gammas and coefficients (K, T) and objective vectors (K, n) are per
+    program.  Shared 0/1 matrices place the T terms: R sums their
     values into the rows (the objective last), P scatters their t and y
     derivatives into the (m+1, n) gradient block, C_rows their rank-one
     curvature (a v_t^2, a v_t v_y, a v_y^2) into each row's n x n Hessian
@@ -313,7 +301,6 @@ class ProgramStack:
         ti, yi = [t[3] for t in table], [t[4] for t in table]
         self.n, self.m, self.T = n, m, T
         self.log1p = log1p
-        self.aux_index = p.aux_index
         self.index = ti + yi + list(p.aux_index)
         self.R = np.zeros((T, m + 1))
         self.R[range(T), rows] = -1.0
@@ -331,8 +318,6 @@ class ProgramStack:
         self.neg_gamma = -self.gamma
         self.coeff = np.array([[t[2] for t in prog.term_table] for prog in programs])
         self.q = np.array([prog.objective_linear for prog in programs])
-        self.lin_A = np.array([prog.lin_A for prog in programs])
-        self.lin_b = np.array([prog.lin_b for prog in programs])
         unit = np.zeros((m, n))
         unit[range(m), p.aux_index] = 1.0
         self.base = np.concatenate((np.broadcast_to(unit, (len(programs), m, n)),
@@ -341,7 +326,7 @@ class ProgramStack:
     def take(self, keep) -> "ProgramStack":
         """The programs at the positions `keep`."""
         out = copy.copy(self)
-        for name in ("gamma", "neg_gamma", "coeff", "q", "lin_A", "lin_b", "base"):
+        for name in ("gamma", "neg_gamma", "coeff", "q", "base"):
             setattr(out, name, getattr(self, name)[keep])
         return out
 
@@ -617,7 +602,7 @@ class SolveStatus(Enum):
 @dataclass
 class SolveResult:
     status: SolveStatus
-    x_star: Allocation | None
+    x_star: np.ndarray | None      # the point in program coordinates, None without one
     objective_bits: float          # maximized throughput objective, bits
     outer_iters: int               # barrier stages / quadratization rounds
     inner_iters: int               # Newton or interior-point steps in total
@@ -668,7 +653,7 @@ def finish(program, pre: PresolvedProgram, x, seeds, converged: bool, solver: st
     converged = converged and kkt <= KKT_TOL and violation <= 0.0
     return SolveResult(
         status=SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS,
-        x_star=Allocation(x=x_full, degenerate=pre.pinned),
+        x_star=x_full,
         objective_bits=maximized_bits(program, x_full),
         outer_iters=outer,
         inner_iters=inner,

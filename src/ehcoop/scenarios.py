@@ -53,13 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import (
-    ChannelState,
-    NetworkConfig,
-    derive_channels,
-    rho_max,
-)
-from .program import Allocation, ConvexProgram
+from .network import ChannelState, NetworkConfig, derive_channels, rho_max
+from .program import ConvexProgram
 
 
 class Scenario(Enum):
@@ -101,7 +96,7 @@ class ScenarioSpec:
             raise ValueError("only S1 uses a power-splitting ratio; set rho=0")
 
 
-def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | None = None) -> ConvexProgram:
+def build_problem(spec: ScenarioSpec, cfg: NetworkConfig) -> ConvexProgram:
     """Construct the canonical convex program for one configuration.
 
     Variables are t1.. y1.. and, when needed, one rate variable: the shared
@@ -110,8 +105,7 @@ def build_problem(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState | Non
     would bound B from below).  Otherwise the weighted terms sit in the
     objective itself.
     """
-    if ch is None:
-        ch = derive_channels(cfg)
+    ch = derive_channels(cfg)
     if spec.scenario in RELAY_SCENARIOS:
         limit = rho_max(ch)  # raises RelayNotBeneficialError when the link is too weak
         if spec.scenario is Scenario.S1 and spec.rho >= limit:
@@ -230,15 +224,14 @@ class Throughputs:
     slots: tuple[float, ...]
 
 
-def throughputs_from_allocation(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState,
-                                alloc: Allocation) -> Throughputs:
-    """Per-user throughputs implied by an allocation, read off the program's terms.
+def throughputs_from_allocation(spec: ScenarioSpec, cfg: NetworkConfig, x: np.ndarray) -> Throughputs:
+    """Per-user throughputs at the point x of the program, read off its terms.
 
     U2's rate is the smaller of what its carrying terms deliver to D and,
     in the relay scenarios, what U1 decodes on the inter-user link.
     """
-    table = _slot_table(spec, cfg, ch)
-    x = [float(v) for v in alloc.x]
+    table = _slot_table(spec, cfg, derive_channels(cfg))
+    x = [float(v) for v in x]
     b2 = min(sum(_rate_bits(tm, x) for tm in terms)
              for terms in (table.carry, table.decode) if terms)
     slots = tuple(x[:table.n_slots])

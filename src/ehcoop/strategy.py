@@ -36,24 +36,20 @@ RHO_STEP = 0.1     # grid step of the rho screen
 TIE_TOL = 1e-7     # relative objective gap under which two candidates tie
 
 
-def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb",
-               ch: ChannelState | None = None) -> tuple[SolveResult, Throughputs]:
+def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb") -> tuple[SolveResult, Throughputs]:
     """Solve one configuration and recover the per-user throughputs."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    if ch is None:
-        ch = derive_channels(cfg)
-    program = build_problem(spec, cfg, ch)
+    program = build_problem(spec, cfg)
     result = solve_nb(program) if solver == "nb" else solve_iterative(program)
-    return result, _throughputs(spec, cfg, ch, result)
+    return result, _throughputs(spec, cfg, result)
 
 
-def _throughputs(spec: ScenarioSpec, cfg: NetworkConfig, ch: ChannelState,
-                 result: SolveResult) -> Throughputs:
-    """The per-user throughputs of a solve; NaN without an allocation."""
+def _throughputs(spec: ScenarioSpec, cfg: NetworkConfig, result: SolveResult) -> Throughputs:
+    """The per-user throughputs of a solve; NaN without a point."""
     if result.x_star is None:
         return Throughputs(b1_bits=math.nan, b2_bits=math.nan, t0=math.nan, slots=())
-    return throughputs_from_allocation(spec, cfg, ch, result.x_star)
+    return throughputs_from_allocation(spec, cfg, result.x_star)
 
 
 def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
@@ -74,7 +70,7 @@ def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
 class CandidateOutcome:
     """One solved configuration, annotated for tables and plots.  A solve
     that raised is kept with its `<Type>: <message>` in `error` and an
-    unconverged result without an allocation."""
+    unconverged result without a point."""
 
     scenario: Scenario
     case: Case
@@ -103,7 +99,7 @@ class StrategyResult:
     notes: tuple[str, ...] = ()
 
 
-def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[CandidateOutcome]:
+def _solve_candidate(scenario, case, objective, grid, cfg, solver) -> list[CandidateOutcome]:
     """One configuration solved at every rho of `grid`, in grid order.
 
     A grid of two or more candidates goes to one `solve_nb_many` or
@@ -121,7 +117,7 @@ def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[C
         many = solve_nb_many if solver == "nb" else solve_iterative_many
         programs = None
         try:
-            programs = [build_problem(spec, cfg, ch) for spec in specs]
+            programs = [build_problem(spec, cfg) for spec in specs]
             batch = dict(zip(specs, many(programs)))
         except Exception as exc:
             if programs is not None:    # an unbuildable candidate is reported below
@@ -133,14 +129,14 @@ def _solve_candidate(scenario, case, objective, grid, cfg, ch, solver) -> list[C
         error = None
         try:
             if spec in batch:
-                result, tp = batch[spec], _throughputs(spec, cfg, ch, batch[spec])
+                result, tp = batch[spec], _throughputs(spec, cfg, batch[spec])
             else:
-                result, tp = solve_spec(spec, cfg, solver, ch)
+                result, tp = solve_spec(spec, cfg, solver)
         except Exception as exc:  # solver failures fail the candidate, not the screen
             error = f"{type(exc).__name__}: {exc}"
             warnings.warn(f"{label} failed: {error}")
             result = replace(SolveResult.infeasible(solver), status=SolveStatus.MAX_ITERATIONS)
-            tp = _throughputs(spec, cfg, ch, result)
+            tp = _throughputs(spec, cfg, result)
         if error is None and not result.converged:
             warnings.warn(f"{label} did not converge ({result.status.value})")
         score = objective_bits(spec, cfg, tp) if result.x_star is not None else math.nan
@@ -164,17 +160,15 @@ def _pick(outcomes):
     return None
 
 
-def screen_rho(cfg: NetworkConfig, case: Case, objective: Objective,
-               solver: str = "nb", ch: ChannelState | None = None):
+def screen_rho(cfg: NetworkConfig, case: Case, objective: Objective, solver: str = "nb"):
     """Grid screen of the power-splitting ratio for full cooperation (S1).
 
     Returns (rho_star, table) where the table holds every candidate solve
     in grid order.  Within `TIE_TOL` (relative) of the best objective the
     smallest rho wins, since extra splitting buys nothing there.
     """
-    if ch is None:
-        ch = derive_channels(cfg)
-    table = _solve_candidate(Scenario.S1, case, objective, rho_candidates(ch), cfg, ch, solver)
+    grid = rho_candidates(derive_channels(cfg))
+    table = _solve_candidate(Scenario.S1, case, objective, grid, cfg, solver)
     winner = _pick(table)
     if winner is None:
         raise RuntimeError(f"no rho candidate converged for S1-{case.value}")
@@ -197,7 +191,7 @@ def select_strategy(cfg: NetworkConfig, objective: Objective, solver: str = "nb"
             continue
         grid = rho_candidates(ch) if scenario is Scenario.S1 else (0.0,)
         for case in Case:
-            candidates = _solve_candidate(scenario, case, objective, grid, cfg, ch, solver)
+            candidates = _solve_candidate(scenario, case, objective, grid, cfg, solver)
             table.extend(candidates)
             best = _pick(candidates)
             if best is not None:

@@ -53,6 +53,11 @@ class SweepSpec:
             raise ValueError("d1 sweep must stay below d2")
         if not self.objectives or not self.scenarios:
             raise ValueError("need at least one objective and one scenario")
+        # a point outside the network's range fails here, before any solve;
+        # every constraint on X1 and d1 is an interval, so the ends suffice
+        values = self.values()
+        self.config_at(values[0])
+        self.config_at(values[-1])
 
     def values(self) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9))
@@ -118,8 +123,7 @@ def _result_row(value, outcome) -> SweepRow:
 def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list[SweepRow]:
     """Rows for every scenario/case at one sweep point, winner flagged."""
     cfg = spec.config_at(value)
-    ch = derive_channels(cfg)
-    relay_ok = relay_feasible(ch)
+    relay_ok = relay_feasible(derive_channels(cfg))
     rows: list[SweepRow] = []
     solved = []          # (outcome, row) of every solved configuration, in row order
     for scenario in spec.scenarios:
@@ -129,11 +133,10 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
                 continue
             try:
                 if scenario is Scenario.S1:
-                    rho_star, table = screen_rho(cfg, case, objective, spec.solver, ch)
+                    rho_star, table = screen_rho(cfg, case, objective, spec.solver)
                     outcome = next(o for o in table if o.rho == rho_star)
                 else:
-                    table = _solve_candidate(scenario, case, objective, (0.0,), cfg,
-                                             ch, spec.solver)
+                    table = _solve_candidate(scenario, case, objective, (0.0,), cfg, spec.solver)
                     outcome = table[0]
             except Exception as exc:
                 rows.append(_blank_row(value, scenario, case, objective,

@@ -31,7 +31,7 @@ import pytest
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, screen_rho, solve_spec
 from ehcoop import barrier
 from ehcoop.barrier import solve_nb
-from ehcoop.gridsearch import GridSpec, _central_gradient, _central_hessian, brute_force_grid
+from ehcoop.gridsearch import _central_gradient, _central_hessian, brute_force_grid
 from ehcoop.program import perspective_gradient, perspective_value
 from ehcoop.quadratic import solve_iterative
 from ehcoop.scenarios import build_problem, objective_bits
@@ -376,7 +376,7 @@ def test_07_grid_oracle_agreement():
         program = build_problem(ScenarioSpec(scenario, case, objective), cfg)
         t0 = time.perf_counter()
         res = solve_nb(program)
-        ref = brute_force_grid(program, GridSpec(step=1e-3))
+        ref = brute_force_grid(program, step=1e-3)
         elapsed = time.perf_counter() - t0
         if not res.converged:
             problems.append(f"{tag}: solver did not converge")

@@ -259,10 +259,22 @@ def test_screen_exits_two_on_a_candidate_whose_solve_raises(monkeypatch, capsys)
     assert failed[0].endswith("error: FloatingPointError: overflow at rho = 0.3")
 
 
-def test_sweep_rejects_bad_range(capsys):
-    code = main(["sweep-distance", "--start", "0.5", "--stop", "2.5", "--step", "0.5"])
-    assert code == 1
-    assert "d1" in capsys.readouterr().err
+def no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+def test_sweep_rejects_bad_range(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    for argv, message in (
+        (["sweep-distance", "--start", "0.5", "--stop", "2.5", "--step", "0.5"], "d1"),
+        # bounds outside the network's range fail before any point is solved
+        (["sweep-distance", "--start", "0", "--stop", "0.2"], "distance d1 must be positive"),
+        (["sweep-energy", "--start", "-25", "--stop", "25"], "energy arrival rates must be nonnegative"),
+        # the points are rounded to 10 digits, so this sweep starts at d1 = 0
+        (["sweep-distance", "--start", "1e-11", "--stop", "0.1", "--step", "0.1"], "distance d1 must be positive"),
+    ):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -292,6 +304,17 @@ def test_sweep_plotdata_output(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plotdata"])
+def test_unwritable_output_exits_one_before_the_sweep(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    path = tmp_path / "missing" / "table"
+    code = main(["sweep-energy", "--start", "100", "--stop", "100", "--step", "25", flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"ehcoop: error: cannot write {flag} {path}: ")
+    assert "Traceback" not in err
 
 
 def test_validate_reports_all_checks(capsys):

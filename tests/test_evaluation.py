@@ -91,7 +91,7 @@ def close(a, b):
 def _points(p):
     """The deterministic start and the nb optimum, where rows are near-active."""
     x0 = initial_point(p)
-    return [x0, solve_nb(p).x_star.x]
+    return [x0, solve_nb(p).x_star]
 
 
 def _check(p, x):

@@ -52,7 +52,7 @@ def test_solvers_agree_and_certify_on_relay_programs(X1, d1, rho_share, case, ob
     cfg = NetworkConfig(X1=X1, d1=d1)
     ch = derive_channels(cfg)
     spec = ScenarioSpec(Scenario.S1, case, objective, rho_share * rho_max(ch))
-    p = build_problem(spec, cfg, ch)
+    p = build_problem(spec, cfg)
     quad, nb = solve_iterative(p), solve_nb(p)
     for res in (quad, nb):
         if res.converged:
@@ -69,7 +69,7 @@ def test_cooperation_never_lowers_the_optimum(cfg, case, objective):
     ch = derive_channels(cfg)
 
     def optimum(scenario, net=cfg):
-        res = solve_nb(build_problem(ScenarioSpec(scenario, case, objective), net, ch))
+        res = solve_nb(build_problem(ScenarioSpec(scenario, case, objective), net))
         return res.objective_bits if res.converged else None
 
     s3, s4 = optimum(Scenario.S3), optimum(Scenario.S4)
@@ -95,7 +95,7 @@ def test_cooperation_never_lowers_the_optimum(cfg, case, objective):
 def test_lockstep_screen_agrees_with_solve_nb(cfg, case, objective, shares):
     ch = derive_channels(cfg)
     assume(relay_feasible(ch))
-    programs = [build_problem(ScenarioSpec(Scenario.S1, case, objective, share * rho_max(ch)), cfg, ch)
+    programs = [build_problem(ScenarioSpec(Scenario.S1, case, objective, share * rho_max(ch)), cfg)
                 for share in shares]
     for lock, single in zip(solve_nb_many(programs), map(solve_nb, programs), strict=True):
         assert lock.status is single.status
@@ -127,7 +127,7 @@ def test_more_energy_never_lowers_the_optimum(cfg, knob, share, scenario, case, 
     top = 1.0 if knob == "eta" else 300.0
     value = getattr(cfg, knob)
     more = replace(cfg, **{knob: value + share * (top - value)})
-    low, high = (solve_nb(build_problem(spec, net, ch)) for net in (cfg, more))
+    low, high = (solve_nb(build_problem(spec, net)) for net in (cfg, more))
     if low.converged and high.converged:
         assert high.objective_bits >= low.objective_bits - ORDER * (1.0 + abs(low.objective_bits))
 
@@ -147,13 +147,13 @@ def test_every_converged_solve_is_certified(cfg, w2, scenario, case, objective, 
     ch = derive_channels(cfg)
     spec = spec_on(ch, scenario, case, objective, rho_share)
     assume(spec is not None)
-    p = build_problem(spec, cfg, ch)
+    p = build_problem(spec, cfg)
     for res in (solve_nb(p), solve_iterative(p)):
         if res.converged:
             assert res.max_constraint_violation <= 0.0, res.solver
             assert res.kkt_residual <= KKT, res.solver
-            # the throughputs read off the allocation score the program's optimum
-            tp = throughputs_from_allocation(spec, cfg, ch, res.x_star)
+            # the throughputs read off the point score the program's optimum
+            tp = throughputs_from_allocation(spec, cfg, res.x_star)
             gap = abs(objective_bits(spec, cfg, tp) - res.objective_bits)
             assert gap <= AGREE * (1.0 + abs(res.objective_bits)), res.solver
 

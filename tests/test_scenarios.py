@@ -8,7 +8,6 @@ import pytest
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Throughputs
 from ehcoop.network import RelayNotBeneficialError, derive_channels
-from ehcoop.program import Allocation
 from ehcoop.scenarios import (
     build_problem,
     objective_bits,
@@ -229,10 +228,8 @@ def test_sum_weight_zero_drops_near_user_term():
 
 def test_throughputs_direct_example():
     cfg = NetworkConfig()
-    ch = derive_channels(cfg)
     spec = ScenarioSpec(Scenario.S4, Case.A)
-    alloc = Allocation(x=np.array([0.5, 0.4, 0.001, 0.02]))
-    tp = throughputs_from_allocation(spec, cfg, ch, alloc)
+    tp = throughputs_from_allocation(spec, cfg, np.array([0.5, 0.4, 0.001, 0.02]))
     assert tp.b1_bits == pytest.approx(0.5 * math.log2(1.0 + 1e4 * 0.001 / 0.5))
     assert tp.b2_bits == pytest.approx(0.4 * math.log2(1.0 + 2500.0 * 0.02 / 0.4))
     assert tp.t0 == pytest.approx(0.1)
@@ -241,10 +238,8 @@ def test_throughputs_direct_example():
 
 def test_throughputs_case_b_swaps_user_slots():
     cfg = NetworkConfig()
-    ch = derive_channels(cfg)
     spec = ScenarioSpec(Scenario.S4, Case.B)
-    alloc = Allocation(x=np.array([0.4, 0.5, 0.008, 0.001]))
-    tp = throughputs_from_allocation(spec, cfg, ch, alloc)
+    tp = throughputs_from_allocation(spec, cfg, np.array([0.4, 0.5, 0.008, 0.001]))
     # U2 transmits first in case B, so slot 1 carries the far user
     assert tp.b1_bits == pytest.approx(0.5 * math.log2(1.0 + 1e4 * 0.001 / 0.5))
     assert tp.b2_bits == pytest.approx(0.4 * math.log2(1.0 + 2500.0 * 0.008 / 0.4))
@@ -252,22 +247,19 @@ def test_throughputs_case_b_swaps_user_slots():
 
 def test_throughputs_zero_energy_means_zero_rate():
     cfg = NetworkConfig()
-    ch = derive_channels(cfg)
     spec = ScenarioSpec(Scenario.S4, Case.A)
-    tp = throughputs_from_allocation(
-        spec, cfg, ch, Allocation(x=np.array([0.5, 0.4, 0.0, 0.0])))
+    tp = throughputs_from_allocation(spec, cfg, np.array([0.5, 0.4, 0.0, 0.0]))
     assert tp.b1_bits == 0.0
     assert tp.b2_bits == 0.0
 
 
 def test_relay_rate_takes_the_binding_minimum():
     cfg = NetworkConfig()
-    ch = derive_channels(cfg)
     spec = ScenarioSpec(Scenario.S2, Case.A)
 
     def far_rate(y3):
         x = np.array([0.2, 0.3, 0.2, 0.005, 0.01, y3, 0.0])
-        return throughputs_from_allocation(spec, cfg, ch, Allocation(x=x)).b2_bits
+        return throughputs_from_allocation(spec, cfg, x).b2_bits
 
     direct = 0.3 * math.log2(1.0 + 2500.0 * 0.01 / 0.3)
     forwarded = 0.2 * math.log2(1.0 + 1e4 * 0.005 / 0.2)

@@ -62,13 +62,12 @@ def test_screen_rho_breaks_ties_toward_small_rho(default_cfg, monkeypatch):
     assert rho_star == 0.0
 
 
-def test_failed_candidate_warning_names_the_exception(default_cfg, default_ch, monkeypatch):
+def test_failed_candidate_warning_names_the_exception(default_cfg, monkeypatch):
     def broken(*args, **kwargs):
         raise FloatingPointError("overflow in the barrier")
     monkeypatch.setattr("ehcoop.strategy.solve_spec", broken)
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError: overflow"):
-        outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg,
-                                             default_ch, "nb")
+        outcomes = strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg, "nb")
     assert_failed(outcomes, [0.0], "FloatingPointError: overflow in the barrier")
 
 
@@ -81,7 +80,7 @@ def assert_failed(outcomes, grid, error):
         assert math.isnan(o.objective_bits) and math.isnan(o.throughputs.b1_bits)
 
 
-def test_single_candidate_is_solved_once(default_cfg, default_ch, monkeypatch):
+def test_single_candidate_is_solved_once(default_cfg, monkeypatch):
     # a raising solve is not repeated by the one-by-one fallback
     calls = []
 
@@ -92,7 +91,7 @@ def test_single_candidate_is_solved_once(default_cfg, default_ch, monkeypatch):
     monkeypatch.setattr(strategy, "solve_nb", broken)
     monkeypatch.setattr(barrier, "solve_nb", broken)
     with pytest.warns(UserWarning, match=r"S3-A rho=0 failed: FloatingPointError"):
-        strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg, default_ch, "nb")
+        strategy._solve_candidate(Scenario.S3, Case.A, SUM, (0.0,), default_cfg, "nb")
     assert len(calls) == 1
 
 
@@ -110,7 +109,7 @@ def test_rho_grid_is_solved_in_lockstep_in_grid_order(solver, default_cfg, defau
         return real(programs)
 
     monkeypatch.setattr(strategy, MANY[solver], counted)
-    outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, default_ch, solver)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, solver)
     assert len(calls) == 1 and len(calls[0]) == len(grid)
     assert [o.rho for o in outcomes] == list(grid)
     for o in outcomes:
@@ -127,7 +126,7 @@ def test_failed_lockstep_solve_falls_back_to_single_solves(solver, default_cfg, 
 
     grid = rho_candidates(default_ch)
     monkeypatch.setattr(strategy, MANY[solver], broken)
-    outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+    outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, solver)
     assert [o.rho for o in outcomes] == list(grid)
     assert all(o.result.converged for o in outcomes)
 
@@ -135,14 +134,14 @@ def test_failed_lockstep_solve_falls_back_to_single_solves(solver, default_cfg, 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_failed_batched_solve_warns_once_and_keeps_the_table(solver, default_cfg, default_ch, monkeypatch):
     grid = rho_candidates(default_ch)
-    expected = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+    expected = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, solver)
 
     def broken(programs):
         raise FloatingPointError("overflow in a stacked pass")
 
     monkeypatch.setattr(strategy, MANY[solver], broken)
     with pytest.warns(UserWarning) as record:
-        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, solver)
     assert [str(w.message) for w in record] == [
         "S1-B batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one"]
     assert len(outcomes) == len(expected)
@@ -164,7 +163,7 @@ def test_failed_fallback_solve_names_the_exception(solver, default_cfg, default_
     monkeypatch.setattr(strategy, MANY[solver], broken)
     monkeypatch.setattr(strategy, "solve_spec", broken)
     with pytest.warns(UserWarning) as record:
-        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, default_ch, solver)
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.B, SUM, grid, default_cfg, solver)
     assert_failed(outcomes, grid, "FloatingPointError: overflow in a stacked pass")
     assert [str(w.message) for w in record] == [
         "S1-B batched solve failed: FloatingPointError: overflow in a stacked pass; solving one by one"] + [
@@ -175,8 +174,7 @@ def test_unbuildable_rho_is_a_failed_candidate_with_a_warning(default_cfg, defau
     # 0.95 leaves the relay link weaker than the direct one, so it has no program
     grid = rho_candidates(default_ch) + (0.95,)
     with pytest.warns(UserWarning, match=r"S1-A rho=0.95 failed: ValueError"):
-        outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg,
-                                             default_ch, "nb")
+        outcomes = strategy._solve_candidate(Scenario.S1, Case.A, SUM, grid, default_cfg, "nb")
     assert [o.rho for o in outcomes] == list(grid)
     assert all(o.result.converged and o.error is None for o in outcomes[:-1])
     failed = outcomes[-1]
