@@ -74,6 +74,14 @@ class NetworkConfig:
             raise ValueError("throughput weights must be nonnegative")
         if self.w1 == 0 and self.w2 == 0:
             raise ValueError("at least one throughput weight must be positive")
+        # a distance law or noise power out of a float's range would leave a
+        # gain of 0 or inf, which no program can be built on
+        ch = derive_channels(self)
+        for kind, name, link in _CHANNEL_LINKS:
+            value = getattr(ch, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{kind} {name} of the {link} link is {value:g}; "
+                                 "it must be finite and positive")
 
     @property
     def x1_watt(self) -> float:
@@ -98,11 +106,25 @@ class ChannelState:
     gamma_u: float  # hu / sigma2_U1, SNR coefficient of the inter-user link at U1
 
 
+# every field of `ChannelState`, with the link it describes
+_CHANNEL_LINKS = (
+    ("channel gain", "h1", "U1 -> D"),
+    ("channel gain", "h2", "U2 -> D"),
+    ("channel gain", "hu", "U1 <-> U2"),
+    ("SNR coefficient", "gamma1", "U1 -> D"),
+    ("SNR coefficient", "gamma2", "U2 -> D"),
+    ("SNR coefficient", "gamma_u", "U2 -> U1"),
+)
+
+
 def path_gain(distance: float, lam: float, alpha: float) -> float:
-    """Distance-law power gain lam * d^-alpha."""
+    """Distance-law power gain lam * d^-alpha (inf where d^-alpha overflows)."""
     if distance <= 0:
         raise ValueError("distance must be positive")
-    return lam * distance ** (-alpha)
+    try:
+        return lam * distance ** (-alpha)
+    except OverflowError:
+        return math.inf
 
 
 def derive_channels(cfg: NetworkConfig) -> ChannelState:

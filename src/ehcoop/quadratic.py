@@ -16,7 +16,8 @@ interior-point method that steps over all rows at once, the auxiliary rate
 variables are pulled back inside the true epigraph region, and the model
 is rebuilt at the new point until two successive solutions coincide.  Any
 slot whose time fell below the expansion floor is then put on the ray its
-multipliers ask for, and `program.finish` builds the result from the last
+multipliers ask for, unless that moves the point by more than _SETTLE_TOL,
+and `program.finish` builds the result from the last converged
 subproblem's duals: a settled point counts as converged only with the
 certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
 
@@ -115,10 +116,13 @@ interior-point solve, about 110-180 us per program one by one, takes
 and 0.30-0.31.  At K = 1 a stack costs 1.43-1.49 (round work) and
 1.56-1.58 (whole round), so LOCKSTEP_MIN is 2.  For the same reason `_ipm`
 stays: on the energy grid's 1,080 lone subproblems, `_ipm_many` on a stack
-of one gives its bits in at least 1.36 times its time (each numpy call on
-(1, ...) arrays costs about 1 us more), and one algorithm over one-program
-and stacked arithmetic, as nb's `_One` and `_Stack`, took 222 lines
-against 197 and 1.07 times the time (median of 30 alternating pairs).
+of one gives its bits in 2.2 times its time (quartiles 2.06-2.35 over 16
+alternating passes; each numpy call on (1, ...) arrays costs about 1 us
+more, and `_ipm` takes its step limit and sign tests on Python floats,
+which cut its time to 0.76 of that with numpy's `_step_limit`), and one
+algorithm over one-program and stacked arithmetic, as nb's `_One` and
+`_Stack`, took 222 lines against 197 and 1.07 times the time (median of
+30 alternating pairs).
 A lone ask goes through the same (K, ...) assembly as a stack, with the
 point-free rows built once per solve in its `_Layout`: outside the IPM it
 takes 87.9 us against 86.4 us for the former scalar assembly
@@ -229,6 +233,33 @@ def _step_limit(lam, dlam, s, p, q):
     return lims.min(axis=(0, -1))
 
 
+def _float_step_limit(lam, dlam, s, p, q) -> float:
+    """`_step_limit` on one program's rows as lists of Python floats, bit for
+    bit: the same expressions in the same order, without numpy's cost per
+    call.  The first len(q) rows are curved by q, the others straight.  A
+    NaN limit of any row makes the limit NaN, as in `np.min`."""
+    lims = [-lam_j / dlam_j for lam_j, dlam_j in zip(lam, dlam) if dlam_j < 0.0]
+    for s_j, p_j, q_j in zip(s, p, q):
+        # max(NaN, 1.0) is NaN, as np.maximum's, so a NaN p is not curved
+        if q_j > 1e-14 * max(abs(p_j), 1.0):
+            disc = p_j * p_j + 2.0 * q_j * s_j
+            lims.append((-p_j + math.sqrt(disc)) / q_j if disc >= 0.0 else math.nan)
+        elif p_j > 0.0:
+            lims.append(s_j / p_j)
+    m = len(q)
+    lims += [s_j / p_j for s_j, p_j in zip(s[m:], p[m:]) if p_j > 0.0]
+    # Python's min skips a NaN that is not first; the sum carries any NaN
+    if math.isnan(sum(lims)) and any(v != v for v in lims):
+        return math.nan
+    return min(lims, default=math.inf)
+
+
+def _all_positive(values) -> bool:
+    """min(values) > 0 on a list of floats as numpy reads it, a NaN failing:
+    Python's min may skip the NaN, their sum does not."""
+    return min(values) > 0.0 and not math.isnan(sum(values))
+
+
 def _solve(M, rhs):
     """Solve M dx = rhs, a singular M bumped on its diagonal."""
     try:
@@ -283,7 +314,9 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     """Path-following solve of the one subproblem of `st` from a strictly feasible x.
 
     `_ipm_many`'s algorithm on the (J,) rows of one program, whose numpy
-    calls cost about 1 us less than on (1, J) arrays.
+    calls cost about 1 us less than on (1, J) arrays.  The step limit and
+    the trial's sign tests read the rows as Python floats
+    (`_float_step_limit`, `_all_positive`), with numpy's bits.
     """
     g, H, A, b0, nl_H = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0]
     n, m, n_con = len(g), len(nl_H), st.n_con
@@ -292,6 +325,8 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
 
     def state(x_):
         """Slacks and gradients of every inequality at x_."""
+        if not m:       # the gradients are A's rows; skip the empty curved-row calls
+            return -(b0 + A @ x_), A
         Hx = nl_H @ x_
         s_ = -(b0 + A @ x_)
         s_[:m] -= 0.5 * (Hx @ x_)
@@ -307,15 +342,15 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
         raise ValueError("interior-point start must be strictly feasible")
     lam = 1.0 / np.maximum(s, 1e-3)
     r_d = dual_residual(x, lam, grad)
+    lam_f, s_f = lam.tolist(), s.tolist()
 
     iters = 0
     for iters in range(1, _IPM_MAX_ITERS + 1):
         mu_hat = float(lam @ s) / J
-        if float(np.abs(r_d).max()) <= _IPM_TOL and mu_hat <= _IPM_TOL:
+        if mu_hat <= _IPM_TOL and (res := float(np.abs(r_d).max())) <= _IPM_TOL:
             return SubproblemSolution(
                 x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
-                iters=iters - 1, kkt_residual=float(np.abs(r_d).max()),
-                gap=mu_hat, converged=True,
+                iters=iters - 1, kkt_residual=res, gap=mu_hat, converged=True,
             )
         target = _SIGMA * mu_hat
 
@@ -327,19 +362,20 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
         p = grad @ dx
         dlam = (gap + lam * p) / s
 
-        # exact largest step keeping lam > 0 and every constraint negative
-        q = np.zeros(J)
-        q[:m] = (nl_H @ dx) @ dx
-        limit = float(_step_limit(lam, dlam, s, p, q))
+        # exact largest step keeping lam > 0 and every constraint negative;
+        # q of the curved rows, the others' is 0
+        q = (nl_H @ dx) @ dx
+        limit = _float_step_limit(lam_f, dlam.tolist(), s_f, p.tolist(), q.tolist())
         if m and limit < _CORRECT_BELOW:
             # second-order correction: the same M, each curved slack taken
             # to second order along the first direction
-            half = 0.5 * q
+            half = np.zeros(J)
+            half[:m] = 0.5 * q
             dx = _solve(M, -r_d - grad.T @ ((gap + lam * half) / s))
             p = grad @ dx
             dlam = (gap + lam * (p + half)) / s
-            q[:m] = (nl_H @ dx) @ dx
-            limit = float(_step_limit(lam, dlam, s, p, q))
+            q = (nl_H @ dx) @ dx
+            limit = _float_step_limit(lam_f, dlam.tolist(), s_f, p.tolist(), q.tolist())
         alpha = min(1.0, _FRAC * min(1.0 / _FRAC, limit))
 
         # backtrack on the combined residual
@@ -348,7 +384,8 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
             x_try = x + alpha * dx
             lam_try = lam + alpha * dlam
             s_try, grad_try = state(x_try)
-            if s_try.min() > 0.0 and lam_try.min() > 0.0:
+            s_try_f, lam_try_f = s_try.tolist(), lam_try.tolist()
+            if _all_positive(s_try_f) and _all_positive(lam_try_f):
                 r_d_try = dual_residual(x_try, lam_try, grad_try)
                 r_c = lam_try * s_try - target
                 if math.sqrt(float(r_d_try @ r_d_try) + float(r_c @ r_c)) <= (1.0 - 0.01 * alpha) * rnorm:
@@ -357,6 +394,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
         else:
             break  # no productive step length found
         x, lam, s, grad, r_d = x_try, lam_try, s_try, grad_try, r_d_try
+        lam_f, s_f = lam_try_f, s_try_f
 
     mu_hat = float(lam @ s) / J
     res = float(np.abs(r_d).max())
@@ -540,6 +578,12 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
 
     a_y being the pull of the objective and linear rows on y.  The slot moves
     onto that ray by shrinking t or y, and the rates are clamped after it.
+    A move longer than _SETTLE_TOL is refused: that slot still holds energy
+    the rounds have not placed, and discarding it can pass the certificate
+    below the optimum (S1-A common at X1 = 1 mW, rho = 0.99999 rho_max: a
+    slot of t = 5e-13 held y = 0.022, and the settled point certified 5.9e-6
+    bits below nb's).  On the energy, distance and edge grids every move is
+    at most 7.7e-10.
     """
     pull = p.objective_linear + p.lin_A.T @ lam_lin
     w = list(lam_nl) + [1.0]
@@ -569,6 +613,8 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
         else:
             new[ti] = new[yi] / hi
     new = _under_caps(p.aux_index, new[None], np.array([p.term_sums(new.tolist())]), 0.0)[0]
+    if float(np.linalg.norm(new - x)) > _SETTLE_TOL:
+        return x
     return new if p.max_violation(new) <= max(p.max_violation(x), 0.0) else x
 
 
@@ -620,11 +666,11 @@ def _rounds(program: ConvexProgram):
         step = None
         for _ in range(_TR_RETRIES + 1):
             reply = yield _Ask(red, x, None if delta >= _TR_FREE else delta)
-            sol = reply.sol
-            inner_total += sol.iters
-            if not sol.converged:
+            inner_total += reply.sol.iters
+            if not reply.sol.converged:
                 delta *= _TR_SHRINK
                 continue
+            sol = reply.sol         # the last converged subproblem seeds `finish`
             pred = f_x - reply.f_model
             act = f_x - reply.f_cand
             if pred <= 1e-12 * (1.0 + abs(f_x)):
@@ -667,7 +713,7 @@ def _rounds(program: ConvexProgram):
                 break
 
     seeds = None
-    if sol is not None and sol.converged:
+    if sol is not None:
         # the subproblem duals certify the model, not the program: any
         # trust-region rows and the expansion-point shift land in the
         # residual, which `finish` refines against the true gradients.  On

@@ -101,6 +101,22 @@ def test_non_finite_input_exits_one(argv, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--scenario", "S4", "--case", "A", "--d1", "1e-200"],
+    ["select", "--d1", "1e-300"],
+    ["solve", "--scenario", "S4", "--case", "A", "--d2", "1e200"],
+    ["solve", "--scenario", "S4", "--case", "A", "--lam", "1e308", "--d1", "0.5"],
+])
+def test_path_gain_out_of_range_exits_one(argv, capsys):
+    # these ended in an OverflowError traceback, "gamma must be positive"
+    # (exit 2) and kkt: nan (exit 2)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "must be finite and positive" in captured.err
+    assert not captured.out
+
+
 def test_non_finite_config_file_value_exits_one(tmp_path, capsys):
     path = tmp_path / "net.cfg"
     path.write_text("eta = nan\n")

@@ -32,6 +32,11 @@ def test_path_gain_distance_law():
         path_gain(0.0, 1.0, 2.0)
 
 
+def test_path_gain_overflow_is_infinite():
+    assert path_gain(1e-200, lam=1.0, alpha=2.0) == math.inf
+    assert path_gain(1e200, lam=1.0, alpha=2.0) == 0.0
+
+
 def test_rho_max_default_geometry(default_ch):
     # 1 - gamma2/gamma_u = 1 - 2500/10000
     assert rho_max(default_ch) == pytest.approx(0.75)
@@ -88,6 +93,21 @@ def test_sweep_spec_rejects_non_finite_ranges(field, value):
     bounds = {"start": 0.2, "stop": 0.4, "step": 0.2, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SweepSpec("d1", **bounds)
+
+
+# gains and SNR coefficients out of a float's range, each named with its link
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d1": 1e-200}, "channel gain h1 of the U1 -> D link is inf"),
+    ({"d2": 1e200}, "channel gain h2 of the U2 -> D link is 0"),
+    ({"du": 1e-300}, "channel gain hu of the U1 <-> U2 link is inf"),
+    ({"lam": 1e308, "d1": 0.5}, "channel gain h1 of the U1 -> D link is inf"),
+    ({"lam": 1e-300, "alpha": 100.0}, "channel gain h2 of the U2 -> D link is 0"),
+    ({"sigma2_D": 1e-320}, "SNR coefficient gamma1 of the U1 -> D link is inf"),
+    ({"sigma2_U1": 1e-320}, "SNR coefficient gamma_u of the U2 -> U1 link is inf"),
+])
+def test_config_rejects_gains_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message + "; it must be finite and positive"):
+        NetworkConfig(**kwargs)
 
 
 def test_config_allows_one_zero_weight():

@@ -9,7 +9,7 @@ import pytest
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, quadratic
 from ehcoop.barrier import solve_nb
-from ehcoop.network import derive_channels
+from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
     initial_point,
@@ -19,6 +19,8 @@ from ehcoop.program import (
 from ehcoop.quadratic import (
     _FRAC,
     LOCKSTEP_MIN,
+    _all_positive,
+    _float_step_limit,
     _ipm,
     _ipm_many,
     _solve,
@@ -226,6 +228,62 @@ def test_vectorized_step_limit_equals_the_row_loop(seed):
     rows = (lam, dlam, s, p, q)
     stacked = _step_limit(*(np.array([v, v[::-1]]) for v in rows))
     assert stacked.tolist() == [_step_limit(*rows), _step_limit(*(v[::-1] for v in rows))]
+    # the float limit of one program's rows has the same bits
+    assert float_limit(lam, dlam, s, p, q, m).hex() == float(_step_limit(*rows)).hex()
+
+
+def float_limit(lam, dlam, s, p, q, m):
+    """`_float_step_limit` on (J,) rows whose first m are curved, as `_ipm` calls it."""
+    return _float_step_limit(lam.tolist(), dlam.tolist(), s.tolist(), p.tolist(), q[:m].tolist())
+
+
+# rows of two curved and three straight constraints, every candidate finite,
+# and the value that replaces the (row, field) entry: rows without a
+# candidate, curvature on either side of the 1e-14 max(1, |p|) cut, NaN in
+# a curved or a straight row, first or later in the candidate order
+@pytest.mark.parametrize("row, field, value", [
+    (1, "p", 0.0), (3, "p", 0.0), (2, "dlam", 0.0), (0, "dlam", 0.0),
+    (0, "q", 1e-15), (0, "q", 2e-14), (1, "q", 1e-300), (0, "p", -1e20),
+    (0, "p", math.nan), (1, "p", math.nan), (4, "p", math.nan),
+    (0, "q", math.nan), (1, "q", math.nan),
+    (0, "dlam", math.nan), (3, "dlam", math.nan), (4, "dlam", math.nan),
+    (2, "s", math.nan), (4, "lam", math.nan), (0, "q", 1.0), (0, "s", -1e3),
+])
+def test_float_step_limit_keeps_numpys_bits_on_edge_rows(row, field, value):
+    rows = {"lam": np.array([1.0, 2.0, 0.5, 3.0, 1e-8]),
+            "dlam": np.array([-0.5, 1.0, -4.0, -1e-3, -1e-9]),
+            "s": np.array([0.3, 1e-6, 2.0, 5.0, 0.7]),
+            "p": np.array([0.2, -0.1, 3.0, 1e-12, 0.35]),
+            "q": np.array([0.8, 3e-3, 0.0, 0.0, 0.0])}
+    rows[field][row] = value
+    with np.errstate(invalid="ignore"):     # sqrt of the negative slack's discriminant
+        want = float(_step_limit(*rows.values()))
+    assert float_limit(*rows.values(), 2).hex() == want.hex()
+
+
+@pytest.mark.parametrize("values, want", [
+    ([1.0, 2.0], True), ([1.0, 0.0], False), ([-1.0, 2.0], False),
+    ([1.0, math.nan], False), ([math.nan, 1.0], False), ([1.0, math.inf], True),
+])
+def test_all_positive_fails_on_any_nan(values, want):
+    assert bool(np.min(values) > 0.0) is want
+    assert _all_positive(values) is want
+
+
+def test_trial_with_a_nan_slack_after_a_positive_one_is_rejected(monkeypatch):
+    # max x0 + x1 under x <= 1, x >= 0, every Newton direction NaN in x1: a
+    # trial's slack is positive in row 0 and NaN in row 1, so no step is
+    # taken and the solve stops where it started
+    st = quadratic._Stack(
+        c0=np.zeros(1), g=np.array([[-1.0, -1.0]]), H=np.zeros((1, 2, 2)),
+        A=np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]]),
+        b0=np.array([[-1.0, -1.0, 0.0, 0.0]]), nl_H=np.zeros((1, 0, 2, 2)), n_con=2,
+    )
+    monkeypatch.setattr(quadratic, "_solve", lambda M, rhs: np.array([0.1, math.nan]))
+    x0 = np.array([0.4, 0.4])
+    sol = _ipm(st, x0)
+    assert (sol.iters, sol.converged) == (1, False)
+    assert np.array_equal(sol.x, x0)
 
 
 def test_subproblem_agrees_with_slsqp():
@@ -317,6 +375,44 @@ def test_settled_point_without_a_certificate_is_not_converged():
     res = solve_iterative(p)
     assert res.kkt_residual > 1e-6
     assert res.status is SolveStatus.MAX_ITERATIONS
+
+
+def test_unconverged_last_subproblem_leaves_the_certificate_to_the_one_before(monkeypatch):
+    # rho one ulp below rho_max = 0.99: the rounds end on a subproblem whose
+    # interior point stops unconverged, and the last converged one seeds the
+    # certificate (without it the solve ended max_iterations, KKT inf)
+    replies = []
+    real = quadratic._answer
+
+    def spy(lay, rows, group):
+        replies.extend(real(lay, rows, group))
+        return replies[-len(group):]
+
+    monkeypatch.setattr(quadratic, "_answer", spy)
+    cfg = NetworkConfig(d1=1.5, du=0.2, eta=0.817268679745837, X1=261.31136883309927,
+                        X2=237.44524898342374, w1=0.11947312444562955)
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.9899999999999999), cfg)
+    res = solve_iterative(p)
+    assert not replies[-1].sol.converged
+    assert res.converged
+    assert res.kkt_residual <= 1e-6 and res.max_constraint_violation <= 0.0
+    ref = solve_nb(p)
+    assert abs(res.objective_bits - ref.objective_bits) <= 1e-9 * (1.0 + abs(ref.objective_bits))
+
+
+def test_settle_keeps_a_slot_that_still_holds_energy():
+    # rho = 0.99999 rho_max: the rounds end on unconverged subproblems with a
+    # relay slot of t = 5e-13 that still holds y = 0.022; putting it on its
+    # ray would discard that energy and pass the certificate 5.9e-6 bits
+    # below nb's optimum, so the slot stays and the point is uncertified
+    cfg = NetworkConfig(X1=1.0, d1=1.0)
+    rho = 0.99999 * rho_max(derive_channels(cfg))
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, rho), cfg)
+    res = solve_iterative(p)
+    assert res.status is SolveStatus.MAX_ITERATIONS
+    assert 1e-6 < res.kkt_residual < math.inf
+    assert res.x_star[5] > 0.02
+    assert solve_nb(p).objective_bits - res.objective_bits > 1e-6
 
 
 def spy_asks(monkeypatch):
