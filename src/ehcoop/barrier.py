@@ -70,15 +70,15 @@ median, and 0.89 at (1e-4, 0.5).
 
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
-floats, and each program leaves at its own stop.  Its arithmetic comes
-from one of two backends.  `solve_nb_many` steps each group of at least
-LOCKSTEP_MIN programs whose reduced forms share a `stack_key` on a `_Stack`,
-with one stacked evaluation (`program.ProgramStack`, whose term pass
-`_Stack` wraps), Hessian and `np.linalg.solve` on (K, n, n) per Newton
-iteration.  Every other program, and so every `solve_nb`,
-runs alone on a `_One`: the scalar `barrier_value`, `barrier_gradient`,
-`_newton_direction` and `alpha_linear`, one `program.evaluate` pass and
-one affine-row pass per iterate.  The two agree term by term to a few ulps
+floats, and each program leaves at its own stop.  `solve_nb_many` is
+`program.solve_many` around `_kernel`, which steps the reduced programs of
+one `stack_key` on a `_Stack` from LOCKSTEP_MIN of them on, with one
+stacked evaluation (`program.ProgramStack`, whose term pass `_Stack`
+wraps), Hessian and linear solve on (K, n, n) per Newton iteration.
+Every other program, and so every `solve_nb`, runs alone on a `_One`:
+the scalar `barrier_value`, `barrier_gradient`, `_newton_direction` and
+`alpha_linear`, one `program.evaluate` pass and one affine-row pass per
+iterate.  The two agree term by term to a few ulps
 and take the same Newton steps on the default screens.  There a stack of
 2, 3 and 4 programs takes 0.95, 0.68 and 0.56 of the time of as many
 `_One` runs; at 2 the gain is too small to change the arithmetic that
@@ -97,7 +97,7 @@ import math
 
 import numpy as np
 
-from .program import ProgramStack, SolveResult, finish, stack_key, start
+from .program import ProgramStack, SolveResult, all_positive, regularized_solve, solve_many
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
@@ -126,6 +126,8 @@ SHRINK = 0.99
 # fewest programs of one layout that `solve_nb_many` steps on a `_Stack`
 # (the measured crossover is in the module docstring)
 LOCKSTEP_MIN = 3
+# a singular Newton system is solved with this times max(1, trace / n) on its diagonal
+REGULARIZE = 1e-10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -137,10 +139,11 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def barrier_value(program, tau: float, x: np.ndarray) -> float:
-    """Barrier objective at x; +inf outside the strict interior."""
+    """Barrier objective at x; +inf outside the strict interior and where an
+    affine slack is NaN (`program.all_positive`)."""
     A, b = program.affine_rows
     s = (b - A @ x).tolist()
-    if min(s, default=1.0) <= 0.0:
+    if not all_positive(s):
         return math.inf
     f, c = program.values(x)
     if max(c, default=-1.0) >= 0.0:
@@ -169,20 +172,10 @@ def barrier_hessian(program, tau: float, x: np.ndarray, point=None) -> np.ndarra
     return H + (A.T / (tau * s * s)) @ A
 
 
-def _solve(H, g):
-    """Solve H d = -g; also says whether H had to be regularized."""
-    try:
-        return np.linalg.solve(H, -g), False
-    except np.linalg.LinAlgError:
-        bump = 1e-10 * max(1.0, float(np.trace(H)) / max(1, H.shape[0]))
-        H = H + bump * np.eye(H.shape[0])
-        return np.linalg.solve(H, -g), True
-
-
 def _newton_direction(program, tau, x, g, point=None):
     """Solve H d = -g for the current barrier stage, g one or more columns; also says
     whether H was regularized."""
-    return _solve(barrier_hessian(program, tau, x, point), g)
+    return regularized_solve(barrier_hessian(program, tau, x, point), -g, REGULARIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +356,7 @@ class _Stack:
 
     def newton(self, X, tau):
         f, grad, g, c, s, rows, factors = self.gradient(X, tau)
-        dz = _solve_all(self.hessian(tau, c, s, rows, factors), np.stack((g, grad), 2))
+        dz, _ = regularized_solve(self.hessian(tau, c, s, rows, factors), -np.stack((g, grad), 2), REGULARIZE)
         D = dz[:, :, 0]
         return f.tolist(), np.abs(g).max(1).tolist(), (g * D).sum(1).tolist(), D, dz[:, :, 1], s[:, self.m:]
 
@@ -381,14 +374,6 @@ class _Stack:
     def step(self, X, D, a):
         a = np.array(a)[:, None]
         return np.where(a > 0.0, X + a * D, X)
-
-
-def _solve_all(H, g):
-    """Solve H d = -g on every stacked system, a singular one regularized as in `_solve`."""
-    try:
-        return np.linalg.solve(H, -g)
-    except np.linalg.LinAlgError:
-        return np.array([_solve(h, r)[0] for h, r in zip(H, g)])
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +534,22 @@ def solve_nb(program) -> SolveResult:
     return solve_nb_many([program])[0]
 
 
+def _kernel(reduced, X):
+    """The barrier paths of reduced programs of one `stack_key` from their
+    starts X, as `program.solve_many` takes them: on one `_Stack` from
+    LOCKSTEP_MIN programs on, else each on a `_One`."""
+    if len(reduced) >= LOCKSTEP_MIN:
+        # stacked trials off the domain make NaN and inf, read as barrier +inf; a
+        # ufunc call costs more under errstate, so a `_One` runs outside it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            paths = _path(_Stack(reduced), X, TAU0)
+    else:
+        paths = [_path(_One(p), X[k:k + 1], TAU0)[0] for k, p in enumerate(reduced)]
+    return [(x, _seeds(p, tau, x), converged, stages, steps, tau)
+            for p, (x, tau, converged, stages, steps) in zip(reduced, paths)]
+
+
 def solve_nb_many(programs) -> list[SolveResult]:
     """`solve_nb` on each program, in order: each group of at least LOCKSTEP_MIN programs whose
     presolved forms share a `stack_key` steps in lockstep on a `_Stack`, every other one on a `_One`."""
-    results: list = [None] * len(programs)
-    groups: dict = {}
-    for i, p in enumerate(programs):
-        started = start(p)
-        if started is None:
-            results[i] = SolveResult.infeasible("nb")
-        else:
-            key = stack_key(started[0].program) if len(programs) >= LOCKSTEP_MIN else i
-            groups.setdefault(key, []).append((i, *started))
-    for members in groups.values():
-        for run in [members] if len(members) >= LOCKSTEP_MIN else [[one] for one in members]:
-            reduced, X = [pre.program for _, pre, _ in run], np.array([x for *_, x in run])
-            if len(run) < LOCKSTEP_MIN:
-                path = _path(_One(reduced[0]), X, TAU0)
-            else:
-                # stacked trials off the domain make NaN and inf, read as barrier +inf; a
-                # ufunc call costs more under errstate, so a `_One` runs outside it
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    path = _path(_Stack(reduced), X, TAU0)
-            for (i, pre, _), (x, tau, converged, stages, steps) in zip(run, path):
-                results[i] = finish(programs[i], pre, x, _seeds(pre.program, tau, x), converged, "nb",
-                                    stages, steps, tau)
-    return results
+    return solve_many(programs, "nb", _kernel)

@@ -95,7 +95,7 @@ def brute_force_grid(p: ConvexProgram, step: float = 1e-3) -> GridResult:
     x[i1], x[i2] = axis[r], axis[c]
     for yi in p.y_indices:
         x[yi] = float(energies[yi][r, c])
-    for aux, bound in aux_bounds(p, x).items():
+    for aux, bound in aux_bounds(p.aux_index, p.term_sums(x.tolist())).items():
         x[aux] = bound
     return GridResult(
         best=x,

@@ -26,6 +26,9 @@ rank-one Hessian factor v; `values` is the same pass without derivatives.
 The per-row methods read from these passes.  `ProgramStack` makes the
 pass over K programs of one `stack_key` at once, as (K, ...) arrays: nb's
 lockstep Newton iterations and quad's lockstep rounds evaluate through it.
+Both solvers run in one shell, `solve_many` (`start`, the infeasible
+result, grouping by `stack_key`, `finish`), and solve their Newton systems
+with `regularized_solve`.
 """
 
 from __future__ import annotations
@@ -371,12 +374,32 @@ class ProgramStack:
         return H.reshape(len(a), self.m + 1, self.n, self.n)
 
 
-def aux_bounds(p: ConvexProgram, x: np.ndarray) -> dict[int, float]:
-    """Tightest epigraph cap on each auxiliary rate variable at x."""
+def aux_bounds(aux_index, sums) -> dict[int, float]:
+    """Tightest epigraph cap on each auxiliary rate variable, the least -s
+    over its rows, `sums` the rows' term sums (`term_sums`) at the point."""
     bounds: dict[int, float] = {}
-    for aux, s in zip(p.aux_index, p.term_sums(np.asarray(x, dtype=float).tolist())):
+    for aux, s in zip(aux_index, sums):
         bounds[aux] = min(-s, bounds.get(aux, math.inf))
     return bounds
+
+
+def all_positive(values) -> bool:
+    """min(values) > 0 on a list of floats as numpy reads it, a NaN failing:
+    Python's min may skip the NaN, their sum does not."""
+    return min(values, default=1.0) > 0.0 and not math.isnan(sum(values))
+
+
+def regularized_solve(M, rhs, bump: float):
+    """(d, whether a system was regularized) with M d = rhs, M one system or a
+    stack (K, n, n) with rhs (K, n, k); a singular system gets bump * max(1,
+    trace / n) on its diagonal, each of a stack alone."""
+    try:
+        return np.linalg.solve(M, rhs), False
+    except np.linalg.LinAlgError:
+        if M.ndim == 3:
+            return np.array([regularized_solve(one, r, bump)[0] for one, r in zip(M, rhs)]), True
+        n = len(M)
+        return np.linalg.solve(M + bump * max(1.0, float(np.trace(M)) / n) * np.eye(n), rhs), True
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +436,7 @@ def initial_point(p: ConvexProgram) -> np.ndarray:
                 bound = min(bound, slack / a[yi])
         x[yi] = 1.0 if bound == math.inf else 0.5 * max(bound, 0.0)
 
-    for aux, bound in aux_bounds(p, x).items():
+    for aux, bound in aux_bounds(p.aux_index, p.term_sums(x.tolist())).items():
         x[aux] = 0.9 * bound
 
     if p.max_violation(x) > -_START_MARGIN:
@@ -637,8 +660,31 @@ def start(program: ConvexProgram):
         return None
 
 
-def finish(program, pre: PresolvedProgram, x, seeds, converged: bool, solver: str,
-           outer: int, inner: int, tau: float = math.nan) -> SolveResult:
+def solve_many(programs, solver: str, kernel) -> list[SolveResult]:
+    """Each program solved by a solver's `kernel`, the results in input order.
+
+    A program without an interior point (`start`) gets the infeasible result
+    and never reaches the kernel.  The others reach it once per `stack_key`
+    of their reduced programs: `kernel(reduced, X)`, X (K, n) their starts,
+    returns each one's (x, seeds, converged, outer, inner, tau) for `finish`.
+    """
+    results: list = [None] * len(programs)
+    groups: dict = {}
+    for i, p in enumerate(programs):
+        started = start(p)
+        if started is None:
+            results[i] = SolveResult.infeasible(solver)
+        else:
+            groups.setdefault(stack_key(started[0].program), []).append((i, *started))
+    for members in groups.values():
+        ends = kernel([pre.program for _, pre, _ in members], np.array([x for *_, x in members]))
+        for (i, pre, _), end in zip(members, ends, strict=True):
+            results[i] = finish(programs[i], pre, solver, *end)
+    return results
+
+
+def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: bool,
+           outer: int, inner: int, tau: float) -> SolveResult:
     """The result at the final iterate x of the reduced program `pre.program`.
 
     `seeds`, the solver's multipliers in `refine_multipliers`' blocks, are

@@ -84,17 +84,17 @@ interior-point and trust-region tuning values are module constants, read
 at call time.  It keeps no per-round log.
 
 The rounds are written once, as a generator (`_rounds`) that yields an
-`_Ask` for every subproblem it needs solved (the model around x, built anew
-for every ask, boxed or not, started under the caps) and reads a `_Reply`
-(the solution, the point under its caps and the objective values the
-acceptance test needs); the accept, shrink, grow, settle and polish rules
-run on Python floats per program, with the objective at x that of the
-accepted reply.  `solve_iterative` is `solve_iterative_many` on one
-program, which runs the rounds of K programs side by side.  The reduced
-programs that share a `program.stack_key` form a `_Layout`, built once per
-solve, which holds the subproblem rows that do not depend on the point:
-the linear rows, the box's +-e_i pattern and the -x_i <= 0 bounds, as
-(K, J, n) arrays.  The waiting asks of one layout and box state, at least
+`_Ask` for every subproblem it needs solved (the model around x, built
+anew for every ask, boxed or not, started under the caps) and reads a
+`_Reply` (the solution, the point under its caps and the objective values
+the acceptance test needs); the accept, shrink, grow, settle and polish
+rules run on Python floats per program, with the objective at x that of
+the accepted reply.  `solve_iterative_many` (`solve_iterative` on one
+program) is `program.solve_many` around `_drive`, which runs the rounds of
+the reduced programs of one `program.stack_key` side by side on a
+`_Layout` of the subproblem rows that do not depend on the point: the
+linear rows, the box's +-e_i pattern and the -x_i <= 0 bounds, as
+(K, J, n) arrays.  The waiting asks of one box state, at least
 LOCKSTEP_MIN of them (else each alone), are answered by one `_answer`,
 written once over (K, ...) arrays.  Only the program pass depends on K:
 one ask's model and term sums come from the scalar `quadratize` and
@@ -104,8 +104,9 @@ curved rows and box edges are written into the layout's rows, the starts
 are put under the caps, the `_Stack` goes to `_ipm` (one program, on (J,)
 rows) or to `_ipm_many` (the Newton systems as (K, n, n) and the rows as
 (K, J) arrays, every rule of `_ipm` kept per program), and the replies
-come from one more pass.  Boxless asks wait while any ask is boxed, so
-that the programs that settle in different rounds polish in one stack.
+come from one more pass.  Boxless asks wait while any ask of the layout is
+boxed, so that the programs that settle in different rounds polish in one
+stack.
 
 Measured on the eight-candidate rounds of the default S1-A sum screen
 (Intel Xeon, 2 CPUs, OpenBLAS, numpy 2.4, one process; median over the
@@ -146,11 +147,12 @@ from .program import (
     ConvexProgram,
     ProgramStack,
     SolveResult,
+    all_positive,
+    aux_bounds,
     energy_caps,
-    finish,
+    regularized_solve,
     scalar_log1p,
-    stack_key,
-    start,
+    solve_many,
 )
 
 # expansion points are lifted this far off the t = 0 boundary to keep the
@@ -203,6 +205,8 @@ _BACKTRACKS = 40       # step halvings before an interior-point solve gives up
 # keep every certificate and gain 5-6; 0.9 and correcting every step lose
 # 3-4 X1 = 0 and X1 = 1e-3 certificates
 _CORRECT_BELOW = 0.5
+# a singular Newton system is solved with this times max(1, trace / n) on its diagonal
+_REGULARIZE = 1e-12
 
 
 @dataclass
@@ -254,30 +258,6 @@ def _float_step_limit(lam, dlam, s, p, q) -> float:
     return min(lims, default=math.inf)
 
 
-def _all_positive(values) -> bool:
-    """min(values) > 0 on a list of floats as numpy reads it, a NaN failing:
-    Python's min may skip the NaN, their sum does not."""
-    return min(values) > 0.0 and not math.isnan(sum(values))
-
-
-def _solve(M, rhs):
-    """Solve M dx = rhs, a singular M bumped on its diagonal."""
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        n = len(M)
-        bump = 1e-12 * max(1.0, float(np.trace(M)) / n)
-        return np.linalg.solve(M + bump * np.eye(n), rhs)
-
-
-def _solve_all(M, rhs):
-    """`_solve` on every stacked system, a singular one regularized alone."""
-    try:
-        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        return np.array([_solve(one, r) for one, r in zip(M, rhs)])
-
-
 class _Stack:
     """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
     H) and the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, whose
@@ -316,7 +296,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     `_ipm_many`'s algorithm on the (J,) rows of one program, whose numpy
     calls cost about 1 us less than on (1, J) arrays.  The step limit and
     the trial's sign tests read the rows as Python floats
-    (`_float_step_limit`, `_all_positive`), with numpy's bits.
+    (`_float_step_limit`, `program.all_positive`), with numpy's bits.
     """
     g, H, A, b0, nl_H = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0]
     n, m, n_con = len(g), len(nl_H), st.n_con
@@ -358,7 +338,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
         # complementarity residual
         gap = target - lam * s
         M = H + (lam[:m] @ H_rows).reshape(n, n) + grad.T @ (grad * (lam / s)[:, None])
-        dx = _solve(M, -r_d - grad.T @ (gap / s))
+        dx, _ = regularized_solve(M, -r_d - grad.T @ (gap / s), _REGULARIZE)
         p = grad @ dx
         dlam = (gap + lam * p) / s
 
@@ -371,7 +351,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
             # to second order along the first direction
             half = np.zeros(J)
             half[:m] = 0.5 * q
-            dx = _solve(M, -r_d - grad.T @ ((gap + lam * half) / s))
+            dx, _ = regularized_solve(M, -r_d - grad.T @ ((gap + lam * half) / s), _REGULARIZE)
             p = grad @ dx
             dlam = (gap + lam * (p + half)) / s
             q = (nl_H @ dx) @ dx
@@ -385,7 +365,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
             lam_try = lam + alpha * dlam
             s_try, grad_try = state(x_try)
             s_try_f, lam_try_f = s_try.tolist(), lam_try.tolist()
-            if _all_positive(s_try_f) and _all_positive(lam_try_f):
+            if all_positive(s_try_f) and all_positive(lam_try_f):
                 r_d_try = dual_residual(x_try, lam_try, grad_try)
                 r_c = lam_try * s_try - target
                 if math.sqrt(float(r_d_try @ r_d_try) + float(r_c @ r_c)) <= (1.0 - 0.01 * alpha) * rnorm:
@@ -458,7 +438,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
         Gt = G.transpose(0, 2, 1)
         M = (st.H + (L[:, None, :m] @ st.nl_H.reshape(len(X), m, n * n)).reshape(-1, n, n)
              + Gt @ (G * (L / S)[:, :, None]))
-        dX = _solve_all(M, -R - (Gt @ (gap / S)[:, :, None])[..., 0])
+        dX = regularized_solve(M, -R[:, :, None] - Gt @ (gap / S)[:, :, None], _REGULARIZE)[0][..., 0]
         P = (G @ dX[:, :, None])[..., 0]
         dL = (gap + L * P) / S
 
@@ -470,7 +450,8 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
         if len(fix):
             # `_ipm`'s second-order correction, on the programs that need it
             half, Lf, Sf, gapf = 0.5 * Q[fix], L[fix], S[fix], gap[fix]
-            dXf = _solve_all(M[fix], -R[fix] - (Gt[fix] @ ((gapf + Lf * half) / Sf)[:, :, None])[..., 0])
+            rhs = -R[fix, :, None] - Gt[fix] @ ((gapf + Lf * half) / Sf)[:, :, None]
+            dXf = regularized_solve(M[fix], rhs, _REGULARIZE)[0][..., 0]
             Pf = (G[fix] @ dXf[:, :, None])[..., 0]
             dLf = (gapf + Lf * (Pf + half)) / Sf
             Qf = np.zeros_like(Sf)
@@ -531,10 +512,7 @@ def _under_caps(aux_index, X, sums, backoff: float) -> np.ndarray:
     K = 1 and as long at K = 8, numpy's per-call cost."""
     out = X.tolist()
     for x, row_sums in zip(out, sums.tolist()):
-        caps: dict[int, float] = {}
-        for aux, s in zip(aux_index, row_sums):
-            caps[aux] = min(-s, caps.get(aux, math.inf))
-        for aux, cap in caps.items():
+        for aux, cap in aux_bounds(aux_index, row_sums).items():
             x[aux] = min(x[aux], cap) - backoff * (1.0 + abs(cap))
     return np.array(out)
 
@@ -619,10 +597,9 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
 
 
 class _Ask(NamedTuple):
-    """What a solve's rounds need next: the model of `program` around x, boxed
+    """What a solve's rounds need next: the model of its program around x, boxed
     by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
 
-    program: ConvexProgram
     x: np.ndarray
     delta: float | None
 
@@ -638,19 +615,15 @@ class _Reply(NamedTuple):
     f_cand: float               # objective at cand
 
 
-def _rounds(program: ConvexProgram):
-    """One solve's rounds as a generator: it yields an `_Ask` for every
-    subproblem it needs solved, is sent back its `_Reply`, and returns the
-    `SolveResult`.
+def _rounds(red: ConvexProgram, x: np.ndarray):
+    """The rounds of one reduced program from its start x as a generator: it
+    yields an `_Ask` for every subproblem it needs solved, is sent back its
+    `_Reply`, and returns the (x, seeds, converged, outer, inner, tau) of
+    `program.finish`.
 
-    `outer_iters` on the result counts the rounds that moved x by more than
-    `_SETTLE_TOL` when the rounds settle, and every round when they do not.
+    `outer` counts the rounds that moved x by more than `_SETTLE_TOL` when
+    the rounds settle, and every round when they do not.
     """
-    started = start(program)
-    if started is None:
-        return SolveResult.infeasible("quad")
-    pre, x = started
-    red = pre.program
     f_x = red.objective_value(x)    # after this, the accepted reply's f_cand
 
     inner_total = 0
@@ -665,7 +638,7 @@ def _rounds(program: ConvexProgram):
     for rounds in range(1, MAX_ROUNDS + 1):
         step = None
         for _ in range(_TR_RETRIES + 1):
-            reply = yield _Ask(red, x, None if delta >= _TR_FREE else delta)
+            reply = yield _Ask(x, None if delta >= _TR_FREE else delta)
             inner_total += reply.sol.iters
             if not reply.sol.converged:
                 delta *= _TR_SHRINK
@@ -695,7 +668,7 @@ def _rounds(program: ConvexProgram):
         # polishes the coordinates and yields multipliers for the true
         # constraint set; another runs only when that one still moved
         for _ in range(3):
-            reply = yield _Ask(red, x, None)
+            reply = yield _Ask(x, None)
             clean = reply.sol
             inner_total += clean.iters
             if not clean.converged:
@@ -722,27 +695,24 @@ def _rounds(program: ConvexProgram):
         n_nl, n_lin = red.n_nonlinear, len(red.lin_b)
         seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
         x = _settle_unused_slots(red, x, *seeds[:2])
-    return finish(program, pre, x, seeds, settled, "quad",
-                  moves if settled else rounds, inner_total)
+    return x, seeds, settled, moves if settled else rounds, inner_total, math.nan
 
 
 class _Layout:
-    """The programs of one `stack_key` in a solve and what their
+    """The reduced programs of one `stack_key` in a solve and what their
     subproblems share, built once: the time and positive coordinates `t`
-    and `pos`, each program's box floors and `position` in the arrays, the
-    `ProgramStack` `ps` of the stacked models (built on first use), and
-    `A[boxed]`, `b0[boxed]`, (K, J, n) and (K, J), every subproblem's rows
-    in `_Stack` order with zeros where an ask's curved rows and box edges
-    go: m curved rows, the linear rows, when boxed x_i <= hi_i then
-    -x_i <= -lo_i per positive coordinate, and -x_i <= 0 per positive
-    coordinate."""
+    and `pos`, each program's box floors, the `ProgramStack` `ps` of the
+    stacked models (built on first use), and `A[boxed]`, `b0[boxed]`,
+    (K, J, n) and (K, J), every subproblem's rows in `_Stack` order with
+    zeros where an ask's curved rows and box edges go: m curved rows, the
+    linear rows, when boxed x_i <= hi_i then -x_i <= -lo_i per positive
+    coordinate, and -x_i <= 0 per positive coordinate."""
 
-    def __init__(self, members, programs):
+    def __init__(self, programs):
         p = programs[0]
         K, n, m = len(programs), p.n_vars, p.n_nonlinear
         self.programs = programs
         self.t, self.pos = np.array(p.t_indices, dtype=int), np.array(p.positive_indices, dtype=int)
-        self.position = {i: k for k, i in enumerate(members)}
         self.floors = np.array([_box_floors(q) for q in programs])
         lin, n_pos = m + len(p.lin_b), len(self.pos)
         A = np.zeros((K, lin + 3 * n_pos, n))
@@ -767,7 +737,7 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
     `term_sums`, more asks' from the layout's `ProgramStack`, with the same
     bits.  The rows, the starts under the caps and the replies are the
     same (K, ...) arrays either way, solved by `_ipm` or `_ipm_many`."""
-    red = asks[0].program
+    red = lay.programs[rows[0]]
     m, t, pos = red.n_nonlinear, lay.t, lay.pos
     X = np.array([ask.x for ask in asks])
     K = len(X)
@@ -784,7 +754,7 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
         def row_sums(Y):
             return np.array([red.term_sums(Y[0].tolist())])
     else:
-        ps = lay.ps if K == len(lay.position) else lay.ps.take(rows)
+        ps = lay.ps if K == len(lay.programs) else lay.ps.take(rows)
         q = ps.q
 
         def row_sums(Y):
@@ -835,46 +805,32 @@ def solve_iterative(program: ConvexProgram) -> SolveResult:
     return solve_iterative_many([program])[0]
 
 
-def solve_iterative_many(programs) -> list[SolveResult]:
-    """`solve_iterative` on each program, in order, their rounds stepped together.
-
-    Every program runs its own rounds; each waits on an ask until it is
-    answered.  The reduced programs of the first asks are grouped by
-    `stack_key` into `_Layout`s.  The waiting asks are grouped by layout and
-    by whether they are boxed: a group of at least LOCKSTEP_MIN is answered
-    by one `_answer`, every other ask by an `_answer` of its own.  Boxless
-    asks (the polish rebuilds) wait while any ask is boxed, so that the
-    programs that settle in different rounds polish in one stack.
-    """
-    results: list = [None] * len(programs)
-    running = dict(enumerate(map(_rounds, programs)))
+def _drive(reduced, X):
+    """quad's kernel for `program.solve_many`: the rounds of reduced programs
+    of one `stack_key` from their starts X, stepped together on one
+    `_Layout`.  Each waits on its ask until it is answered; the boxed asks,
+    else the boxless ones, are answered by one `_answer` from LOCKSTEP_MIN
+    asks on, else each alone."""
+    lay = _Layout(reduced)
+    running = {k: _rounds(p, x) for k, (p, x) in enumerate(zip(reduced, X))}
+    ends: list = [None] * len(reduced)
     replies: dict = dict.fromkeys(running)      # what the answered programs' rounds are sent next
     asks: dict = {}
-    layouts: dict = {}      # program index -> its `_Layout`
     while running:
-        for i, reply in replies.items():
+        for k, reply in replies.items():
             try:
-                asks[i] = running[i].send(reply)
+                asks[k] = running[k].send(reply)
             except StopIteration as done:
-                results[i] = done.value
-                del running[i]
+                ends[k] = done.value
+                del running[k]
+        waiting = [k for k in sorted(asks) if asks[k].delta is not None] or sorted(asks)
         replies = {}
-        if not layouts:
-            # the first asks carry every reduced program
-            shared: dict = {}
-            for i, ask in asks.items():
-                shared.setdefault(stack_key(ask.program), []).append(i)
-            for members in shared.values():
-                lay = _Layout(members, [asks[i].program for i in members])
-                layouts.update(dict.fromkeys(members, lay))
-        groups: dict = {}
-        for i in sorted(asks):
-            groups.setdefault((id(layouts[i]), asks[i].delta is None), []).append(i)
-        if not all(free for _, free in groups):
-            groups = {group: members for group, members in groups.items() if not group[1]}
-        for members in groups.values():
-            lay = layouts[members[0]]
-            for batch in [members] if len(members) >= LOCKSTEP_MIN else [[i] for i in members]:
-                rows = np.array([lay.position[i] for i in batch])
-                replies.update(zip(batch, _answer(lay, rows, [asks.pop(i) for i in batch])))
-    return results
+        for batch in [waiting] if len(waiting) >= LOCKSTEP_MIN else [[k] for k in waiting]:
+            replies.update(zip(batch, _answer(lay, np.array(batch), [asks.pop(k) for k in batch])))
+    return ends
+
+
+def solve_iterative_many(programs) -> list[SolveResult]:
+    """`solve_iterative` on each program, in order: the rounds of the programs
+    whose presolved forms share a `stack_key` step together (`_drive`)."""
+    return solve_many(programs, "quad", _drive)

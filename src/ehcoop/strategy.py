@@ -36,10 +36,15 @@ RHO_STEP = 0.1     # grid step of the rho screen
 TIE_TOL = 1e-7     # relative objective gap under which two candidates tie
 
 
-def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb") -> tuple[SolveResult, Throughputs]:
-    """Solve one configuration and recover the per-user throughputs."""
+def check_solver(solver: str) -> None:
+    """Refuse a solver name outside SOLVERS before anything is solved."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+
+
+def solve_spec(spec: ScenarioSpec, cfg: NetworkConfig, solver: str = "nb") -> tuple[SolveResult, Throughputs]:
+    """Solve one configuration and recover the per-user throughputs."""
+    check_solver(solver)
     program = build_problem(spec, cfg)
     result = solve_nb(program) if solver == "nb" else solve_iterative(program)
     return result, _throughputs(spec, cfg, result)
@@ -109,8 +114,9 @@ def _solve_candidate(scenario, case, objective, grid, cfg, solver) -> list[Candi
     is solved once, by `solve_spec`.  A candidate whose solve raises warns
     and stays in the table as a failed outcome, so one failure fails the
     candidate, not the grid, and every `converged` check over the table
-    counts it.
+    counts it.  An unknown solver name raises before any solve.
     """
+    check_solver(solver)
     specs = [ScenarioSpec(scenario=scenario, case=case, objective=objective, rho=rho) for rho in grid]
     batch = {}
     if len(specs) > 1:

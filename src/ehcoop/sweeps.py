@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .network import NetworkConfig, derive_channels, relay_feasible
 from .scenarios import RELAY_SCENARIOS, Case, Objective, Scenario
-from .strategy import _pick, _solve_candidate, screen_rho
+from .strategy import _pick, _solve_candidate, check_solver, screen_rho
 
 CSV_HEADER = "sweep_param,scenario,case,objective_kind,rho_star,obj_bits,B1_bits,B2_bits,t0,t1,t2,t3,status"
 
@@ -26,6 +26,8 @@ ENERGY_RANGE = (25.0, 300.0, 25.0)      # X1 in mW, X2 fixed
 DISTANCE_RANGE = (0.2, 1.8, 0.2)        # d1, with du = d2 - d1
 
 SWEEP_PARAMS = ("X1", "d1")
+# most points one sweep may take; a point costs about 0.05-0.12 s per objective
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,11 @@ class SweepSpec:
             raise ValueError("d1 sweep must stay below d2")
         if not self.objectives or not self.scenarios:
             raise ValueError("need at least one objective and one scenario")
+        check_solver(self.solver)
+        # counted first: the list of a tiny step exhausts memory or overflows
+        last = (self.stop - self.start) / self.step + 1e-9
+        if not last < MAX_SWEEP_POINTS:
+            raise ValueError(f"step {self.step:g} gives more than {MAX_SWEEP_POINTS} sweep points")
         # a point outside the network's range fails here, before any solve;
         # every constraint on X1 and d1 is an interval, so the ends suffice
         values = self.values()

@@ -18,8 +18,6 @@ from ehcoop.barrier import (
     _line_search,
     _newton_direction,
     _One,
-    _solve,
-    _solve_all,
     _Stack,
     alpha_linear,
     barrier_gradient,
@@ -168,6 +166,16 @@ def test_barrier_value_infinite_outside_the_domain():
     assert barrier_value(p, 1.0, bad) == math.inf
 
 
+def test_barrier_value_infinite_at_a_nan_point():
+    # every slack is NaN there, which Python's min never reads as <= 0
+    p = relay_program()
+    x = initial_point(p)
+    partly = x.copy()
+    partly[p.y_indices[0]] = math.nan
+    for bad in (np.full_like(x, math.nan), partly):
+        assert barrier_value(p, 1.0, bad) == math.inf
+
+
 # -- full solves ------------------------------------------------------------
 
 
@@ -217,17 +225,27 @@ def test_infeasible_program_is_reported_not_raised():
     assert math.isnan(res.objective_bits)
 
 
+def test_overflowing_budget_ends_uncertified_not_raised():
+    # at X2 = 1e300 the Newton steps overflow into a NaN point, which the
+    # scalar barrier read as inside the domain; its row values then raised
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.3), NetworkConfig(X2=1e300))
+    with np.errstate(all="ignore"):
+        res = solve_nb(p)
+    assert res.status is SolveStatus.MAX_ITERATIONS
+    assert res.kkt_residual > 1e-6
+
+
 def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
     searches = spy_line_searches(monkeypatch)
     regularized = []
-    real = barrier._solve
+    real = barrier.regularized_solve
 
-    def solve(H, g):
-        out = real(H, g)
+    def solve(H, rhs, bump):
+        out = real(H, rhs, bump)
         regularized.append(out[1])
         return out
 
-    monkeypatch.setattr(barrier, "_solve", solve)
+    monkeypatch.setattr(barrier, "regularized_solve", solve)
     assert solve_nb(relay_program()).converged
     taus = [c["tau"] for c in searches]
     assert taus and taus == sorted(taus)
@@ -539,13 +557,3 @@ def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):
                          slack, [0, 2])
     assert steps == {0: c["steps"][0], 2: c["steps"][0]}
 
-
-def test_singular_stacked_system_is_regularized_alone():
-    H = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
-    g = np.array([[[1.0], [2.0]], [[1.0], [1.0]]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(H, -g)
-    d = _solve_all(H, g)
-    assert np.array_equal(d[0], -g[0])
-    fixed, regularized = _solve(H[1], g[1])
-    assert regularized and np.array_equal(d[1], fixed)

@@ -288,6 +288,8 @@ def test_sweep_rejects_bad_range(monkeypatch, capsys):
         (["sweep-energy", "--start", "-25", "--stop", "25"], "energy arrival rates must be nonnegative"),
         # the points are rounded to 10 digits, so this sweep starts at d1 = 0
         (["sweep-distance", "--start", "1e-11", "--stop", "0.1", "--step", "0.1"], "distance d1 must be positive"),
+        # a step that gives too many points fails before they are built
+        (["sweep-energy", "--step", "1e-320"], "sweep points"),
     ):
         assert main(argv) == 1
         assert message in capsys.readouterr().err

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, barrier, quadratic
 from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
@@ -17,11 +17,15 @@ from ehcoop.program import (
     perspective_gradient,
     perspective_value,
     presolve_program,
+    regularized_solve,
+    solve_many,
+    stack_key,
     start,
     stationarity_residual,
 )
 from ehcoop.quadratic import solve_iterative
 from ehcoop.scenarios import build_problem
+from ehcoop.strategy import rho_candidates
 
 
 def relay_program(rho=0.3, **cfg_kwargs):
@@ -344,3 +348,62 @@ def test_stationarity_residual_vanishes_with_exact_multipliers():
     x = np.array([0.5])
     assert stationarity_residual(p, x, [], [1.0], [0.0]) == pytest.approx(0.0)
     assert stationarity_residual(p, x, [], [0.0], [0.0]) == pytest.approx(1.0)
+
+
+# -- the solve shell and the shared Newton solve -------------------------------
+
+
+def test_solve_shell_hands_each_layout_to_the_kernel_once_in_input_order():
+    # at X1 = 0, case B, rho = 0 pins U1's relay energy in presolve, so its
+    # reduced program has another layout than the rest of the screen
+    cfg = NetworkConfig(X1=0.0)
+    empty = ConvexProgram(
+        n_vars=1, objective_linear=np.array([1.0]), term_table=(), aux_index=(),
+        lin_A=np.array([[1.0], [-1.0]]), lin_b=np.array([0.5, -0.9]),
+        t_indices=(0,), y_indices=(), var_names=("t",), labels=("", ""),
+    )
+    programs = [build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.WEIGHTED_SUM, rho), cfg)
+                for rho in rho_candidates(derive_channels(cfg))]
+    programs = [programs[1], empty, programs[0]] + programs[2:] + [direct_program(), empty]
+    calls = []
+
+    def kernel(reduced, X):
+        calls.append((reduced, X))
+        # each program ends at its start, its position in the call its outer count
+        return [(x, None, True, k, len(reduced), math.nan) for k, x in enumerate(X)]
+
+    results = solve_many(programs, "fake", kernel)
+    keys = [stack_key(reduced[0]) for reduced, _ in calls]
+    assert len(set(keys)) == len(calls) == 3
+    assert sum(len(reduced) for reduced, _ in calls) == len(programs) - 2
+    for key, (reduced, X) in zip(keys, calls):
+        assert all(stack_key(p) == key for p in reduced)
+        assert np.array_equal(X, [initial_point(p) for p in reduced])
+    for p, res in zip(programs, results, strict=True):
+        assert res.solver == "fake"
+        if p is empty:
+            assert res.status is SolveStatus.INFEASIBLE
+            continue
+        pre, x0 = start(p)
+        assert np.array_equal(res.x_star, pre.expand(x0))
+        # without seeds no certificate: the KKT residual is infinite
+        assert res.status is SolveStatus.MAX_ITERATIONS and res.kkt_residual == math.inf
+        reduced, X = calls[keys.index(stack_key(pre.program))]
+        assert res.inner_iters == len(reduced) and np.array_equal(X[res.outer_iters], x0)
+
+
+@pytest.mark.parametrize("bump", [pytest.param(barrier.REGULARIZE, id="nb"),
+                                  pytest.param(quadratic._REGULARIZE, id="quad")])
+def test_singular_stacked_system_is_regularized_alone(bump):
+    M = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+    rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, rhs)
+    d, regularized = regularized_solve(M, rhs, bump)
+    assert regularized and np.array_equal(d[0], rhs[0])
+    fixed, alone = regularized_solve(M[1], rhs[1], bump)
+    assert alone and np.isfinite(fixed).all() and np.array_equal(d[1], fixed)
+    # the bump on the diagonal is the solver's: bump * max(1, trace / n)
+    assert np.array_equal(fixed, np.linalg.solve(M[1] + bump * np.eye(2), rhs[1]))
+    # a regular system is solved as it is
+    assert regularized_solve(M[0], rhs[0], bump)[1] is False

@@ -12,19 +12,18 @@ from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
+    all_positive,
     initial_point,
     presolve_program,
     perspective_value,
+    start,
 )
 from ehcoop.quadratic import (
     _FRAC,
     LOCKSTEP_MIN,
-    _all_positive,
     _float_step_limit,
     _ipm,
     _ipm_many,
-    _solve,
-    _solve_all,
     _step_limit,
     quadratize,
     solve_iterative,
@@ -122,14 +121,20 @@ def test_quadratize_requires_positive_times():
         quadratize(p, x0)
 
 
+def first_ask(p):
+    """The reduced program of p and the first ask of its lone solve."""
+    pre, x0 = start(p)
+    return pre.program, next(quadratic._rounds(pre.program, x0))
+
+
 def lone_subproblem(p, x=None, delta=None):
     """The one-program `_Stack` and interior-point start `_answer` builds for
     the first ask of a lone solve of p, or for the model around x boxed by
     delta (None: boxless)."""
-    ask = next(quadratic._rounds(p))
+    red, ask = first_ask(p)
     if x is not None:
         ask = ask._replace(x=np.array(x), delta=delta)
-    _, st, x0 = answer_alone(quadratic._Layout([0], [ask.program]), 0, ask)
+    _, st, x0 = answer_alone(quadratic._Layout([red]), 0, ask)
     return st, x0
 
 
@@ -151,8 +156,7 @@ def answer_alone(lay, row, ask):
 
 def test_quadratize_orders_model_rows_first():
     p = relay_program()
-    ask = next(quadratic._rounds(p))
-    red = ask.program
+    red, ask = first_ask(p)
     st, _ = lone_subproblem(p)
     # the curved model rows, the linear rows, the box (x_i <= hi, then
     # -x_i <= -lo, per positive coordinate) and the bounds -x_i <= 0
@@ -267,7 +271,7 @@ def test_float_step_limit_keeps_numpys_bits_on_edge_rows(row, field, value):
 ])
 def test_all_positive_fails_on_any_nan(values, want):
     assert bool(np.min(values) > 0.0) is want
-    assert _all_positive(values) is want
+    assert all_positive(values) is want
 
 
 def test_trial_with_a_nan_slack_after_a_positive_one_is_rejected(monkeypatch):
@@ -279,7 +283,7 @@ def test_trial_with_a_nan_slack_after_a_positive_one_is_rejected(monkeypatch):
         A=np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]]),
         b0=np.array([[-1.0, -1.0, 0.0, 0.0]]), nl_H=np.zeros((1, 0, 2, 2)), n_con=2,
     )
-    monkeypatch.setattr(quadratic, "_solve", lambda M, rhs: np.array([0.1, math.nan]))
+    monkeypatch.setattr(quadratic, "regularized_solve", lambda M, rhs, bump: (np.array([0.1, math.nan]), False))
     x0 = np.array([0.4, 0.4])
     sol = _ipm(st, x0)
     assert (sol.iters, sol.converged) == (1, False)
@@ -292,7 +296,7 @@ def test_subproblem_agrees_with_slsqp():
     from scipy.optimize import minimize
 
     p = relay_program()
-    st, x0 = lone_subproblem(p, next(quadratic._rounds(p)).x, None)    # the boxless model at the start
+    st, x0 = lone_subproblem(p, first_ask(p)[1].x, None)    # the boxless model at the start
     ipm = _ipm(st, x0)
     assert ipm.converged
     c0, g, H, A, b0, nl_H = (v[0] for v in (st.c0, st.g, st.H, st.A, st.b0, st.nl_H))
@@ -478,7 +482,8 @@ def test_round_objective_never_increases(monkeypatch):
     asks = spy_asks(monkeypatch)
     res = solve_iterative(relay_program())
     assert res.converged
-    starts = [ask.program.objective_value(ask.x) for ask in asks]
+    red = presolve_program(relay_program()).program
+    starts = [red.objective_value(ask.x) for ask in asks]
     assert len(starts) >= 2
     for prev, nxt in zip(starts, starts[1:]):
         assert nxt <= prev + 1e-8 * (1.0 + abs(prev))
@@ -660,7 +665,7 @@ def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch)
     lifted = False
     for lay, rows, asks, st, X0, replies in rounds:
         for k, (row, ask, reply) in enumerate(zip(rows, asks, replies, strict=True)):
-            lifted |= bool((ask.x[list(ask.program.t_indices)] < quadratic._T_FLOOR).any())
+            lifted |= bool((ask.x[list(lay.programs[row].t_indices)] < quadratic._T_FLOOR).any())
             alone, one, x0 = answer_alone(lay, row, ask)
             model = st.take([k])
             for name in ("c0", "g", "H", "A", "b0", "nl_H", "n_con"):
@@ -769,17 +774,6 @@ def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
     always = solve_iterative(p)
     assert always.objective_bits.hex() == res.objective_bits.hex()
     assert np.array_equal(always.x_star, res.x_star)
-
-
-def test_singular_stacked_ipm_system_is_regularized_alone():
-    M = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
-    rhs = np.array([[1.0, 2.0], [1.0, 1.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(M, rhs[:, :, None])
-    dx = _solve_all(M, rhs)
-    assert np.array_equal(dx[0], rhs[0])
-    fixed = _solve(M[1], rhs[1])
-    assert np.isfinite(fixed).all() and np.array_equal(dx[1], fixed)
 
 
 # -- interior-point schedule and polish --------------------------------------

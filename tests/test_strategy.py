@@ -40,6 +40,28 @@ def test_solve_spec_rejects_unknown_solver(default_cfg):
         solve_spec(ScenarioSpec(Scenario.S4, Case.A), default_cfg, solver="simplex")
 
 
+def forbid_solves(monkeypatch):
+    """Make every solver entry point `strategy` calls fail the test."""
+    def solved(*args):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve_nb", "solve_nb_many", "solve_iterative", "solve_iterative_many"):
+        monkeypatch.setattr(strategy, name, solved)
+
+
+@pytest.mark.parametrize("solver", ["NB", "bogus"])
+def test_screen_rho_rejects_an_unknown_solver_before_any_solve(solver, default_cfg, monkeypatch):
+    forbid_solves(monkeypatch)
+    with pytest.raises(ValueError, match="unknown solver"):
+        screen_rho(default_cfg, Case.A, SUM, solver=solver)
+
+
+def test_select_strategy_rejects_an_unknown_solver_before_any_solve(default_cfg, monkeypatch):
+    forbid_solves(monkeypatch)
+    with pytest.raises(ValueError, match="unknown solver"):
+        select_strategy(default_cfg, SUM, solver="bogus")
+
+
 def test_solve_spec_throughputs_match_the_objective(default_cfg):
     for solver in ("nb", "quad"):
         result, tp = solve_spec(ScenarioSpec(Scenario.S4, Case.A), default_cfg, solver)

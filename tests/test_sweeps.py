@@ -14,6 +14,7 @@ from ehcoop.sweeps import (
     CSV_HEADER,
     DISTANCE_RANGE,
     ENERGY_RANGE,
+    MAX_SWEEP_POINTS,
     read_csv,
     worker_count,
 )
@@ -43,6 +44,26 @@ def test_spec_validation():
         SweepSpec(param="d1", start=0.2, stop=2.0, step=0.2)  # must stay below d2
     with pytest.raises(ValueError):
         SweepSpec(param="X1", start=25, stop=300, step=25, objectives=())
+
+
+def test_spec_rejects_an_unknown_solver():
+    with pytest.raises(ValueError, match="unknown solver"):
+        tiny_energy_spec(solver="bogus")
+
+
+@pytest.mark.parametrize("step", [1e-7, 1e-320, 275.0 / MAX_SWEEP_POINTS])
+def test_tiny_step_is_refused_before_the_points_are_built(step, monkeypatch):
+    # 1e-7 asked for 2.75e9 points, 1e-320 for an infinite count
+    def values(self):
+        raise AssertionError("the sweep points were built")
+
+    monkeypatch.setattr(SweepSpec, "values", values)
+    with pytest.raises(ValueError, match="sweep points"):
+        SweepSpec("X1", *ENERGY_RANGE[:2], step)
+
+
+def test_largest_sweep_is_accepted():
+    assert len(SweepSpec("X1", 0.0, MAX_SWEEP_POINTS - 1.0, 1.0).values()) == MAX_SWEEP_POINTS
 
 
 def test_default_grids():
