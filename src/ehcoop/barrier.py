@@ -82,8 +82,10 @@ iterate.  The two agree term by term to a few ulps
 and take the same Newton steps on the default screens.  There a stack of
 2, 3 and 4 programs takes 0.95, 0.68 and 0.56 of the time of as many
 `_One` runs; at 2 the gain is too small to change the arithmetic that
-two-candidate screens get, so LOCKSTEP_MIN is 3.  The solver keeps no
-per-step log.
+two-candidate screens get, so LOCKSTEP_MIN is 3.  `program.solve_many`
+runs every kernel call under one `np.errstate`, so the NaN and inf of a
+trial point off the domain, which the barrier reads as +inf, warn on
+neither path.  The solver keeps no per-step log.
 
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
@@ -539,10 +541,7 @@ def _kernel(reduced, X):
     starts X, as `program.solve_many` takes them: on one `_Stack` from
     LOCKSTEP_MIN programs on, else each on a `_One`."""
     if len(reduced) >= LOCKSTEP_MIN:
-        # stacked trials off the domain make NaN and inf, read as barrier +inf; a
-        # ufunc call costs more under errstate, so a `_One` runs outside it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            paths = _path(_Stack(reduced), X, TAU0)
+        paths = _path(_Stack(reduced), X, TAU0)
     else:
         paths = [_path(_One(p), X[k:k + 1], TAU0)[0] for k, p in enumerate(reduced)]
     return [(x, _seeds(p, tau, x), converged, stages, steps, tau)

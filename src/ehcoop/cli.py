@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
@@ -196,19 +197,16 @@ def _cmd_select(args) -> int:
     return 2 if bad else 0
 
 
-def _run_sweep_command(args, param: str, default_range) -> int:
+def _run_sweep_command(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = build_network_config(args)
-    start = args.start if args.start is not None else default_range[0]
-    stop = args.stop if args.stop is not None else default_range[1]
-    step = args.step if args.step is not None else default_range[2]
     objectives = (
         tuple(_OBJECTIVES.values()) if args.objective == "both"
         else (_OBJECTIVES[args.objective],)
     )
     try:
-        spec = SweepSpec(param=param, start=start, stop=stop, step=step,
+        spec = SweepSpec(param=args.param, start=args.start, stop=args.stop, step=args.step,
                          base=cfg, objectives=objectives, solver=args.solver)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -229,7 +227,7 @@ def _run_sweep_command(args, param: str, default_range) -> int:
         for row in rows:
             mark = " *" if row.winner else ""
             obj = "" if row.obj_bits is None else f"{row.obj_bits:.6f}"
-            print(f"{param}={row.sweep_param:g} {row.scenario}-{row.case} "
+            print(f"{args.param}={row.sweep_param:g} {row.scenario}-{row.case} "
                   f"[{row.objective_kind}] {obj} {row.status}{mark}")
     failed = [r for r in rows if r.status != "converged"]
     if failed:
@@ -323,22 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.set_defaults(func=_cmd_select)
 
-    for name, param, default_range in (
+    for name, param, (start, stop, step) in (
         ("sweep-energy", "X1", ENERGY_RANGE),
         ("sweep-distance", "d1", DISTANCE_RANGE),
     ):
         p = sub.add_parser(name, help=f"sweep {param} over a range")
-        p.add_argument("--start", type=float)
-        p.add_argument("--stop", type=float)
-        p.add_argument("--step", type=float)
+        p.add_argument("--start", type=float, default=start, help=f"first {param} (default %(default)g)")
+        p.add_argument("--stop", type=float, default=stop, help=f"last {param} (default %(default)g)")
+        p.add_argument("--step", type=float, default=step, help=f"{param} step (default %(default)g)")
         p.add_argument("--objective", choices=("sum", "common", "both"), default="sum")
         p.add_argument("--out", metavar="CSV", help="write the table here")
         p.add_argument("--plotdata", metavar="JSON", help="write grouped series here")
         p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per point and CPU")
         _add_solver_flag(p)
         _add_network_flags(p)
-        p.set_defaults(func=_run_sweep_command, sweep_param=param,
-                       sweep_range=default_range)
+        p.set_defaults(func=_run_sweep_command, param=param)
 
     p = sub.add_parser("validate", help="run built-in cross-checks")
     _add_network_flags(p)
@@ -346,12 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, *args, **kwargs) -> str:
+    return f"ehcoop: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the engine's warnings print as one line each, without a source line
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        if getattr(args, "sweep_param", None):
-            return args.func(args, args.sweep_param, args.sweep_range)
         return args.func(args)
     except UsageError as exc:
         print(f"ehcoop: error: {exc}", file=sys.stderr)
@@ -359,6 +360,8 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"ehcoop: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ The per-row methods read from these passes.  `ProgramStack` makes the
 pass over K programs of one `stack_key` at once, as (K, ...) arrays: nb's
 lockstep Newton iterations and quad's lockstep rounds evaluate through it.
 Both solvers run in one shell, `solve_many` (`start`, the infeasible
-result, grouping by `stack_key`, `finish`), and solve their Newton systems
-with `regularized_solve`.
+result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
+`finish`), and solve their Newton systems with `regularized_solve`.
 """
 
 from __future__ import annotations
@@ -677,7 +677,10 @@ def solve_many(programs, solver: str, kernel) -> list[SolveResult]:
         else:
             groups.setdefault(stack_key(started[0].program), []).append((i, *started))
     for members in groups.values():
-        ends = kernel([pre.program for _, pre, _ in members], np.array([x for *_, x in members]))
+        # trial points off the domain make NaN and inf, which the solvers read
+        # as outside it (a barrier of +inf, a failed row test)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ends = kernel([pre.program for _, pre, _ in members], np.array([x for *_, x in members]))
         for (i, pre, _), end in zip(members, ends, strict=True):
             results[i] = finish(programs[i], pre, solver, *end)
     return results

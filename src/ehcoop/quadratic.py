@@ -94,9 +94,9 @@ program) is `program.solve_many` around `_drive`, which runs the rounds of
 the reduced programs of one `program.stack_key` side by side on a
 `_Layout` of the subproblem rows that do not depend on the point: the
 linear rows, the box's +-e_i pattern and the -x_i <= 0 bounds, as
-(K, J, n) arrays.  The waiting asks of one box state, at least
-LOCKSTEP_MIN of them (else each alone), are answered by one `_answer`,
-written once over (K, ...) arrays.  Only the program pass depends on K:
+(K, J, n) arrays.  The waiting asks of one box state, one or more, are
+answered by one `_answer`, written once over (K, ...) arrays.  Only the
+program pass depends on K:
 one ask's model and term sums come from the scalar `quadratize` and
 `ConvexProgram.term_sums`, more asks' from one pass of the layout's
 `ProgramStack` (with `math.log1p`'s bits), which keeps those bits.  The
@@ -115,8 +115,9 @@ interior-point solve, about 110-180 us per program one by one, takes
 0.84-0.90, 0.59-0.65, 0.46-0.48 and 0.25 of that time stacked at K = 2, 3,
 4 and 8; the whole round, solve included, 0.86-0.87, 0.59-0.60, 0.47-0.49
 and 0.30-0.31.  At K = 1 a stack costs 1.43-1.49 (round work) and
-1.56-1.58 (whole round), so LOCKSTEP_MIN is 2.  For the same reason `_ipm`
-stays: on the energy grid's 1,080 lone subproblems, `_ipm_many` on a stack
+1.56-1.58 (whole round), so one ask takes the scalar program pass and
+two or more the stacked one.  For the same reason `_ipm` stays: on the
+energy grid's 1,080 lone subproblems, `_ipm_many` on a stack
 of one gives its bits in 2.2 times its time (quartiles 2.06-2.35 over 16
 alternating passes; each numpy call on (1, ...) arrays costs about 1 us
 more, and `_ipm` takes its step limit and sign tests on Python floats,
@@ -162,9 +163,6 @@ _T_FLOOR = 1e-9
 _SETTLE_TOL = 1e-6
 # quadratization rounds per solve
 MAX_ROUNDS = 50
-# fewest asks of one layout and box state that `solve_iterative_many`
-# answers as one stack (the measured crossover is in the module docstring)
-LOCKSTEP_MIN = 2
 
 
 def quadratize(p: ConvexProgram, x_k: np.ndarray):
@@ -809,8 +807,7 @@ def _drive(reduced, X):
     """quad's kernel for `program.solve_many`: the rounds of reduced programs
     of one `stack_key` from their starts X, stepped together on one
     `_Layout`.  Each waits on its ask until it is answered; the boxed asks,
-    else the boxless ones, are answered by one `_answer` from LOCKSTEP_MIN
-    asks on, else each alone."""
+    else the boxless ones, are answered by one `_answer`."""
     lay = _Layout(reduced)
     running = {k: _rounds(p, x) for k, (p, x) in enumerate(zip(reduced, X))}
     ends: list = [None] * len(reduced)
@@ -825,8 +822,8 @@ def _drive(reduced, X):
                 del running[k]
         waiting = [k for k in sorted(asks) if asks[k].delta is not None] or sorted(asks)
         replies = {}
-        for batch in [waiting] if len(waiting) >= LOCKSTEP_MIN else [[k] for k in waiting]:
-            replies.update(zip(batch, _answer(lay, np.array(batch), [asks.pop(k) for k in batch])))
+        if waiting:
+            replies = dict(zip(waiting, _answer(lay, np.array(waiting), [asks.pop(k) for k in waiting])))
     return ends
 
 

@@ -4,7 +4,8 @@ A sweep evaluates every requested configuration at each parameter value
 (screening rho for full cooperation) and flags the per-point winner by
 `select_strategy`'s rule.  Rows are emitted in a fixed order so repeated
 runs produce byte-identical CSV files; failures are recorded in the
-status column instead of aborting the sweep.
+status column instead of aborting the sweep.  `COLUMNS` declares the
+table once: its header, `emit_csv` and `read_csv` follow it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from .network import NetworkConfig, derive_channels, relay_feasible
 from .scenarios import RELAY_SCENARIOS, Case, Objective, Scenario
 from .strategy import _pick, _solve_candidate, check_solver, screen_rho
 
-CSV_HEADER = "sweep_param,scenario,case,objective_kind,rho_star,obj_bits,B1_bits,B2_bits,t0,t1,t2,t3,status"
+# the table's columns in order: (CSV header name, SweepRow field, text column)
+COLUMNS = (
+    ("sweep_param", "sweep_param", False), ("scenario", "scenario", True), ("case", "case", True),
+    ("objective_kind", "objective_kind", True), ("rho_star", "rho_star", False),
+    ("obj_bits", "obj_bits", False), ("B1_bits", "b1_bits", False), ("B2_bits", "b2_bits", False),
+    ("t0", "t0", False), ("t1", "t1", False), ("t2", "t2", False), ("t3", "t3", False),
+    ("status", "status", True),
+)
+CSV_HEADER = ",".join(name for name, _, _ in COLUMNS)
 
 # default ranges of the two standard experiments
 ENERGY_RANGE = (25.0, 300.0, 25.0)      # X1 in mW, X2 fixed
@@ -78,20 +87,21 @@ class SweepSpec:
         return replace(self.base, d1=value, du=self.base.d2 - value)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepRow:
     sweep_param: float
     scenario: str
     case: str
     objective_kind: str
-    rho_star: float | None
-    obj_bits: float | None
-    b1_bits: float | None
-    b2_bits: float | None
-    t0: float | None
-    t1: float | None
-    t2: float | None
-    t3: float | None
+    # the figures of a solved row; None where the row has no point
+    rho_star: float | None = None
+    obj_bits: float | None = None
+    b1_bits: float | None = None
+    b2_bits: float | None = None
+    t0: float | None = None
+    t1: float | None = None
+    t2: float | None = None
+    t3: float | None = None
     status: str
     winner: bool = False
     # a candidate of the row's rho screen other than the reported one ended
@@ -99,32 +109,17 @@ class SweepRow:
     weak_screen: bool = False
 
 
-def _blank_row(value, scenario, case, objective, status) -> SweepRow:
-    return SweepRow(
-        sweep_param=value, scenario=scenario.value, case=case.value,
-        objective_kind=objective.value, rho_star=None, obj_bits=None,
-        b1_bits=None, b2_bits=None, t0=None, t1=None, t2=None, t3=None,
-        status=status,
-    )
-
-
-def _result_row(value, outcome) -> SweepRow:
-    slots = outcome.throughputs.slots
-    t1, t2 = float(slots[0]), float(slots[1])
-    t3 = float(slots[2]) if len(slots) > 2 else 0.0
-    return SweepRow(
-        sweep_param=value,
-        scenario=outcome.scenario.value,
-        case=outcome.case.value,
-        objective_kind=outcome.objective.value,
-        rho_star=outcome.rho,
-        obj_bits=outcome.objective_bits,
-        b1_bits=outcome.throughputs.b1_bits,
-        b2_bits=outcome.throughputs.b2_bits,
-        t0=outcome.throughputs.t0,
-        t1=t1, t2=t2, t3=t3,
-        status=outcome.result.status.value,
-    )
+def _row(value, scenario, case, objective, status, outcome=None) -> SweepRow:
+    """The row of one configuration; the figures come from an outcome with a point."""
+    row = SweepRow(sweep_param=value, scenario=scenario.value, case=case.value,
+                   objective_kind=objective.value, status=status)
+    if outcome is not None and outcome.result.x_star is not None:
+        tp = outcome.throughputs
+        row.rho_star, row.obj_bits, row.b1_bits, row.b2_bits, row.t0 = (
+            outcome.rho, outcome.objective_bits, tp.b1_bits, tp.b2_bits, tp.t0)
+        # a direct scenario has two slots, and its t3 reads 0
+        row.t1, row.t2, row.t3 = (float(t) for t in (*tp.slots, 0.0)[:3])
+    return row
 
 
 def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list[SweepRow]:
@@ -135,26 +130,22 @@ def _evaluate_group(spec: SweepSpec, value: float, objective: Objective) -> list
     solved = []          # (outcome, row) of every solved configuration, in row order
     for scenario in spec.scenarios:
         for case in Case:
-            if scenario in RELAY_SCENARIOS and not relay_ok:
-                rows.append(_blank_row(value, scenario, case, objective, "skipped_relay"))
-                continue
-            try:
-                if scenario is Scenario.S1:
-                    rho_star, table = screen_rho(cfg, case, objective, spec.solver)
-                    outcome = next(o for o in table if o.rho == rho_star)
-                else:
-                    table = _solve_candidate(scenario, case, objective, (0.0,), cfg, spec.solver)
-                    outcome = table[0]
-            except Exception as exc:
-                rows.append(_blank_row(value, scenario, case, objective,
-                                       f"error: {type(exc).__name__}: {exc}"))
-                continue
-            if outcome.result.x_star is None:       # a solve that raised, or no interior point
-                rows.append(_blank_row(value, scenario, case, objective, outcome.status))
-                continue
-            rows.append(_result_row(value, outcome))
-            rows[-1].weak_screen = any(o is not outcome and not o.result.converged for o in table)
-            solved.append((outcome, rows[-1]))
+            outcome, table, status = None, (), "skipped_relay"
+            if relay_ok or scenario not in RELAY_SCENARIOS:
+                try:
+                    if scenario is Scenario.S1:
+                        rho_star, table = screen_rho(cfg, case, objective, spec.solver)
+                        outcome = next(o for o in table if o.rho == rho_star)
+                    else:
+                        table = _solve_candidate(scenario, case, objective, (0.0,), cfg, spec.solver)
+                        outcome = table[0]
+                    status = outcome.status
+                except Exception as exc:
+                    status = f"error: {type(exc).__name__}: {exc}"
+            rows.append(_row(value, scenario, case, objective, status, outcome))
+            if rows[-1].obj_bits is not None:
+                rows[-1].weak_screen = any(o is not outcome and not o.result.converged for o in table)
+                solved.append((outcome, rows[-1]))
 
     # select_strategy's rule: within TIE_TOL of the best the earlier row wins
     winner = _pick([outcome for outcome, _ in solved])
@@ -194,20 +185,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return format(v, ".12g")
+def _cell(value, text: bool) -> str:
+    if text:
+        return value.replace(",", ";").replace("\n", " ")
+    return "" if value is None else format(value, ".12g")
 
 
 def _csv_line(row: SweepRow) -> str:
-    status = row.status.replace(",", ";").replace("\n", " ")
-    fields = [
-        _fmt(row.sweep_param), row.scenario, row.case, row.objective_kind,
-        _fmt(row.rho_star), _fmt(row.obj_bits), _fmt(row.b1_bits), _fmt(row.b2_bits),
-        _fmt(row.t0), _fmt(row.t1), _fmt(row.t2), _fmt(row.t3), status,
-    ]
-    return ",".join(fields)
+    return ",".join(_cell(getattr(row, field), text) for _, field, text in COLUMNS)
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
@@ -221,8 +206,10 @@ def emit_csv(rows: list[SweepRow], path) -> None:
         raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
 
 
-def _parse_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+def _value(cell: str, text: bool):
+    if text:
+        return cell
+    return None if cell == "" else float(cell)
 
 
 def read_csv(path) -> list[SweepRow]:
@@ -234,16 +221,9 @@ def read_csv(path) -> list[SweepRow]:
             raise ValueError(f"unexpected header in {path}: {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 13:
+            if len(parts) != len(COLUMNS):
                 raise ValueError(f"malformed row in {path}: {line!r}")
-            rows.append(SweepRow(
-                sweep_param=float(parts[0]), scenario=parts[1], case=parts[2],
-                objective_kind=parts[3], rho_star=_parse_float(parts[4]),
-                obj_bits=_parse_float(parts[5]), b1_bits=_parse_float(parts[6]),
-                b2_bits=_parse_float(parts[7]), t0=_parse_float(parts[8]),
-                t1=_parse_float(parts[9]), t2=_parse_float(parts[10]),
-                t3=_parse_float(parts[11]), status=parts[12],
-            ))
+            rows.append(SweepRow(**{field: _value(part, text) for (_, field, text), part in zip(COLUMNS, parts)}))
     return rows
 
 

@@ -1,6 +1,7 @@
 """Newton-barrier solver: line search pieces, stages and full solves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,16 @@ def test_overflowing_budget_ends_uncertified_not_raised():
         res = solve_nb(p)
     assert res.status is SolveStatus.MAX_ITERATIONS
     assert res.kkt_residual > 1e-6
+
+
+def test_lone_overflowing_solve_raises_no_runtime_warning():
+    # the solve shell runs every kernel under one errstate, so a lone solve
+    # (a `_One`, outside any stack) reads its overflows as a stacked one does
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.3), NetworkConfig(X2=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_nb(p)
+    assert res.status is SolveStatus.MAX_ITERATIONS
 
 
 def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):

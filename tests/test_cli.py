@@ -1,6 +1,8 @@
 """Command-line entry points: exit codes, config files, sweep output."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -190,6 +192,17 @@ def test_select_without_energy_reports_a_plain_zero(capsys):
     assert code == 0
     assert "objective : 0.000000 bits" in out
     assert "-0.000000" not in out
+
+
+def test_engine_warning_prints_as_one_line():
+    # quad ends S4-A uncertified at w1 = 0, and select warns about it; a
+    # child process, because pytest records the warnings of its own
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", "select", "--w1", "0", "--solver", "quad"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["ehcoop: warning: S4-A rho=0 did not converge (max_iterations)"]
 
 
 def test_select_with_zero_weights_exits_one(capsys):

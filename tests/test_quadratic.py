@@ -20,7 +20,6 @@ from ehcoop.program import (
 )
 from ehcoop.quadratic import (
     _FRAC,
-    LOCKSTEP_MIN,
     _float_step_limit,
     _ipm,
     _ipm_many,
@@ -597,12 +596,12 @@ def test_small_groups_run_the_scalar_ipm(monkeypatch):
     solve_iterative(programs[0])
     assert alone and not stacks
     alone.clear()
-    solve_iterative_many(programs[:LOCKSTEP_MIN - 1])
+    solve_iterative_many(programs[:1])
     assert alone and not stacks
     alone.clear()
-    solve_iterative_many(programs[:LOCKSTEP_MIN])
-    assert stacks and len(stacks[0][1]) == LOCKSTEP_MIN
-    assert all(len(X) >= LOCKSTEP_MIN for _, X in stacks)
+    solve_iterative_many(programs[:2])
+    assert stacks and len(stacks[0][1]) == 2
+    assert all(len(X) >= 2 for _, X in stacks)
 
 
 @pytest.mark.parametrize("backtracks", [1, 2, 40])

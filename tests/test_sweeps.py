@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 
 from ehcoop import (
-    NetworkConfig, Objective, Scenario, SweepSpec, emit_csv, emit_plotdata, run_sweep, strategy, sweeps,
+    NetworkConfig, Objective, Scenario, SolveResult, SweepSpec, emit_csv, emit_plotdata, run_sweep,
+    strategy, sweeps,
 )
 from ehcoop.cli import main
 from ehcoop.sweeps import (
@@ -155,21 +156,58 @@ def test_sweep_skips_relaying_when_the_link_is_weak():
 # -- serialization ----------------------------------------------------------
 
 
-def test_csv_round_trip_preserves_numeric_fields(tmp_path):
-    rows = run_sweep(tiny_energy_spec())
-    path = tmp_path / "sweep.csv"
-    emit_csv(rows, path)
-    back = read_csv(path)
-    assert len(back) == len(rows)
-    for a, b in zip(rows, back):
-        assert (a.scenario, a.case, a.objective_kind, a.status) == (
-            b.scenario, b.case, b.objective_kind, b.status)
-        assert b.obj_bits == pytest.approx(a.obj_bits, rel=1e-11)
-        assert b.t0 == pytest.approx(a.t0, rel=1e-11, abs=1e-11)
-    # a second emit of the parsed rows is byte-identical
-    path2 = tmp_path / "again.csv"
-    emit_csv(back, path2)
-    assert path2.read_bytes() == path.read_bytes()
+def raising_screens(monkeypatch):
+    def screen(*args):
+        raise ValueError("no rho, at all")
+
+    monkeypatch.setattr(sweeps, "screen_rho", screen)
+
+
+def pointless_solves(monkeypatch):
+    # the S4 outcomes keep their throughputs but lose their point
+    real = sweeps._solve_candidate
+
+    def solve(*args):
+        return [replace(o, result=SolveResult.infeasible(o.result.solver)) for o in real(*args)]
+
+    monkeypatch.setattr(sweeps, "_solve_candidate", solve)
+
+
+FIGURES = ("rho_star", "obj_bits", "b1_bits", "b2_bits", "t0", "t1", "t2", "t3")
+
+
+def test_csv_round_trip_preserves_numeric_fields(tmp_path, monkeypatch):
+    # every row kind: solved, skipped, raised (its comma escaped so the row
+    # keeps its 13 fields) and an outcome without a point
+    for patch, base, status in (
+        (None, NetworkConfig(), "converged"),
+        (None, NetworkConfig(du=3.0), "skipped_relay"),
+        (raising_screens, NetworkConfig(), "error: ValueError: no rho; at all"),
+        (pointless_solves, NetworkConfig(), "infeasible"),
+    ):
+        with monkeypatch.context() as m:
+            if patch:
+                patch(m)
+            rows = run_sweep(tiny_energy_spec(base=base, scenarios=(Scenario.S1, Scenario.S4)))
+        path = tmp_path / "sweep.csv"
+        emit_csv(rows, path)
+        back = read_csv(path)
+        assert len(back) == len(rows)
+        assert status in {b.status for b in back}
+        # a row without a point keeps only its status
+        assert all(getattr(b, name) is None for b in back if b.status != "converged" for name in FIGURES)
+        for a, b in zip(rows, back):
+            assert (a.sweep_param, a.scenario, a.case, a.objective_kind, a.status.replace(",", ";")) == (
+                b.sweep_param, b.scenario, b.case, b.objective_kind, b.status)
+            for name in FIGURES:
+                if getattr(a, name) is None:
+                    assert getattr(b, name) is None
+                else:
+                    assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-11, abs=1e-11)
+        # a second emit of the parsed rows is byte-identical
+        path2 = tmp_path / "again.csv"
+        emit_csv(back, path2)
+        assert path2.read_bytes() == path.read_bytes()
 
 
 def test_csv_header_and_blank_fields(tmp_path):
