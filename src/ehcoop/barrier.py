@@ -524,10 +524,9 @@ def _path(be, X, tau):
 
 
 def _seeds(program, tau, x):
-    """The barrier multipliers 1/(tau s) of every row at x, in `refine_multipliers`' blocks."""
-    lam = 1.0 / (tau * _point(program, x)[2])
-    m, k = program.n_nonlinear, program.n_nonlinear + program.lin_b.size
-    return lam[:m], lam[m:k], lam[k:]
+    """The barrier multipliers 1/(tau s) of every row at x, in `_point`'s row
+    order, which is `refine_multipliers`' as well."""
+    return 1.0 / (tau * _point(program, x)[2])
 
 
 def solve_nb(program) -> SolveResult:

@@ -138,9 +138,7 @@ def _print_result(tag, spec, cfg, result, tp):
     print(f"  B1, B2     : {tp.b1_bits:.6f}, {tp.b2_bits:.6f} bits")
     slots = ", ".join(f"{t:.6f}" for t in tp.slots)
     print(f"  t0, slots  : {tp.t0:.6f} | {slots}")
-    powers = []
-    for t, y in zip(tp.slots, result.x_star[len(tp.slots):]):
-        powers.append(f"{(y / t if t > 0 else 0.0):.6f}" if t else "0")
+    powers = (f"{y / t:.6g}" if t > 0 else "0" for t, y in zip(tp.slots, result.x_star[len(tp.slots):]))
     print(f"  P (W)      : {', '.join(powers)}")
     print(f"  violation  : {result.max_constraint_violation:.3e}  "
           f"kkt: {result.kkt_residual:.3e}")

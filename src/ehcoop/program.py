@@ -29,6 +29,10 @@ lockstep Newton iterations and quad's lockstep rounds evaluate through it.
 Both solvers run in one shell, `solve_many` (`start`, the infeasible
 result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
 `finish`), and solve their Newton systems with `regularized_solve`.
+`finish` takes the solver's multipliers as one array, one per row in the
+order epigraph rows, linear rows, then -x_i <= 0 on `positive_indices`
+(the rows of `affine_rows` after the epigraph ones), and its refinement
+and residual read one Lagrangian gradient.
 """
 
 from __future__ import annotations
@@ -548,23 +552,24 @@ KKT_TOL = 1e-6
 _ACTIVE_TOL = 1e-4
 
 
-def stationarity_residual(program, x, lam_nonlinear, lam_linear, lam_positive) -> float:
-    """Infinity norm of the Lagrangian gradient for given multipliers.
+def _lagrangian_gradient(program, ev: Evaluation, lam: np.ndarray) -> np.ndarray:
+    """Gradient of the Lagrangian at the point of `ev`, `lam` one multiplier
+    per row: epigraph rows, linear rows, then -x_i <= 0 on `positive_indices`."""
+    m, k = program.n_nonlinear, program.n_nonlinear + len(program.lin_b)
+    r = ev.grad + ev.G.T @ lam[:m]
+    r += program.lin_A.T @ lam[m:k]
+    r[list(program.positive_indices)] -= lam[k:]
+    return r
 
-    The multiplier blocks follow the constraint order: nonlinear rows,
-    linear rows, then the nonnegativity bounds on `positive_indices`.
-    """
-    ev = program.evaluate(x)
-    r = ev.grad + ev.G.T @ np.asarray(lam_nonlinear, dtype=float)
-    lam_linear = np.asarray(lam_linear, dtype=float)
-    if lam_linear.size:
-        r += program.lin_A.T @ lam_linear
-    for idx, nu in zip(program.positive_indices, lam_positive):
-        r[idx] -= nu
+
+def stationarity_residual(program, x, lam) -> float:
+    """Infinity norm of the Lagrangian gradient for the multipliers `lam`,
+    one per row in `_lagrangian_gradient`'s order."""
+    r = _lagrangian_gradient(program, program.evaluate(x), np.asarray(lam, dtype=float))
     return float(np.abs(r).max())
 
 
-def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive):
+def refine_multipliers(program, x, lam) -> np.ndarray:
     """Least-squares correction of multiplier seeds at a final iterate.
 
     Whatever produced the seeds (barrier weights, the dual solution of the
@@ -573,42 +578,19 @@ def refine_multipliers(program, x, lam_nonlinear, lam_linear, lam_positive):
     coordinate representation error, or a slightly shifted expansion point
     all project onto that span.  Those rows get a least-squares correction,
     clipped at zero to keep the multipliers valid; rows with slack beyond
-    `_ACTIVE_TOL` keep their seeds.  Returns new blocks in constraint order.
+    `_ACTIVE_TOL` keep their seeds.  `lam` and the returned vector hold one
+    multiplier per row in `_lagrangian_gradient`'s order.
     """
     x = np.asarray(x, dtype=float)
-    lam_nl = np.array(lam_nonlinear, dtype=float)
-    lam_lin = np.array(lam_linear, dtype=float)
-    lam_pos = np.array(lam_positive, dtype=float)
+    lam = np.array(lam, dtype=float)
     ev = program.evaluate(x)
-    pos = list(program.positive_indices)
-    slack_lin = program.lin_b - program.lin_A @ x if len(program.lin_b) else np.zeros(0)
-
-    cols = []
-    slots = []
-    for j, c in enumerate(ev.c):
-        if -c <= _ACTIVE_TOL:
-            cols.append(ev.G[j])
-            slots.append((lam_nl, j))
-    for j, s in enumerate(slack_lin):
-        if s <= _ACTIVE_TOL:
-            cols.append(program.lin_A[j])
-            slots.append((lam_lin, j))
-    for k, i in enumerate(pos):
-        if x[i] <= _ACTIVE_TOL:
-            e = np.zeros(x.size)
-            e[i] = -1.0
-            cols.append(e)
-            slots.append((lam_pos, k))
-    if cols:
-        r = ev.grad + ev.G.T @ lam_nl
-        if lam_lin.size:
-            r += program.lin_A.T @ lam_lin
-        for k, i in enumerate(pos):
-            r[i] -= lam_pos[k]
-        delta, *_ = np.linalg.lstsq(np.column_stack(cols), -r, rcond=None)
-        for (block, j), d in zip(slots, delta):
-            block[j] = max(block[j] + d, 0.0)
-    return lam_nl, lam_lin, lam_pos
+    A, b = program.affine_rows
+    active = np.concatenate((-ev.c, b - A @ x)) <= _ACTIVE_TOL
+    if active.any():
+        normals = np.concatenate((ev.G, A))[active]
+        delta, *_ = np.linalg.lstsq(normals.T, -_lagrangian_gradient(program, ev, lam), rcond=None)
+        lam[active] = np.maximum(lam[active] + delta, 0.0)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +672,14 @@ def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: boo
            outer: int, inner: int, tau: float) -> SolveResult:
     """The result at the final iterate x of the reduced program `pre.program`.
 
-    `seeds`, the solver's multipliers in `refine_multipliers`' blocks, are
-    refined before the KKT residual is taken; without seeds it is infinite.
+    `seeds`, the solver's multipliers with one per row in
+    `refine_multipliers`' order, are refined before the KKT residual is
+    taken; without seeds it is infinite.
     A solve counts as converged only when its point carries the
     certificate: violation <= 0 and a KKT residual at most KKT_TOL.
     """
     red = pre.program
-    kkt = math.inf if seeds is None else stationarity_residual(red, x, *refine_multipliers(red, x, *seeds))
+    kkt = math.inf if seeds is None else stationarity_residual(red, x, refine_multipliers(red, x, seeds))
     x_full = pre.expand(x)
     violation = program.max_violation(x_full)
     converged = converged and kkt <= KKT_TOL and violation <= 0.0

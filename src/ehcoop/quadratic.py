@@ -18,8 +18,10 @@ is rebuilt at the new point until two successive solutions coincide.  Any
 slot whose time fell below the expansion floor is then put on the ray its
 multipliers ask for, unless that moves the point by more than _SETTLE_TOL,
 and `program.finish` builds the result from the last converged
-subproblem's duals: a settled point counts as converged only with the
-certificate both solvers share (violation <= 0, KKT residual <= KKT_TOL).
+subproblem's duals of the program's own rows (all but the box's), one
+array in the program's row order: a settled point counts as converged
+only with the certificate both solvers share (violation <= 0, KKT
+residual <= KKT_TOL).
 
 The Newton direction of an interior-point step linearizes each curved
 slack as s - alpha p, while along the step it is s - alpha p - alpha^2 q / 2
@@ -210,8 +212,7 @@ _REGULARIZE = 1e-12
 @dataclass
 class SubproblemSolution:
     x: np.ndarray
-    lam_constraints: np.ndarray   # multipliers of the subproblem rows, in order
-    lam_bounds: np.ndarray        # multipliers for the nonnegativity bounds
+    lam: np.ndarray               # multipliers of every subproblem row, in `_Stack` order
     iters: int
     kkt_residual: float           # dual residual, subproblem metric
     gap: float                    # final duality measure
@@ -259,13 +260,12 @@ def _float_step_limit(lam, dlam, s, p, q) -> float:
 class _Stack:
     """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
     H) and the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, whose
-    first m rows (the curved ones) carry the Hessians nl_H.  The n_con rows
-    of each subproblem (curved, linear, then any trust-region box) come
-    first, then -x_i <= 0 per positive coordinate."""
+    first m rows (the curved ones) carry the Hessians nl_H.  The rows of
+    each subproblem are the curved ones, the linear ones, any trust-region
+    box, then -x_i <= 0 per positive coordinate."""
 
-    def __init__(self, c0, g, H, A, b0, nl_H, n_con):
+    def __init__(self, c0, g, H, A, b0, nl_H):
         self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
-        self.n_con = n_con
 
     def take(self, keep) -> "_Stack":
         """The subproblems at the positions `keep`."""
@@ -297,7 +297,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     (`_float_step_limit`, `program.all_positive`), with numpy's bits.
     """
     g, H, A, b0, nl_H = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0]
-    n, m, n_con = len(g), len(nl_H), st.n_con
+    n, m = len(g), len(nl_H)
     H_rows = nl_H.reshape(m, n * n)
     J = len(b0)
 
@@ -327,8 +327,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
         mu_hat = float(lam @ s) / J
         if mu_hat <= _IPM_TOL and (res := float(np.abs(r_d).max())) <= _IPM_TOL:
             return SubproblemSolution(
-                x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
-                iters=iters - 1, kkt_residual=res, gap=mu_hat, converged=True,
+                x=x, lam=lam, iters=iters - 1, kkt_residual=res, gap=mu_hat, converged=True,
             )
         target = _SIGMA * mu_hat
 
@@ -377,8 +376,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     mu_hat = float(lam @ s) / J
     res = float(np.abs(r_d).max())
     return SubproblemSolution(
-        x=x, lam_constraints=lam[:n_con], lam_bounds=lam[n_con:],
-        iters=iters, kkt_residual=res, gap=mu_hat,
+        x=x, lam=lam, iters=iters, kkt_residual=res, gap=mu_hat,
         converged=res <= _IPM_TOL and mu_hat <= _IPM_TOL,
     )
 
@@ -398,7 +396,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
     leaves the stack at its own stop.
     """
     K, J = st.b0.shape
-    n, m, n_con = st.g.shape[1], st.nl_H.shape[1], st.n_con
+    n, m = st.g.shape[1], st.nl_H.shape[1]
     live = np.arange(K)
     S, G = st.state(X)
     if S.min() <= 0.0:
@@ -410,7 +408,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
     def leave(ks, iters, mu, res):
         for k in ks:
             out[live[k]] = SubproblemSolution(
-                x=X[k], lam_constraints=L[k, :n_con], lam_bounds=L[k, n_con:], iters=iters,
+                x=X[k], lam=L[k], iters=iters,
                 kkt_residual=float(res[k]), gap=float(mu[k]),
                 converged=bool(res[k] <= _IPM_TOL and mu[k] <= _IPM_TOL))
 
@@ -541,7 +539,7 @@ def _box_floors(p: ConvexProgram) -> np.ndarray:
         0.02 * caps[i] if math.isfinite(caps[i]) and caps[i] > 0.0 else 1.0 for i in p.y_indices])
 
 
-def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np.ndarray:
+def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
     """Put each slot whose time is below `_T_FLOOR` on the ray its multipliers ask for.
 
     Such a slot sits at the corner t = y = 0 of its perspective terms, where
@@ -561,8 +559,9 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam_nl, lam_lin) -> np
     bits below nb's).  On the energy, distance and edge grids every move is
     at most 7.7e-10.
     """
-    pull = p.objective_linear + p.lin_A.T @ lam_lin
-    w = list(lam_nl) + [1.0]
+    m = p.n_nonlinear
+    pull = p.objective_linear + p.lin_A.T @ lam[m:m + len(p.lin_b)]
+    w = list(lam[:m]) + [1.0]
     slots: dict[tuple[int, int], list] = {}
     for row, gamma, coeff, ti, yi in p.term_table:
         if x[ti] < _T_FLOOR:
@@ -676,7 +675,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
             # by up to its own complementarity offset, lam . s = J * gap, so
             # the deterioration guard sits above that offset
             worse = max(1e-8 * (1.0 + abs(f_x)),
-                        (len(clean.lam_constraints) + len(clean.lam_bounds)) * clean.gap)
+                        len(clean.lam) * clean.gap)
             if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + worse:
                 break
             x, f_x, sol = reply.cand, reply.f_cand, clean
@@ -690,9 +689,9 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         # residual, which `finish` refines against the true gradients.  On
         # a flat optimal face the rounds can settle while a slot still
         # crawls towards t = 0, where the gradient does not certify it
-        n_nl, n_lin = red.n_nonlinear, len(red.lin_b)
-        seeds = (sol.lam_constraints[:n_nl], sol.lam_constraints[n_nl:n_nl + n_lin], sol.lam_bounds)
-        x = _settle_unused_slots(red, x, *seeds[:2])
+        ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
+        seeds = np.concatenate((sol.lam[:ml], sol.lam[len(sol.lam) - n_pos:]))
+        x = _settle_unused_slots(red, x, seeds)
     return x, seeds, settled, moves if settled else rounds, inner_total, math.nan
 
 
@@ -771,17 +770,16 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
     boxed = asks[0].delta is not None
     A, b0 = lay.A[boxed][rows], lay.b0[boxed][rows]
     A[:, :m], b0[:, :m] = g[:, :m], const[:, :m]
-    n_con = b0.shape[1] - len(pos)
     if boxed:
         c = X[:, pos]
         r = np.array([[ask.delta] for ask in asks]) * np.maximum(np.abs(c), lay.floors[rows])
-        edges = b0[:, n_con - 2 * len(pos):n_con].reshape(K, -1, 2)     # a view: (hi, lo) per coordinate
+        edges = b0[:, -3 * len(pos):-len(pos)].reshape(K, -1, 2)     # a view: (hi, lo) per coordinate
         np.negative(c + r, out=edges[:, :, 0])
         # the lower edge never reaches zero (the interior-point iterates
         # keep c > 0): a log term frozen at the origin cannot be revived by
         # a local quadratic model
         np.maximum(c - r, 0.25 * c, out=edges[:, :, 1])
-    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], n_con)
+    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m])
     X0 = _under_caps(red.aux_index, X, sums, _IPM_BACKOFF)
     sols = [_ipm(st, X0[0])] if K == 1 else _ipm_many(st, X0)
 

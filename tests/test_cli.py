@@ -21,6 +21,16 @@ def test_solve_prints_a_report(capsys):
     assert "converged" in out
 
 
+def test_solve_prints_overflowing_powers_in_short_form(capsys):
+    # the Newton steps of this solve overflow, leaving slot powers near 1e298 W
+    code = main(["solve", "--scenario", "S1", "--case", "A", "--rho", "0.3", "--X2", "1e300"])
+    out = capsys.readouterr().out
+    assert code == 2
+    line, = [row for row in out.splitlines() if row.lstrip().startswith("P (W)")]
+    fields = line.split(":", 1)[1].split(",")
+    assert len(fields) == 3 and all(len(field.strip()) <= 12 for field in fields)
+
+
 def test_solve_both_solvers_reports_agreement(capsys):
     code = main(["solve", "--scenario", "S3", "--case", "B", "--solver", "both"])
     out = capsys.readouterr().out

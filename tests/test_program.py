@@ -17,6 +17,7 @@ from ehcoop.program import (
     perspective_gradient,
     perspective_value,
     presolve_program,
+    refine_multipliers,
     regularized_solve,
     solve_many,
     stack_key,
@@ -346,8 +347,39 @@ def test_stationarity_residual_vanishes_with_exact_multipliers():
         t_indices=(0,), y_indices=(), var_names=("t",), labels=("long",),
     )
     x = np.array([0.5])
-    assert stationarity_residual(p, x, [], [1.0], [0.0]) == pytest.approx(0.0)
-    assert stationarity_residual(p, x, [], [0.0], [0.0]) == pytest.approx(1.0)
+    assert stationarity_residual(p, x, [1.0, 0.0]) == pytest.approx(0.0)
+    assert stationarity_residual(p, x, [0.0, 0.0]) == pytest.approx(1.0)
+
+
+def test_refine_multipliers_corrects_only_the_active_rows():
+    # variables (t, y, y2, r): the epigraph row r <= t ln(1 + 2y/t), the
+    # linear rows t + y <= 2 and t <= 5, then the bounds on t, y and y2;
+    # at (1, 1, 0, ln 3) the epigraph row, t + y <= 2 and y2 >= 0 are active
+    gamma, coeff = 2.0, 1.5
+    t, y = 1.0, 1.0
+    x = np.array([t, y, 0.0, coeff * t * math.log1p(gamma * y / t)])
+    g, _ = perspective_gradient(gamma, t, y)
+    normals = np.array([
+        [coeff * g[0], coeff * g[1], 0.0, 1.0],
+        [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+    ])
+    # the objective makes these multipliers stationary, slack rows' seeds included
+    exact = np.array([1.0, 0.7, 0.2, 0.05, 0.02, 0.5])
+    p = ConvexProgram(
+        n_vars=4, objective_linear=-normals.T @ exact, term_table=((0, gamma, coeff, 0, 1),),
+        aux_index=(3,), lin_A=normals[1:3], lin_b=np.array([2.0, 5.0]),
+        t_indices=(0,), y_indices=(1, 2), var_names=("t", "y", "y2", "r"),
+        labels=("rate", "budget", "cap"),
+    )
+    active = np.array([True, True, False, False, False, True])
+    seeds = exact + np.where(active, [0.3, -0.2, 0.0, 0.0, 0.0, 0.4], 0.0)
+    assert stationarity_residual(p, x, seeds) > 0.1
+    lam = refine_multipliers(p, x, seeds)
+    assert len(lam) == len(normals)
+    assert stationarity_residual(p, x, lam) <= 1e-12
+    assert np.array_equal(lam[~active], seeds[~active])
+    assert (lam >= 0.0).all()
 
 
 # -- the solve shell and the shared Newton solve -------------------------------

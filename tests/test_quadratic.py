@@ -161,14 +161,15 @@ def test_quadratize_orders_model_rows_first():
     # -x_i <= -lo, per positive coordinate) and the bounds -x_i <= 0
     m, n, npos = 2, 7, len(red.positive_indices)
     assert st.nl_H.shape == (1, m, n, n) and all(st.nl_H[0, j].any() for j in range(m))
-    assert st.A.shape == (1, m + 4 + 3 * npos, n) and st.n_con == m + 4 + 2 * npos
+    n_con = m + 4 + 2 * npos
+    assert st.A.shape == (1, n_con + npos, n)
     rows = st.A[0, m:]
     assert np.array_equal(rows[:4], red.lin_A) and np.array_equal(st.b0[0, m:m + 4], -red.lin_b)
     eye = np.eye(n)[list(red.positive_indices)]
     assert np.array_equal(rows[4:4 + 2 * npos:2], eye) and np.array_equal(rows[5:4 + 2 * npos:2], -eye)
-    assert np.array_equal(rows[4 + 2 * npos:], -eye) and not st.b0[0, st.n_con:].any()
+    assert np.array_equal(rows[4 + 2 * npos:], -eye) and not st.b0[0, n_con:].any()
     # the box edges sit around the ask's point
-    box = st.b0[0, m + 4:st.n_con]
+    box = st.b0[0, m + 4:n_con]
     assert (-box[0::2] > ask.x[list(red.positive_indices)]).all()
     assert (box[1::2] < ask.x[list(red.positive_indices)]).all()
 
@@ -187,13 +188,13 @@ def test_lp_subproblem_recovers_primal_and_dual():
     # max t s.t. t <= 1, then the bound -t <= 0
     st = quadratic._Stack(
         c0=np.zeros(1), g=np.array([[-1.0]]), H=np.zeros((1, 1, 1)),
-        A=np.array([[[1.0], [-1.0]]]), b0=np.array([[-1.0, 0.0]]), nl_H=np.zeros((1, 0, 1, 1)), n_con=1,
+        A=np.array([[[1.0], [-1.0]]]), b0=np.array([[-1.0, 0.0]]), nl_H=np.zeros((1, 0, 1, 1)),
     )
     sol = _ipm(st, np.array([0.4]))
     assert sol.converged
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
-    assert sol.lam_constraints[0] == pytest.approx(1.0, abs=1e-6)
-    assert sol.lam_bounds[0] == pytest.approx(0.0, abs=1e-6)
+    assert sol.lam[0] == pytest.approx(1.0, abs=1e-6)
+    assert sol.lam[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def _step_limit_loop(lam, dlam, s, p, q, frac):
@@ -280,7 +281,7 @@ def test_trial_with_a_nan_slack_after_a_positive_one_is_rejected(monkeypatch):
     st = quadratic._Stack(
         c0=np.zeros(1), g=np.array([[-1.0, -1.0]]), H=np.zeros((1, 2, 2)),
         A=np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]]),
-        b0=np.array([[-1.0, -1.0, 0.0, 0.0]]), nl_H=np.zeros((1, 0, 2, 2)), n_con=2,
+        b0=np.array([[-1.0, -1.0, 0.0, 0.0]]), nl_H=np.zeros((1, 0, 2, 2)),
     )
     monkeypatch.setattr(quadratic, "regularized_solve", lambda M, rhs, bump: (np.array([0.1, math.nan]), False))
     x0 = np.array([0.4, 0.4])
@@ -416,6 +417,29 @@ def test_settle_keeps_a_slot_that_still_holds_energy():
     assert 1e-6 < res.kkt_residual < math.inf
     assert res.x_star[5] > 0.02
     assert solve_nb(p).objective_bits - res.objective_bits > 1e-6
+
+
+def test_finish_gets_no_multiplier_of_a_box_row():
+    # one boxed reply whose model sees no descent settles the rounds, and an
+    # unconverged polish leaves the certificate to it: its curved and linear
+    # rows' multipliers and its last n_pos (the bounds -x_i <= 0) seed
+    # `finish`, none of its 2 n_pos box rows'
+    pre, x0 = start(relay_program())
+    red = pre.program
+    ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
+    lam = np.arange(1.0, ml + 3 * n_pos + 1.0)
+    f_x = red.objective_value(x0)
+    rounds = quadratic._rounds(red, x0)
+    assert next(rounds).delta is not None
+    boxed = quadratic.SubproblemSolution(x=x0, lam=lam, iters=3, kkt_residual=0.0, gap=0.0, converged=True)
+    assert rounds.send(quadratic._Reply(boxed, x0, f_x, f_x)).delta is None
+    polish = quadratic.SubproblemSolution(x=x0, lam=lam + 100.0, iters=5, kkt_residual=1.0, gap=1.0,
+                                          converged=False)
+    with pytest.raises(StopIteration) as done:
+        rounds.send(quadratic._Reply(polish, None, math.nan, math.nan))
+    x, seeds, settled, *_ = done.value.value
+    assert settled and np.array_equal(x, x0)
+    assert np.array_equal(seeds, np.concatenate((lam[:ml], lam[-n_pos:])))
 
 
 def spy_asks(monkeypatch):
@@ -624,8 +648,7 @@ def test_stacked_ipm_keeps_every_rule_per_program(backtracks, monkeypatch):
             alone = _ipm(st.take([k]), X[k])
             assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
             assert np.array_equal(lock.x, alone.x)
-            assert np.array_equal(lock.lam_constraints, alone.lam_constraints)
-            assert np.array_equal(lock.lam_bounds, alone.lam_bounds)
+            assert np.array_equal(lock.lam, alone.lam)
             assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
             stuck += not alone.converged and alone.iters < quadratic._IPM_MAX_ITERS
     assert (stuck > 0) == (backtracks < 40)
@@ -667,13 +690,12 @@ def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch)
             lifted |= bool((ask.x[list(lay.programs[row].t_indices)] < quadratic._T_FLOOR).any())
             alone, one, x0 = answer_alone(lay, row, ask)
             model = st.take([k])
-            for name in ("c0", "g", "H", "A", "b0", "nl_H", "n_con"):
+            for name in ("c0", "g", "H", "A", "b0", "nl_H"):
                 assert np.array_equal(getattr(model, name), getattr(one, name)), name
             assert np.array_equal(X0[k], x0)
             assert np.array_equal(reply.sol.x, alone.sol.x)
             assert reply.sol.iters == alone.sol.iters
-            assert np.array_equal(reply.sol.lam_constraints, alone.sol.lam_constraints)
-            assert np.array_equal(reply.sol.lam_bounds, alone.sol.lam_bounds)
+            assert np.array_equal(reply.sol.lam, alone.sol.lam)
             if alone.sol.converged:
                 assert np.array_equal(reply.cand, alone.cand)
                 assert (reply.f_model, reply.f_cand) == (alone.f_model, alone.f_cand)
@@ -700,8 +722,7 @@ def test_quad_screens_raise_no_runtime_warning():
 def stack_of(subs):
     """One-program `_Stack`s of one shape as the one `_Stack` `_ipm_many` steps."""
     names = ("c0", "g", "H", "A", "b0", "nl_H")
-    return quadratic._Stack(*(np.concatenate([getattr(st, name) for st in subs]) for name in names),
-                            subs[0].n_con)
+    return quadratic._Stack(*(np.concatenate([getattr(st, name) for st in subs]) for name in names))
 
 
 def s2_model(x=None, delta=None):
@@ -728,7 +749,7 @@ def test_corrected_step_ends_the_curved_row_stall(monkeypatch):
     for lock, (sub, x) in zip(stacked, pairs, strict=True):
         alone = _ipm(sub, x)
         assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
-        for name in ("x", "lam_constraints", "lam_bounds"):
+        for name in ("x", "lam"):
             assert np.array_equal(getattr(lock, name), getattr(alone, name)), name
         assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
     # without the correction the stall is back
