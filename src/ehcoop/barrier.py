@@ -77,12 +77,13 @@ stacked evaluation (`program.ProgramStack`, whose term pass `_Stack`
 wraps), Hessian and linear solve on (K, n, n) per Newton iteration.
 Every other program, and so every `solve_nb`, runs alone on a `_One`:
 the scalar `barrier_value`, `barrier_gradient`, `_newton_direction` and
-`alpha_linear`, one `program.evaluate` pass and one affine-row pass per
-iterate.  The two agree term by term to a few ulps
-and take the same Newton steps on the default screens.  There a stack of
-2, 3 and 4 programs takes 0.95, 0.68 and 0.56 of the time of as many
-`_One` runs; at 2 the gain is too small to change the arithmetic that
-two-candidate screens get, so LOCKSTEP_MIN is 3.  `program.solve_many`
+`alpha_linear`, on one `program.point_rows` view per iterate.  The two
+agree term by term to a few ulps and take the same Newton steps on the
+default screens.  There a stack of 3 and 4 programs takes 0.68 and 0.56
+of the time of as many `_One` runs, and of 2 0.95 (the median of 20
+alternating passes over the 24 two-candidate screens at d1 = 0.2, range
+0.70-1.13): too small a gain to change the arithmetic that two-candidate
+screens get, so LOCKSTEP_MIN is 3.  `program.solve_many`
 runs every kernel call under one `np.errstate`, so the NaN and inf of a
 trial point off the domain, which the barrier reads as +inf, warn on
 neither path.  The solver keeps no per-step log.
@@ -99,7 +100,8 @@ import math
 
 import numpy as np
 
-from .program import ProgramStack, SolveResult, all_positive, regularized_solve, solve_many
+from .program import (ProgramStack, SolveResult, all_positive, lagrangian_gradient, point_rows,
+                      regularized_solve, solve_many)
 
 # steps towards unconstrained directions are capped here instead of at infinity
 ALPHA_CAP = 1e6
@@ -153,31 +155,24 @@ def barrier_value(program, tau: float, x: np.ndarray) -> float:
     return f - (sum(math.log(-cj) for cj in c) + sum(map(math.log, s))) / tau
 
 
-def _point(program, x):
-    """`program.evaluate(x)` and every barrier row at x: gradients (nonlinear rows,
-    then affine ones) and slacks."""
-    ev = program.evaluate(x)
-    A, b = program.affine_rows
-    return ev, np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))
+def barrier_gradient(view, tau: float) -> np.ndarray:
+    """Barrier gradient at a `program.point_rows` view: the Lagrangian gradient at
+    the barrier multipliers 1/(tau s)."""
+    return lagrangian_gradient(view, 1.0 / (tau * view[2]))
 
 
-def barrier_gradient(program, tau: float, x: np.ndarray, point=None) -> np.ndarray:
-    """Barrier gradient; `point` is `_point(program, x)` when the caller already has it."""
-    ev, A, s = _point(program, x) if point is None else point
-    return ev.grad + A.T @ (1.0 / (tau * s))
-
-
-def barrier_hessian(program, tau: float, x: np.ndarray, point=None) -> np.ndarray:
-    """Barrier Hessian; the curvature of row j is weighted by -1/(tau c_j)."""
-    ev, A, s = _point(program, x) if point is None else point
+def barrier_hessian(view, tau: float) -> np.ndarray:
+    """Barrier Hessian at a `program.point_rows` view; the curvature of row j is
+    weighted by -1/(tau c_j)."""
+    ev, rows, s = view
     H = ev.curvature((-1.0 / (tau * ev.c)).tolist() + [1.0])
-    return H + (A.T / (tau * s * s)) @ A
+    return H + (rows.T / (tau * s * s)) @ rows
 
 
-def _newton_direction(program, tau, x, g, point=None):
+def _newton_direction(view, tau, g):
     """Solve H d = -g for the current barrier stage, g one or more columns; also says
     whether H was regularized."""
-    return regularized_solve(barrier_hessian(program, tau, x, point), -g, REGULARIZE)
+    return regularized_solve(barrier_hessian(view, tau), -g, REGULARIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +180,10 @@ def _newton_direction(program, tau, x, g, point=None):
 # ---------------------------------------------------------------------------
 
 
-def alpha_linear(program, x: np.ndarray, d: np.ndarray, slack=None) -> float:
-    """Largest safe step against linear rows and coordinate axes; `slack` is b - A x if known."""
-    A, b = program.affine_rows
-    along = A @ d
+def alpha_linear(program, slack: np.ndarray, d: np.ndarray) -> float:
+    """Largest safe step against linear rows and coordinate axes, `slack` = b - A x."""
+    along = program.affine_rows[0] @ d
     hit = along > 0.0
-    slack = b - A @ x if slack is None else slack
     return SHRINK * float((slack[hit] / along[hit]).min(initial=ALPHA_CAP))
 
 
@@ -278,23 +271,22 @@ class _One:
         return [barrier_value(self.program, tau, X[0])]
 
     def newton(self, X, tau):
-        p, x = self.program, X[0]
-        point = _point(p, x)
-        ev = point[0]
-        g = barrier_gradient(p, tau, x, point)
-        dz, _ = _newton_direction(p, tau, x, np.array((g, ev.grad)).T, point)
+        view = point_rows(self.program, X[0])
+        ev, _, s = view
+        g = barrier_gradient(view, tau)
+        dz, _ = _newton_direction(view, tau, np.array((g, ev.grad)).T)
         d = dz[:, 0]
         return ([ev.f], [float(np.abs(g).max())], [float(g @ d)], d, dz[None, :, 1],
-                point[2][p.n_nonlinear:])
+                s[self.program.n_nonlinear:])
 
     def first_steps(self, X, d, slack):
-        return [min(1.0, alpha_linear(self.program, X[0], d, slack))]
+        return [min(1.0, alpha_linear(self.program, slack, d))]
 
     def norms(self, d):
         return [float(np.linalg.norm(d))]
 
     def gnorm(self, X, tau):
-        return [float(np.abs(barrier_gradient(self.program, tau, X[0])).max())]
+        return [float(np.abs(barrier_gradient(point_rows(self.program, X[0]), tau)).max())]
 
     def step(self, X, d, a):
         return X + a[0] * d if a[0] > 0.0 else X
@@ -340,7 +332,7 @@ class _Stack:
         """The `evaluate` pass and the barrier gradient g, stacked.
 
         Returns (f, grad f, g, c, slacks, row gradients, term factors) with
-        the rows nonlinear first, as in `_point`, and the factors (v_t, v_y)
+        the rows in `program.point_rows`' order, and the factors (v_t, v_y)
         of each term's rank-one Hessian.
         """
         t, y, aux, Ax = self._terms(X)
@@ -523,12 +515,6 @@ def _path(be, X, tau):
         f_x = [fp if up else fx for fp, fx, up in zip(f_p, f_x, kept)]
 
 
-def _seeds(program, tau, x):
-    """The barrier multipliers 1/(tau s) of every row at x, in `_point`'s row
-    order, which is `refine_multipliers`' as well."""
-    return 1.0 / (tau * _point(program, x)[2])
-
-
 def solve_nb(program) -> SolveResult:
     """Interior-point solve of a canonical program via the log barrier, from the
     deterministic interior point of its presolved (zero budgets pinned) form."""
@@ -538,12 +524,13 @@ def solve_nb(program) -> SolveResult:
 def _kernel(reduced, X):
     """The barrier paths of reduced programs of one `stack_key` from their
     starts X, as `program.solve_many` takes them: on one `_Stack` from
-    LOCKSTEP_MIN programs on, else each on a `_One`."""
+    LOCKSTEP_MIN programs on, else each on a `_One`.  Each path's seeds are
+    its barrier multipliers 1/(tau s), one per row of `program.point_rows`."""
     if len(reduced) >= LOCKSTEP_MIN:
         paths = _path(_Stack(reduced), X, TAU0)
     else:
         paths = [_path(_One(p), X[k:k + 1], TAU0)[0] for k, p in enumerate(reduced)]
-    return [(x, _seeds(p, tau, x), converged, stages, steps, tau)
+    return [(x, 1.0 / (tau * point_rows(p, x)[2]), converged, stages, steps, tau)
             for p, (x, tau, converged, stages, steps) in zip(reduced, paths)]
 
 

@@ -255,11 +255,13 @@ def _cmd_validate(args) -> int:
     if started is None:
         raise RuntimeError(f"the {tag} program has no interior point to check derivatives at")
     pre, x0 = started
-    fd = finite_diff_check(pre.program, x0, tau=1.0)
-    checks.append(("derivatives vs finite differences (gradient)",
-                   fd["gradient"] <= 1e-6, f"{tag}, {fd['gradient']:.3e}"))
-    checks.append(("derivatives vs finite differences (Hessian)",
-                   fd["hessian"] <= 1e-4, f"{tag}, {fd['hessian']:.3e}"))
+    try:
+        fd = finite_diff_check(pre.program, x0, tau=1.0)
+        derivs = [(fd[k] <= tol, f"{tag}, {fd[k]:.3e}") for k, tol in (("gradient", 1e-6), ("hessian", 1e-4))]
+    except ValueError as exc:   # a difference step crossed a coordinate bound (a tiny budget)
+        derivs = [(False, f"{tag}, a difference step left the domain: {exc}")] * 2
+    for kind, (ok, detail) in zip(("gradient", "Hessian"), derivs):
+        checks.append((f"derivatives vs finite differences ({kind})", ok, detail))
 
     for scenario in (Scenario.S3, Scenario.S4):
         sp = ScenarioSpec(scenario, Case.A, Objective.WEIGHTED_SUM)

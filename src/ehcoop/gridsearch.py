@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import barrier_gradient, barrier_hessian, barrier_value
-from .program import LN2, ConvexProgram, aux_bounds
+from .program import LN2, ConvexProgram, aux_bounds, point_rows
 
 # the grid oracle refuses grids of more points than this
 MAX_GRID_POINTS = 1e8
@@ -158,8 +158,8 @@ def finite_diff_check(program, x: np.ndarray, tau: float | None = None) -> dict:
     if tau is not None:
         pairs.append((
             lambda z: barrier_value(program, tau, z),
-            lambda z: barrier_gradient(program, tau, z),
-            lambda z: barrier_hessian(program, tau, z),
+            lambda z: barrier_gradient(point_rows(program, z), tau),
+            lambda z: barrier_hessian(point_rows(program, z), tau),
         ))
 
     worst_g = 0.0

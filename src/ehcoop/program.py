@@ -29,10 +29,12 @@ lockstep Newton iterations and quad's lockstep rounds evaluate through it.
 Both solvers run in one shell, `solve_many` (`start`, the infeasible
 result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
 `finish`), and solve their Newton systems with `regularized_solve`.
-`finish` takes the solver's multipliers as one array, one per row in the
-order epigraph rows, linear rows, then -x_i <= 0 on `positive_indices`
-(the rows of `affine_rows` after the epigraph ones), and its refinement
-and residual read one Lagrangian gradient.
+`point_rows` is the program at one point as rows in one order: epigraph
+rows, linear rows, then -x_i <= 0 on `positive_indices` (the rows of
+`affine_rows` after the epigraph ones).  nb's barrier derivatives and
+`finish`'s certificate read it; `finish` takes the solver's multipliers as
+one array in that order, and refines them and takes the residual on one
+view of the final point, through the one Lagrangian gradient.
 """
 
 from __future__ import annotations
@@ -552,25 +554,28 @@ KKT_TOL = 1e-6
 _ACTIVE_TOL = 1e-4
 
 
-def _lagrangian_gradient(program, ev: Evaluation, lam: np.ndarray) -> np.ndarray:
-    """Gradient of the Lagrangian at the point of `ev`, `lam` one multiplier
-    per row: epigraph rows, linear rows, then -x_i <= 0 on `positive_indices`."""
-    m, k = program.n_nonlinear, program.n_nonlinear + len(program.lin_b)
-    r = ev.grad + ev.G.T @ lam[:m]
-    r += program.lin_A.T @ lam[m:k]
-    r[list(program.positive_indices)] -= lam[k:]
-    return r
+def point_rows(program, x):
+    """The program at x as one row view (ev, rows, slacks): `evaluate(x)`, then
+    every row's gradient and slack in the program's row order, the epigraph rows,
+    the linear rows, then -x_i <= 0 on `positive_indices`."""
+    ev = program.evaluate(x)
+    A, b = program.affine_rows
+    return ev, np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))
 
 
-def stationarity_residual(program, x, lam) -> float:
-    """Infinity norm of the Lagrangian gradient for the multipliers `lam`,
-    one per row in `_lagrangian_gradient`'s order."""
-    r = _lagrangian_gradient(program, program.evaluate(x), np.asarray(lam, dtype=float))
-    return float(np.abs(r).max())
+def lagrangian_gradient(view, lam) -> np.ndarray:
+    """Gradient of the Lagrangian at a `point_rows` view, `lam` one multiplier per row."""
+    ev, rows, _ = view
+    return ev.grad + rows.T @ lam
 
 
-def refine_multipliers(program, x, lam) -> np.ndarray:
-    """Least-squares correction of multiplier seeds at a final iterate.
+def stationarity_residual(view, lam) -> float:
+    """Infinity norm of the Lagrangian gradient at a `point_rows` view."""
+    return float(np.abs(lagrangian_gradient(view, lam)).max())
+
+
+def refine_multipliers(view, lam) -> np.ndarray:
+    """Least-squares correction of multiplier seeds at a final iterate's `point_rows` view.
 
     Whatever produced the seeds (barrier weights, the dual solution of the
     last quadratic subproblem), their stationarity residual concentrates
@@ -579,16 +584,13 @@ def refine_multipliers(program, x, lam) -> np.ndarray:
     all project onto that span.  Those rows get a least-squares correction,
     clipped at zero to keep the multipliers valid; rows with slack beyond
     `_ACTIVE_TOL` keep their seeds.  `lam` and the returned vector hold one
-    multiplier per row in `_lagrangian_gradient`'s order.
+    multiplier per row of the view.
     """
-    x = np.asarray(x, dtype=float)
+    _, rows, slacks = view
     lam = np.array(lam, dtype=float)
-    ev = program.evaluate(x)
-    A, b = program.affine_rows
-    active = np.concatenate((-ev.c, b - A @ x)) <= _ACTIVE_TOL
+    active = slacks <= _ACTIVE_TOL
     if active.any():
-        normals = np.concatenate((ev.G, A))[active]
-        delta, *_ = np.linalg.lstsq(normals.T, -_lagrangian_gradient(program, ev, lam), rcond=None)
+        delta, *_ = np.linalg.lstsq(rows[active].T, -lagrangian_gradient(view, lam), rcond=None)
         lam[active] = np.maximum(lam[active] + delta, 0.0)
     return lam
 
@@ -672,14 +674,16 @@ def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: boo
            outer: int, inner: int, tau: float) -> SolveResult:
     """The result at the final iterate x of the reduced program `pre.program`.
 
-    `seeds`, the solver's multipliers with one per row in
-    `refine_multipliers`' order, are refined before the KKT residual is
-    taken; without seeds it is infinite.
+    `seeds`, the solver's multipliers with one per row of `point_rows`,
+    are refined and the KKT residual taken on one view of x; without seeds
+    the residual is infinite.
     A solve counts as converged only when its point carries the
     certificate: violation <= 0 and a KKT residual at most KKT_TOL.
     """
-    red = pre.program
-    kkt = math.inf if seeds is None else stationarity_residual(red, x, refine_multipliers(red, x, seeds))
+    kkt = math.inf
+    if seeds is not None:
+        view = point_rows(pre.program, x)
+        kkt = stationarity_residual(view, refine_multipliers(view, seeds))
     x_full = pre.expand(x)
     violation = program.max_violation(x_full)
     converged = converged and kkt <= KKT_TOL and violation <= 0.0

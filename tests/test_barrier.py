@@ -32,6 +32,7 @@ from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
     initial_point,
+    point_rows,
     presolve_program,
 )
 from ehcoop.scenarios import build_problem
@@ -117,19 +118,19 @@ def assert_same_solve(lock, scalar):
 
 def test_alpha_linear_backs_off_from_the_boundary():
     p = one_var_program([(1.0, 1.0)])  # t <= 1
-    a = alpha_linear(p, np.array([0.2]), np.array([3.0]))
+    a = alpha_linear(p, point_rows(p, np.array([0.2]))[2], np.array([3.0]))
     assert a == pytest.approx(0.99 * 0.8 / 3.0)
 
 
 def test_alpha_linear_respects_nonnegativity():
     p = one_var_program([(1.0, 1.0)])
-    a = alpha_linear(p, np.array([0.2]), np.array([-1.0]))
+    a = alpha_linear(p, point_rows(p, np.array([0.2]))[2], np.array([-1.0]))
     assert a == pytest.approx(0.99 * 0.2)
 
 
 def test_alpha_linear_caps_unbounded_directions():
     p = one_var_program([(-1.0, 0.0)])  # t >= 0 only
-    a = alpha_linear(p, np.array([0.2]), np.array([1.0]))
+    a = alpha_linear(p, point_rows(p, np.array([0.2]))[2], np.array([1.0]))
     assert a == pytest.approx(0.99 * ALPHA_CAP)
 
 
@@ -152,8 +153,8 @@ def test_newton_direction_descends_on_the_barrier():
     p = relay_program()
     x = initial_point(p)
     for tau in (1.0, 100.0):
-        g = barrier_gradient(p, tau, x)
-        d, regularized = _newton_direction(p, tau, x, g)
+        g = barrier_gradient(point_rows(p, x), tau)
+        d, regularized = _newton_direction(point_rows(p, x), tau, g)
         assert not regularized
         assert float(g @ d) < 0.0
 
@@ -330,9 +331,9 @@ def test_step_across_a_perspective_row_is_cut_back_inside(monkeypatch):
     d[aux] = 3.0
     # the full step crosses a perspective row but no linear row or axis
     assert max(p.nonlinear_value(j, x + d) for j in range(p.n_nonlinear)) > 0.0
-    assert alpha_linear(p, x, d) >= 1.0
+    assert alpha_linear(p, point_rows(p, x)[2][p.n_nonlinear:], d) >= 1.0
     f_x = barrier_value(p, tau, x)
-    g = barrier_gradient(p, tau, x)
+    g = barrier_gradient(point_rows(p, x), tau)
     slope = float(g @ d)
     assert slope < 0.0
     A, b = p.affine_rows
@@ -410,7 +411,7 @@ def test_prediction_that_raises_the_barrier_is_rejected(monkeypatch):
     p = relay_program()
     x = initial_point(p)
     tau = TAU0 * MU          # the weight of the second stage
-    g = barrier_gradient(p, tau, x)
+    g = barrier_gradient(point_rows(p, x), tau)
     f_x = barrier_value(p, tau, x)
     scale = 1e-3 / (1.0 - 1.0 / MU)
     out = np.zeros_like(x)

@@ -394,6 +394,20 @@ def test_validate_without_an_interior_point_exits_two(capsys):
     assert "S1-A program has no interior point" in capsys.readouterr().err
 
 
+def test_validate_on_a_tiny_budget_reports_every_check(capsys):
+    # U1 harvests 1 uW: a difference step crosses its start energy, so both
+    # derivative checks fail with the reason and the other six still run
+    code = main(["validate", "--X1", "1e-3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 8
+    derivs = [l for l in lines if "derivatives" in l]
+    assert len(derivs) == 2
+    assert all(l.startswith("FAIL") and "left the domain" in l for l in derivs)
+    assert out.splitlines()[-1] == "6/8 checks passed"
+
+
 def test_sweep_energy_from_zero_energy_reports_plain_zeros(capsys):
     code = main(["sweep-energy", "--X2", "0", "--start", "0", "--stop", "50", "--step", "25",
                  "--objective", "both"])

@@ -17,7 +17,8 @@ import pytest
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec
 from ehcoop.barrier import barrier_gradient, barrier_hessian, barrier_value, solve_nb
 from ehcoop.network import derive_channels, rho_max
-from ehcoop.program import initial_point, perspective_gradient, perspective_value, presolve_program
+from ehcoop.program import (initial_point, perspective_gradient, perspective_value, point_rows,
+                            presolve_program)
 from ehcoop.scenarios import build_problem
 
 TAU = 10.0   # any tau != 1, so that a dropped 1/tau shows
@@ -107,8 +108,8 @@ def _check(p, x):
     f_v, c_v = p.values(x)
     assert close(f_v, f) and close(c_v, ev.c)
     assert close(barrier_value(p, TAU, x), bv)
-    assert close(barrier_gradient(p, TAU, x), bg)
-    assert close(barrier_hessian(p, TAU, x), bH)
+    assert close(barrier_gradient(point_rows(p, x), TAU), bg)
+    assert close(barrier_hessian(point_rows(p, x), TAU), bH)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.scenario.value}-{s.case.value}-"

@@ -9,6 +9,7 @@ import pytest
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, barrier, quadratic
 from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
+from ehcoop import program as program_module
 from ehcoop.program import (
     ConvexProgram,
     InfeasibleProgramError,
@@ -16,6 +17,7 @@ from ehcoop.program import (
     initial_point,
     perspective_gradient,
     perspective_value,
+    point_rows,
     presolve_program,
     refine_multipliers,
     regularized_solve,
@@ -347,8 +349,8 @@ def test_stationarity_residual_vanishes_with_exact_multipliers():
         t_indices=(0,), y_indices=(), var_names=("t",), labels=("long",),
     )
     x = np.array([0.5])
-    assert stationarity_residual(p, x, [1.0, 0.0]) == pytest.approx(0.0)
-    assert stationarity_residual(p, x, [0.0, 0.0]) == pytest.approx(1.0)
+    assert stationarity_residual(point_rows(p, x), [1.0, 0.0]) == pytest.approx(0.0)
+    assert stationarity_residual(point_rows(p, x), [0.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_refine_multipliers_corrects_only_the_active_rows():
@@ -374,12 +376,39 @@ def test_refine_multipliers_corrects_only_the_active_rows():
     )
     active = np.array([True, True, False, False, False, True])
     seeds = exact + np.where(active, [0.3, -0.2, 0.0, 0.0, 0.0, 0.4], 0.0)
-    assert stationarity_residual(p, x, seeds) > 0.1
-    lam = refine_multipliers(p, x, seeds)
+    assert stationarity_residual(point_rows(p, x), seeds) > 0.1
+    lam = refine_multipliers(point_rows(p, x), seeds)
     assert len(lam) == len(normals)
-    assert stationarity_residual(p, x, lam) <= 1e-12
+    assert stationarity_residual(point_rows(p, x), lam) <= 1e-12
     assert np.array_equal(lam[~active], seeds[~active])
     assert (lam >= 0.0).all()
+
+
+def test_barrier_gradient_is_the_lagrangian_gradient_at_the_barrier_multipliers():
+    # nb's barrier gradient and the certificate's residual read one gradient:
+    # at lambda = 1/(tau s) they agree bit for bit
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.3), NetworkConfig())
+    view = point_rows(p, initial_point(p))
+    for tau in (100.0, 1e6):
+        g = barrier.barrier_gradient(view, tau)
+        assert stationarity_residual(view, 1.0 / (tau * view[2])) == float(np.abs(g).max())
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_finish_takes_one_view_of_the_final_point(seeded, monkeypatch):
+    p = direct_program()
+    pre, x = start(p)
+    calls = []
+
+    def spy(program, z):
+        calls.append(z)
+        return point_rows(program, z)
+
+    monkeypatch.setattr(program_module, "point_rows", spy)
+    seeds = np.ones(pre.program.n_nonlinear + len(pre.program.affine_rows[1])) if seeded else None
+    res = program_module.finish(p, pre, "nb", x, seeds, True, 1, 1, math.nan)
+    assert len(calls) == (1 if seeded else 0)
+    assert (res.kkt_residual < math.inf) is seeded
 
 
 # -- the solve shell and the shared Newton solve -------------------------------
