@@ -71,22 +71,17 @@ median, and 0.89 at (1e-4, 0.5).
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
 floats, and each program leaves at its own stop.  `solve_nb_many` is
-`program.solve_many` around `_kernel`, which steps the reduced programs of
-one `stack_key` on a `_Stack` from LOCKSTEP_MIN of them on, with one
-stacked evaluation (`program.ProgramStack`, whose term pass `_Stack`
-wraps), Hessian and linear solve on (K, n, n) per Newton iteration.
-Every other program, and so every `solve_nb`, runs alone on a `_One`:
-the scalar `barrier_value`, `barrier_gradient`, `_newton_direction` and
-`alpha_linear`, on one `program.point_rows` view per iterate.  The two
-agree term by term to a few ulps and take the same Newton steps on the
-default screens.  There a stack of 3 and 4 programs takes 0.68 and 0.56
-of the time of as many `_One` runs, and of 2 0.95 (the median of 20
-alternating passes over the 24 two-candidate screens at d1 = 0.2, range
-0.70-1.13): too small a gain to change the arithmetic that two-candidate
-screens get, so LOCKSTEP_MIN is 3.  `program.solve_many`
-runs every kernel call under one `np.errstate`, so the NaN and inf of a
-trial point off the domain, which the barrier reads as +inf, warn on
-neither path.  The solver keeps no per-step log.
+`program.solve_many` around `_kernel`, which steps two or more reduced
+programs of one `stack_key` on one `_Stack`, with one stacked evaluation
+(`program.ProgramStack`, whose term pass `_Stack` wraps), Hessian and
+linear solve on (K, n, n) per Newton iteration, and a lone one, and so
+every `solve_nb`, on a `_One`: the scalar `barrier_value`,
+`barrier_gradient`, `_newton_direction` and `alpha_linear`, on one
+`program.point_rows` view per iterate.  The two agree term by term to a
+few ulps.  `program.solve_many` runs every kernel call under one
+`np.errstate`, so the NaN and inf of a trial point off the domain, which
+the barrier reads as +inf, warn on neither path.  The solver keeps no
+per-step log.
 
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace
@@ -127,9 +122,6 @@ LOOSE_DECREMENT = 1.0
 MAX_INNER = 200
 # back-off of the first trial step from the nearest linear row or axis
 SHRINK = 0.99
-# fewest programs of one layout that `solve_nb_many` steps on a `_Stack`
-# (the measured crossover is in the module docstring)
-LOCKSTEP_MIN = 3
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 REGULARIZE = 1e-10
 
@@ -523,18 +515,15 @@ def solve_nb(program) -> SolveResult:
 
 def _kernel(reduced, X):
     """The barrier paths of reduced programs of one `stack_key` from their
-    starts X, as `program.solve_many` takes them: on one `_Stack` from
-    LOCKSTEP_MIN programs on, else each on a `_One`.  Each path's seeds are
-    its barrier multipliers 1/(tau s), one per row of `program.point_rows`."""
-    if len(reduced) >= LOCKSTEP_MIN:
-        paths = _path(_Stack(reduced), X, TAU0)
-    else:
-        paths = [_path(_One(p), X[k:k + 1], TAU0)[0] for k, p in enumerate(reduced)]
+    starts X, as `program.solve_many` takes them: two or more on one `_Stack`,
+    a lone one on a `_One`.  Each path's seeds are its barrier multipliers
+    1/(tau s), one per row of `program.point_rows`."""
+    be = _Stack(reduced) if len(reduced) > 1 else _One(reduced[0])
     return [(x, 1.0 / (tau * point_rows(p, x)[2]), converged, stages, steps, tau)
-            for p, (x, tau, converged, stages, steps) in zip(reduced, paths)]
+            for p, (x, tau, converged, stages, steps) in zip(reduced, _path(be, X, TAU0))]
 
 
 def solve_nb_many(programs) -> list[SolveResult]:
-    """`solve_nb` on each program, in order: each group of at least LOCKSTEP_MIN programs whose
-    presolved forms share a `stack_key` steps in lockstep on a `_Stack`, every other one on a `_One`."""
+    """`solve_nb` on each program, in order: two or more programs whose presolved forms
+    share a `stack_key` step in lockstep on a `_Stack`, a lone one on a `_One`."""
     return solve_many(programs, "nb", _kernel)

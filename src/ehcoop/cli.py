@@ -10,8 +10,9 @@
 Network parameters come from defaults, an optional key=value config file
 (`--config`), and individual flags, in that order of precedence.  Exit
 codes: 0 on success, 2 when any requested point failed to solve, 1 on
-usage errors (bad flags, sweep bounds outside the network's range, an
-output file that cannot be written).
+usage errors (bad flags, a flag for the parameter a sweep sets at every
+point, sweep bounds outside the network's range, an output file that
+cannot be written).  Relay rows a sweep skips do not count as failed.
 """
 
 from __future__ import annotations
@@ -198,6 +199,10 @@ def _cmd_select(args) -> int:
 def _run_sweep_command(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    # the sweep sets these at every point, so a flag for one would do nothing
+    for name in ("X1",) if args.param == "X1" else ("d1", "du"):
+        if getattr(args, f"cfg_{name}") is not None:
+            raise UsageError(f"{args.command} sets {name} at every point, so --{name} would be ignored")
     cfg = build_network_config(args)
     objectives = (
         tuple(_OBJECTIVES.values()) if args.objective == "both"
@@ -227,9 +232,12 @@ def _run_sweep_command(args) -> int:
             obj = "" if row.obj_bits is None else f"{row.obj_bits:.6f}"
             print(f"{args.param}={row.sweep_param:g} {row.scenario}-{row.case} "
                   f"[{row.objective_kind}] {obj} {row.status}{mark}")
-    failed = [r for r in rows if r.status != "converged"]
+    skipped = sum(r.status == "skipped_relay" for r in rows)
+    if skipped:
+        print(f"{skipped} row(s) skipped where relaying is impossible", file=sys.stderr)
+    failed = sum(r.status not in ("converged", "skipped_relay") for r in rows)
     if failed:
-        print(f"{len(failed)} point(s) failed or were skipped", file=sys.stderr)
+        print(f"{failed} row(s) failed or did not converge", file=sys.stderr)
     weak = [r for r in rows if r.weak_screen]
     if weak:
         print(f"{len(weak)} row(s) screened an unsolved or uncertified rho candidate", file=sys.stderr)

@@ -12,7 +12,6 @@ from ehcoop.barrier import (
     ARMIJO,
     GAP_TOL,
     GRAD_TOL,
-    LOCKSTEP_MIN,
     MU,
     TAU0,
     _at_noise,
@@ -470,7 +469,7 @@ def test_tiny_energy_cell_without_a_certificate_is_not_converged():
     cfg = NetworkConfig(X1=0.001, d1=1.0)
     ch = derive_channels(cfg)
     p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.5 * rho_max(ch)), cfg)
-    for res in [solve_nb(p)] + solve_nb_many([p] * LOCKSTEP_MIN):
+    for res in [solve_nb(p)] + solve_nb_many([p] * 2):
         assert res.status is SolveStatus.MAX_ITERATIONS
         assert res.max_constraint_violation <= 0.0
         assert res.kkt_residual > 1e-6
@@ -483,7 +482,7 @@ def test_stage_at_the_noise_floor_ends_before_the_step_cap():
     cfg = NetworkConfig(d1=1.5, du=0.2, eta=0.817268679745837, X1=261.31136883309927,
                         X2=237.44524898342374, w1=0.11947312444562955)
     p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.9899999999999999), cfg)
-    for res in [solve_nb(p)] + solve_nb_many([p] * LOCKSTEP_MIN):
+    for res in [solve_nb(p)] + solve_nb_many([p] * 2):
         assert res.converged
         assert res.kkt_residual <= 1e-6
         assert res.inner_iters < 100
@@ -497,12 +496,13 @@ def test_stage_at_the_noise_floor_ends_before_the_step_cap():
 @pytest.mark.parametrize("cfg", [
     NetworkConfig(), NetworkConfig(d1=1.8, du=0.2),
     NetworkConfig(d1=1.2, du=0.27, eta=0.0, X1=180.0, X2=285.0, w1=0.5),
+    NetworkConfig(d1=0.2, du=1.8),
 ])
 @pytest.mark.parametrize("case", list(Case))
 @pytest.mark.parametrize("objective", list(Objective))
 def test_lockstep_screen_matches_solve_nb(cfg, case, objective):
     programs = screen_programs(cfg, case, objective)
-    assert len(programs) >= LOCKSTEP_MIN
+    assert len(programs) >= 2
     for lock, scalar in zip(solve_nb_many(programs), [solve_nb(p) for p in programs], strict=True):
         assert lock.converged
         assert_same_solve(lock, scalar)
@@ -545,11 +545,15 @@ def test_small_groups_run_on_one(monkeypatch):
     solve_nb(programs[0])
     assert paths == [(_One, 1)]
     paths.clear()
-    solve_nb_many(programs[:LOCKSTEP_MIN - 1])
-    assert paths == [(_One, 1)] * (LOCKSTEP_MIN - 1)
+    solve_nb_many(programs[:1])
+    assert paths == [(_One, 1)]
     paths.clear()
-    solve_nb_many(programs[:LOCKSTEP_MIN])
-    assert paths == [(_Stack, LOCKSTEP_MIN)]
+    solve_nb_many(programs[:2])
+    assert paths == [(_Stack, 2)]
+    # at X1 = 0, case B, rho = 0 pins U1's relay energy: a layout group of one
+    paths.clear()
+    solve_nb_many(screen_programs(NetworkConfig(X1=0.0), Case.B, Objective.WEIGHTED_SUM))
+    assert sorted(paths, key=lambda p: p[1]) == [(_One, 1), (_Stack, 7)]
 
 
 def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):

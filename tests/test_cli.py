@@ -266,7 +266,7 @@ def test_sweep_exits_two_on_an_uncertified_rho_candidate(tmp_path, monkeypatch, 
     assert main(base + [str(flagged)]) == 2
     err = capsys.readouterr().err
     assert "2 row(s) screened an unsolved or uncertified rho candidate" in err
-    assert "failed or were skipped" not in err
+    assert "failed or did not converge" not in err
     assert flagged.read_bytes() == clean.read_bytes()
 
 
@@ -316,6 +316,26 @@ def test_sweep_rejects_bad_range(monkeypatch, capsys):
     ):
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep-energy", "--X1"), ("sweep-distance", "--d1"), ("sweep-distance", "--du"),
+])
+def test_sweep_rejects_a_flag_for_what_it_sweeps(command, flag, monkeypatch, capsys):
+    # the sweep replaces X1, or d1 and du = d2 - d1, at every point
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    assert main([command, "--start", "1.0", "--stop", "1.0", flag, "0.3"]) == 1
+    assert capsys.readouterr().err == (
+        f"ehcoop: error: {command} sets {flag[2:]} at every point, so {flag} would be ignored\n")
+
+
+def test_sweep_without_relaying_exits_zero_and_counts_the_skipped_rows(capsys):
+    # du = 3 makes the inter-user link weaker than U2's direct link: S1 and S2 are skipped
+    code = main(["sweep-energy", "--start", "100", "--stop", "100", "--du", "3", "--objective", "both"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert sum(row.endswith(" skipped_relay") for row in out.splitlines()) == 8
+    assert err == "8 row(s) skipped where relaying is impossible\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
