@@ -32,14 +32,11 @@ The outer loop starts at TAU0 = 100 and stops on the duality gap of the
 central path: with m barrier rows (nonlinear and affine), the stage
 optimum at tau is within m/tau of the optimum, so tau grows by MU per stage
 until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
-finite.  At tau = 1 the gap bound m/tau exceeds |f|, so a first stage
-there only centres the iterate (starting at 100 cut the Newton steps of
-the 528 solves of the acceptance energy grid by a quarter, all
-converged); starting at 1e4 left 40 of them unconverged.  The result is
-built by `program.finish` from the barrier multipliers 1/(tau s) of the
-final iterate, so a finished path counts as converged only with the
-certificate both solvers share.  The tuning values are module constants
-read at call time.
+finite.  A first stage at tau = 1, whose gap bound m/tau exceeds |f|,
+would only centre the iterate.  The result is built by `program.finish`
+from the barrier multipliers 1/(tau s) of the final iterate, so a
+finished path counts as converged only with the certificate both solvers
+share.  The tuning values are module constants read at call time.
 
 A stage ends once its last step is at most STEP_TOL long and its gradient
 at most GRAD_TOL, or once three iterates in a row have their Newton
@@ -51,22 +48,10 @@ its gap bound m/tau is still wide (Boyd & Vandenberghe sections 11.3.3
 and 11.5): while m/tau > LOOSE_GAP * (1 + |f|), with f the objective as
 in the gap stop, a stage also ends once the squared Newton decrement of
 tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT.  With 7 to 13 rows
-that covers the stages at tau = 1e2 and 1e4 (gap bounds near 0.1 and
-1e-3; on the energy grid all 528 at 1e2 and 525 at 1e4), never the last
-one, whose bound is below GAP_TOL * (1 + |f|).  A scan of (LOOSE_GAP,
-LOOSE_DECREMENT) gave these Newton steps on the energy grid, against
-14,804 with every stage centred in full:
-
-    (1e-2, 0.25) 12,448    (1e-2, 1) 11,873    (1e-3, 1) 11,862
-    (1e-4, 0.25) 12,364    (1e-4, 0.5) 11,956  (1e-4, 1) 11,581
-    (1e-5, 1)    11,578    (1e-6, 1) 12,789    (3e-4, 1) 11,653
-
-with every status and rho* unchanged and objectives within 2e-13.  A
-decrement of 2 (17,874 steps) or 4 (25,703) leaves 8 or 19 of the 528
-uncertified: the next stage starts too far from its centre and runs into
-MAX_INNER.  (1e-4, 1) is kept; in 3 alternating runs each, the energy-nb
-benchmark took 0.86 of the time with every stage centred in full in the
-median, and 0.89 at (1e-4, 0.5).
+that covers the stages at tau = 1e2 and 1e4, never the last one, whose
+bound is below GAP_TOL * (1 + |f|).  A larger decrement bound starts the
+next stage too far from its centre to finish within MAX_INNER; CHANGES.md
+records the scan that chose the two values.
 
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
@@ -77,8 +62,10 @@ programs of one `stack_key` on one `_Stack`, with one stacked evaluation
 linear solve on (K, n, n) per Newton iteration, and a lone one, and so
 every `solve_nb`, on a `_One`: the scalar `barrier_value`,
 `barrier_gradient`, `_newton_direction` and `alpha_linear`, on one
-`program.point_rows` view per iterate.  The two agree term by term to a
-few ulps.  `program.solve_many` runs every kernel call under one
+`program.point_rows` view per iterate.  The two give the same bits: the
+stacked term pass takes `math.log1p`'s (`program.scalar_log1p`), as
+`evaluate` does, and the barrier value's logs and sums are numpy's on
+both.  `program.solve_many` runs every kernel call under one
 `np.errstate`, so the NaN and inf of a trial point off the domain, which
 the barrier reads as +inf, warn on neither path.  The solver keeps no
 per-step log.
@@ -136,15 +123,16 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 def barrier_value(program, tau: float, x: np.ndarray) -> float:
     """Barrier objective at x; +inf outside the strict interior and where an
-    affine slack is NaN (`program.all_positive`)."""
+    affine slack is NaN (`program.all_positive`).  Its logs and sums are
+    numpy's, as in `_Stack.barrier`."""
     A, b = program.affine_rows
-    s = (b - A @ x).tolist()
-    if not all_positive(s):
+    s = b - A @ x
+    if not all_positive(s.tolist()):
         return math.inf
     f, c = program.values(x)
     if max(c, default=-1.0) >= 0.0:
         return math.inf
-    return f - (sum(math.log(-cj) for cj in c) + sum(map(math.log, s))) / tau
+    return f - float(np.add.reduce(np.log(np.negative(c))) + np.add.reduce(np.log(s))) / tau
 
 
 def barrier_gradient(view, tau: float) -> np.ndarray:

@@ -24,8 +24,10 @@ makes one pass over the table in Python floats for the objective value and
 gradient, the epigraph row values c and gradients G, and each term's
 rank-one Hessian factor v; `values` is the same pass without derivatives.
 The per-row methods read from these passes.  `ProgramStack` makes the
-pass over K programs of one `stack_key` at once, as (K, ...) arrays: nb's
-lockstep Newton iterations and quad's lockstep rounds evaluate through it.
+pass over K programs of one `stack_key` at once, as (K, ...) arrays, with
+the bits of `evaluate` (its logs are `scalar_log1p`, `math.log1p`'s): nb's
+lockstep Newton iterations and quad's lockstep rounds evaluate through it,
+so a stacked solve gives each program its lone solve's bits.
 Both solvers run in one shell, `solve_many` (`start`, the infeasible
 result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
 `finish`), and solve their Newton systems with `regularized_solve`.
@@ -285,8 +287,15 @@ def stack_key(p: ConvexProgram):
 def scalar_log1p(z: np.ndarray) -> np.ndarray:
     """`np.log1p` with the bits of `math.log1p`, which `ConvexProgram.evaluate`
     uses; numpy's vectorized log1p differs from it in the last bit on about
-    2% of arguments."""
-    return np.array(list(map(math.log1p, z.ravel().tolist()))).reshape(z.shape)
+    2% of arguments.  Off the domain (nb tries points with t < 0), where
+    `math.log1p` raises, an element takes numpy's value: NaN below -1, -inf
+    at -1."""
+    flat = z.ravel().tolist()
+    try:
+        out = np.fromiter(map(math.log1p, flat), float, len(flat))
+    except ValueError:
+        out = np.array([math.log1p(v) if v > -1.0 else -math.inf if v == -1.0 else math.nan for v in flat])
+    return out.reshape(z.shape)
 
 
 class ProgramStack:
@@ -298,18 +307,17 @@ class ProgramStack:
     derivatives into the (m+1, n) gradient block, C_rows their rank-one
     curvature (a v_t^2, a v_t v_y, a v_y^2) into each row's n x n Hessian
     and C into one n x n sum, and W spreads row weights onto the terms.
-    Each product adds a row's terms in table order, as `evaluate` does;
-    `log1p` is numpy's unless the caller needs `evaluate`'s bits.
+    Each product adds a row's terms in table order and each log is
+    `scalar_log1p`, as `evaluate` does.
     """
 
-    def __init__(self, programs, log1p=np.log1p):
+    def __init__(self, programs):
         p = programs[0]
         table = p.term_table
         n, m, T = p.n_vars, p.n_nonlinear, len(table)
         rows = [row % (m + 1) for row, *_ in table]
         ti, yi = [t[3] for t in table], [t[4] for t in table]
         self.n, self.m, self.T = n, m, T
-        self.log1p = log1p
         self.index = ti + yi + list(p.aux_index)
         self.R = np.zeros((T, m + 1))
         self.R[range(T), rows] = -1.0
@@ -347,14 +355,14 @@ class ProgramStack:
 
     def row_sums(self, t, y):
         """Each row's sum of coeff * l over its terms, the objective's last (`term_sums`)."""
-        return (self.coeff * (t * self.log1p(self.gamma * y / t))) @ self.R
+        return (self.coeff * (t * scalar_log1p(self.gamma * y / t))) @ self.R
 
     def derivatives(self, t, y):
         """The pass of `evaluate`: row sums as `row_sums`, the (K, m+1, n) row
         gradients (the objective's last) and each term's factors (v_t, v_y)."""
         coeff = self.coeff
         gy = self.gamma * y
-        log = self.log1p(gy / t)
+        log = scalar_log1p(gy / t)
         den = t + gy
         rt = np.sqrt(t)
         sums = (coeff * (t * log)) @ self.R

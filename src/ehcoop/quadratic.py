@@ -101,7 +101,7 @@ answered by one `_answer`, written once over (K, ...) arrays.  Only the
 program pass depends on K:
 one ask's model and term sums come from the scalar `quadratize` and
 `ConvexProgram.term_sums`, more asks' from one pass of the layout's
-`ProgramStack` (with `math.log1p`'s bits), which keeps those bits.  The
+`ProgramStack`, which takes `math.log1p`'s bits and so keeps them.  The
 curved rows and box edges are written into the layout's rows, the starts
 are put under the caps, the `_Stack` goes to `_ipm` (one program, on (J,)
 rows) or to `_ipm_many` (the Newton systems as (K, n, n) and the rows as
@@ -154,7 +154,6 @@ from .program import (
     aux_bounds,
     energy_caps,
     regularized_solve,
-    scalar_log1p,
     solve_many,
 )
 
@@ -724,7 +723,7 @@ class _Layout:
 
     @cached_property
     def ps(self) -> ProgramStack:
-        return ProgramStack(self.programs, scalar_log1p)
+        return ProgramStack(self.programs)
 
 
 def _answer(lay: _Layout, rows, asks) -> list[_Reply]:

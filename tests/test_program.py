@@ -21,6 +21,7 @@ from ehcoop.program import (
     presolve_program,
     refine_multipliers,
     regularized_solve,
+    scalar_log1p,
     solve_many,
     stack_key,
     start,
@@ -205,6 +206,19 @@ def test_nonlinear_rows_evaluate_per_constraint():
     for j in range(2):
         assert vals[j] == pytest.approx(p.nonlinear_value(j, x))
         assert p.nonlinear_gradient(j, x)[p.aux_index[j]] == 1.0
+
+
+def test_scalar_log1p_has_the_bits_of_math_log1p():
+    rng = np.random.default_rng(31)
+    z = np.concatenate((np.exp(rng.uniform(-30.0, 10.0, 384)), -rng.uniform(0.0, 1.0, 128))).reshape(64, 8)
+    want = np.array([math.log1p(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    assert (np.log1p(z) != want).any()          # numpy's bits differ on some of the sample
+    assert scalar_log1p(z).tobytes() == want.tobytes()
+    # off the domain an element takes numpy's value, without an exception,
+    # and the others keep the bits of math.log1p
+    got = scalar_log1p(np.array([[-2.0, -1.0, math.nan], [-math.inf, math.inf, z[0, 0]]]))
+    assert np.isnan(got[0, 0]) and got[0, 1] == -math.inf and np.isnan(got[0, 2])
+    assert np.isnan(got[1, 0]) and got[1, 1] == math.inf and got[1, 2] == want[0, 0]
 
 
 # -- starting points and presolve -------------------------------------------

@@ -13,13 +13,14 @@ runs the same cases every time; the `ci` profile of conftest.py draws
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, solve_spec
 from ehcoop.barrier import solve_nb, solve_nb_many
 from ehcoop.network import derive_channels, relay_feasible, rho_max
-from ehcoop.quadratic import solve_iterative
+from ehcoop.quadratic import solve_iterative, solve_iterative_many
 from ehcoop.scenarios import RELAY_SCENARIOS, build_problem, objective_bits, throughputs_from_allocation
 
 AGREE = 1e-7      # relative objective agreement of two converged solves
@@ -85,25 +86,29 @@ def test_cooperation_never_lowers_the_optimum(cfg, case, objective):
             assert s1 >= s2 - ORDER * (1.0 + abs(s2))
 
 
+@pytest.mark.parametrize("solver", ["nb", "quad"])
 @settings(derandomize=True, deadline=None)
 @given(
     cfg=networks(du=st.floats(0.2, 1.6)),
     case=st.sampled_from(Case),
     objective=st.sampled_from(Objective),
-    # at min_size=2 the ci profile draws a stack whose certificate fails where
-    # the lone solve's passes (the absolute active test, ROADMAP item 4)
-    shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=6),
+    shares=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=6),
 )
-def test_lockstep_screen_agrees_with_solve_nb(cfg, case, objective, shares):
+def test_lockstep_screen_agrees_with_lone_solves(solver, cfg, case, objective, shares):
+    # a stacked solve gives each program the bits of its lone solve
     ch = derive_channels(cfg)
     assume(relay_feasible(ch))
     programs = [build_problem(ScenarioSpec(Scenario.S1, case, objective, share * rho_max(ch)), cfg)
                 for share in shares]
-    for lock, single in zip(solve_nb_many(programs), map(solve_nb, programs), strict=True):
-        assert lock.status is single.status
+    many, one = {"nb": (solve_nb_many, solve_nb), "quad": (solve_iterative_many, solve_iterative)}[solver]
+    for lock, single in zip(many(programs), map(one, programs), strict=True):
+        assert (lock.status, lock.outer_iters, lock.inner_iters) == \
+            (single.status, single.outer_iters, single.inner_iters)
+        for field in ("tau_final", "objective_bits", "kkt_residual"):
+            assert getattr(lock, field).hex() == getattr(single, field).hex(), field
+        assert (lock.x_star is None) == (single.x_star is None)
         if single.x_star is not None:
-            gap = abs(lock.objective_bits - single.objective_bits)
-            assert gap <= 1e-12 * max(1.0, abs(single.objective_bits))
+            assert lock.x_star.tobytes() == single.x_star.tobytes()
         if lock.converged:
             for res in (lock, single):
                 assert res.max_constraint_violation <= 0.0

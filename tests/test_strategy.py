@@ -314,6 +314,19 @@ def _s1b_sum_by_slsqp(rho, minimize, starts=6):
     return best
 
 
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("objective", list(Objective))
+def test_nb_screen_candidates_have_the_lone_solves_bits(case, objective):
+    # U1 almost without ambient energy: which candidates certify rides on the
+    # last bits of the point, so a stacked screen and a lone solve must share them
+    cfg = NetworkConfig(X1=1e-3)
+    _, table = screen_rho(cfg, case, objective)
+    for outcome in table:
+        lone, _ = solve_spec(ScenarioSpec(Scenario.S1, case, objective, outcome.rho), cfg)
+        assert outcome.result.status is lone.status, outcome.rho
+        assert outcome.result.objective_bits.hex() == lone.objective_bits.hex(), outcome.rho
+
+
 def test_knife_edge_screen_cell_matches_an_independent_solve():
     pytest.importorskip("scipy")
     from scipy.optimize import minimize
