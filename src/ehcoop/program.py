@@ -26,8 +26,8 @@ rank-one Hessian factor v; `values` is the same pass without derivatives.
 The per-row methods read from these passes.  `ProgramStack` makes the
 pass over K programs of one `stack_key` at once, as (K, ...) arrays, with
 the bits of `evaluate` (its logs are `scalar_log1p`, `math.log1p`'s): nb's
-lockstep Newton iterations and quad's lockstep rounds evaluate through it,
-so a stacked solve gives each program its lone solve's bits.
+lockstep Newton iterations and every quad model evaluate through it, so a
+stacked solve gives each program its lone solve's bits.
 Both solvers run in one shell, `solve_many` (`start`, the infeasible
 result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
 `finish`), and solve their Newton systems with `regularized_solve`.
@@ -112,19 +112,6 @@ class Evaluation(NamedTuple):
             H[y + ti] += a * v1
             H[y + yi] += s * v1 * v1
         return np.array(H).reshape(n, n)
-
-    def row_hessians(self) -> np.ndarray:
-        """(m+1, n, n) stack of each row's sum of coeff * v v^T, the objective's last."""
-        m, n = len(self.c), len(self.grad)
-        H = [0.0] * ((m + 1) * n * n)
-        for row, ti, yi, coeff, v0, v1 in self.factors:
-            a = coeff * v0
-            t, y = (row % (m + 1) * n + ti) * n, (row % (m + 1) * n + yi) * n
-            H[t + ti] += a * v0
-            H[t + yi] += a * v1
-            H[y + ti] += a * v1
-            H[y + yi] += coeff * v1 * v1
-        return np.array(H).reshape(m + 1, n, n)
 
 
 @dataclass
@@ -381,7 +368,7 @@ class ProgramStack:
 
     def row_hessians(self, factors):
         """(K, m+1, n, n) stacks of each row's sum of coeff * v v^T, the
-        objective's last (`Evaluation.row_hessians`)."""
+        objective's last."""
         v0, v1 = factors
         a = self.coeff * v0
         H = np.concatenate((a * v0, a * v1, self.coeff * v1 * v1), 1) @ self.C_rows

@@ -5,23 +5,23 @@ by its second-order model around the current point x_k,
 
     c + G . (x - x_k) + 0.5 * (x - x_k)^T H (x - x_k),
 
-with c, G and the term curvature H read from one `ConvexProgram.evaluate`
-at x_k (each perspective term contributes coeff * v v^T, v its rank-one
-Hessian factor).  That turns the allocation problem into a small convex
-QCQP held as arrays: the objective (const, g, H), every row's (const, G),
-the stacked Hessians `nl_H` of the curved rows, which come first, and the
-linear rows after them.  A trust-region box around x_k is appended as
-+-e_i rows.  The QCQP is solved with a primal-dual path-following
-interior-point method that steps over all rows at once, the auxiliary rate
-variables are pulled back inside the true epigraph region, and the model
-is rebuilt at the new point until two successive solutions coincide.  Any
-slot whose time fell below the expansion floor is then put on the ray its
-multipliers ask for, unless that moves the point by more than _SETTLE_TOL,
-and `program.finish` builds the result from the last converged
-subproblem's duals of the program's own rows (all but the box's), one
-array in the program's row order: a settled point counts as converged
-only with the certificate both solvers share (violation <= 0, KKT
-residual <= KKT_TOL).
+with c, G and the term curvature H read from one `ProgramStack` pass at
+x_k (`quadratize`; each perspective term contributes coeff * v v^T, v its
+rank-one Hessian factor).  That turns the allocation problem into a small
+convex QCQP held as arrays: the objective (const, g, H), every row's
+(const, G), the stacked Hessians `nl_H` of the curved rows, which come
+first, and the linear rows after them.  A trust-region box around x_k is
+appended as +-e_i rows.  The QCQP is solved with a primal-dual
+path-following interior-point method that steps over all rows at once,
+the auxiliary rate variables are pulled back inside the true epigraph
+region, and the model is rebuilt at the new point until two successive
+solutions coincide.  Any slot whose time fell below the expansion floor is
+then put on the ray its multipliers ask for, unless that moves the point
+by more than _SETTLE_TOL, and `program.finish` builds the result from the
+last converged subproblem's duals of the program's own rows (all but the
+box's), one array in the program's row order: a settled point counts as
+converged only with the certificate both solvers share (violation <= 0,
+KKT residual <= KKT_TOL).
 
 The Newton direction of an interior-point step linearizes each curved
 slack as s - alpha p, while along the step it is s - alpha p - alpha^2 q / 2
@@ -31,38 +31,14 @@ second order (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.6 and
 19.3): the same Newton matrix is solved again with the complementarity
 residual shifted by lam * q / 2 of the first direction, and the step limit
 is taken along the corrected one.  Without it the steps crawl along a
-curved row at alpha of 0.03-0.2.  On the energy grid's 48 rho screens and
-144 S2-S4 solves it cuts the stacked iterations 42,704 -> 32,571 (11.9 ->
-9.2 per subproblem), the summed longest member of each stacked solve
-6,913 -> 4,804, the lone ones 12,670 -> 10,810 (10.2 -> 8.8), and the
-subproblems stopped by _IPM_MAX_ITERS 59 -> 0, with statuses and rho*
-unchanged.  A subproblem without curved rows (S3/S4 sum) never takes it.
+curved row at short step lengths.  A subproblem without curved rows (S3/S4
+sum) never takes it.
 
 Every subproblem starts cold (lam = 1 / max(s, 1e-3), mu near 1), so the
 centring parameter _SIGMA, which cuts mu at most 1/_SIGMA-fold a step,
-sets most iteration counts: at 0.1, 823 of the 1,230 lone energy-grid
-subproblems took exactly the 8 iterations from mu ~ 0.9 to _IPM_TOL (at
-0.03, 652 of 1,080 take 6).  Long-step path following allows a far smaller
-sigma (Wright, Primal-Dual Interior-Point Methods, SIAM 1997, ch. 5).
-Measured with the polish rules below (iterations: lone `_ipm` ones plus
-the longest member of each `_ipm_many` call; the energy grid's 528
-programs, the distance grid's 372; certificates lost of those 900; the
-edge set is X1 = 0, X1 = 1e-3, eta = w1 = 0, X1 = X2 = 0 and d1 in {0.2,
-0.6, 1.0, 1.4, 1.8}, 380 programs, 355 of them certified at sigma 0.1 with
-the former polish):
-
-    sigma                 energy   distance   grid lost   edge certified
-    0.1, former polish    15,614     11,626        0           355
-    0.1                   13,945     10,387        0           353
-    0.05                  12,085      9,031        0           354
-    0.04                  11,374      8,552        0           355
-    0.03                  11,249      8,443        0           355
-    0.02                  10,679      7,984        2           353
-
-Every sigma below 0.1 trades a few X1 = 0 and X1 = 1e-3 edge cells, which
-settle near the t = 0 flat face, for others; 0.03 loses X1 = 0 S3-A and S4-A
-sum and gains four S1 cells (the table counts X1 = 0 and 1e-3 S1-B common
-rho = 0.1 lost too: they certify since a round without a step settles).
+sets most iteration counts.  Long-step path following allows a far smaller
+sigma than 0.1 (Wright, Primal-Dual Interior-Point Methods, SIAM 1997,
+ch. 5); 0.03 is the smallest one that keeps every grid certificate.
 
 The rounds settle when a round's model sees no descent around x, when none
 of its boxes gives an acceptable step (x is then stationary for its model,
@@ -70,16 +46,11 @@ and is tested, not abandoned: Conn, Gould & Toint, Trust-Region Methods,
 SIAM 2000, ch. 6), or when its step moves x by at most _SETTLE_TOL; only
 MAX_ROUNDS leaves a solve unsettled.  Boxless rebuilds then polish the
 point: the first one that is accepted and moves it by at most _SETTLE_TOL
-ends the polish (a second one, run in 505 of the energy grid's 528 solves,
-only confirmed the first: each was accepted, median move 1.7e-14).  A
-rebuild is rejected when its objective reads worse than the settled point's
-by more than max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality
-count: the interior-point stop lets the rebuild's complementarity lam . s =
-J * gap reach J * _IPM_TOL, and its objective is known only to within that.
-With the fixed 1e-8 (1 + |f|) alone, sigma 0.05 lost 8 grid certificates
-(S1-B common rho = 0.6 at X1 = 175-300 mW and rho = 0.2 and 0.3 at d1 =
-0.6, KKT 1.1-2.1e-6): at X1 = 175 mW the first polish read 4.2e-8 worse
-against a guard of 3.5e-8, with J * gap = 1.2e-7.
+ends the polish, since a further one only confirms it.  A rebuild is
+rejected when its objective reads worse than the settled point's by more
+than max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality count:
+the interior-point stop lets the rebuild's complementarity lam . s = J *
+gap reach J * _IPM_TOL, and its objective is known only to within that.
 
 A solve takes only its program: the round cap MAX_ROUNDS and the
 interior-point and trust-region tuning values are module constants, read
@@ -94,46 +65,27 @@ rules run on Python floats per program, with the objective at x that of
 the accepted reply.  `solve_iterative_many` (`solve_iterative` on one
 program) is `program.solve_many` around `_drive`, which runs the rounds of
 the reduced programs of one `program.stack_key` side by side on a
-`_Layout` of the subproblem rows that do not depend on the point: the
-linear rows, the box's +-e_i pattern and the -x_i <= 0 bounds, as
-(K, J, n) arrays.  The waiting asks of one box state, one or more, are
-answered by one `_answer`, written once over (K, ...) arrays.  Only the
-program pass depends on K:
-one ask's model and term sums come from the scalar `quadratize` and
-`ConvexProgram.term_sums`, more asks' from one pass of the layout's
-`ProgramStack`, which takes `math.log1p`'s bits and so keeps them.  The
-curved rows and box edges are written into the layout's rows, the starts
-are put under the caps, the `_Stack` goes to `_ipm` (one program, on (J,)
-rows) or to `_ipm_many` (the Newton systems as (K, n, n) and the rows as
-(K, J) arrays, every rule of `_ipm` kept per program), and the replies
-come from one more pass.  Boxless asks wait while any ask of the layout is
-boxed, so that the programs that settle in different rounds polish in one
-stack.
+`_Layout`: their `ProgramStack` and the subproblem rows that do not
+depend on the point (the linear rows, the box's +-e_i pattern and the
+-x_i <= 0 bounds, as (K, J, n) arrays).  The waiting asks of one box
+state, one or more, are answered by one `_answer`, written once over
+(K, ...) arrays: one `quadratize` pass builds their models and term sums
+with `math.log1p`'s bits, and a program's model does not depend on the
+company it is stacked in; the curved rows and box edges are
+written into the layout's rows, the starts are put under the caps, the
+`_Stack` goes to `_ipm` (one ask) or to `_ipm_many` (the Newton systems as
+(K, n, n) and the rows as (K, J) arrays, every rule of `_ipm` kept per
+program), and the replies come from one more pass.  Boxless asks wait
+while any ask of the layout is boxed, so that the programs that settle in
+different rounds polish in one stack.
 
-Measured on the eight-candidate rounds of the default S1-A sum screen
-(Intel Xeon, 2 CPUs, OpenBLAS, numpy 2.4, one process; median over the
-rounds of stacked/one-by-one time, two runs), the round work without the
-interior-point solve, about 110-180 us per program one by one, takes
-0.84-0.90, 0.59-0.65, 0.46-0.48 and 0.25 of that time stacked at K = 2, 3,
-4 and 8; the whole round, solve included, 0.86-0.87, 0.59-0.60, 0.47-0.49
-and 0.30-0.31.  At K = 1 a stack costs 1.43-1.49 (round work) and
-1.56-1.58 (whole round), so one ask takes the scalar program pass and
-two or more the stacked one.  For the same reason `_ipm` stays: on the
-energy grid's 1,080 lone subproblems, `_ipm_many` on a stack
-of one gives its bits in 2.2 times its time (quartiles 2.06-2.35 over 16
-alternating passes; each numpy call on (1, ...) arrays costs about 1 us
-more, and `_ipm` takes its step limit and sign tests on Python floats,
-which cut its time to 0.76 of that with numpy's `_step_limit`), and one
-algorithm over one-program and stacked arithmetic, as nb's `_One` and
-`_Stack`, took 222 lines against 197 and 1.07 times the time (median of
-30 alternating pairs).
-A lone ask goes through the same (K, ...) assembly as a stack, with the
-point-free rows built once per solve in its `_Layout`: outside the IPM it
-takes 87.9 us against 86.4 us for the former scalar assembly
-(`quadratize`, `_with_trust_region`, a dict of caps; 173 asks of the
-energy grid's S2-S4 solves at X1 = 25 and 200 mW, the IPM replaced by its
-recorded answer, median of 40 alternating passes), and a whole lone solve
-1.001 times its time (median of 10 alternating passes over 144 solves).
+Only the interior-point kernel depends on K.  `_ipm` gives `_ipm_many`'s
+bits on a stack of one in less than half its time, because each numpy
+call on (1, ...) arrays costs more and `_ipm` takes its step limit and
+sign tests on Python floats.  The model pass has no such fork: on one
+program the stacked pass makes a lone solve a few percent slower than a
+scalar pass did, the price of one model builder.  CHANGES.md records the
+measurements behind these constants and choices.
 """
 
 from __future__ import annotations
@@ -141,7 +93,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -166,23 +117,23 @@ _SETTLE_TOL = 1e-6
 MAX_ROUNDS = 50
 
 
-def quadratize(p: ConvexProgram, x_k: np.ndarray):
-    """Second-order model of every row of a canonical program around x_k.
+def quadratize(ps: ProgramStack, E: np.ndarray):
+    """Second-order model of every row of the stacked programs around the points E (K, n).
 
-    Returns (const, g, H), the epigraph rows first and the objective last:
-    row j's model c + G.(x - x_k) + 0.5 (x - x_k)^T H (x - x_k) is stored
-    expanded as const[j] + g[j].x + 0.5 x^T H[j] x.
+    Returns (const, g, H, sums): the models as (K, m+1, ...) arrays, the
+    epigraph rows first and the objective last, row j's model c + G.(x - e)
+    + 0.5 (x - e)^T H (x - e) stored expanded as const[k, j] + g[k, j].x +
+    0.5 x^T H[k, j] x; and the rows' term sums at E (`ProgramStack.row_sums`).
     """
-    x_k = np.asarray(x_k, dtype=float)
-    for i in p.t_indices:
-        if x_k[i] <= 0.0:
-            raise ValueError(f"expansion point needs positive times (x[{i}] = {x_k[i]:g})")
-    ev = p.evaluate(x_k)
-    H = ev.row_hessians()
-    Hx = H @ x_k
-    G = np.vstack((ev.G, ev.grad))
-    const = np.append(ev.c, ev.f) - G @ x_k + 0.5 * (Hx @ x_k)
-    return const, G - Hx, H
+    t, y, aux = ps.terms(E)
+    if t.min(initial=math.inf) <= 0.0:
+        raise ValueError("expansion point needs positive times")
+    sums, grads, factors = ps.derivatives(t, y)
+    H = ps.row_hessians(factors)
+    Hx = (H @ E[:, None, :, None])[..., 0]
+    f = np.concatenate((aux + sums[:, :-1], (_rowdot(ps.q, E) + sums[:, -1])[:, None]), 1)
+    const = f - (grads @ E[:, :, None])[..., 0] + 0.5 * (Hx @ E[:, :, None])[..., 0]
+    return const, grads - Hx, H, sums
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +142,15 @@ def quadratize(p: ConvexProgram, x_k: np.ndarray):
 
 
 # centring parameter: each step aims at _SIGMA times the duality measure
-# (the scan that chose it is in the module docstring)
+# (see the module docstring)
 _SIGMA = 0.03
 _IPM_TOL = 1e-8        # dual residual and duality measure target
 _IPM_MAX_ITERS = 50
 _FRAC = 0.99           # fraction-to-boundary scaling of the max step
 _BACKTRACKS = 40       # step halvings before an interior-point solve gives up
 # a Newton step whose exact limit falls below this on a subproblem with
-# curved rows is corrected to second order (see the module docstring).
-# Measured on the energy and distance grids and an edge set (X1 = 0, X1 =
-# 1e-3, eta = w1 = 0, X1 = X2 = 0, d1 from 0.2 to 1.8): 0.4, 0.5 and 0.6
-# keep every certificate and gain 5-6; 0.9 and correcting every step lose
-# 3-4 X1 = 0 and X1 = 1e-3 certificates
+# curved rows is corrected to second order (see the module docstring);
+# mid-range, since correcting nearly every step loses certificates
 _CORRECT_BELOW = 0.5
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 _REGULARIZE = 1e-12
@@ -502,9 +450,8 @@ def _under_caps(aux_index, X, sums, backoff: float) -> np.ndarray:
     epigraph cap, less `backoff` (1 + |cap|): 0 pulls the rates onto the
     true feasible region, a positive back-off recenters them so every
     subproblem row starts slack.  `sums` (K, m+1) are the term row sums at
-    X.  It runs on Python floats, row by row: on the S1-A programs at
-    rho = 0.3 the same rule on (K, m) arrays took 4.9-6.1 times as long at
-    K = 1 and as long at K = 8, numpy's per-call cost."""
+    X.  It runs on Python floats, row by row: at the few programs of a
+    stack, numpy's per-call cost makes the same rule on arrays slower."""
     out = X.tolist()
     for x, row_sums in zip(out, sums.tolist()):
         for aux, cap in aux_bounds(aux_index, row_sums).items():
@@ -697,12 +644,12 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
 class _Layout:
     """The reduced programs of one `stack_key` in a solve and what their
     subproblems share, built once: the time and positive coordinates `t`
-    and `pos`, each program's box floors, the `ProgramStack` `ps` of the
-    stacked models (built on first use), and `A[boxed]`, `b0[boxed]`,
-    (K, J, n) and (K, J), every subproblem's rows in `_Stack` order with
-    zeros where an ask's curved rows and box edges go: m curved rows, the
-    linear rows, when boxed x_i <= hi_i then -x_i <= -lo_i per positive
-    coordinate, and -x_i <= 0 per positive coordinate."""
+    and `pos`, each program's box floors, the `ProgramStack` `ps` of their
+    models, and `A[boxed]`, `b0[boxed]`, (K, J, n) and (K, J), every
+    subproblem's rows in `_Stack` order with zeros where an ask's curved
+    rows and box edges go: m curved rows, the linear rows, when boxed x_i <=
+    hi_i then -x_i <= -lo_i per positive coordinate, and -x_i <= 0 per
+    positive coordinate."""
 
     def __init__(self, programs):
         p = programs[0]
@@ -710,6 +657,7 @@ class _Layout:
         self.programs = programs
         self.t, self.pos = np.array(p.t_indices, dtype=int), np.array(p.positive_indices, dtype=int)
         self.floors = np.array([_box_floors(q) for q in programs])
+        self.ps = ProgramStack(programs)
         lin, n_pos = m + len(p.lin_b), len(self.pos)
         A = np.zeros((K, lin + 3 * n_pos, n))
         A[:, m:lin] = [q.lin_A for q in programs]
@@ -721,50 +669,27 @@ class _Layout:
         self.A, self.b0 = ((np.concatenate((A[:, :lin], A[:, lin + 2 * n_pos:]), 1), A),
                            (np.concatenate((b0[:, :lin], b0[:, lin + 2 * n_pos:]), 1), b0))
 
-    @cached_property
-    def ps(self) -> ProgramStack:
-        return ProgramStack(self.programs)
-
 
 def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
     """The asks of the programs at positions `rows` of a layout, all boxed
-    or all boxless, answered together.  Only the program pass depends on
-    K: one ask's model and row sums come from `quadratize` and
-    `term_sums`, more asks' from the layout's `ProgramStack`, with the same
-    bits.  The rows, the starts under the caps and the replies are the
-    same (K, ...) arrays either way, solved by `_ipm` or `_ipm_many`."""
+    or all boxless, answered together: one `quadratize` pass of the
+    layout's `ProgramStack` builds their models, the rows, the starts
+    under the caps and the replies are (K, ...) arrays, and `_ipm` (one
+    ask) or `_ipm_many` (more) solves them."""
     red = lay.programs[rows[0]]
     m, t, pos = red.n_nonlinear, lay.t, lay.pos
     X = np.array([ask.x for ask in asks])
     K = len(X)
+    ps = lay.ps if K == len(lay.programs) else lay.ps.take(rows)
 
     # the models around the points with every time lifted to at least _T_FLOOR
     E = X
     if X[:, t].min(initial=_T_FLOOR) < _T_FLOOR:
         E = X.copy()
         E[:, t] = np.maximum(X[:, t], _T_FLOOR)
-    if K == 1:
-        const, g, H = (a[None] for a in quadratize(red, E[0]))
-        q = red.objective_linear[None]
-
-        def row_sums(Y):
-            return np.array([red.term_sums(Y[0].tolist())])
-    else:
-        ps = lay.ps if K == len(lay.programs) else lay.ps.take(rows)
-        q = ps.q
-
-        def row_sums(Y):
-            return ps.row_sums(*ps.terms(Y)[:2])
-
-        sums, grads, factors = ps.derivatives(*ps.terms(E)[:2])
-        H = ps.row_hessians(factors)
-        Hx = (H @ E[:, None, :, None])[..., 0]
-        f = np.concatenate((E[:, list(red.aux_index)] + sums[:, :-1],
-                            (_rowdot(ps.q, E) + sums[:, -1])[:, None]), 1)
-        const = f - (grads @ E[:, :, None])[..., 0] + 0.5 * (Hx @ E[:, :, None])[..., 0]
-        g = grads - Hx
-    if K == 1 or E is not X:
-        sums = row_sums(X)
+    const, g, H, sums = quadratize(ps, E)
+    if E is not X:
+        sums = ps.row_sums(*ps.terms(X)[:2])
 
     boxed = asks[0].delta is not None
     A, b0 = lay.A[boxed][rows], lay.b0[boxed][rows]
@@ -784,9 +709,9 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
 
     # sol.x is strictly interior whether or not the solve converged
     X_sol = np.array([sol.x for sol in sols])
-    sums = row_sums(X_sol)
+    sums = ps.row_sums(*ps.terms(X_sol)[:2])
     cand = _under_caps(red.aux_index, X_sol, sums, 0.0)
-    f_cand = (_rowdot(q, cand) + sums[:, -1]).tolist()
+    f_cand = (_rowdot(ps.q, cand) + sums[:, -1]).tolist()
     # each model's objective at its solution
     HX = (st.H @ X_sol[:, :, None])[..., 0]
     f_model = (st.c0 + _rowdot(st.g, X_sol) + 0.5 * _rowdot(X_sol, HX)).tolist()

@@ -64,7 +64,7 @@ def rho_candidates(ch: ChannelState) -> tuple[float, ...]:
     k = 0
     while True:
         r = round(k * RHO_STEP, 10)
-        if r >= limit - 1e-12:
+        if k and r >= limit - 1e-12:
             break
         out.append(r)
         k += 1

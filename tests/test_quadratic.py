@@ -12,6 +12,7 @@ from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
     ConvexProgram,
+    ProgramStack,
     all_positive,
     initial_point,
     presolve_program,
@@ -62,10 +63,15 @@ def model_value(model, j, x):
     return const[j] + g[j] @ x + 0.5 * x @ H[j] @ x
 
 
+def lone_model(p, x0):
+    """`quadratize`'s (const, g, H) of p alone around x0: a stack of one, then [0]."""
+    return tuple(a[0] for a in quadratize(ProgramStack([p]), np.asarray(x0)[None])[:3])
+
+
 def test_model_is_exact_at_the_expansion_point():
     p = relay_program()
     x0 = initial_point(p)
-    model = quadratize(p, x0)
+    model = lone_model(p, x0)
     const, g, H = model
     assert model_value(model, -1, x0) == pytest.approx(p.objective_value(x0), rel=1e-12)
     assert g[-1] + H[-1] @ x0 == pytest.approx(p.objective_gradient(x0), rel=1e-12)
@@ -81,7 +87,7 @@ def one_term_model(gamma, x0):
         aux_index=(), lin_A=np.zeros((0, 2)), lin_b=np.zeros(0), t_indices=(0,), y_indices=(1,),
         var_names=("t", "y"), labels=(),
     )
-    model = quadratize(p, x0)
+    model = lone_model(p, x0)
     return lambda x: model_value(model, -1, x)
 
 
@@ -117,7 +123,7 @@ def test_quadratize_requires_positive_times():
     x0 = initial_point(p)
     x0[1] = 0.0
     with pytest.raises(ValueError):
-        quadratize(p, x0)
+        quadratize(ProgramStack([p]), x0[None])
 
 
 def first_ask(p):
@@ -176,9 +182,29 @@ def test_quadratize_orders_model_rows_first():
 
 def test_direct_scenario_quadratizes_to_a_qp():
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
-    const, g, H = quadratize(p, initial_point(p))
+    const, g, H = lone_model(p, initial_point(p))
     assert H[-1].any()
     assert len(const) == len(g) == len(H) == 1  # only linear budget rows remain
+
+
+@pytest.mark.parametrize("cfg, objective", [
+    (NetworkConfig(), Objective.WEIGHTED_SUM),
+    # at X1 = 0 the S1-A common programs keep no terms after presolve
+    (NetworkConfig(X1=0.0), Objective.COMMON),
+])
+def test_a_model_does_not_depend_on_its_stack_company(cfg, objective):
+    # two S1-A candidates of one layout at their start points: each one's
+    # rows and term sums have the same bits stacked as a pair and alone
+    starts = [start(build_problem(ScenarioSpec(Scenario.S1, Case.A, objective, rho), cfg))
+              for rho in (0.1, 0.5)]
+    programs = [pre.program for pre, _ in starts]
+    assert bool(programs[0].term_table) == (objective is Objective.WEIGHTED_SUM)
+    E = np.array([x for _, x in starts])
+    pair = quadratize(ProgramStack(programs), E)
+    for k, p in enumerate(programs):
+        alone = quadratize(ProgramStack([p]), E[k:k + 1])
+        for both, one in zip(pair, alone, strict=True):
+            assert both[k].tobytes() == one[0].tobytes()
 
 
 # -- subproblem solver ------------------------------------------------------
@@ -575,9 +601,8 @@ def test_lockstep_screen_matches_solve_iterative(cfg, case, objective, monkeypat
     NetworkConfig(), NetworkConfig(X1=25.0), NetworkConfig(X1=0.0), NetworkConfig(d1=0.4, du=1.6),
 ])
 def test_stacked_copies_equal_the_lone_solve(cfg):
-    # the S2-S4 programs, solved alone (K = 1: `quadratize` and `_ipm`) and as
-    # two copies in one lockstep solve (K = 2: the `ProgramStack` pass and
-    # `_ipm_many`), end bit for bit alike
+    # the S2-S4 programs, solved alone (K = 1: `_ipm`) and as two copies in
+    # one lockstep solve (K = 2: `_ipm_many`), end bit for bit alike
     for scenario, case, objective in product((Scenario.S2, Scenario.S3, Scenario.S4), Case, Objective):
         p = build_problem(ScenarioSpec(scenario, case, objective), cfg)
         lone = solve_iterative(p)
@@ -678,9 +703,9 @@ def spy_stacked_rounds(monkeypatch):
 @pytest.mark.parametrize("case", list(Case))
 @pytest.mark.parametrize("objective", list(Objective))
 def test_stacked_rounds_equal_the_scalar_ones(cfg, case, objective, monkeypatch):
-    # every stacked model (the `ProgramStack` pass), IPM start and reply
+    # every stacked model (`quadratize` on the stack), IPM start and reply
     # (`_ipm_many`) has the bits of the same ask answered alone (`quadratize`
-    # and `_ipm`)
+    # on a stack of one and `_ipm`)
     rounds = spy_stacked_rounds(monkeypatch)
     solve_iterative_many(screen_programs(cfg, case, objective))
     assert rounds

@@ -16,7 +16,7 @@ from ehcoop import (
     solve_spec,
 )
 from ehcoop import barrier, strategy
-from ehcoop.network import ChannelState
+from ehcoop.network import ChannelState, derive_channels
 from ehcoop.strategy import SOLVERS, rho_candidates
 
 SUM = Objective.WEIGHTED_SUM
@@ -33,6 +33,20 @@ def test_rho_candidates_exclude_the_open_boundary():
     ch = ChannelState(h1=1.0, h2=0.5, hu=1.0,
                       gamma1=1e4, gamma2=5e3, gamma_u=1e4)
     assert rho_candidates(ch) == pytest.approx((0.0, 0.1, 0.2, 0.3, 0.4))
+
+
+# relaying is feasible here, with rho_max = 1.0e-13: only rho = 0 lies below it
+TINY_RHO_MAX = NetworkConfig(du=1.9999999999999)
+
+
+def test_rho_candidates_keep_zero_below_a_tiny_rho_max():
+    assert rho_candidates(derive_channels(TINY_RHO_MAX)) == (0.0,)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_screen_rho_solves_zero_below_a_tiny_rho_max(solver):
+    rho_star, (only,) = screen_rho(TINY_RHO_MAX, Case.A, SUM, solver)
+    assert rho_star == 0.0 and only.result.converged
 
 
 def test_solve_spec_rejects_unknown_solver(default_cfg):
