@@ -3,72 +3,62 @@
 The solver minimizes  f(x) - (1/tau) * [ sum_j ln(-c_j(x)) + sum_i ln x_i ]
 over the strictly feasible region, increasing tau geometrically.  The
 barrier covers every inequality and the nonnegative time/energy
-coordinates; auxiliary rate variables are kept free because the epigraph
+coordinates; the auxiliary rate variables stay free, since the epigraph
 rows already fence them in.
 
 Each Newton direction d is damped by backtracking (Boyd & Vandenberghe,
-Convex Optimization, sections 9.2 and 11.3).  The first trial step is
-min(1, closed-form distance to the nearest linear row or coordinate axis,
-scaled back by SHRINK); it is halved until the barrier decreases by at
-least ARMIJO * step * (g . d).  A trial that leaves the domain of a
-nonlinear row has barrier value +inf and fails the test, so those rows
-need no separate crossing search.  Near a stage optimum, where the
-predicted decrease sinks under the evaluation noise of the barrier, the
-first finite trial is still taken when it does not raise the barrier
-beyond that noise and at least halves the gradient.
+Convex Optimization, sections 9.2 and 11.3): the first trial step is
+min(1, the closed-form distance to the nearest linear row or coordinate
+axis, scaled back by SHRINK), halved until the barrier falls by at least
+ARMIJO * step * (g . d).  A trial off a nonlinear row's domain reads +inf
+and fails, so those rows need no crossing search.  Near a stage optimum
+the first finite trial is also taken when it raises the barrier by no
+more than its evaluation noise and at least halves the gradient, since
+the predicted decrease sinks under that noise there.
 
-Between stages the iterate is moved along the central path.  On the path
-grad f + (1/tau) grad phi = 0 (phi the negated log sum above), so
-dx/d(1/tau) = tau H^-1 grad f with H the barrier Hessian; near the
-optimum the path is almost linear in 1/tau (Fiacco & McCormick 1968;
-Boyd & Vandenberghe section 11.3), and going from tau to mu*tau predicts
-x - (1 - 1/mu) H^-1 grad f.  Every Newton solve takes grad f as a second
-right-hand side, and a stage hands on the one solved at its final
-iterate, where its stop test builds the Hessian anyway.  The prediction
-is kept only where the next stage's barrier is finite and lower than at
-x; a late stage then needs about one Newton step.
+Between stages the iterate follows the central path, which is almost
+linear in 1/tau near the optimum (Fiacco & McCormick 1968): going from tau
+to mu*tau predicts x - (1 - 1/mu) H^-1 grad f, H the barrier Hessian, with
+grad f taken as a second right-hand side of the stage's last Newton solve.
+The prediction is kept only where the next stage's barrier is finite and
+lower than at x; a late stage then needs about one Newton step.
 
-The outer loop starts at TAU0 = 100 and stops on the duality gap of the
-central path: with m barrier rows (nonlinear and affine), the stage
-optimum at tau is within m/tau of the optimum, so tau grows by MU per stage
-until m/tau <= GAP_TOL * (1 + |f|).  TAU_CEILING ends the loop where f is not
-finite.  A first stage at tau = 1, whose gap bound m/tau exceeds |f|,
-would only centre the iterate.  The result is built by `program.finish`
-from the barrier multipliers 1/(tau s) of the final iterate, so a
-finished path counts as converged only with the certificate both solvers
-share.  The tuning values are module constants read at call time.
+tau starts at TAU0 = 100, since a stage at tau = 1, whose gap bound m/tau
+exceeds |f|, would only centre the iterate, and grows by MU per stage
+until m/tau <= GAP_TOL * (1 + |f|), m the barrier rows (nonlinear and
+affine): the stage optimum at tau is within m/tau of the optimum.
+TAU_CEILING ends the loop where f is not finite.  `program.finish` builds
+the result from the barrier multipliers 1/(tau s) of the final iterate,
+so a finished path counts as converged only with the certificate both
+solvers share.  The tuning values are module constants read at call time.
 
 A stage ends once its last step is at most STEP_TOL long and its gradient
 at most GRAD_TOL, or once three iterates in a row have their Newton
-decrement at the noise floor: next to a boundary (rho one ulp below
-rho_max, say) full steps longer than STEP_TOL can alternate there
-without changing the barrier, and the stage would otherwise run into
-MAX_INNER.  An early stage need not be centred that well, since
-its gap bound m/tau is still wide (Boyd & Vandenberghe sections 11.3.3
-and 11.5): while m/tau > LOOSE_GAP * (1 + |f|), with f the objective as
+decrement at the noise floor, since next to a boundary (rho one ulp below
+rho_max, say) full steps can alternate there without changing the barrier
+until MAX_INNER.  While m/tau > LOOSE_GAP * (1 + |f|), f the objective as
 in the gap stop, a stage also ends once the squared Newton decrement of
-tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT.  With 7 to 13 rows
-that covers the stages at tau = 1e2 and 1e4, never the last one, whose
-bound is below GAP_TOL * (1 + |f|).  A larger decrement bound starts the
-next stage too far from its centre to finish within MAX_INNER; CHANGES.md
-records the scan that chose the two values.
+tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT, since an early
+stage's gap bound is still wide (Boyd & Vandenberghe sections 11.3.3 and
+11.5); the last stage, whose bound is below GAP_TOL * (1 + |f|), never
+does.  A larger decrement bound starts the next stage too far from its
+centre to finish within MAX_INNER.  CHANGES.md records the scans behind
+TAU0, LOOSE_GAP and LOOSE_DECREMENT.
 
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
 floats, and each program leaves at its own stop.  `solve_nb_many` is
 `program.solve_many` around `_kernel`, which steps two or more reduced
-programs of one `stack_key` on one `_Stack`, with one stacked evaluation
-(`program.ProgramStack`, whose term pass `_Stack` wraps), Hessian and
-linear solve on (K, n, n) per Newton iteration, and a lone one, and so
-every `solve_nb`, on a `_One`: the scalar `barrier_value`,
-`barrier_gradient`, `_newton_direction` and `alpha_linear`, on one
-`program.point_rows` view per iterate.  The two give the same bits: the
-stacked term pass takes `math.log1p`'s (`program.scalar_log1p`), as
-`evaluate` does, and the barrier value's logs and sums are numpy's on
-both.  `program.solve_many` runs every kernel call under one
-`np.errstate`, so the NaN and inf of a trial point off the domain, which
-the barrier reads as +inf, warn on neither path.  The solver keeps no
-per-step log.
+programs of one `stack_key` on one `_Stack` (one `program.ProgramStack`
+evaluation, Hessian and (K, n, n) linear solve per Newton iteration), and
+a lone one, and so every `solve_nb`, on a `_One` (the scalar
+`barrier_value`, `barrier_gradient`, `_newton_direction` and
+`alpha_linear` on one `program.point_rows` view per iterate).  The two
+give the same bits, because both take `math.log1p`'s term logs
+(`program.scalar_log1p`) and numpy's barrier logs and sums.
+`program.solve_many` runs every kernel call under one `np.errstate`, so a
+trial point off the domain, which the barrier reads as +inf, warns on
+neither path.  The solver keeps no per-step log.
 
 `alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
 no longer called by the solver; they stay because the benchmark's trace

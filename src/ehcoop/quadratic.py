@@ -40,15 +40,29 @@ sets most iteration counts.  Long-step path following allows a far smaller
 sigma than 0.1 (Wright, Primal-Dual Interior-Point Methods, SIAM 1997,
 ch. 5); 0.03 is the smallest one that keeps every grid certificate.
 
+Each boxed subproblem is solved only as tightly as its step needs, by a
+forcing rule (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2),
+1982): its ask carries the interior-point tolerance max(_IPM_TOL, min(1e-2,
+1e-2 last^2)), last the norm of the previous accepted move (inf before the
+first), because the model of a long step is thrown away in the next round;
+`_ipm` and `_ipm_many` stop, and report `converged`, against it
+(`_Stack.tol`).  A boxless ask (a polish rebuild or a `_TR_FREE` round) is
+always solved to _IPM_TOL.  CHANGES.md records the iterations and the
+certificates it changed.
+
 The rounds settle when a round's model sees no descent around x, when none
 of its boxes gives an acceptable step (x is then stationary for its model,
 and is tested, not abandoned: Conn, Gould & Toint, Trust-Region Methods,
 SIAM 2000, ch. 6), or when its step moves x by at most _SETTLE_TOL; only
-MAX_ROUNDS leaves a solve unsettled.  Boxless rebuilds then polish the
-point: the first one that is accepted and moves it by at most _SETTLE_TOL
-ends the polish, since a further one only confirms it.  A rebuild is
-rejected when its objective reads worse than the settled point's by more
-than max(1e-8 (1 + |f|), J * gap), J the subproblem's inequality count:
+MAX_ROUNDS leaves a solve unsettled.  A round that would settle on a
+loosely solved subproblem asks again at _IPM_TOL instead, so the rounds
+settle, and `finish` is seeded, only from a subproblem solved to _IPM_TOL:
+settling on a loose one lost grid certificates.  Boxless rebuilds then
+polish the point: the first one that is accepted and moves it by at most
+_SETTLE_TOL ends the polish, since a further one only confirms it.  A
+rebuild is rejected when its objective reads worse than the settled
+point's by more than max(1e-8 (1 + |f|), J * gap), J the subproblem's
+inequality count:
 the interior-point stop lets the rebuild's complementarity lam . s = J *
 gap reach J * _IPM_TOL, and its objective is known only to within that.
 
@@ -207,17 +221,19 @@ def _float_step_limit(lam, dlam, s, p, q) -> float:
 class _Stack:
     """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
     H) and the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, whose
-    first m rows (the curved ones) carry the Hessians nl_H.  The rows of
-    each subproblem are the curved ones, the linear ones, any trust-region
-    box, then -x_i <= 0 per positive coordinate."""
+    first m rows (the curved ones) carry the Hessians nl_H, and the (K,)
+    stop tolerances `tol` of the interior point (`_IPM_TOL` unless given).
+    The rows of each subproblem are the curved ones, the linear ones, any
+    trust-region box, then -x_i <= 0 per positive coordinate."""
 
-    def __init__(self, c0, g, H, A, b0, nl_H):
+    def __init__(self, c0, g, H, A, b0, nl_H, tol=None):
         self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
+        self.tol = np.full(len(c0), _IPM_TOL) if tol is None else np.asarray(tol, dtype=float)
 
     def take(self, keep) -> "_Stack":
         """The subproblems at the positions `keep`."""
         out = copy.copy(self)
-        for name in ("c0", "A", "b0", "nl_H", "g", "H"):
+        for name in ("c0", "A", "b0", "nl_H", "g", "H", "tol"):
             setattr(out, name, getattr(self, name)[keep])
         return out
 
@@ -236,14 +252,15 @@ class _Stack:
 
 
 def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
-    """Path-following solve of the one subproblem of `st` from a strictly feasible x.
+    """Path-following solve of the one subproblem of `st` from a strictly
+    feasible x, to its tolerance `st.tol[0]`.
 
     `_ipm_many`'s algorithm on the (J,) rows of one program, whose numpy
     calls cost about 1 us less than on (1, J) arrays.  The step limit and
     the trial's sign tests read the rows as Python floats
     (`_float_step_limit`, `program.all_positive`), with numpy's bits.
     """
-    g, H, A, b0, nl_H = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0]
+    g, H, A, b0, nl_H, tol = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0], float(st.tol[0])
     n, m = len(g), len(nl_H)
     H_rows = nl_H.reshape(m, n * n)
     J = len(b0)
@@ -272,7 +289,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     iters = 0
     for iters in range(1, _IPM_MAX_ITERS + 1):
         mu_hat = float(lam @ s) / J
-        if mu_hat <= _IPM_TOL and (res := float(np.abs(r_d).max())) <= _IPM_TOL:
+        if mu_hat <= tol and (res := float(np.abs(r_d).max())) <= tol:
             return SubproblemSolution(
                 x=x, lam=lam, iters=iters - 1, kkt_residual=res, gap=mu_hat, converged=True,
             )
@@ -324,7 +341,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     res = float(np.abs(r_d).max())
     return SubproblemSolution(
         x=x, lam=lam, iters=iters, kkt_residual=res, gap=mu_hat,
-        converged=res <= _IPM_TOL and mu_hat <= _IPM_TOL,
+        converged=res <= tol and mu_hat <= tol,
     )
 
 
@@ -357,7 +374,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
             out[live[k]] = SubproblemSolution(
                 x=X[k], lam=L[k], iters=iters,
                 kkt_residual=float(res[k]), gap=float(mu[k]),
-                converged=bool(res[k] <= _IPM_TOL and mu[k] <= _IPM_TOL))
+                converged=bool(res[k] <= st.tol[k] and mu[k] <= st.tol[k]))
 
     def keep(rows):
         nonlocal st, live, X, L, S, G, R
@@ -366,7 +383,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
     iters = 0
     for iters in range(1, _IPM_MAX_ITERS + 1):
         mu, res = _rowdot(L, S) / J, np.abs(R).max(1)
-        done = (res <= _IPM_TOL) & (mu <= _IPM_TOL)
+        done = (res <= st.tol) & (mu <= st.tol)
         if done.any():
             leave(np.flatnonzero(done), iters - 1, mu, res)
             if done.all():
@@ -541,10 +558,12 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
 
 class _Ask(NamedTuple):
     """What a solve's rounds need next: the model of its program around x, boxed
-    by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)."""
+    by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)
+    to the interior-point tolerance `tol` (a boxless ask to `_IPM_TOL`)."""
 
     x: np.ndarray
     delta: float | None
+    tol: float
 
 
 class _Reply(NamedTuple):
@@ -556,6 +575,12 @@ class _Reply(NamedTuple):
     cand: np.ndarray | None     # sol.x under its caps (`_under_caps`, no back-off)
     f_model: float              # the (boxless) model's objective at sol.x
     f_cand: float               # objective at cand
+
+
+def _forcing_tol(last: float) -> float:
+    """The interior-point tolerance of a boxed ask after an accepted move of
+    norm `last` (inf before the first): loose while the moves are long."""
+    return max(_IPM_TOL, min(1e-2, 1e-2 * last * last))
 
 
 def _rounds(red: ConvexProgram, x: np.ndarray):
@@ -578,10 +603,14 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
     # the box would only slow the one exact solve down
     has_models = bool(red.term_table)
     delta = _TR_DELTA0 if has_models else _TR_FREE
+    tol = _forcing_tol(math.inf)
     for rounds in range(1, MAX_ROUNDS + 1):
         step = None
+        loose = False               # whether a boxed ask of this round was solved loosely
         for _ in range(_TR_RETRIES + 1):
-            reply = yield _Ask(x, None if delta >= _TR_FREE else delta)
+            box = None if delta >= _TR_FREE else delta
+            loose |= box is not None and tol > _IPM_TOL
+            reply = yield _Ask(x, box, _IPM_TOL if box is None else tol)
             inner_total += reply.sol.iters
             if not reply.sol.converged:
                 delta *= _TR_SHRINK
@@ -601,9 +630,13 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
             dif = float(np.linalg.norm(step.cand - x))
             x, f_x = step.cand, step.f_cand
         if step is None or dif <= _SETTLE_TOL:
+            if loose:
+                tol = _IPM_TOL      # settle only on a subproblem solved to _IPM_TOL
+                continue
             settled = True
             break
         moves += 1
+        tol = _forcing_tol(dif)
 
     if settled:
         # boxless rebuilds from the settled point: each accepted round is a
@@ -611,7 +644,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         # polishes the coordinates and yields multipliers for the true
         # constraint set; another runs only when that one still moved
         for _ in range(3):
-            reply = yield _Ask(x, None)
+            reply = yield _Ask(x, None, _IPM_TOL)
             clean = reply.sol
             inner_total += clean.iters
             if not clean.converged:
@@ -703,7 +736,8 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
         # keep c > 0): a log term frozen at the origin cannot be revived by
         # a local quadratic model
         np.maximum(c - r, 0.25 * c, out=edges[:, :, 1])
-    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m])
+    tol = [ask.tol if boxed else _IPM_TOL for ask in asks]
+    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], tol)
     X0 = _under_caps(red.aux_index, X, sums, _IPM_BACKOFF)
     sols = [_ipm(st, X0[0])] if K == 1 else _ipm_many(st, X0)
 

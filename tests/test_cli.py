@@ -205,14 +205,16 @@ def test_select_without_energy_reports_a_plain_zero(capsys):
 
 
 def test_engine_warning_prints_as_one_line():
-    # quad ends S4-A uncertified at w1 = 0, and select warns about it; a
-    # child process, because pytest records the warnings of its own
+    # nb ends S4-B uncertified where U1 harvests 1 uW at d1 = 1.8, and select
+    # warns about it; a child process, because pytest records the warnings
+    # of its own
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", "select", "--w1", "0", "--solver", "quad"],
+    command = ["select", "--X1", "1e-3", "--d1", "1.8", "--du", "0.2"]
+    proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", *command],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["ehcoop: warning: S4-A rho=0 did not converge (max_iterations)"]
+    assert proc.stderr.splitlines() == ["ehcoop: warning: S4-B rho=0 did not converge (max_iterations)"]
 
 
 def test_select_with_zero_weights_exits_one(capsys):

@@ -135,10 +135,10 @@ def first_ask(p):
 def lone_subproblem(p, x=None, delta=None):
     """The one-program `_Stack` and interior-point start `_answer` builds for
     the first ask of a lone solve of p, or for the model around x boxed by
-    delta (None: boxless)."""
+    delta (None: boxless), solved to `_IPM_TOL`."""
     red, ask = first_ask(p)
     if x is not None:
-        ask = ask._replace(x=np.array(x), delta=delta)
+        ask = quadratic._Ask(np.array(x), delta, quadratic._IPM_TOL)
     _, st, x0 = answer_alone(quadratic._Layout([red]), 0, ask)
     return st, x0
 
@@ -380,8 +380,8 @@ def test_iteration_counts_are_unchanged_by_the_array_subproblem():
     direct = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig()))
     # the relay program's interior-point steps take the second-order
     # correction; the S3 program has no curved row, so it never does
-    assert (relay.outer_iters, relay.inner_iters) == (6, 59)
-    assert (direct.outer_iters, direct.inner_iters) == (5, 47)
+    assert (relay.outer_iters, relay.inner_iters) == (7, 53)
+    assert (direct.outer_iters, direct.inner_iters) == (5, 35)
 
 
 def test_unused_slot_at_zero_ambient_energy_is_certified():
@@ -446,17 +446,25 @@ def test_settle_keeps_a_slot_that_still_holds_energy():
 
 
 def test_finish_gets_no_multiplier_of_a_box_row():
-    # one boxed reply whose model sees no descent settles the rounds, and an
-    # unconverged polish leaves the certificate to it: its curved and linear
-    # rows' multipliers and its last n_pos (the bounds -x_i <= 0) seed
-    # `finish`, none of its 2 n_pos box rows'
+    # a boxed reply whose model sees no descent settles the rounds once it
+    # is asked again at _IPM_TOL (the first ask is loose), and an
+    # unconverged polish leaves the certificate to that tight reply: its
+    # curved and linear rows' multipliers and its last n_pos (the bounds
+    # -x_i <= 0) seed `finish`, none of its 2 n_pos box rows' and nothing
+    # of the loose reply
     pre, x0 = start(relay_program())
     red = pre.program
     ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
     lam = np.arange(1.0, ml + 3 * n_pos + 1.0)
     f_x = red.objective_value(x0)
     rounds = quadratic._rounds(red, x0)
-    assert next(rounds).delta is not None
+    first = next(rounds)
+    assert first.delta is not None and first.tol > quadratic._IPM_TOL
+    loose = quadratic.SubproblemSolution(x=x0, lam=lam + 50.0, iters=2, kkt_residual=0.0, gap=0.0,
+                                         converged=True)
+    again = rounds.send(quadratic._Reply(loose, x0, f_x, f_x))
+    assert again.delta is not None and again.tol == quadratic._IPM_TOL
+    assert np.array_equal(again.x, x0)
     boxed = quadratic.SubproblemSolution(x=x0, lam=lam, iters=3, kkt_residual=0.0, gap=0.0, converged=True)
     assert rounds.send(quadratic._Reply(boxed, x0, f_x, f_x)).delta is None
     polish = quadratic.SubproblemSolution(x=x0, lam=lam + 100.0, iters=5, kkt_residual=1.0, gap=1.0,
@@ -483,11 +491,13 @@ def spy_asks(monkeypatch):
 
 @pytest.mark.parametrize("X1", [0.0, 1e-3])
 def test_round_without_an_acceptable_step_settles(X1, monkeypatch):
-    # S1-B common at rho = 0.1: a late round finds no acceptable step within
-    # _TR_RETRIES, which leaves x stationary for its model; the rounds
-    # settle there, and the polished point carries the certificate
+    # S1-B common at rho = 0.1, d1 = 1.4: a late round, solved to _IPM_TOL,
+    # finds no acceptable step within _TR_RETRIES, which leaves x stationary
+    # for its model; the rounds settle there, and the polished point carries
+    # the certificate
     asks = spy_asks(monkeypatch)
-    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.1), NetworkConfig(X1=X1))
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.1),
+                      NetworkConfig(X1=X1, d1=1.4, du=0.6))
     res = solve_iterative(p)
     # the last round's every try shrinks the box around one x, and the
     # polish rebuild starts from that same x
@@ -498,6 +508,7 @@ def test_round_without_an_acceptable_step_settles(X1, monkeypatch):
     assert all(np.array_equal(ask.x, polish.x) for ask in before[-tries:])
     radii = [quadratic._TR_FREE if ask.delta is None else ask.delta for ask in before[-tries:]]
     assert all(a > b for a, b in zip(radii, radii[1:]))
+    assert all(ask.tol == quadratic._IPM_TOL for ask in before[-tries:])
     assert res.status is SolveStatus.CONVERGED
     b = solve_nb(p)
     assert b.converged
@@ -746,7 +757,7 @@ def test_quad_screens_raise_no_runtime_warning():
 
 def stack_of(subs):
     """One-program `_Stack`s of one shape as the one `_Stack` `_ipm_many` steps."""
-    names = ("c0", "g", "H", "A", "b0", "nl_H")
+    names = ("c0", "g", "H", "A", "b0", "nl_H", "tol")
     return quadratic._Stack(*(np.concatenate([getattr(st, name) for st in subs]) for name in names))
 
 
@@ -813,8 +824,8 @@ def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
     # S3 has no curved row, so its interior-point steps are never corrected
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
     res = solve_iterative(p)
-    assert res.objective_bits.hex() == "0x1.d50ba26047fbep+2"
-    assert (res.outer_iters, res.inner_iters) == (5, 47)
+    assert res.objective_bits.hex() == "0x1.d50ba26047fc3p+2"
+    assert (res.outer_iters, res.inner_iters) == (5, 35)
     monkeypatch.setattr(quadratic, "_CORRECT_BELOW", math.inf)
     always = solve_iterative(p)
     assert always.objective_bits.hex() == res.objective_bits.hex()
@@ -836,18 +847,20 @@ def test_polish_guard_admits_the_rebuilds_complementarity_offset(monkeypatch):
 
 
 def test_settled_solve_polishes_once(monkeypatch):
-    # the default S2-A sum solve grows its box from 0.8 to 25.6 before it
-    # settles, so its only boxless asks are the polish rebuilds
+    # the default S2-A sum solve grows its box from 0.8 to 25.6 in seven
+    # rounds that move x, and past _TR_FREE: one boxless round settles it,
+    # so its only other boxless ask is the one polish rebuild
     asks = spy_asks(monkeypatch)
     res = solve_iterative(build_problem(ScenarioSpec(Scenario.S2, Case.A), NetworkConfig()))
-    assert res.converged
-    assert [ask.delta for ask in asks].count(None) == 1
+    assert res.converged and res.outer_iters == 7
+    assert [ask.delta for ask in asks] == [0.8, 1.6, 1.6, 3.2, 6.4, 12.8, 25.6, None, None]
     assert asks[-1].delta is None
 
 
 def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
     # the S2-S4 solves at X1 = 100 mW; at a centring of 0.1 with two polish
-    # rebuilds they took 892 iterations over 102 subproblems (8.75 each)
+    # rebuilds they took 892 iterations over 102 subproblems (8.75 each),
+    # and with every subproblem solved to _IPM_TOL 641 over 90
     iters = []
     real = quadratic._ipm
 
@@ -860,5 +873,71 @@ def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
     cfg = NetworkConfig()
     for scenario, case, objective in product((Scenario.S2, Scenario.S3, Scenario.S4), Case, Objective):
         assert solve_iterative(build_problem(ScenarioSpec(scenario, case, objective), cfg)).converged
-    assert (len(iters), sum(iters)) == (90, 641)
+    assert (len(iters), sum(iters)) == (91, 501)
     assert sum(iters) / len(iters) < 892 / 102
+
+
+# -- forcing rule: each subproblem solved only as tightly as its step needs ----
+
+
+def test_boxed_asks_start_loose_and_boxless_asks_are_tight(monkeypatch):
+    # the first boxed ask of a solve carries 1e-2 (no move yet), every later
+    # boxed one max(_IPM_TOL, min(1e-2, 1e-2 last^2)), every boxless one _IPM_TOL
+    asks = spy_asks(monkeypatch)
+    assert solve_iterative(relay_program()).converged
+    assert asks[0].delta is not None and asks[0].tol == 1e-2
+    boxless = [ask for ask in asks if ask.delta is None]
+    assert boxless and all(ask.tol == quadratic._IPM_TOL for ask in boxless)
+    boxed = [ask.tol for ask in asks if ask.delta is not None]
+    assert all(quadratic._IPM_TOL <= tol <= 1e-2 for tol in boxed)
+    assert min(boxed) == quadratic._IPM_TOL
+    # `_answer` solves a boxed ask to its tolerance and a boxless one to
+    # _IPM_TOL, whatever else the ask carries
+    red, ask = first_ask(relay_program())
+    lay = quadratic._Layout([red])
+    _, st, _ = answer_alone(lay, 0, ask)
+    assert st.tol.tolist() == [1e-2]
+    _, st, _ = answer_alone(lay, 0, ask._replace(delta=None))
+    assert st.tol.tolist() == [quadratic._IPM_TOL]
+
+
+@pytest.mark.parametrize("spec, cfg", [
+    # the model of a loose round sees no descent
+    (ScenarioSpec(Scenario.S4, Case.A), NetworkConfig(w1=0.0)),
+    (ScenarioSpec(Scenario.S3, Case.A), NetworkConfig(X1=0.0)),
+    # a loose round moves x by at most _SETTLE_TOL
+    (ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.1), NetworkConfig(X1=1e-3, d1=0.6, du=1.4)),
+])
+def test_rounds_settle_only_on_a_tight_subproblem(spec, cfg, monkeypatch):
+    # a round that would settle on a loosely solved subproblem asks again
+    # at _IPM_TOL, so the last boxed ask before the settle is tight; with
+    # every round solved to _IPM_TOL the first two ended uncertified (KKT 1.3e-6)
+    asks = spy_asks(monkeypatch)
+    p = build_problem(spec, cfg)
+    res = solve_iterative(p)
+    tight, loose = [ask for ask in asks if ask.delta is not None][:-3:-1]
+    assert tight.tol == quadratic._IPM_TOL < loose.tol
+    assert np.linalg.norm(tight.x - loose.x) <= quadratic._SETTLE_TOL
+    assert asks[-1].delta is None
+    assert res.status is SolveStatus.CONVERGED
+    ref = solve_nb(p)
+    assert abs(res.objective_bits - ref.objective_bits) <= 1e-6 * (1.0 + abs(ref.objective_bits))
+
+
+def test_loose_asks_keep_the_bits_alone_and_stacked():
+    # the lone and stacked kernels' bit equality at the ask's own stop
+    # test: two first asks (tolerance 1e-2) stacked give `_ipm`'s bits on
+    # each, stop loose and report converged against 1e-2
+    pairs = [s2_model(), lone_subproblem(relay_program())]
+    assert all(sub.tol.tolist() == [1e-2] for sub, _ in pairs)
+    stacked = _ipm_many(stack_of([sub for sub, _ in pairs]), np.array([x for _, x in pairs]))
+    for lock, (sub, x) in zip(stacked, pairs, strict=True):
+        alone = _ipm(sub, x)
+        assert alone.converged and max(alone.gap, alone.kkt_residual) > quadratic._IPM_TOL
+        assert (lock.iters, lock.converged) == (alone.iters, alone.converged)
+        for name in ("x", "lam"):
+            assert np.array_equal(getattr(lock, name), getattr(alone, name)), name
+        assert (lock.kkt_residual, lock.gap) == (alone.kkt_residual, alone.gap)
+        # the same subproblem at _IPM_TOL takes more steps
+        sub.tol = np.array([quadratic._IPM_TOL])
+        assert _ipm(sub, x).iters > alone.iters
