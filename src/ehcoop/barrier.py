@@ -6,6 +6,23 @@ barrier covers every inequality and the nonnegative time/energy
 coordinates; the auxiliary rate variables stay free, since the epigraph
 rows already fence them in.
 
+The Newton steps are primal-dual (Forsgren, Gill & Wright, "Interior
+Methods for Nonlinear Optimization", SIAM Review 44(4), 2002, sections
+4-5).  Each barrier row carries a multiplier lam, in `program.point_rows`
+order: 1/(tau s) at the solve's first Newton evaluation, then kept across
+stages and predictions.  The Newton matrix weighs the curvature of
+epigraph row j by lam_j (the objective's by 1) and adds R^T diag(lam / s) R,
+R the rows' gradients and s their slacks, where the barrier Hessian has
+1/(tau s) and 1/(tau s^2).  The right-hand sides stay the barrier gradient
+(and grad f for the tangent Z), so each stage keeps its centre.  After a
+step alpha d, lam <- max(lam + alpha dlam, LAM_FLOOR / (tau s)), where
+dlam = (1/tau - lam s + lam (R d)) / s linearizes lam s = 1/tau at the
+point before the step.  A program whose line search finds no step keeps
+its point and takes the full multiplier step; one that does not search
+keeps its lam.  Why: the barrier Hessian reads its weights off the current
+slack alone, so a slack cut to 1% of its centre value only doubled per
+full step.  CHANGES.md records the step counts and the floor scan.
+
 Each Newton direction d is damped by backtracking (Boyd & Vandenberghe,
 Convex Optimization, sections 9.2 and 11.3): the first trial step is
 min(1, the closed-form distance to the nearest linear row or coordinate
@@ -18,7 +35,7 @@ the predicted decrease sinks under that noise there.
 
 Between stages the iterate follows the central path, which is almost
 linear in 1/tau near the optimum (Fiacco & McCormick 1968): going from tau
-to mu*tau predicts x - (1 - 1/mu) H^-1 grad f, H the barrier Hessian, with
+to mu*tau predicts x - (1 - 1/mu) H^-1 grad f, H the Newton matrix, with
 grad f taken as a second right-hand side of the stage's last Newton solve.
 The prediction is kept only where the next stage's barrier is finite and
 lower than at x; a late stage then needs about one Newton step.
@@ -28,15 +45,16 @@ exceeds |f|, would only centre the iterate, and grows by MU per stage
 until m/tau <= GAP_TOL * (1 + |f|), m the barrier rows (nonlinear and
 affine): the stage optimum at tau is within m/tau of the optimum.
 TAU_CEILING ends the loop where f is not finite.  `program.finish` builds
-the result from the barrier multipliers 1/(tau s) of the final iterate,
+the result from the multipliers the path carried to its final iterate,
 so a finished path counts as converged only with the certificate both
 solvers share.  The tuning values are module constants read at call time.
 
 A stage ends once its last step is at most STEP_TOL long and its gradient
 at most GRAD_TOL, or once three iterates in a row have their Newton
-decrement at the noise floor, since next to a boundary (rho one ulp below
-rho_max, say) full steps can alternate there without changing the barrier
-until MAX_INNER.  While m/tau > LOOSE_GAP * (1 + |f|), f the objective as
+decrement at the noise floor, since next to a boundary full steps can
+alternate there without changing the barrier until MAX_INNER (with the
+barrier Hessian as the Newton matrix they did at rho one ulp below
+rho_max).  While m/tau > LOOSE_GAP * (1 + |f|), f the objective as
 in the gap stop, a stage also ends once the squared Newton decrement of
 tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT, since an early
 stage's gap bound is still wide (Boyd & Vandenberghe sections 11.3.3 and
@@ -50,12 +68,13 @@ The algorithm is written once, for K programs at a time (`_path`,
 floats, and each program leaves at its own stop.  `solve_nb_many` is
 `program.solve_many` around `_kernel`, which steps two or more reduced
 programs of one `stack_key` on one `_Stack` (one `program.ProgramStack`
-evaluation, Hessian and (K, n, n) linear solve per Newton iteration), and
+evaluation, Newton matrix and (K, n, n) linear solve per Newton iteration), and
 a lone one, and so every `solve_nb`, on a `_One` (the scalar
 `barrier_value`, `barrier_gradient`, `_newton_direction` and
 `alpha_linear` on one `program.point_rows` view per iterate).  The two
 give the same bits, because both take `math.log1p`'s term logs
-(`program.scalar_log1p`) and numpy's barrier logs and sums.
+(`program.scalar_log1p`), numpy's barrier logs and sums, and the same
+multiplier arithmetic.
 `program.solve_many` runs every kernel call under one `np.errstate`, so a
 trial point off the domain, which the barrier reads as +inf, warns on
 neither path.  The solver keeps no per-step log.
@@ -99,6 +118,8 @@ LOOSE_DECREMENT = 1.0
 MAX_INNER = 200
 # back-off of the first trial step from the nearest linear row or axis
 SHRINK = 0.99
+# a step keeps each multiplier at least LAM_FLOOR / (tau s)
+LAM_FLOOR = 1e-2
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 REGULARIZE = 1e-10
 
@@ -131,18 +152,30 @@ def barrier_gradient(view, tau: float) -> np.ndarray:
     return lagrangian_gradient(view, 1.0 / (tau * view[2]))
 
 
-def barrier_hessian(view, tau: float) -> np.ndarray:
-    """Barrier Hessian at a `program.point_rows` view; the curvature of row j is
-    weighted by -1/(tau c_j)."""
+def _newton_matrix(view, lam) -> np.ndarray:
+    """The Newton matrix at a `program.point_rows` view and one multiplier per row:
+    the curvature of epigraph row j weighted by lam_j, plus R^T diag(lam / s) R."""
     ev, rows, s = view
-    H = ev.curvature((-1.0 / (tau * ev.c)).tolist() + [1.0])
-    return H + (rows.T / (tau * s * s)) @ rows
+    H = ev.curvature(lam[:len(ev.c)].tolist() + [1.0])
+    return H + (rows.T * (lam / s)) @ rows
 
 
-def _newton_direction(view, tau, g):
-    """Solve H d = -g for the current barrier stage, g one or more columns; also says
-    whether H was regularized."""
-    return regularized_solve(barrier_hessian(view, tau), -g, REGULARIZE)
+def barrier_hessian(view, tau: float) -> np.ndarray:
+    """Barrier Hessian at a `program.point_rows` view: the Newton matrix at the
+    barrier multipliers 1/(tau s)."""
+    return _newton_matrix(view, 1.0 / (tau * view[2]))
+
+
+def _newton_direction(view, lam, g):
+    """Solve M d = -g, M the Newton matrix at the multipliers lam, g one or more
+    columns; also says whether M was regularized."""
+    return regularized_solve(_newton_matrix(view, lam), -g, REGULARIZE)
+
+
+def _multiplier_step(tau, lam, s, Rd):
+    """The multiplier step dlam that linearizes lam s = 1/tau along a Newton step d
+    (Rd the rows' gradients times d), and the floor LAM_FLOOR/(tau s) a step keeps."""
+    return (1.0 / tau - lam * s + lam * Rd) / s, LAM_FLOOR / (tau * s)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +250,18 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
 # Arithmetic backends
 # ---------------------------------------------------------------------------
 #
-# A backend holds K programs at the rows of a (K, n) array X and answers
-# with one Python float per program.  `newton(X, tau)` gives (f, max |g|,
-# g . d, D, Z, slack): objective values, barrier gradient norms and slopes
-# along the Newton directions D (in the backend's layout), central-path
-# tangents Z (K, n) and affine slacks.  `barrier` gives barrier values,
-# `first_steps` min(1, SHRINK * distance to the nearest affine row along
-# D), `norms` the lengths of D, `gnorm` max |barrier gradient|, and
-# `step(X, D, a)` X + a D where a > 0 (the other rows stay).
+# A backend holds K programs at the rows of a (K, n) array X, and their
+# multipliers `lam`, one row of `program.point_rows`' length per program;
+# it answers with one Python float per program.  `newton(X, tau)` gives (f,
+# max |g|, g . d, D, Z, slack): objective values, barrier gradient norms and
+# slopes along the Newton directions D (in the backend's layout),
+# central-path tangents Z (K, n) and affine slacks; its first call sets lam
+# to 1/(tau s), and each call keeps its multiplier steps.  `barrier` gives
+# barrier values, `first_steps` min(1, SHRINK * distance to the nearest
+# affine row along D), `norms` the lengths of D, `gnorm` max |barrier
+# gradient|, `step(X, D, a)` X + a D where a > 0 (the other rows stay), and
+# `advance(X, D, a, b)` that step, with lam moved b times its multiplier
+# step, and floored, where b > 0 (the other programs keep their lam).
 
 
 class _One:
@@ -236,16 +273,21 @@ class _One:
     def __init__(self, program):
         self.program = program
         self.n_rows = program.n_nonlinear + len(program.affine_rows[1])
+        self.lam = None
 
     def barrier(self, X, tau):
         return [barrier_value(self.program, tau, X[0])]
 
     def newton(self, X, tau):
         view = point_rows(self.program, X[0])
-        ev, _, s = view
+        ev, rows, s = view
+        if self.lam is None:
+            self.lam = (1.0 / (tau * s))[None]
+        lam = self.lam[0]
         g = barrier_gradient(view, tau)
-        dz, _ = _newton_direction(view, tau, np.array((g, ev.grad)).T)
+        dz, _ = _newton_direction(view, lam, np.array((g, ev.grad)).T)
         d = dz[:, 0]
+        self.dlam, self.floor = _multiplier_step(tau, lam, s, rows @ d)
         return ([ev.f], [float(np.abs(g).max())], [float(g @ d)], d, dz[None, :, 1],
                 s[self.program.n_nonlinear:])
 
@@ -261,6 +303,11 @@ class _One:
     def step(self, X, d, a):
         return X + a[0] * d if a[0] > 0.0 else X
 
+    def advance(self, X, d, a, b):
+        if b[0] > 0.0:
+            self.lam = np.maximum(self.lam + b[0] * self.dlam, self.floor)
+        return self.step(X, d, a)
+
 
 class _Stack:
     """K programs of one `stack_key` as (K, ...) arrays: the `ProgramStack`
@@ -274,11 +321,12 @@ class _Stack:
         A = np.array([prog.affine_rows[0] for prog in programs])
         self.b = np.array([prog.affine_rows[1] for prog in programs])
         self.Aq = np.concatenate((A, self.terms.q[:, None, :]), 1)
+        self.lam = None
 
     def take(self, keep) -> "_Stack":
-        """The programs at the positions `keep`."""
+        """The programs at the positions `keep`, with their multipliers."""
         out = copy.copy(self)
-        out.terms, out.b, out.Aq = self.terms.take(keep), self.b[keep], self.Aq[keep]
+        out.terms, out.b, out.Aq, out.lam = self.terms.take(keep), self.b[keep], self.Aq[keep], self.lam[keep]
         return out
 
     def _terms(self, X):
@@ -301,7 +349,7 @@ class _Stack:
     def gradient(self, X, tau):
         """The `evaluate` pass and the barrier gradient g, stacked.
 
-        Returns (f, grad f, g, c, slacks, row gradients, term factors) with
+        Returns (f, grad f, g, slacks, row gradients, term factors) with
         the rows in `program.point_rows`' order, and the factors (v_t, v_y)
         of each term's rank-one Hessian.
         """
@@ -311,17 +359,20 @@ class _Stack:
         rows = np.concatenate((grads[:, :-1], self.Aq[:, :-1]), 1)
         s = np.concatenate((-c, self.b - Ax[:, :-1]), 1)
         g = grads[:, -1] + ((1.0 / (tau * s))[:, None, :] @ rows)[:, 0]
-        return Ax[:, -1] + sums[:, -1], grads[:, -1], g, c, s, rows, factors
+        return Ax[:, -1] + sums[:, -1], grads[:, -1], g, s, rows, factors
 
-    def hessian(self, tau, c, s, rows, factors):
-        """Barrier Hessians from a `gradient` pass."""
-        H = self.terms.curvature(-1.0 / (tau * c), factors)
-        return H + (rows.transpose(0, 2, 1) / (tau * s * s)[:, None, :]) @ rows
+    def matrix(self, s, rows, factors):
+        """Newton matrices at the multipliers `lam` from a `gradient` pass (`_newton_matrix`)."""
+        H = self.terms.curvature(self.lam[:, :self.m], factors)
+        return H + (rows.transpose(0, 2, 1) * (self.lam / s)[:, None, :]) @ rows
 
     def newton(self, X, tau):
-        f, grad, g, c, s, rows, factors = self.gradient(X, tau)
-        dz, _ = regularized_solve(self.hessian(tau, c, s, rows, factors), -np.stack((g, grad), 2), REGULARIZE)
+        f, grad, g, s, rows, factors = self.gradient(X, tau)
+        if self.lam is None:
+            self.lam = 1.0 / (tau * s)
+        dz, _ = regularized_solve(self.matrix(s, rows, factors), -np.stack((g, grad), 2), REGULARIZE)
         D = dz[:, :, 0]
+        self.dlam, self.floor = _multiplier_step(tau, self.lam, s, (rows @ D[:, :, None])[:, :, 0])
         return f.tolist(), np.abs(g).max(1).tolist(), (g * D).sum(1).tolist(), D, dz[:, :, 1], s[:, self.m:]
 
     def first_steps(self, X, D, slack):
@@ -338,6 +389,11 @@ class _Stack:
     def step(self, X, D, a):
         a = np.array(a)[:, None]
         return np.where(a > 0.0, X + a * D, X)
+
+    def advance(self, X, D, a, b):
+        w = np.array(b)[:, None]
+        self.lam = np.where(w > 0.0, np.maximum(self.lam + w * self.dlam, self.floor), self.lam)
+        return self.step(X, D, a)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +483,16 @@ def _minimize_stage(be, tau, X, f_x):
             else:
                 search.append(i)
         moves = _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search) if search else {}
+        alpha, dual = [0.0] * K, [0.0] * K
         for i in search:
             if i in moves:
                 stalls[i] = 0
+                alpha[i] = dual[i] = moves[i][0]
             else:
+                # the point stays but its multipliers take their full step: a
+                # last stage that stalls at the noise floor would otherwise
+                # leave them at the stage before's
+                dual[i] = 1.0
                 stalls[i] += 1
                 last_step[i] = 0.0
                 if stalls[i] >= 3:
@@ -438,11 +500,11 @@ def _minimize_stage(be, tau, X, f_x):
                     steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL or _at_noise(slope[i], f_x[i])
                     ended.append(i)
         if moves:
-            alpha, dnorm = [0.0] * K, be.norms(D)
+            dnorm = be.norms(D)
             for i, (a_i, f_a) in moves.items():
-                alpha[i] = a_i
                 f_x[i], last_step[i] = f_a, a_i * dnorm[i]
-            X = be.step(X, D, alpha)
+        if search:
+            X = be.advance(X, D, alpha, dual)
         if ended:
             for i in ended:
                 f_end[i], Z[i] = f[i], dZ[i]
@@ -455,8 +517,9 @@ def _minimize_stage(be, tau, X, f_x):
 def _path(be, X, tau):
     """The outer loop on one tau schedule from tau, each program leaving at its own gap stop.
 
-    Returns (x, tau, converged, stages, Newton steps) per program.  A NaN
-    prediction has barrier value +inf or NaN and is never kept.
+    Returns (x, multipliers, converged, stages, Newton steps, tau) per
+    program, as `program.finish` takes them.  A NaN prediction has barrier
+    value +inf or NaN and is never kept.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
@@ -470,7 +533,7 @@ def _path(be, X, tau):
             steps[i] += k[j]
             stages[i] += 1
             if be.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
-                out[i] = (X[j], tau, converged[j], stages[i], steps[i])
+                out[i] = (X[j], be.lam[j], converged[j], stages[i], steps[i], tau)
             else:
                 keep.append(j)
         if not keep:
@@ -494,11 +557,9 @@ def solve_nb(program) -> SolveResult:
 def _kernel(reduced, X):
     """The barrier paths of reduced programs of one `stack_key` from their
     starts X, as `program.solve_many` takes them: two or more on one `_Stack`,
-    a lone one on a `_One`.  Each path's seeds are its barrier multipliers
-    1/(tau s), one per row of `program.point_rows`."""
-    be = _Stack(reduced) if len(reduced) > 1 else _One(reduced[0])
-    return [(x, 1.0 / (tau * point_rows(p, x)[2]), converged, stages, steps, tau)
-            for p, (x, tau, converged, stages, steps) in zip(reduced, _path(be, X, TAU0))]
+    a lone one on a `_One`.  Each path's seeds are the multipliers it carried,
+    one per row of `program.point_rows`."""
+    return _path(_Stack(reduced) if len(reduced) > 1 else _One(reduced[0]), X, TAU0)
 
 
 def solve_nb_many(programs) -> list[SolveResult]:

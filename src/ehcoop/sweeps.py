@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .network import NetworkConfig, derive_channels, relay_feasible
@@ -173,6 +172,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
              for value in spec.values() for objective in spec.objectives]
     workers = worker_count(jobs, len(tasks))
     if workers > 1:
+        # imported here, so that `import ehcoop` loads no process pool or multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_evaluate_group_packed, tasks))
     else:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, barrier
+from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, SolveStatus, barrier, program
 from ehcoop.barrier import (
     ALPHA_CAP,
     ARMIJO,
@@ -27,7 +27,7 @@ from ehcoop.barrier import (
     solve_nb,
     solve_nb_many,
 )
-from ehcoop.network import derive_channels, rho_max
+from ehcoop.network import derive_channels
 from ehcoop.program import (
     ConvexProgram,
     initial_point,
@@ -35,7 +35,7 @@ from ehcoop.program import (
     presolve_program,
 )
 from ehcoop.scenarios import build_problem
-from ehcoop.strategy import rho_candidates
+from ehcoop.strategy import rho_candidates, screen_rho
 
 
 def one_var_program(rows):
@@ -69,7 +69,7 @@ def relay_program(rho=0.3):
 
 def noise_floor_program():
     """A relay program some of whose late Newton steps are taken by the noise-floor rule."""
-    return relay_program(0.1)
+    return relay_program(0.7)
 
 
 def screen_programs(cfg, case, objective):
@@ -150,9 +150,10 @@ def test_golden_section_monotone_runs_to_the_far_end():
 def test_newton_direction_descends_on_the_barrier():
     p = relay_program()
     x = initial_point(p)
+    view = point_rows(p, x)
     for tau in (1.0, 100.0):
-        g = barrier_gradient(point_rows(p, x), tau)
-        d, regularized = _newton_direction(point_rows(p, x), tau, g)
+        g = barrier_gradient(view, tau)
+        d, regularized = _newton_direction(view, 1.0 / (tau * view[2]), g)
         assert not regularized
         assert float(g @ d) < 0.0
 
@@ -268,7 +269,7 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 
 
 def test_accepted_steps_pass_armijo_or_the_noise_floor_rule(monkeypatch):
-    # the relay program takes no noise-floor step at rho = 0.3; at rho = 0.1 it does
+    # the relay program takes no noise-floor step at rho = 0.3; at rho = 0.7 it does
     searches = spy_line_searches(monkeypatch)
     solve_nb(relay_program())
     solve_nb(noise_floor_program())
@@ -421,6 +422,7 @@ def test_prediction_that_raises_the_barrier_is_rejected(monkeypatch):
 
         def stage(be, tau, X, f_x):
             starts.append((X[0].copy(), f_x[0]))
+            be.newton(X, tau)       # as a stage's first iteration, which sets the multipliers
             # the first stage leaves the gap open, the second closes it
             return X, [1], [True], [1e30 if len(starts) > 1 else 0.0], z[None]
 
@@ -461,18 +463,103 @@ def test_rejected_predictions_leave_the_solve_on_its_stage_path(monkeypatch):
     assert res.objective_bits == pytest.approx(base.objective_bits, rel=1e-9)
 
 
+# -- the multipliers each barrier row carries ------------------------------------
+
+
+def test_first_centred_stage_takes_few_newton_steps(monkeypatch):
+    # the multipliers carried from the stage before weight the Newton matrix,
+    # so the stage at tau = 1e6 no longer doubles small slacks step by step
+    # (10 steps there, 18 in all, with the primal weights 1/(tau s^2))
+    stages = []
+    real = barrier._minimize_stage
+
+    def spy(be, tau, X, f_x):
+        out = real(be, tau, X, f_x)
+        stages.append((tau, out[1][0]))
+        return out
+
+    monkeypatch.setattr(barrier, "_minimize_stage", spy)
+    res = solve_nb(build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig()))
+    assert res.converged
+    assert dict(stages)[1e6] <= 3
+
+
+def test_program_that_takes_no_step_keeps_its_multipliers():
+    programs = [relay_program(0.1), relay_program(0.3)]
+    X = np.array([initial_point(p) for p in programs])
+    stack = _Stack(programs)
+    D = stack.newton(X, TAU0)[3]
+    before = stack.lam.copy()
+    moved = stack.advance(X, D, [0.5, 0.0], [0.5, 0.0])
+    assert moved[1].tobytes() == X[1].tobytes()
+    assert stack.lam[1].tobytes() == before[1].tobytes()
+    assert not np.array_equal(stack.lam[0], before[0])
+    one = _One(programs[1])
+    d = one.newton(X[1:], TAU0)[3]
+    lone = one.lam.copy()
+    one.advance(X[1:], d, [0.0], [0.0])
+    assert one.lam.tobytes() == lone.tobytes() == before[1:].tobytes()
+
+
+def test_stalled_stage_end_still_moves_the_multipliers():
+    # the last stage of each of these solves finds no step at the noise
+    # floor; its point stays, but its multipliers take their full step, so
+    # the rows far from active leave with about 1/(tau s), not the 100/(tau s)
+    # of the stage before, which left KKT at 1.4e-6 to 2.0e-6
+    cfg = NetworkConfig(X1=0.125, X2=0.0, d1=0.5, du=0.5, eta=1.0, w1=0.0)
+    programs = [build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, rho), cfg)
+                for rho in (0.1, 0.4, 0.5)]
+    for lock, p in zip(solve_nb_many(programs), programs, strict=True):
+        assert lock.converged
+        assert_same_solve(lock, solve_nb(p))
+
+
+def test_stacked_screen_seeds_finish_with_the_lone_multipliers(monkeypatch):
+    carried, seeds = [], []
+    real_path, real_finish = barrier._path, program.finish
+
+    def path(be, X, tau):
+        out = real_path(be, X, tau)
+        carried.extend(lam for _, lam, *_ in out)
+        return out
+
+    def finish(prog, pre, solver, x, lam, *rest):
+        seeds.append(lam)
+        return real_finish(prog, pre, solver, x, lam, *rest)
+
+    monkeypatch.setattr(barrier, "_path", path)
+    monkeypatch.setattr(program, "finish", finish)
+    programs = screen_programs(NetworkConfig(), Case.A, Objective.WEIGHTED_SUM)
+    solve_nb_many(programs)
+    stacked = list(seeds)
+    assert len(stacked) == len(programs) and all(a is b for a, b in zip(stacked, carried))
+    seeds.clear()
+    for p in programs:
+        solve_nb(p)
+    assert [lam.tobytes() for lam in stacked] == [lam.tobytes() for lam in seeds]
+
+
 # -- the certificate rule -------------------------------------------------------
 
 
 def test_tiny_energy_cell_without_a_certificate_is_not_converged():
     # the stage path settles, but the point is not stationary to 1e-6
-    cfg = NetworkConfig(X1=0.001, d1=1.0)
-    ch = derive_channels(cfg)
-    p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.5 * rho_max(ch)), cfg)
+    cfg = NetworkConfig(X1=0.001, d1=1.4, du=0.6)
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.WEIGHTED_SUM, 0.0), cfg)
     for res in [solve_nb(p)] + solve_nb_many([p] * 2):
         assert res.status is SolveStatus.MAX_ITERATIONS
         assert res.max_constraint_violation <= 0.0
         assert res.kkt_residual > 1e-6
+
+
+def test_tiny_energy_common_screen_certifies_every_candidate():
+    # with the primal weights 1/(tau s^2), rho = 0.1, 0.2, 0.6 and 0.7 ended
+    # uncertified here, at KKT 2.3e-4, 7.8e-5, 1.8e-4 and 4.0
+    _, table = screen_rho(NetworkConfig(X1=1e-3), Case.A, Objective.COMMON)
+    assert len(table) == 8
+    for o in table:
+        assert o.result.converged
+        assert o.result.kkt_residual <= 1e-6
 
 
 def test_stage_at_the_noise_floor_ends_before_the_step_cap():

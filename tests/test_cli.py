@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, config files, sweep output."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -205,16 +206,16 @@ def test_select_without_energy_reports_a_plain_zero(capsys):
 
 
 def test_engine_warning_prints_as_one_line():
-    # nb ends S4-B uncertified where U1 harvests 1 uW at d1 = 1.8, and select
-    # warns about it; a child process, because pytest records the warnings
-    # of its own
+    # nb ends S1-B rho = 0.1 uncertified where U1 harvests 10 uW at d1 =
+    # du = 1.8, and select warns about it; a child process, because pytest
+    # records the warnings of its own
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    command = ["select", "--X1", "1e-3", "--d1", "1.8", "--du", "0.2"]
+    command = ["select", "--X1", "1e-2", "--d1", "1.8", "--du", "1.8"]
     proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", *command],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["ehcoop: warning: S4-B rho=0 did not converge (max_iterations)"]
+    assert proc.stderr.splitlines() == ["ehcoop: warning: S1-B rho=0.1 did not converge (max_iterations)"]
 
 
 def test_select_with_zero_weights_exits_one(capsys):
@@ -353,7 +354,7 @@ def test_sweep_with_huge_jobs_starts_no_pool_for_one_point(monkeypatch, capsys):
     # the sweep runs in this process
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code = main(["sweep-energy", "--start", "100", "--stop", "100", "--step", "25",
                  "--jobs", "10000"])
     capsys.readouterr()
@@ -470,7 +471,7 @@ def test_sweep_with_huge_jobs_asks_for_at_most_one_worker_per_cpu(monkeypatch, c
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code = main(["sweep-energy", "--start", "100", "--stop", "125", "--step", "25",
                  "--objective", "both", "--jobs", "100000"])
     capsys.readouterr()
