@@ -28,10 +28,10 @@ Convex Optimization, sections 9.2 and 11.3): the first trial step is
 min(1, the closed-form distance to the nearest linear row or coordinate
 axis, scaled back by SHRINK), halved until the barrier falls by at least
 ARMIJO * step * (g . d).  A trial off a nonlinear row's domain reads +inf
-and fails, so those rows need no crossing search.  Near a stage optimum
-the first finite trial is also taken when it raises the barrier by no
-more than its evaluation noise and at least halves the gradient, since
-the predicted decrease sinks under that noise there.
+and fails, so those rows need no crossing search.  Only a step that
+passes this test is taken.  The halving gives up once the decrease a
+shorter step predicts is below the barrier's evaluation noise; the search
+has then found no step, a stall.
 
 Between stages the iterate follows the central path, which is almost
 linear in 1/tau near the optimum (Fiacco & McCormick 1968): going from tau
@@ -49,19 +49,17 @@ the result from the multipliers the path carried to its final iterate,
 so a finished path counts as converged only with the certificate both
 solvers share.  The tuning values are module constants read at call time.
 
-A stage ends once its last step is at most STEP_TOL long and its gradient
-at most GRAD_TOL, or once three iterates in a row have their Newton
-decrement at the noise floor, since next to a boundary full steps can
-alternate there without changing the barrier until MAX_INNER (with the
-barrier Hessian as the Newton matrix they did at rho one ulp below
-rho_max).  While m/tau > LOOSE_GAP * (1 + |f|), f the objective as
-in the gap stop, a stage also ends once the squared Newton decrement of
-tau f + phi, tau (-g . d), is at most LOOSE_DECREMENT, since an early
-stage's gap bound is still wide (Boyd & Vandenberghe sections 11.3.3 and
-11.5); the last stage, whose bound is below GAP_TOL * (1 + |f|), never
-does.  A larger decrement bound starts the next stage too far from its
-centre to finish within MAX_INNER.  CHANGES.md records the scans behind
-TAU0, LOOSE_GAP and LOOSE_DECREMENT.
+A stage ends once its last step is at most STEP_TOL long (a stall counts
+as a step of length 0) and its gradient at most GRAD_TOL or its Newton
+decrement at the noise floor, or after three stalls in a row.  While
+m/tau > LOOSE_GAP * (1 + |f|), f the objective as in the gap stop, a
+stage also ends once the squared Newton decrement of tau f + phi,
+tau (-g . d), is at most LOOSE_DECREMENT, since an early stage's gap
+bound is still wide (Boyd & Vandenberghe sections 11.3.3 and 11.5); the
+last stage, whose bound is below GAP_TOL * (1 + |f|), never does.  A
+larger decrement bound starts the next stage too far from its centre to
+finish within MAX_INNER.  CHANGES.md records the scans behind TAU0,
+LOOSE_GAP and LOOSE_DECREMENT.
 
 The algorithm is written once, for K programs at a time (`_path`,
 `_minimize_stage`, `_line_search`): every test runs per program on Python
@@ -258,10 +256,10 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
 # central-path tangents Z (K, n) and affine slacks; its first call sets lam
 # to 1/(tau s), and each call keeps its multiplier steps.  `barrier` gives
 # barrier values, `first_steps` min(1, SHRINK * distance to the nearest
-# affine row along D), `norms` the lengths of D, `gnorm` max |barrier
-# gradient|, `step(X, D, a)` X + a D where a > 0 (the other rows stay), and
-# `advance(X, D, a, b)` that step, with lam moved b times its multiplier
-# step, and floored, where b > 0 (the other programs keep their lam).
+# affine row along D), `norms` the lengths of D, `step(X, D, a)` X + a D
+# where a > 0 (the other rows stay), and `advance(X, D, a, b)` that step,
+# with lam moved b times its multiplier step, and floored, where b > 0
+# (the other programs keep their lam).
 
 
 class _One:
@@ -296,9 +294,6 @@ class _One:
 
     def norms(self, d):
         return [float(np.linalg.norm(d))]
-
-    def gnorm(self, X, tau):
-        return [float(np.abs(barrier_gradient(point_rows(self.program, X[0]), tau)).max())]
 
     def step(self, X, d, a):
         return X + a[0] * d if a[0] > 0.0 else X
@@ -383,9 +378,6 @@ class _Stack:
     def norms(self, D):
         return np.linalg.norm(D, axis=1).tolist()
 
-    def gnorm(self, X, tau):
-        return np.abs(self.gradient(X, tau)[2]).max(1).tolist()
-
     def step(self, X, D, a):
         a = np.array(a)[:, None]
         return np.where(a > 0.0, X + a * D, X)
@@ -401,15 +393,23 @@ class _Stack:
 # ---------------------------------------------------------------------------
 
 
-def _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search):
+def _at_noise(slope, f_x):
+    """Whether the squared Newton decrement -slope is under the barrier's evaluation
+    noise, so that the remaining gradient is representation error."""
+    return max(-slope, 0.0) <= 2e-14 * (1.0 + abs(f_x))
+
+
+def _line_search(be, tau, X, D, f_x, slope, slack, search):
     """Backtracking (Armijo) steps along D for the programs in `search`, trials evaluated together.
 
     A trial outside the domain of a nonlinear row has barrier value +inf
-    and is halved like any other failed test.  Returns {program: (alpha,
-    barrier value at the new point)} for the programs that take a step.
+    and is halved like any other failed test.  A program gives up once the
+    decrease a shorter step predicts is at the noise floor.  Returns
+    {program: (alpha, barrier value at the new point)} for the programs
+    that take a step.
     """
     a = be.first_steps(X, D, slack)
-    steps, first = {}, {}
+    steps = {}
     searching = [i for i in search if a[i] > 0.0]
     while searching:
         f_a = be.barrier(be.step(X, D, a), tau)
@@ -418,44 +418,22 @@ def _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search):
             if f_a[i] <= f_x[i] + ARMIJO * a[i] * slope[i]:
                 steps[i] = (a[i], f_a[i])
                 continue
-            if i not in first and f_a[i] < math.inf:
-                first[i] = (a[i], f_a[i])
             a[i] *= 0.5
-            # stop once the decrease a shorter step predicts is below what
-            # the barrier evaluation resolves
-            if a[i] > 0.0 and not -a[i] * slope[i] <= 2e-14 * (1.0 + abs(f_x[i])):
+            if a[i] > 0.0 and not _at_noise(a[i] * slope[i], f_x[i]):
                 still.append(i)
         searching = still
-
-    # noise floor: close to the stage optimum the predicted decrease of a
-    # Newton step drops under what the barrier evaluation resolves, so take
-    # the first finite trial whenever it clearly contracts the gradient
-    near = [i for i, (_, f_i) in first.items()
-            if i not in steps and f_i <= f_x[i] + 1e-9 * (1.0 + abs(f_x[i]))]
-    if near:
-        trial = [0.0] * len(a)
-        for i in near:
-            trial[i] = first[i][0]
-        g_a = be.gnorm(be.step(X, D, trial), tau)
-        steps.update((i, first[i]) for i in near if g_a[i] <= 0.5 * gnorm[i])
     return steps
-
-
-def _at_noise(slope, f_x):
-    """Whether the squared Newton decrement -slope is under the barrier's evaluation
-    noise, so that the remaining gradient is representation error."""
-    return max(-slope, 0.0) <= 2e-14 * (1.0 + abs(f_x))
 
 
 def _minimize_stage(be, tau, X, f_x):
     """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
 
     A program stops once its last step is at most STEP_TOL long and its
-    gradient at most GRAD_TOL (or at the noise floor); after three
-    iterates in a row at the noise floor, however long the steps; while
-    its gap bound is wide, once its squared Newton decrement tau (-g . d)
-    is at most LOOSE_DECREMENT; after three stalls in a row; or at
-    MAX_INNER steps.
+    gradient at most GRAD_TOL (or its Newton decrement at the noise floor);
+    while its gap bound is wide, once its squared Newton decrement
+    tau (-g . d) is at most LOOSE_DECREMENT; after three stalls (line
+    searches without a step) in a row, converged only if its gradient is
+    at most 5 GRAD_TOL; or at MAX_INNER steps.
     Returns (X, Newton steps, converged, objective, Z) with Z = -H^-1 grad f
     at each final iterate, the central-path tangent, NaN where the step
     cap ends the stage.
@@ -464,7 +442,7 @@ def _minimize_stage(be, tau, X, f_x):
     run = list(range(K))
     steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
-    last_step, stalls, noise = [math.inf] * K, [0] * K, [0] * K
+    last_step, stalls = [math.inf] * K, [0] * K
     gap = be.n_rows / tau
     for k in range(MAX_INNER + 1):
         f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
@@ -474,15 +452,13 @@ def _minimize_stage(be, tau, X, f_x):
             break
         ended, search = [], []
         for i in run:
-            at_noise = _at_noise(slope[i], f_x[i])
-            noise[i] = noise[i] + 1 if at_noise else 0
-            if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or at_noise) or noise[i] >= 3
+            if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i]))
                     or gap > LOOSE_GAP * (1.0 + abs(f[i])) and -tau * slope[i] <= LOOSE_DECREMENT):
                 steps[i], converged[i] = k, True
                 ended.append(i)
             else:
                 search.append(i)
-        moves = _line_search(be, tau, X, D, f_x, slope, gnorm, slack, search) if search else {}
+        moves = _line_search(be, tau, X, D, f_x, slope, slack, search) if search else {}
         alpha, dual = [0.0] * K, [0.0] * K
         for i in search:
             if i in moves:
@@ -497,7 +473,7 @@ def _minimize_stage(be, tau, X, f_x):
                 last_step[i] = 0.0
                 if stalls[i] >= 3:
                     # no further progress representable in floating point
-                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL or _at_noise(slope[i], f_x[i])
+                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL
                     ended.append(i)
         if moves:
             dnorm = be.norms(D)

@@ -90,6 +90,8 @@ class ScenarioSpec:
     rho: float = 0.0
 
     def __post_init__(self):
+        # a zero ratio reads 0, not -0
+        object.__setattr__(self, "rho", self.rho + 0.0)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("power-splitting ratio must lie in [0, 1)")
         if self.scenario is not Scenario.S1 and self.rho != 0.0:

@@ -67,8 +67,8 @@ def relay_program(rho=0.3):
     return build_problem(spec, NetworkConfig())
 
 
-def noise_floor_program():
-    """A relay program some of whose late Newton steps are taken by the noise-floor rule."""
+def stalling_program():
+    """A relay program two of whose late line searches find no step (stalls)."""
     return relay_program(0.7)
 
 
@@ -84,10 +84,10 @@ def spy_line_searches(monkeypatch):
     calls = []
     real = barrier._line_search
 
-    def spy(be, tau, X, D, f_x, slope, gnorm, slack, search):
+    def spy(be, tau, X, D, f_x, slope, slack, search):
         call = {"be": be, "tau": tau, "X": X, "D": D, "f_x": list(f_x), "slope": slope,
-                "gnorm": gnorm, "slack": slack, "search": search}
-        call["steps"] = real(be, tau, X, D, f_x, slope, gnorm, slack, search)
+                "slack": slack, "search": search}
+        call["steps"] = real(be, tau, X, D, f_x, slope, slack, search)
         calls.append(call)
         return call["steps"]
 
@@ -268,28 +268,20 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 # -- the backtracking line search on a relay program --------------------------
 
 
-def test_accepted_steps_pass_armijo_or_the_noise_floor_rule(monkeypatch):
-    # the relay program takes no noise-floor step at rho = 0.3; at rho = 0.7 it does
+def test_accepted_steps_pass_armijo(monkeypatch):
+    # at rho = 0.7 two late searches find no Armijo step at the noise floor
+    # and stall; no other step is taken in their place
     searches = spy_line_searches(monkeypatch)
     solve_nb(relay_program())
-    solve_nb(noise_floor_program())
-    accepted, noise_floor = 0, 0
+    solve_nb(stalling_program())
+    accepted = 0
     for c in searches:
         for i, (alpha, f_new) in c["steps"].items():
             accepted += 1
             f_x, slope = c["f_x"][i], c["slope"][i]
             assert slope < 0.0
-            if f_new <= f_x + ARMIJO * alpha * slope:
-                continue
-            # noise floor: no rise beyond evaluation noise, and the gradient
-            # at the new point at least halves
-            noise_floor += 1
-            assert f_new <= f_x + 1e-9 * (1.0 + abs(f_x))
-            trial = [0.0] * len(c["f_x"])
-            trial[i] = alpha
-            be = c["be"]
-            assert be.gnorm(be.step(c["X"], c["D"], trial), c["tau"])[i] <= 0.5 * c["gnorm"][i]
-    assert accepted > 0 and noise_floor > 0
+            assert f_new <= f_x + ARMIJO * alpha * slope
+    assert accepted > 0
 
 
 def count_barrier_values(monkeypatch):
@@ -337,8 +329,7 @@ def test_step_across_a_perspective_row_is_cut_back_inside(monkeypatch):
     assert slope < 0.0
     A, b = p.affine_rows
     evals = count_barrier_values(monkeypatch)
-    steps = _line_search(_One(p), tau, x[None], d, [f_x], [slope], [float(np.abs(g).max())],
-                         b - A @ x, [0])
+    steps = _line_search(_One(p), tau, x[None], d, [f_x], [slope], b - A @ x, [0])
     alpha, f_new = steps[0]
     assert 0.0 < alpha < 1.0
     assert len(evals) >= 2
@@ -564,8 +555,11 @@ def test_tiny_energy_common_screen_certifies_every_candidate():
 
 def test_stage_at_the_noise_floor_ends_before_the_step_cap():
     # rho one ulp below rho_max = 0.99: at tau = 1e12 full steps of about
-    # 4.5e-6, above STEP_TOL, alternate while the Newton decrement stays at
-    # the noise floor; the stage used to run into MAX_INNER uncertified
+    # 4.5e-6, above STEP_TOL, alternated with the barrier Hessian as the
+    # Newton matrix while the Newton decrement stayed at the noise floor,
+    # and the stage ran into MAX_INNER uncertified; with the multipliers
+    # each barrier row carries, its line search stalls there and the solve
+    # certifies in 25 Newton steps
     cfg = NetworkConfig(d1=1.5, du=0.2, eta=0.817268679745837, X1=261.31136883309927,
                         X2=237.44524898342374, w1=0.11947312444562955)
     p = build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.9899999999999999), cfg)
@@ -592,10 +586,9 @@ def test_stacked_copies_certify_as_the_lone_solve():
             assert_same_solve(lock, lone)
 
 
-# at d1 = 1.8 some late Newton steps are taken by the noise-floor rule; on
-# the third network some line searches find no step (a stall); at X1 = 0
-# presolve leaves case A common without terms, a pure centring whose
-# steps turn on the last bits of the barrier value
+# at d1 = 1.8 and on the third network some late line searches find no
+# step (a stall); at X1 = 0 presolve leaves case A common without terms, a
+# pure centring whose steps turn on the last bits of the barrier value
 @pytest.mark.parametrize("cfg", [
     NetworkConfig(), NetworkConfig(d1=1.8, du=0.2),
     NetworkConfig(d1=1.2, du=0.27, eta=0.0, X1=180.0, X2=285.0, w1=0.5),
@@ -659,20 +652,36 @@ def test_small_groups_run_on_one(monkeypatch):
     assert sorted(paths, key=lambda p: p[1]) == [(_One, 1), (_Stack, 7)]
 
 
-def test_lockstep_line_search_takes_the_noise_floor_step(monkeypatch):
-    # capture a step that the search on `_One` takes by the noise-floor rule
-    # (it fails the Armijo test), then search it again on a stack of copies
+def record_barrier_values(be):
+    """A list that gets each `barrier` answer of the backend be."""
+    answers = []
+    real = be.barrier
+
+    def recorded(X, tau):
+        answers.append(real(X, tau))
+        return answers[-1]
+
+    be.barrier = recorded
+    return answers
+
+
+def test_lockstep_line_search_stalls_as_the_lone_one(monkeypatch):
+    # capture a search on `_One` that finds no step, then search it again on
+    # a stack of copies: the same trials, and no step either
     searches = spy_line_searches(monkeypatch)
-    solve_nb(noise_floor_program())
-    seen = [c for c in searches if 0 in c["steps"]
-            and c["steps"][0][1] > c["f_x"][0] + ARMIJO * c["steps"][0][0] * c["slope"][0]]
-    assert seen
-    c = seen[0]
-    assert isinstance(c["be"], _One)
-    stack = _Stack([c["be"].program] * 3)
-    X, D, slack = (np.array([v] * 3) for v in (c["X"][0], c["D"], c["slack"]))
-    # the second program is not searching
-    steps = _line_search(stack, c["tau"], X, D, c["f_x"] * 3, c["slope"] * 3, c["gnorm"] * 3,
-                         slack, [0, 2])
-    assert steps == {0: c["steps"][0], 2: c["steps"][0]}
+    solve_nb(stalling_program())
+    seen = [c for c in searches if c["search"] == [0] and not c["steps"]]
+    assert len(seen) == 2
+    for c in seen:
+        assert isinstance(c["be"], _One)
+        one = _One(c["be"].program)
+        lone = record_barrier_values(one)
+        assert _line_search(one, c["tau"], c["X"], c["D"], c["f_x"], c["slope"], c["slack"], [0]) == {}
+        stack = _Stack([c["be"].program] * 3)
+        stacked = record_barrier_values(stack)
+        X, D, slack = (np.array([v] * 3) for v in (c["X"][0], c["D"], c["slack"]))
+        # the second program is not searching
+        steps = _line_search(stack, c["tau"], X, D, c["f_x"] * 3, c["slope"] * 3, slack, [0, 2])
+        assert steps == {}
+        assert lone and [f[0] for f in lone] == [f[0] for f in stacked] == [f[2] for f in stacked]
 

@@ -93,6 +93,14 @@ def test_rho_at_its_upper_limit_exits_two(capsys):
     assert "rho" in capsys.readouterr().err
 
 
+def test_negative_zero_rho_prints_as_zero(capsys):
+    code = main(["solve", "--scenario", "S1", "--case", "A", "--rho", "-0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "rho=0\n" in out
+    assert "rho=-0" not in out
+
+
 def test_rho_on_other_scenarios_exits_two(capsys):
     code = main(["solve", "--scenario", "S3", "--case", "A", "--rho", "0.2"])
     assert code == 2
