@@ -1,85 +1,16 @@
-"""Newton method with a logarithmic barrier and a backtracking line search.
+"""nb: Newton's method on the logarithmic barrier path.
 
 The solver minimizes  f(x) - (1/tau) * [ sum_j ln(-c_j(x)) + sum_i ln x_i ]
-over the strictly feasible region, increasing tau geometrically.  The
-barrier covers every inequality and the nonnegative time/energy
-coordinates; the auxiliary rate variables stay free, since the epigraph
-rows already fence them in.
-
-The Newton steps are primal-dual (Forsgren, Gill & Wright, "Interior
-Methods for Nonlinear Optimization", SIAM Review 44(4), 2002, sections
-4-5).  Each barrier row carries a multiplier lam, in `program.point_rows`
-order: 1/(tau s) at the solve's first Newton evaluation, then kept across
-stages and predictions.  The Newton matrix weighs the curvature of
-epigraph row j by lam_j (the objective's by 1) and adds R^T diag(lam / s) R,
-R the rows' gradients and s their slacks, where the barrier Hessian has
-1/(tau s) and 1/(tau s^2).  The right-hand sides stay the barrier gradient
-(and grad f for the tangent Z), so each stage keeps its centre.  After a
-step alpha d, lam <- max(lam + alpha dlam, LAM_FLOOR / (tau s)), where
-dlam = (1/tau - lam s + lam (R d)) / s linearizes lam s = 1/tau at the
-point before the step.  A program whose line search finds no step keeps
-its point and takes the full multiplier step; one that does not search
-keeps its lam.  Why: the barrier Hessian reads its weights off the current
-slack alone, so a slack cut to 1% of its centre value only doubled per
-full step.  CHANGES.md records the step counts and the floor scan.
-
-Each Newton direction d is damped by backtracking (Boyd & Vandenberghe,
-Convex Optimization, sections 9.2 and 11.3): the first trial step is
-min(1, the closed-form distance to the nearest linear row or coordinate
-axis, scaled back by SHRINK), halved until the barrier falls by at least
-ARMIJO * step * (g . d).  A trial off a nonlinear row's domain reads +inf
-and fails, so those rows need no crossing search.  Only a step that
-passes this test is taken.  The halving gives up once the decrease a
-shorter step predicts is below the barrier's evaluation noise; the search
-has then found no step, a stall.
-
-Between stages the iterate follows the central path, which is almost
-linear in 1/tau near the optimum (Fiacco & McCormick 1968): going from tau
-to mu*tau predicts x - (1 - 1/mu) H^-1 grad f, H the Newton matrix, with
-grad f taken as a second right-hand side of the stage's last Newton solve.
-The prediction is kept only where the next stage's barrier is finite and
-lower than at x; a late stage then needs about one Newton step.
-
-tau starts at TAU0 = 100, since a stage at tau = 1, whose gap bound m/tau
-exceeds |f|, would only centre the iterate, and grows by MU per stage
-until m/tau <= GAP_TOL * (1 + |f|), m the barrier rows (nonlinear and
-affine): the stage optimum at tau is within m/tau of the optimum.
-TAU_CEILING ends the loop where f is not finite.  `program.finish` builds
-the result from the multipliers the path carried to its final iterate,
-so a finished path counts as converged only with the certificate both
-solvers share.  The tuning values are module constants read at call time.
-
-A stage ends once its last step is at most STEP_TOL long (a stall counts
-as a step of length 0) and its gradient at most GRAD_TOL or its Newton
-decrement at the noise floor, or after three stalls in a row.  While
-m/tau > LOOSE_GAP * (1 + |f|), f the objective as in the gap stop, a
-stage also ends once the squared Newton decrement of tau f + phi,
-tau (-g . d), is at most LOOSE_DECREMENT, since an early stage's gap
-bound is still wide (Boyd & Vandenberghe sections 11.3.3 and 11.5); the
-last stage, whose bound is below GAP_TOL * (1 + |f|), never does.  A
-larger decrement bound starts the next stage too far from its centre to
-finish within MAX_INNER.  CHANGES.md records the scans behind TAU0,
-LOOSE_GAP and LOOSE_DECREMENT.
-
-The algorithm is written once, for K programs at a time (`_path`,
-`_minimize_stage`, `_line_search`): every test runs per program on Python
-floats, and each program leaves at its own stop.  `solve_nb_many` is
-`program.solve_many` around `_kernel`, which steps two or more reduced
-programs of one `stack_key` on one `_Stack` (one `program.ProgramStack`
-evaluation, Newton matrix and (K, n, n) linear solve per Newton iteration), and
-a lone one, and so every `solve_nb`, on a `_One` (the scalar
-`barrier_value`, `barrier_gradient`, `_newton_direction` and
-`alpha_linear` on one `program.point_rows` view per iterate).  The two
-give the same bits, because both take `math.log1p`'s term logs
-(`program.scalar_log1p`), numpy's barrier logs and sums, and the same
-multiplier arithmetic.
-`program.solve_many` runs every kernel call under one `np.errstate`, so a
-trial point off the domain, which the barrier reads as +inf, warns on
-neither path.  The solver keeps no per-step log.
-
-`alpha_log_bisection`, `bisect_sign_change` and `golden_section_min` are
-no longer called by the solver; they stay because the benchmark's trace
-(perfbench/tracing.py) looks each of them up by name.
+over the strict interior for a growing tau.  The barrier covers every
+inequality and the nonnegative time/energy coordinates; the auxiliary rate
+variables stay free, since the epigraph rows already fence them in.  The
+sections below hold the barrier and its primal-dual Newton system, the
+line-search pieces, the arithmetic backends `_One` and `_Stack`, and the
+algorithm, written once for K programs: `_line_search`, `_minimize_stage`
+(the stage ends) and `_path` (the tau schedule and the central-path
+prediction).  Each rule is stated once, where it is applied, with the PR
+whose CHANGES.md entry holds its numbers.  The tuning values are module
+constants read at call time.
 """
 
 from __future__ import annotations
@@ -96,27 +27,25 @@ from .program import (ProgramStack, SolveResult, all_positive, lagrangian_gradie
 ALPHA_CAP = 1e6
 # sufficient-decrease fraction of the Armijo test
 ARMIJO = 1e-4
-# barrier weight of the first stage
+# barrier weight of the first stage: a stage at tau = 1, whose gap bound m/tau
+# exceeds |f|, would only centre the iterate (PR 9)
 TAU0 = 100.0
 # the outer loop ends here even if the gap test never passes (f not finite)
 TAU_CEILING = 1e16
 # tau multiplier per outer stage
 MU = 100.0
-# stop once (barrier rows)/tau <= GAP_TOL * (1 + |f|)
+# the gap stop (`_path`)
 GAP_TOL = 1e-10
-# a stage ends once the last step is at most STEP_TOL long and the barrier
-# gradient is at most GRAD_TOL (or the Newton decrement is at the noise floor)
+# the stage ends (`_minimize_stage`)
 STEP_TOL = 1e-6
 GRAD_TOL = 1e-7
-# while (barrier rows)/tau > LOOSE_GAP * (1 + |f|), a stage also ends once the
-# squared Newton decrement of tau f + phi is at most LOOSE_DECREMENT
 LOOSE_GAP = 1e-4
 LOOSE_DECREMENT = 1.0
 # Newton iteration cap per stage
 MAX_INNER = 200
 # back-off of the first trial step from the nearest linear row or axis
 SHRINK = 0.99
-# a step keeps each multiplier at least LAM_FLOOR / (tau s)
+# a step keeps each multiplier at least LAM_FLOOR / (tau s) (scanned in PR 34)
 LAM_FLOOR = 1e-2
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 REGULARIZE = 1e-10
@@ -152,7 +81,12 @@ def barrier_gradient(view, tau: float) -> np.ndarray:
 
 def _newton_matrix(view, lam) -> np.ndarray:
     """The Newton matrix at a `program.point_rows` view and one multiplier per row:
-    the curvature of epigraph row j weighted by lam_j, plus R^T diag(lam / s) R."""
+    the curvature of epigraph row j weighted by lam_j (the objective's by 1), plus
+    R^T diag(lam / s) R, R the rows' gradients and s their slacks.  Primal-dual
+    steps (Forsgren, Gill & Wright, SIAM Review 44(4), 2002, sections 4-5):
+    the barrier Hessian's 1/(tau s) and 1/(tau s^2), read off the current slack
+    alone, let a slack cut to 1% of its centre value only double per full
+    step (PR 34)."""
     ev, rows, s = view
     H = ev.curvature(lam[:len(ev.c)].tolist() + [1.0])
     return H + (rows.T * (lam / s)) @ rows
@@ -172,12 +106,16 @@ def _newton_direction(view, lam, g):
 
 def _multiplier_step(tau, lam, s, Rd):
     """The multiplier step dlam that linearizes lam s = 1/tau along a Newton step d
-    (Rd the rows' gradients times d), and the floor LAM_FLOOR/(tau s) a step keeps."""
+    (Rd the rows' gradients times d), and the floor LAM_FLOOR/(tau s) a step keeps,
+    both at the point before the step: a step alpha d takes lam to
+    max(lam + alpha dlam, floor) (`_minimize_stage`)."""
     return (1.0 / tau - lam * s + lam * Rd) / s, LAM_FLOOR / (tau * s)
 
 
 # ---------------------------------------------------------------------------
-# Line search pieces
+# Line search pieces.  `bisect_sign_change`, `alpha_log_bisection` and
+# `golden_section_min` are not called by the solver; the benchmark's trace
+# (perfbench/tracing.py) looks each of them up by name.
 # ---------------------------------------------------------------------------
 
 
@@ -242,24 +180,26 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic backends
 # ---------------------------------------------------------------------------
 #
-# A backend holds K programs at the rows of a (K, n) array X, and their
-# multipliers `lam`, one row of `program.point_rows`' length per program;
-# it answers with one Python float per program.  `newton(X, tau)` gives (f,
-# max |g|, g . d, D, Z, slack): objective values, barrier gradient norms and
-# slopes along the Newton directions D (in the backend's layout),
-# central-path tangents Z (K, n) and affine slacks; its first call sets lam
-# to 1/(tau s), and each call keeps its multiplier steps.  `barrier` gives
-# barrier values, `first_steps` min(1, SHRINK * distance to the nearest
-# affine row along D), `norms` the lengths of D, `step(X, D, a)` X + a D
-# where a > 0 (the other rows stay), and `advance(X, D, a, b)` that step,
-# with lam moved b times its multiplier step, and floored, where b > 0
-# (the other programs keep their lam).
+# A backend holds K programs at the rows of a (K, n) array X and their
+# multipliers `lam`, one row of `program.point_rows`' length per program, set
+# to 1/(tau s) by the first `newton` call and kept across stages and
+# predictions; it answers with one Python float per program.  `newton(X, tau)`
+# gives (f, max |g|, g . d, D, Z, slack): objective values, barrier gradient
+# norms and slopes along the Newton directions D (in the backend's layout),
+# central-path tangents Z = -M^-1 grad f (K, n) and affine slacks; D solves
+# M D = -g, M the Newton matrix at lam and g the barrier gradient, so each
+# stage keeps its centre.  `barrier` gives barrier values, `first_steps`
+# min(1, SHRINK * distance to the nearest affine row along D), `norms` the
+# lengths of D, `step(X, D, a)` X + a D where a > 0 (the other rows stay), and
+# `advance(X, D, a, b)` that step with lam moved b times the multiplier step
+# of the last `newton` call, and floored, where b > 0.  `_One` and `_Stack`
+# give the same bits, so a result does not depend on its company: both take
+# `program.scalar_log1p`'s term logs, numpy's barrier logs and sums, and the
+# same multiplier arithmetic (PR 31).
 
 
 class _One:
@@ -329,11 +269,8 @@ class _Stack:
         return *self.terms.terms(X), (self.Aq @ X[:, :, None])[:, :, 0]
 
     def barrier(self, X, tau):
-        """Barrier values; +inf outside the strict interior.
-
-        There a log of a row value or slack is NaN or -inf, and so is the
-        sum, or the point has a NaN coordinate.
-        """
+        """Barrier values; +inf outside the strict interior, where a log of a row
+        value or slack, and so the sum, is NaN or -inf, or at a NaN coordinate."""
         t, y, aux, Ax = self._terms(X)
         sums = self.terms.row_sums(t, y)
         out = (Ax[:, -1] + sums[:, -1]
@@ -342,12 +279,9 @@ class _Stack:
         return out.tolist()
 
     def gradient(self, X, tau):
-        """The `evaluate` pass and the barrier gradient g, stacked.
-
-        Returns (f, grad f, g, slacks, row gradients, term factors) with
-        the rows in `program.point_rows`' order, and the factors (v_t, v_y)
-        of each term's rank-one Hessian.
-        """
+        """The `evaluate` pass and the barrier gradient g, stacked: (f, grad f, g,
+        slacks, row gradients, term factors), the rows in `program.point_rows`'
+        order and the factors (v_t, v_y) of each term's rank-one Hessian."""
         t, y, aux, Ax = self._terms(X)
         sums, grads, factors = self.terms.derivatives(t, y)
         c = aux + sums[:, :-1]
@@ -402,11 +336,14 @@ def _at_noise(slope, f_x):
 def _line_search(be, tau, X, D, f_x, slope, slack, search):
     """Backtracking (Armijo) steps along D for the programs in `search`, trials evaluated together.
 
-    A trial outside the domain of a nonlinear row has barrier value +inf
-    and is halved like any other failed test.  A program gives up once the
-    decrease a shorter step predicts is at the noise floor.  Returns
-    {program: (alpha, barrier value at the new point)} for the programs
-    that take a step.
+    The first trial step, `first_steps`, is halved until the barrier falls
+    by at least ARMIJO * step * (g . d) (Boyd & Vandenberghe, Convex
+    Optimization, sections 9.2 and 11.3); only a step that passes is taken
+    (PR 35).  A trial outside the domain of a nonlinear row has barrier
+    value +inf and fails like any other, so those rows need no crossing
+    search.  A program gives up, a stall, once the decrease a shorter step
+    predicts is at the noise floor.  Returns {program: (alpha, barrier
+    value at the new point)} for the programs that take a step.
     """
     a = be.first_steps(X, D, slack)
     steps = {}
@@ -428,15 +365,17 @@ def _line_search(be, tau, X, D, f_x, slope, slack, search):
 def _minimize_stage(be, tau, X, f_x):
     """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
 
-    A program stops once its last step is at most STEP_TOL long and its
-    gradient at most GRAD_TOL (or its Newton decrement at the noise floor);
-    while its gap bound is wide, once its squared Newton decrement
-    tau (-g . d) is at most LOOSE_DECREMENT; after three stalls (line
-    searches without a step) in a row, converged only if its gradient is
-    at most 5 GRAD_TOL; or at MAX_INNER steps.
-    Returns (X, Newton steps, converged, objective, Z) with Z = -H^-1 grad f
-    at each final iterate, the central-path tangent, NaN where the step
-    cap ends the stage.
+    A program stops once its last step is at most STEP_TOL long (a stall
+    counts as 0) and its gradient at most GRAD_TOL (or its Newton decrement
+    at the noise floor); after three stalls in a row, converged only if its
+    gradient is at most 5 GRAD_TOL; or at MAX_INNER steps.  While its gap
+    bound m/tau exceeds LOOSE_GAP * (1 + |f|), as the last stage's never
+    does, it also stops once its squared Newton decrement tau (-g . d) is at
+    most LOOSE_DECREMENT (Boyd & Vandenberghe, sections 11.3.3 and 11.5): a
+    larger bound starts the next stage too far from its centre to finish
+    within MAX_INNER (PR 21).  Returns (X, Newton steps, converged,
+    objective, Z), Z = -H^-1 grad f at each final iterate (the central-path
+    tangent), NaN where the step cap ends the stage.
     """
     K = len(X)
     run = list(range(K))
@@ -493,9 +432,15 @@ def _minimize_stage(be, tau, X, f_x):
 def _path(be, X, tau):
     """The outer loop on one tau schedule from tau, each program leaving at its own gap stop.
 
-    Returns (x, multipliers, converged, stages, Newton steps, tau) per
-    program, as `program.finish` takes them.  A NaN prediction has barrier
-    value +inf or NaN and is never kept.
+    tau grows by MU per stage until m/tau <= GAP_TOL * (1 + |f|), m the
+    barrier rows, the stage optimum being within m/tau of the optimum, or to
+    TAU_CEILING where f is not finite.  The central path is almost linear in
+    1/tau near the optimum (Fiacco & McCormick 1968), so going to MU tau
+    predicts x + (1 - 1/MU) Z; the prediction is kept only where the next
+    stage's barrier is finite and lower than at x (a NaN one never is), and
+    a late stage then needs about one Newton step (PR 7).  Returns (x,
+    multipliers, converged, stages, Newton steps, tau) per program, as
+    `program.finish` takes them.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
@@ -533,12 +478,11 @@ def solve_nb(program) -> SolveResult:
 def _kernel(reduced, X):
     """The barrier paths of reduced programs of one `stack_key` from their
     starts X, as `program.solve_many` takes them: two or more on one `_Stack`,
-    a lone one on a `_One`.  Each path's seeds are the multipliers it carried,
-    one per row of `program.point_rows`."""
+    a lone one on a `_One`.  Each path seeds `finish` with the multipliers it
+    carried."""
     return _path(_Stack(reduced) if len(reduced) > 1 else _One(reduced[0]), X, TAU0)
 
 
 def solve_nb_many(programs) -> list[SolveResult]:
-    """`solve_nb` on each program, in order: two or more programs whose presolved forms
-    share a `stack_key` step in lockstep on a `_Stack`, a lone one on a `_One`."""
+    """`solve_nb` on each program, in order, stepped together by `_kernel`."""
     return solve_many(programs, "nb", _kernel)

@@ -145,6 +145,11 @@ def _print_result(tag, spec, cfg, result, tp):
           f"kkt: {result.kkt_residual:.3e}")
 
 
+def _disagreement(nb, quad) -> float:
+    """How far apart two results' objectives are, relative to nb's and at least 1 bit."""
+    return abs(nb.objective_bits - quad.objective_bits) / max(1.0, abs(nb.objective_bits))
+
+
 def _cmd_solve(args) -> int:
     cfg = build_network_config(args)
     spec = ScenarioSpec(
@@ -161,8 +166,7 @@ def _cmd_solve(args) -> int:
         ok = ok and result.converged
     # an agreement needs an allocation from both solvers
     if len(results) == 2 and all(r.x_star is not None for r in results.values()):
-        a, b = results["nb"].objective_bits, results["quad"].objective_bits
-        rel = abs(a - b) / max(1.0, abs(a))
+        rel = _disagreement(results["nb"], results["quad"])
         print(f"solver agreement: {rel:.3e} relative")
         if ok and rel > _AGREEMENT_TOL:
             print(f"ehcoop: nb and quad disagree by {rel:.3e} relative "
@@ -287,9 +291,7 @@ def _cmd_validate(args) -> int:
         sp = ScenarioSpec(scenario, Case.B, Objective.WEIGHTED_SUM,
                           rho=0.0)
         program = build_problem(sp, cfg)
-        a = solve_nb(program)
-        b = solve_iterative(program)
-        rel = abs(a.objective_bits - b.objective_bits) / max(1.0, abs(a.objective_bits))
+        rel = _disagreement(solve_nb(program), solve_iterative(program))
         checks.append((f"{scenario.value}-B solver agreement", rel <= _AGREEMENT_TOL, f"{rel:.3e}"))
 
     failed = 0

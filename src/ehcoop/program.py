@@ -12,31 +12,13 @@ coordinates, where
 
 is the (negated) throughput of a transmission of energy y spread over time
 t at SNR coefficient gamma.  l is jointly convex in (t, y) with an exact
-rank-one Hessian, which both solvers exploit.
-
-Programs are small (at most eight variables) so everything is dense.  A
-`ConvexProgram` is held in one form only: a flat table of (row, gamma,
-coeff, t_index, y_index), one entry per term and row -1 for the objective,
-the rate variable of each epigraph row, and the linear rows as (A, b).
-Builders write that table directly and presolve filters and renumbers it;
-instances are not changed after construction.  `ConvexProgram.evaluate`
-makes one pass over the table in Python floats for the objective value and
-gradient, the epigraph row values c and gradients G, and each term's
-rank-one Hessian factor v; `values` is the same pass without derivatives.
-The per-row methods read from these passes.  `ProgramStack` makes the
-pass over K programs of one `stack_key` at once, as (K, ...) arrays, with
-the bits of `evaluate` (its logs are `scalar_log1p`, `math.log1p`'s): nb's
-lockstep Newton iterations and every quad model evaluate through it, so a
-stacked solve gives each program its lone solve's bits.
-Both solvers run in one shell, `solve_many` (`start`, the infeasible
-result, grouping by `stack_key`, the kernel calls under one `np.errstate`,
-`finish`), and solve their Newton systems with `regularized_solve`.
-`point_rows` is the program at one point as rows in one order: epigraph
-rows, linear rows, then -x_i <= 0 on `positive_indices` (the rows of
-`affine_rows` after the epigraph ones).  nb's barrier derivatives and
-`finish`'s certificate read it; `finish` takes the solver's multipliers as
-one array in that order, and refines them and takes the residual on one
-view of the final point, through the one Lagrangian gradient.
+rank-one Hessian, which both solvers exploit.  Programs are small (at most
+eight variables), so everything is dense.  `ConvexProgram` is held as its
+term table alone and evaluated in one pass; `ProgramStack` makes that pass
+over the K programs of one `stack_key`.  `presolve_program` and
+`initial_point` start a solve, `point_rows`, `refine_multipliers` and
+`KKT_TOL` make its certificate, and `solve_many` and `finish` are the shell
+both solvers run in.
 """
 
 from __future__ import annotations
@@ -121,7 +103,9 @@ class ConvexProgram:
     `term_table` holds one (row, gamma, coeff, t_index, y_index) per
     perspective term, row -1 for the objective and j for epigraph row j,
     whose rate variable is `aux_index[j]`.  `labels` names the epigraph
-    rows, then the linear rows `lin_A x <= lin_b`.
+    rows, then the linear rows `lin_A x <= lin_b`.  Builders write the table
+    directly and presolve filters and renumbers it; an instance is not
+    changed after construction.
     """
 
     n_vars: int
@@ -295,7 +279,8 @@ class ProgramStack:
     curvature (a v_t^2, a v_t v_y, a v_y^2) into each row's n x n Hessian
     and C into one n x n sum, and W spreads row weights onto the terms.
     Each product adds a row's terms in table order and each log is
-    `scalar_log1p`, as `evaluate` does.
+    `scalar_log1p`, as `evaluate` does, so a stacked solve gives each
+    program its lone solve's bits (PR 31).
     """
 
     def __init__(self, programs):
@@ -542,8 +527,7 @@ def presolve_program(p: ConvexProgram) -> PresolvedProgram:
 # KKT stationarity
 # ---------------------------------------------------------------------------
 
-# the certificate a converged solve of either solver carries: violation <= 0
-# and a KKT residual at most this
+# the certificate's bound on the KKT residual (`finish`)
 KKT_TOL = 1e-6
 # rows with at most this slack count as active when multipliers are refined
 _ACTIVE_TOL = 1e-4
@@ -606,12 +590,12 @@ class SolveResult:
     status: SolveStatus
     x_star: np.ndarray | None      # the point in program coordinates, None without one
     objective_bits: float          # maximized throughput objective, bits
-    outer_iters: int               # barrier stages / quadratization rounds
-    inner_iters: int               # Newton or interior-point steps in total
+    outer_iters: int               # nb: barrier stages; quad: rounds that moved x, every round if unsettled
+    inner_iters: int               # nb: Newton steps; quad: interior-point iterations
     max_constraint_violation: float
     kkt_residual: float
     solver: str
-    tau_final: float = math.nan
+    tau_final: float = math.nan    # nb: the last barrier weight; NaN for quad
 
     @property
     def converged(self) -> bool:
@@ -669,11 +653,10 @@ def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: boo
            outer: int, inner: int, tau: float) -> SolveResult:
     """The result at the final iterate x of the reduced program `pre.program`.
 
-    `seeds`, the solver's multipliers with one per row of `point_rows`,
-    are refined and the KKT residual taken on one view of x; without seeds
-    the residual is infinite.
-    A solve counts as converged only when its point carries the
-    certificate: violation <= 0 and a KKT residual at most KKT_TOL.
+    `seeds`, the solver's multipliers with one per row of `point_rows`, are
+    refined and the KKT residual taken on one view of x; without seeds the
+    residual is infinite.  A solve counts as converged only when its point
+    carries the certificate: violation <= 0 and a KKT residual at most KKT_TOL.
     """
     kkt = math.inf
     if seeds is not None:

@@ -1,105 +1,16 @@
-"""Iterative quadratic approximation solver.
+"""quad: iterated quadratic models, each solved by a primal-dual interior point.
 
 Every row of the program (the objective and each epigraph row) is replaced
-by its second-order model around the current point x_k,
-
-    c + G . (x - x_k) + 0.5 * (x - x_k)^T H (x - x_k),
-
-with c, G and the term curvature H read from one `ProgramStack` pass at
-x_k (`quadratize`; each perspective term contributes coeff * v v^T, v its
-rank-one Hessian factor).  That turns the allocation problem into a small
-convex QCQP held as arrays: the objective (const, g, H), every row's
-(const, G), the stacked Hessians `nl_H` of the curved rows, which come
-first, and the linear rows after them.  A trust-region box around x_k is
-appended as +-e_i rows.  The QCQP is solved with a primal-dual
-path-following interior-point method that steps over all rows at once,
-the auxiliary rate variables are pulled back inside the true epigraph
-region, and the model is rebuilt at the new point until two successive
-solutions coincide.  Any slot whose time fell below the expansion floor is
-then put on the ray its multipliers ask for, unless that moves the point
-by more than _SETTLE_TOL, and `program.finish` builds the result from the
-last converged subproblem's duals of the program's own rows (all but the
-box's), one array in the program's row order: a settled point counts as
-converged only with the certificate both solvers share (violation <= 0,
-KKT residual <= KKT_TOL).
-
-The Newton direction of an interior-point step linearizes each curved
-slack as s - alpha p, while along the step it is s - alpha p - alpha^2 q / 2
-(q = dx^T nl_H[j] dx).  Where the exact step limit falls below
-_CORRECT_BELOW on a subproblem with curved rows, the step is corrected to
-second order (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.6 and
-19.3): the same Newton matrix is solved again with the complementarity
-residual shifted by lam * q / 2 of the first direction, and the step limit
-is taken along the corrected one.  Without it the steps crawl along a
-curved row at short step lengths.  A subproblem without curved rows (S3/S4
-sum) never takes it.
-
-Every subproblem starts cold (lam = 1 / max(s, 1e-3), mu near 1), so the
-centring parameter _SIGMA, which cuts mu at most 1/_SIGMA-fold a step,
-sets most iteration counts.  Long-step path following allows a far smaller
-sigma than 0.1 (Wright, Primal-Dual Interior-Point Methods, SIAM 1997,
-ch. 5); 0.03 is the smallest one that keeps every grid certificate.
-
-Each boxed subproblem is solved only as tightly as its step needs, by a
-forcing rule (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2),
-1982): its ask carries the interior-point tolerance max(_IPM_TOL, min(1e-2,
-1e-2 last^2)), last the norm of the previous accepted move (inf before the
-first), because the model of a long step is thrown away in the next round;
-`_ipm` and `_ipm_many` stop, and report `converged`, against it
-(`_Stack.tol`).  A boxless ask (a polish rebuild or a `_TR_FREE` round) is
-always solved to _IPM_TOL.  CHANGES.md records the iterations and the
-certificates it changed.
-
-The rounds settle when a round's model sees no descent around x, when none
-of its boxes gives an acceptable step (x is then stationary for its model,
-and is tested, not abandoned: Conn, Gould & Toint, Trust-Region Methods,
-SIAM 2000, ch. 6), or when its step moves x by at most _SETTLE_TOL; only
-MAX_ROUNDS leaves a solve unsettled.  A round that would settle on a
-loosely solved subproblem asks again at _IPM_TOL instead, so the rounds
-settle, and `finish` is seeded, only from a subproblem solved to _IPM_TOL:
-settling on a loose one lost grid certificates.  Boxless rebuilds then
-polish the point: the first one that is accepted and moves it by at most
-_SETTLE_TOL ends the polish, since a further one only confirms it.  A
-rebuild is rejected when its objective reads worse than the settled
-point's by more than max(1e-8 (1 + |f|), J * gap), J the subproblem's
-inequality count:
-the interior-point stop lets the rebuild's complementarity lam . s = J *
-gap reach J * _IPM_TOL, and its objective is known only to within that.
-
-A solve takes only its program: the round cap MAX_ROUNDS and the
-interior-point and trust-region tuning values are module constants, read
-at call time.  It keeps no per-round log.
-
-The rounds are written once, as a generator (`_rounds`) that yields an
-`_Ask` for every subproblem it needs solved (the model around x, built
-anew for every ask, boxed or not, started under the caps) and reads a
-`_Reply` (the solution, the point under its caps and the objective values
-the acceptance test needs); the accept, shrink, grow, settle and polish
-rules run on Python floats per program, with the objective at x that of
-the accepted reply.  `solve_iterative_many` (`solve_iterative` on one
-program) is `program.solve_many` around `_drive`, which runs the rounds of
-the reduced programs of one `program.stack_key` side by side on a
-`_Layout`: their `ProgramStack` and the subproblem rows that do not
-depend on the point (the linear rows, the box's +-e_i pattern and the
--x_i <= 0 bounds, as (K, J, n) arrays).  The waiting asks of one box
-state, one or more, are answered by one `_answer`, written once over
-(K, ...) arrays: one `quadratize` pass builds their models and term sums
-with `math.log1p`'s bits, and a program's model does not depend on the
-company it is stacked in; the curved rows and box edges are
-written into the layout's rows, the starts are put under the caps, the
-`_Stack` goes to `_ipm` (one ask) or to `_ipm_many` (the Newton systems as
-(K, n, n) and the rows as (K, J) arrays, every rule of `_ipm` kept per
-program), and the replies come from one more pass.  Boxless asks wait
-while any ask of the layout is boxed, so that the programs that settle in
-different rounds polish in one stack.
-
-Only the interior-point kernel depends on K.  `_ipm` gives `_ipm_many`'s
-bits on a stack of one in less than half its time, because each numpy
-call on (1, ...) arrays costs more and `_ipm` takes its step limit and
-sign tests on Python floats.  The model pass has no such fork: on one
-program the stacked pass makes a lone solve a few percent slower than a
-scalar pass did, the price of one model builder.  CHANGES.md records the
-measurements behind these constants and choices.
+by its second-order model around the current point (`quadratize`), which
+turns the program into a small convex QCQP; a trust-region box around the
+point is appended as +-e_i rows.  The interior point (`_ipm` and its rules,
+`_ipm_many` on a `_Stack`) solves it, the model is rebuilt at each accepted
+point until the rounds (`_rounds`) settle, and `program.finish` builds the
+result from the last converged subproblem's duals.  `_drive` steps the
+rounds of one `stack_key` on a `_Layout`, and `_answer` answers their
+waiting asks together.  Each rule is stated once, where it is applied, with
+the PR whose CHANGES.md entry holds its numbers.  A solve takes only its
+program: the tuning values are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -138,6 +49,9 @@ def quadratize(ps: ProgramStack, E: np.ndarray):
     epigraph rows first and the objective last, row j's model c + G.(x - e)
     + 0.5 (x - e)^T H (x - e) stored expanded as const[k, j] + g[k, j].x +
     0.5 x^T H[k, j] x; and the rows' term sums at E (`ProgramStack.row_sums`).
+    Each term adds coeff * v v^T to its row's H (v its rank-one Hessian
+    factor), whatever the company it is stacked in; a lone solve takes this
+    pass too, a few percent slower than a scalar pass would be (PR 32).
     """
     t, y, aux = ps.terms(E)
     if t.min(initial=math.inf) <= 0.0:
@@ -155,16 +69,18 @@ def quadratize(ps: ProgramStack, E: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-# centring parameter: each step aims at _SIGMA times the duality measure
-# (see the module docstring)
+# centring parameter: each step aims at _SIGMA times the duality measure, so
+# from a cold start it sets most iteration counts; long-step path following
+# allows far less than 0.1 (Wright, Primal-Dual Interior-Point Methods, SIAM
+# 1997, ch. 5), and this is the least of PR 18's scan keeping every certificate
 _SIGMA = 0.03
 _IPM_TOL = 1e-8        # dual residual and duality measure target
 _IPM_MAX_ITERS = 50
 _FRAC = 0.99           # fraction-to-boundary scaling of the max step
 _BACKTRACKS = 40       # step halvings before an interior-point solve gives up
 # a Newton step whose exact limit falls below this on a subproblem with
-# curved rows is corrected to second order (see the module docstring);
-# mid-range, since correcting nearly every step loses certificates
+# curved rows is corrected to second order (`_ipm`); mid-range, since
+# correcting nearly every step loses certificates (PR 17)
 _CORRECT_BELOW = 0.5
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 _REGULARIZE = 1e-12
@@ -219,12 +135,11 @@ def _float_step_limit(lam, dlam, s, p, q) -> float:
 
 
 class _Stack:
-    """K subproblems of one shape as (K, ...) arrays: the objective (c0, g,
-    H) and the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0, whose
-    first m rows (the curved ones) carry the Hessians nl_H, and the (K,)
-    stop tolerances `tol` of the interior point (`_IPM_TOL` unless given).
-    The rows of each subproblem are the curved ones, the linear ones, any
-    trust-region box, then -x_i <= 0 per positive coordinate."""
+    """K subproblems of one shape as (K, ...) arrays: the objective (c0, g, H),
+    the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0 (the m curved ones
+    with their Hessians nl_H, the linear ones, any trust-region box, then
+    -x_i <= 0 per positive coordinate) and the (K,) stop tolerances `tol` of
+    the interior point (`_IPM_TOL` unless given)."""
 
     def __init__(self, c0, g, H, A, b0, nl_H, tol=None):
         self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
@@ -253,12 +168,19 @@ class _Stack:
 
 def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     """Path-following solve of the one subproblem of `st` from a strictly
-    feasible x, to its tolerance `st.tol[0]`.
+    feasible x, to its tolerance `st.tol[0]`; the rules of `_ipm_many` too.
 
-    `_ipm_many`'s algorithm on the (J,) rows of one program, whose numpy
-    calls cost about 1 us less than on (1, J) arrays.  The step limit and
-    the trial's sign tests read the rows as Python floats
-    (`_float_step_limit`, `program.all_positive`), with numpy's bits.
+    A solve starts cold, lam = 1 / max(s, 1e-3).  The Newton direction
+    linearizes each curved slack as s - alpha p, while along the step it is
+    s - alpha p - alpha^2 q / 2 (q = dx^T nl_H[j] dx); where the exact step
+    limit falls below _CORRECT_BELOW, the step is corrected to second order
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., 15.6 and 19.3): the
+    same Newton matrix is solved again with the complementarity residual
+    shifted by lam q / 2 of the first direction.  Without it the steps
+    crawl along a curved row at short step lengths (PR 17).  On a stack of
+    one it gives `_ipm_many`'s bits in less than half the time: numpy calls
+    on (J,) rows cost less, and it takes the step limit and sign tests on
+    Python floats (`_float_step_limit`, `all_positive`; PR 23).
     """
     g, H, A, b0, nl_H, tol = st.g[0], st.H[0], st.A[0], st.b0[0], st.nl_H[0], float(st.tol[0])
     n, m = len(g), len(nl_H)
@@ -351,14 +273,10 @@ def _rowdot(a, b):
 
 
 def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
-    """`_ipm` on every subproblem of a `_Stack` at once, from the starts X (K, n), in order.
-
-    Each Newton system is one of a (K, n, n) stack and every slack,
-    gradient and trial is one array over (K, J) rows.  Every rule of
-    `_ipm` holds per program: the stop test, the step limit, backtracking
-    on its own combined residual and the iteration cap; each program
-    leaves the stack at its own stop.
-    """
+    """`_ipm` on every subproblem of a `_Stack` at once, from the starts X (K, n), in
+    order: each Newton system one of a (K, n, n) stack, every slack, gradient and
+    trial one array over (K, J) rows, every rule of `_ipm` kept per program, and
+    each program leaving the stack at its own stop."""
     K, J = st.b0.shape
     n, m = st.g.shape[1], st.nl_H.shape[1]
     live = np.arange(K)
@@ -493,10 +411,8 @@ _T_SCALE_FLOOR = 0.05     # slot fractions live on (0, 1)
 
 
 def _box_floors(p: ConvexProgram) -> np.ndarray:
-    """Smallest box half-width scale of each of `positive_indices`.
-
-    Times use the slot floor, energies 2% of their best-case budget cap.
-    """
+    """Smallest box half-width scale of each of `positive_indices`: the slot
+    floor for times, 2% of their best-case budget cap for energies."""
     caps = energy_caps(p)
     return np.array([_T_SCALE_FLOOR] * len(p.t_indices) + [
         0.02 * caps[i] if math.isfinite(caps[i]) and caps[i] > 0.0 else 1.0 for i in p.y_indices])
@@ -517,10 +433,7 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
     onto that ray by shrinking t or y, and the rates are clamped after it.
     A move longer than _SETTLE_TOL is refused: that slot still holds energy
     the rounds have not placed, and discarding it can pass the certificate
-    below the optimum (S1-A common at X1 = 1 mW, rho = 0.99999 rho_max: a
-    slot of t = 5e-13 held y = 0.022, and the settled point certified 5.9e-6
-    bits below nb's).  On the energy, distance and edge grids every move is
-    at most 7.7e-10.
+    below the optimum (PR 23).
     """
     m = p.n_nonlinear
     pull = p.objective_linear + p.lin_A.T @ lam[m:m + len(p.lin_b)]
@@ -559,7 +472,7 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
 class _Ask(NamedTuple):
     """What a solve's rounds need next: the model of its program around x, boxed
     by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)
-    to the interior-point tolerance `tol` (a boxless ask to `_IPM_TOL`)."""
+    to the interior-point tolerance `tol` (`_IPM_TOL` on a boxless ask)."""
 
     x: np.ndarray
     delta: float | None
@@ -579,7 +492,9 @@ class _Reply(NamedTuple):
 
 def _forcing_tol(last: float) -> float:
     """The interior-point tolerance of a boxed ask after an accepted move of
-    norm `last` (inf before the first): loose while the moves are long."""
+    norm `last` (inf before the first): loose while the moves are long, since
+    the model of a long step is thrown away in the next round (a forcing rule:
+    Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2), 1982; PR 33)."""
     return max(_IPM_TOL, min(1e-2, 1e-2 * last * last))
 
 
@@ -589,8 +504,14 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
     `_Reply`, and returns the (x, seeds, converged, outer, inner, tau) of
     `program.finish`.
 
-    `outer` counts the rounds that moved x by more than `_SETTLE_TOL` when
-    the rounds settle, and every round when they do not.
+    The rounds settle when a round's model sees no descent around x, when
+    none of its boxes gives an acceptable step (x is then stationary for its
+    model, and is tested, not abandoned: Conn, Gould & Toint, Trust-Region
+    Methods, SIAM 2000, ch. 6), or when its step moves x by at most
+    _SETTLE_TOL; only MAX_ROUNDS leaves a solve unsettled.  A round that
+    would settle on a loosely solved subproblem asks again at _IPM_TOL
+    instead, since settling on a loose one lost grid certificates (PR 33).
+    Boxless rebuilds then polish the settled point (PR 18).
     """
     f_x = red.objective_value(x)    # after this, the accepted reply's f_cand
 
@@ -679,10 +600,9 @@ class _Layout:
     subproblems share, built once: the time and positive coordinates `t`
     and `pos`, each program's box floors, the `ProgramStack` `ps` of their
     models, and `A[boxed]`, `b0[boxed]`, (K, J, n) and (K, J), every
-    subproblem's rows in `_Stack` order with zeros where an ask's curved
-    rows and box edges go: m curved rows, the linear rows, when boxed x_i <=
-    hi_i then -x_i <= -lo_i per positive coordinate, and -x_i <= 0 per
-    positive coordinate."""
+    subproblem's rows in `_Stack` order, a box as x_i <= hi_i then -x_i <=
+    -lo_i per positive coordinate, zeros where an ask's curved rows and box
+    edges go."""
 
     def __init__(self, programs):
         p = programs[0]
@@ -736,8 +656,7 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
         # keep c > 0): a log term frozen at the origin cannot be revived by
         # a local quadratic model
         np.maximum(c - r, 0.25 * c, out=edges[:, :, 1])
-    tol = [ask.tol if boxed else _IPM_TOL for ask in asks]
-    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], tol)
+    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], [ask.tol for ask in asks])
     X0 = _under_caps(red.aux_index, X, sums, _IPM_BACKOFF)
     sols = [_ipm(st, X0[0])] if K == 1 else _ipm_many(st, X0)
 
@@ -763,7 +682,8 @@ def _drive(reduced, X):
     """quad's kernel for `program.solve_many`: the rounds of reduced programs
     of one `stack_key` from their starts X, stepped together on one
     `_Layout`.  Each waits on its ask until it is answered; the boxed asks,
-    else the boxless ones, are answered by one `_answer`."""
+    else the boxless ones, are answered by one `_answer`, so that programs
+    that settle in different rounds polish in one stack."""
     lay = _Layout(reduced)
     running = {k: _rounds(p, x) for k, (p, x) in enumerate(zip(reduced, X))}
     ends: list = [None] * len(reduced)

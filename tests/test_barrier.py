@@ -569,6 +569,17 @@ def test_stage_at_the_noise_floor_ends_before_the_step_cap():
         assert res.inner_iters < 100
 
 
+def test_three_stalls_in_a_row_end_the_stage():
+    # at X2 = 1e300 every line search of S4-B sum after the first stage
+    # stalls, and three stalls in a row end each of those stages: the solve
+    # ends uncertified after 12 Newton steps, where without that stage end
+    # each stage would run into MAX_INNER (800 steps in all)
+    p = build_problem(ScenarioSpec(Scenario.S4, Case.B, Objective.WEIGHTED_SUM), NetworkConfig(X2=1e300))
+    res = solve_nb(p)
+    assert res.status is SolveStatus.MAX_ITERATIONS
+    assert res.inner_iters < barrier.MAX_INNER
+
+
 # -- lockstep solves ------------------------------------------------------------
 
 

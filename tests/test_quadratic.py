@@ -891,14 +891,13 @@ def test_boxed_asks_start_loose_and_boxless_asks_are_tight(monkeypatch):
     boxed = [ask.tol for ask in asks if ask.delta is not None]
     assert all(quadratic._IPM_TOL <= tol <= 1e-2 for tol in boxed)
     assert min(boxed) == quadratic._IPM_TOL
-    # `_answer` solves a boxed ask to its tolerance and a boxless one to
-    # _IPM_TOL, whatever else the ask carries
+    # `_answer` solves each ask, boxed or boxless, to the tolerance it carries
     red, ask = first_ask(relay_program())
     lay = quadratic._Layout([red])
-    _, st, _ = answer_alone(lay, 0, ask)
-    assert st.tol.tolist() == [1e-2]
-    _, st, _ = answer_alone(lay, 0, ask._replace(delta=None))
-    assert st.tol.tolist() == [quadratic._IPM_TOL]
+    for delta in (ask.delta, None):
+        for tol in (1e-2, quadratic._IPM_TOL):
+            _, st, _ = answer_alone(lay, 0, ask._replace(delta=delta, tol=tol))
+            assert st.tol.tolist() == [tol]
 
 
 @pytest.mark.parametrize("spec, cfg", [
