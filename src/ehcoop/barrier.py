@@ -106,9 +106,14 @@ def _newton_direction(view, lam, g):
 
 def _multiplier_step(tau, lam, s, Rd):
     """The multiplier step dlam that linearizes lam s = 1/tau along a Newton step d
-    (Rd the rows' gradients times d), and the floor LAM_FLOOR/(tau s) a step keeps,
-    both at the point before the step: a step alpha d takes lam to
-    max(lam + alpha dlam, floor) (`_minimize_stage`)."""
+    (Rd the rows' gradients times d), and the floor LAM_FLOOR/(tau s), both at the
+    point before the step.  Every program that searches takes lam to
+    max(lam + dlam, floor), whatever step alpha d its line search accepts, a
+    stall (alpha = 0) included: the separate dual step length of primal-dual
+    interior methods (Waechter & Biegler, Math. Program. 106(1), 2006, eq. 15),
+    with the floor in place of the fraction to the boundary; it cuts the Newton
+    steps per stage, as CHANGES.md measures.  A stall that kept its multipliers
+    would leave a last stage stalled at the noise floor with the stage before's."""
     return (1.0 / tau - lam * s + lam * Rd) / s, LAM_FLOOR / (tau * s)
 
 
@@ -195,8 +200,9 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
 # stage keeps its centre.  `barrier` gives barrier values, `first_steps`
 # min(1, SHRINK * distance to the nearest affine row along D), `norms` the
 # lengths of D, `step(X, D, a)` X + a D where a > 0 (the other rows stay), and
-# `advance(X, D, a, b)` that step with lam moved b times the multiplier step
-# of the last `newton` call, and floored, where b > 0.  `_One` and `_Stack`
+# `advance(X, D, a, search)` that step with the multipliers of the programs in
+# `search` moved by the full step of the last `newton` call, and floored
+# (`_multiplier_step`); the others keep theirs.  `_One` and `_Stack`
 # give the same bits, so a result does not depend on its company: both take
 # `program.scalar_log1p`'s term logs, numpy's barrier logs and sums, and the
 # same multiplier arithmetic (PR 31).
@@ -238,9 +244,9 @@ class _One:
     def step(self, X, d, a):
         return X + a[0] * d if a[0] > 0.0 else X
 
-    def advance(self, X, d, a, b):
-        if b[0] > 0.0:
-            self.lam = np.maximum(self.lam + b[0] * self.dlam, self.floor)
+    def advance(self, X, d, a, search):
+        if search:
+            self.lam = np.maximum(self.lam + self.dlam, self.floor)
         return self.step(X, d, a)
 
 
@@ -316,9 +322,9 @@ class _Stack:
         a = np.array(a)[:, None]
         return np.where(a > 0.0, X + a * D, X)
 
-    def advance(self, X, D, a, b):
-        w = np.array(b)[:, None]
-        self.lam = np.where(w > 0.0, np.maximum(self.lam + w * self.dlam, self.floor), self.lam)
+    def advance(self, X, D, a, search):
+        self.lam = self.lam.copy()
+        self.lam[search] = np.maximum(self.lam[search] + self.dlam[search], self.floor[search])
         return self.step(X, D, a)
 
 
@@ -398,16 +404,12 @@ def _minimize_stage(be, tau, X, f_x):
             else:
                 search.append(i)
         moves = _line_search(be, tau, X, D, f_x, slope, slack, search) if search else {}
-        alpha, dual = [0.0] * K, [0.0] * K
+        alpha = [0.0] * K
         for i in search:
             if i in moves:
                 stalls[i] = 0
-                alpha[i] = dual[i] = moves[i][0]
+                alpha[i] = moves[i][0]
             else:
-                # the point stays but its multipliers take their full step: a
-                # last stage that stalls at the noise floor would otherwise
-                # leave them at the stage before's
-                dual[i] = 1.0
                 stalls[i] += 1
                 last_step[i] = 0.0
                 if stalls[i] >= 3:
@@ -419,7 +421,7 @@ def _minimize_stage(be, tau, X, f_x):
             for i, (a_i, f_a) in moves.items():
                 f_x[i], last_step[i] = f_a, a_i * dnorm[i]
         if search:
-            X = be.advance(X, D, alpha, dual)
+            X = be.advance(X, D, alpha, search)
         if ended:
             for i in ended:
                 f_end[i], Z[i] = f[i], dZ[i]
@@ -440,7 +442,9 @@ def _path(be, X, tau):
     stage's barrier is finite and lower than at x (a NaN one never is), and
     a late stage then needs about one Newton step (PR 7).  Returns (x,
     multipliers, converged, stages, Newton steps, tau) per program, as
-    `program.finish` takes them.
+    `program.finish` takes them.  A program whose stage runs into MAX_INNER
+    unconverged leaves there, since the next stage would start no nearer its
+    centre.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
@@ -453,7 +457,8 @@ def _path(be, X, tau):
         for j, i in enumerate(live):
             steps[i] += k[j]
             stages[i] += 1
-            if be.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING:
+            if (k[j] == MAX_INNER and not converged[j]
+                    or be.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING):
                 out[i] = (X[j], be.lam[j], converged[j], stages[i], steps[i], tau)
             else:
                 keep.append(j)

@@ -69,7 +69,7 @@ def relay_program(rho=0.3):
 
 def stalling_program():
     """A relay program two of whose late line searches find no step (stalls)."""
-    return relay_program(0.7)
+    return relay_program(0.35)
 
 
 def screen_programs(cfg, case, objective):
@@ -269,7 +269,7 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 
 
 def test_accepted_steps_pass_armijo(monkeypatch):
-    # at rho = 0.7 two late searches find no Armijo step at the noise floor
+    # at rho = 0.35 two late searches find no Armijo step at the noise floor
     # and stall; no other step is taken in their place
     searches = spy_line_searches(monkeypatch)
     solve_nb(relay_program())
@@ -481,14 +481,14 @@ def test_program_that_takes_no_step_keeps_its_multipliers():
     stack = _Stack(programs)
     D = stack.newton(X, TAU0)[3]
     before = stack.lam.copy()
-    moved = stack.advance(X, D, [0.5, 0.0], [0.5, 0.0])
+    moved = stack.advance(X, D, [0.5, 0.0], [0])
     assert moved[1].tobytes() == X[1].tobytes()
     assert stack.lam[1].tobytes() == before[1].tobytes()
     assert not np.array_equal(stack.lam[0], before[0])
     one = _One(programs[1])
     d = one.newton(X[1:], TAU0)[3]
     lone = one.lam.copy()
-    one.advance(X[1:], d, [0.0], [0.0])
+    one.advance(X[1:], d, [0.0], [])
     assert one.lam.tobytes() == lone.tobytes() == before[1:].tobytes()
 
 
@@ -578,6 +578,16 @@ def test_three_stalls_in_a_row_end_the_stage():
     res = solve_nb(p)
     assert res.status is SolveStatus.MAX_ITERATIONS
     assert res.inner_iters < barrier.MAX_INNER
+
+
+def test_stage_at_the_step_cap_ends_the_path():
+    # at X2 = 1e300 the first stage of S4-A sum runs into MAX_INNER; the solve
+    # ends there, uncertified, instead of running the later stages into the
+    # cap as well (608 Newton steps over three capped stages)
+    p = build_problem(ScenarioSpec(Scenario.S4, Case.A, Objective.WEIGHTED_SUM), NetworkConfig(X2=1e300))
+    res = solve_nb(p)
+    assert res.status is SolveStatus.MAX_ITERATIONS
+    assert res.inner_iters <= barrier.MAX_INNER + 10
 
 
 # -- lockstep solves ------------------------------------------------------------

@@ -214,12 +214,12 @@ def test_select_without_energy_reports_a_plain_zero(capsys):
 
 
 def test_engine_warning_prints_as_one_line():
-    # nb ends S1-B rho = 0.1 uncertified where U1 harvests 10 uW at d1 =
+    # quad ends S1-B rho = 0.1 uncertified where U1 harvests nothing at d1 =
     # du = 1.8, and select warns about it; a child process, because pytest
     # records the warnings of its own
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    command = ["select", "--X1", "1e-2", "--d1", "1.8", "--du", "1.8"]
+    command = ["select", "--solver", "quad", "--X1", "0", "--d1", "1.8", "--du", "1.8"]
     proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", *command],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2
