@@ -7,10 +7,10 @@ variables stay free, since the epigraph rows already fence them in.  The
 sections below hold the barrier and its primal-dual Newton system, the
 line-search pieces, the arithmetic backends `_One` and `_Stack`, and the
 algorithm, written once for K programs: `_line_search`, `_minimize_stage`
-(the stage ends) and `_path` (the tau schedule and the central-path
-prediction).  Each rule is stated once, where it is applied, with the PR
-whose CHANGES.md entry holds its numbers.  The tuning values are module
-constants read at call time.
+(the stage ends) and `_path` (each program's tau schedule and the
+central-path prediction).  Each rule is stated once, where it is applied,
+with the PR whose CHANGES.md entry holds its numbers.  The tuning values
+are module constants read at call time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ ARMIJO = 1e-4
 TAU0 = 100.0
 # the outer loop ends here even if the gap test never passes (f not finite)
 TAU_CEILING = 1e16
-# tau multiplier per outer stage
+# tau multiplier per outer stage; MU**2 after a one-step stage near the optimum (`_path`)
 MU = 100.0
 # the gap stop (`_path`)
 GAP_TOL = 1e-10
@@ -192,10 +192,11 @@ def golden_section_min(fn, interval, tol: float = 1e-8) -> float:
 # A backend holds K programs at the rows of a (K, n) array X and their
 # multipliers `lam`, one row of `program.point_rows`' length per program, set
 # to 1/(tau s) by the first `newton` call and kept across stages and
-# predictions; it answers with one Python float per program.  `newton(X, tau)`
-# gives (f, max |g|, g . d, D, Z, slack): objective values, barrier gradient
-# norms and slopes along the Newton directions D (in the backend's layout),
-# central-path tangents Z = -M^-1 grad f (K, n) and affine slacks; D solves
+# predictions; it takes one tau per program and answers with one Python float
+# per program.  `newton(X, tau)` gives (f, max |g|, g . d, D, Z, slack):
+# objective values, barrier gradient norms and slopes along the Newton
+# directions D (in the backend's layout), central-path tangents
+# Z = -M^-1 grad f (K, n) and affine slacks; D solves
 # M D = -g, M the Newton matrix at lam and g the barrier gradient, so each
 # stage keeps its centre.  `barrier` gives barrier values, `first_steps`
 # min(1, SHRINK * distance to the nearest affine row along D), `norms` the
@@ -220,9 +221,10 @@ class _One:
         self.lam = None
 
     def barrier(self, X, tau):
-        return [barrier_value(self.program, tau, X[0])]
+        return [barrier_value(self.program, tau[0], X[0])]
 
     def newton(self, X, tau):
+        tau = tau[0]
         view = point_rows(self.program, X[0])
         ev, rows, s = view
         if self.lam is None:
@@ -280,14 +282,15 @@ class _Stack:
         t, y, aux, Ax = self._terms(X)
         sums = self.terms.row_sums(t, y)
         out = (Ax[:, -1] + sums[:, -1]
-               - (np.log(-(aux + sums[:, :-1])).sum(1) + np.log(self.b - Ax[:, :-1]).sum(1)) / tau)
+               - (np.log(-(aux + sums[:, :-1])).sum(1) + np.log(self.b - Ax[:, :-1]).sum(1)) / np.array(tau))
         out[np.isnan(out)] = math.inf
         return out.tolist()
 
     def gradient(self, X, tau):
-        """The `evaluate` pass and the barrier gradient g, stacked: (f, grad f, g,
-        slacks, row gradients, term factors), the rows in `program.point_rows`'
-        order and the factors (v_t, v_y) of each term's rank-one Hessian."""
+        """The `evaluate` pass and the barrier gradient g at the weights tau (K, 1),
+        stacked: (f, grad f, g, slacks, row gradients, term factors), the rows
+        in `program.point_rows`' order and the factors (v_t, v_y) of each
+        term's rank-one Hessian."""
         t, y, aux, Ax = self._terms(X)
         sums, grads, factors = self.terms.derivatives(t, y)
         c = aux + sums[:, :-1]
@@ -302,6 +305,7 @@ class _Stack:
         return H + (rows.transpose(0, 2, 1) * (self.lam / s)[:, None, :]) @ rows
 
     def newton(self, X, tau):
+        tau = np.array(tau)[:, None]
         f, grad, g, s, rows, factors = self.gradient(X, tau)
         if self.lam is None:
             self.lam = 1.0 / (tau * s)
@@ -369,7 +373,7 @@ def _line_search(be, tau, X, D, f_x, slope, slack, search):
 
 
 def _minimize_stage(be, tau, X, f_x):
-    """Newton iterations at fixed tau on every program; f_x, the barrier at X, is updated in place.
+    """Newton iterations at each program's fixed tau; f_x, the barrier at X, is updated in place.
 
     A program stops once its last step is at most STEP_TOL long (a stall
     counts as 0) and its gradient at most GRAD_TOL (or its Newton decrement
@@ -388,7 +392,6 @@ def _minimize_stage(be, tau, X, f_x):
     steps, converged = [MAX_INNER] * K, [False] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
     last_step, stalls = [math.inf] * K, [0] * K
-    gap = be.n_rows / tau
     for k in range(MAX_INNER + 1):
         f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
         if k == MAX_INNER:
@@ -398,7 +401,8 @@ def _minimize_stage(be, tau, X, f_x):
         ended, search = [], []
         for i in run:
             if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i]))
-                    or gap > LOOSE_GAP * (1.0 + abs(f[i])) and -tau * slope[i] <= LOOSE_DECREMENT):
+                    or be.n_rows / tau[i] > LOOSE_GAP * (1.0 + abs(f[i]))
+                    and -tau[i] * slope[i] <= LOOSE_DECREMENT):
                 steps[i], converged[i] = k, True
                 ended.append(i)
             else:
@@ -432,45 +436,54 @@ def _minimize_stage(be, tau, X, f_x):
 
 
 def _path(be, X, tau):
-    """The outer loop on one tau schedule from tau, each program leaving at its own gap stop.
+    """The outer loop from tau, each program on its own tau schedule to its own gap stop.
 
-    tau grows by MU per stage until m/tau <= GAP_TOL * (1 + |f|), m the
-    barrier rows, the stage optimum being within m/tau of the optimum, or to
-    TAU_CEILING where f is not finite.  The central path is almost linear in
-    1/tau near the optimum (Fiacco & McCormick 1968), so going to MU tau
-    predicts x + (1 - 1/MU) Z; the prediction is kept only where the next
-    stage's barrier is finite and lower than at x (a NaN one never is), and
-    a late stage then needs about one Newton step (PR 7).  Returns (x,
-    multipliers, converged, stages, Newton steps, tau) per program, as
-    `program.finish` takes them.  A program whose stage runs into MAX_INNER
-    unconverged leaves there, since the next stage would start no nearer its
-    centre.
+    A program's tau grows by MU per stage until m/tau <= GAP_TOL * (1 + |f|),
+    m the barrier rows, the stage optimum being within m/tau of the optimum,
+    or to TAU_CEILING where f is not finite.  It grows by MU**2 instead after
+    a stage that took at most one Newton step with m/tau <= LOOSE_GAP * (1 +
+    |f|), while m/(MU tau) > GAP_TOL * (1 + |f|): such an iterate already
+    follows the path, so the stage skipped would only add a step, and the
+    skip never passes the gap stop (superlinear barrier decrease, Waechter &
+    Biegler, Math. Program. 106(1), 2006, eq. 7; PR 38).  The schedule reads
+    only the program's own stages, so that it does not depend on its
+    company.  The central path is almost linear in 1/tau near the optimum
+    (Fiacco & McCormick 1968), so going to grow * tau predicts
+    x + (1 - 1/grow) Z; the prediction is kept only where the next stage's
+    barrier is finite and lower than at x (a NaN one never is), and a late
+    stage then needs about one Newton step (PR 7).  Returns (x, multipliers,
+    converged, stages, Newton steps, tau) per program, as `program.finish`
+    takes them.  A program whose stage runs into MAX_INNER unconverged leaves
+    there, since the next stage would start no nearer its centre.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
     stages, steps = [0] * len(X), [0] * len(X)
+    tau = [tau] * len(X)
     f_x = be.barrier(X, tau)
-    ahead = 1.0 - 1.0 / MU
     while True:
         X, k, converged, f, Z = _minimize_stage(be, tau, X, f_x)
-        keep = []
+        keep, grow = [], []
         for j, i in enumerate(live):
             steps[i] += k[j]
             stages[i] += 1
-            if (k[j] == MAX_INNER and not converged[j]
-                    or be.n_rows / tau <= GAP_TOL * (1.0 + abs(f[j])) or tau >= TAU_CEILING):
-                out[i] = (X[j], be.lam[j], converged[j], stages[i], steps[i], tau)
+            gap, scale = be.n_rows / tau[j], 1.0 + abs(f[j])
+            if k[j] == MAX_INNER and not converged[j] or gap <= GAP_TOL * scale or tau[j] >= TAU_CEILING:
+                out[i] = (X[j], be.lam[j], converged[j], stages[i], steps[i], tau[j])
             else:
                 keep.append(j)
+                skip = k[j] <= 1 and gap <= LOOSE_GAP * scale and be.n_rows / (MU * tau[j]) > GAP_TOL * scale
+                grow.append(MU**2 if skip else MU)
         if not keep:
             return out
         live = [live[j] for j in keep]
         if len(keep) < len(X):      # never on a `_One`
             be, X, Z = be.take(keep), X[keep], Z[keep]
-        tau *= MU
-        f_x, f_p = be.barrier(X, tau), be.barrier(be.step(X, Z, [ahead] * len(X)), tau)
+        tau = [g * tau[j] for g, j in zip(grow, keep)]
+        ahead = [1.0 - 1.0 / g for g in grow]
+        f_x, f_p = be.barrier(X, tau), be.barrier(be.step(X, Z, ahead), tau)
         kept = [fp < fx for fp, fx in zip(f_p, f_x)]
-        X = be.step(X, Z, [ahead if up else 0.0 for up in kept])
+        X = be.step(X, Z, [a if up else 0.0 for a, up in zip(ahead, kept)])
         f_x = [fp if up else fx for fp, fx, up in zip(f_p, f_x, kept)]
 
 

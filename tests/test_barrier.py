@@ -67,9 +67,9 @@ def relay_program(rho=0.3):
     return build_problem(spec, NetworkConfig())
 
 
-def stalling_program():
-    """A relay program two of whose late line searches find no step (stalls)."""
-    return relay_program(0.35)
+def stalling_programs():
+    """Two relay programs whose last line search finds no step (a stall)."""
+    return [relay_program(0.34), relay_program(0.38)]
 
 
 def screen_programs(cfg, case, objective):
@@ -258,7 +258,7 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 
     monkeypatch.setattr(barrier, "regularized_solve", solve)
     assert solve_nb(relay_program()).converged
-    taus = [c["tau"] for c in searches]
+    taus = [tau for c in searches for tau in c["tau"]]
     assert taus and taus == sorted(taus)
     assert taus[0] == pytest.approx(TAU0)
     # the relay Hessians are well conditioned: no step needed regularizing
@@ -269,11 +269,11 @@ def test_stages_rise_from_tau0_without_regularized_hessians(monkeypatch):
 
 
 def test_accepted_steps_pass_armijo(monkeypatch):
-    # at rho = 0.35 two late searches find no Armijo step at the noise floor
-    # and stall; no other step is taken in their place
+    # at rho = 0.34 and 0.38 the last search finds no Armijo step at the
+    # noise floor and stalls; no other step is taken in its place
     searches = spy_line_searches(monkeypatch)
-    solve_nb(relay_program())
-    solve_nb(stalling_program())
+    for p in [relay_program()] + stalling_programs():
+        solve_nb(p)
     accepted = 0
     for c in searches:
         for i, (alpha, f_new) in c["steps"].items():
@@ -329,7 +329,7 @@ def test_step_across_a_perspective_row_is_cut_back_inside(monkeypatch):
     assert slope < 0.0
     A, b = p.affine_rows
     evals = count_barrier_values(monkeypatch)
-    steps = _line_search(_One(p), tau, x[None], d, [f_x], [slope], b - A @ x, [0])
+    steps = _line_search(_One(p), [tau], x[None], d, [f_x], [slope], b - A @ x, [0])
     alpha, f_new = steps[0]
     assert 0.0 < alpha < 1.0
     assert len(evals) >= 2
@@ -350,7 +350,7 @@ def test_relay_solve_needs_few_newton_steps(monkeypatch):
     res = solve_nb(relay_program())
     assert res.converged
     assert res.inner_iters <= 26
-    late = [c["tau"] for c in searches if c["tau"] >= 1e8]
+    late = [tau for c in searches for tau in c["tau"] if tau >= 1e8]
     assert late and len(late) == len(set(late))
 
 
@@ -363,8 +363,8 @@ def test_loose_centring_never_ends_the_last_stage(monkeypatch):
     def spy(be, tau, X, f_x):
         out = real(be, tau, X, f_x)
         _, gnorm, slope, *_ = be.newton(out[0], tau)
-        stages.extend((be.n_rows / tau, f, g, d, fx, -tau * d)
-                      for f, g, d, fx in zip(out[3], gnorm, slope, f_x))
+        stages.extend((be.n_rows / t, f, g, d, fx, -t * d)
+                      for t, f, g, d, fx in zip(tau, out[3], gnorm, slope, f_x))
         return out
 
     monkeypatch.setattr(barrier, "_minimize_stage", spy)
@@ -388,13 +388,22 @@ def test_loose_centring_never_ends_the_last_stage(monkeypatch):
 
 
 def test_solve_stops_on_the_duality_gap():
-    p = relay_program()
-    res = solve_nb(p)
-    rows = p.n_nonlinear + len(p.affine_rows[1])
-    f = p.objective_value(res.x_star)
-    assert rows / res.tau_final <= GAP_TOL * (1.0 + abs(f))
-    # the stage before the last one had not closed the gap yet
-    assert rows * MU / res.tau_final > GAP_TOL * (1.0 + abs(f))
+    # a relay program, then the 16 configurations on the default network and
+    # where U1 harvests nothing or 1 uW (presolve pins energies, and so rows);
+    # at 1 uW, S1-B and S2-B sum end uncertified, but on the gap stop too
+    programs = [relay_program()] + [
+        build_problem(ScenarioSpec(scenario, case, objective), cfg)
+        for cfg in (NetworkConfig(), NetworkConfig(X1=0.0), NetworkConfig(X1=1e-3))
+        for scenario in Scenario for case in Case for objective in Objective]
+    for p in programs:
+        res = solve_nb(p)
+        reduced = presolve_program(p).program
+        rows = reduced.n_nonlinear + len(reduced.affine_rows[1])
+        f = p.objective_value(res.x_star)
+        assert rows / res.tau_final <= GAP_TOL * (1.0 + abs(f))
+        # tau_final / MU had not closed the gap yet: a stage that skips one
+        # (tau x MU**2) never overshoots the gap stop
+        assert rows * MU / res.tau_final > GAP_TOL * (1.0 + abs(f))
 
 
 def test_prediction_that_raises_the_barrier_is_rejected(monkeypatch):
@@ -466,7 +475,7 @@ def test_first_centred_stage_takes_few_newton_steps(monkeypatch):
 
     def spy(be, tau, X, f_x):
         out = real(be, tau, X, f_x)
-        stages.append((tau, out[1][0]))
+        stages.append((tau[0], out[1][0]))
         return out
 
     monkeypatch.setattr(barrier, "_minimize_stage", spy)
@@ -479,14 +488,14 @@ def test_program_that_takes_no_step_keeps_its_multipliers():
     programs = [relay_program(0.1), relay_program(0.3)]
     X = np.array([initial_point(p) for p in programs])
     stack = _Stack(programs)
-    D = stack.newton(X, TAU0)[3]
+    D = stack.newton(X, [TAU0] * 2)[3]
     before = stack.lam.copy()
     moved = stack.advance(X, D, [0.5, 0.0], [0])
     assert moved[1].tobytes() == X[1].tobytes()
     assert stack.lam[1].tobytes() == before[1].tobytes()
     assert not np.array_equal(stack.lam[0], before[0])
     one = _One(programs[1])
-    d = one.newton(X[1:], TAU0)[3]
+    d = one.newton(X[1:], [TAU0])[3]
     lone = one.lam.copy()
     one.advance(X[1:], d, [0.0], [])
     assert one.lam.tobytes() == lone.tobytes() == before[1:].tobytes()
@@ -690,7 +699,8 @@ def test_lockstep_line_search_stalls_as_the_lone_one(monkeypatch):
     # capture a search on `_One` that finds no step, then search it again on
     # a stack of copies: the same trials, and no step either
     searches = spy_line_searches(monkeypatch)
-    solve_nb(stalling_program())
+    for p in stalling_programs():
+        solve_nb(p)
     seen = [c for c in searches if c["search"] == [0] and not c["steps"]]
     assert len(seen) == 2
     for c in seen:
@@ -702,7 +712,7 @@ def test_lockstep_line_search_stalls_as_the_lone_one(monkeypatch):
         stacked = record_barrier_values(stack)
         X, D, slack = (np.array([v] * 3) for v in (c["X"][0], c["D"], c["slack"]))
         # the second program is not searching
-        steps = _line_search(stack, c["tau"], X, D, c["f_x"] * 3, c["slope"] * 3, slack, [0, 2])
+        steps = _line_search(stack, c["tau"] * 3, X, D, c["f_x"] * 3, c["slope"] * 3, slack, [0, 2])
         assert steps == {}
         assert lone and [f[0] for f in lone] == [f[0] for f in stacked] == [f[2] for f in stacked]
 

@@ -101,6 +101,18 @@ def test_negative_zero_rho_prints_as_zero(capsys):
     assert "rho=-0" not in out
 
 
+def test_edge_cell_whose_last_stage_stalled_certifies(capsys):
+    # X1 = 0, d1 = 0.2: reached from tau = 1e10, the last stage's first
+    # search stalled and the stage ended off its centre (KKT 3.1e-5); with
+    # that stage skipped, the last one starts from another prediction
+    code = main(["solve", "--scenario", "S1", "--case", "B", "--rho", "0.1",
+                 "--X1", "0", "--d1", "0.2", "--du", "1.8"])
+    out = capsys.readouterr().out
+    assert code == 0
+    kkt = float(out.rsplit("kkt:", 1)[1].split()[0])
+    assert kkt <= 1e-6
+
+
 def test_rho_on_other_scenarios_exits_two(capsys):
     code = main(["solve", "--scenario", "S3", "--case", "A", "--rho", "0.2"])
     assert code == 2

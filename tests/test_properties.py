@@ -102,17 +102,37 @@ def test_lockstep_screen_agrees_with_lone_solves(solver, cfg, case, objective, s
                 for share in shares]
     many, one = {"nb": (solve_nb_many, solve_nb), "quad": (solve_iterative_many, solve_iterative)}[solver]
     for lock, single in zip(many(programs), map(one, programs), strict=True):
-        assert (lock.status, lock.outer_iters, lock.inner_iters) == \
-            (single.status, single.outer_iters, single.inner_iters)
-        for field in ("tau_final", "objective_bits", "kkt_residual"):
-            assert getattr(lock, field).hex() == getattr(single, field).hex(), field
-        assert (lock.x_star is None) == (single.x_star is None)
-        if single.x_star is not None:
-            assert lock.x_star.tobytes() == single.x_star.tobytes()
-        if lock.converged:
-            for res in (lock, single):
-                assert res.max_constraint_violation <= 0.0
-                assert res.kkt_residual <= KKT
+        assert_lone_bits(lock, single)
+
+
+def test_stacked_programs_on_their_own_tau_schedules_keep_the_lone_bits():
+    # one stack_key, three schedules: the default network skips tau = 1e10 and
+    # ends at 1e12, X1 = 1e-3 takes every stage to 1e12, and ten times the
+    # weights skip tau = 1e8 and end at 1e10
+    programs = [build_problem(ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, rho), cfg)
+                for cfg, rho in ((NetworkConfig(), 0.3), (NetworkConfig(X1=1e-3), 0.0),
+                                 (NetworkConfig(w1=10.0, w2=10.0), 0.3))]
+    results = solve_nb_many(programs)
+    for lock, p in zip(results, programs, strict=True):
+        assert lock.converged
+        assert_lone_bits(lock, solve_nb(p))
+    assert len({r.tau_final for r in results}) == 2
+    assert len({r.outer_iters for r in results}) == 3
+
+
+def assert_lone_bits(lock, single):
+    """A stacked result has the status, counts and bits of the lone solve."""
+    assert (lock.status, lock.outer_iters, lock.inner_iters) == \
+        (single.status, single.outer_iters, single.inner_iters)
+    for field in ("tau_final", "objective_bits", "kkt_residual"):
+        assert getattr(lock, field).hex() == getattr(single, field).hex(), field
+    assert (lock.x_star is None) == (single.x_star is None)
+    if single.x_star is not None:
+        assert lock.x_star.tobytes() == single.x_star.tobytes()
+    if lock.converged:
+        for res in (lock, single):
+            assert res.max_constraint_violation <= 0.0
+            assert res.kkt_residual <= KKT
 
 
 @settings(derandomize=True, deadline=None)
