@@ -352,12 +352,16 @@ def _line_search(be, tau, X, D, f_x, slope, slack, search):
     (PR 35).  A trial outside the domain of a nonlinear row has barrier
     value +inf and fails like any other, so those rows need no crossing
     search.  A program gives up, a stall, once the decrease a shorter step
-    predicts is at the noise floor.  Returns {program: (alpha, barrier
-    value at the new point)} for the programs that take a step.
+    predicts is at the noise floor.  A program whose slope is NaN stalls
+    without a trial: no step passes the Armijo test against a NaN slope,
+    and the noise floor never reads it as small, so its search would halve
+    the step until it underflows, one barrier evaluation each (PR 39).
+    Returns {program: (alpha, barrier value at the new point)} for the
+    programs that take a step.
     """
     a = be.first_steps(X, D, slack)
     steps = {}
-    searching = [i for i in search if a[i] > 0.0]
+    searching = [i for i in search if a[i] > 0.0 and not math.isnan(slope[i])]
     while searching:
         f_a = be.barrier(be.step(X, D, a), tau)
         still = []
@@ -375,64 +379,49 @@ def _line_search(be, tau, X, D, f_x, slope, slack, search):
 def _minimize_stage(be, tau, X, f_x):
     """Newton iterations at each program's fixed tau; f_x, the barrier at X, is updated in place.
 
-    A program stops once its last step is at most STEP_TOL long (a stall
-    counts as 0) and its gradient at most GRAD_TOL (or its Newton decrement
-    at the noise floor); after three stalls in a row, converged only if its
-    gradient is at most 5 GRAD_TOL; or at MAX_INNER steps.  While its gap
-    bound m/tau exceeds LOOSE_GAP * (1 + |f|), as the last stage's never
-    does, it also stops once its squared Newton decrement tau (-g . d) is at
-    most LOOSE_DECREMENT (Boyd & Vandenberghe, sections 11.3.3 and 11.5): a
-    larger bound starts the next stage too far from its centre to finish
-    within MAX_INNER (PR 21).  Returns (X, Newton steps, converged,
-    objective, Z), Z = -H^-1 grad f at each final iterate (the central-path
-    tangent), NaN where the step cap ends the stage.
+    A stage has two ends (PR 39).  A program stops, converged, once its
+    last step is at most STEP_TOL long (a stall counts as 0) and its
+    gradient at most GRAD_TOL (or its Newton decrement at the noise floor);
+    while its gap bound m/tau exceeds LOOSE_GAP * (1 + |f|), as the last
+    stage's never does, also once its squared Newton decrement tau (-g . d)
+    is at most LOOSE_DECREMENT (Boyd & Vandenberghe, sections 11.3.3 and
+    11.5): a larger bound starts the next stage too far from its centre to
+    finish within MAX_INNER (PR 21).  Otherwise it stops, unconverged, at
+    MAX_INNER steps, and `_path` ends its solve there.  Returns (X, Newton
+    steps, objective, Z), Z = -H^-1 grad f at each final iterate (the
+    central-path tangent); objective and Z are NaN where the step cap ends
+    the stage.
     """
     K = len(X)
     run = list(range(K))
-    steps, converged = [MAX_INNER] * K, [False] * K
+    steps = [MAX_INNER] * K
     f_end, Z = [math.nan] * K, np.full_like(X, math.nan)
-    last_step, stalls = [math.inf] * K, [0] * K
-    for k in range(MAX_INNER + 1):
+    last_step = [math.inf] * K
+    for k in range(MAX_INNER):
         f, gnorm, slope, D, dZ, slack = be.newton(X, tau)
-        if k == MAX_INNER:
-            for i in run:
-                f_end[i] = f[i]
-            break
-        ended, search = [], []
+        search = []
         for i in run:
             if (last_step[i] <= STEP_TOL and (gnorm[i] <= GRAD_TOL or _at_noise(slope[i], f_x[i]))
                     or be.n_rows / tau[i] > LOOSE_GAP * (1.0 + abs(f[i]))
                     and -tau[i] * slope[i] <= LOOSE_DECREMENT):
-                steps[i], converged[i] = k, True
-                ended.append(i)
+                steps[i], f_end[i], Z[i] = k, f[i], dZ[i]
             else:
                 search.append(i)
-        moves = _line_search(be, tau, X, D, f_x, slope, slack, search) if search else {}
+        if not search:
+            break
+        moves = _line_search(be, tau, X, D, f_x, slope, slack, search)
         alpha = [0.0] * K
-        for i in search:
-            if i in moves:
-                stalls[i] = 0
-                alpha[i] = moves[i][0]
-            else:
-                stalls[i] += 1
-                last_step[i] = 0.0
-                if stalls[i] >= 3:
-                    # no further progress representable in floating point
-                    steps[i], converged[i] = k + 1, gnorm[i] <= 5.0 * GRAD_TOL
-                    ended.append(i)
         if moves:
             dnorm = be.norms(D)
-            for i, (a_i, f_a) in moves.items():
-                f_x[i], last_step[i] = f_a, a_i * dnorm[i]
-        if search:
-            X = be.advance(X, D, alpha, search)
-        if ended:
-            for i in ended:
-                f_end[i], Z[i] = f[i], dZ[i]
-            run = [i for i in run if i not in ended]
-            if not run:
-                break
-    return X, steps, converged, f_end, Z
+        for i in search:
+            if i in moves:
+                alpha[i], f_x[i] = moves[i]
+                last_step[i] = alpha[i] * dnorm[i]
+            else:
+                last_step[i] = 0.0
+        X = be.advance(X, D, alpha, search)
+        run = search
+    return X, steps, f_end, Z
 
 
 def _path(be, X, tau):
@@ -453,8 +442,9 @@ def _path(be, X, tau):
     barrier is finite and lower than at x (a NaN one never is), and a late
     stage then needs about one Newton step (PR 7).  Returns (x, multipliers,
     converged, stages, Newton steps, tau) per program, as `program.finish`
-    takes them.  A program whose stage runs into MAX_INNER unconverged leaves
-    there, since the next stage would start no nearer its centre.
+    takes them.  A program whose stage runs into MAX_INNER leaves there,
+    unconverged, since the next stage would start no nearer its centre; every
+    other stage end is converged.
     """
     live = list(range(len(X)))
     out: list = [None] * len(X)
@@ -462,14 +452,14 @@ def _path(be, X, tau):
     tau = [tau] * len(X)
     f_x = be.barrier(X, tau)
     while True:
-        X, k, converged, f, Z = _minimize_stage(be, tau, X, f_x)
+        X, k, f, Z = _minimize_stage(be, tau, X, f_x)
         keep, grow = [], []
         for j, i in enumerate(live):
             steps[i] += k[j]
             stages[i] += 1
             gap, scale = be.n_rows / tau[j], 1.0 + abs(f[j])
-            if k[j] == MAX_INNER and not converged[j] or gap <= GAP_TOL * scale or tau[j] >= TAU_CEILING:
-                out[i] = (X[j], be.lam[j], converged[j], stages[i], steps[i], tau[j])
+            if k[j] == MAX_INNER or gap <= GAP_TOL * scale or tau[j] >= TAU_CEILING:
+                out[i] = (X[j], be.lam[j], k[j] < MAX_INNER, stages[i], steps[i], tau[j])
             else:
                 keep.append(j)
                 skip = k[j] <= 1 and gap <= LOOSE_GAP * scale and be.n_rows / (MU * tau[j]) > GAP_TOL * scale

@@ -407,7 +407,8 @@ def initial_point(p: ConvexProgram) -> np.ndarray:
 
     A program whose point keeps less than `_START_MARGIN` of slack on some
     row raises: zero budgets included, which `presolve_program` removes
-    before either solver starts.
+    before either solver starts, and a NaN margin, as where a term overflows
+    and its rate starts at 0.9 * inf.
     """
     x = np.zeros(p.n_vars)
     m = len(p.t_indices)
@@ -425,10 +426,9 @@ def initial_point(p: ConvexProgram) -> np.ndarray:
     for aux, bound in aux_bounds(p.aux_index, p.term_sums(x.tolist())).items():
         x[aux] = 0.9 * bound
 
-    if p.max_violation(x) > -_START_MARGIN:
-        raise InfeasibleProgramError(
-            f"could not construct an interior point (margin {p.max_violation(x):.3g})"
-        )
+    worst = p.max_violation(x)
+    if not worst <= -_START_MARGIN:
+        raise InfeasibleProgramError(f"could not construct an interior point (margin {worst:.3g})")
     return x
 
 
@@ -633,19 +633,20 @@ def solve_many(programs, solver: str, kernel) -> list[SolveResult]:
     """
     results: list = [None] * len(programs)
     groups: dict = {}
-    for i, p in enumerate(programs):
-        started = start(p)
-        if started is None:
-            results[i] = SolveResult.infeasible(solver)
-        else:
-            groups.setdefault(stack_key(started[0].program), []).append((i, *started))
-    for members in groups.values():
-        # trial points off the domain make NaN and inf, which the solvers read
-        # as outside it (a barrier of +inf, a failed row test)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # trial points off the domain make NaN and inf, which the solvers read as
+    # outside it (a barrier of +inf, a failed row test); an overflowing start
+    # or final point does so in `start` and `finish` too
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, p in enumerate(programs):
+            started = start(p)
+            if started is None:
+                results[i] = SolveResult.infeasible(solver)
+            else:
+                groups.setdefault(stack_key(started[0].program), []).append((i, *started))
+        for members in groups.values():
             ends = kernel([pre.program for _, pre, _ in members], np.array([x for *_, x in members]))
-        for (i, pre, _), end in zip(members, ends, strict=True):
-            results[i] = finish(programs[i], pre, solver, *end)
+            for (i, pre, _), end in zip(members, ends, strict=True):
+                results[i] = finish(programs[i], pre, solver, *end)
     return results
 
 
