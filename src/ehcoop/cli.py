@@ -23,6 +23,8 @@ import warnings
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
+import numpy as np
+
 from .barrier import solve_nb
 from .gridsearch import brute_force_grid, finite_diff_check
 from .network import NetworkConfig, derive_channels, relay_feasible, rho_max
@@ -262,8 +264,10 @@ def _cmd_validate(args) -> int:
         spec = ScenarioSpec(Scenario.S3, Case.A, Objective.WEIGHTED_SUM)
     tag = f"{spec.scenario.value}-A"
     # probe the presolved program: presolve pins zero-budget energies, so no
-    # coordinate of the start sits within a difference step of y = 0
-    started = presolved_start(build_problem(spec, cfg))
+    # coordinate of the start sits within a difference step of y = 0; an
+    # overflowing start reads as none, under `program.solve_many`'s errstate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        started = presolved_start(build_problem(spec, cfg))
     if started is None:
         raise RuntimeError(f"the {tag} program has no interior point to check derivatives at")
     pre, x0 = started

@@ -70,7 +70,8 @@ def quadratize(ps: ProgramStack, E: np.ndarray):
 
 
 # centring parameter: each step aims at _SIGMA times the duality measure, so
-# from a cold start it sets most iteration counts; long-step path following
+# from a cold start (every subproblem but a loose boxed one: `_ipm`) it sets
+# most iteration counts; long-step path following
 # allows far less than 0.1 (Wright, Primal-Dual Interior-Point Methods, SIAM
 # 1997, ch. 5), and this is the least of PR 18's scan keeping every certificate
 _SIGMA = 0.03
@@ -84,6 +85,8 @@ _BACKTRACKS = 40       # step halvings before an interior-point solve gives up
 _CORRECT_BELOW = 0.5
 # a singular Newton system is solved with this times max(1, trace / n) on its diagonal
 _REGULARIZE = 1e-12
+# a warm start keeps each multiplier at least this times its cold value (`_ipm`)
+_WARM_FLOOR = 1e-3
 
 
 @dataclass
@@ -134,21 +137,30 @@ def _float_step_limit(lam, dlam, s, p, q) -> float:
     return min(lims, default=math.inf)
 
 
+def _start_multipliers(S, W):
+    """The first multipliers at the slacks S from the warm rows W (NaN: cold): `_ipm`'s start."""
+    L = 1.0 / np.maximum(S, 1e-3)
+    return np.where(np.isnan(W), L, np.maximum(W, _WARM_FLOOR * L))
+
+
 class _Stack:
     """K subproblems of one shape as (K, ...) arrays: the objective (c0, g, H),
     the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0 (the m curved ones
     with their Hessians nl_H, the linear ones, any trust-region box, then
-    -x_i <= 0 per positive coordinate) and the (K,) stop tolerances `tol` of
-    the interior point (`_IPM_TOL` unless given)."""
+    -x_i <= 0 per positive coordinate), the (K,) stop tolerances `tol` of
+    the interior point (`_IPM_TOL` unless given) and the (K, J) multipliers
+    `warm` it starts from (`_start_multipliers`; a NaN row, the default,
+    starts cold)."""
 
-    def __init__(self, c0, g, H, A, b0, nl_H, tol=None):
+    def __init__(self, c0, g, H, A, b0, nl_H, tol=None, warm=None):
         self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
         self.tol = np.full(len(c0), _IPM_TOL) if tol is None else np.asarray(tol, dtype=float)
+        self.warm = np.full(b0.shape, math.nan) if warm is None else np.asarray(warm, dtype=float)
 
     def take(self, keep) -> "_Stack":
         """The subproblems at the positions `keep`."""
         out = copy.copy(self)
-        for name in ("c0", "A", "b0", "nl_H", "g", "H", "tol"):
+        for name in ("c0", "A", "b0", "nl_H", "g", "H", "tol", "warm"):
             setattr(out, name, getattr(self, name)[keep])
         return out
 
@@ -170,7 +182,11 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     """Path-following solve of the one subproblem of `st` from a strictly
     feasible x, to its tolerance `st.tol[0]`; the rules of `_ipm_many` too.
 
-    A solve starts cold, lam = 1 / max(s, 1e-3).  The Newton direction
+    A solve starts cold, lam = 1 / max(s, 1e-3), unless `st.warm[0]` holds
+    warm rows: then lam is those, each floored at _WARM_FLOOR times its cold
+    value (a shift off the boundary: Yildirim & Wright, SIAM J. Optim. 12(3),
+    2002).  `_rounds` warms only a loose boxed ask, from its solve's last
+    converged boxed subproblem (scan in CHANGES.md).  The Newton direction
     linearizes each curved slack as s - alpha p, while along the step it is
     s - alpha p - alpha^2 q / 2 (q = dx^T nl_H[j] dx); where the exact step
     limit falls below _CORRECT_BELOW, the step is corrected to second order
@@ -204,7 +220,7 @@ def _ipm(st: _Stack, x: np.ndarray) -> SubproblemSolution:
     s, grad = state(x)
     if s.min() <= 0.0:
         raise ValueError("interior-point start must be strictly feasible")
-    lam = 1.0 / np.maximum(s, 1e-3)
+    lam = _start_multipliers(s, st.warm[0])
     r_d = dual_residual(x, lam, grad)
     lam_f, s_f = lam.tolist(), s.tolist()
 
@@ -283,7 +299,7 @@ def _ipm_many(st: _Stack, X) -> list[SubproblemSolution]:
     S, G = st.state(X)
     if S.min() <= 0.0:
         raise ValueError("interior-point start must be strictly feasible")
-    L = 1.0 / np.maximum(S, 1e-3)
+    L = _start_multipliers(S, st.warm)
     R = st.dual_residual(X, L, G)
     out: list = [None] * K
 
@@ -472,11 +488,13 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
 class _Ask(NamedTuple):
     """What a solve's rounds need next: the model of its program around x, boxed
     by `delta` unless it is None, solved from x under its caps (`_IPM_BACKOFF`)
-    to the interior-point tolerance `tol` (`_IPM_TOL` on a boxless ask)."""
+    to the interior-point tolerance `tol` (`_IPM_TOL` on a boxless ask), its
+    multipliers started from `warm` (None: cold; `_ipm`)."""
 
     x: np.ndarray
     delta: float | None
     tol: float
+    warm: np.ndarray | None = None
 
 
 class _Reply(NamedTuple):
@@ -520,6 +538,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
     moves = 0
     settled = False
     sol = None
+    warm = None                     # the last converged boxed subproblem's multipliers
     # a program without perspective terms is its own quadratic model, so
     # the box would only slow the one exact solve down
     has_models = bool(red.term_table)
@@ -530,13 +549,16 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         loose = False               # whether a boxed ask of this round was solved loosely
         for _ in range(_TR_RETRIES + 1):
             box = None if delta >= _TR_FREE else delta
-            loose |= box is not None and tol > _IPM_TOL
-            reply = yield _Ask(x, box, _IPM_TOL if box is None else tol)
+            loose_ask = box is not None and tol > _IPM_TOL
+            loose |= loose_ask
+            reply = yield _Ask(x, box, _IPM_TOL if box is None else tol, warm if loose_ask else None)
             inner_total += reply.sol.iters
             if not reply.sol.converged:
                 delta *= _TR_SHRINK
                 continue
             sol = reply.sol         # the last converged subproblem seeds `finish`
+            if box is not None:
+                warm = sol.lam
             pred = f_x - reply.f_model
             act = f_x - reply.f_cand
             if pred <= 1e-12 * (1.0 + abs(f_x)):
@@ -656,7 +678,9 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
         # keep c > 0): a log term frozen at the origin cannot be revived by
         # a local quadratic model
         np.maximum(c - r, 0.25 * c, out=edges[:, :, 1])
-    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], [ask.tol for ask in asks])
+    cold = np.full(b0.shape[1], math.nan)
+    st = _Stack(const[:, m], g[:, m], H[:, m], A, b0, H[:, :m], [ask.tol for ask in asks],
+                [cold if ask.warm is None else ask.warm for ask in asks])
     X0 = _under_caps(red.aux_index, X, sums, _IPM_BACKOFF)
     sols = [_ipm(st, X0[0])] if K == 1 else _ipm_many(st, X0)
 

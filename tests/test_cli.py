@@ -225,15 +225,18 @@ def test_select_without_energy_reports_a_plain_zero(capsys):
     assert "-0.000000" not in out
 
 
-def test_engine_warning_prints_as_one_line():
-    # quad ends S1-B rho = 0.1 uncertified where U1 harvests nothing at d1 =
-    # du = 1.8, and select warns about it; a child process, because pytest
-    # records the warnings of its own
+def run_cli(*argv):
+    """The command run in a child process, because pytest records the warnings of its own."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    command = ["select", "--solver", "quad", "--X1", "0", "--d1", "1.8", "--du", "1.8"]
-    proc = subprocess.run([sys.executable, "-m", "ehcoop.cli", *command],
+    return subprocess.run([sys.executable, "-m", "ehcoop.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_engine_warning_prints_as_one_line():
+    # quad ends S1-B rho = 0.1 uncertified where U1 harvests nothing at d1 =
+    # du = 1.8, and select warns about it
+    proc = run_cli("select", "--solver", "quad", "--X1", "0", "--d1", "1.8", "--du", "1.8")
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["ehcoop: warning: S1-B rho=0.1 did not converge (max_iterations)"]
 
@@ -435,6 +438,15 @@ def test_validate_without_an_interior_point_exits_two(capsys):
     code = main(["validate", "--X1", "1e-6", "--X2", "1e-6"])
     assert code == 2
     assert "S1-A program has no interior point" in capsys.readouterr().err
+
+
+def test_validate_with_an_overflowing_start_prints_no_numpy_warning():
+    # at X1 = 1e308 the derivative probe's start overflows: it reads as no
+    # interior point, with nothing from numpy on stderr
+    proc = run_cli("validate", "--X1", "1e308")
+    assert proc.returncode == 2
+    assert "S1-A program has no interior point" in proc.stderr
+    assert "encountered" not in proc.stderr
 
 
 def test_validate_on_a_tiny_budget_reports_every_check(capsys):
