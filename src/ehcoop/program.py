@@ -17,8 +17,9 @@ eight variables), so everything is dense.  `ConvexProgram` is held as its
 term table alone and evaluated in one pass; `ProgramStack` makes that pass
 over the K programs of one `stack_key`.  `presolve_program` and
 `initial_point` start a solve, `point_rows`, `refine_multipliers` and
-`KKT_TOL` make its certificate, and `solve_many` and `finish` are the shell
-both solvers run in.
+`KKT_TOL` make its certificate (`certify`), `duality_gap_bits` bounds its
+distance from the optimum, and `solve_many` and `finish` are the shell both
+solvers run in.
 """
 
 from __future__ import annotations
@@ -161,6 +162,24 @@ class ConvexProgram:
     @property
     def n_nonlinear(self) -> int:
         return len(self.aux_index)
+
+    @cached_property
+    def gap_structure(self) -> "_GapData":
+        """What `duality_gap_bits` reads of the program, built once per program."""
+        slots: dict = {ti: {} for ti in self.t_indices}
+        for row, gamma, coeff, ti, yi in self.term_table:
+            slots.setdefault(ti, {}).setdefault(yi, []).append((row, gamma, coeff))
+        in_terms = {yi for energies in slots.values() for yi in energies}
+        times = np.zeros(self.n_vars)
+        times[list(self.t_indices)] = 1.0
+        return _GapData(
+            rates=tuple((aux, tuple(j for j, a in enumerate(self.aux_index) if a == aux))
+                        for aux in dict.fromkeys(self.aux_index)),
+            slots=tuple((ti, tuple((yi, tuple(terms)) for yi, terms in energies.items()))
+                        for ti, energies in slots.items()),
+            bare_y=tuple(yi for yi in self.y_indices if yi not in in_terms),
+            frame=next((i for i, a in enumerate(self.lin_A) if np.array_equal(a, times)), None),
+        )
 
     def term_sums(self, xs: list) -> list:
         """Each row's sum of coeff * l over its terms at the point xs, the objective's last."""
@@ -574,6 +593,107 @@ def refine_multipliers(view, lam) -> np.ndarray:
     return lam
 
 
+class Certificate(NamedTuple):
+    """What `certify` reads at a point: the refined multipliers, one per row
+    of `point_rows`, the KKT residual at them and the objective at the point."""
+
+    lam: np.ndarray
+    kkt: float
+    f: float
+
+
+def certify(program, x, seeds) -> Certificate:
+    """The certificate of x from a solver's multiplier `seeds`, on one `point_rows` view."""
+    view = point_rows(program, x)
+    lam = refine_multipliers(view, seeds)
+    return Certificate(lam, stationarity_residual(view, lam), view[0].f)
+
+
+# ---------------------------------------------------------------------------
+# Exact duality gap
+# ---------------------------------------------------------------------------
+
+
+class _GapData(NamedTuple):
+    """A program's structure as `duality_gap_bits` reads it: the epigraph
+    rows of each rate (aux, rows), each time's energies with their terms
+    (t, ((y, ((row, gamma, coeff), ...)), ...)), none for a time in no term,
+    the energies in no term, and the frame row (coefficient 1 on every time,
+    0 elsewhere; None without one)."""
+
+    rates: tuple
+    slots: tuple
+    bare_y: tuple
+    frame: int | None
+
+
+def _slot_max(terms, price: float) -> float:
+    """max over u >= 0 of sum a ln(1 + gamma u) - price u over the (a, gamma)
+    terms, a >= 0: 0 when the slope at u = 0 is not positive, else the value at
+    the root of the slope, a quadratic in u for two terms; inf where the
+    slope never turns (price <= 0) or a slot holds more than two terms."""
+    if sum(a * g for a, g in terms) <= price:
+        return 0.0
+    if price <= 0.0 or len(terms) > 2:
+        return math.inf
+    if len(terms) == 1:
+        (a, g), = terms
+        u = a / price - 1.0 / g
+    else:
+        # price (1 + g1 u)(1 + g2 u) = a1 g1 (1 + g2 u) + a2 g2 (1 + g1 u):
+        # A u^2 + B u + C = 0 with A > 0 > C, so one positive root
+        (a1, g1), (a2, g2) = terms
+        A = price * g1 * g2
+        B = price * (g1 + g2) - (a1 + a2) * g1 * g2
+        C = price - a1 * g1 - a2 * g2
+        root = math.sqrt(B * B - 4.0 * A * C)
+        u = 2.0 * C / (-B - root) if B > 0.0 else (root - B) / (2.0 * A)
+    return sum(a * math.log1p(g * u) for a, g in terms) - price * u
+
+
+def duality_gap_bits(program, f: float, lam) -> float:
+    """The exact gap, in bits, between the objective f at a feasible point
+    and the Lagrange dual bound of the multipliers `lam` (one per row of
+    `point_rows`; the bounds' own are not read).
+
+    With r = q + A^T mu + sum_j lam_j e_aux(j), the Lagrangian's infimum over
+    times and energies >= 0 and free rates is -mu . b when every rate has r
+    = 0 and every time t has r_t >= the sum, over its energies y, of max over
+    u >= 0 of [sum_k w_k c_k ln(1 + gamma_k u) - r_y u] (w_k 1 on the
+    objective, lam_j on row j), and -inf otherwise; each term t l(y/t) is
+    positively homogeneous (Boyd & Vandenberghe, Convex Optimization, 3.2.6
+    and 5.1-5.2).  So each rate's epigraph multipliers are scaled to meet r =
+    0, each slot takes its one-dimensional maximum (`_slot_max`), and a time
+    short of it is mended by raising the frame row's multiplier, which lowers
+    the bound by exactly the raise times its right-hand side.  inf when no
+    raise mends the slots, NaN when a multiplier is not finite; CHANGES.md
+    records the gaps on the evidence sets."""
+    data = program.gap_structure
+    m, n_lin = program.n_nonlinear, len(program.lin_b)
+    if not np.isfinite(lam[:m + n_lin]).all():
+        return math.nan
+    w = [float(v) for v in lam[:m]] + [1.0]
+    mu = np.asarray(lam[m:m + n_lin], dtype=float)
+    r = (program.objective_linear + program.lin_A.T @ mu).tolist()
+    for aux, rows in data.rates:
+        need, have = -r[aux], sum(w[j] for j in rows)
+        if need < 0.0 or (need > 0.0 and have <= 0.0):
+            return math.inf
+        if have > 0.0:
+            for j in rows:
+                w[j] *= need / have
+    if any(r[yi] < 0.0 for yi in data.bare_y):
+        return math.inf
+    raise_ = max([0.0] + [
+        sum(_slot_max([(w[row] * coeff, gamma) for row, gamma, coeff in terms], r[yi])
+            for yi, terms in energies) - r[ti] for ti, energies in data.slots])
+    if raise_ > 0.0:
+        if data.frame is None or not math.isfinite(raise_):
+            return math.inf
+        raise_ *= float(program.lin_b[data.frame])
+    return (f + float(mu @ program.lin_b) + raise_) / LN2
+
+
 # ---------------------------------------------------------------------------
 # Start and result, shared by both solvers
 # ---------------------------------------------------------------------------
@@ -590,12 +710,17 @@ class SolveResult:
     status: SolveStatus
     x_star: np.ndarray | None      # the point in program coordinates, None without one
     objective_bits: float          # maximized throughput objective, bits
-    outer_iters: int               # nb: barrier stages; quad: rounds that moved x, every round if unsettled
+    # nb: barrier stages; quad: on a proof stop every round taken, else the
+    # rounds that moved x, every round if unsettled
+    outer_iters: int
     inner_iters: int               # nb: Newton steps; quad: interior-point iterations
     max_constraint_violation: float
     kkt_residual: float
     solver: str
     tau_final: float = math.nan    # nb: the last barrier weight; NaN for quad
+    # the refined multipliers the KKT residual was read at, one per row of the
+    # reduced program's `point_rows`; None without seeds
+    multipliers: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -655,14 +780,16 @@ def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: boo
     """The result at the final iterate x of the reduced program `pre.program`.
 
     `seeds`, the solver's multipliers with one per row of `point_rows`, are
-    refined and the KKT residual taken on one view of x; without seeds the
-    residual is infinite.  A solve counts as converged only when its point
-    carries the certificate: violation <= 0 and a KKT residual at most KKT_TOL.
+    refined and the KKT residual taken on one view of x (`certify`), unless
+    the solver hands over the `Certificate` it already made at x; without
+    seeds the residual is infinite.  A solve counts as converged only when
+    its point carries the certificate: violation <= 0 and a KKT residual at
+    most KKT_TOL.
     """
-    kkt = math.inf
-    if seeds is not None:
-        view = point_rows(pre.program, x)
-        kkt = stationarity_residual(view, refine_multipliers(view, seeds))
+    cert = seeds
+    if seeds is not None and not isinstance(seeds, Certificate):
+        cert = certify(pre.program, x, seeds)
+    kkt = math.inf if cert is None else cert.kkt
     x_full = pre.expand(x)
     violation = program.max_violation(x_full)
     converged = converged and kkt <= KKT_TOL and violation <= 0.0
@@ -676,4 +803,5 @@ def finish(program, pre: PresolvedProgram, solver: str, x, seeds, converged: boo
         kkt_residual=kkt,
         solver=solver,
         tau_final=tau,
+        multipliers=None if cert is None else cert.lam,
     )

@@ -5,12 +5,13 @@ by its second-order model around the current point (`quadratize`), which
 turns the program into a small convex QCQP; a trust-region box around the
 point is appended as +-e_i rows.  The interior point (`_ipm` and its rules,
 `_ipm_many` on a `_Stack`) solves it, the model is rebuilt at each accepted
-point until the rounds (`_rounds`) settle, and `program.finish` builds the
-result from the last converged subproblem's duals.  `_drive` steps the
-rounds of one `stack_key` on a `_Layout`, and `_answer` answers their
-waiting asks together.  Each rule is stated once, where it is applied, with
-the PR whose CHANGES.md entry holds its numbers.  A solve takes only its
-program: the tuning values are module constants, read at call time.
+point until the rounds (`_rounds`) end on a proof or settle, and
+`program.finish` builds the result from the proof's certificate or the last
+converged subproblem's duals.  `_drive` steps the rounds of one `stack_key`
+on a `_Layout`, and `_answer` answers their waiting asks together.  Each
+rule is stated once, where it is applied, with the PR whose CHANGES.md
+entry holds its numbers.  A solve takes only its program: the tuning values
+are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -23,11 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .program import (
+    KKT_TOL,
+    LN2,
     ConvexProgram,
     ProgramStack,
     SolveResult,
     all_positive,
     aux_bounds,
+    certify,
+    duality_gap_bits,
     energy_caps,
     regularized_solve,
     solve_many,
@@ -38,6 +43,8 @@ from .program import (
 _T_FLOOR = 1e-9
 # the rounds settle once two successive solutions are this close
 _SETTLE_TOL = 1e-6
+# a candidate is proven optimal within this times (1 + |B|) bits (`_proof`)
+_PROOF_GAP = 1e-8
 # quadratization rounds per solve
 MAX_ROUNDS = 50
 
@@ -516,11 +523,40 @@ def _forcing_tol(last: float) -> float:
     return max(_IPM_TOL, min(1e-2, 1e-2 * last * last))
 
 
+def _seeds(red: ConvexProgram, lam) -> np.ndarray:
+    """A subproblem's multipliers as `finish` seeds: its epigraph and linear
+    rows and its bounds -x_i <= 0, without any trust-region box rows."""
+    ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
+    return np.concatenate((lam[:ml], lam[len(lam) - n_pos:]))
+
+
+def _proof(red: ConvexProgram, reply: _Reply):
+    """The certificate of a reply's candidate when it proves the candidate
+    optimal, else None: violation <= 0, a KKT residual at most KKT_TOL and an
+    exact duality gap (`duality_gap_bits`) at most _PROOF_GAP (1 + |B|) bits.
+    The gap alone is not enough: a point within it can still fail the
+    residual."""
+    if red.max_violation(reply.cand) > 0.0:
+        return None
+    cert = certify(red, reply.cand, _seeds(red, reply.sol.lam))
+    if cert.kkt <= KKT_TOL and (duality_gap_bits(red, cert.f, cert.lam)
+                                <= _PROOF_GAP * (1.0 + abs(cert.f) / LN2)):
+        return cert
+    return None
+
+
 def _rounds(red: ConvexProgram, x: np.ndarray):
     """The rounds of one reduced program from its start x as a generator: it
     yields an `_Ask` for every subproblem it needs solved, is sent back its
     `_Reply`, and returns the (x, seeds, converged, outer, inner, tau) of
-    `program.finish`.
+    `program.finish`, the seeds a proof's `Certificate` on a proof stop.
+
+    The rounds end on a proof: the candidate of a converged reply solved to
+    _IPM_TOL (a tight boxed ask, a boxless round or a polish rebuild) that
+    carries the certificate and an exact duality gap of at most _PROOF_GAP
+    (1 + |B|) bits (`_proof`) ends the solve, its certificate handed to
+    `finish`; testing the loose replies too cost more checks than it saved
+    rounds (CHANGES.md, the proof stop).  The rules below are its fallbacks.
 
     The rounds settle when a round's model sees no descent around x, when
     none of its boxes gives an acceptable step (x is then stationary for its
@@ -556,6 +592,8 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
             if not reply.sol.converged:
                 delta *= _TR_SHRINK
                 continue
+            if not loose_ask and (cert := _proof(red, reply)) is not None:
+                return reply.cand, cert, True, rounds, inner_total, math.nan
             sol = reply.sol         # the last converged subproblem seeds `finish`
             if box is not None:
                 warm = sol.lam
@@ -592,6 +630,8 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
             inner_total += clean.iters
             if not clean.converged:
                 break
+            if (cert := _proof(red, reply)) is not None:
+                return reply.cand, cert, True, rounds, inner_total, math.nan
             move = float(np.linalg.norm(reply.cand - x))
             # a centred rebuild reads worse than a boundary-hugging iterate
             # by up to its own complementarity offset, lam . s = J * gap, so
@@ -611,8 +651,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         # residual, which `finish` refines against the true gradients.  On
         # a flat optimal face the rounds can settle while a slot still
         # crawls towards t = 0, where the gradient does not certify it
-        ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
-        seeds = np.concatenate((sol.lam[:ml], sol.lam[len(sol.lam) - n_pos:]))
+        seeds = _seeds(red, sol.lam)
         x = _settle_unused_slots(red, x, seeds)
     return x, seeds, settled, moves if settled else rounds, inner_total, math.nan
 

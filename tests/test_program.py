@@ -11,8 +11,11 @@ from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop import program as program_module
 from ehcoop.program import (
+    LN2,
     ConvexProgram,
     InfeasibleProgramError,
+    certify,
+    duality_gap_bits,
     energy_caps,
     initial_point,
     perspective_gradient,
@@ -423,6 +426,110 @@ def test_finish_takes_one_view_of_the_final_point(seeded, monkeypatch):
     res = program_module.finish(p, pre, "nb", x, seeds, True, 1, 1, math.nan)
     assert len(calls) == (1 if seeded else 0)
     assert (res.kkt_residual < math.inf) is seeded
+
+
+def test_finish_takes_a_handed_certificate_without_a_view(monkeypatch):
+    # a solver that certified its final point already hands `finish` that
+    # certificate, which the result keeps as it is
+    p = direct_program()
+    pre, x = start(p)
+    seeds = np.ones(pre.program.n_nonlinear + len(pre.program.affine_rows[1]))
+    cert = certify(pre.program, x, seeds)
+    calls = []
+
+    def spy(program, z):
+        calls.append(z)
+        return point_rows(program, z)
+
+    monkeypatch.setattr(program_module, "point_rows", spy)
+    res = program_module.finish(p, pre, "quad", x, cert, True, 1, 1, math.nan)
+    assert calls == []
+    assert res.kkt_residual == cert.kkt and res.multipliers is cert.lam
+    seeded = program_module.finish(p, pre, "quad", x, seeds, True, 1, 1, math.nan)
+    assert len(calls) == 1
+    assert seeded.kkt_residual == cert.kkt and np.array_equal(seeded.multipliers, cert.lam)
+
+
+@pytest.mark.parametrize("solve", [solve_nb, solve_iterative], ids=["nb", "quad"])
+def test_result_keeps_the_multipliers_its_residual_was_read_at(solve):
+    # no presolve pins, so the reduced program is the program itself; the
+    # multipliers bound its optimum within a small gap, never a negative one
+    p = relay_program()
+    res = solve(p)
+    assert res.converged
+    view = point_rows(p, res.x_star)
+    assert stationarity_residual(view, res.multipliers) == res.kkt_residual
+    gap = duality_gap_bits(p, view[0].f, res.multipliers)
+    assert -1e-12 <= gap <= 1e-8 * (1.0 + abs(res.objective_bits))
+
+
+# -- the exact duality gap ----------------------------------------------------
+
+
+def toy_multipliers(eps=0.0):
+    """The toy program's exact multipliers at its optimum t = 0.5, y = 0.1, the
+    energy budget's raised by eps: one per epigraph row, linear row and bound."""
+    t, y = 0.5, 0.1
+    z = 100.0 * y / t
+    return np.array([1.0, math.log1p(z) - z / (1.0 + z), 100.0 * t / (t + 100.0 * y) + eps, 0.0, 0.0])
+
+
+def test_gap_closes_at_the_optimum_and_reads_an_energy_price_exactly():
+    p = toy_program()
+    x = np.array([0.5, 0.1, 0.5 * math.log(21.0)])
+    f = p.objective_value(x)
+    assert abs(duality_gap_bits(p, f, toy_multipliers())) <= 1e-15
+    # a dearer energy leaves the slot slack and lowers the bound by eps * 0.1
+    for eps in (1e-6, 0.5):
+        assert duality_gap_bits(p, f, toy_multipliers(eps)) == pytest.approx(0.1 * eps / LN2, rel=1e-9)
+    # a cheaper time is mended by raising the frame multiplier by as much:
+    # the bound and the gap stay
+    cheap = toy_multipliers()
+    cheap[1] -= 0.25
+    assert abs(duality_gap_bits(p, f, cheap)) <= 1e-15
+    # the rate's multiplier is rescaled to meet its price, whatever its seed
+    scaled = toy_multipliers()
+    scaled[0] = 7.0
+    assert abs(duality_gap_bits(p, f, scaled)) <= 1e-15
+    # an energy with no positive price gives the dual no bound, and a
+    # multiplier that is not a number gives no gap
+    free = toy_multipliers()
+    free[2] = 0.0
+    assert duality_gap_bits(p, f, free) == math.inf
+    free[0] = math.nan
+    assert math.isnan(duality_gap_bits(p, f, free))
+
+
+def test_gap_needs_a_frame_row_to_mend_a_slot():
+    # the time row written as 2 t <= 1 is no frame (coefficient 1 on every
+    # time): its exact multiplier halves, and a cheaper one is not mended
+    p = replace(toy_program(), lin_A=np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                lin_b=np.array([1.0, 0.1]))
+    assert p.gap_structure.frame is None and toy_program().gap_structure.frame == 0
+    f = p.objective_value(np.array([0.5, 0.1, 0.5 * math.log(21.0)]))
+    lam = toy_multipliers()
+    lam[1] *= 0.5
+    assert abs(duality_gap_bits(p, f, lam)) <= 1e-15
+    lam[1] -= 0.25
+    assert duality_gap_bits(p, f, lam) == math.inf
+
+
+@pytest.mark.parametrize("terms, price", [
+    (((1.0, 100.0),), 3.0),
+    (((0.3, 5e3), (1.0, 20.0)), 40.0),
+    (((2.0, 1e-2), (0.5, 1e4)), 1e-3),
+    (((1.0, 10.0), (1.0, 10.0)), 25.0),
+])
+def test_slot_maximum_is_the_maximum_of_the_concave_slot_function(terms, price):
+    # two terms meet at the root of a quadratic; a dense grid over [0, sum a /
+    # price], where the slope has turned, may only fall short of it
+    best = program_module._slot_max(terms, price)
+    u = np.linspace(0.0, sum(a for a, _ in terms) / price, 400_001)
+    grid = (sum(a * np.log1p(g * u) for a, g in terms) - price * u).max()
+    assert grid <= best + 1e-12 * (1.0 + abs(best))
+    assert best - grid <= 1e-7 * (1.0 + abs(best))
+    # no positive slope at 0: the maximum sits there
+    assert program_module._slot_max(terms, sum(a * g for a, g in terms)) == 0.0
 
 
 # -- the solve shell and the shared Newton solve -------------------------------

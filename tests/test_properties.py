@@ -5,7 +5,8 @@ included), the near user's distance d1, the power-splitting ratio as a
 fraction of its limit, the case and the objective, and whole networks
 over both arrival rates, both distances, the harvesting efficiency and
 U1's weight (the certificate test draws w1 = 0 on its own as well, and
-U2's weight as 0 or 1).
+U2's weight as 0 or 1; the gap test keeps the networks presolve pins
+nothing of).
 `derandomize=True` makes the draws a fixed function of the test, so CI
 runs the same cases every time; the `ci` profile of conftest.py draws
 400 of them instead of 100.
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, solve_spec
 from ehcoop.barrier import solve_nb, solve_nb_many
+from ehcoop.gridsearch import brute_force_grid
 from ehcoop.network import derive_channels, relay_feasible, rho_max
+from ehcoop.program import duality_gap_bits, presolve_program
 from ehcoop.quadratic import solve_iterative, solve_iterative_many
 from ehcoop.scenarios import RELAY_SCENARIOS, build_problem, objective_bits, throughputs_from_allocation
 
@@ -62,6 +65,30 @@ def test_solvers_agree_and_certify_on_relay_programs(X1, d1, rho_share, case, ob
     if quad.converged and nb.converged:
         gap = abs(quad.objective_bits - nb.objective_bits)
         assert gap <= AGREE * (1.0 + abs(nb.objective_bits))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    cfg=networks(),
+    scenario=st.sampled_from((Scenario.S3, Scenario.S4)),
+    case=st.sampled_from(Case),
+    objective=st.sampled_from(Objective),
+)
+def test_quad_gap_bounds_the_grid_and_nb(cfg, scenario, case, objective):
+    # quad's objective plus its exact duality gap bounds every feasible
+    # value: the grid oracle's points and nb's optimum; without presolve
+    # pins the result's multipliers are the program's own
+    p = build_problem(ScenarioSpec(scenario, case, objective), cfg)
+    assume(not presolve_program(p).pinned)
+    quad = solve_iterative(p)
+    assume(quad.converged)
+    bits = quad.objective_bits
+    bound = bits + duality_gap_bits(p, p.objective_value(quad.x_star), quad.multipliers)
+    round_off = 1e-12 * (1.0 + abs(bits))
+    assert brute_force_grid(p).objective_bits <= bound + round_off
+    nb = solve_nb(p)
+    if nb.converged:
+        assert nb.objective_bits <= bound + round_off
 
 
 @settings(derandomize=True, deadline=None)

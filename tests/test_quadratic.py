@@ -376,13 +376,14 @@ def test_iterative_matches_barrier_on_the_relay_program():
 
 def test_iteration_counts_are_unchanged_by_the_array_subproblem():
     # the counts of the scalar per-term models: the array form only reorders
-    # sums (cold loose asks took (7, 53) and (5, 35))
+    # sums (cold loose asks took (7, 53) and (5, 35); before the proof stop
+    # (6, 38) and (5, 29))
     relay = solve_iterative(relay_program())
     direct = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig()))
     # the relay program's interior-point steps take the second-order
     # correction; the S3 program has no curved row, so it never does
-    assert (relay.outer_iters, relay.inner_iters) == (6, 38)
-    assert (direct.outer_iters, direct.inner_iters) == (5, 29)
+    assert (relay.outer_iters, relay.inner_iters) == (7, 32)
+    assert (direct.outer_iters, direct.inner_iters) == (6, 23)
 
 
 def test_unused_slot_at_zero_ambient_energy_is_certified():
@@ -823,10 +824,11 @@ def test_no_subproblem_reaches_the_iteration_cap(monkeypatch):
 
 def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
     # S3 has no curved row, so its interior-point steps are never corrected
+    # (before the proof stop: 0x1.d50ba26047fc3p+2 in (5, 29))
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
     res = solve_iterative(p)
-    assert res.objective_bits.hex() == "0x1.d50ba26047fc3p+2"
-    assert (res.outer_iters, res.inner_iters) == (5, 29)
+    assert res.objective_bits.hex() == "0x1.d50ba25f822c8p+2"
+    assert (res.outer_iters, res.inner_iters) == (6, 23)
     monkeypatch.setattr(quadratic, "_CORRECT_BELOW", math.inf)
     always = solve_iterative(p)
     assert always.objective_bits.hex() == res.objective_bits.hex()
@@ -837,22 +839,27 @@ def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
 
 
 def test_polish_guard_admits_the_rebuilds_complementarity_offset(monkeypatch):
-    # at a centring of 0.05 the first polish of this candidate reads 4.2e-8
-    # worse than the settled point, inside the rebuild's own lam . s; a
-    # fixed 1e-8 (1 + |f|) guard rejected it and left KKT 2.09e-6
+    # at a centring of 0.05 the first polish of this candidate reads 4.3e-8
+    # worse than the settled point (3.3e-8 above a fixed 1e-8 (1 + |f|)),
+    # inside the rebuild's own lam . s of 1.2e-7; that fixed guard rejected
+    # it and left KKT 6.6e-8.  At X1 = 175 mW, where a fixed guard left KKT
+    # 2.09e-6, the rounds now end on a proof before the polish
     monkeypatch.setattr(quadratic, "_SIGMA", 0.05)
-    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.6), NetworkConfig(X1=175.0))
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.6), NetworkConfig(X1=25.0))
     res = solve_iterative(p)
     assert res.status is SolveStatus.CONVERGED
     assert res.kkt_residual <= 1e-9
 
 
 def test_settled_solve_polishes_once(monkeypatch):
-    # the default S2-A sum solve grows its box from 0.8 to 25.6 in seven
-    # rounds that move x, and past _TR_FREE: one boxless round settles it,
-    # so its only other boxless ask is the one polish rebuild
+    # the S3-A sum solve at X1 = 1 uW, d1 = 0.6 grows its box from 0.8 to
+    # 25.6 in seven rounds that move x, and past _TR_FREE: one boxless
+    # round, whose model sees no descent, settles it without a proof, so
+    # its only other boxless ask is the one polish rebuild (the default
+    # S2-A sum solve, pinned here before, now ends on a proof)
     asks = spy_asks(monkeypatch)
-    res = solve_iterative(build_problem(ScenarioSpec(Scenario.S2, Case.A), NetworkConfig()))
+    cfg = NetworkConfig(X1=1e-3, d1=0.6, du=1.4)
+    res = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), cfg))
     assert res.converged and res.outer_iters == 7
     assert [ask.delta for ask in asks] == [0.8, 1.6, 1.6, 3.2, 6.4, 12.8, 25.6, None, None]
     assert asks[-1].delta is None
@@ -861,8 +868,9 @@ def test_settled_solve_polishes_once(monkeypatch):
 def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
     # the S2-S4 solves at X1 = 100 mW; at a centring of 0.1 with two polish
     # rebuilds they took 892 iterations over 102 subproblems (8.75 each),
-    # with every subproblem solved to _IPM_TOL 641 over 90, and with every
-    # loose one started cold 501 over 91
+    # with every subproblem solved to _IPM_TOL 641 over 90, with every
+    # loose one started cold 501 over 91, and before the proof stop 423
+    # over 92
     iters = []
     real = quadratic._ipm
 
@@ -875,7 +883,7 @@ def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
     cfg = NetworkConfig()
     for scenario, case, objective in product((Scenario.S2, Scenario.S3, Scenario.S4), Case, Objective):
         assert solve_iterative(build_problem(ScenarioSpec(scenario, case, objective), cfg)).converged
-    assert (len(iters), sum(iters)) == (92, 423)
+    assert (len(iters), sum(iters)) == (75, 321)
     assert sum(iters) / len(iters) < 892 / 102
 
 
@@ -884,9 +892,13 @@ def test_lone_subproblems_take_fewer_interior_point_steps(monkeypatch):
 
 def test_boxed_asks_start_loose_and_boxless_asks_are_tight(monkeypatch):
     # the first boxed ask of a solve carries 1e-2 (no move yet), every later
-    # boxed one max(_IPM_TOL, min(1e-2, 1e-2 last^2)), every boxless one _IPM_TOL
+    # boxed one max(_IPM_TOL, min(1e-2, 1e-2 last^2)), every boxless one
+    # _IPM_TOL; the S1-A sum solve at d1 = 1.8 reaches the boxless rounds
+    # (the default relay solve, pinned here before, now ends on a proof
+    # inside the box)
     asks = spy_asks(monkeypatch)
-    assert solve_iterative(relay_program()).converged
+    spec = ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.1)
+    assert solve_iterative(build_problem(spec, NetworkConfig(d1=1.8, du=0.2))).converged
     assert asks[0].delta is not None and asks[0].tol == 1e-2
     boxless = [ask for ask in asks if ask.delta is None]
     assert boxless and all(ask.tol == quadratic._IPM_TOL for ask in boxless)
@@ -903,16 +915,18 @@ def test_boxed_asks_start_loose_and_boxless_asks_are_tight(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, cfg", [
-    # the model of a loose round sees no descent
-    (ScenarioSpec(Scenario.S4, Case.A), NetworkConfig(X1=50.0, w1=0.0)),
-    (ScenarioSpec(Scenario.S1, Case.A, Objective.WEIGHTED_SUM, 0.1), NetworkConfig(X1=0.0, d1=0.6, du=1.4)),
+    # the model of a loose round sees no descent (the S4-A sum solve at X1 =
+    # 50 mW, w1 = 0 and the S1-A sum solve at rho = 0.1, X1 = 0, d1 = 0.6,
+    # pinned here before, now end on a proof at the tight re-ask)
+    (ScenarioSpec(Scenario.S1, Case.B, Objective.WEIGHTED_SUM, 0.1), NetworkConfig(X1=1e-3)),
+    (ScenarioSpec(Scenario.S4, Case.B, Objective.COMMON), NetworkConfig(X1=1e-3, d1=0.2, du=1.8)),
     # a loose round moves x by at most _SETTLE_TOL
     (ScenarioSpec(Scenario.S1, Case.A, Objective.COMMON, 0.1), NetworkConfig(X1=1e-3, d1=0.6, du=1.4)),
 ])
 def test_rounds_settle_only_on_a_tight_subproblem(spec, cfg, monkeypatch):
     # a round that would settle on a loosely solved subproblem asks again
     # at _IPM_TOL, so the last boxed ask before the settle is tight; settling
-    # on the loose one leaves the first uncertified (KKT 6.1e-6)
+    # on the loose one leaves the first uncertified (KKT 1.6e-3)
     asks = spy_asks(monkeypatch)
     p = build_problem(spec, cfg)
     res = solve_iterative(p)
