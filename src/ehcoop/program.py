@@ -165,7 +165,7 @@ class ConvexProgram:
 
     @cached_property
     def gap_structure(self) -> "_GapData":
-        """What `duality_gap_bits` reads of the program, built once per program."""
+        """What `duality_gap_bits` and quad's unused-slot rule read of the program, built once per program."""
         slots: dict = {ti: {} for ti in self.t_indices}
         for row, gamma, coeff, ti, yi in self.term_table:
             slots.setdefault(ti, {}).setdefault(yi, []).append((row, gamma, coeff))
@@ -627,27 +627,35 @@ class _GapData(NamedTuple):
     frame: int | None
 
 
-def _slot_max(terms, price: float) -> float:
-    """max over u >= 0 of sum a ln(1 + gamma u) - price u over the (a, gamma)
-    terms, a >= 0: 0 when the slope at u = 0 is not positive, else the value at
-    the root of the slope, a quadratic in u for two terms; inf where the
-    slope never turns (price <= 0) or a slot holds more than two terms."""
+def slot_root(terms, price: float) -> float:
+    """The u >= 0 maximizing sum a ln(1 + gamma u) - price u over the (a,
+    gamma) terms, a >= 0, where the slope sum a gamma / (1 + gamma u) meets
+    the price: 0 when the slope at u = 0 is not above it, else the root, a
+    quadratic's for two terms; inf where the slope never turns (price <= 0)
+    or a slot holds more than two terms."""
     if sum(a * g for a, g in terms) <= price:
         return 0.0
     if price <= 0.0 or len(terms) > 2:
         return math.inf
     if len(terms) == 1:
         (a, g), = terms
-        u = a / price - 1.0 / g
-    else:
-        # price (1 + g1 u)(1 + g2 u) = a1 g1 (1 + g2 u) + a2 g2 (1 + g1 u):
-        # A u^2 + B u + C = 0 with A > 0 > C, so one positive root
-        (a1, g1), (a2, g2) = terms
-        A = price * g1 * g2
-        B = price * (g1 + g2) - (a1 + a2) * g1 * g2
-        C = price - a1 * g1 - a2 * g2
-        root = math.sqrt(B * B - 4.0 * A * C)
-        u = 2.0 * C / (-B - root) if B > 0.0 else (root - B) / (2.0 * A)
+        return a / price - 1.0 / g
+    # price (1 + g1 u)(1 + g2 u) = a1 g1 (1 + g2 u) + a2 g2 (1 + g1 u):
+    # A u^2 + B u + C = 0 with A > 0 > C, so one positive root
+    (a1, g1), (a2, g2) = terms
+    A = price * g1 * g2
+    B = price * (g1 + g2) - (a1 + a2) * g1 * g2
+    C = price - a1 * g1 - a2 * g2
+    root = math.sqrt(B * B - 4.0 * A * C)
+    return 2.0 * C / (-B - root) if B > 0.0 else (root - B) / (2.0 * A)
+
+
+def _slot_max(terms, price: float) -> float:
+    """max over u >= 0 of sum a ln(1 + gamma u) - price u over the (a, gamma)
+    terms: its value at `slot_root`, inf where that is."""
+    u = slot_root(terms, price)
+    if not math.isfinite(u):
+        return math.inf
     return sum(a * math.log1p(g * u) for a, g in terms) - price * u
 
 
@@ -710,8 +718,7 @@ class SolveResult:
     status: SolveStatus
     x_star: np.ndarray | None      # the point in program coordinates, None without one
     objective_bits: float          # maximized throughput objective, bits
-    # nb: barrier stages; quad: on a proof stop every round taken, else the
-    # rounds that moved x, every round if unsettled
+    # nb: barrier stages; quad: every round taken, the polish's rebuilds not counted
     outer_iters: int
     inner_iters: int               # nb: Newton steps; quad: interior-point iterations
     max_constraint_violation: float

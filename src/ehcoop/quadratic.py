@@ -35,6 +35,7 @@ from .program import (
     duality_gap_bits,
     energy_caps,
     regularized_solve,
+    slot_root,
     solve_many,
 )
 
@@ -452,40 +453,29 @@ def _settle_unused_slots(p: ConvexProgram, x: np.ndarray, lam) -> np.ndarray:
 
         a_y = sum_k w_k c_k gamma_k / (1 + gamma_k r),
 
-    a_y being the pull of the objective and linear rows on y.  The slot moves
-    onto that ray by shrinking t or y, and the rates are clamped after it.
-    A move longer than _SETTLE_TOL is refused: that slot still holds energy
-    the rounds have not placed, and discarding it can pass the certificate
-    below the optimum (PR 23).
+    a_y being the pull of the objective and linear rows on y: the slot
+    equation of the exact gap, so r is its `slot_root` (CHANGES.md, one slot
+    equation).  The slot moves onto that ray by shrinking t or y, and the
+    rates are clamped after it.  A move longer than _SETTLE_TOL is refused:
+    that slot still holds energy the rounds have not placed, and discarding
+    it can pass the certificate below the optimum (PR 23).
     """
     m = p.n_nonlinear
     pull = p.objective_linear + p.lin_A.T @ lam[m:m + len(p.lin_b)]
     w = list(lam[:m]) + [1.0]
-    slots: dict[tuple[int, int], list] = {}
-    for row, gamma, coeff, ti, yi in p.term_table:
-        if x[ti] < _T_FLOOR:
-            slots.setdefault((ti, yi), []).append((w[row] * coeff, gamma))
-    if not slots:
+    unused = [(ti, energies) for ti, energies in p.gap_structure.slots if energies and x[ti] < _T_FLOOR]
+    if not unused:
         return x
     new = x.copy()
-    for (ti, yi), terms in slots.items():
-        a = pull[yi]
-
-        def excess(r):
-            return sum(wc * g / (1.0 + g * r) for wc, g in terms) - a
-
-        if a <= 0.0:
-            continue                # no ray frees the energy's bound
-        lo, hi = 0.0, sum(wc for wc, _ in terms) / a
-        if excess(lo) <= 0.0:
-            hi = 0.0
-        for _ in range(100):        # excess falls in r: bisect its root
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
-        if hi * new[ti] <= new[yi]:
-            new[yi] = hi * new[ti]
-        else:
-            new[ti] = new[yi] / hi
+    for ti, energies in unused:
+        for yi, terms in energies:
+            if pull[yi] <= 0.0:
+                continue            # no ray frees the energy's bound
+            ray = slot_root([(w[row] * coeff, gamma) for row, gamma, coeff in terms], pull[yi])
+            if ray * new[ti] <= new[yi]:
+                new[yi] = ray * new[ti]
+            else:
+                new[ti] = new[yi] / ray
     new = _under_caps(p.aux_index, new[None], np.array([p.term_sums(new.tolist())]), 0.0)[0]
     if float(np.linalg.norm(new - x)) > _SETTLE_TOL:
         return x
@@ -549,7 +539,8 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
     """The rounds of one reduced program from its start x as a generator: it
     yields an `_Ask` for every subproblem it needs solved, is sent back its
     `_Reply`, and returns the (x, seeds, converged, outer, inner, tau) of
-    `program.finish`, the seeds a proof's `Certificate` on a proof stop.
+    `program.finish`, outer every round taken and the seeds a proof's
+    `Certificate` on a proof stop.
 
     The rounds end on a proof: the candidate of a converged reply solved to
     _IPM_TOL (a tight boxed ask, a boxless round or a polish rebuild) that
@@ -565,13 +556,15 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
     _SETTLE_TOL; only MAX_ROUNDS leaves a solve unsettled.  A round that
     would settle on a loosely solved subproblem asks again at _IPM_TOL
     instead, since settling on a loose one lost grid certificates (PR 33).
-    Boxless rebuilds then polish the settled point (PR 18).
+    Boxless rebuilds then polish the settled point (PR 18), each converged
+    one taken whatever it reads, since the proof test reads it first: the
+    polish ends on a proof, an unconverged rebuild, a move of at most
+    _SETTLE_TOL or after three rebuilds (CHANGES.md, the trusted polish).
     """
     f_x = red.objective_value(x)    # after this, the accepted reply's f_cand
 
     inner_total = 0
     rounds = 0
-    moves = 0
     settled = False
     sol = None
     warm = None                     # the last converged boxed subproblem's multipliers
@@ -616,31 +609,21 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
                 continue
             settled = True
             break
-        moves += 1
         tol = _forcing_tol(dif)
 
     if settled:
-        # boxless rebuilds from the settled point: each accepted round is a
-        # Newton step on the true stationarity system, so one of them
-        # polishes the coordinates and yields multipliers for the true
-        # constraint set; another runs only when that one still moved
+        # boxless rebuilds from the settled point: each is a Newton step on
+        # the true stationarity system, which polishes the coordinates and
+        # yields multipliers for the true constraint set
         for _ in range(3):
             reply = yield _Ask(x, None, _IPM_TOL)
-            clean = reply.sol
-            inner_total += clean.iters
-            if not clean.converged:
+            inner_total += reply.sol.iters
+            if not reply.sol.converged:
                 break
             if (cert := _proof(red, reply)) is not None:
                 return reply.cand, cert, True, rounds, inner_total, math.nan
             move = float(np.linalg.norm(reply.cand - x))
-            # a centred rebuild reads worse than a boundary-hugging iterate
-            # by up to its own complementarity offset, lam . s = J * gap, so
-            # the deterioration guard sits above that offset
-            worse = max(1e-8 * (1.0 + abs(f_x)),
-                        len(clean.lam) * clean.gap)
-            if move > 50.0 * _SETTLE_TOL or reply.f_cand > f_x + worse:
-                break
-            x, f_x, sol = reply.cand, reply.f_cand, clean
+            x, sol = reply.cand, reply.sol
             if move <= _SETTLE_TOL:
                 break
 
@@ -653,7 +636,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         # crawls towards t = 0, where the gradient does not certify it
         seeds = _seeds(red, sol.lam)
         x = _settle_unused_slots(red, x, seeds)
-    return x, seeds, settled, moves if settled else rounds, inner_total, math.nan
+    return x, seeds, settled, rounds, inner_total, math.nan
 
 
 class _Layout:

@@ -528,6 +528,11 @@ def test_slot_maximum_is_the_maximum_of_the_concave_slot_function(terms, price):
     grid = (sum(a * np.log1p(g * u) for a, g in terms) - price * u).max()
     assert grid <= best + 1e-12 * (1.0 + abs(best))
     assert best - grid <= 1e-7 * (1.0 + abs(best))
+    # `slot_root` meets the price with the slope sum a gamma / (1 + gamma u),
+    # else the slope at 0 is not above it and the root is 0
+    u = program_module.slot_root(terms, price)
+    slope = sum(a * g / (1.0 + g * u) for a, g in terms)
+    assert abs(slope - price) <= 1e-12 * price if u > 0.0 else slope <= price
     # no positive slope at 0: the maximum sits there
     assert program_module._slot_max(terms, sum(a * g for a, g in terms)) == 0.0
 

@@ -11,12 +11,14 @@ from ehcoop import Case, NetworkConfig, Objective, Scenario, ScenarioSpec, Solve
 from ehcoop.barrier import solve_nb
 from ehcoop.network import derive_channels, rho_max
 from ehcoop.program import (
+    Certificate,
     ConvexProgram,
     ProgramStack,
     all_positive,
     initial_point,
     presolve_program,
     perspective_value,
+    slot_root,
     start,
 )
 from ehcoop.quadratic import (
@@ -397,6 +399,27 @@ def test_unused_slot_at_zero_ambient_energy_is_certified():
     assert a.max_constraint_violation <= 0.0
     assert a.kkt_residual <= 1e-6
     assert abs(a.objective_bits - b.objective_bits) <= 1e-7 * (1.0 + abs(b.objective_bits))
+
+
+def test_unused_slot_ends_on_its_slot_root_ray(monkeypatch):
+    # X1 = 0, d1 = 0.6: the relay slot of this S1-B sum solve ends unused at
+    # t ~ 1.5e-11, and `_settle_unused_slots` puts it on the ray y =
+    # `slot_root` * t that the rounds' last seeds ask for
+    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.WEIGHTED_SUM, 0.3),
+                      NetworkConfig(X1=0.0, d1=0.6, du=1.4))
+    red, _, (x, seeds, *_) = lone_rounds(p)
+    m = red.n_nonlinear
+    pull = red.objective_linear + red.lin_A.T @ seeds[m:m + len(red.lin_b)]
+    w = list(seeds[:m]) + [1.0]
+    (ti, ((yi, terms),)), = [slot for slot in red.gap_structure.slots if x[slot[0]] < quadratic._T_FLOOR]
+    ray = slot_root([(w[row] * coeff, gamma) for row, gamma, coeff in terms], pull[yi])
+    assert 0.0 < x[ti] and math.isclose(x[yi], ray * x[ti], rel_tol=1e-12)
+    assert solve_iterative(p).status is SolveStatus.CONVERGED
+    # a stub that leaves the slot where the rounds left it injects the fault
+    # the rule mends; no counter can show that the rule is what certifies
+    monkeypatch.setattr(quadratic, "_settle_unused_slots", lambda red, x, lam: x)
+    stuck = solve_iterative(p)
+    assert stuck.status is SolveStatus.MAX_ITERATIONS and stuck.kkt_residual > 1.0
 
 
 def test_settled_point_without_a_certificate_is_not_converged():
@@ -838,14 +861,49 @@ def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
 # -- interior-point schedule and polish --------------------------------------
 
 
-def test_polish_guard_admits_the_rebuilds_complementarity_offset(monkeypatch):
-    # at a centring of 0.05 the first polish of this candidate reads 4.3e-8
-    # worse than the settled point (3.3e-8 above a fixed 1e-8 (1 + |f|)),
-    # inside the rebuild's own lam . s of 1.2e-7; that fixed guard rejected
-    # it and left KKT 6.6e-8.  At X1 = 175 mW, where a fixed guard left KKT
-    # 2.09e-6, the rounds now end on a proof before the polish
-    monkeypatch.setattr(quadratic, "_SIGMA", 0.05)
-    p = build_problem(ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.6), NetworkConfig(X1=25.0))
+def lone_rounds(p):
+    """The rounds of a lone solve of p, each ask answered by `_answer` as
+    `_drive` answers it: the reduced program, every (ask, reply) in order
+    and the rounds' end."""
+    pre, x0 = start(p)
+    lay = quadratic._Layout([pre.program])
+    rounds = quadratic._rounds(pre.program, x0)
+    seen = []
+    ask = next(rounds)
+    while True:
+        reply, = quadratic._answer(lay, np.array([0]), [ask])
+        seen.append((ask, reply))
+        try:
+            ask = rounds.send(reply)
+        except StopIteration as done:
+            return pre.program, seen, done.value
+
+
+@pytest.mark.parametrize("sigma, spec, cfg", [
+    # at a centring of 0.05 the first polish rebuild reads 4.3e-8 worse than
+    # the settled point, inside its own lam . s of 1.2e-7: a fixed 1e-8 (1 +
+    # |f|) guard rejected it and left KKT 6.6e-8 (at X1 = 175 mW, where that
+    # guard left KKT 2.09e-6, the rounds now end on a proof before the polish)
+    pytest.param(0.05, ScenarioSpec(Scenario.S1, Case.B, Objective.COMMON, 0.6), NetworkConfig(X1=25.0),
+                 id="S1-B-common-X1-25"),
+    # the first rebuild reads 2.1e-5 worse, far above its lam . s of 1.5e-12:
+    # the deterioration guard rejected it and the solve ended max_iterations
+    # at KKT 0.159; taken, it leads to a proof two rebuilds later
+    pytest.param(quadratic._SIGMA, ScenarioSpec(Scenario.S2, Case.A, Objective.COMMON),
+                 NetworkConfig(X1=1e-3, d1=1.4, du=0.6), id="S2-A-common-X1-1e-3"),
+])
+def test_polish_takes_a_rebuild_that_reads_worse(sigma, spec, cfg, monkeypatch):
+    # the polish takes every converged boxless rebuild of the settled point,
+    # whatever it reads: the rounds go on from it, or end at it
+    monkeypatch.setattr(quadratic, "_SIGMA", sigma)
+    p = build_problem(spec, cfg)
+    red, seen, (x_end, seeds, *_) = lone_rounds(p)
+    if isinstance(seeds, Certificate):
+        seen = seen[:-1]        # the proof's reply ends the rounds by another rule
+    after = [ask.x for ask, _ in seen[1:]] + [x_end]
+    assert any(ask.delta is None and reply.cand is not None and np.array_equal(reply.cand, nxt)
+               and reply.f_cand > red.objective_value(ask.x)
+               for (ask, reply), nxt in zip(seen, after))
     res = solve_iterative(p)
     assert res.status is SolveStatus.CONVERGED
     assert res.kkt_residual <= 1e-9
@@ -860,7 +918,7 @@ def test_settled_solve_polishes_once(monkeypatch):
     asks = spy_asks(monkeypatch)
     cfg = NetworkConfig(X1=1e-3, d1=0.6, du=1.4)
     res = solve_iterative(build_problem(ScenarioSpec(Scenario.S3, Case.A), cfg))
-    assert res.converged and res.outer_iters == 7
+    assert res.converged and res.outer_iters == 8
     assert [ask.delta for ask in asks] == [0.8, 1.6, 1.6, 3.2, 6.4, 12.8, 25.6, None, None]
     assert asks[-1].delta is None
 
