@@ -217,7 +217,7 @@ class _One:
 
     def __init__(self, program):
         self.program = program
-        self.n_rows = program.n_nonlinear + len(program.affine_rows[1])
+        self.n_rows = program.n_rows
         self.lam = None
 
     def barrier(self, X, tau):
@@ -260,7 +260,7 @@ class _Stack:
     def __init__(self, programs):
         self.terms = ProgramStack(programs)
         self.m, self.n = self.terms.m, self.terms.n
-        self.n_rows = self.m + len(programs[0].affine_rows[1])
+        self.n_rows = programs[0].n_rows
         A = np.array([prog.affine_rows[0] for prog in programs])
         self.b = np.array([prog.affine_rows[1] for prog in programs])
         self.Aq = np.concatenate((A, self.terms.q[:, None, :]), 1)

@@ -163,6 +163,11 @@ class ConvexProgram:
     def n_nonlinear(self) -> int:
         return len(self.aux_index)
 
+    @property
+    def n_rows(self) -> int:
+        """Rows of `point_rows`: the epigraph rows, then `affine_rows`."""
+        return self.n_nonlinear + len(self.affine_rows[1])
+
     @cached_property
     def gap_structure(self) -> "_GapData":
         """What `duality_gap_bits` and quad's unused-slot rule read of the program, built once per program."""
@@ -554,8 +559,10 @@ _ACTIVE_TOL = 1e-4
 
 def point_rows(program, x):
     """The program at x as one row view (ev, rows, slacks): `evaluate(x)`, then
-    every row's gradient and slack in the program's row order, the epigraph rows,
-    the linear rows, then -x_i <= 0 on `positive_indices`."""
+    the gradient and slack of each of its `n_rows` rows in the program's row
+    order, the epigraph rows, the linear rows, then -x_i <= 0 on
+    `positive_indices`; every multiplier array of either solver holds its
+    rows in this order."""
     ev = program.evaluate(x)
     A, b = program.affine_rows
     return ev, np.concatenate((ev.G, A)), np.concatenate((-ev.c, b - A @ x))

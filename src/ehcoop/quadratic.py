@@ -100,7 +100,7 @@ _WARM_FLOOR = 1e-3
 @dataclass
 class SubproblemSolution:
     x: np.ndarray
-    lam: np.ndarray               # multipliers of every subproblem row, in `_Stack` order
+    lam: np.ndarray               # one per `_Stack` row; the first `n_rows` are the program's
     iters: int
     kkt_residual: float           # dual residual, subproblem metric
     gap: float                    # final duality measure
@@ -153,12 +153,12 @@ def _start_multipliers(S, W):
 
 class _Stack:
     """K subproblems of one shape as (K, ...) arrays: the objective (c0, g, H),
-    the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0 (the m curved ones
-    with their Hessians nl_H, the linear ones, any trust-region box, then
-    -x_i <= 0 per positive coordinate), the (K,) stop tolerances `tol` of
-    the interior point (`_IPM_TOL` unless given) and the (K, J) multipliers
-    `warm` it starts from (`_start_multipliers`; a NaN row, the default,
-    starts cold)."""
+    the inequality rows b0 + A x + 0.5 x^T nl_H[j] x <= 0 (the program's
+    `n_rows` rows in `point_rows`' order, the m curved ones first with their
+    Hessians nl_H, then any trust-region box), the (K,) stop tolerances
+    `tol` of the interior point (`_IPM_TOL` unless given) and the (K, J)
+    multipliers `warm` it starts from (`_start_multipliers`; a NaN row, the
+    default, starts cold)."""
 
     def __init__(self, c0, g, H, A, b0, nl_H, tol=None, warm=None):
         self.c0, self.g, self.H, self.A, self.b0, self.nl_H = c0, g, H, A, b0, nl_H
@@ -513,13 +513,6 @@ def _forcing_tol(last: float) -> float:
     return max(_IPM_TOL, min(1e-2, 1e-2 * last * last))
 
 
-def _seeds(red: ConvexProgram, lam) -> np.ndarray:
-    """A subproblem's multipliers as `finish` seeds: its epigraph and linear
-    rows and its bounds -x_i <= 0, without any trust-region box rows."""
-    ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
-    return np.concatenate((lam[:ml], lam[len(lam) - n_pos:]))
-
-
 def _proof(red: ConvexProgram, reply: _Reply):
     """The certificate of a reply's candidate when it proves the candidate
     optimal, else None: violation <= 0, a KKT residual at most KKT_TOL and an
@@ -528,7 +521,7 @@ def _proof(red: ConvexProgram, reply: _Reply):
     residual."""
     if red.max_violation(reply.cand) > 0.0:
         return None
-    cert = certify(red, reply.cand, _seeds(red, reply.sol.lam))
+    cert = certify(red, reply.cand, reply.sol.lam[:red.n_rows])
     if cert.kkt <= KKT_TOL and (duality_gap_bits(red, cert.f, cert.lam)
                                 <= _PROOF_GAP * (1.0 + abs(cert.f) / LN2)):
         return cert
@@ -634,7 +627,7 @@ def _rounds(red: ConvexProgram, x: np.ndarray):
         # residual, which `finish` refines against the true gradients.  On
         # a flat optimal face the rounds can settle while a slot still
         # crawls towards t = 0, where the gradient does not certify it
-        seeds = _seeds(red, sol.lam)
+        seeds = sol.lam[:red.n_rows]
         x = _settle_unused_slots(red, x, seeds)
     return x, seeds, settled, rounds, inner_total, math.nan
 
@@ -643,28 +636,25 @@ class _Layout:
     """The reduced programs of one `stack_key` in a solve and what their
     subproblems share, built once: the time and positive coordinates `t`
     and `pos`, each program's box floors, the `ProgramStack` `ps` of their
-    models, and `A[boxed]`, `b0[boxed]`, (K, J, n) and (K, J), every
-    subproblem's rows in `_Stack` order, a box as x_i <= hi_i then -x_i <=
-    -lo_i per positive coordinate, zeros where an ask's curved rows and box
-    edges go."""
+    models, and `A`, `b0`, (K, J, n) and (K, J), every boxed subproblem's
+    rows in `_Stack` order: the program's `n_rows`, zeros where an ask's
+    curved rows go, then the box as x_i <= hi_i, -x_i <= -lo_i per positive
+    coordinate, zeros where its edges go.  A boxless ask takes the first
+    `n_rows`."""
 
     def __init__(self, programs):
         p = programs[0]
-        K, n, m = len(programs), p.n_vars, p.n_nonlinear
+        m, n_rows = p.n_nonlinear, p.n_rows
         self.programs = programs
         self.t, self.pos = np.array(p.t_indices, dtype=int), np.array(p.positive_indices, dtype=int)
         self.floors = np.array([_box_floors(q) for q in programs])
         self.ps = ProgramStack(programs)
-        lin, n_pos = m + len(p.lin_b), len(self.pos)
-        A = np.zeros((K, lin + 3 * n_pos, n))
-        A[:, m:lin] = [q.lin_A for q in programs]
-        eye = np.eye(n)[self.pos]
-        A[:, lin:lin + 2 * n_pos:2] = eye
-        A[:, lin + 1:lin + 2 * n_pos:2] = A[:, lin + 2 * n_pos:] = -eye
-        b0 = np.zeros((K, lin + 3 * n_pos))
-        b0[:, m:lin] = [-q.lin_b for q in programs]
-        self.A, self.b0 = ((np.concatenate((A[:, :lin], A[:, lin + 2 * n_pos:]), 1), A),
-                           (np.concatenate((b0[:, :lin], b0[:, lin + 2 * n_pos:]), 1), b0))
+        eye = np.eye(p.n_vars)[self.pos]
+        self.A = np.zeros((len(programs), n_rows + 2 * len(self.pos), p.n_vars))
+        self.A[:, m:n_rows] = [q.affine_rows[0] for q in programs]
+        self.A[:, n_rows::2], self.A[:, n_rows + 1::2] = eye, -eye
+        self.b0 = np.zeros(self.A.shape[:2])
+        self.b0[:, m:n_rows] = [-q.affine_rows[1] for q in programs]
 
 
 def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
@@ -689,12 +679,13 @@ def _answer(lay: _Layout, rows, asks) -> list[_Reply]:
         sums = ps.row_sums(*ps.terms(X)[:2])
 
     boxed = asks[0].delta is not None
-    A, b0 = lay.A[boxed][rows], lay.b0[boxed][rows]
+    J = lay.b0.shape[1] if boxed else red.n_rows
+    A, b0 = lay.A[rows, :J], lay.b0[rows, :J]
     A[:, :m], b0[:, :m] = g[:, :m], const[:, :m]
     if boxed:
         c = X[:, pos]
         r = np.array([[ask.delta] for ask in asks]) * np.maximum(np.abs(c), lay.floors[rows])
-        edges = b0[:, -3 * len(pos):-len(pos)].reshape(K, -1, 2)     # a view: (hi, lo) per coordinate
+        edges = b0[:, red.n_rows:].reshape(K, -1, 2)     # a view: (hi, lo) per coordinate
         np.negative(c + r, out=edges[:, :, 0])
         # the lower edge never reaches zero (the interior-point iterates
         # keep c > 0): a log term frozen at the origin cannot be revived by

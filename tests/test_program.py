@@ -422,7 +422,7 @@ def test_finish_takes_one_view_of_the_final_point(seeded, monkeypatch):
         return point_rows(program, z)
 
     monkeypatch.setattr(program_module, "point_rows", spy)
-    seeds = np.ones(pre.program.n_nonlinear + len(pre.program.affine_rows[1])) if seeded else None
+    seeds = np.ones(pre.program.n_rows) if seeded else None
     res = program_module.finish(p, pre, "nb", x, seeds, True, 1, 1, math.nan)
     assert len(calls) == (1 if seeded else 0)
     assert (res.kkt_residual < math.inf) is seeded
@@ -433,7 +433,7 @@ def test_finish_takes_a_handed_certificate_without_a_view(monkeypatch):
     # certificate, which the result keeps as it is
     p = direct_program()
     pre, x = start(p)
-    seeds = np.ones(pre.program.n_nonlinear + len(pre.program.affine_rows[1]))
+    seeds = np.ones(pre.program.n_rows)
     cert = certify(pre.program, x, seeds)
     calls = []
 

@@ -6,7 +6,8 @@ fraction of its limit, the case and the objective, and whole networks
 over both arrival rates, both distances, the harvesting efficiency and
 U1's weight (the certificate test draws w1 = 0 on its own as well, and
 U2's weight as 0 or 1; the gap test keeps the networks presolve pins
-nothing of).
+nothing of).  The metamorphic tests solve a program twice, changed in a
+way that must not move its optimum.
 `derandomize=True` makes the draws a fixed function of the test, so CI
 runs the same cases every time; the `ci` profile of conftest.py draws
 400 of them instead of 100.
@@ -14,6 +15,7 @@ runs the same cases every time; the `ci` profile of conftest.py draws
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -245,3 +247,31 @@ def test_swapping_the_users_swaps_the_cases(d, du_share, X1, X2, w1, w2, eta, sc
         assert abs(a.objective_bits - b.objective_bits) <= scale
         assert abs(tp_a.b1_bits - tp_b.b2_bits) <= scale
         assert abs(tp_a.b2_bits - tp_b.b1_bits) <= scale
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    cfg=networks(),
+    scenario=st.sampled_from(Scenario),
+    case=st.sampled_from(Case),
+    objective=st.sampled_from(Objective),
+    rho_share=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_an_inactive_row_changes_no_optimum(cfg, scenario, case, objective, rho_share):
+    # sum t <= 2 beside the frame's sum t <= 1 holds at every feasible
+    # point, so it moves no optimum; it gives each solver one more affine
+    # row than any built program has.  quad's status is not asserted: on
+    # 3 of the 1,020 edge-set candidates it flips (ROADMAP item 5)
+    spec = spec_on(derive_channels(cfg), scenario, case, objective, rho_share)
+    assume(spec is not None)
+    p = build_problem(spec, cfg)
+    times = np.zeros(p.n_vars)
+    times[list(p.t_indices)] = 1.0
+    wider = replace(p, lin_A=np.vstack((p.lin_A, times)), lin_b=np.append(p.lin_b, 2.0),
+                    labels=p.labels + ("slack_time",))
+    for solve in (solve_nb, solve_iterative):
+        a, b = solve(p), solve(wider)
+        if solve is solve_nb:
+            assert a.status is b.status
+        if a.converged and b.converged:
+            assert abs(a.objective_bits - b.objective_bits) <= AGREE * (1.0 + abs(a.objective_bits)), a.solver

@@ -165,19 +165,19 @@ def test_quadratize_orders_model_rows_first():
     p = relay_program()
     red, ask = first_ask(p)
     st, _ = lone_subproblem(p)
-    # the curved model rows, the linear rows, the box (x_i <= hi, then
-    # -x_i <= -lo, per positive coordinate) and the bounds -x_i <= 0
-    m, n, npos = 2, 7, len(red.positive_indices)
+    # the program's n_rows rows in `point_rows`' order (the curved model
+    # rows, the linear rows, the bounds -x_i <= 0), then the box (x_i <= hi,
+    # then -x_i <= -lo, per positive coordinate)
+    m, n, npos, J = 2, 7, len(red.positive_indices), red.n_rows
     assert st.nl_H.shape == (1, m, n, n) and all(st.nl_H[0, j].any() for j in range(m))
-    n_con = m + 4 + 2 * npos
-    assert st.A.shape == (1, n_con + npos, n)
+    assert J == m + 4 + npos and st.A.shape == (1, J + 2 * npos, n)
     rows = st.A[0, m:]
     assert np.array_equal(rows[:4], red.lin_A) and np.array_equal(st.b0[0, m:m + 4], -red.lin_b)
     eye = np.eye(n)[list(red.positive_indices)]
-    assert np.array_equal(rows[4:4 + 2 * npos:2], eye) and np.array_equal(rows[5:4 + 2 * npos:2], -eye)
-    assert np.array_equal(rows[4 + 2 * npos:], -eye) and not st.b0[0, n_con:].any()
+    assert np.array_equal(rows[4:4 + npos], -eye) and not st.b0[0, m + 4:J].any()
+    assert np.array_equal(st.A[0, J::2], eye) and np.array_equal(st.A[0, J + 1::2], -eye)
     # the box edges sit around the ask's point
-    box = st.b0[0, m + 4:n_con]
+    box = st.b0[0, J:]
     assert (-box[0::2] > ask.x[list(red.positive_indices)]).all()
     assert (box[1::2] < ask.x[list(red.positive_indices)]).all()
 
@@ -474,13 +474,11 @@ def test_finish_gets_no_multiplier_of_a_box_row():
     # a boxed reply whose model sees no descent settles the rounds once it
     # is asked again at _IPM_TOL (the first ask is loose), and an
     # unconverged polish leaves the certificate to that tight reply: its
-    # curved and linear rows' multipliers and its last n_pos (the bounds
-    # -x_i <= 0) seed `finish`, none of its 2 n_pos box rows' and nothing
-    # of the loose reply
+    # first n_rows multipliers (the program's rows) seed `finish`, none of
+    # its last 2 n_pos (the box rows) and nothing of the loose reply
     pre, x0 = start(relay_program())
     red = pre.program
-    ml, n_pos = red.n_nonlinear + len(red.lin_b), len(red.positive_indices)
-    lam = np.arange(1.0, ml + 3 * n_pos + 1.0)
+    lam = np.arange(1.0, red.n_rows + 2 * len(red.positive_indices) + 1.0)
     f_x = red.objective_value(x0)
     rounds = quadratic._rounds(red, x0)
     first = next(rounds)
@@ -498,7 +496,7 @@ def test_finish_gets_no_multiplier_of_a_box_row():
         rounds.send(quadratic._Reply(polish, None, math.nan, math.nan))
     x, seeds, settled, *_ = done.value.value
     assert settled and np.array_equal(x, x0)
-    assert np.array_equal(seeds, np.concatenate((lam[:ml], lam[-n_pos:])))
+    assert np.array_equal(seeds, lam[:red.n_rows]) and not np.isin(lam[red.n_rows:], seeds).any()
 
 
 def spy_asks(monkeypatch):
@@ -847,10 +845,11 @@ def test_no_subproblem_reaches_the_iteration_cap(monkeypatch):
 
 def test_program_without_curved_rows_keeps_its_bits(monkeypatch):
     # S3 has no curved row, so its interior-point steps are never corrected
-    # (before the proof stop: 0x1.d50ba26047fc3p+2 in (5, 29))
+    # (before the proof stop: 0x1.d50ba26047fc3p+2 in (5, 29); before the
+    # box rows went last: 0x1.d50ba25f822c8p+2, the same counts)
     p = build_problem(ScenarioSpec(Scenario.S3, Case.A), NetworkConfig())
     res = solve_iterative(p)
-    assert res.objective_bits.hex() == "0x1.d50ba25f822c8p+2"
+    assert res.objective_bits.hex() == "0x1.d50ba25f822c7p+2"
     assert (res.outer_iters, res.inner_iters) == (6, 23)
     monkeypatch.setattr(quadratic, "_CORRECT_BELOW", math.inf)
     always = solve_iterative(p)
